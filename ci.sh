@@ -49,11 +49,28 @@ need_bin() {
     fi
 }
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace"
+# --workspace: the root package depends on the member crates as
+# libraries only, so a plain build leaves their binaries (everything
+# need_bin checks below) missing or, worse, stale.
+cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test -q
+
+echo "==> vendored crates' own tests"
+# vendor/ is excluded from the workspace, so nothing above runs these;
+# the codec every snapshot, packet feed and report goes through lives
+# there. One shared target dir keeps vendor/ itself clean.
+for crate in serde serde_derive serde_json rand proptest; do
+    cargo test -q --offline --manifest-path "vendor/$crate/Cargo.toml" \
+        --target-dir target/vendor
+done
+
+echo "==> benchmark package builds and passes its tests against this vendor/"
+# benchmark/ is its own workspace with path deps on crates/ and vendor/:
+# a vendored-API break must show here, not in the benchmark run.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
 if [ "$QUICK" -eq 0 ]; then
     echo "==> cargo clippy (deny warnings)"

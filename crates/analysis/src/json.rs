@@ -236,11 +236,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // A run of plain bytes up to the next quote or escape,
+                // validated and copied once (validating the rest of the
+                // document per character made this quadratic).
+                let run = b[*pos..]
+                    .iter()
+                    .position(|c| matches!(c, b'"' | b'\\'))
+                    .unwrap_or(b.len() - *pos);
+                let text = std::str::from_utf8(&b[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -371,6 +376,38 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("nope").is_err());
         assert!(Json::parse("{}extra").is_err());
+    }
+
+    /// `parse_string` once re-validated the whole rest of the document
+    /// for every plain character; these inputs then took minutes.
+    #[test]
+    fn parsing_is_linear_in_the_document() {
+        let started = std::time::Instant::now();
+
+        // Key- and string-heavy: 20 000 objects of five members.
+        let row = |i: usize| {
+            Json::Obj(
+                (0..5)
+                    .map(|f| {
+                        (
+                            format!("field_{f}_of_row_{i}"),
+                            Json::str(format!("v{i}é\n")),
+                        )
+                    })
+                    .collect(),
+            )
+        };
+        let doc = Json::Arr((0..20_000).map(row).collect());
+        let text = doc.emit();
+        assert!(text.len() >= 2 << 20, "{} bytes", text.len());
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+
+        // One 1 MB string.
+        let long = Json::str("é\\x".repeat(1 << 18));
+        assert_eq!(Json::parse(&long.emit()).unwrap(), long);
+
+        let took = started.elapsed();
+        assert!(took.as_secs() < 30, "took {took:?}");
     }
 
     #[test]

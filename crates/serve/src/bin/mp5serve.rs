@@ -18,6 +18,7 @@
 //! uniform key traffic for a `.dsl` program) or streamed as
 //! newline-JSON packets on stdin (`--stdin`).
 
+use std::io::BufRead;
 use std::path::Path;
 
 use mp5_core::{EngineMode, ExecPath, RunReport, SwitchConfig};
@@ -229,12 +230,13 @@ fn generate_packets(args: &Args, source: &str) -> Result<Vec<Packet>, ServeError
 }
 
 fn read_stdin_packets() -> Result<Vec<Packet>, ServeError> {
+    let mut stdin = std::io::stdin().lock();
     let mut packets = Vec::new();
     let mut line = String::new();
     let mut lineno = 0usize;
     loop {
         line.clear();
-        match std::io::BufRead::read_line(&mut std::io::stdin().lock(), &mut line) {
+        match stdin.read_line(&mut line) {
             Ok(0) => break,
             Ok(_) => {
                 lineno += 1;

@@ -287,11 +287,48 @@ pub struct Snapshot {
     pub injector: Option<InjectorSnap>,
 }
 
-/// Serializes one section body. Snapshot sections are plain data
-/// (no maps with non-string keys, no NaNs), so serialization itself
-/// cannot fail; only IO can.
-fn json<T: Serialize + ?Sized>(v: &T) -> String {
-    serde_json::to_string(v).expect("snapshot sections are plain serializable data")
+/// Appends one `@tag body` section line, serializing the body straight
+/// into `out`. Snapshot sections are plain data (no maps with
+/// non-string keys, no NaNs), so serialization itself cannot fail; only
+/// IO can.
+fn write_section<T: Serialize + ?Sized>(out: &mut Vec<u8>, tag: &str, body: &T) {
+    out.extend_from_slice(tag.as_bytes());
+    out.push(b' ');
+    serde_json::to_writer(out, body).expect("snapshot sections are plain serializable data");
+    out.push(b'\n');
+}
+
+/// Parses one section body into its slot; a section may appear once.
+fn read_section<T: Deserialize>(
+    slot: &mut Option<T>,
+    tag: &str,
+    body: &str,
+) -> Result<(), ServeError> {
+    if slot.is_some() {
+        return Err(ServeError::Format(format!("duplicate section '{tag}'")));
+    }
+    let parsed = serde_json::from_str(body)
+        .map_err(|e| ServeError::Format(format!("section {tag}: {e}")))?;
+    *slot = Some(parsed);
+    Ok(())
+}
+
+const CHECKSUM_TAG: &str = "@checksum ";
+
+/// The trailer's value: exactly the 16 lowercase hex digits
+/// `encode` writes.
+fn parse_checksum(s: &str) -> Option<u64> {
+    if s.len() != 16 {
+        return None;
+    }
+    s.bytes().try_fold(0u64, |acc, b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | digit as u64)
+    })
 }
 
 /// FNV-1a 64-bit over the snapshot body — stable across builds and
@@ -328,22 +365,26 @@ impl Snapshot {
     /// discipline as the trace JSONL codec), closed by an FNV-1a64
     /// checksum over every preceding byte.
     pub fn encode(&self) -> String {
-        let mut out = format!(
-            "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} seq={} cycle={}\n",
+        let mut out = Vec::new();
+        writeln!(
+            out,
+            "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} seq={} cycle={}",
             self.seq,
             self.cycle()
-        );
-        out.push_str(&format!("@source {}\n", json(&self.source)));
-        out.push_str(&format!("@config {}\n", json(&self.config)));
-        out.push_str(&format!("@state {}\n", json(&self.state)));
+        )
+        .expect("writing to a Vec cannot fail");
+        write_section(&mut out, "@source", &self.source);
+        write_section(&mut out, "@config", &self.config);
+        write_section(&mut out, "@state", &self.state);
         if let Some(plan) = &self.fault_plan {
-            out.push_str(&format!("@faults {}\n", json(plan)));
+            write_section(&mut out, "@faults", plan);
         }
         if let Some(inj) = &self.injector {
-            out.push_str(&format!("@injector {}\n", json(inj)));
+            write_section(&mut out, "@injector", inj);
         }
-        out.push_str(&format!("@checksum {:016x}\n", fnv1a64(out.as_bytes())));
-        out
+        let sum = fnv1a64(&out);
+        writeln!(out, "{CHECKSUM_TAG}{sum:016x}").expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the header and the JSON writer emit UTF-8")
     }
 
     /// Parses and verifies a snapshot file's text. Rejects version
@@ -354,14 +395,14 @@ impl Snapshot {
         // hash to the recorded trailer, otherwise nothing else in the
         // file can be trusted.
         let tail = text
-            .rfind("@checksum ")
+            .rfind(CHECKSUM_TAG)
             .ok_or_else(|| ServeError::Format("missing @checksum trailer".into()))?;
-        let recorded = text[tail..].strip_prefix("@checksum ").unwrap_or("").trim();
-        let found = format!("{:016x}", fnv1a64(&text.as_bytes()[..tail]));
-        if recorded != found {
+        let recorded = text[tail + CHECKSUM_TAG.len()..].trim();
+        let found = fnv1a64(&text.as_bytes()[..tail]);
+        if parse_checksum(recorded) != Some(found) {
             return Err(ServeError::Checksum {
                 expected: recorded.to_string(),
-                found,
+                found: format!("{found:016x}"),
             });
         }
 
@@ -401,14 +442,12 @@ impl Snapshot {
             let (tag, body) = line
                 .split_once(' ')
                 .ok_or_else(|| ServeError::Format(format!("section line without body: {line}")))?;
-            let parse_err =
-                |e: serde_json::Error| ServeError::Format(format!("section {tag}: {e}"));
             match tag {
-                "@source" => source = Some(serde_json::from_str(body).map_err(parse_err)?),
-                "@config" => config = Some(serde_json::from_str(body).map_err(parse_err)?),
-                "@state" => state = Some(serde_json::from_str(body).map_err(parse_err)?),
-                "@faults" => fault_plan = Some(serde_json::from_str(body).map_err(parse_err)?),
-                "@injector" => injector = Some(serde_json::from_str(body).map_err(parse_err)?),
+                "@source" => read_section(&mut source, tag, body)?,
+                "@config" => read_section(&mut config, tag, body)?,
+                "@state" => read_section(&mut state, tag, body)?,
+                "@faults" => read_section(&mut fault_plan, tag, body)?,
+                "@injector" => read_section(&mut injector, tag, body)?,
                 other => {
                     return Err(ServeError::Format(format!("unknown section '{other}'")));
                 }
@@ -629,7 +668,7 @@ pub fn parse_packet_line(line: &str, lineno: usize) -> Result<Packet, ServeError
 /// encoded snapshot, minus the checksum line).
 pub fn snapshot_fingerprint(snap: &Snapshot) -> u64 {
     let text = snap.encode();
-    let body = text.rfind("@checksum ").unwrap_or(text.len());
+    let body = text.rfind(CHECKSUM_TAG).unwrap_or(text.len());
     fnv1a64(&text.as_bytes()[..body])
 }
 
@@ -707,6 +746,43 @@ mod tests {
             Snapshot::decode(&refreshed),
             Err(ServeError::Version(9))
         ));
+    }
+
+    #[test]
+    fn decode_rejects_a_repeated_section_and_a_respelled_trailer() {
+        let snap = checkpoint_at(10, 200, 3);
+        let text = snap.encode();
+        let body_end = text.rfind(CHECKSUM_TAG).unwrap();
+
+        // A second @config line under a valid checksum: which of the
+        // two the writer meant is unknowable.
+        let config_line = text.lines().find(|l| l.starts_with("@config ")).unwrap();
+        let doubled = format!("{}{config_line}\n", &text[..body_end]);
+        let doubled = format!(
+            "{doubled}{CHECKSUM_TAG}{:016x}\n",
+            fnv1a64(doubled.as_bytes())
+        );
+        match Snapshot::decode(&doubled) {
+            Err(ServeError::Format(why)) => assert!(why.contains("duplicate section '@config'")),
+            other => panic!("expected a duplicate-section error, got {other:?}"),
+        }
+
+        // The trailer is 16 lowercase hex digits and nothing else.
+        let sum = &text[body_end + CHECKSUM_TAG.len()..].trim_end();
+        for respelled in [
+            sum.to_uppercase(),
+            format!("+{}", &sum[1..]),
+            sum[1..].into(),
+        ] {
+            if respelled == *sum {
+                continue; // a checksum without letters has no upper case
+            }
+            let bad = format!("{}{CHECKSUM_TAG}{respelled}\n", &text[..body_end]);
+            assert!(
+                matches!(Snapshot::decode(&bad), Err(ServeError::Checksum { .. })),
+                "{respelled}"
+            );
+        }
     }
 
     #[test]

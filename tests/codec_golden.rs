@@ -1,0 +1,829 @@
+//! The on-disk formats that are contracts, pinned by golden files.
+//!
+//! `tests/golden/` was written by [`regenerate_goldens`] running on the
+//! commit *before* the vendored serde was made tree-free (PR 11,
+//! `e06d1ca`), so every file here is what the old `Value`-tree codec
+//! produced. Each must still decode, and re-encode to the same bytes.
+
+use std::path::PathBuf;
+
+use mp5::core::{EngineMode, SwitchConfig};
+use mp5::faults::{FaultPlan, NoFaults, PlannedFaults};
+use mp5::serve::{parse_packet_line, FaultState, ServeError, Server, Snapshot};
+use mp5::topo::{Fabric, FabricConfig, TopologyConfig};
+use mp5::trace::NopSink;
+use mp5::traffic::{trace_io, DcPattern, DcWorkload, TraceBuilder};
+use mp5::types::Packet;
+
+fn golden(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+fn read_golden(name: &str) -> String {
+    let path = golden(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+// ---------------------------------------------------------------------
+// Generation (run once, on the parent commit)
+// ---------------------------------------------------------------------
+
+const PROGRAM: &str = "struct Packet { int h; int v; int o; };
+     int a[4] = {0};
+     int b[64] = {0};
+     void func(struct Packet p) {
+         if (p.h % 3 == 0) { a[p.h % 4] = a[p.h % 4] + p.v; }
+         b[p.h % 64] = b[p.h % 64] + 1;
+         p.o = b[p.h % 64];
+     }";
+
+fn packets(n: usize, seed: u64) -> Vec<Packet> {
+    let prog = mp5::serve::compile_source(PROGRAM).unwrap();
+    TraceBuilder::new(n, seed).build(prog.num_fields(), |rng, i, f| {
+        use rand::Rng;
+        f[0] = rng.gen_range(0..200);
+        // Negative values and the integer extremes travel through
+        // packet fields and register files alike.
+        f[1] = match i % 7 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            _ => rng.gen_range(-1_000_000..1_000_000),
+        };
+    })
+}
+
+fn snapshot<F: FaultState>(plan_json: Option<String>, cycles: u64) -> Snapshot {
+    let cfg = SwitchConfig::mp5(4);
+    let mut srv: Server<NopSink, F> = Server::new(PROGRAM, cfg, NopSink, plan_json).unwrap();
+    srv.offer_all(packets(160, 5));
+    for _ in 0..cycles {
+        srv.tick();
+        srv.drain_egress();
+    }
+    srv.checkpoint()
+}
+
+fn fabric_report_json() -> String {
+    let app = mp5::apps::by_name("heavy_hitter").expect("app exists");
+    let prog = app.compile().expect("app compiles");
+    let topo = TopologyConfig::leaf_spine(2, 2, 2)
+        .validate()
+        .expect("valid topology");
+    let hosts = topo.num_hosts();
+    let mut cfg = FabricConfig::new(
+        SwitchConfig::mp5(4)
+            .with_hardware_fifos()
+            .with_engine(EngineMode::Sequential),
+    );
+    cfg.seed = 3;
+    let workload = DcWorkload::new(hosts, 300, 3)
+        .load(0.7)
+        .max_pkts_per_flow(4)
+        .pattern(DcPattern::Uniform);
+    let fabric = Fabric::new(topo, cfg, prog.clone()).expect("valid fabric");
+    let fill = app.fill;
+    fabric
+        .run(workload.stream(), |key, rng, fields| {
+            fill(&prog, key, rng, fields)
+        })
+        .report
+        .to_json()
+}
+
+/// Writes `tests/golden/`. Not part of any test run: the goldens are
+/// the parent commit's bytes, and regenerating them with a later codec
+/// would pin that codec against itself.
+#[test]
+#[ignore = "writes tests/golden/; run on the commit whose bytes are to be pinned"]
+fn regenerate_goldens() {
+    std::fs::create_dir_all(golden("")).unwrap();
+    let prog = mp5::serve::compile_source(PROGRAM).unwrap();
+    let plan = FaultPlan::chaos(11, 4, prog.num_stages(), 60);
+    let faulted = snapshot::<PlannedFaults>(Some(plan.to_json()), 45);
+    assert!(faulted.fault_plan.is_some() && faulted.injector.is_some());
+    std::fs::write(golden("faulted.snap"), faulted.encode()).unwrap();
+    std::fs::write(
+        golden("plain.snap"),
+        snapshot::<NoFaults>(None, 30).encode(),
+    )
+    .unwrap();
+    let feed: String = packets(20, 9)
+        .iter()
+        .map(|p| serde_json::to_string(p).unwrap() + "\n")
+        .collect();
+    std::fs::write(golden("feed.jsonl"), feed).unwrap();
+    std::fs::write(golden("fabric_report.json"), fabric_report_json()).unwrap();
+    std::fs::write(golden("trace.json"), trace_io::to_json(&packets(25, 2))).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Byte identity
+// ---------------------------------------------------------------------
+
+const SNAPSHOTS: [&str; 2] = ["faulted.snap", "plain.snap"];
+
+#[test]
+fn snapshots_decode_and_reencode_to_the_same_bytes() {
+    for name in SNAPSHOTS {
+        let text = read_golden(name);
+        let snap = Snapshot::decode(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(snap.encode(), text, "{name}");
+        let faulted = name == "faulted.snap";
+        assert_eq!(snap.fault_plan.is_some(), faulted, "{name}");
+        assert_eq!(snap.injector.is_some(), faulted, "{name}");
+    }
+}
+
+/// A snapshot the parent commit wrote is not only readable: the switch
+/// restored from it finishes the run exactly as if never interrupted.
+#[test]
+fn snapshots_restore_and_finish_like_the_uninterrupted_run() {
+    fn finish<F: FaultState>(mut srv: Server<NopSink, F>) -> mp5::core::RunReport {
+        while !srv.is_idle() {
+            srv.tick();
+            srv.drain_egress();
+        }
+        srv.finish().0
+    }
+    fn check<F: FaultState>(name: &str) {
+        let snap = Snapshot::decode(&read_golden(name)).unwrap();
+        let mut fresh: Server<NopSink, F> = Server::new(
+            &snap.source,
+            snap.config.clone(),
+            NopSink,
+            snap.fault_plan.clone(),
+        )
+        .unwrap();
+        fresh.offer_all(packets(160, 5));
+        let restored: Server<NopSink, F> = Server::restore(snap, NopSink, None, None).unwrap();
+        assert_eq!(finish(restored), finish(fresh), "{name}");
+    }
+    check::<PlannedFaults>("faulted.snap");
+    check::<NoFaults>("plain.snap");
+}
+
+#[test]
+fn feed_lines_parse_and_reprint_to_the_same_bytes() {
+    let feed = read_golden("feed.jsonl");
+    assert_eq!(feed.lines().count(), 20);
+    for (i, line) in feed.lines().enumerate() {
+        let packet = parse_packet_line(line, i + 1).unwrap();
+        assert_eq!(
+            serde_json::to_string(&packet).unwrap(),
+            line,
+            "line {}",
+            i + 1
+        );
+    }
+    let parsed: Vec<Packet> = feed
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(parsed, packets(20, 9));
+}
+
+#[test]
+fn fabric_report_reprints_to_the_same_bytes() {
+    // `FabricReport` only serializes; as a `Value` its keys, their
+    // order, every number's arity and every float's digits must survive.
+    let text = read_golden("fabric_report.json");
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+    assert_eq!(serde_json::to_string_pretty(&doc).unwrap(), text);
+    assert_eq!(doc["flows_started"], 300u64);
+    assert_eq!(doc["fct"]["mean"], 15073.22);
+}
+
+#[test]
+fn trace_file_reloads_and_reprints_to_the_same_bytes() {
+    let text = read_golden("trace.json");
+    let trace = trace_io::from_json(&text).unwrap();
+    assert_eq!(trace, packets(25, 2));
+    assert_eq!(trace_io::to_json(&trace), text);
+}
+
+/// With `record_detail` on, a snapshot carries every completed packet's
+/// outputs. The old parser was quadratic in the section text, which is
+/// what made such a snapshot take the better part of a minute to load.
+#[test]
+fn a_detailed_snapshot_of_5k_packets_round_trips_within_seconds() {
+    let app = mp5::apps::by_name("heavy_hitter").expect("app exists");
+    let prog = app.compile().expect("app compiles");
+    let trace = TraceBuilder::new(5_000, 4).build(prog.num_fields(), |rng, _, f| {
+        use rand::Rng;
+        f[0] = rng.gen_range(0..4_000);
+    });
+    let cfg = SwitchConfig::mp5(4).with_record_detail(true);
+    let run = |srv: &mut Server<NopSink, NoFaults>| {
+        while !srv.is_idle() {
+            srv.tick();
+            srv.drain_egress();
+        }
+    };
+    let mut srv: Server<NopSink, NoFaults> = Server::new(app.source, cfg, NopSink, None).unwrap();
+    srv.offer_all(trace);
+    for _ in 0..1_100 {
+        srv.tick();
+        srv.drain_egress();
+    }
+    let snap = srv.checkpoint();
+    assert!(snap.state.report.completed > 3_000, "the detail to carry");
+
+    let started = std::time::Instant::now();
+    let text = snap.encode();
+    let back = Snapshot::decode(&text).unwrap();
+    assert_eq!(back, snap);
+    let mut restored = Server::restore(back, NopSink, None, None).unwrap();
+    let took = started.elapsed();
+    assert!(took.as_secs() < 30, "{} bytes took {took:?}", text.len());
+
+    run(&mut srv);
+    run(&mut restored);
+    assert_eq!(restored.finish().0, srv.finish().0);
+}
+
+// ---------------------------------------------------------------------
+// Round trips, per derived shape
+// ---------------------------------------------------------------------
+
+mod shapes {
+    use proptest::prelude::*;
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct Unit;
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct Newtype(pub i64);
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct Tuple(pub u64, pub String, pub f64);
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub enum Variant {
+        Unit,
+        Newtype(u64),
+        Tuple(i64, String),
+        Struct { x: f64, y: Option<Newtype> },
+    }
+
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct Named {
+        pub unsigned: u64,
+        pub signed: i64,
+        pub small: (u8, i8),
+        pub optional: Option<u32>,
+        pub nested: Vec<Vec<i16>>,
+        pub text: String,
+        pub float: f64,
+        pub flag: bool,
+        pub triple: (u16, String, bool),
+        pub quad: (u32, i32, f64, Option<bool>),
+        pub unit: Unit,
+        pub newtype: Newtype,
+        pub tuple: Tuple,
+        pub variants: Vec<Variant>,
+    }
+
+    /// Every escape class (quote, backslash, the five short escapes,
+    /// other control characters) next to 1- to 4-byte UTF-8.
+    const CHARS: [char; 16] = [
+        'a',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{08}',
+        '\u{0c}',
+        '\u{00}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '\u{20ac}',
+        '\u{10348}',
+    ];
+
+    pub fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0usize..CHARS.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+    }
+
+    /// Finite floats from raw bits, salted with the edge cases: both
+    /// zeros, integral values (printed with `.0`), exponent forms.
+    pub fn float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(|bits| {
+                let f = f64::from_bits(bits);
+                if f.is_finite() {
+                    f
+                } else {
+                    0.0
+                }
+            }),
+            Just(0.0),
+            Just(-0.0),
+            Just(3.0),
+            Just(-1e300),
+            Just(2.5e-7),
+            Just(f64::MAX),
+            Just(f64::MIN_POSITIVE),
+        ]
+    }
+
+    pub fn unsigned() -> impl Strategy<Value = u64> {
+        prop_oneof![any::<u64>(), Just(0), Just(u64::MAX), 0u64..100]
+    }
+
+    pub fn signed() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            any::<i64>(),
+            Just(i64::MIN),
+            Just(i64::MAX),
+            Just(0),
+            -100i64..100
+        ]
+    }
+
+    pub fn variant() -> impl Strategy<Value = Variant> {
+        prop_oneof![
+            Just(Variant::Unit),
+            unsigned().prop_map(Variant::Newtype),
+            (signed(), text()).prop_map(|(a, b)| Variant::Tuple(a, b)),
+            (float(), any::<bool>(), signed()).prop_map(|(x, some, y)| Variant::Struct {
+                x,
+                y: some.then_some(Newtype(y)),
+            }),
+        ]
+    }
+
+    pub fn named() -> impl Strategy<Value = Named> {
+        let scalars = (unsigned(), signed(), any::<u8>(), -128i16..128, float());
+        let texts = (text(), text(), text());
+        let small = (
+            any::<bool>(),
+            any::<bool>(),
+            any::<u32>(),
+            any::<u16>(),
+            any::<i32>(),
+        );
+        let nested = proptest::collection::vec(proptest::collection::vec(-400i16..400, 0..4), 0..4);
+        let variants = proptest::collection::vec(variant(), 0..5);
+        (scalars, texts, small, nested, variants, float(), float()).prop_map(
+            |(
+                (unsigned, signed, a, b, float),
+                (t1, t2, t3),
+                (f1, f2, w, h, i),
+                nested,
+                variants,
+                g,
+                h2,
+            )| Named {
+                unsigned,
+                signed,
+                small: (a, b as i8),
+                optional: f1.then_some(w),
+                nested,
+                text: t1,
+                float,
+                flag: f2,
+                triple: (h, t2, f1),
+                quad: (w, i, g, f2.then_some(f1)),
+                unit: Unit,
+                newtype: Newtype(signed),
+                tuple: Tuple(unsigned, t3, h2),
+                variants,
+            },
+        )
+    }
+}
+
+/// `text` without the whitespace a pretty printer adds (whitespace
+/// inside strings stays).
+fn squeeze(text: &str) -> String {
+    let mut out = String::new();
+    let mut in_string = false;
+    let mut escaped = false;
+    for c in text.chars() {
+        if in_string {
+            out.push(c);
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+        } else if !matches!(c, ' ' | '\n') {
+            out.push(c);
+            in_string = c == '"';
+        }
+    }
+    out
+}
+
+/// The three properties every shape must satisfy; comparing the
+/// re-encoded text as well as the value tells `-0.0` from `0.0`.
+fn round_trips<T>(value: &T) -> Result<(), proptest::prelude::TestCaseError>
+where
+    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    use proptest::prelude::*;
+    let text = serde_json::to_string(value).unwrap();
+
+    // Direct: text -> T.
+    let direct: T = serde_json::from_str(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    prop_assert_eq!(&direct, value);
+    prop_assert_eq!(&serde_json::to_string(&direct).unwrap(), &text);
+
+    // By way of a `Value`: the document type agrees with the typed path
+    // on what the text means and prints it back unchanged.
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+    prop_assert_eq!(&serde_json::to_string(&doc).unwrap(), &text);
+    prop_assert_eq!(&doc.to_string(), &text);
+    prop_assert_eq!(&serde_json::to_value(value).unwrap(), &doc);
+    let via_doc: T = serde_json::from_value(doc).unwrap();
+    prop_assert_eq!(&via_doc, value);
+
+    // Pretty is compact plus whitespace, and reads back the same.
+    let pretty = serde_json::to_string_pretty(value).unwrap();
+    prop_assert_eq!(&squeeze(&pretty), &text);
+    let from_pretty: T = serde_json::from_str(&pretty).unwrap();
+    prop_assert_eq!(&serde_json::to_string(&from_pretty).unwrap(), &text);
+    Ok(())
+}
+
+mod round_trip {
+    use super::round_trips;
+    use super::shapes::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        #[test]
+        fn named_struct(v in named()) { round_trips(&v)?; }
+
+        #[test]
+        fn newtype_struct(v in signed()) { round_trips(&Newtype(v))?; }
+
+        #[test]
+        fn tuple_struct(a in unsigned(), b in text(), c in float()) { round_trips(&Tuple(a, b, c))?; }
+
+        #[test]
+        fn unit_struct(_v in 0u8..1) { round_trips(&Unit)?; }
+
+        #[test]
+        fn enum_variants(v in proptest::collection::vec(variant(), 0..6)) { round_trips(&v)?; }
+
+        #[test]
+        fn option_and_nested_vec(v in proptest::collection::vec(
+            proptest::collection::vec((any::<bool>(), signed()).prop_map(|(s, v)| s.then_some(v)), 0..5),
+            0..5,
+        )) { round_trips(&v)?; }
+
+        #[test]
+        fn tuples_of_two_to_four(a in unsigned(), b in text(), c in float(), d in signed()) {
+            round_trips(&(a, b.clone()))?;
+            round_trips(&(d, c, b.clone()))?;
+            round_trips(&(b, a, d, c))?;
+        }
+
+        #[test]
+        fn extreme_integers(_v in 0u8..1) {
+            round_trips(&(i64::MIN, i64::MAX, u64::MAX, 0u64))?;
+            round_trips(&vec![i64::MIN, -1, 0, 1, i64::MAX])?;
+        }
+
+        #[test]
+        fn floats(v in proptest::collection::vec(float(), 0..8)) { round_trips(&v)?; }
+
+        #[test]
+        fn strings(v in proptest::collection::vec(text(), 0..6)) { round_trips(&v)?; }
+
+        #[test]
+        fn packets(id in any::<u64>(), port in any::<u16>(), fields in proptest::collection::vec(signed(), 0..6)) {
+            let mut p = crate::packets(1, 1).remove(0);
+            p.id = mp5::types::PacketId(id);
+            p.port = mp5::types::PortId(port);
+            p.fields = fields;
+            round_trips(&p)?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rejections: a typed error per failure class, never a panic
+// ---------------------------------------------------------------------
+
+fn sample() -> shapes::Named {
+    use shapes::*;
+    Named {
+        unsigned: 7,
+        signed: -7,
+        small: (1, -1),
+        optional: Some(3),
+        nested: vec![vec![1, -2], vec![]],
+        text: "t\"\n".into(),
+        float: 1.5,
+        flag: true,
+        triple: (2, "x".into(), false),
+        quad: (4, -4, 0.25, None),
+        unit: Unit,
+        newtype: Newtype(9),
+        tuple: Tuple(1, "y".into(), 2.0),
+        variants: vec![
+            Variant::Unit,
+            Variant::Newtype(1),
+            Variant::Tuple(-1, "z".into()),
+            Variant::Struct {
+                x: 0.5,
+                y: Some(Newtype(2)),
+            },
+        ],
+    }
+}
+
+fn sample_text() -> String {
+    serde_json::to_string(&sample()).unwrap()
+}
+
+/// Parses the sample with `from` replaced by `to`; the replacement must
+/// have matched.
+fn edited(from: &str, to: &str) -> Result<shapes::Named, serde_json::Error> {
+    let text = sample_text();
+    assert!(text.contains(from), "{from} not in {text}");
+    serde_json::from_str(&text.replacen(from, to, 1))
+}
+
+fn rejected(from: &str, to: &str, why: &str) {
+    let err = edited(from, to).expect_err(to).to_string();
+    assert!(err.contains(why), "{from} -> {to}: {err}");
+}
+
+#[test]
+fn truncation_at_every_byte_is_an_error() {
+    let text = sample_text();
+    for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        assert!(
+            serde_json::from_str::<shapes::Named>(&text[..cut]).is_err(),
+            "accepted {:?}",
+            &text[..cut]
+        );
+        assert!(serde_json::from_str::<serde_json::Value>(&text[..cut]).is_err());
+    }
+    let pretty = serde_json::to_string_pretty(&sample()).unwrap();
+    for cut in (0..pretty.len()).filter(|&i| pretty.is_char_boundary(i)) {
+        assert!(serde_json::from_str::<shapes::Named>(&pretty[..cut]).is_err());
+    }
+    for name in SNAPSHOTS {
+        let snap = read_golden(name);
+        for cut in (0..snap.len() - 1).step_by(41) {
+            assert!(matches!(
+                Snapshot::decode(&snap[..cut]),
+                Err(ServeError::Format(_) | ServeError::Checksum { .. })
+            ));
+        }
+    }
+}
+
+#[test]
+fn trailing_garbage_is_an_error() {
+    for tail in ["x", "{}", ",", "]", "0"] {
+        let text = sample_text() + tail;
+        let err = serde_json::from_str::<shapes::Named>(&text).unwrap_err();
+        assert!(err.to_string().contains("trailing characters"), "{err}");
+        assert!(serde_json::from_str::<serde_json::Value>(&text).is_err());
+    }
+    assert!(serde_json::from_str::<shapes::Named>(&(sample_text() + " \n\t")).is_ok());
+    let line = read_golden("feed.jsonl")
+        .lines()
+        .next()
+        .unwrap()
+        .to_string();
+    assert!(parse_packet_line(&(line + "]"), 1).is_err());
+}
+
+#[test]
+fn a_missing_field_is_an_error() {
+    rejected("\"flag\":true,", "", "missing field `flag` in Named");
+    rejected("\"optional\":3,", "", "missing field `optional` in Named");
+    rejected("{\"x\":0.5,", "{", "missing field `x` in Variant::Struct");
+}
+
+#[test]
+fn an_unknown_field_is_skipped() {
+    for extra in [
+        "\"later\":null,",
+        "\"later\":[1,[2,{\"k\":\"v\\n\"}],-3.5e2],",
+        "\"later\":{\"flag\":false},",
+    ] {
+        let with_extra = format!("{extra}\"flag\":true,");
+        assert_eq!(edited("\"flag\":true,", &with_extra).unwrap(), sample());
+    }
+    // A skipped value must still be well-formed.
+    rejected(
+        "\"flag\":true,",
+        "\"later\":[1,,2],\"flag\":true,",
+        "unexpected character",
+    );
+}
+
+#[test]
+fn a_wrong_tuple_arity_is_an_error() {
+    rejected("\"small\":[1,-1]", "\"small\":[1]", "too few elements");
+    rejected(
+        "\"small\":[1,-1]",
+        "\"small\":[1,-1,0]",
+        "too many elements",
+    );
+    rejected(
+        "\"tuple\":[1,\"y\",2.0]",
+        "\"tuple\":[1,\"y\"]",
+        "too few elements for Tuple",
+    );
+    rejected(
+        "{\"Tuple\":[-1,\"z\"]}",
+        "{\"Tuple\":[-1,\"z\",0]}",
+        "too many elements for Variant::Tuple",
+    );
+    rejected("\"small\":[1,-1]", "\"small\":{}", "expected array");
+}
+
+#[test]
+fn an_integer_out_of_range_for_its_field_is_an_error() {
+    rejected(
+        "\"small\":[1,-1]",
+        "\"small\":[256,-1]",
+        "out of range for u8",
+    );
+    rejected(
+        "\"small\":[1,-1]",
+        "\"small\":[1,-129]",
+        "out of range for i8",
+    );
+    rejected(
+        "\"optional\":3",
+        "\"optional\":4294967296",
+        "out of range for u32",
+    );
+    rejected(
+        "\"unsigned\":7",
+        "\"unsigned\":-7",
+        "expected unsigned integer",
+    );
+    rejected(
+        "\"unsigned\":7",
+        "\"unsigned\":18446744073709551616",
+        "expected unsigned integer",
+    );
+    rejected(
+        "\"signed\":-7",
+        "\"signed\":9223372036854775808",
+        "expected integer",
+    );
+    rejected(
+        "\"signed\":-7",
+        "\"signed\":-9223372036854775809",
+        "expected integer",
+    );
+    rejected("\"float\":1.5", "\"float\":1e999", "out of range");
+}
+
+#[test]
+fn a_float_where_an_integer_is_required_is_an_error() {
+    rejected(
+        "\"unsigned\":7",
+        "\"unsigned\":7.0",
+        "expected unsigned integer",
+    );
+    rejected("\"signed\":-7", "\"signed\":-7e0", "expected integer");
+    rejected("\"newtype\":9", "\"newtype\":9.5", "expected integer");
+    // The other way round is fine: an integer literal is a number.
+    assert_eq!(edited("\"float\":1.5", "\"float\":3").unwrap().float, 3.0);
+}
+
+#[test]
+fn a_control_character_in_a_string_is_an_error() {
+    for c in ['\u{00}', '\n', '\u{1f}'] {
+        rejected(
+            "\"text\":\"t",
+            &format!("\"text\":\"t{c}"),
+            "control character",
+        );
+        rejected(
+            "\"unsigned\"",
+            &format!("\"unsig{c}ned\""),
+            "control character",
+        );
+    }
+}
+
+#[test]
+fn a_lone_surrogate_is_an_error() {
+    for escape in [
+        "\\ud800",
+        "\\udfff",
+        "\\ud800\\u0041",
+        "\\ud800x",
+        "\\ud83d\\ud83d",
+    ] {
+        rejected(
+            "\"text\":\"t",
+            &format!("\"text\":\"t{escape}"),
+            "surrogate",
+        );
+    }
+    let paired = edited("\"text\":\"t", "\"text\":\"\\ud83d\\ude00").unwrap();
+    assert_eq!(paired.text, "\u{1f600}\"\n");
+}
+
+#[test]
+fn nesting_beyond_the_limit_is_an_error() {
+    let deep = "[".repeat(200_000);
+    let err = serde_json::from_str::<serde_json::Value>(&deep).unwrap_err();
+    assert!(err.to_string().contains("recursion limit"), "{err}");
+    rejected(
+        "\"flag\":true,",
+        &format!("\"later\":{deep},\"flag\":true,"),
+        "recursion limit",
+    );
+}
+
+/// Flips the low bit of each chosen byte in turn. Whatever the reader
+/// makes of the damaged text, it must not panic, and it must not hand
+/// back the undamaged value as if nothing had happened.
+fn each_flip(
+    text: &str,
+    positions: impl Iterator<Item = usize>,
+    mut check: impl FnMut(usize, &str),
+) {
+    let mut bytes = text.as_bytes().to_vec();
+    for at in positions {
+        bytes[at] ^= 0x01;
+        // A flip that leaves no valid UTF-8 never reaches a parser:
+        // every reader takes `&str`.
+        if let Ok(damaged) = std::str::from_utf8(&bytes) {
+            check(at, damaged);
+        }
+        bytes[at] ^= 0x01;
+    }
+}
+
+#[test]
+fn one_flipped_byte_in_a_golden_is_noticed() {
+    for name in SNAPSHOTS {
+        let text = read_golden(name);
+        // The trailing newline is not covered: trailing whitespace after
+        // the checksum is not content.
+        let body = text.len() - 1;
+        let positions = (0..body).step_by(7).chain(0..64).chain(body - 64..body);
+        each_flip(&text, positions, |at, damaged| {
+            assert!(
+                matches!(
+                    Snapshot::decode(damaged),
+                    Err(ServeError::Checksum { .. } | ServeError::Format(_))
+                ),
+                "{name}: flip at byte {at} went unnoticed"
+            );
+        });
+    }
+
+    let feed = read_golden("feed.jsonl");
+    for (i, line) in feed.lines().enumerate() {
+        let packet = parse_packet_line(line, i + 1).unwrap();
+        each_flip(line, 0..line.len(), |at, damaged| {
+            if let Ok(p) = parse_packet_line(damaged, i + 1) {
+                assert_ne!(
+                    p,
+                    packet,
+                    "line {}: flip at byte {at} went unnoticed",
+                    i + 1
+                );
+            }
+        });
+    }
+
+    let text = read_golden("trace.json");
+    let trace = trace_io::from_json(&text).unwrap();
+    each_flip(&text, 0..text.len(), |at, damaged| {
+        if let Ok(t) = trace_io::from_json(damaged) {
+            assert_ne!(t, trace, "trace.json: flip at byte {at} went unnoticed");
+        }
+    });
+
+    let text = read_golden("fabric_report.json");
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+    each_flip(&text, 0..text.len(), |at, damaged| {
+        if let Ok(d) = serde_json::from_str::<serde_json::Value>(damaged) {
+            // The one honest alias: the seventeenth digit of a float,
+            // where two decimal spellings round to the same `f64`.
+            assert!(
+                d != doc || text.as_bytes()[at].is_ascii_digit(),
+                "fabric_report.json: flip at byte {at} went unnoticed"
+            );
+        }
+    });
+}
