@@ -21,7 +21,7 @@
 //! Exit status: 0 when every check passes, 1 when any violation is
 //! found, 2 on usage or I/O errors.
 
-use std::io::{BufReader, Read};
+use std::io::BufReader;
 use std::process::ExitCode;
 
 use mp5_trace::rollup::Rollup;
@@ -73,11 +73,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn load(input: &str) -> Result<Vec<Event>, String> {
     if input == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        read_jsonl(buf.as_bytes()).map_err(|e| format!("stdin: {e}"))
+        read_jsonl(std::io::stdin().lock()).map_err(|e| format!("stdin: {e}"))
     } else {
         let f = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
         read_jsonl(BufReader::new(f)).map_err(|e| format!("{input}: {e}"))

@@ -7,14 +7,16 @@
 //! which is exactly what the offline auditor ([`mod@crate::audit`]) needs to
 //! re-verify the paper's invariants without trusting the simulator.
 //!
-//! The codec is a hand-rolled flat-JSON line format (one event per
-//! line). It is deliberately dependency-free: traces must round-trip
-//! bit-for-bit in every build of the workspace, and the reproducibility
-//! regression test hashes the serialized stream.
+//! The codec is a flat-JSON line format (one event per line, fixed
+//! field order) on the vendored `serde::json` `Writer` and `Parser`.
+//! Traces must round-trip bit-for-bit in every build of the workspace;
+//! `tests/golden/events.jsonl` pins the bytes.
 
-use std::hash::Hasher;
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
 
 use mp5_types::{PacketId, RegId};
+use serde::json::{Parser, Writer};
 
 /// Location sentinel for switch-global events (e.g. remap moves) that
 /// have no meaningful pipeline or stage.
@@ -62,12 +64,9 @@ impl DropCause {
     }
 
     fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "fifo_full" => DropCause::FifoFull,
-            "no_phantom" => DropCause::NoPhantom,
-            "starvation" => DropCause::Starvation,
-            _ => return None,
-        })
+        [Self::FifoFull, Self::NoPhantom, Self::Starvation]
+            .into_iter()
+            .find(|cause| cause.as_str() == s)
     }
 }
 
@@ -343,63 +342,56 @@ pub struct Event {
 }
 
 impl Event {
-    /// Serializes the event as one flat JSON object (no trailing
+    /// Appends the event to `out` as one flat JSON object (no trailing
     /// newline). Field order is fixed, so equal events serialize to
-    /// byte-identical lines — the determinism regression test depends
-    /// on this.
-    pub fn to_jsonl(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"c\":{},\"p\":{},\"s\":{},\"k\":\"{}\"",
-            self.cycle,
-            self.pipeline,
-            self.stage,
-            self.kind.tag()
-        );
-        let key = |s: &mut String, k: &Key| {
-            let _ = write!(
-                s,
-                ",\"pkt\":{},\"reg\":{},\"idx\":{}",
-                k.pkt.0, k.reg.0, k.index
-            );
-        };
+    /// byte-identical lines and different events to different lines.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
+        fn key(w: &mut Writer<'_>, k: &Key) {
+            w.field("pkt", &k.pkt.0);
+            w.field("reg", &k.reg.0);
+            w.field("idx", &k.index);
+        }
+        let mut w = Writer::compact(out);
+        w.begin_object();
+        w.field("c", &self.cycle);
+        w.field("p", &self.pipeline);
+        w.field("s", &self.stage);
+        w.field("k", self.kind.tag());
         match &self.kind {
             EventKind::Ingress { pkt, order } | EventKind::Access { pkt, order, .. } => {
-                let _ = write!(s, ",\"pkt\":{}", pkt.0);
+                w.field("pkt", &pkt.0);
                 if let EventKind::Access { reg, index, .. } = &self.kind {
-                    let _ = write!(s, ",\"reg\":{},\"idx\":{}", reg.0, index);
+                    w.field("reg", &reg.0);
+                    w.field("idx", index);
                 }
-                let _ = write!(s, ",\"o1\":{},\"o2\":{}", order.0, order.1);
+                w.field("o1", &order.0);
+                w.field("o2", &order.1);
             }
             EventKind::Egress { pkt }
             | EventKind::DataEnq { pkt }
             | EventKind::DataEnqDropFull { pkt }
-            | EventKind::PopData { pkt } => {
-                let _ = write!(s, ",\"pkt\":{}", pkt.0);
-            }
+            | EventKind::PopData { pkt } => w.field("pkt", &pkt.0),
             EventKind::Drop { pkt, cause } => {
-                let _ = write!(s, ",\"pkt\":{},\"cause\":\"{}\"", pkt.0, cause.as_str());
+                w.field("pkt", &pkt.0);
+                w.field("cause", cause.as_str());
             }
             EventKind::Execute {
                 pkt,
                 queued,
                 bypassed,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"pkt\":{},\"queued\":{queued},\"bypassed\":{bypassed}",
-                    pkt.0
-                );
+                w.field("pkt", &pkt.0);
+                w.field("queued", queued);
+                w.field("bypassed", bypassed);
             }
             EventKind::PhantomEmit {
                 key: k,
                 dest_pipeline,
                 dest_stage,
             } => {
-                key(&mut s, k);
-                let _ = write!(s, ",\"dp\":{dest_pipeline},\"ds\":{dest_stage}");
+                key(&mut w, k);
+                w.field("dp", dest_pipeline);
+                w.field("ds", dest_stage);
             }
             EventKind::PhantomChannelCancel { key: k }
             | EventKind::PhantomEnq { key: k }
@@ -408,10 +400,10 @@ impl Event {
             | EventKind::DataOrphan { key: k }
             | EventKind::PopBlocked { key: k }
             | EventKind::FaultPhantomLost { key: k }
-            | EventKind::PhantomRecovered { key: k } => key(&mut s, k),
+            | EventKind::PhantomRecovered { key: k } => key(&mut w, k),
             EventKind::PhantomCancel { key: k, free } => {
-                key(&mut s, k);
-                let _ = write!(s, ",\"free\":{free}");
+                key(&mut w, k);
+                w.field("free", free);
             }
             EventKind::RemapMove {
                 reg,
@@ -419,163 +411,234 @@ impl Event {
                 from,
                 to,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"reg\":{},\"idx\":{index},\"from\":{from},\"to\":{to}",
-                    reg.0
-                );
+                w.field("reg", &reg.0);
+                w.field("idx", index);
+                w.field("from", from);
+                w.field("to", to);
             }
             EventKind::Recirculate { pkt, target } => {
-                let _ = write!(s, ",\"pkt\":{},\"to\":{target}", pkt.0);
+                w.field("pkt", &pkt.0);
+                w.field("to", target);
             }
             EventKind::Steer { from, to } => {
-                let _ = write!(s, ",\"from\":{from},\"to\":{to}");
+                w.field("from", from);
+                w.field("to", to);
             }
             EventKind::FaultInjected { code, param } => {
-                let _ = write!(s, ",\"code\":{code},\"param\":{param}");
+                w.field("code", code);
+                w.field("param", param);
             }
             EventKind::PipelineEvacuated { pipeline, indexes } => {
-                let _ = write!(s, ",\"pl\":{pipeline},\"n\":{indexes}");
+                w.field("pl", pipeline);
+                w.field("n", indexes);
             }
-            EventKind::SnapshotTaken { seq } => {
-                let _ = write!(s, ",\"seq\":{seq}");
-            }
-            EventKind::Restored { from_cycle } => {
-                let _ = write!(s, ",\"from\":{from_cycle}");
-            }
-            EventKind::ProgramSwapped { migrated } => {
-                let _ = write!(s, ",\"n\":{migrated}");
-            }
+            EventKind::SnapshotTaken { seq } => w.field("seq", seq),
+            EventKind::Restored { from_cycle } => w.field("from", from_cycle),
+            EventKind::ProgramSwapped { migrated } => w.field("n", migrated),
             EventKind::PopStale => {}
         }
-        s.push('}');
-        s
+        w.end_object();
     }
 
-    /// Parses one line produced by [`Event::to_jsonl`].
+    /// [`Event::write_jsonl`] into a fresh `String`.
+    pub fn to_jsonl(&self) -> String {
+        let mut line = Vec::with_capacity(96);
+        self.write_jsonl(&mut line);
+        String::from_utf8(line).expect("the JSON writer emits UTF-8")
+    }
+
+    /// Parses one line produced by [`Event::write_jsonl`]. Keys may come
+    /// in any order and unknown keys are skipped; a key that appears
+    /// twice, or a number too large for its field, is an error.
     pub fn parse_jsonl(line: &str) -> Result<Event, ParseError> {
-        let fields = parse_flat_object(line)?;
-        let num = |name: &str| -> Result<u64, ParseError> {
-            fields
-                .iter()
-                .find(|(k, _)| *k == name)
-                .and_then(|(_, v)| match v {
-                    Tok::Num(n) => Some(*n),
-                    _ => None,
-                })
-                .ok_or_else(|| ParseError::missing(name))
-        };
-        let string = |name: &str| -> Result<&str, ParseError> {
-            fields
-                .iter()
-                .find(|(k, _)| *k == name)
-                .and_then(|(_, v)| match v {
-                    Tok::Str(s) => Some(*s),
-                    _ => None,
-                })
-                .ok_or_else(|| ParseError::missing(name))
-        };
-        let boolean = |name: &str| -> Result<bool, ParseError> {
-            fields
-                .iter()
-                .find(|(k, _)| *k == name)
-                .and_then(|(_, v)| match v {
-                    Tok::Bool(b) => Some(*b),
-                    _ => None,
-                })
-                .ok_or_else(|| ParseError::missing(name))
-        };
-        let pkt = || -> Result<PacketId, ParseError> { Ok(PacketId(num("pkt")?)) };
-        let key = || -> Result<Key, ParseError> {
-            Ok(Key {
-                pkt: pkt()?,
-                reg: RegId(num("reg")? as u16),
-                index: num("idx")? as u32,
-            })
-        };
-        let order = || -> Result<(u64, u64), ParseError> { Ok((num("o1")?, num("o2")?)) };
-        let tag = string("k")?;
-        let kind = match tag {
+        let f = Fields::read(line)?;
+        let kind = match req(f.k.as_deref(), "k")? {
             "ingress" => EventKind::Ingress {
-                pkt: pkt()?,
-                order: order()?,
+                pkt: f.pkt()?,
+                order: f.order()?,
             },
-            "egress" => EventKind::Egress { pkt: pkt()? },
+            "egress" => EventKind::Egress { pkt: f.pkt()? },
             "drop" => EventKind::Drop {
-                pkt: pkt()?,
-                cause: DropCause::from_str(string("cause")?)
-                    .ok_or_else(|| ParseError::missing("cause"))?,
+                pkt: f.pkt()?,
+                cause: DropCause::from_str(req(f.cause.as_deref(), "cause")?)
+                    .ok_or_else(|| ParseError::new("unknown drop cause".into()))?,
             },
             "exec" => EventKind::Execute {
-                pkt: pkt()?,
-                queued: boolean("queued")?,
-                bypassed: boolean("bypassed")?,
+                pkt: f.pkt()?,
+                queued: req(f.queued, "queued")?,
+                bypassed: req(f.bypassed, "bypassed")?,
             },
-            "access" => EventKind::Access {
-                pkt: pkt()?,
-                reg: RegId(num("reg")? as u16),
-                index: num("idx")? as u32,
-                order: order()?,
-            },
+            "access" => {
+                let Key { pkt, reg, index } = f.key()?;
+                EventKind::Access {
+                    pkt,
+                    reg,
+                    index,
+                    order: f.order()?,
+                }
+            }
             "ph_emit" => EventKind::PhantomEmit {
-                key: key()?,
-                dest_pipeline: num("dp")? as u16,
-                dest_stage: num("ds")? as u16,
+                key: f.key()?,
+                dest_pipeline: narrow(f.dp, "dp")?,
+                dest_stage: narrow(f.ds, "ds")?,
             },
-            "ph_chan_cancel" => EventKind::PhantomChannelCancel { key: key()? },
+            "ph_chan_cancel" => EventKind::PhantomChannelCancel { key: f.key()? },
             "remap" => EventKind::RemapMove {
-                reg: RegId(num("reg")? as u16),
-                index: num("idx")? as u32,
-                from: num("from")? as u16,
-                to: num("to")? as u16,
+                reg: RegId(narrow(f.reg, "reg")?),
+                index: narrow(f.idx, "idx")?,
+                from: narrow(f.from, "from")?,
+                to: narrow(f.to, "to")?,
             },
             "recirc" => EventKind::Recirculate {
-                pkt: pkt()?,
-                target: num("to")? as u16,
+                pkt: f.pkt()?,
+                target: narrow(f.to, "to")?,
             },
-            "ph_enq" => EventKind::PhantomEnq { key: key()? },
-            "ph_drop" => EventKind::PhantomDropFull { key: key()? },
+            "ph_enq" => EventKind::PhantomEnq { key: f.key()? },
+            "ph_drop" => EventKind::PhantomDropFull { key: f.key()? },
             "ph_cancel" => EventKind::PhantomCancel {
-                key: key()?,
-                free: boolean("free")?,
+                key: f.key()?,
+                free: req(f.free, "free")?,
             },
-            "data_match" => EventKind::DataMatch { key: key()? },
-            "data_orphan" => EventKind::DataOrphan { key: key()? },
-            "data_enq" => EventKind::DataEnq { pkt: pkt()? },
-            "data_enq_drop" => EventKind::DataEnqDropFull { pkt: pkt()? },
-            "pop_data" => EventKind::PopData { pkt: pkt()? },
+            "data_match" => EventKind::DataMatch { key: f.key()? },
+            "data_orphan" => EventKind::DataOrphan { key: f.key()? },
+            "data_enq" => EventKind::DataEnq { pkt: f.pkt()? },
+            "data_enq_drop" => EventKind::DataEnqDropFull { pkt: f.pkt()? },
+            "pop_data" => EventKind::PopData { pkt: f.pkt()? },
             "pop_stale" => EventKind::PopStale,
-            "pop_blocked" => EventKind::PopBlocked { key: key()? },
+            "pop_blocked" => EventKind::PopBlocked { key: f.key()? },
             "steer" => EventKind::Steer {
-                from: num("from")? as u16,
-                to: num("to")? as u16,
+                from: narrow(f.from, "from")?,
+                to: narrow(f.to, "to")?,
             },
             "fault" => EventKind::FaultInjected {
-                code: num("code")? as u16,
-                param: num("param")?,
+                code: narrow(f.code, "code")?,
+                param: req(f.param, "param")?,
             },
-            "ph_lost" => EventKind::FaultPhantomLost { key: key()? },
-            "ph_recovered" => EventKind::PhantomRecovered { key: key()? },
+            "ph_lost" => EventKind::FaultPhantomLost { key: f.key()? },
+            "ph_recovered" => EventKind::PhantomRecovered { key: f.key()? },
             "evacuated" => EventKind::PipelineEvacuated {
-                pipeline: num("pl")? as u16,
-                indexes: num("n")?,
+                pipeline: narrow(f.pl, "pl")?,
+                indexes: req(f.n, "n")?,
             },
-            "snapshot" => EventKind::SnapshotTaken { seq: num("seq")? },
+            "snapshot" => EventKind::SnapshotTaken {
+                seq: req(f.seq, "seq")?,
+            },
             "restored" => EventKind::Restored {
-                from_cycle: num("from")?,
+                from_cycle: req(f.from, "from")?,
             },
             "swap" => EventKind::ProgramSwapped {
-                migrated: num("n")?,
+                migrated: req(f.n, "n")?,
             },
             other => return Err(ParseError::new(format!("unknown event tag '{other}'"))),
         };
         Ok(Event {
-            cycle: num("c")?,
-            pipeline: num("p")? as u16,
-            stage: num("s")? as u16,
+            cycle: req(f.c, "c")?,
+            pipeline: narrow(f.p, "p")?,
+            stage: narrow(f.s, "s")?,
             kind,
         })
     }
+}
+
+/// Every key the encoder writes, filled in by one walk over a line.
+#[derive(Default)]
+struct Fields<'a> {
+    c: Option<u64>,
+    p: Option<u64>,
+    s: Option<u64>,
+    k: Option<Cow<'a, str>>,
+    pkt: Option<u64>,
+    reg: Option<u64>,
+    idx: Option<u64>,
+    o1: Option<u64>,
+    o2: Option<u64>,
+    cause: Option<Cow<'a, str>>,
+    queued: Option<bool>,
+    bypassed: Option<bool>,
+    free: Option<bool>,
+    dp: Option<u64>,
+    ds: Option<u64>,
+    from: Option<u64>,
+    to: Option<u64>,
+    code: Option<u64>,
+    param: Option<u64>,
+    pl: Option<u64>,
+    n: Option<u64>,
+    seq: Option<u64>,
+}
+
+impl<'a> Fields<'a> {
+    fn read(line: &'a str) -> Result<Self, ParseError> {
+        let mut f = Fields::default();
+        let mut p = Parser::new(line);
+        p.begin_object()?;
+        while let Some(key) = p.next_key()? {
+            let twice = match key.as_bytes() {
+                b"c" => f.c.replace(p.u64()?).is_some(),
+                b"p" => f.p.replace(p.u64()?).is_some(),
+                b"s" => f.s.replace(p.u64()?).is_some(),
+                b"k" => f.k.replace(p.str()?).is_some(),
+                b"pkt" => f.pkt.replace(p.u64()?).is_some(),
+                b"reg" => f.reg.replace(p.u64()?).is_some(),
+                b"idx" => f.idx.replace(p.u64()?).is_some(),
+                b"o1" => f.o1.replace(p.u64()?).is_some(),
+                b"o2" => f.o2.replace(p.u64()?).is_some(),
+                b"cause" => f.cause.replace(p.str()?).is_some(),
+                b"queued" => f.queued.replace(p.bool()?).is_some(),
+                b"bypassed" => f.bypassed.replace(p.bool()?).is_some(),
+                b"free" => f.free.replace(p.bool()?).is_some(),
+                b"dp" => f.dp.replace(p.u64()?).is_some(),
+                b"ds" => f.ds.replace(p.u64()?).is_some(),
+                b"from" => f.from.replace(p.u64()?).is_some(),
+                b"to" => f.to.replace(p.u64()?).is_some(),
+                b"code" => f.code.replace(p.u64()?).is_some(),
+                b"param" => f.param.replace(p.u64()?).is_some(),
+                b"pl" => f.pl.replace(p.u64()?).is_some(),
+                b"n" => f.n.replace(p.u64()?).is_some(),
+                b"seq" => f.seq.replace(p.u64()?).is_some(),
+                _ => p.skip_value().map(|()| false)?,
+            };
+            if twice {
+                return Err(duplicate(&key));
+            }
+        }
+        p.end()?;
+        Ok(f)
+    }
+
+    fn pkt(&self) -> Result<PacketId, ParseError> {
+        Ok(PacketId(req(self.pkt, "pkt")?))
+    }
+
+    fn key(&self) -> Result<Key, ParseError> {
+        Ok(Key {
+            pkt: self.pkt()?,
+            reg: RegId(narrow(self.reg, "reg")?),
+            index: narrow(self.idx, "idx")?,
+        })
+    }
+
+    fn order(&self) -> Result<(u64, u64), ParseError> {
+        Ok((req(self.o1, "o1")?, req(self.o2, "o2")?))
+    }
+}
+
+/// Out of line, and given the key's text rather than the `Cow` holding
+/// it: formatting `key` in the loop would pin it to memory on every turn.
+#[cold]
+fn duplicate(key: &str) -> ParseError {
+    ParseError::new(format!("duplicate field '{key}'"))
+}
+
+/// A field the event's kind needs.
+fn req<T>(value: Option<T>, field: &str) -> Result<T, ParseError> {
+    value.ok_or_else(|| ParseError::new(format!("missing field '{field}'")))
+}
+
+/// A required field narrowed to its width, refusing what does not fit.
+fn narrow<T: TryFrom<u64>>(value: Option<u64>, field: &str) -> Result<T, ParseError> {
+    T::try_from(req(value, field)?)
+        .map_err(|_| ParseError::new(format!("field '{field}' out of range")))
 }
 
 /// A malformed trace line.
@@ -588,9 +651,11 @@ impl ParseError {
     fn new(msg: String) -> Self {
         ParseError { msg }
     }
+}
 
-    fn missing(field: &str) -> Self {
-        ParseError::new(format!("missing or mistyped field '{field}'"))
+impl From<serde::json::Error> for ParseError {
+    fn from(e: serde::json::Error) -> Self {
+        ParseError::new(e.to_string())
     }
 }
 
@@ -602,86 +667,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A scanned flat-JSON value.
-enum Tok<'a> {
-    Num(u64),
-    Str(&'a str),
-    Bool(bool),
-}
-
-/// Scans one `{"key":value,...}` object in the restricted flat grammar
-/// the writer emits: unsigned integers, escape-free strings, booleans.
-fn parse_flat_object(line: &str) -> Result<Vec<(&str, Tok<'_>)>, ParseError> {
-    let b = line.trim();
-    let inner = b
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| ParseError::new("not a JSON object".into()))?;
-    let mut out = Vec::with_capacity(8);
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        let r = rest
-            .strip_prefix('"')
-            .ok_or_else(|| ParseError::new(format!("expected key at '{rest}'")))?;
-        let end = r
-            .find('"')
-            .ok_or_else(|| ParseError::new("unterminated key".into()))?;
-        let (key, r) = r.split_at(end);
-        let r = r[1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| ParseError::new(format!("expected ':' after key '{key}'")))?;
-        let r = r.trim_start();
-        let (tok, r) = if let Some(sr) = r.strip_prefix('"') {
-            let end = sr
-                .find('"')
-                .ok_or_else(|| ParseError::new("unterminated string".into()))?;
-            (Tok::Str(&sr[..end]), &sr[end + 1..])
-        } else if let Some(r2) = r.strip_prefix("true") {
-            (Tok::Bool(true), r2)
-        } else if let Some(r2) = r.strip_prefix("false") {
-            (Tok::Bool(false), r2)
-        } else {
-            let end = r.find(|c: char| !c.is_ascii_digit()).unwrap_or(r.len());
-            if end == 0 {
-                return Err(ParseError::new(format!("expected value at '{r}'")));
-            }
-            let n: u64 = r[..end]
-                .parse()
-                .map_err(|_| ParseError::new(format!("bad number '{}'", &r[..end])))?;
-            (Tok::Num(n), &r[end..])
-        };
-        out.push((key, tok));
-        rest = tok_rest(r)?;
-    }
-    Ok(out)
-}
-
-/// Consumes an optional `,` separator between pairs.
-fn tok_rest(r: &str) -> Result<&str, ParseError> {
-    let r = r.trim_start();
-    if let Some(r2) = r.strip_prefix(',') {
-        Ok(r2.trim_start())
-    } else if r.is_empty() {
-        Ok(r)
-    } else {
-        Err(ParseError::new(format!("expected ',' at '{r}'")))
-    }
-}
-
-/// Hashes a serialized event stream, byte for byte, with a fixed-key
-/// hasher. Two runs of the same seeded configuration must produce the
-/// same hash — DESIGN §3's bit-for-bit reproducibility claim, now
-/// checkable from the observable event stream rather than just final
-/// state.
+/// Digests an event stream with a fixed-key hasher: every event in
+/// order, lifecycle markers skipped. Two runs of the same seeded
+/// configuration must hash alike — DESIGN §3's bit-for-bit claim,
+/// checkable from the observable event stream, not just final state.
+///
+/// The digest is of the events, not of their JSONL text; the encoding
+/// is injective, so two streams hash alike exactly when their files
+/// would be byte-identical. It is a token for comparing streams inside
+/// one process — not stable across builds or toolchains, and not a
+/// checksum of a trace file: compare files with `cmp`.
 pub fn stream_hash(events: &[Event]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    for ev in events {
-        if ev.kind.is_lifecycle() {
-            continue;
-        }
-        h.write(ev.to_jsonl().as_bytes());
-        h.write_u8(b'\n');
+    for ev in events.iter().filter(|ev| !ev.kind.is_lifecycle()) {
+        ev.hash(&mut h);
     }
     h.finish()
 }
@@ -812,6 +811,116 @@ mod tests {
         ] {
             assert!(Event::parse_jsonl(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    /// The error `parse_jsonl` gives for `line`.
+    fn rejection(line: &str) -> String {
+        match Event::parse_jsonl(line) {
+            Ok(ev) => panic!("accepted {line} as {ev:?}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// A number one past its field's width is refused by name, not
+    /// truncated: 70000 used to decode as pipeline 4464.
+    #[test]
+    fn a_number_too_wide_for_its_field_is_rejected() {
+        const U16: u64 = u16::MAX as u64;
+        const U32: u64 = u32::MAX as u64;
+        // (line with WIDE where the field's value goes, field, its largest value)
+        let cases = [
+            (r#"{"c":1,"p":WIDE,"s":0,"k":"pop_stale"}"#, "p", U16),
+            (r#"{"c":1,"p":0,"s":WIDE,"k":"pop_stale"}"#, "s", U16),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"ph_enq","pkt":1,"reg":WIDE,"idx":0}"#,
+                "reg",
+                U16,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"ph_enq","pkt":1,"reg":0,"idx":WIDE}"#,
+                "idx",
+                U32,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"remap","reg":0,"idx":WIDE,"from":0,"to":0}"#,
+                "idx",
+                U32,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"ph_emit","pkt":1,"reg":0,"idx":0,"dp":WIDE,"ds":0}"#,
+                "dp",
+                U16,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"ph_emit","pkt":1,"reg":0,"idx":0,"dp":0,"ds":WIDE}"#,
+                "ds",
+                U16,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"steer","from":WIDE,"to":0}"#,
+                "from",
+                U16,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"steer","from":0,"to":WIDE}"#,
+                "to",
+                U16,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"recirc","pkt":1,"to":WIDE}"#,
+                "to",
+                U16,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"fault","code":WIDE,"param":0}"#,
+                "code",
+                U16,
+            ),
+            (
+                r#"{"c":1,"p":0,"s":0,"k":"evacuated","pl":WIDE,"n":0}"#,
+                "pl",
+                U16,
+            ),
+        ];
+        for (line, field, max) in cases {
+            let widest = line.replace("WIDE", &max.to_string());
+            assert!(Event::parse_jsonl(&widest).is_ok(), "{widest}");
+            let err = rejection(&line.replace("WIDE", &(max + 1).to_string()));
+            let want = format!("field '{field}' out of range");
+            assert!(err.contains(&want), "{line}: {err}");
+        }
+        // A key is as wide as the kind that reads it: a restore's `from`
+        // is a cycle, a steer's a pipeline.
+        let restored = r#"{"c":1,"p":0,"s":0,"k":"restored","from":65536}"#;
+        assert!(Event::parse_jsonl(restored).is_ok());
+    }
+
+    #[test]
+    fn a_duplicated_key_is_rejected_and_an_unknown_one_skipped() {
+        let line = r#"{"c":1,"p":2,"s":3,"k":"egress","pkt":4}"#;
+        let ev = Event::parse_jsonl(line).unwrap();
+        for (twice, key) in [
+            (r#""c":1,"c":1,"#, "c"),
+            (r#""c":1,"pkt":4,"#, "pkt"),
+            (r#""c":1,"k":"egress","#, "k"),
+        ] {
+            let err = rejection(&line.replacen(r#""c":1,"#, twice, 1));
+            assert!(err.contains(&format!("duplicate field '{key}'")), "{err}");
+        }
+        // A key no kind has, and one this kind does not read.
+        for extra in [
+            r#""later":null,"#,
+            r#""later":[1,{"c":2}],"#,
+            r#""free":true,"#,
+        ] {
+            let with_extra = line.replacen(r#""p":2,"#, &format!(r#"{extra}"p":2,"#), 1);
+            assert_eq!(Event::parse_jsonl(&with_extra).unwrap(), ev, "{with_extra}");
+        }
+        // Key order is free; what follows the object is not.
+        let reordered = r#"{"pkt":4,"k":"egress","s":3,"p":2,"c":1}"#;
+        assert_eq!(Event::parse_jsonl(reordered).unwrap(), ev);
+        assert!(rejection(&format!("{line}x")).contains("trailing characters"));
+        assert!(rejection(&line.replace(r#","pkt":4"#, "")).contains("missing field 'pkt'"));
     }
 
     #[test]

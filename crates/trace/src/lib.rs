@@ -4,8 +4,8 @@
 //!
 //! * [`event`] — the event schema: everything observable inside a
 //!   switch (`ingress`, `exec`, `access`, phantom lifecycle, FIFO and
-//!   crossbar operations, `egress`, drops) with a dependency-free
-//!   JSONL codec and a deterministic stream hash.
+//!   crossbar operations, `egress`, drops) with a byte-stable JSONL
+//!   codec and a deterministic stream hash.
 //! * [`sink`] — the [`TraceSink`] trait and its implementations. The
 //!   trait is statically dispatched with a `const ENABLED` flag, so
 //!   the default [`NopSink`] compiles instrumentation away entirely:

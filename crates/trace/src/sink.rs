@@ -145,6 +145,8 @@ impl TraceSink for RingSink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     w: W,
+    /// The line being written, reused from event to event.
+    line: Vec<u8>,
     /// Lines successfully written.
     pub written: u64,
     err: Option<std::io::Error>,
@@ -155,6 +157,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(w: W) -> Self {
         JsonlSink {
             w,
+            line: Vec::with_capacity(128),
             written: 0,
             err: None,
         }
@@ -176,9 +179,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.err.is_some() {
             return;
         }
-        let mut line = ev.to_jsonl();
-        line.push('\n');
-        if let Err(e) = self.w.write_all(line.as_bytes()) {
+        self.line.clear();
+        ev.write_jsonl(&mut self.line);
+        self.line.push(b'\n');
+        if let Err(e) = self.w.write_all(&self.line) {
             self.err = Some(e);
         } else {
             self.written += 1;
@@ -212,21 +216,18 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
 
 /// Reads a JSONL event stream back from any [`BufRead`]. Blank lines
 /// are skipped; any malformed line aborts with its line number.
-pub fn read_jsonl<R: BufRead>(r: R) -> Result<Vec<Event>, ReadError> {
+pub fn read_jsonl<R: BufRead>(mut r: R) -> Result<Vec<Event>, ReadError> {
     let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line.map_err(|e| ReadError {
-            line: i + 1,
-            kind: ReadErrorKind::Io(e.to_string()),
-        })?;
-        if line.trim().is_empty() {
-            continue;
+    let mut line = String::new();
+    for number in 1.. {
+        line.clear();
+        let at = |kind| ReadError { line: number, kind };
+        match r.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) if line.trim().is_empty() => {}
+            Ok(_) => out.push(Event::parse_jsonl(&line).map_err(|e| at(ReadErrorKind::Parse(e)))?),
+            Err(e) => return Err(at(ReadErrorKind::Io(e.to_string()))),
         }
-        let ev = Event::parse_jsonl(&line).map_err(|e| ReadError {
-            line: i + 1,
-            kind: ReadErrorKind::Parse(e),
-        })?;
-        out.push(ev);
     }
     Ok(out)
 }
@@ -382,10 +383,76 @@ mod tests {
         assert!(<TeeSink<MemSink, MemSink> as TraceSink>::ENABLED);
     }
 
+    /// Accepts `budget` bytes, then fails every write.
+    #[derive(Debug)]
+    struct Failing {
+        budget: usize,
+        accepted: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if buf.len() > self.budget {
+                return Err(std::io::Error::other(format!(
+                    "full at call {}",
+                    self.calls
+                )));
+            }
+            self.budget -= buf.len();
+            self.accepted.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
-    fn read_jsonl_reports_line_numbers() {
-        let text = format!("{}\n\nnot json\n", ev(1).to_jsonl());
-        let err = read_jsonl(text.as_bytes()).unwrap_err();
-        assert_eq!(err.line, 3);
+    fn jsonl_sink_latches_the_first_write_error() {
+        let line = ev(1).to_jsonl().len() + 1;
+        let mut s = JsonlSink::new(Failing {
+            budget: 2 * line + line / 2,
+            accepted: Vec::new(),
+            calls: 0,
+        });
+        for c in 1..=5 {
+            s.emit(ev(c));
+        }
+        // Two whole lines went out; the third failed and nothing was
+        // attempted after it.
+        assert_eq!(s.written, 2);
+        assert_eq!(s.w.calls, 3);
+        assert_eq!(read_jsonl(&s.w.accepted[..]).unwrap(), [ev(1), ev(2)]);
+        let err = s.finish().unwrap_err();
+        assert_eq!(err.to_string(), "full at call 3");
+    }
+
+    #[test]
+    fn read_jsonl_counts_blank_and_crlf_lines() {
+        let (a, b) = (ev(1).to_jsonl(), ev(2).to_jsonl());
+        let good = format!("\r\n{a}\r\n\n  \n{b}");
+        assert_eq!(read_jsonl(good.as_bytes()).unwrap(), [ev(1), ev(2)]);
+        // (text, the 1-based line of the first bad line)
+        let cases = [
+            (format!("{a}\n\nnot json\n"), 3),
+            (
+                format!("\r\n{a}\r\n\r\n{}\r\n{b}\r\n", &b[..b.len() / 2]),
+                4,
+            ),
+            (format!("{a}\n{b}\n\n\n{{\"c\":1}}"), 5),
+        ];
+        for (text, line) in cases {
+            let err = read_jsonl(text.as_bytes()).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(matches!(err.kind, ReadErrorKind::Parse(_)), "{err}");
+        }
+        let err = read_jsonl(&b"\n\xff\n"[..]).unwrap_err();
+        assert!(
+            matches!(err.kind, ReadErrorKind::Io(_)) && err.line == 2,
+            "{err}"
+        );
     }
 }

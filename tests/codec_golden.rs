@@ -7,13 +7,17 @@
 
 use std::path::PathBuf;
 
-use mp5::core::{EngineMode, SwitchConfig};
+use mp5::core::{EngineMode, Mp5Switch, SwitchConfig};
 use mp5::faults::{FaultPlan, NoFaults, PlannedFaults};
 use mp5::serve::{parse_packet_line, FaultState, ServeError, Server, Snapshot};
+use mp5::sim::experiments::app_trace;
 use mp5::topo::{Fabric, FabricConfig, TopologyConfig};
-use mp5::trace::NopSink;
+use mp5::trace::{
+    read_jsonl, stream_hash, DropCause, Event, EventKind, JsonlSink, Key, MemSink, NopSink,
+    TraceSink, NO_LOC,
+};
 use mp5::traffic::{trace_io, DcPattern, DcWorkload, TraceBuilder};
-use mp5::types::Packet;
+use mp5::types::{Packet, PacketId, RegId};
 
 fn golden(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -826,4 +830,246 @@ fn one_flipped_byte_in_a_golden_is_noticed() {
             );
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// The trace event stream
+// ---------------------------------------------------------------------
+//
+// `events.jsonl` was written by [`regenerate_events_golden`] running on
+// the commit before `mp5-trace` moved onto the vendored `Writer` and
+// `Parser` (PR 15, `d6fa60c`): every line is what the `write!`-based
+// `to_jsonl` produced.
+
+/// All 27 kinds (and all three drop causes), their fields drawn from
+/// `w` and narrowed to each field's width.
+fn kinds_from(w: [u64; 5], queued: bool, bypassed: bool) -> Vec<EventKind> {
+    let pkt = PacketId(w[0]);
+    let (reg, index) = (RegId(w[1] as u16), w[2] as u32);
+    let (from, to) = (w[3] as u16, w[4] as u16);
+    let key = Key { pkt, reg, index };
+    let order = (w[3], w[4]);
+    let drop = |cause| EventKind::Drop { pkt, cause };
+    vec![
+        EventKind::Ingress { pkt, order },
+        EventKind::Egress { pkt },
+        drop(DropCause::FifoFull),
+        drop(DropCause::NoPhantom),
+        drop(DropCause::Starvation),
+        EventKind::Execute {
+            pkt,
+            queued,
+            bypassed,
+        },
+        EventKind::Access {
+            pkt,
+            reg,
+            index,
+            order,
+        },
+        EventKind::PhantomEmit {
+            key,
+            dest_pipeline: from,
+            dest_stage: to,
+        },
+        EventKind::PhantomChannelCancel { key },
+        EventKind::RemapMove {
+            reg,
+            index,
+            from,
+            to,
+        },
+        EventKind::Recirculate { pkt, target: to },
+        EventKind::PhantomEnq { key },
+        EventKind::PhantomDropFull { key },
+        EventKind::PhantomCancel { key, free: queued },
+        EventKind::DataMatch { key },
+        EventKind::DataOrphan { key },
+        EventKind::DataEnq { pkt },
+        EventKind::DataEnqDropFull { pkt },
+        EventKind::PopData { pkt },
+        EventKind::PopStale,
+        EventKind::PopBlocked { key },
+        EventKind::Steer { from, to },
+        EventKind::FaultInjected {
+            code: from,
+            param: w[4],
+        },
+        EventKind::FaultPhantomLost { key },
+        EventKind::PhantomRecovered { key },
+        EventKind::PipelineEvacuated {
+            pipeline: from,
+            indexes: w[4],
+        },
+        EventKind::SnapshotTaken { seq: w[0] },
+        EventKind::Restored { from_cycle: w[0] },
+        EventKind::ProgramSwapped { migrated: w[0] },
+    ]
+}
+
+/// Lines of each recorded run kept in the golden.
+const RUN_LINES: usize = 2000;
+
+/// The golden stream as events: every kind at both ends of every
+/// field's range (`u64::MAX`, `u16::MAX` = [`NO_LOC`], index 0), then
+/// the head of a clean `conga` run and of a chaos-faulted one on
+/// `mp5(4)`.
+fn golden_events() -> Vec<Event> {
+    let mut events = Vec::new();
+    for (word, flag) in [(u64::MAX, true), (0, false)] {
+        let kinds = kinds_from([word; 5], flag, !flag);
+        events.extend(kinds.into_iter().map(|kind| Event {
+            cycle: word,
+            pipeline: word as u16,
+            stage: word as u16,
+            kind,
+        }));
+    }
+    assert_eq!(events[0].pipeline, NO_LOC);
+    let (prog, trace) = app_trace(&mp5::apps::CONGA, 600, 1);
+    let cfg = SwitchConfig::mp5(4);
+    let (_, clean) =
+        Mp5Switch::with_sink(prog.clone(), cfg.clone(), MemSink::new()).run_traced(trace.clone());
+    events.extend_from_slice(&clean.events[..RUN_LINES]);
+    let plan = FaultPlan::chaos(7, 4, prog.num_stages(), 16);
+    let (_, faulted) =
+        Mp5Switch::with_faults(prog, cfg, MemSink::new(), plan.injector()).run_traced(trace);
+    events.extend_from_slice(&faulted.events[..RUN_LINES]);
+    events
+}
+
+/// Writes `tests/golden/events.jsonl`; see [`regenerate_goldens`] for
+/// why this is not part of any test run.
+#[test]
+#[ignore = "writes tests/golden/events.jsonl; run on the commit whose bytes are to be pinned"]
+fn regenerate_events_golden() {
+    let text: String = golden_events()
+        .iter()
+        .map(|ev| ev.to_jsonl() + "\n")
+        .collect();
+    std::fs::write(golden("events.jsonl"), text).unwrap();
+}
+
+#[test]
+fn events_decode_and_reencode_to_the_same_bytes() {
+    let text = read_golden("events.jsonl");
+    let events = golden_events();
+    assert_eq!(text.lines().count(), 2 * 29 + 2 * RUN_LINES);
+    for (i, line) in text.lines().enumerate() {
+        let ev = Event::parse_jsonl(line).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        assert_eq!(ev, events[i], "line {}", i + 1);
+        assert_eq!(ev.to_jsonl(), line, "line {}", i + 1);
+    }
+    // The two whole-stream paths agree with the per-line one.
+    assert_eq!(read_jsonl(text.as_bytes()).unwrap(), events);
+    let mut sink = JsonlSink::new(Vec::new());
+    for ev in &events {
+        sink.emit(*ev);
+    }
+    assert_eq!(sink.written, events.len() as u64);
+    assert_eq!(sink.finish().unwrap(), text.as_bytes());
+}
+
+/// The hash is taken over events, not text, so it has to come through
+/// a round trip by way of the parent's bytes unchanged — and to tell
+/// the three streams in the golden apart.
+#[test]
+fn the_stream_hash_survives_the_golden_round_trip() {
+    let events = golden_events();
+    let back = read_jsonl(read_golden("events.jsonl").as_bytes()).unwrap();
+    assert_eq!(stream_hash(&back), stream_hash(&events));
+    let (edges, runs) = events.split_at(2 * 29);
+    let (clean, faulted) = runs.split_at(RUN_LINES);
+    assert_ne!(stream_hash(clean), stream_hash(faulted));
+    assert_ne!(stream_hash(edges), stream_hash(&[]));
+    // Six of the 58 boundary events are lifecycle markers.
+    let work: Vec<Event> = edges
+        .iter()
+        .copied()
+        .filter(|ev| !ev.kind.is_lifecycle())
+        .collect();
+    assert_eq!(work.len(), 52);
+    assert_eq!(stream_hash(&work), stream_hash(edges));
+}
+
+/// No prefix of a line is an event, and no one-bit change to a line
+/// goes unnoticed; neither makes the decoder panic.
+#[test]
+fn a_truncated_or_flipped_event_line_is_an_error_or_another_event() {
+    let text = read_golden("events.jsonl");
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    lines.dedup();
+    for line in lines {
+        let ev = Event::parse_jsonl(line).unwrap();
+        for cut in 0..line.len() {
+            assert!(
+                Event::parse_jsonl(&line[..cut]).is_err(),
+                "accepted {:?}",
+                &line[..cut]
+            );
+        }
+        each_flip(line, 0..line.len(), |at, damaged| {
+            if let Ok(other) = Event::parse_jsonl(damaged) {
+                assert_ne!(other, ev, "{line}: flip at byte {at} went unnoticed");
+            }
+        });
+    }
+}
+
+mod events {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Mostly small and boundary values, so that two draws often agree
+    /// in some fields and differ in others.
+    fn word() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..3,
+            9u64..12,
+            Just(u16::MAX as u64),
+            Just(u32::MAX as u64),
+            Just(u64::MAX),
+            any::<u64>(),
+        ]
+    }
+
+    /// One event from seven words: location, then the kind's fields.
+    fn event_from(kind: usize, w: &[u64], flags: (bool, bool)) -> Event {
+        Event {
+            cycle: w[0],
+            pipeline: w[1] as u16,
+            stage: w[1] as u16 ^ 1,
+            kind: kinds_from([w[2], w[3], w[4], w[5], w[6]], flags.0, flags.1)[kind],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        /// The encoding is injective — what lets `stream_hash` digest
+        /// events where it used to digest their text. `b` is `a` with
+        /// one word drawn again, which that kind may or may not read.
+        #[test]
+        fn equal_events_and_equal_lines_are_the_same_thing(
+            kind in 0usize..29,
+            other_kind in 0usize..29,
+            words in proptest::collection::vec(word(), 7),
+            redrawn in (0usize..7, word()),
+            flags in (any::<bool>(), any::<bool>()),
+            same_kind in any::<bool>(),
+        ) {
+            let a = event_from(kind, &words, flags);
+            let mut other_words = words.clone();
+            other_words[redrawn.0] = redrawn.1;
+            let b = event_from(if same_kind { kind } else { other_kind }, &other_words, flags);
+            prop_assert_eq!(a == b, a.to_jsonl() == b.to_jsonl(), "{:?} / {:?}", a, b);
+            prop_assert_eq!(Event::parse_jsonl(&a.to_jsonl()), Ok(a));
+            let lifecycle = a.kind.is_lifecycle() || b.kind.is_lifecycle();
+            if !lifecycle {
+                prop_assert_eq!(a == b, stream_hash(&[a]) == stream_hash(&[b]));
+                prop_assert_eq!(a == b, stream_hash(&[a, b]) == stream_hash(&[b, a]));
+            }
+        }
+    }
 }
