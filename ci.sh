@@ -55,8 +55,12 @@ echo "==> cargo build --release --workspace"
 # need_bin checks below) missing or, worse, stale.
 cargo build --release --workspace
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test --workspace"
+# --workspace: at a workspace root that is itself a package, a plain
+# `cargo test` runs the facade crate's tests only; the member crates'
+# own suites (FIFO properties, engine and snapshot units, the traffic
+# golden digests) pin the bit-identity contracts and must run here.
+cargo test -q --workspace
 
 echo "==> vendored crates' own tests"
 # vendor/ is excluded from the workspace, so nothing above runs these;

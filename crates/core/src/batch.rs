@@ -59,6 +59,7 @@ const V_WASTED: u8 = 1 << 0;
 /// engine builds one per pipeline from the switch's own arrays; the
 /// parallel engine builds one per [`Unit`] in a worker's contiguous
 /// pipeline range — the batch passes are identical either way.
+#[derive(Debug)]
 pub(super) struct PipeView<'a> {
     pub(super) pl: usize,
     pub(super) inc_row: &'a mut [Option<Flight>],
@@ -70,20 +71,33 @@ pub(super) struct PipeView<'a> {
     /// scalar order by compaction (untouched when the sink is disabled).
     pub(super) events: &'a mut Vec<Event>,
     /// Bitmask of stages compaction parked a flight at this cycle,
-    /// consumed by the next batched move phase (stages ≥ 64 are not
+    /// consumed by the next move phase (stages ≥ 64 are not
     /// recorded; the move phase falls back to the full lane scan for
     /// such programs).
     pub(super) park: &'a mut u64,
     /// Bitmask of `inc_row` slots the move phase and ingress filled
-    /// this cycle: the sweep tests bits instead of probing every fat
-    /// `Option<Flight>` slot (programs of > 64 stages fall back to the
-    /// probe).
+    /// this cycle: the sweep tests bits instead of probing every slot
+    /// (programs of > 64 stages fall back to the probe).
     pub(super) inc: u64,
     /// Possibly-non-empty stage FIFOs (stages < 64; conservative
     /// superset, see `Mp5Switch::queue_mask`). The sweep visits only
     /// `inc | qmask` slots and clears a bit when the queue turns out
     /// empty; programs of > 64 stages fall back to probing every slot.
     pub(super) qmask: &'a mut u64,
+}
+
+/// Hands an emptied view buffer's allocation on to the next borrow
+/// scope. The views borrow the switch's arrays for one cycle, so the
+/// `Vec` cannot be kept with its element type; but it is empty, and
+/// std collects an `into_iter().map()` over a same-layout element type
+/// in place, so the capacity carries over and nothing is allocated
+/// (`view_buffer_survives_a_cycle` pins that down).
+pub(super) fn recycle_views<'a, 'b>(mut views: Vec<PipeView<'a>>) -> Vec<PipeView<'b>> {
+    views.clear();
+    views
+        .into_iter()
+        .map(|_| unreachable!("the buffer was cleared"))
+        .collect()
 }
 
 /// Lane metadata: which `(view, stage)` slot this batch row executes

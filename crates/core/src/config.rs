@@ -137,6 +137,9 @@ pub enum ConfigError {
     /// `EngineMode::Parallel(0)` — a parallel engine needs at least one
     /// worker.
     ZeroWorkers,
+    /// `remap_period` was zero: "every 0 cycles" is no schedule (it used
+    /// to be accepted and quietly never remapped).
+    ZeroRemapPeriod,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -154,6 +157,10 @@ impl std::fmt::Display for ConfigError {
                     "EngineMode::Parallel(0): need at least one worker thread"
                 )
             }
+            ConfigError::ZeroRemapPeriod => write!(
+                f,
+                "remap_period is 0; the sharding heuristic needs a period of at least one cycle"
+            ),
         }
     }
 }
@@ -354,6 +361,9 @@ impl SwitchConfig {
         if self.engine == EngineMode::Parallel(0) {
             return Err(ConfigError::ZeroWorkers);
         }
+        if self.remap_period == 0 {
+            return Err(ConfigError::ZeroRemapPeriod);
+        }
         Ok(())
     }
 }
@@ -418,6 +428,12 @@ mod tests {
         assert_eq!(none.validate(), Err(ConfigError::ZeroWorkers));
         let par = SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(3));
         assert_eq!(par.validate(), Ok(()));
+
+        let never = SwitchConfig {
+            remap_period: 0,
+            ..SwitchConfig::mp5(4)
+        };
+        assert_eq!(never.validate(), Err(ConfigError::ZeroRemapPeriod));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::state::{
 /// private work-phase types below; see DESIGN.md §13).
 #[path = "batch.rs"]
 mod batch;
-use batch::{batch_work, PacketBatch, PipeView};
+use batch::{batch_work, recycle_views, PacketBatch, PipeView};
 
 /// Converts a fabric phantom key into the trace schema's access key.
 fn tkey(key: PhantomKey) -> mp5_trace::Key {
@@ -81,13 +81,36 @@ impl std::error::Error for InvariantViolation {}
 /// A packet in flight through the switch, with its entry-order key and
 /// ingress pipeline (the lane its phantoms use).
 #[derive(Debug, Clone)]
-struct Flight {
+struct FlightInner {
     pkt: Packet,
     order: OrderKey,
     ingress: PipelineId,
 }
 
-impl Flight {
+/// The owning handle to a packet in flight. Lanes, incoming rows, batch
+/// rows and every FIFO slot hold (and move) this one pointer; the
+/// packet itself is written once at ingress and stays put until
+/// [`Mp5Switch::complete`] takes it back out (DESIGN.md §13).
+#[derive(Debug, Clone)]
+struct Flight(Box<FlightInner>);
+
+impl std::ops::Deref for Flight {
+    type Target = FlightInner;
+
+    #[inline]
+    fn deref(&self) -> &FlightInner {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Flight {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut FlightInner {
+        &mut self.0
+    }
+}
+
+impl FlightInner {
     /// The phantom key for one of this packet's access tags.
     fn key(&self, tag: &AccessTag) -> PhantomKey {
         PhantomKey {
@@ -492,6 +515,20 @@ struct WorkFx {
     stall_cycles: u64,
 }
 
+impl WorkFx {
+    /// Nothing buffered: the common case for a pipeline in a cycle (a
+    /// lane only produces effects at resolution, phantom generation and
+    /// tag retirement).
+    #[inline]
+    fn is_untouched(&self) -> bool {
+        self.ctr_ops.is_empty()
+            && self.injects.is_empty()
+            && self.accesses.is_empty()
+            && self.starvation_drops.is_empty()
+            && self.wasted_cycles | self.phantoms_generated | self.stall_cycles == 0
+    }
+}
+
 /// Applies one pipeline's buffered side effects to the shared switch
 /// structures, draining the buffers for reuse. Must be called in
 /// ascending pipeline order within a cycle.
@@ -502,6 +539,9 @@ fn apply_work_fx(
     channel: &mut PhantomChannel<PhantomMsg>,
     report: &mut RunReport,
 ) {
+    if fx.is_untouched() {
+        return;
+    }
     for op in fx.ctr_ops.drain(..) {
         match op {
             CtrOp::Inc { reg, index } => {
@@ -816,8 +856,8 @@ struct Unit {
     /// coordinator in pipeline order (empty when untraced).
     events: Vec<Event>,
     /// Stages this unit parked flights at (batch path only): handed
-    /// back to the coordinator's `park_mask` so the next batched move
-    /// phase visits only occupied slots.
+    /// back to the coordinator's `park_mask` so the next move phase
+    /// visits only occupied slots.
     park: u64,
     /// Occupied `inc_row` slots, from the coordinator's `inc_mask`
     /// (batch path only): the sweep tests bits instead of probing
@@ -1007,37 +1047,10 @@ struct BatchSeq {
     /// One trace-event buffer per pipeline (stay empty when untraced),
     /// drained into the switch's sink in ascending pipeline order.
     events: Vec<Vec<Event>>,
-}
-
-/// One deferred advance from the batched move phase's sweep. Plain
-/// lane-to-lane advances are applied during the sweep itself (they
-/// touch nothing shared); only completions and crossbar transfers are
-/// deferred so grants can resolve stage-major before the effects —
-/// egress, steer events, grant delays, stateful enqueues — replay in
-/// the scalar (pipeline-ascending, stage-descending) order.
-#[derive(Debug)]
-enum MoveOp {
-    /// The packet exits the final stage.
-    Complete { pl: u16, fl: Flight },
-    /// The packet is tagged for stage `next`: it crosses the crossbar
-    /// to pipeline `dest` (possibly its own) and enqueues there.
-    Steer {
-        from: u16,
-        next: u16,
-        dest: PipelineId,
-        fl: Flight,
-    },
-}
-
-/// Reusable scratch for the batched move phase: the deferred ops in
-/// sweep order plus per-stage `(from, to)` grant lists so the crossbar
-/// counters update stage-major (one crossbar at a time) instead of
-/// ping-ponging across all `stages` crossbars per pipeline. Both
-/// vectors reach steady-state capacity after a few cycles.
-#[derive(Debug, Default)]
-struct MoveBatch {
-    moves: Vec<MoveOp>,
-    stage_steers: Vec<Vec<(u16, u16)>>,
+    /// The (always empty) backing store of the cycle's `PipeView`s,
+    /// handed from cycle to cycle by [`batch::recycle_views`] so the
+    /// work phase builds its views without allocating.
+    views: Vec<PipeView<'static>>,
 }
 
 /// The MP5 multi-pipeline switch.
@@ -1091,6 +1104,11 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     arrivals: VecDeque<Packet>,
     rr: usize,
     cycle: u64,
+    /// The next cycle the sharding heuristic runs at: the smallest
+    /// positive multiple of `remap_period` not yet stepped. Derived
+    /// from `cycle` (so not checkpointed); it turns the per-cycle
+    /// divisibility test into a compare.
+    next_remap: u64,
     report: RunReport,
     /// Parallel engine (worker pool + shared statics); `None` under
     /// [`EngineMode::Sequential`].
@@ -1114,19 +1132,16 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     /// across cycles). The scalar reference keeps its historical
     /// per-cycle allocation; empty there.
     inc_buf: Vec<Vec<Option<Flight>>>,
-    /// Reusable batched move-phase scratch (`ExecPath::Batch` only).
-    move_buf: MoveBatch,
     /// Per-pipeline bitmask of stages holding a parked flight
     /// (`ExecPath::Batch` only, maintained for programs of ≤ 64
-    /// stages): compaction sets a bit when it parks, the batched move
-    /// phase drains exactly the set bits instead of scanning all
-    /// `k × stages` lane slots — most of which are empty on sparse
-    /// workloads, but each is a cache miss on a fat `Option<Flight>`.
+    /// stages): compaction sets a bit when it parks, the move phase
+    /// drains exactly the set bits instead of scanning all `k × stages`
+    /// lane slots, most of which are empty on sparse workloads.
     park_mask: Vec<u64>,
-    /// Same idea for the incoming rows: the batched move phase and the
-    /// ingress spray record which `incoming[pl][st]` slots they filled,
-    /// and the sweep tests bits instead of `take()`-probing every fat
-    /// `Option<Flight>` slot. Zeroed once the cycle's views are built.
+    /// Same idea for the incoming rows: the move phase and the ingress
+    /// spray record which `incoming[pl][st]` slots they filled, and the
+    /// sweep tests bits instead of `take()`-probing every slot. Zeroed
+    /// once the cycle's views are built.
     inc_mask: Vec<u64>,
     /// Per-pipeline bitmask of stage FIFOs that *may* be non-empty
     /// (stages < 64; conservative superset). The coordinator sets a bit
@@ -1310,6 +1325,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             pack: PacketBatch::default(),
             fx: (0..k).map(|_| WorkFx::default()).collect(),
             events: (0..k).map(|_| Vec::new()).collect(),
+            views: Vec::with_capacity(k),
         });
         let inc_buf = if use_batch {
             (0..k).map(|_| vec![None; stages]).collect()
@@ -1321,6 +1337,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             channel_buf: Vec::new(),
             key_scratch: Vec::new(),
             crossbars: (0..stages).map(|_| Crossbar::new(k)).collect(),
+            next_remap: cfg.remap_period,
             cfg,
             prog,
             k,
@@ -1344,7 +1361,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             use_batch,
             batch_seq,
             inc_buf,
-            move_buf: MoveBatch::default(),
             park_mask: vec![0; k],
             inc_mask: vec![0; k],
             queue_mask: vec![0; k],
@@ -1563,7 +1579,8 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
 
         // 1. Background dynamic sharding.
-        if self.cycle > 0 && self.cycle.is_multiple_of(self.cfg.remap_period) {
+        if self.cycle == self.next_remap {
+            self.next_remap = self.cycle.saturating_add(self.cfg.remap_period);
             self.remap();
         }
 
@@ -1627,11 +1644,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         } else {
             (0..self.k).map(|_| vec![None; self.stages]).collect()
         };
-        if self.use_batch {
-            self.move_batched(&mut incoming);
-        } else {
-            self.move_scalar(&mut incoming);
-        }
+        self.move_phase(&mut incoming);
         // One statistics tick per crossbar per simulated cycle.
         self.crossbars.iter_mut().for_each(|x| x.end_cycle());
 
@@ -1642,11 +1655,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 break; // unreachable: `front()` was just checked
             };
             let order = OrderKey(pkt.arrival, pkt.port.0 as u64);
-            self.ingress_q.push_back(Flight {
+            self.ingress_q.push_back(Flight(Box::new(FlightInner {
                 pkt,
                 order,
                 ingress: PipelineId(0), // assigned at admission
-            });
+            })));
         }
         let admit_limit = match self.cfg.spray {
             SprayMode::RoundRobin => self.k,
@@ -1659,7 +1672,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             let pl = match self.cfg.spray {
                 SprayMode::RoundRobin => {
                     let pl = self.rr;
-                    self.rr = (self.rr + 1) % self.k;
+                    self.rr = if pl + 1 == self.k { 0 } else { pl + 1 };
                     pl
                 }
                 SprayMode::SinglePipeline(p) => p,
@@ -1745,109 +1758,17 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.cycle += 1;
     }
 
-    /// The reference (scalar) move phase: pipelines ascending, stages
-    /// descending, each occupant completed / crossed / advanced in
-    /// place. This order is the bit-identity contract the batched move
-    /// phase replays.
-    fn move_scalar(&mut self, incoming: &mut [Vec<Option<Flight>>]) {
+    /// The move phase: every stage occupant advances, pipelines
+    /// ascending, stages descending — the order the event stream and
+    /// `RunReport` are defined by. For programs of ≤ 64 stages the batch
+    /// path drains the park mask (filled by last cycle's compaction)
+    /// highest bit first, which visits exactly the occupied lane slots
+    /// in that order; the scalar reference, and wider programs, scan
+    /// every slot.
+    fn move_phase(&mut self, incoming: &mut [Vec<Option<Flight>>]) {
+        let masked = self.use_batch && self.stages <= 64;
         for (pl, inc_row) in incoming.iter_mut().enumerate() {
-            for st in (0..self.stages).rev() {
-                let Some(fl) = self.lanes[pl][st].take() else {
-                    continue;
-                };
-                if st + 1 == self.stages {
-                    self.complete(pl, fl);
-                    continue;
-                }
-                let next = st + 1;
-                let has_tag_here = fl.pkt.tags.first().is_some_and(|t| t.stage.index() == next);
-                if has_tag_here {
-                    let dest = fl.pkt.tags[0].pipeline;
-                    self.crossbars[next].route_traced(
-                        PipelineId(pl as u16),
-                        dest,
-                        &mut self.sink,
-                        TraceCtx::new(self.cycle, pl as u16, next as u16),
-                    );
-                    if dest.index() != pl {
-                        self.report.steered += 1;
-                        if F::ENABLED {
-                            let delay = self.faults.grant_delay();
-                            if delay > 0 {
-                                // Injected grant latency: the crossbar
-                                // holds the steered packet; its phantom
-                                // keeps its place in the serial order.
-                                self.report.fault.delayed_grants += 1;
-                                self.pending_grants
-                                    .push_back((self.cycle + delay, dest, next, fl));
-                                continue;
-                            }
-                        }
-                    }
-                    self.enqueue_stateful(dest, next, fl);
-                } else {
-                    inc_row[next] = Some(fl);
-                }
-            }
-        }
-    }
-
-    /// The batched move phase (`ExecPath::Batch`): sweep stage
-    /// occupants in the scalar order, applying plain advances
-    /// immediately (they emit nothing and touch only this pipeline's
-    /// incoming row) while deferring completions and crossbar transfers
-    /// into [`MoveBatch`]; resolve crossbar grants stage-major (the
-    /// usage counters are commutative, so regrouping them by stage is
-    /// unobservable); then replay the deferred effects — egress, steer
-    /// events, injected grant delays, stateful enqueues — in the exact
-    /// sweep order, keeping `RunReport` and the event stream
-    /// bit-identical to [`Mp5Switch::move_scalar`].
-    fn move_batched(&mut self, incoming: &mut [Vec<Option<Flight>>]) {
-        let mut mb = std::mem::take(&mut self.move_buf);
-        mb.stage_steers.resize_with(self.stages, Vec::new);
-        // Classification shared by both sweep strategies below: decide
-        // what one occupant of `(pl, st)` does this cycle.
-        fn classify(
-            stages: usize,
-            pl: usize,
-            st: usize,
-            fl: Flight,
-            inc_row: &mut [Option<Flight>],
-            inc_mask: &mut u64,
-            mb: &mut MoveBatch,
-        ) {
-            if st + 1 == stages {
-                mb.moves.push(MoveOp::Complete { pl: pl as u16, fl });
-                return;
-            }
-            let next = st + 1;
-            let has_tag_here = fl.pkt.tags.first().is_some_and(|t| t.stage.index() == next);
-            if has_tag_here {
-                let dest = fl.pkt.tags[0].pipeline;
-                mb.stage_steers[next].push((pl as u16, dest.0));
-                mb.moves.push(MoveOp::Steer {
-                    from: pl as u16,
-                    next: next as u16,
-                    dest,
-                    fl,
-                });
-            } else {
-                inc_row[next] = Some(fl);
-                if next < 64 {
-                    *inc_mask |= 1 << next;
-                }
-            }
-        }
-        // Pass 1: sweep and classify. For programs of ≤ 64 stages the
-        // park mask (filled by last cycle's compaction) says exactly
-        // which lane slots are occupied; draining its set bits
-        // highest-first reproduces the scalar stage-descending sweep
-        // while skipping the empty slots — each of which is otherwise a
-        // strided load of a fat `Option<Flight>`, the dominant move-
-        // phase cost on sparse workloads. Wider programs keep the full
-        // scan.
-        if self.stages <= 64 {
-            for (pl, inc_row) in incoming.iter_mut().enumerate() {
+            if masked {
                 let mut mask = std::mem::take(&mut self.park_mask[pl]);
                 while mask != 0 {
                     let st = 63 - mask.leading_zeros() as usize;
@@ -1855,81 +1776,65 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                     let fl = self.lanes[pl][st]
                         .take()
                         .expect("park mask bit set on an empty lane slot");
-                    classify(
-                        self.stages,
-                        pl,
-                        st,
-                        fl,
-                        inc_row,
-                        &mut self.inc_mask[pl],
-                        &mut mb,
-                    );
+                    self.advance(pl, st, fl, inc_row);
                 }
                 debug_assert!(
                     self.lanes[pl].iter().all(|s| s.is_none()),
                     "parked flight missing from the park mask"
                 );
-            }
-        } else {
-            for (pl, inc_row) in incoming.iter_mut().enumerate() {
+            } else {
                 for st in (0..self.stages).rev() {
-                    let Some(fl) = self.lanes[pl][st].take() else {
-                        continue;
-                    };
-                    classify(
-                        self.stages,
-                        pl,
-                        st,
-                        fl,
-                        inc_row,
-                        &mut self.inc_mask[pl],
-                        &mut mb,
-                    );
+                    if let Some(fl) = self.lanes[pl][st].take() {
+                        self.advance(pl, st, fl, inc_row);
+                    }
                 }
             }
         }
-        // Pass 2: crossbar grants, stage-major — one crossbar's
-        // counters at a time instead of all `stages` per pipeline.
-        for (st, steers) in mb.stage_steers.iter_mut().enumerate() {
-            for (from, to) in steers.drain(..) {
-                self.crossbars[st].route(PipelineId(from), PipelineId(to));
-            }
+    }
+
+    /// What the occupant of `(pl, st)` does this cycle: exit the final
+    /// stage, cross the crossbar to the stage it is tagged for, or
+    /// advance to the next stage of its own pipeline.
+    fn advance(&mut self, pl: usize, st: usize, fl: Flight, inc_row: &mut [Option<Flight>]) {
+        let next = st + 1;
+        if next == self.stages {
+            self.complete(pl, fl);
+            return;
         }
-        // Pass 3: deferred effects, in sweep order.
-        for op in mb.moves.drain(..) {
-            match op {
-                MoveOp::Complete { pl, fl } => self.complete(pl as usize, fl),
-                MoveOp::Steer {
-                    from,
-                    next,
-                    dest,
-                    fl,
-                } => {
-                    if S::ENABLED && dest.0 != from {
-                        TraceCtx::new(self.cycle, from, next)
-                            .emit(&mut self.sink, EventKind::Steer { from, to: dest.0 });
-                    }
-                    let next = next as usize;
-                    if dest.index() != from as usize {
-                        self.report.steered += 1;
-                        if F::ENABLED {
-                            let delay = self.faults.grant_delay();
-                            if delay > 0 {
-                                // Injected grant latency: the crossbar
-                                // holds the steered packet; its phantom
-                                // keeps its place in the serial order.
-                                self.report.fault.delayed_grants += 1;
-                                self.pending_grants
-                                    .push_back((self.cycle + delay, dest, next, fl));
-                                continue;
-                            }
-                        }
-                    }
-                    self.enqueue_stateful(dest, next, fl);
+        let dest = match fl.pkt.tags.first() {
+            Some(t) if t.stage.index() == next => t.pipeline,
+            _ => {
+                inc_row[next] = Some(fl);
+                // Only the batch sweep reads (and clears) the mask; the
+                // scalar reference leaves it as its snapshots always had it.
+                if self.use_batch && next < 64 {
+                    self.inc_mask[pl] |= 1 << next;
+                }
+                return;
+            }
+        };
+        self.crossbars[next].route_traced(
+            PipelineId(pl as u16),
+            dest,
+            &mut self.sink,
+            TraceCtx::new(self.cycle, pl as u16, next as u16),
+        );
+        if dest.index() != pl {
+            self.report.steered += 1;
+            if F::ENABLED {
+                let delay = self.faults.grant_delay();
+                if delay > 0 {
+                    // Injected grant latency: the crossbar holds the
+                    // steered packet; its phantom keeps its place in
+                    // the serial order.
+                    self.report.fault.delayed_grants += 1;
+                    self.pending_grants
+                        .push_back((self.cycle + delay, dest, next, fl));
+                    return;
                 }
             }
         }
-        self.move_buf = mb;
+        self.enqueue_stateful(dest, next, fl);
     }
 
     /// The SoA work phase on the sequential engine: build one
@@ -1954,36 +1859,41 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             stalls: self.faults.active_stalls(),
             record_detail: self.cfg.record_detail,
         };
-        let mut views: Vec<PipeView<'_>> = incoming
-            .iter_mut()
-            .zip(self.queues.iter_mut())
-            .zip(self.lanes.iter_mut())
-            .zip(self.regs.iter_mut())
-            .zip(bs.fx.iter_mut())
-            .zip(bs.events.iter_mut())
-            .zip(self.park_mask.iter_mut())
-            .zip(self.inc_mask.iter_mut())
-            .zip(self.queue_mask.iter_mut())
-            .enumerate()
-            .map(
-                |(pl, ((((((((inc_row, queues), lanes), regs), fx), events), park), inc), qm))| {
-                    PipeView {
+        let mut views = recycle_views(std::mem::take(&mut bs.views));
+        views.extend(
+            incoming
+                .iter_mut()
+                .zip(self.queues.iter_mut())
+                .zip(self.lanes.iter_mut())
+                .zip(self.regs.iter_mut())
+                .zip(bs.fx.iter_mut())
+                .zip(bs.events.iter_mut())
+                .zip(self.park_mask.iter_mut())
+                .zip(self.inc_mask.iter_mut())
+                .zip(self.queue_mask.iter_mut())
+                .enumerate()
+                .map(
+                    |(
                         pl,
-                        inc_row: &mut inc_row[..],
-                        queues: &mut queues[..],
-                        lanes: &mut lanes[..],
-                        regs: &mut regs[..],
-                        fx,
-                        events,
-                        park,
-                        inc: std::mem::take(inc),
-                        qmask: qm,
-                    }
-                },
-            )
-            .collect();
+                        ((((((((inc_row, queues), lanes), regs), fx), events), park), inc), qm),
+                    )| {
+                        PipeView {
+                            pl,
+                            inc_row: &mut inc_row[..],
+                            queues: &mut queues[..],
+                            lanes: &mut lanes[..],
+                            regs: &mut regs[..],
+                            fx,
+                            events,
+                            park,
+                            inc: std::mem::take(inc),
+                            qmask: qm,
+                        }
+                    },
+                ),
+        );
         batch_work::<S>(&ctx, &mut views, &mut bs.pack);
-        drop(views);
+        bs.views = recycle_views(views);
         for (pl, fx) in bs.fx.iter_mut().enumerate() {
             if S::ENABLED {
                 for ev in bs.events[pl].drain(..) {
@@ -2402,7 +2312,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         if fl.pkt.ecn {
             self.report.ecn_marked += 1;
         }
-        self.egress_buf.push((fl.pkt, self.cycle));
+        self.egress_buf.push((fl.0.pkt, self.cycle));
     }
 
     /// Background dynamic sharding (Figure 6 / LPT), with the in-flight
@@ -2551,11 +2461,11 @@ fn snap_flight(f: &Flight) -> FlightState {
 }
 
 fn unsnap_flight(f: FlightState) -> Flight {
-    Flight {
+    Flight(Box::new(FlightInner {
         pkt: f.pkt,
         order: OrderKey(f.order.0, f.order.1),
         ingress: PipelineId(f.ingress),
-    }
+    }))
 }
 
 fn snap_entry(e: &Entry<Flight>) -> EntrySnap {
@@ -3025,6 +2935,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 return incompat("per-pipeline vector length does not match".into());
             }
         }
+        if state.rr >= k {
+            return incompat(format!(
+                "round-robin cursor {} is not a pipeline of a {k}-pipeline switch",
+                state.rr
+            ));
+        }
         let mut queues = Vec::with_capacity(k);
         for row in state.queues {
             let mut qrow = Vec::with_capacity(self.stages);
@@ -3104,6 +3020,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.evac_counts = state.evac_counts;
         self.rr = state.rr;
         self.cycle = state.cycle;
+        self.next_remap = state
+            .cycle
+            .max(1)
+            .checked_next_multiple_of(self.cfg.remap_period)
+            .unwrap_or(u64::MAX);
         let from_cycle = state.cycle;
         self.report = unsnap_report(state.report);
         if S::ENABLED {
@@ -3695,6 +3616,14 @@ mod tests {
             Mp5Switch::try_new(prog.clone(), zero_workers).err(),
             Some(ConfigError::ZeroWorkers)
         );
+        let never_remaps = SwitchConfig {
+            remap_period: 0,
+            ..SwitchConfig::mp5(4)
+        };
+        assert_eq!(
+            Mp5Switch::try_new(prog.clone(), never_remaps).err(),
+            Some(ConfigError::ZeroRemapPeriod)
+        );
         // A *larger* physical chip remains valid (logical partitions).
         let ok = SwitchConfig {
             physical_pipelines: Some(8),
@@ -3885,6 +3814,40 @@ mod tests {
         assert_sync::<CompiledProgram>();
     }
 
+    /// Queues, lanes and batch rows move flights around every cycle:
+    /// what they move must stay a pointer, not the packet.
+    #[test]
+    fn flights_are_handles() {
+        assert_eq!(std::mem::size_of::<Flight>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Flight>>(), 8);
+        assert!(std::mem::size_of::<Entry<Flight>>() <= 48);
+    }
+
+    /// `work_batch_seq` hands its view buffer from cycle to cycle
+    /// through an in-place `collect` (`batch::recycle_views`). That std
+    /// keeps the allocation is an optimisation, not a promise: if a
+    /// toolchain stops doing it, this fails instead of every cycle
+    /// quietly paying a `malloc`.
+    #[test]
+    fn view_buffer_survives_a_cycle() {
+        let (prog, trace) = sharded_trace(200, 5);
+        let mut sw = Mp5Switch::new(prog, SwitchConfig::mp5(4));
+        for p in trace {
+            sw.offer(p);
+        }
+        let buffer = |sw: &Mp5Switch| {
+            let views = &sw.batch_seq.as_ref().expect("sequential batch path").views;
+            (views.as_ptr() as usize, views.capacity())
+        };
+        let before = buffer(&sw);
+        assert!(before.1 >= 4);
+        for _ in 0..20 {
+            sw.tick();
+            sw.drain_egress();
+        }
+        assert_eq!(buffer(&sw), before);
+    }
+
     /// Sorted-by-entry-order trace for the streaming API.
     fn sharded_trace(n: usize, seed: u64) -> (CompiledProgram, Vec<Packet>) {
         let prog = compile(SHARDED, &Target::default()).unwrap();
@@ -3921,13 +3884,21 @@ mod tests {
                 SwitchConfig::mp5(4),
             ),
         ];
-        for (cfg_a, cfg_b) in cases {
+        // Checkpoint cycles: mid-period, and one before, at and one
+        // after a multiple of `remap_period` (100) — the restored
+        // switch recomputes when its next remap is due, and must agree
+        // with the run that was never interrupted.
+        let cases = cases
+            .iter()
+            .flat_map(|c| [40, 99, 100, 101].map(|at| (c.0.clone(), c.1.clone(), at)));
+        for (cfg_a, cfg_b, at) in cases {
             let oracle = Mp5Switch::new(prog.clone(), cfg_b.clone()).run(trace.clone());
+            assert!(oracle.remap_moves > 0, "the run must remap to test it");
             let mut sw = Mp5Switch::new(prog.clone(), cfg_a.clone());
             for p in trace.clone() {
                 sw.offer(p);
             }
-            for _ in 0..40 {
+            for _ in 0..at {
                 sw.tick();
                 sw.drain_egress();
             }
@@ -3948,7 +3919,7 @@ mod tests {
             let (report, _) = sw.finish_stream();
             assert_eq!(
                 report, oracle,
-                "restored run diverged ({cfg_a:?} -> {cfg_b:?})"
+                "restored run diverged ({cfg_a:?} -> {cfg_b:?} at cycle {at})"
             );
         }
     }
@@ -3965,9 +3936,28 @@ mod tests {
             sw.drain_egress();
         }
         let state = sw.extract_state(1);
-        let err = Mp5Switch::try_restore_with(prog, SwitchConfig::mp5(8), state, NopSink, NoFaults)
+        let restore =
+            |cfg, state| Mp5Switch::try_restore_with(prog.clone(), cfg, state, NopSink, NoFaults);
+        let err = restore(SwitchConfig::mp5(8), state.clone())
             .expect_err("4-pipeline snapshot must not restore into an 8-pipeline switch");
         assert!(matches!(err, crate::RestoreError::Incompatible(_)));
+        // A round-robin cursor that names no pipeline would index out
+        // of bounds at the next ingress.
+        let mut stray = state.clone();
+        stray.rr = 4;
+        let err = restore(SwitchConfig::mp5(4), stray).expect_err("rr must be < pipelines");
+        assert!(matches!(err, crate::RestoreError::Incompatible(_)));
+        // A configuration that `validate` rejects is rejected here too.
+        let never_remaps = SwitchConfig {
+            remap_period: 0,
+            ..SwitchConfig::mp5(4)
+        };
+        let err = restore(never_remaps, state.clone()).expect_err("remap_period 0");
+        assert!(matches!(
+            err,
+            crate::RestoreError::Config(ConfigError::ZeroRemapPeriod)
+        ));
+        assert!(restore(SwitchConfig::mp5(4), state).is_ok());
     }
 
     #[test]

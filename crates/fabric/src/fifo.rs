@@ -32,10 +32,10 @@
 //!   order, enforcing C1) and the no-D4 ablation (keys = queue entry
 //!   time, which is what permits C1 violations).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use mp5_trace::{EventKind, TraceCtx, TraceSink};
-use mp5_types::{PacketId, PipelineId, RegId};
+use mp5_types::{FastMap, PacketId, PipelineId, RegId};
 
 use crate::ring::RingBuffer;
 
@@ -207,7 +207,10 @@ pub struct FifoStats {
 #[derive(Debug, Clone)]
 pub struct LogicalFifo<T> {
     lanes: Vec<RingBuffer<Entry<T>>>,
-    directory: HashMap<PhantomKey, FifoAddr>,
+    /// Keyed by trusted simulator ids, and only ever point-queried
+    /// (`insert`/`remove`/`contains_key`), so neither the hasher nor
+    /// the iteration order is observable.
+    directory: FastMap<PhantomKey, FifoAddr>,
     recovered: VecDeque<Entry<T>>,
     max_recovered: usize,
     stats: FifoStats,
@@ -245,7 +248,7 @@ impl<T> LogicalFifo<T> {
         assert!(lanes > 0, "a logical FIFO needs at least one lane");
         LogicalFifo {
             lanes: (0..lanes).map(|_| RingBuffer::new(capacity)).collect(),
-            directory: HashMap::new(),
+            directory: FastMap::default(),
             recovered: VecDeque::new(),
             max_recovered: 0,
             stats: FifoStats::default(),
@@ -689,7 +692,7 @@ impl<T> LogicalFifo<T> {
     pub fn from_parts(parts: FifoParts<T>) -> Self {
         assert!(!parts.lanes.is_empty(), "a logical FIFO needs lanes");
         let k = parts.lanes.len();
-        let mut directory = HashMap::new();
+        let mut directory = FastMap::default();
         let mut total = parts.recovered.len();
         let mut occupied = Vec::with_capacity(k);
         let mut lane_pos = vec![NOT_OCCUPIED; k];
@@ -1103,6 +1106,48 @@ mod tests {
         assert!(matches!(g.pop(), PopOutcome::Data("d")));
         assert!(matches!(g.pop(), PopOutcome::Data("e")));
         assert!(matches!(g.pop(), PopOutcome::Empty));
+    }
+
+    /// The directory is a derived view — `from_parts` rebuilds it from
+    /// the lanes — and it is only ever asked about one key at a time,
+    /// never iterated, which is what makes its hasher unobservable. So
+    /// a restored FIFO must hand out the very addresses the original
+    /// does and serve in the same order.
+    #[test]
+    fn restored_directory_matches_address_for_address() {
+        let key = |p: u64| PhantomKey {
+            pkt: PacketId(p * 7919),
+            reg: RegId((p % 3) as u16),
+            index: (p % 5) as u32,
+        };
+        let mut f: LogicalFifo<u64> = LogicalFifo::new(4, None);
+        for p in 0..200 {
+            f.push_phantom(key(p), OrderKey(p, 0), PipelineId::from((p % 4) as usize))
+                .unwrap();
+        }
+        // Move every lane's head off sequence number zero.
+        for p in 0..20 {
+            f.insert_data(key(p), p).unwrap();
+            assert!(matches!(f.pop(), PopOutcome::Data(q) if q == p));
+        }
+        for p in (20..200).step_by(9) {
+            assert!(f.cancel(key(p), p % 2 == 0));
+        }
+        let mut g = LogicalFifo::from_parts(f.snapshot_parts());
+        for p in (20..200).rev() {
+            assert_eq!(f.has_phantom(key(p)), g.has_phantom(key(p)));
+            assert_eq!(f.insert_data(key(p), p), g.insert_data(key(p), p));
+        }
+        loop {
+            match (f.pop(), g.pop()) {
+                (PopOutcome::Empty, PopOutcome::Empty) => break,
+                (PopOutcome::Data(a), PopOutcome::Data(b)) => assert_eq!(a, b),
+                (PopOutcome::ConsumedStale, PopOutcome::ConsumedStale) => {}
+                (a, b) => panic!("service diverged: {a:?} vs {b:?}"),
+            }
+        }
+        assert_eq!(f.stats().data_drops_no_phantom, 20);
+        assert_eq!(g.stats().data_drops_no_phantom, 20);
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! is the *shape* — a heavy tail in which a few flows carry most bytes —
 //! which governs the state-access skew.
 
+use std::cmp::Reverse;
+
 use mp5_types::{FlowKey, Packet, PacketId, PortId, Time, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::streams::stream_rng;
-use crate::SizeDist;
+use crate::{port_clock, SizeDist};
 
 /// Piecewise-linear CDF of flow sizes in KB for the Web-search workload
 /// (approximation of the DCTCP measurement): `(cumulative probability,
@@ -126,15 +128,14 @@ impl FlowTraceBuilder {
         // ports).
         // Stagger port start times (see TraceBuilder) for smooth
         // line-rate aggregation.
-        let stagger = self.size.mean() / self.load;
-        let mut port_free: Vec<f64> = (0..self.ports).map(|p| p as f64 * stagger).collect();
+        let mut port_free = port_clock(self.ports, self.size.mean() / self.load);
         let mut port_flow: Vec<Option<(usize, u64)>> = vec![None; self.ports]; // (flow idx, bytes left)
         let mut next_id = 0u64;
 
         while packets.len() < self.count {
-            let port = (0..self.ports)
-                .min_by(|&a, &b| port_free[a].partial_cmp(&port_free[b]).unwrap())
-                .unwrap();
+            let mut next = port_free.peek_mut().expect("ports > 0");
+            let Reverse((free, port)) = *next;
+            let free = f64::from_bits(free);
             // Start a new flow on this port if needed.
             let (flow_idx, bytes_left) = match port_flow[port] {
                 Some((fi, left)) if left > 0 => (fi, left),
@@ -159,8 +160,10 @@ impl FlowTraceBuilder {
                 .size
                 .sample(&mut size_rng)
                 .min(bytes_left.max(64) as u32);
-            let arrival = port_free[port].ceil() as Time;
-            port_free[port] += (size as f64) * (self.ports as f64) / self.load;
+            let arrival = free.ceil() as Time;
+            let busy = (size as f64) * (self.ports as f64) / self.load;
+            *next = Reverse(((free + busy).to_bits(), port));
+            drop(next);
             port_flow[port] = Some((flow_idx, bytes_left.saturating_sub(size as u64)));
 
             let key = flows[flow_idx].key;

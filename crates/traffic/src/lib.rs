@@ -29,9 +29,31 @@ pub use flows::{FlowTraceBuilder, WEB_SEARCH_CDF};
 pub use pattern::AccessPattern;
 pub use streams::{stream_digest, stream_rng, stream_seed};
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use mp5_types::{Packet, PacketId, PortId, Time, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// When each port is next free to begin a packet, as a min-heap of
+/// `(time.to_bits(), port)`: times are finite and ≥ 0, so bit order is
+/// value order, and the head is the port that frees earliest — the
+/// lowest port id on ties, the paper's entry-order rule. The builders
+/// rewrite the head through `peek_mut` once per packet.
+pub(crate) type PortClock = BinaryHeap<Reverse<(u64, usize)>>;
+
+/// Ports staggered by `stagger` byte-times each, so the merged stream
+/// is smooth line rate rather than phase-locked bursts of one packet
+/// per port. `#[inline]`: its callers are generic over the field
+/// filler, so they are compiled in the calling crate, and this goes
+/// with them.
+#[inline]
+pub(crate) fn port_clock(ports: usize, stagger: f64) -> PortClock {
+    (0..ports)
+        .map(|p| Reverse(((p as f64 * stagger).to_bits(), p)))
+        .collect()
+}
 
 /// Packet size distribution on the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,26 +177,20 @@ impl TraceBuilder {
         F: FnMut(&mut SmallRng, u64, &mut [Value]),
     {
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        // Next time each port is free to begin a packet. Ports are
-        // staggered by one mean packet time each so the merged stream is
-        // smooth line rate rather than phase-locked 64-packet bursts.
-        let stagger = self.size.mean() / self.load;
-        let mut port_free: Vec<f64> = (0..self.ports).map(|p| p as f64 * stagger).collect();
+        // Ports are staggered by one mean packet time each.
+        let mut port_free = port_clock(self.ports, self.size.mean() / self.load);
         let mut packets = Vec::with_capacity(self.count);
         for i in 0..self.count as u64 {
-            // The next arrival comes from the port that frees earliest;
-            // ties by port id (matching the paper's entry-order rule).
-            let port = (0..self.ports)
-                .min_by(|&a, &b| {
-                    port_free[a]
-                        .partial_cmp(&port_free[b])
-                        .expect("times are finite")
-                })
-                .expect("ports > 0");
+            // The next arrival comes from the port that frees earliest.
+            let mut next = port_free.peek_mut().expect("ports > 0");
+            let Reverse((free, port)) = *next;
+            let free = f64::from_bits(free);
             let size = self.size.sample(&mut rng);
-            let arrival = port_free[port].ceil() as Time;
+            let arrival = free.ceil() as Time;
             // Port occupancy: size bytes at rate aggregate/ports.
-            port_free[port] += (size as f64) * (self.ports as f64) / self.load;
+            let busy = (size as f64) * (self.ports as f64) / self.load;
+            *next = Reverse(((free + busy).to_bits(), port));
+            drop(next);
             let mut pkt = Packet::new(PacketId(i), PortId(port as u16), arrival, size, nfields);
             fill(&mut rng, i, &mut pkt.fields);
             packets.push(pkt);
