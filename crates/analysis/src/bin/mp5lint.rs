@@ -30,10 +30,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mp5_analysis::analyze_source;
-use mp5_analysis::json::{diagnostic_to_json, report_to_json, Json};
+use mp5_analysis::json::{write_diagnostics, write_report};
 use mp5_compiler::Target;
 use mp5_lang::diag::render_all;
 use mp5_lang::{Code, Diagnostic, Severity};
+use serde::json::Writer;
 
 struct Options {
     json: bool,
@@ -200,7 +201,9 @@ fn main() -> ExitCode {
     };
 
     let mut any_findings = false;
-    let mut json_files = Vec::new();
+    let mut json = Vec::new();
+    let mut w = Writer::compact(&mut json);
+    w.begin_array();
     for file in &files {
         let source = match std::fs::read_to_string(file) {
             Ok(s) => s,
@@ -224,19 +227,18 @@ fn main() -> ExitCode {
 
         let name = file.display().to_string();
         if opts.json {
-            let mut fields = vec![
-                ("file".to_string(), Json::str(name)),
-                ("clean".to_string(), Json::Bool(!failing)),
-                (
-                    "diagnostics".to_string(),
-                    Json::Arr(shown.iter().map(diagnostic_to_json).collect()),
-                ),
-            ];
+            w.element();
+            w.begin_object();
+            w.field("file", &name);
+            w.field("clean", &!failing);
+            w.key("diagnostics");
+            write_diagnostics(&mut w, &shown);
+            w.key("report");
             match &analysis.report {
-                Some(r) => fields.push(("report".to_string(), report_to_json(r))),
-                None => fields.push(("report".to_string(), Json::Null)),
+                Some(r) => write_report(&mut w, r),
+                None => w.null(),
             }
-            json_files.push(Json::Obj(fields));
+            w.end_object();
         } else if !shown.is_empty() {
             print!("{}", render_all(&shown, &source, &name));
         } else if !opts.quiet {
@@ -257,7 +259,11 @@ fn main() -> ExitCode {
     }
 
     if opts.json {
-        println!("{}", Json::Arr(json_files).emit());
+        w.end_array();
+        println!(
+            "{}",
+            String::from_utf8(json).expect("the writer emits UTF-8")
+        );
     }
     if any_findings {
         ExitCode::from(1)

@@ -11,19 +11,14 @@
 //! | `micro_d4` | §4.3.2 C1 violation fractions |
 //! | `fig7a`–`fig7d` | Figure 7 sensitivity panels |
 //! | `fig8` | Figure 8 real applications |
-//! | `hotpath` | Criterion micro-benchmarks of the simulator/compiler |
+//! | `ablation_*`, `ext_chiplet` | ablations and the chiplet extension (EXPERIMENTS.md) |
 //!
 //! Scale knobs: `MP5_EXP_PACKETS` (default 20 000) and `MP5_EXP_SEEDS`
-//! (default 5; paper used 10 streams).
-//!
-//! The crate also ships the `mp5bench` binary (module [`suite`]): the
-//! sequential-vs-parallel engine benchmark matrix behind
-//! `BENCH_main.json` and the CI perf-regression gate.
+//! (default 5; paper used 10 streams). `run_experiments.sh` runs all
+//! thirteen; simulator speed is measured by `benchmark/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod suite;
 
 /// Prints the standard experiment banner with the active scale knobs.
 pub fn banner(what: &str, paper_ref: &str) {

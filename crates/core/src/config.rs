@@ -46,7 +46,7 @@ impl EngineMode {
 impl std::str::FromStr for EngineMode {
     type Err = String;
 
-    /// Parses the CLI spelling used by `mp5run --engine` and `mp5bench`:
+    /// Parses the CLI spelling used by `mp5run --engine`:
     /// `seq`, `par` (auto-sized from the host), or `par:N`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
@@ -94,8 +94,8 @@ pub enum ExecPath {
 impl std::str::FromStr for ExecPath {
     type Err = String;
 
-    /// Parses the CLI spelling used by `mp5run --exec` and `mp5bench`:
-    /// `scalar` or `batch`.
+    /// Parses the CLI spelling used by `mp5run --exec`: `scalar` or
+    /// `batch`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "scalar" => Ok(ExecPath::Scalar),

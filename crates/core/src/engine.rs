@@ -130,38 +130,6 @@ pub fn shard_ranges(n: usize, workers: usize) -> impl Iterator<Item = std::ops::
     })
 }
 
-/// Wall-clock duration of every simulated cycle, recorded by
-/// `Mp5Switch::try_run_timed` for the `mp5bench` latency percentiles.
-#[derive(Debug, Clone, Default)]
-pub struct CycleTimings {
-    /// Nanoseconds per cycle, in simulation order.
-    pub nanos: Vec<u64>,
-}
-
-impl CycleTimings {
-    /// The `p`-th percentile (0–100, nearest-rank) of per-cycle wall
-    /// time in nanoseconds; 0 when no cycles were recorded.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.nanos.is_empty() {
-            return 0;
-        }
-        let mut v = self.nanos.clone();
-        v.sort_unstable();
-        // Classic nearest-rank: the ⌈p/100·N⌉-th smallest sample.
-        let rank = ((p.clamp(0.0, 100.0) / 100.0) * v.len() as f64).ceil() as usize;
-        v[rank.saturating_sub(1).min(v.len() - 1)]
-    }
-
-    /// Mean nanoseconds per cycle (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.nanos.is_empty() {
-            0.0
-        } else {
-            self.nanos.iter().sum::<u64>() as f64 / self.nanos.len() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,18 +165,5 @@ mod tests {
                 assert!(sizes[0] - sizes[workers - 1] <= 1);
             }
         }
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let t = CycleTimings {
-            nanos: (1..=100).collect(),
-        };
-        assert_eq!(t.percentile(50.0), 50);
-        assert_eq!(t.percentile(99.0), 99);
-        assert_eq!(t.percentile(0.0), 1);
-        assert_eq!(t.percentile(100.0), 100);
-        assert_eq!(CycleTimings::default().percentile(50.0), 0);
-        assert!((t.mean() - 50.5).abs() < 1e-9);
     }
 }

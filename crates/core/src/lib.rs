@@ -44,7 +44,7 @@ pub mod state;
 pub mod switch;
 
 pub use config::{ConfigError, EngineMode, ExecPath, ShardingMode, SprayMode, SwitchConfig};
-pub use engine::{CycleTimings, WorkerPool};
+pub use engine::WorkerPool;
 pub use partition::{Partition, PartitionReport, PartitionedSwitch};
 pub use report::{DropCounts, FaultReport, RunReport};
 pub use state::{RestoreError, SwapError, SwapReport, SwitchState};

@@ -18,7 +18,7 @@ use mp5_types::time::cycle_len;
 use mp5_types::{AccessTag, FastSet, Packet, PacketId, PipelineId, RegId, StageId, Value};
 
 use crate::config::{ConfigError, EngineMode, ExecPath, ShardingMode, SprayMode, SwitchConfig};
-use crate::engine::{shard_ranges, CycleTimings, WorkerPool};
+use crate::engine::{shard_ranges, WorkerPool};
 use crate::report::RunReport;
 use crate::shard;
 use crate::state::{
@@ -1057,8 +1057,8 @@ struct BatchSeq {
 ///
 /// Generic over a [`TraceSink`] `S` (default [`NopSink`]): with the
 /// default, every emission guard is `if false` after monomorphization
-/// and the instrumentation compiles away entirely (the `hotpath` bench
-/// pins this down). Use [`Mp5Switch::with_sink`] to record a run.
+/// and the instrumentation compiles away entirely. Use
+/// [`Mp5Switch::with_sink`] to record a run.
 ///
 /// Also generic over a [`FaultInjector`] `F` (default [`NoFaults`]):
 /// the same static-dispatch trick makes every fault hook an `if false`
@@ -1420,25 +1420,40 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     }
 
     /// [`Mp5Switch::try_run`] returning the sink alongside the report,
-    /// so callers can audit or export the recorded stream.
+    /// so callers can audit or export the recorded stream. This is the
+    /// drain loop behind every `run` variant.
     pub fn try_run_traced(
-        self,
-        packets: Vec<Packet>,
+        mut self,
+        mut packets: Vec<Packet>,
     ) -> Result<(RunReport, S), InvariantViolation> {
-        self.run_to_completion(packets, None)
-    }
-
-    /// [`Mp5Switch::try_run_traced`] that additionally records the
-    /// wall-clock duration of every simulated cycle — the input for
-    /// `mp5bench`'s per-cycle latency percentiles. The timing
-    /// instrumentation does not affect the simulation itself.
-    pub fn try_run_timed(
-        self,
-        packets: Vec<Packet>,
-    ) -> Result<(RunReport, S, CycleTimings), InvariantViolation> {
-        let mut nanos = Vec::new();
-        let (report, sink) = self.run_to_completion(packets, Some(&mut nanos))?;
-        Ok((report, sink, CycleTimings { nanos }))
+        packets.sort_by_key(|p| p.entry_order_key());
+        self.report.offered = packets.len() as u64;
+        self.report.input_duration = packets
+            .last()
+            .map(|p| p.arrival + mp5_types::BYTES_PER_SLOT)
+            .unwrap_or(0);
+        self.arrivals = packets.into();
+        let clen = cycle_len(self.timing_k);
+        let input_cycles = self.report.input_duration / clen + 1;
+        let cap = self.cfg.max_cycles.unwrap_or_else(|| {
+            input_cycles * (self.k as u64 + 2) * 4 + (self.stages as u64) * 16 + 100_000
+        });
+        while !self.drained() {
+            if self.cycle >= cap {
+                return Err(InvariantViolation {
+                    cap,
+                    ingress: self.ingress_q.len(),
+                    in_lanes: self.lanes.iter().flatten().filter(|l| l.is_some()).count(),
+                    queued: self.queues.iter().flatten().map(|q| q.len()).sum(),
+                    channel: self.channel.in_flight(),
+                });
+            }
+            self.step();
+            // Whole-trace runs have no egress consumer: drop completions
+            // as they happen so the buffer never grows past one cycle.
+            self.egress_buf.clear();
+        }
+        Ok(self.finish())
     }
 
     // -----------------------------------------------------------------
@@ -1516,48 +1531,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// tail of [`Mp5Switch::try_run_traced`].
     pub fn finish_stream(self) -> (RunReport, S) {
         self.finish()
-    }
-
-    /// The drain loop behind every `run` variant.
-    fn run_to_completion(
-        mut self,
-        mut packets: Vec<Packet>,
-        mut timings: Option<&mut Vec<u64>>,
-    ) -> Result<(RunReport, S), InvariantViolation> {
-        packets.sort_by_key(|p| p.entry_order_key());
-        self.report.offered = packets.len() as u64;
-        self.report.input_duration = packets
-            .last()
-            .map(|p| p.arrival + mp5_types::BYTES_PER_SLOT)
-            .unwrap_or(0);
-        self.arrivals = packets.into();
-        let clen = cycle_len(self.timing_k);
-        let input_cycles = self.report.input_duration / clen + 1;
-        let cap = self.cfg.max_cycles.unwrap_or_else(|| {
-            input_cycles * (self.k as u64 + 2) * 4 + (self.stages as u64) * 16 + 100_000
-        });
-        while !self.drained() {
-            if self.cycle >= cap {
-                return Err(InvariantViolation {
-                    cap,
-                    ingress: self.ingress_q.len(),
-                    in_lanes: self.lanes.iter().flatten().filter(|l| l.is_some()).count(),
-                    queued: self.queues.iter().flatten().map(|q| q.len()).sum(),
-                    channel: self.channel.in_flight(),
-                });
-            }
-            if let Some(t) = timings.as_deref_mut() {
-                let t0 = std::time::Instant::now();
-                self.step();
-                t.push(t0.elapsed().as_nanos() as u64);
-            } else {
-                self.step();
-            }
-            // Whole-trace runs have no egress consumer: drop completions
-            // as they happen so the buffer never grows past one cycle.
-            self.egress_buf.clear();
-        }
-        Ok(self.finish())
     }
 
     fn drained(&self) -> bool {
@@ -3641,23 +3614,6 @@ mod tests {
             ..SwitchConfig::mp5(4)
         };
         let _ = Mp5Switch::new(prog, bad);
-    }
-
-    #[test]
-    fn timed_run_matches_untimed_and_counts_cycles() {
-        let prog = compile(SHARDED, &Target::default()).unwrap();
-        let nf = prog.num_fields();
-        let trace = TraceBuilder::new(400, 55).build(nf, |r, _, f| {
-            use rand::Rng;
-            f[0] = r.gen_range(0..1_000);
-        });
-        let plain = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(4)).run(trace.clone());
-        let (timed, _, timings) = Mp5Switch::new(prog, SwitchConfig::mp5(4))
-            .try_run_timed(trace)
-            .unwrap();
-        assert_eq!(plain, timed);
-        assert_eq!(timings.nanos.len() as u64, timed.cycles);
-        assert!(timings.percentile(99.0) >= timings.percentile(50.0));
     }
 
     /// Runs a trace through the Banzai reference and a faulted MP5

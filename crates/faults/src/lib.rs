@@ -7,8 +7,8 @@
 //!
 //! * [`FaultPlan`] — a seeded, JSON-serializable schedule of faults
 //!   that fire at precise cycles (builder API + [`FaultPlan::chaos`]
-//!   randomized generator). The JSON codec is hand-rolled, like the
-//!   `mp5-trace` event codec, so the crate has zero dependencies.
+//!   randomized generator). Plans are read through the vendored
+//!   `serde::json` parser, the workspace's one JSON reader.
 //! * [`FaultInjector`] — the zero-cost hook trait the switch runtime is
 //!   generic over, following the same `const ENABLED` static-dispatch
 //!   pattern as `mp5_trace::TraceSink`: with the default [`NoFaults`]
@@ -25,9 +25,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
-
-use json::JsonVal;
+use serde::json::{Parser, Value};
+use serde::Deserialize as _;
 
 /// SplitMix64 — tiny, seed-stable PRNG step used for chaos-plan
 /// generation and per-phantom drop decisions. Hand-rolled so the crate
@@ -393,39 +392,45 @@ impl FaultPlan {
     }
 
     /// Parse from JSON (schedule is re-sorted by cycle).
+    ///
+    /// The whole JSON grammar is accepted. An unknown key is ignored, a
+    /// repeated key resolves the way the derive decoder resolves it
+    /// (the last one wins), and a numeric field must be an unsigned
+    /// integer literal in range for its type: a negative, fractional
+    /// or exponent number is the same "missing numeric" error as an
+    /// absent field, and a too-large one is "out of range" — neither
+    /// is ever cast.
     pub fn from_json(s: &str) -> Result<Self, PlanError> {
-        let val = json::parse(s).map_err(PlanError::Json)?;
-        let seed = val
-            .get("seed")
-            .and_then(JsonVal::as_u64)
+        let mut p = Parser::new(s);
+        let val = Value::deserialize(&mut p)
+            .and_then(|v| p.end().map(|()| v))
+            .map_err(|e| PlanError::Json(e.to_string()))?;
+        let seed = val["seed"]
+            .as_u64()
             .ok_or_else(|| PlanError::Json("missing numeric \"seed\"".into()))?;
-        let faults_val = val
-            .get("faults")
-            .and_then(JsonVal::as_array)
+        let faults_val = val["faults"]
+            .as_array()
             .ok_or_else(|| PlanError::Json("missing \"faults\" array".into()))?;
         let mut faults = Vec::with_capacity(faults_val.len());
         for (i, fv) in faults_val.iter().enumerate() {
             let err = |what: &str| PlanError::Json(format!("fault #{i}: {what}"));
-            let at = fv
-                .get("at")
-                .and_then(JsonVal::as_u64)
-                .ok_or_else(|| err("missing numeric \"at\""))?;
-            let kind_tag = fv
-                .get("kind")
-                .and_then(JsonVal::as_str)
-                .ok_or_else(|| err("missing string \"kind\""))?;
-            let u16_field = |name: &str| -> Result<u16, PlanError> {
-                let v = fv
-                    .get(name)
-                    .and_then(JsonVal::as_u64)
-                    .ok_or_else(|| err(&format!("missing numeric \"{name}\"")))?;
-                u16::try_from(v).map_err(|_| err(&format!("\"{name}\" out of u16 range")))
-            };
-            let u64_field = |name: &str| -> Result<u64, PlanError> {
-                fv.get(name)
-                    .and_then(JsonVal::as_u64)
+            let u64_field = |name: &str| {
+                fv[name]
+                    .as_u64()
                     .ok_or_else(|| err(&format!("missing numeric \"{name}\"")))
             };
+            let u16_field = |name: &str| {
+                u16::try_from(u64_field(name)?)
+                    .map_err(|_| err(&format!("\"{name}\" out of u16 range")))
+            };
+            let u32_field = |name: &str| {
+                u32::try_from(u64_field(name)?)
+                    .map_err(|_| err(&format!("\"{name}\" out of u32 range")))
+            };
+            let at = u64_field("at")?;
+            let kind_tag = fv["kind"]
+                .as_str()
+                .ok_or_else(|| err("missing string \"kind\""))?;
             let kind = match kind_tag {
                 "pipeline_fail" => FaultKind::PipelineFail {
                     pipeline: u16_field("pipeline")?,
@@ -436,9 +441,9 @@ impl FaultPlan {
                     cycles: u64_field("cycles")?,
                 },
                 "phantom_drop" => FaultKind::PhantomDrop {
-                    rate_permille: u64_field("rate_permille")? as u32,
+                    rate_permille: u32_field("rate_permille")?,
                     cycles: u64_field("cycles")?,
-                    silent: fv.get("silent").and_then(JsonVal::as_bool).unwrap_or(false),
+                    silent: fv["silent"].as_bool().unwrap_or(false),
                 },
                 "fifo_overflow" => FaultKind::FifoOverflow {
                     pipeline: u16_field("pipeline")?,
@@ -450,7 +455,7 @@ impl FaultPlan {
                     cycles: u64_field("cycles")?,
                 },
                 "remap_abort" => FaultKind::RemapAbort {
-                    count: u64_field("count")? as u32,
+                    count: u32_field("count")?,
                 },
                 other => return Err(err(&format!("unknown kind \"{other}\""))),
             };
@@ -913,23 +918,32 @@ mod tests {
             .remap_abort(5, 2)
     }
 
+    /// `to_json()` of [`sample`] plus a silent drop, written by the
+    /// commit before `from_json` moved onto `serde::json`. The text is
+    /// an on-disk format: it is embedded in every `MP5SNAP` `@faults`
+    /// section.
+    const GOLDEN: &str = include_str!("../tests/golden/plan.json");
+
+    fn golden_plan() -> FaultPlan {
+        sample().silent_phantom_drop(4, 120, 9)
+    }
+
     #[test]
     fn json_round_trips() {
-        let plan = sample();
-        let json = plan.to_json();
-        let back = FaultPlan::from_json(&json).unwrap();
-        assert_eq!(plan, back);
-        // And a silent drop round-trips too.
-        let plan = FaultPlan::new(3).silent_phantom_drop(4, 120, 9);
-        assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
+        let plan = golden_plan();
+        assert_eq!(plan.to_json(), GOLDEN);
+        let back = FaultPlan::from_json(GOLDEN).unwrap();
+        assert_eq!(back, plan);
+        assert_eq!(back.to_json(), GOLDEN);
     }
 
     #[test]
     fn parses_handwritten_json() {
         let src = r#"{
             "seed": 42,
+            "comment": ["unknown keys are skipped", {"at": -1.5e3}],
             "faults": [
-                { "kind": "pipeline_fail", "at": 100, "pipeline": 3 },
+                { "kind": "pipeline_fail", "at": 100, "pipeline": 9, "pipeline": 3 },
                 { "kind": "phantom_drop", "at": 10, "rate_permille": 250, "cycles": 20 }
             ]
         }"#;
@@ -945,7 +959,17 @@ mod tests {
                 silent: false
             }
         );
+        // A repeated key: the last one wins, as in the derive decoder.
         assert_eq!(plan.faults[1].kind, FaultKind::PipelineFail { pipeline: 3 });
+    }
+
+    /// The golden with `from` replaced by `to` must fail with `why`.
+    fn rejected(from: &str, to: &str, why: &str) {
+        assert!(GOLDEN.contains(from), "{from} not in the golden");
+        match FaultPlan::from_json(&GOLDEN.replacen(from, to, 1)) {
+            Err(PlanError::Json(e)) => assert!(e.contains(why), "{from} -> {to}: {e}"),
+            other => panic!("{from} -> {to}: {other:?}"),
+        }
     }
 
     #[test]
@@ -953,10 +977,110 @@ mod tests {
         assert!(FaultPlan::from_json("not json").is_err());
         assert!(FaultPlan::from_json("{}").is_err());
         assert!(FaultPlan::from_json(r#"{"seed": 1, "faults": [{"at": 3}]}"#).is_err());
-        assert!(FaultPlan::from_json(
-            r#"{"seed": 1, "faults": [{"at": 3, "kind": "warp_core_breach"}]}"#
-        )
-        .is_err());
+        rejected("\"seed\": 7,", "", "missing numeric \"seed\"");
+        rejected("\"faults\": [", "\"flaws\": [", "missing \"faults\" array");
+        rejected("remap_abort", "warp_core_breach", "fault #1: unknown kind");
+        rejected(
+            "\"kind\": \"remap_abort\"",
+            "\"kind\": 6",
+            "missing string \"kind\"",
+        );
+        rejected("]\n}", "]\n}{}", "trailing characters");
+        rejected("]\n}", "]\n}]", "trailing characters");
+
+        // A number too wide for its field is refused, not truncated:
+        // 4294967796 is 500 modulo 2^32 and 65538 is 2 modulo 2^16.
+        rejected(
+            "\"rate_permille\": 300",
+            "\"rate_permille\": 4294967796",
+            "fault #4: \"rate_permille\" out of u32 range",
+        );
+        rejected(
+            "\"count\": 2",
+            "\"count\": 4294967298",
+            "fault #1: \"count\" out of u32 range",
+        );
+        rejected(
+            "\"pipeline\": 2 }",
+            "\"pipeline\": 65538 }",
+            "fault #6: \"pipeline\" out of u16 range",
+        );
+        rejected(
+            "\"stage\": 2",
+            "\"stage\": 65538",
+            "fault #2: \"stage\" out of u16 range",
+        );
+        rejected(
+            "\"seed\": 7",
+            "\"seed\": 18446744073709551616",
+            "missing numeric \"seed\"",
+        );
+        // Anything but an unsigned integer literal is not a cycle count.
+        for not_a_count in ["-5", "5.0", "5e0", "\"5\"", "null", "[5]"] {
+            rejected(
+                "\"cycles\": 5",
+                &format!("\"cycles\": {not_a_count}"),
+                "fault #2: missing numeric \"cycles\"",
+            );
+            rejected(
+                "\"at\": 30",
+                &format!("\"at\": {not_a_count}"),
+                "fault #5: missing numeric \"at\"",
+            );
+        }
+    }
+
+    /// Truncated at any byte the golden is an error; with any one byte
+    /// damaged it is an error or a different plan. Neither panics.
+    #[test]
+    fn a_truncated_or_flipped_plan_is_an_error_or_another_plan() {
+        let plan = golden_plan();
+        // Only the final newline may go missing unnoticed.
+        for cut in 0..GOLDEN.len() - 1 {
+            assert!(
+                FaultPlan::from_json(&GOLDEN[..cut]).is_err(),
+                "accepted {:?}",
+                &GOLDEN[..cut]
+            );
+        }
+        // The one honest alias: `silent` defaults to false, so damage to
+        // that key where the value is false reads back as the same plan.
+        let silent_false = GOLDEN.find("\"silent\": false").unwrap();
+        let alias = silent_false + 1..silent_false + "\"silent".len();
+        let mut bytes = GOLDEN.as_bytes().to_vec();
+        for at in 0..bytes.len() - 1 {
+            for mask in [0x01, 0x04, 0x10] {
+                bytes[at] ^= mask;
+                // Every reader takes `&str`: a flip that leaves no valid
+                // UTF-8 never reaches the parser.
+                if let Ok(Ok(other)) = std::str::from_utf8(&bytes).map(FaultPlan::from_json) {
+                    assert!(
+                        other != plan || alias.contains(&at),
+                        "flip {mask:#x} at byte {at} went unnoticed"
+                    );
+                }
+                bytes[at] ^= mask;
+            }
+        }
+    }
+
+    /// The reader is linear in the text: a megabyte string, whether in
+    /// a key the plan does not know or in one it reads, costs
+    /// milliseconds (a quadratic scan would take minutes).
+    #[test]
+    fn a_megabyte_string_is_read_in_well_under_a_second() {
+        let long = "é\\n".repeat(1 << 18);
+        assert!(long.len() >= 1 << 20);
+        let started = std::time::Instant::now();
+        let skipped = format!(r#"{{"note": "{long}", "seed": 1, "faults": []}}"#);
+        assert_eq!(FaultPlan::from_json(&skipped), Ok(FaultPlan::new(1)));
+        let read = format!(r#"{{"seed": 1, "faults": [{{"at": 0, "kind": "{long}"}}]}}"#);
+        assert!(matches!(
+            FaultPlan::from_json(&read),
+            Err(PlanError::Json(e)) if e.starts_with("fault #0: unknown kind")
+        ));
+        let took = started.elapsed();
+        assert!(took.as_secs() < 1, "took {took:?}");
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`sink`] — the [`TraceSink`] trait and its implementations. The
 //!   trait is statically dispatched with a `const ENABLED` flag, so
 //!   the default [`NopSink`] compiles instrumentation away entirely:
-//!   an untraced switch pays nothing (the `hotpath` bench verifies
-//!   this).
+//!   an untraced switch pays nothing.
 //! * [`mod@audit`] — the offline invariant auditor: replays a recorded
 //!   stream and independently re-verifies Invariant 1 (phantom
 //!   precedes data), Invariant 2 (pass-through priority), condition C1

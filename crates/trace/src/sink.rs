@@ -4,8 +4,8 @@
 //! `const ENABLED` flag. Instrumented code guards every emission with
 //! `if S::ENABLED { ... }`, so with the default [`NopSink`] the
 //! compiler sees `if false { ... }` and removes the event construction
-//! entirely — tracing is zero-cost when disabled (verified by the
-//! `hotpath` bench's nop-vs-mem comparison).
+//! entirely — tracing is zero-cost when disabled (what a recording
+//! sink costs is the benchmark's `trace.memsink_overhead_ratio`).
 
 use std::io::{BufRead, Write};
 
