@@ -139,6 +139,13 @@ for f in "$FABRIC_TMP"/sw*.jsonl; do
     ./target/release/mp5audit --quiet "$f"
 done
 
+echo "==> fabric smoke: flowlet routing, seq/par bit-identity, auditor"
+# Flowlet routing keeps (and sweeps) a per-flow table the ECMP run above
+# never touches; --verify-par also moves every switch's per-pipeline
+# state through the parallel engine's jobs.
+./target/release/mp5fabric --leaves 2 --spines 2 --flows 3000 --routing flowlet:2000 \
+    --audit --verify-par --quiet
+
 echo "==> fabric chaos smoke: spine fail-stop mid-run, ledger closed"
 ./target/release/mp5chaos --seeds 1 --apps flowlet --packets 400 --horizon 200 --fabric
 

@@ -23,15 +23,15 @@
 //! 3. **Compact** — walk the lanes in sweep order (pipeline-major,
 //!    stages ascending — the scalar effect order) and apply the
 //!    verdicts: write fields back, retire tags, cancel sibling queue
-//!    slots, and push counter/phantom/access side effects into the
-//!    per-pipeline [`WorkFx`] buffers, which the caller applies in
+//!    slots, and push counter/phantom/access side effects into each
+//!    [`Pipe`]'s [`WorkFx`] buffer, which the caller applies in
 //!    ascending pipeline order exactly as before.
 //!
 //! **Tracing** rides the same passes instead of falling back to the
 //! scalar loop: the sweep appends its scheduler events (drops, pops,
 //! execute) to a per-batch buffer via [`BufSink`], compaction renders
 //! each lane's execution events (phantom emits, accesses, sibling
-//! cancels) into a per-view scratch buffer, and a stable merge by stage
+//! cancels) into a per-pipe scratch buffer, and a stable merge by stage
 //! — scheduler stream first on ties — reconstructs the exact scalar
 //! event order per pipeline (DESIGN.md §13). With `NopSink` every
 //! buffer stays empty and the guards constant-fold as before.
@@ -55,53 +55,9 @@ use mp5_compiler::{BatchRegs, LaneAccess, LaneFields};
 /// an access — §3.3's one wasted cycle, counted during compaction.
 const V_WASTED: u8 = 1 << 0;
 
-/// A mutable view of one pipeline's work-phase state. The sequential
-/// engine builds one per pipeline from the switch's own arrays; the
-/// parallel engine builds one per [`Unit`] in a worker's contiguous
-/// pipeline range — the batch passes are identical either way.
-#[derive(Debug)]
-pub(super) struct PipeView<'a> {
-    pub(super) pl: usize,
-    pub(super) inc_row: &'a mut [Option<Flight>],
-    pub(super) queues: &'a mut [StageQueue],
-    pub(super) lanes: &'a mut [Option<Flight>],
-    pub(super) regs: &'a mut [Vec<Value>],
-    pub(super) fx: &'a mut WorkFx,
-    /// This pipeline's trace events for the cycle, flushed in canonical
-    /// scalar order by compaction (untouched when the sink is disabled).
-    pub(super) events: &'a mut Vec<Event>,
-    /// Bitmask of stages compaction parked a flight at this cycle,
-    /// consumed by the next move phase (stages ≥ 64 are not
-    /// recorded; the move phase falls back to the full lane scan for
-    /// such programs).
-    pub(super) park: &'a mut u64,
-    /// Bitmask of `inc_row` slots the move phase and ingress filled
-    /// this cycle: the sweep tests bits instead of probing every slot
-    /// (programs of > 64 stages fall back to the probe).
-    pub(super) inc: u64,
-    /// Possibly-non-empty stage FIFOs (stages < 64; conservative
-    /// superset, see `Mp5Switch::queue_mask`). The sweep visits only
-    /// `inc | qmask` slots and clears a bit when the queue turns out
-    /// empty; programs of > 64 stages fall back to probing every slot.
-    pub(super) qmask: &'a mut u64,
-}
-
-/// Hands an emptied view buffer's allocation on to the next borrow
-/// scope. The views borrow the switch's arrays for one cycle, so the
-/// `Vec` cannot be kept with its element type; but it is empty, and
-/// std collects an `into_iter().map()` over a same-layout element type
-/// in place, so the capacity carries over and nothing is allocated
-/// (`view_buffer_survives_a_cycle` pins that down).
-pub(super) fn recycle_views<'a, 'b>(mut views: Vec<PipeView<'a>>) -> Vec<PipeView<'b>> {
-    views.clear();
-    views
-        .into_iter()
-        .map(|_| unreachable!("the buffer was cleared"))
-        .collect()
-}
-
-/// Lane metadata: which `(view, stage)` slot this batch row executes
-/// for. Kept to four bytes so the lane array stays cache-resident.
+/// Lane metadata: which `(pipe, stage)` slot this batch row executes
+/// for (`slot` indexes the pipes `batch_work` runs over). Kept to four
+/// bytes so the lane array stays cache-resident.
 #[derive(Debug, Clone, Copy)]
 struct Lane {
     st: u16,
@@ -133,7 +89,8 @@ pub(super) struct PacketBatch {
     /// Reusable resolution output buffer.
     resolved: Vec<mp5_compiler::ResolvedAccess>,
     /// Raw kernel output for one stage (instruction-major), regrouped
-    /// per lane into `acc` after each kernel call.
+    /// per lane into `acc` after each kernel call (a one-lane stage's
+    /// output is that lane's, in order, and skips the regroup).
     kernel_out: Vec<LaneAccess>,
     /// Deduped per-lane accesses, flat; indexed via `acc_ranges`.
     acc: Vec<(RegId, u32)>,
@@ -145,11 +102,11 @@ pub(super) struct PacketBatch {
     /// Lane id → position within the current stage's lane list.
     lane_local: Vec<u32>,
     /// Scheduler events from the sweep (traced runs only), across all
-    /// views in sweep order; sliced per view via `sched_marks`.
+    /// pipes in sweep order; sliced per pipe via `sched_marks`.
     sched_ev: Vec<Event>,
-    /// End index into `sched_ev` after each view's sweep.
+    /// End index into `sched_ev` after each pipe's sweep.
     sched_marks: Vec<u32>,
-    /// Reusable per-view execution-event scratch for compaction.
+    /// Reusable per-pipe execution-event scratch for compaction.
     exec_ev: Vec<Event>,
 }
 
@@ -216,9 +173,9 @@ impl LaneFields for FlightRows<'_> {
 
 /// Register-file adapter from batch slots to per-pipeline register
 /// replicas (monomorphized into the kernel; see [`BatchRegs`]).
-struct ViewRegs<'a, 'v>(&'a mut [PipeView<'v>]);
+struct PipeRegs<'a>(&'a mut [Pipe]);
 
-impl BatchRegs for ViewRegs<'_, '_> {
+impl BatchRegs for PipeRegs<'_> {
     #[inline]
     fn read(&mut self, slot: u16, reg: RegId, idx: u32) -> Value {
         self.0[slot as usize].regs[reg.index()][idx as usize]
@@ -230,13 +187,14 @@ impl BatchRegs for ViewRegs<'_, '_> {
     }
 }
 
-/// Runs the full batch work phase for one cycle over `views` (a
-/// contiguous, ascending range of pipelines). On return every view's
-/// `fx` holds its buffered side effects in the scalar path's order;
-/// the caller applies them in ascending pipeline order.
+/// Runs the full batch work phase for one cycle over `pipes`, the
+/// contiguous ascending pipelines `base..base + pipes.len()`. On return
+/// every pipe's `fx` holds its buffered side effects in the scalar
+/// path's order; the caller applies them in ascending pipeline order.
 pub(super) fn batch_work<S: TraceSink>(
     ctx: &WorkCtx<'_>,
-    views: &mut [PipeView<'_>],
+    base: usize,
+    pipes: &mut [Pipe],
     batch: &mut PacketBatch,
 ) {
     batch.reset(ctx.prog.num_stages());
@@ -245,13 +203,13 @@ pub(super) fn batch_work<S: TraceSink>(
     let mut sched = std::mem::take(&mut batch.sched_ev);
     sched.clear();
     batch.sched_marks.clear();
-    for (slot, view) in views.iter_mut().enumerate() {
-        sweep_pipeline::<S>(ctx, view, slot as u16, batch, &mut sched);
+    for (slot, pipe) in pipes.iter_mut().enumerate() {
+        sweep_pipeline::<S>(ctx, base + slot, pipe, slot as u16, batch, &mut sched);
         batch.sched_marks.push(sched.len() as u32);
     }
     batch.sched_ev = sched;
-    execute_batch(ctx, views, batch);
-    compact_batch::<S>(ctx, views, batch);
+    execute_batch(ctx, pipes, batch);
+    compact_batch::<S>(ctx, base, pipes, batch);
 }
 
 /// Pass 1: the scalar scheduler's decisions for one pipeline, packing
@@ -260,7 +218,8 @@ pub(super) fn batch_work<S: TraceSink>(
 /// `oldest_ts` call drains freed stale queue heads as a side effect.
 fn sweep_pipeline<S: TraceSink>(
     ctx: &WorkCtx<'_>,
-    view: &mut PipeView<'_>,
+    pl: usize,
+    pipe: &mut Pipe,
     slot: u16,
     batch: &mut PacketBatch,
     sched: &mut Vec<Event>,
@@ -272,35 +231,38 @@ fn sweep_pipeline<S: TraceSink>(
     // on occupied slots) — so the sweep walks set bits ascending
     // (`trailing_zeros` order = stage order) instead of probing all
     // `stages` slots. Wider programs keep the full probe loop.
-    if view.inc_row.len() <= 64 {
-        let mut work = view.inc | *view.qmask;
+    let inc = std::mem::take(&mut pipe.inc);
+    if pipe.inc_row.len() <= 64 {
+        let mut work = inc | pipe.qmask;
         while work != 0 {
             let st = work.trailing_zeros() as usize;
             work &= work - 1;
             debug_assert_eq!(
-                view.inc & (1 << st) != 0,
-                view.inc_row[st].is_some(),
+                inc & (1 << st) != 0,
+                pipe.inc_row[st].is_some(),
                 "incoming mask out of sync at stage {st}"
             );
-            sweep_slot::<S>(ctx, view, slot, st, view.inc & (1 << st) != 0, batch, sched);
+            sweep_slot::<S>(ctx, pl, pipe, slot, st, inc & (1 << st) != 0, batch, sched);
         }
         debug_assert!(
-            view.inc_row.iter().all(|s| s.is_none()),
+            pipe.inc_row.iter().all(|s| s.is_none()),
             "incoming flight missed by the work mask"
         );
     } else {
-        for st in 0..view.inc_row.len() {
-            let has_inc = view.inc_row[st].is_some();
-            sweep_slot::<S>(ctx, view, slot, st, has_inc, batch, sched);
+        for st in 0..pipe.inc_row.len() {
+            let has_inc = pipe.inc_row[st].is_some();
+            sweep_slot::<S>(ctx, pl, pipe, slot, st, has_inc, batch, sched);
         }
     }
 }
 
 /// One `(pipeline, stage)` slot of the sweep: the scalar scheduler's
 /// decision for that slot, parking instead of executing.
+#[allow(clippy::too_many_arguments)]
 fn sweep_slot<S: TraceSink>(
     ctx: &WorkCtx<'_>,
-    view: &mut PipeView<'_>,
+    pl: usize,
+    pipe: &mut Pipe,
     slot: u16,
     st: usize,
     has_inc: bool,
@@ -308,19 +270,19 @@ fn sweep_slot<S: TraceSink>(
     sched: &mut Vec<Event>,
 ) {
     if has_inc {
-        let fl = view.inc_row[st]
+        let fl = pipe.inc_row[st]
             .take()
             .expect("incoming mask bit set on an empty slot");
         if let Some(thr) = ctx.starvation_threshold {
             let starved = fl.pkt.tags.is_empty()
-                && view.queues[st].oldest_ts().is_some_and(|ts| {
+                && pipe.queues[st].oldest_ts().is_some_and(|ts| {
                     let now = ctx.cycle * ctx.clen;
                     now.saturating_sub(ts.0) > thr * ctx.clen
                 });
             if starved {
-                view.fx.starvation_drops.push((view.pl as u16, st as u16));
+                pipe.fx.starvation_drops.push((pl as u16, st as u16));
                 if S::ENABLED {
-                    TraceCtx::new(ctx.cycle, view.pl as u16, st as u16).emit(
+                    TraceCtx::new(ctx.cycle, pl as u16, st as u16).emit(
                         &mut BufSink(sched),
                         EventKind::Drop {
                             pkt: fl.pkt.id,
@@ -328,17 +290,17 @@ fn sweep_slot<S: TraceSink>(
                         },
                     );
                 }
-                if ctx.stalled(view.pl, st) {
-                    view.fx.stall_cycles += 1;
+                if ctx.stalled(pl, st) {
+                    pipe.fx.stall_cycles += 1;
                 } else {
-                    serve_into::<S>(ctx, view, slot, st, batch, sched);
+                    serve_into::<S>(ctx, pl, pipe, slot, st, batch, sched);
                 }
                 return;
             }
         }
         if S::ENABLED {
-            let bypassed = !view.queues[st].is_empty();
-            TraceCtx::new(ctx.cycle, view.pl as u16, st as u16).emit(
+            let bypassed = !pipe.queues[st].is_empty();
+            TraceCtx::new(ctx.cycle, pl as u16, st as u16).emit(
                 &mut BufSink(sched),
                 EventKind::Execute {
                     pkt: fl.pkt.id,
@@ -348,20 +310,21 @@ fn sweep_slot<S: TraceSink>(
             );
         }
         batch.admit(st, slot, fl);
-    } else if ctx.stalled(view.pl, st) {
-        if !view.queues[st].is_empty() {
-            view.fx.stall_cycles += 1;
+    } else if ctx.stalled(pl, st) {
+        if !pipe.queues[st].is_empty() {
+            pipe.fx.stall_cycles += 1;
         } else if st < 64 {
-            *view.qmask &= !(1 << st);
+            pipe.qmask &= !(1 << st);
         }
     } else {
-        serve_into::<S>(ctx, view, slot, st, batch, sched);
+        serve_into::<S>(ctx, pl, pipe, slot, st, batch, sched);
     }
 }
 
 fn serve_into<S: TraceSink>(
     ctx: &WorkCtx<'_>,
-    view: &mut PipeView<'_>,
+    pl: usize,
+    pipe: &mut Pipe,
     slot: u16,
     st: usize,
     batch: &mut PacketBatch,
@@ -373,17 +336,17 @@ fn serve_into<S: TraceSink>(
     // are empty every cycle. A queue holding only free stales still
     // counts as occupied, so the drain inside `pop` is preserved. An
     // empty queue also retires its (conservative) occupancy bit here.
-    if view.queues[st].is_empty() {
+    if pipe.queues[st].is_empty() {
         if st < 64 {
-            *view.qmask &= !(1 << st);
+            pipe.qmask &= !(1 << st);
         }
         return;
     }
-    let tctx = TraceCtx::new(ctx.cycle, view.pl as u16, st as u16);
+    let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
     let served = if S::ENABLED {
-        view.queues[st].serve(st, &mut BufSink(sched), tctx)
+        pipe.queues[st].serve(st, &mut BufSink(sched), tctx)
     } else {
-        view.queues[st].serve(st, &mut NopSink, tctx)
+        pipe.queues[st].serve(st, &mut NopSink, tctx)
     };
     match served {
         Serve::Served(fl) => {
@@ -399,7 +362,7 @@ fn serve_into<S: TraceSink>(
             }
             batch.admit(st, slot, fl)
         }
-        Serve::Wasted => view.fx.wasted_cycles += 1,
+        Serve::Wasted => pipe.fx.wasted_cycles += 1,
         Serve::Idle => {}
     }
 }
@@ -408,22 +371,23 @@ fn serve_into<S: TraceSink>(
 /// resolution runs per-lane (into a reusable buffer); body stages run
 /// through the instruction-major SoA kernel; per-lane access lists and
 /// verdict flags land in the batch's parallel arrays.
-fn execute_batch(ctx: &WorkCtx<'_>, views: &mut [PipeView<'_>], batch: &mut PacketBatch) {
+fn execute_batch(ctx: &WorkCtx<'_>, pipes: &mut [Pipe], batch: &mut PacketBatch) {
     // Address resolution at the pipeline head (§3.3), same per-packet
     // computation as `resolve_flight` with the counter bumps deferred
     // to compaction (tag order carries all the information).
     if ctx.prologue > 0 {
-        for i in 0..batch.stage_lanes[0].len() {
-            let l = batch.stage_lanes[0][i];
-            {
-                let fl = batch.flights[l as usize]
-                    .as_mut()
-                    .expect("lane flight parked by sweep");
-                ctx.prog
-                    .resolve_into(&mut fl.pkt.fields, &mut batch.resolved);
-            }
-            let mut tags = Vec::with_capacity(batch.resolved.len());
-            for r in &batch.resolved {
+        for &l in &batch.stage_lanes[0] {
+            let fl = batch.flights[l as usize]
+                .as_mut()
+                .expect("lane flight parked by sweep");
+            ctx.prog
+                .resolve_into(&mut fl.pkt.fields, &mut batch.resolved);
+            // A packet another switch of a fabric forwarded still owns
+            // its last hop's (retired, empty) tag list: reuse it.
+            let tags = &mut fl.pkt.tags;
+            tags.clear();
+            tags.reserve_exact(batch.resolved.len());
+            tags.extend(batch.resolved.iter().map(|r| {
                 let dest = if r.reg == REG_STAGE_SENTINEL
                     || r.index == INDEX_ARRAY_LEVEL
                     || !ctx.prog.regs[r.reg.index()].shardable
@@ -432,19 +396,15 @@ fn execute_batch(ctx: &WorkCtx<'_>, views: &mut [PipeView<'_>], batch: &mut Pack
                 } else {
                     PipelineId(ctx.index_map[r.reg.index()][r.index as usize])
                 };
-                tags.push(AccessTag {
+                AccessTag {
                     reg: r.reg,
                     index: r.index,
                     pipeline: dest,
                     stage: r.stage,
                     speculative: r.speculative,
-                });
-            }
+                }
+            }));
             debug_assert!(tags.windows(2).all(|w| w[0].stage <= w[1].stage));
-            let fl = batch.flights[l as usize]
-                .as_mut()
-                .expect("lane flight parked by sweep");
-            fl.pkt.tags = tags;
         }
     }
     for st in ctx.prologue..batch.stage_lanes.len() {
@@ -458,7 +418,7 @@ fn execute_batch(ctx: &WorkCtx<'_>, views: &mut [PipeView<'_>], batch: &mut Pack
             &batch.stage_lanes[st],
             &batch.stage_slots[st],
             &mut FlightRows(&mut batch.flights),
-            &mut ViewRegs(views),
+            &mut PipeRegs(pipes),
             &mut batch.kernel_out,
         );
         // Regroup the instruction-major kernel output per lane,
@@ -466,28 +426,33 @@ fn execute_batch(ctx: &WorkCtx<'_>, views: &mut [PipeView<'_>], batch: &mut Pack
         // `execute_stage`'s per-packet access list — and render the
         // verdicts the scalar path applied inline. The scatter through
         // per-lane buckets is a stable counting sort: one pass over
-        // `kernel_out` instead of one filter scan per lane.
+        // `kernel_out` instead of one filter scan per lane. A stage with
+        // one lane — most of them at light load — has nothing to sort.
         let n = batch.stage_lanes[st].len();
-        if batch.regroup.len() < n {
-            batch.regroup.resize_with(n, Vec::new);
-        }
-        batch.lane_local.resize(batch.flights.len(), 0);
-        for (i, &l) in batch.stage_lanes[st].iter().enumerate() {
-            batch.lane_local[l as usize] = i as u32;
-            batch.regroup[i].clear();
-        }
-        for a in &batch.kernel_out {
-            let i = batch.lane_local[a.lane as usize] as usize;
-            batch.regroup[i].push((a.reg, a.index));
+        if n > 1 {
+            if batch.regroup.len() < n {
+                batch.regroup.resize_with(n, Vec::new);
+            }
+            batch.lane_local.resize(batch.flights.len(), 0);
+            for (i, &l) in batch.stage_lanes[st].iter().enumerate() {
+                batch.lane_local[l as usize] = i as u32;
+                batch.regroup[i].clear();
+            }
+            for a in &batch.kernel_out {
+                let i = batch.lane_local[a.lane as usize] as usize;
+                batch.regroup[i].push((a.reg, a.index));
+            }
         }
         for i in 0..n {
             let l = batch.stage_lanes[st][i];
             let start = batch.acc.len();
-            for bi in 0..batch.regroup[i].len() {
-                let e = batch.regroup[i][bi];
-                if batch.acc.len() == start || *batch.acc.last().expect("nonempty") != e {
-                    batch.acc.push(e);
-                }
+            if n == 1 {
+                push_deduped(
+                    &mut batch.acc,
+                    batch.kernel_out.iter().map(|a| (a.reg, a.index)),
+                );
+            } else {
+                push_deduped(&mut batch.acc, batch.regroup[i].iter().copied());
             }
             let end = batch.acc.len();
             batch.acc_ranges[l as usize] = (start as u32, end as u32);
@@ -507,23 +472,36 @@ fn execute_batch(ctx: &WorkCtx<'_>, views: &mut [PipeView<'_>], batch: &mut Pack
     }
 }
 
+/// Appends one lane's accesses to `acc`, dropping each that repeats the
+/// one before it (as `execute_stage` reports a read-modify-write once).
+fn push_deduped(acc: &mut Vec<(RegId, u32)>, accesses: impl Iterator<Item = (RegId, u32)>) {
+    let start = acc.len();
+    for e in accesses {
+        if acc.len() == start || acc[acc.len() - 1] != e {
+            acc.push(e);
+        }
+    }
+}
+
 /// Pass 3: apply verdicts and retirements in sweep order — which is
 /// pipeline-major with stages ascending, i.e. exactly the order the
 /// scalar loop produced its per-pipeline effects in. On traced runs
-/// each lane's execution events render into a per-view scratch buffer,
-/// which is then merge-flushed with the view's scheduler events into
-/// the view's event stream in canonical scalar order.
+/// each lane's execution events render into a per-pipe scratch buffer,
+/// which is then merge-flushed with the pipe's scheduler events into
+/// the pipe's event stream in canonical scalar order.
 fn compact_batch<S: TraceSink>(
     ctx: &WorkCtx<'_>,
-    views: &mut [PipeView<'_>],
+    base: usize,
+    pipes: &mut [Pipe],
     batch: &mut PacketBatch,
 ) {
     let sched = std::mem::take(&mut batch.sched_ev);
     let mut exec = std::mem::take(&mut batch.exec_ev);
-    // Lanes were admitted per view in slot order, so each view's lanes
-    // form a contiguous run; `i` walks them across the view loop.
+    // Lanes were admitted per pipe in slot order, so each pipe's lanes
+    // form a contiguous run; `i` walks them across the pipe loop.
     let mut i = 0usize;
-    for (v, view) in views.iter_mut().enumerate() {
+    for (v, pipe) in pipes.iter_mut().enumerate() {
+        let pl = base + v;
         exec.clear();
         while i < batch.lanes.len() && batch.lanes[i].slot as usize == v {
             let st = batch.lanes[i].st as usize;
@@ -534,7 +512,7 @@ fn compact_batch<S: TraceSink>(
                 // The resolution counter bumps, in tag (= resolution) order.
                 for tag in &fl.pkt.tags {
                     if tag.reg != REG_STAGE_SENTINEL && tag.index != INDEX_ARRAY_LEVEL {
-                        view.fx.ctr_ops.push(CtrOp::Inc {
+                        pipe.fx.ctr_ops.push(CtrOp::Inc {
                             reg: tag.reg,
                             index: tag.index,
                         });
@@ -545,7 +523,7 @@ fn compact_batch<S: TraceSink>(
                 // Phantom generation stage: one phantom per tag, in order.
                 for tag in &fl.pkt.tags {
                     if S::ENABLED {
-                        TraceCtx::new(ctx.cycle, view.pl as u16, st as u16).emit(
+                        TraceCtx::new(ctx.cycle, pl as u16, st as u16).emit(
                             &mut BufSink(&mut exec),
                             EventKind::PhantomEmit {
                                 key: tkey(fl.key(tag)),
@@ -554,7 +532,7 @@ fn compact_batch<S: TraceSink>(
                             },
                         );
                     }
-                    view.fx.injects.push(PhantomInject {
+                    pipe.fx.injects.push(PhantomInject {
                         msg: PhantomMsg {
                             key: fl.key(tag),
                             ts: fl.order,
@@ -564,7 +542,7 @@ fn compact_batch<S: TraceSink>(
                         from: StageId(st as u16),
                         dest: tag.stage,
                     });
-                    view.fx.phantoms_generated += 1;
+                    pipe.fx.phantoms_generated += 1;
                 }
             }
             if st >= ctx.prologue {
@@ -572,7 +550,7 @@ fn compact_batch<S: TraceSink>(
                 if S::ENABLED || ctx.record_detail {
                     for &(reg, index) in &batch.acc[a0 as usize..a1 as usize] {
                         if S::ENABLED {
-                            TraceCtx::new(ctx.cycle, view.pl as u16, st as u16).emit(
+                            TraceCtx::new(ctx.cycle, pl as u16, st as u16).emit(
                                 &mut BufSink(&mut exec),
                                 EventKind::Access {
                                     pkt: fl.pkt.id,
@@ -583,7 +561,7 @@ fn compact_batch<S: TraceSink>(
                             );
                         }
                         if ctx.record_detail {
-                            view.fx.accesses.push((reg, index, fl.pkt.id));
+                            pipe.fx.accesses.push((reg, index, fl.pkt.id));
                         }
                     }
                 }
@@ -594,28 +572,28 @@ fn compact_batch<S: TraceSink>(
                     let tag = fl.pkt.tags.remove(0);
                     if !first && ctx.phantoms {
                         let key = fl.key(&tag);
-                        let tctx = TraceCtx::new(ctx.cycle, view.pl as u16, st as u16);
+                        let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
                         if S::ENABLED {
-                            view.queues[st].cancel(key, false, &mut BufSink(&mut exec), tctx);
+                            pipe.queues[st].cancel(key, false, &mut BufSink(&mut exec), tctx);
                         } else {
-                            view.queues[st].cancel(key, false, &mut NopSink, tctx);
+                            pipe.queues[st].cancel(key, false, &mut NopSink, tctx);
                         }
                     }
                     first = false;
                     if tag.reg != REG_STAGE_SENTINEL && tag.index != INDEX_ARRAY_LEVEL {
-                        view.fx.ctr_ops.push(CtrOp::Dec {
+                        pipe.fx.ctr_ops.push(CtrOp::Dec {
                             reg: tag.reg,
                             index: tag.index,
                         });
                     }
                 }
                 if batch.verdicts[i] & V_WASTED != 0 {
-                    view.fx.wasted_cycles += 1;
+                    pipe.fx.wasted_cycles += 1;
                 }
             }
-            view.lanes[st] = Some(fl);
+            pipe.lanes[st] = Some(fl);
             if st < 64 {
-                *view.park |= 1 << st;
+                pipe.park |= 1 << st;
             }
             i += 1;
         }
@@ -626,14 +604,14 @@ fn compact_batch<S: TraceSink>(
                 batch.sched_marks[v - 1] as usize
             };
             let s1 = batch.sched_marks[v] as usize;
-            merge_flush(&sched[s0..s1], &exec, view.events);
+            merge_flush(&sched[s0..s1], &exec, &mut pipe.events);
         }
     }
     batch.sched_ev = sched;
     batch.exec_ev = exec;
 }
 
-/// Interleaves one view's scheduler and execution event buffers back
+/// Interleaves one pipe's scheduler and execution event buffers back
 /// into the canonical scalar order. Both buffers are stage-ascending
 /// (the sweep visits stages in order; compaction walks lanes in sweep
 /// order), and within one `(pipeline, stage)` slot the scalar loop

@@ -11,6 +11,14 @@
 //!   longest-processing-time greedy bin packing of all movable indexes
 //!   (optimal re-mapping reduces to bin packing, NP-hard, §3.4 — LPT is
 //!   the standard 4/3-approximation).
+//!
+//! The switch runs the heuristic over the indexes a period touched
+//! (`Touched`, a bitmap set at every counter bump): an index whose
+//! counter is zero adds nothing to any load and can only be chosen as a
+//! zero-counter move, which is the lowest idle index on `H` either way
+//! — so one period's bookkeeping costs what the period touched, not the
+//! size of the array (`select_move`, which [`remap_heuristic`] runs
+//! over every index).
 
 /// One planned state movement: move `index` to pipeline `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,39 +41,145 @@ pub fn remap_heuristic(
     pipelines: usize,
 ) -> Option<Move> {
     debug_assert_eq!(map.len(), counters.len());
+    select_move(map, counters, inflight, pipelines, 0..map.len())
+}
+
+/// Figure 6's choice for one register array, reading the counters only
+/// at `touched`: each index at most once, in any order, and at least
+/// every index whose counter is non-zero. The result is
+/// [`remap_heuristic`]'s: loads sum only non-zero counters; the best
+/// candidate with a non-zero counter is among `touched`; and failing
+/// one, the move is a zero-counter index — the lowest idle one on `H` —
+/// found by scanning from index 0, which stops at the first hit.
+fn select_move(
+    map: &[u16],
+    counters: &[u64],
+    inflight: &[u32],
+    pipelines: usize,
+    touched: impl Iterator<Item = usize> + Clone,
+) -> Option<Move> {
     if pipelines < 2 || map.is_empty() {
         return None;
     }
-    // Aggregate per-pipeline load under the current mapping.
     let mut load = vec![0u64; pipelines];
-    for (i, &p) in map.iter().enumerate() {
-        load[p as usize] += counters[i];
+    for i in touched.clone() {
+        load[map[i] as usize] += counters[i];
     }
-    let (h, &cmax) = load
-        .iter()
-        .enumerate()
-        .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
-        .expect("pipelines > 0");
-    let (l, &cmin) = load
-        .iter()
-        .enumerate()
-        .min_by_key(|&(i, &c)| (c, i))
-        .expect("pipelines > 0");
+    // H: the most loaded, L: the least; the lowest id wins either tie.
+    let (mut h, mut l) = (0, 0);
+    for p in 1..pipelines {
+        if load[p] > load[h] {
+            h = p;
+        }
+        if load[p] < load[l] {
+            l = p;
+        }
+    }
+    let (cmax, cmin) = (load[h], load[l]);
     if h == l || cmax == cmin {
         return None;
     }
     let c = (cmax - cmin) / 2;
-    // Largest-counter index on H strictly below C, not in flight.
+    // Largest-counter index on H strictly below C, not in flight; the
+    // lowest index on ties.
     let mut best: Option<(u64, usize)> = None;
-    for (i, &p) in map.iter().enumerate() {
-        if p as usize == h && counters[i] < c && inflight[i] == 0 {
-            let cand = (counters[i], i);
-            if best.is_none_or(|b| cand.0 > b.0 || (cand.0 == b.0 && cand.1 < b.1)) {
-                best = Some(cand);
-            }
+    for i in touched {
+        let n = counters[i];
+        if n > 0
+            && n < c
+            && map[i] as usize == h
+            && inflight[i] == 0
+            && best.is_none_or(|(bn, bi)| n > bn || (n == bn && i < bi))
+        {
+            best = Some((n, i));
         }
     }
-    best.map(|(_, i)| Move { index: i, to: l })
+    let index = match best {
+        Some((_, i)) => i,
+        None if c > 0 => (0..map.len())
+            .find(|&i| map[i] as usize == h && counters[i] == 0 && inflight[i] == 0)?,
+        None => return None,
+    };
+    Some(Move { index, to: l })
+}
+
+/// Iterator over a [`Touched`] bitmap's set indexes, ascending.
+#[derive(Debug, Clone)]
+struct SetBits<'a> {
+    words: &'a [u64],
+    /// Current word and its not yet visited bits.
+    w: usize,
+    bits: u64,
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.w += 1;
+            self.bits = *self.words.get(self.w)?;
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.w * 64 + b)
+    }
+}
+
+/// The indexes of one register array whose access counter was bumped
+/// since the last reset, one bit each: what [`select_move`] reads and
+/// [`Touched::remap`] resets. Derived from the counters (a set bit over
+/// a zero counter is harmless), so it is rebuilt on restore, never
+/// serialized.
+#[derive(Debug, Clone)]
+pub(crate) struct Touched(Vec<u64>);
+
+impl Touched {
+    /// The bits of `counters`' non-zero entries.
+    pub(crate) fn of(counters: &[u64]) -> Self {
+        let mut t = Touched(vec![0; counters.len().div_ceil(64)]);
+        for (i, _) in counters.iter().enumerate().filter(|(_, &c)| c > 0) {
+            t.set(i);
+        }
+        t
+    }
+
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    /// The set indexes, ascending.
+    fn iter(&self) -> SetBits<'_> {
+        SetBits {
+            words: &self.0,
+            w: 0,
+            bits: self.0.first().copied().unwrap_or(0),
+        }
+    }
+
+    /// One period's remap of the register these bits and `counters`
+    /// belong to: [`select_move`] over the touched indexes, then the
+    /// counter reset (§3.4) — zeroing `counters` at every set index,
+    /// every non-zero one, and clearing the bits.
+    pub(crate) fn remap(
+        &mut self,
+        map: &[u16],
+        counters: &mut [u64],
+        inflight: &[u32],
+        pipelines: usize,
+    ) -> Option<Move> {
+        let mv = select_move(map, counters, inflight, pipelines, self.iter());
+        for (w, bits) in self.0.iter_mut().enumerate() {
+            let mut b = std::mem::take(bits);
+            while b != 0 {
+                counters[w * 64 + b.trailing_zeros() as usize] = 0;
+                b &= b - 1;
+            }
+        }
+        mv
+    }
 }
 
 /// Runs the Figure 6 heuristic to a fixed point (the *ideal* baseline's
@@ -146,6 +260,104 @@ pub fn remap_lpt(map: &[u16], counters: &[u64], inflight: &[u32], pipelines: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The switch's selection: counters read over a bitmap holding every
+    /// non-zero index plus the `stale` ones (set bits over zero
+    /// counters, which a restore can leave), by [`Touched::remap`], which
+    /// must also leave every counter and bit cleared.
+    fn over_bitmap(
+        map: &[u16],
+        counters: &[u64],
+        inflight: &[u32],
+        k: usize,
+        stale: &[bool],
+    ) -> Option<Move> {
+        let mut t = Touched::of(counters);
+        for (i, _) in stale.iter().enumerate().filter(|(_, &s)| s) {
+            t.set(i);
+        }
+        let mut reset = counters.to_vec();
+        let mv = t.remap(map, &mut reset, inflight, k);
+        assert!(reset.iter().all(|&c| c == 0) && t.iter().next().is_none());
+        mv
+    }
+
+    /// `n` counters, about `zero_pct` % of them zero; of the rest half
+    /// are in `0..3` (ties) and half in `0..1_000`.
+    fn counters(n: usize, zero_pct: u32) -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec((0u32..100, 0u64..1_000), n).prop_map(move |v| {
+            v.into_iter()
+                .map(|(r, c)| match r {
+                    r if r < zero_pct => 0,
+                    r if r % 2 == 0 => c % 3,
+                    _ => c,
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 3_000, ..ProptestConfig::default() })]
+
+        /// Small counter ranges make ties on counter (and so on index)
+        /// common, sparse hot entries leave `H` with only zero-counter
+        /// candidates, `1..3` in-flight entries exercise the guard, and
+        /// `k = 1`, all-zero and one-apart loads (`cmax == cmin`,
+        /// `C == 0`) all come up; the zero share spans sparse and dense
+        /// bitmaps.
+        #[test]
+        fn bitmap_selection_is_the_dense_heuristic(
+            case in (1usize..6, 1usize..150, 0u32..100).prop_flat_map(|(k, n, zero_pct)| (
+                Just(k),
+                proptest::collection::vec(0u16..k as u16, n),
+                counters(n, zero_pct),
+                proptest::collection::vec(prop_oneof![Just(0u32), Just(0), 1u32..3], n),
+                proptest::collection::vec(prop_oneof![Just(false), Just(false), Just(true)], n),
+            )),
+        ) {
+            let (k, map, counters, inflight, stale) = case;
+            prop_assert_eq!(
+                over_bitmap(&map, &counters, &inflight, k, &stale),
+                remap_heuristic(&map, &counters, &inflight, k),
+                "map {:?} counters {:?} inflight {:?} stale {:?}", map, counters, inflight, stale
+            );
+        }
+    }
+
+    #[test]
+    fn zero_counter_moves_take_the_lowest_idle_index_on_h() {
+        // H = pipeline 0, its whole load 9 on index 2 (not below C = 4).
+        // Index 0 is H's lowest zero-counter index but in flight, so the
+        // move is index 4, the lowest idle one, stale bits or not.
+        let map = [0u16, 1, 0, 1, 0, 1, 0];
+        let counters = [0u64, 1, 9, 0, 0, 0, 0];
+        let inflight = [1u32, 0, 0, 0, 0, 0, 0];
+        let stale = [false, false, false, false, true, false, true];
+        let mv = Some(Move { index: 4, to: 1 });
+        assert_eq!(remap_heuristic(&map, &counters, &inflight, 2), mv);
+        assert_eq!(over_bitmap(&map, &counters, &inflight, 2, &stale), mv);
+        assert_eq!(over_bitmap(&map, &counters, &inflight, 2, &[false; 7]), mv);
+        // C == 0: loads one apart, nothing is below C.
+        let counters = [0u64, 0, 1, 0, 0, 0, 0];
+        assert_eq!(remap_heuristic(&map, &counters, &inflight, 2), None);
+        assert_eq!(over_bitmap(&map, &counters, &inflight, 2, &stale), None);
+    }
+
+    #[test]
+    fn touched_bits_span_words_and_remap_clears_them() {
+        let mut counters = vec![0u64; 130];
+        for i in [0usize, 63, 64, 65, 129] {
+            counters[i] = i as u64 + 1;
+        }
+        let mut t = Touched::of(&counters);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![0, 63, 64, 65, 129]);
+        t.set(7);
+        t.remap(&[0; 130], &mut counters, &[0; 130], 2);
+        assert!(counters.iter().all(|&c| c == 0));
+        assert_eq!(t.iter().count(), 0);
+        assert_eq!(Touched::of(&[]).iter().count(), 0);
+    }
 
     #[test]
     fn heuristic_moves_from_hot_to_cold() {

@@ -20,7 +20,7 @@ use mp5_types::{AccessTag, FastSet, Packet, PacketId, PipelineId, RegId, StageId
 use crate::config::{ConfigError, EngineMode, ExecPath, ShardingMode, SprayMode, SwitchConfig};
 use crate::engine::{shard_ranges, WorkerPool};
 use crate::report::RunReport;
-use crate::shard;
+use crate::shard::{self, Touched};
 use crate::state::{
     ChannelFlightSnap, ChannelSnap, DropsSnap, EntrySnap, FaultSnap, FifoSnap, FlightState,
     KeySnap, LaneSnap, QueueSnap, ReportSnap, RestoreError, ResultSnap, StatsSnap, SwapError,
@@ -31,7 +31,7 @@ use crate::state::{
 /// private work-phase types below; see DESIGN.md §13).
 #[path = "batch.rs"]
 mod batch;
-use batch::{batch_work, recycle_views, PacketBatch, PipeView};
+use batch::{batch_work, PacketBatch};
 
 /// Converts a fabric phantom key into the trace schema's access key.
 fn tkey(key: PhantomKey) -> mp5_trace::Key {
@@ -421,11 +421,11 @@ impl StageQueue {
 // The per-cycle work phase, shared by both execution engines.
 //
 // Within a cycle, the admit/work phase of pipeline `pl` only touches
-// `pl`-local structures (its incoming row, stage FIFOs, lanes, register
-// copies) plus a handful of *shared* structures (the global sharding
-// counters, the phantom channel, the run report, the trace sink). The
-// functions below operate on the local state directly and buffer every
-// shared-structure effect in a `WorkFx`, which the caller applies in
+// its own `Pipe` (incoming row, stage FIFOs, lanes, register copies)
+// plus a handful of *shared* structures (the global sharding counters,
+// the phantom channel, the run report, the trace sink). The functions
+// below operate on the `Pipe` directly and buffer every
+// shared-structure effect in its `WorkFx`, which the caller applies in
 // ascending pipeline order — the exact order the historical sequential
 // loop produced. The sequential engine calls them inline with the real
 // sink; the parallel engine runs them on worker threads with a
@@ -535,6 +535,7 @@ impl WorkFx {
 fn apply_work_fx(
     fx: &mut WorkFx,
     access_ctr: &mut [Vec<u64>],
+    touched: &mut [Touched],
     inflight: &mut [Vec<u32>],
     channel: &mut PhantomChannel<PhantomMsg>,
     report: &mut RunReport,
@@ -545,8 +546,10 @@ fn apply_work_fx(
     for op in fx.ctr_ops.drain(..) {
         match op {
             CtrOp::Inc { reg, index } => {
-                access_ctr[reg.index()][index as usize] += 1;
-                inflight[reg.index()][index as usize] += 1;
+                let (r, i) = (reg.index(), index as usize);
+                access_ctr[r][i] += 1;
+                touched[r].set(i);
+                inflight[r][i] += 1;
             }
             CtrOp::Dec { reg, index } => {
                 let c = &mut inflight[reg.index()][index as usize];
@@ -577,20 +580,70 @@ fn apply_work_fx(
     fx.stall_cycles = 0;
 }
 
+/// One pipeline's work-phase state: everything phase 4 reads and
+/// writes for that pipeline, and nothing any other pipeline does. The
+/// switch holds one per pipeline; the sequential engine runs the work
+/// phase over `&mut [Pipe]` in place, and the parallel engine moves
+/// whole `Pipe`s into its jobs and back (DESIGN.md §10, §13).
+#[derive(Debug, Default)]
+struct Pipe {
+    /// This cycle's incoming flights per stage, filled by the move phase
+    /// and the ingress spray, emptied by the work phase (so it is all
+    /// `None` between cycles).
+    inc_row: Vec<Option<Flight>>,
+    /// Stage input queues.
+    queues: Vec<StageQueue>,
+    /// Stage occupancy after the work phase.
+    lanes: Vec<Option<Flight>>,
+    /// This pipeline's replica of every register array; only the
+    /// index-map-active copy of each index is meaningful (D2, Figure 3).
+    regs: Vec<Vec<Value>>,
+    /// Side effects on shared structures, applied by the coordinator in
+    /// ascending pipeline order.
+    fx: WorkFx,
+    /// Trace events of this cycle's work phase (traced runs only),
+    /// flushed into the sink in ascending pipeline order.
+    events: Vec<Event>,
+    /// Stages holding a parked flight (`ExecPath::Batch`, stages < 64):
+    /// compaction sets a bit when it parks, the move phase drains
+    /// exactly the set bits instead of scanning every lane slot.
+    park: u64,
+    /// Filled `inc_row` slots (stages < 64): the move phase and ingress
+    /// set bits, the batch sweep takes the mask and tests bits instead of
+    /// probing every slot.
+    inc: u64,
+    /// Stage FIFOs that *may* be non-empty (stages < 64; a conservative
+    /// superset): every enqueue site sets a bit, the batch sweep visits
+    /// only `inc | qmask` and clears a bit lazily when the queue turns
+    /// out empty.
+    qmask: u64,
+}
+
+impl Pipe {
+    fn new(prog: &CompiledProgram, cfg: &SwitchConfig) -> Self {
+        let stages = prog.num_stages();
+        Pipe {
+            inc_row: vec![None; stages],
+            queues: (0..stages).map(|_| StageQueue::new(cfg)).collect(),
+            lanes: vec![None; stages],
+            regs: prog.initial_regs(),
+            ..Pipe::default()
+        }
+    }
+}
+
 /// The admit/work phase of one pipeline for one cycle: each stage
 /// processes at most one packet, with the incoming pass-through packet
 /// taking priority over queued stateful work (Invariant 2).
-#[allow(clippy::too_many_arguments)]
-fn work_pipeline<S: TraceSink>(
-    ctx: &WorkCtx<'_>,
-    pl: usize,
-    inc_row: &mut [Option<Flight>],
-    queues: &mut [StageQueue],
-    lanes: &mut [Option<Flight>],
-    regs: &mut [Vec<Value>],
-    sink: &mut S,
-    fx: &mut WorkFx,
-) {
+fn work_pipeline<S: TraceSink>(ctx: &WorkCtx<'_>, pl: usize, pipe: &mut Pipe, sink: &mut S) {
+    let Pipe {
+        inc_row,
+        queues,
+        lanes,
+        regs,
+        fx,
+        ..
+    } = pipe;
     for st in 0..inc_row.len() {
         if let Some(fl) = inc_row[st].take() {
             // Starvation handling (§3.4): drop an incoming packet that
@@ -817,7 +870,7 @@ fn resolve_flight(ctx: &WorkCtx<'_>, fl: &mut Flight, fx: &mut WorkFx) {
 }
 
 // ---------------------------------------------------------------------
-// The parallel engine: jobs, units, and the worker-side entry point.
+// The parallel engine: jobs and the worker-side entry point.
 // ---------------------------------------------------------------------
 
 /// Immutable run-wide inputs shared with the worker threads once (via
@@ -841,41 +894,17 @@ struct EngineShared {
     batch: bool,
 }
 
-/// One pipeline's work-phase state, *moved* to a worker for the cycle
-/// and moved back afterwards (no sharing, no locks: `Vec` moves are
-/// O(1) pointer swaps).
-#[derive(Debug)]
-struct Unit {
-    pl: usize,
-    inc_row: Vec<Option<Flight>>,
-    queues: Vec<StageQueue>,
-    lanes: Vec<Option<Flight>>,
-    regs: Vec<Vec<Value>>,
-    fx: WorkFx,
-    /// Trace events this pipeline emitted this cycle, replayed by the
-    /// coordinator in pipeline order (empty when untraced).
-    events: Vec<Event>,
-    /// Stages this unit parked flights at (batch path only): handed
-    /// back to the coordinator's `park_mask` so the next move phase
-    /// visits only occupied slots.
-    park: u64,
-    /// Occupied `inc_row` slots, from the coordinator's `inc_mask`
-    /// (batch path only): the sweep tests bits instead of probing
-    /// every slot.
-    inc: u64,
-    /// Possibly-non-empty stage FIFOs, from (and handed back to) the
-    /// coordinator's `queue_mask` (batch path only).
-    qmask: u64,
-}
-
 /// A cycle's worth of work for one worker: a contiguous chunk of
-/// pipelines plus the shared read-only context.
+/// pipelines, *moved* in and moved back out (no sharing, no locks), plus
+/// the shared read-only context.
 #[derive(Debug)]
 struct Job {
     shared: Arc<EngineShared>,
     index_map: Arc<Vec<Vec<u16>>>,
     cycle: u64,
-    units: Vec<Unit>,
+    /// Pipeline id of `pipes[0]`.
+    base: usize,
+    pipes: Vec<Pipe>,
     /// Injected stalls active this cycle (empty under `NoFaults`; a
     /// plain clone per job keeps workers free of fault generics).
     stalls: Vec<(u16, u16)>,
@@ -885,12 +914,12 @@ struct Job {
     batch: Option<PacketBatch>,
 }
 
-/// What one worker hands back per job: the finished units (with
+/// What one worker hands back per job: the finished pipes (with
 /// buffered effects and events) plus the job's recycled batch buffers.
-type JobOut = (Vec<Unit>, Option<PacketBatch>);
+type JobOut = (Vec<Pipe>, Option<PacketBatch>);
 
-/// Worker-side entry point: runs the work phase for every unit in the
-/// job and hands the units (with buffered effects and events) back,
+/// Worker-side entry point: runs the work phase for every pipe in the
+/// job and hands the pipes (with buffered effects and events) back,
 /// along with the job's recycled batch buffers.
 fn run_job(mut job: Job) -> JobOut {
     let shared = Arc::clone(&job.shared);
@@ -906,65 +935,32 @@ fn run_job(mut job: Job) -> JobOut {
         record_detail: shared.record_detail,
     };
     if let Some(pack) = job.batch.as_mut() {
-        // SoA path: this worker's units are a contiguous range of the
+        // SoA path: this worker's pipes are a contiguous range of the
         // cycle's global batch; sweep/execute/compact run over all of
         // them at once (see `batch_work`). `run_job` is a plain fn (no
         // sink generic reaches the workers), so the traced/untraced
         // split is a runtime branch on two monomorphizations — the type
         // parameter only feeds the `const ENABLED` guards.
-        let mut views: Vec<PipeView<'_>> = job
-            .units
-            .iter_mut()
-            .map(|u| PipeView {
-                pl: u.pl,
-                inc_row: &mut u.inc_row[..],
-                queues: &mut u.queues[..],
-                lanes: &mut u.lanes[..],
-                regs: &mut u.regs[..],
-                fx: &mut u.fx,
-                events: &mut u.events,
-                park: &mut u.park,
-                inc: u.inc,
-                qmask: &mut u.qmask,
-            })
-            .collect();
         if shared.tracing {
-            batch_work::<MemSink>(&ctx, &mut views, pack);
+            batch_work::<MemSink>(&ctx, job.base, &mut job.pipes, pack);
         } else {
-            batch_work::<NopSink>(&ctx, &mut views, pack);
+            batch_work::<NopSink>(&ctx, job.base, &mut job.pipes, pack);
         }
-        return (job.units, job.batch);
+        return (job.pipes, job.batch);
     }
-    for u in &mut job.units {
+    for (j, pipe) in job.pipes.iter_mut().enumerate() {
+        let pl = job.base + j;
         if shared.tracing {
             let mut sink = MemSink {
-                events: std::mem::take(&mut u.events),
+                events: std::mem::take(&mut pipe.events),
             };
-            work_pipeline(
-                &ctx,
-                u.pl,
-                &mut u.inc_row,
-                &mut u.queues,
-                &mut u.lanes,
-                &mut u.regs,
-                &mut sink,
-                &mut u.fx,
-            );
-            u.events = sink.into_events();
+            work_pipeline(&ctx, pl, pipe, &mut sink);
+            pipe.events = sink.into_events();
         } else {
-            work_pipeline(
-                &ctx,
-                u.pl,
-                &mut u.inc_row,
-                &mut u.queues,
-                &mut u.lanes,
-                &mut u.regs,
-                &mut NopSink,
-                &mut u.fx,
-            );
+            work_pipeline(&ctx, pl, pipe, &mut NopSink);
         }
     }
-    (job.units, None)
+    (job.pipes, None)
 }
 
 /// A shareable handle to a parallel-engine worker pool.
@@ -1017,14 +1013,10 @@ impl std::fmt::Debug for EnginePool {
 }
 
 /// The parallel engine's per-switch state: the (possibly shared) worker
-/// pool, the `Arc`ed run-wide context, and recycled per-pipeline
-/// buffers.
+/// pool, the `Arc`ed run-wide context, and recycled per-job buffers.
 struct ParEngine {
     pool: EnginePool,
     shared: Arc<EngineShared>,
-    /// Recycled `(fx, events)` buffers, so steady-state cycles allocate
-    /// nothing for effect buffering.
-    spare: Vec<(WorkFx, Vec<Event>)>,
     /// Recycled per-job SoA buffers for the batch path (empty on the
     /// scalar path).
     spare_batch: Vec<PacketBatch>,
@@ -1036,21 +1028,6 @@ impl std::fmt::Debug for ParEngine {
             .field("workers", &self.pool.workers())
             .finish()
     }
-}
-
-/// The sequential engine's SoA work-phase buffers (see `batch`).
-#[derive(Debug, Default)]
-struct BatchSeq {
-    pack: PacketBatch,
-    /// One side-effect buffer per pipeline.
-    fx: Vec<WorkFx>,
-    /// One trace-event buffer per pipeline (stay empty when untraced),
-    /// drained into the switch's sink in ascending pipeline order.
-    events: Vec<Vec<Event>>,
-    /// The (always empty) backing store of the cycle's `PipeView`s,
-    /// handed from cycle to cycle by [`batch::recycle_views`] so the
-    /// work phase builds its views without allocating.
-    views: Vec<PipeView<'static>>,
 }
 
 /// The MP5 multi-pipeline switch.
@@ -1073,9 +1050,9 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     timing_k: usize,
     stages: usize,
     prologue: usize,
-    /// Register state replicated per pipeline; only the index-map-active
-    /// copy of each index is meaningful (D2, Figure 3).
-    regs: Vec<Vec<Vec<Value>>>,
+    /// Per-pipeline work-phase state: incoming row, FIFO bank, lanes,
+    /// register replica, effect and event buffers, occupancy masks.
+    pipes: Vec<Pipe>,
     /// index-to-pipeline map, replicated in hardware, one logical copy
     /// here (`Arc` so parallel-engine jobs can snapshot it per cycle;
     /// the coordinator's remap phase is the only writer, via
@@ -1083,12 +1060,12 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     index_map: Arc<Vec<Vec<u16>>>,
     /// Packet access counters per register index (dynamic sharding).
     access_ctr: Vec<Vec<u64>>,
+    /// Per register, the indexes whose `access_ctr` moved since the last
+    /// reset, so a remap reads and resets only those. Derived from
+    /// `access_ctr` (rebuilt on restore, never serialized).
+    touched: Vec<Touched>,
     /// In-flight packet counters per register index (remap guard).
     inflight: Vec<Vec<u32>>,
-    /// Input queues per (pipeline, stage).
-    queues: Vec<Vec<StageQueue>>,
-    /// Stage occupancy per (pipeline, stage).
-    lanes: Vec<Vec<Option<Flight>>>,
     channel: PhantomChannel<PhantomMsg>,
     /// Reusable buffer for the channel's per-cycle deliveries.
     channel_buf: Vec<(PhantomMsg, StageId)>,
@@ -1113,43 +1090,12 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     /// Parallel engine (worker pool + shared statics); `None` under
     /// [`EngineMode::Sequential`].
     par: Option<ParEngine>,
-    /// Reusable side-effect buffer for the sequential work phase.
-    fx_buf: WorkFx,
-    /// Whether the SoA batch work phase is in effect: decided once at
-    /// construction (`ExecPath::Batch` on an untraced switch — traced
-    /// runs keep the scalar loop so the event stream's historical
-    /// interleaving is preserved; the check is a compile-time constant
-    /// under the default `NopSink`).
+    /// Whether the SoA batch work phase is in effect
+    /// (`ExecPath::Batch`, decided once at construction).
     use_batch: bool,
-    /// The sequential engine's SoA buffers: the packet batch plus one
-    /// side-effect buffer per pipeline (the stage-major execute pass
-    /// interleaves pipelines, so effects are bucketed per pipeline and
-    /// applied in ascending order afterwards). `None` on the scalar
-    /// path or parallel engine.
-    batch_seq: Option<BatchSeq>,
-    /// Reusable per-cycle incoming rows for the batch path (its rows
-    /// come back all-`None` from the sweep, so the allocation recycles
-    /// across cycles). The scalar reference keeps its historical
-    /// per-cycle allocation; empty there.
-    inc_buf: Vec<Vec<Option<Flight>>>,
-    /// Per-pipeline bitmask of stages holding a parked flight
-    /// (`ExecPath::Batch` only, maintained for programs of ≤ 64
-    /// stages): compaction sets a bit when it parks, the move phase
-    /// drains exactly the set bits instead of scanning all `k × stages`
-    /// lane slots, most of which are empty on sparse workloads.
-    park_mask: Vec<u64>,
-    /// Same idea for the incoming rows: the move phase and the ingress
-    /// spray record which `incoming[pl][st]` slots they filled, and the
-    /// sweep tests bits instead of `take()`-probing every slot. Zeroed
-    /// once the cycle's views are built.
-    inc_mask: Vec<u64>,
-    /// Per-pipeline bitmask of stage FIFOs that *may* be non-empty
-    /// (stages < 64; conservative superset). The coordinator sets a bit
-    /// at every enqueue site; the sweep visits only `inc | queue` bits
-    /// and clears a bit lazily when the queue turns out empty — in
-    /// steady state most of the `k × stages` service slots are idle
-    /// every cycle, and each idle probe is an `Option`-enum load.
-    queue_mask: Vec<u64>,
+    /// The sequential engine's SoA buffers (unused on the scalar path
+    /// and by the parallel engine, whose jobs carry their own).
+    pack: PacketBatch,
     sink: S,
     /// Deterministic fault schedule (inert [`NoFaults`] by default).
     faults: F,
@@ -1271,27 +1217,24 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         let timing_k = cfg.physical_pipelines.unwrap_or(k);
         let stages = prog.num_stages();
         let prologue = prog.resolution.stages;
-        let regs: Vec<Vec<Vec<Value>>> = (0..k).map(|_| prog.initial_regs()).collect();
         let index_map: Vec<Vec<u16>> = prog
             .regs
             .iter()
             .enumerate()
             .map(|(ri, r)| init_map(ri, r, &cfg, k))
             .collect();
-        let access_ctr = prog
+        let access_ctr: Vec<Vec<u64>> = prog
             .regs
             .iter()
             .map(|r| vec![0u64; r.size as usize])
             .collect();
+        let touched = access_ctr.iter().map(|c| Touched::of(c)).collect();
         let inflight = prog
             .regs
             .iter()
             .map(|r| vec![0u32; r.size as usize])
             .collect();
-        let queues = (0..k)
-            .map(|_| (0..stages).map(|_| StageQueue::new(&cfg)).collect())
-            .collect();
-        let lanes = (0..k).map(|_| vec![None; stages]).collect();
+        let pipes = (0..k).map(|_| Pipe::new(&prog, &cfg)).collect();
         let mut report = RunReport::new();
         report.set_cycle_len(cycle_len(timing_k));
         // Traced runs ride the SoA path too: the batch passes buffer
@@ -1316,21 +1259,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 Some(ParEngine {
                     pool,
                     shared,
-                    spare: Vec::new(),
                     spare_batch: Vec::new(),
                 })
             }
-        };
-        let batch_seq = (use_batch && par.is_none()).then(|| BatchSeq {
-            pack: PacketBatch::default(),
-            fx: (0..k).map(|_| WorkFx::default()).collect(),
-            events: (0..k).map(|_| Vec::new()).collect(),
-            views: Vec::with_capacity(k),
-        });
-        let inc_buf = if use_batch {
-            (0..k).map(|_| vec![None; stages]).collect()
-        } else {
-            Vec::new()
         };
         Ok(Mp5Switch {
             channel: PhantomChannel::new(stages),
@@ -1344,12 +1275,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             timing_k,
             stages,
             prologue,
-            regs,
+            pipes,
             index_map: Arc::new(index_map),
             access_ctr,
+            touched,
             inflight,
-            queues,
-            lanes,
             cancelled: FastSet::default(),
             ingress_q: VecDeque::new(),
             arrivals: VecDeque::new(),
@@ -1357,13 +1287,8 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             cycle: 0,
             report,
             par,
-            fx_buf: WorkFx::default(),
             use_batch,
-            batch_seq,
-            inc_buf,
-            park_mask: vec![0; k],
-            inc_mask: vec![0; k],
-            queue_mask: vec![0; k],
+            pack: PacketBatch::default(),
             sink,
             faults,
             dead: vec![false; k],
@@ -1443,8 +1368,18 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 return Err(InvariantViolation {
                     cap,
                     ingress: self.ingress_q.len(),
-                    in_lanes: self.lanes.iter().flatten().filter(|l| l.is_some()).count(),
-                    queued: self.queues.iter().flatten().map(|q| q.len()).sum(),
+                    in_lanes: self
+                        .pipes
+                        .iter()
+                        .flat_map(|p| &p.lanes)
+                        .filter(|l| l.is_some())
+                        .count(),
+                    queued: self
+                        .pipes
+                        .iter()
+                        .flat_map(|p| &p.queues)
+                        .map(|q| q.len())
+                        .sum(),
                     channel: self.channel.in_flight(),
                 });
             }
@@ -1538,8 +1473,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             && self.ingress_q.is_empty()
             && self.channel.in_flight() == 0
             && self.pending_grants.is_empty()
-            && self.lanes.iter().flatten().all(|l| l.is_none())
-            && self.queues.iter().flatten().all(|q| q.is_empty())
+            && self.pipes.iter().all(|p| {
+                p.lanes.iter().all(|l| l.is_none()) && p.queues.iter().all(|q| q.is_empty())
+            })
     }
 
     /// Simulates one pipeline cycle.
@@ -1574,7 +1510,8 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             if F::ENABLED && self.phantom_faulted(&msg, stage.0, ctx) {
                 continue;
             }
-            let ok = self.queues[msg.dest.index()][stage.index()].push_phantom(
+            let pipe = &mut self.pipes[msg.dest.index()];
+            let ok = pipe.queues[stage.index()].push_phantom(
                 msg.key,
                 msg.ts,
                 msg.lane,
@@ -1582,7 +1519,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 ctx,
             );
             if ok && stage.index() < 64 {
-                self.queue_mask[msg.dest.index()] |= 1 << stage.index();
+                pipe.qmask |= 1 << stage.index();
             }
             if !ok {
                 self.report.drops.phantom_fifo_full += 1;
@@ -1604,20 +1541,13 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             }
         }
 
-        // 3. Move phase: all stage occupants advance simultaneously.
-        // The batch path reuses a persistent buffer (its rows come back
-        // empty from the sweep); the scalar reference keeps its
-        // historical per-cycle allocation — its cost profile is part of
-        // what `soa_check` measures, so it stays frozen (see DESIGN.md
-        // §13).
-        let mut incoming: Vec<Vec<Option<Flight>>> = if self.use_batch {
-            let buf = std::mem::take(&mut self.inc_buf);
-            debug_assert!(buf.iter().all(|row| row.iter().all(|s| s.is_none())));
-            buf
-        } else {
-            (0..self.k).map(|_| vec![None; self.stages]).collect()
-        };
-        self.move_phase(&mut incoming);
+        // 3. Move phase: all stage occupants advance simultaneously,
+        // into the incoming rows the work phase emptied last cycle.
+        debug_assert!(self
+            .pipes
+            .iter()
+            .all(|p| p.inc_row.iter().all(|s| s.is_none())));
+        self.move_phase();
         // One statistics tick per crossbar per simulated cycle.
         self.crossbars.iter_mut().for_each(|x| x.end_cycle());
 
@@ -1656,7 +1586,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 // lost pipeline, the graceful-degradation bound).
                 continue;
             }
-            if incoming[pl][0].is_some() {
+            if self.pipes[pl].inc_row[0].is_some() {
                 continue;
             }
             let Some(mut fl) = self.ingress_q.pop_front() else {
@@ -1672,8 +1602,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                     },
                 );
             }
-            incoming[pl][0] = Some(fl);
-            self.inc_mask[pl] |= 1;
+            let pipe = &mut self.pipes[pl];
+            pipe.inc_row[0] = Some(fl);
+            pipe.inc |= 1;
         }
 
         // 4. Admit/work phase: each (pipeline, stage) processes at most
@@ -1686,46 +1617,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         // applied in ascending pipeline order either way, keeping the
         // two engines bit-identical.
         if self.par.is_some() {
-            self.work_parallel(&mut incoming);
-        } else if self.use_batch {
-            self.work_batch_seq(&mut incoming);
+            self.work_parallel();
         } else {
-            let clen = cycle_len(self.timing_k);
-            let mut fx = std::mem::take(&mut self.fx_buf);
-            for (pl, inc_row) in incoming.iter_mut().enumerate() {
-                let ctx = WorkCtx {
-                    prog: &self.prog,
-                    index_map: &self.index_map,
-                    phantoms: self.cfg.phantoms,
-                    starvation_threshold: self.cfg.starvation_threshold,
-                    clen,
-                    cycle: self.cycle,
-                    prologue: self.prologue,
-                    stalls: self.faults.active_stalls(),
-                    record_detail: self.cfg.record_detail,
-                };
-                work_pipeline(
-                    &ctx,
-                    pl,
-                    inc_row,
-                    &mut self.queues[pl],
-                    &mut self.lanes[pl],
-                    &mut self.regs[pl],
-                    &mut self.sink,
-                    &mut fx,
-                );
-                apply_work_fx(
-                    &mut fx,
-                    &mut self.access_ctr,
-                    &mut self.inflight,
-                    &mut self.channel,
-                    &mut self.report,
-                );
-            }
-            self.fx_buf = fx;
-        }
-        if self.use_batch {
-            self.inc_buf = incoming;
+            self.work_seq();
         }
 
         self.cycle += 1;
@@ -1738,27 +1632,27 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// highest bit first, which visits exactly the occupied lane slots
     /// in that order; the scalar reference, and wider programs, scan
     /// every slot.
-    fn move_phase(&mut self, incoming: &mut [Vec<Option<Flight>>]) {
+    fn move_phase(&mut self) {
         let masked = self.use_batch && self.stages <= 64;
-        for (pl, inc_row) in incoming.iter_mut().enumerate() {
+        for pl in 0..self.k {
             if masked {
-                let mut mask = std::mem::take(&mut self.park_mask[pl]);
+                let mut mask = std::mem::take(&mut self.pipes[pl].park);
                 while mask != 0 {
                     let st = 63 - mask.leading_zeros() as usize;
                     mask ^= 1 << st;
-                    let fl = self.lanes[pl][st]
+                    let fl = self.pipes[pl].lanes[st]
                         .take()
                         .expect("park mask bit set on an empty lane slot");
-                    self.advance(pl, st, fl, inc_row);
+                    self.advance(pl, st, fl);
                 }
                 debug_assert!(
-                    self.lanes[pl].iter().all(|s| s.is_none()),
+                    self.pipes[pl].lanes.iter().all(|s| s.is_none()),
                     "parked flight missing from the park mask"
                 );
             } else {
                 for st in (0..self.stages).rev() {
-                    if let Some(fl) = self.lanes[pl][st].take() {
-                        self.advance(pl, st, fl, inc_row);
+                    if let Some(fl) = self.pipes[pl].lanes[st].take() {
+                        self.advance(pl, st, fl);
                     }
                 }
             }
@@ -1768,7 +1662,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// What the occupant of `(pl, st)` does this cycle: exit the final
     /// stage, cross the crossbar to the stage it is tagged for, or
     /// advance to the next stage of its own pipeline.
-    fn advance(&mut self, pl: usize, st: usize, fl: Flight, inc_row: &mut [Option<Flight>]) {
+    fn advance(&mut self, pl: usize, st: usize, fl: Flight) {
         let next = st + 1;
         if next == self.stages {
             self.complete(pl, fl);
@@ -1777,11 +1671,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         let dest = match fl.pkt.tags.first() {
             Some(t) if t.stage.index() == next => t.pipeline,
             _ => {
-                inc_row[next] = Some(fl);
+                let pipe = &mut self.pipes[pl];
+                pipe.inc_row[next] = Some(fl);
                 // Only the batch sweep reads (and clears) the mask; the
                 // scalar reference leaves it as its snapshots always had it.
                 if self.use_batch && next < 64 {
-                    self.inc_mask[pl] |= 1 << next;
+                    pipe.inc |= 1 << next;
                 }
                 return;
             }
@@ -1810,17 +1705,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.enqueue_stateful(dest, next, fl);
     }
 
-    /// The SoA work phase on the sequential engine: build one
-    /// [`PipeView`] per pipeline over the switch's own arrays, run the
-    /// sweep/execute/compact passes, then apply the per-pipeline side
-    /// effects in ascending order — the scalar effect order.
-    fn work_batch_seq(&mut self, incoming: &mut [Vec<Option<Flight>>]) {
-        let Some(bs) = self.batch_seq.as_mut() else {
-            // Guarded by `use_batch` + the sequential-engine dispatch in
-            // `step`; silently skipping the work phase would corrupt the
-            // run, so this must stay loud.
-            unreachable!("work_batch_seq called without batch buffers");
-        };
+    /// The work phase on the sequential engine, over the switch's own
+    /// pipes: the SoA passes over all of them at once (batch path) or
+    /// `work_pipeline` one pipeline at a time (scalar reference), then
+    /// each pipeline's events and side effects in ascending order — the
+    /// scalar effect order.
+    fn work_seq(&mut self) {
         let ctx = WorkCtx {
             prog: &self.prog,
             index_map: &self.index_map,
@@ -1832,50 +1722,21 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             stalls: self.faults.active_stalls(),
             record_detail: self.cfg.record_detail,
         };
-        let mut views = recycle_views(std::mem::take(&mut bs.views));
-        views.extend(
-            incoming
-                .iter_mut()
-                .zip(self.queues.iter_mut())
-                .zip(self.lanes.iter_mut())
-                .zip(self.regs.iter_mut())
-                .zip(bs.fx.iter_mut())
-                .zip(bs.events.iter_mut())
-                .zip(self.park_mask.iter_mut())
-                .zip(self.inc_mask.iter_mut())
-                .zip(self.queue_mask.iter_mut())
-                .enumerate()
-                .map(
-                    |(
-                        pl,
-                        ((((((((inc_row, queues), lanes), regs), fx), events), park), inc), qm),
-                    )| {
-                        PipeView {
-                            pl,
-                            inc_row: &mut inc_row[..],
-                            queues: &mut queues[..],
-                            lanes: &mut lanes[..],
-                            regs: &mut regs[..],
-                            fx,
-                            events,
-                            park,
-                            inc: std::mem::take(inc),
-                            qmask: qm,
-                        }
-                    },
-                ),
-        );
-        batch_work::<S>(&ctx, &mut views, &mut bs.pack);
-        bs.views = recycle_views(views);
-        for (pl, fx) in bs.fx.iter_mut().enumerate() {
-            if S::ENABLED {
-                for ev in bs.events[pl].drain(..) {
+        if self.use_batch {
+            batch_work::<S>(&ctx, 0, &mut self.pipes, &mut self.pack);
+        }
+        for (pl, pipe) in self.pipes.iter_mut().enumerate() {
+            if !self.use_batch {
+                work_pipeline(&ctx, pl, pipe, &mut self.sink);
+            } else if S::ENABLED {
+                for ev in pipe.events.drain(..) {
                     self.sink.emit(ev);
                 }
             }
             apply_work_fx(
-                fx,
+                &mut pipe.fx,
                 &mut self.access_ctr,
+                &mut self.touched,
                 &mut self.inflight,
                 &mut self.channel,
                 &mut self.report,
@@ -1883,13 +1744,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
     }
 
-    /// The work phase on the parallel engine: move each pipeline's
-    /// state into a [`Unit`], shard the units contiguously over the
-    /// worker pool, barrier on the results, and merge them back in
-    /// ascending pipeline order (state restore, trace-event replay,
-    /// side-effect application) so the outcome is bit-identical to the
-    /// sequential engine's.
-    fn work_parallel(&mut self, incoming: &mut [Vec<Option<Flight>>]) {
+    /// The work phase on the parallel engine: move the pipes into jobs
+    /// of contiguous pipeline ranges, run them on the worker pool,
+    /// barrier on the results, and move them back in ascending pipeline
+    /// order (trace-event replay, side-effect application) so the
+    /// outcome is bit-identical to the sequential engine's.
+    fn work_parallel(&mut self) {
         let Some(par) = self.par.as_mut() else {
             // Guarded by the `par.is_some()` check in `step`; silently
             // skipping the work phase would corrupt the run, so this
@@ -1899,40 +1759,25 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         let stalls: Vec<(u16, u16)> = self.faults.active_stalls().to_vec();
         let shared = Arc::clone(&par.shared);
         // A shared pool may have more workers than this switch has
-        // pipelines; never build more jobs than units (a job per worker
-        // with some empty would still be correct, but chunking by
+        // pipelines; never build more jobs than pipelines (a job per
+        // worker with some empty would still be correct, but chunking by
         // `min` keeps job sizes contiguous and non-degenerate).
         let workers = par.pool.workers().min(self.k).max(1);
-        let mut units = Vec::with_capacity(self.k);
-        for (pl, inc_row) in incoming.iter_mut().enumerate() {
-            let (fx, events) = par.spare.pop().unwrap_or_default();
-            units.push(Unit {
-                pl,
-                inc_row: std::mem::take(inc_row),
-                queues: std::mem::take(&mut self.queues[pl]),
-                lanes: std::mem::take(&mut self.lanes[pl]),
-                regs: std::mem::take(&mut self.regs[pl]),
-                fx,
-                events,
-                park: 0,
-                inc: std::mem::take(&mut self.inc_mask[pl]),
-                qmask: self.queue_mask[pl],
-            });
-        }
         // Contiguous range shards in pipeline order: worker order ==
-        // pipeline order, so flattening the results restores ascending
-        // order.
-        let batch_mode = shared.batch;
-        let mut it = units.into_iter();
+        // pipeline order, so putting the results back in job order
+        // restores ascending order.
         let mut jobs = Vec::with_capacity(workers);
         for range in shard_ranges(self.k, workers) {
             jobs.push(Job {
                 shared: Arc::clone(&shared),
                 index_map: Arc::clone(&self.index_map),
                 cycle: self.cycle,
-                units: it.by_ref().take(range.len()).collect(),
+                base: range.start,
+                pipes: self.pipes[range].iter_mut().map(std::mem::take).collect(),
                 stalls: stalls.clone(),
-                batch: batch_mode.then(|| par.spare_batch.pop().unwrap_or_default()),
+                batch: shared
+                    .batch
+                    .then(|| par.spare_batch.pop().unwrap_or_default()),
             });
         }
         // `Parallel(n)` resolving to a single worker (n = 1, or k = 1)
@@ -1946,34 +1791,28 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         } else {
             par.pool.exchange(jobs)
         };
-        for (units_out, pack) in outs {
+        let mut pl = 0;
+        for (pipes, pack) in outs {
             if let Some(pack) = pack {
                 par.spare_batch.push(pack);
             }
-            for mut unit in units_out {
-                let pl = unit.pl;
-                debug_assert!(unit.inc_row.iter().all(|s| s.is_none()));
-                self.queues[pl] = std::mem::take(&mut unit.queues);
-                self.lanes[pl] = std::mem::take(&mut unit.lanes);
-                self.regs[pl] = std::mem::take(&mut unit.regs);
-                self.park_mask[pl] = unit.park;
-                self.queue_mask[pl] = unit.qmask;
-                // Hand the (all-`None`) row back so `step` can recycle
-                // the allocation via `inc_buf`.
-                incoming[pl] = std::mem::take(&mut unit.inc_row);
+            for mut pipe in pipes {
+                debug_assert!(pipe.inc_row.iter().all(|s| s.is_none()));
                 if S::ENABLED {
-                    for ev in unit.events.drain(..) {
+                    for ev in pipe.events.drain(..) {
                         self.sink.emit(ev);
                     }
                 }
                 apply_work_fx(
-                    &mut unit.fx,
+                    &mut pipe.fx,
                     &mut self.access_ctr,
+                    &mut self.touched,
                     &mut self.inflight,
                     &mut self.channel,
                     &mut self.report,
                 );
-                par.spare.push((unit.fx, unit.events));
+                self.pipes[pl] = pipe;
+                pl += 1;
             }
         }
     }
@@ -1981,15 +1820,17 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// A data packet arrives at the stateful stage it is tagged for:
     /// replace its phantom (or queue directly when phantoms are off).
     fn enqueue_stateful(&mut self, dest: PipelineId, st: usize, mut fl: Flight) {
+        let pipe = &mut self.pipes[dest.index()];
         // Conservative: set before knowing whether the enqueue sticks —
         // a spurious bit costs one lazy clear at the next sweep.
         if st < 64 {
-            self.queue_mask[dest.index()] |= 1 << st;
+            pipe.qmask |= 1 << st;
         }
+        let queue = &mut pipe.queues[st];
         // ECN-inspired backpressure (§3.4): mark the packet if the queue
         // it joins has built past the threshold.
         if let Some(thr) = self.cfg.ecn_threshold {
-            if self.queues[dest.index()][st].len() > thr {
+            if queue.len() > thr {
                 fl.pkt.ecn = true;
             }
         }
@@ -1998,9 +1839,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             // no-D4 ablation: queue in arrival-at-stage order.
             let ts = OrderKey(self.cycle, fl.ingress.0 as u64);
             let lane = fl.ingress;
-            if let Err(fl) =
-                self.queues[dest.index()][st].push_data(fl, ts, lane, &mut self.sink, ctx)
-            {
+            if let Err(fl) = queue.push_data(fl, ts, lane, &mut self.sink, ctx) {
                 self.report.drops.data_fifo_full += 1;
                 self.report.count_stage_drop(dest.0, st as u16);
                 if S::ENABLED {
@@ -2041,11 +1880,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 self.lost.remove(k); // siblings ride in with the data
             }
             self.report.fault.phantoms_recovered += 1;
-            self.queues[dest.index()][st].push_recovered(keys[0], fl, ts, &mut self.sink, ctx);
+            queue.push_recovered(keys[0], fl, ts, &mut self.sink, ctx);
             self.key_scratch = keys;
             return;
         }
-        match self.queues[dest.index()][st].insert_data(keys[0], fl, &mut self.sink, ctx) {
+        match queue.insert_data(keys[0], fl, &mut self.sink, ctx) {
             Ok(()) => {
                 // Sibling phantoms (speculative branches / overlapping
                 // plans) stay in place: they keep blocking their index
@@ -2073,7 +1912,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                     );
                 }
                 for &k in &keys[1..] {
-                    self.queues[dest.index()][st].cancel(k, true, &mut self.sink, ctx);
+                    queue.cancel(k, true, &mut self.sink, ctx);
                 }
                 self.drop_remaining(fl, st);
             }
@@ -2097,7 +1936,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 continue;
             }
             let ctx = TraceCtx::new(self.cycle, tag.pipeline.0, tag.stage.0);
-            if !self.queues[tag.pipeline.index()][tag.stage.index()].cancel(
+            if !self.pipes[tag.pipeline.index()].queues[tag.stage.index()].cancel(
                 key,
                 true,
                 &mut self.sink,
@@ -2304,9 +2143,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             }
             match self.cfg.sharding {
                 ShardingMode::Dynamic => {
-                    if let Some(mv) = shard::remap_heuristic(
+                    // Figure 6 over the indexes this period touched,
+                    // whose counters then reset (§3.4).
+                    if let Some(mv) = self.touched[ri].remap(
                         &self.index_map[ri],
-                        &self.access_ctr[ri],
+                        &mut self.access_ctr[ri],
                         &self.inflight[ri],
                         self.k,
                     ) {
@@ -2315,8 +2156,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                             self.apply_move(ri, mv);
                         }
                     }
-                    // Counters reset each iteration (§3.4).
-                    self.access_ctr[ri].iter_mut().for_each(|c| *c = 0);
                 }
                 ShardingMode::IdealPeriodic => {
                     // Ideal re-sharding: the Figure 6 balancer iterated
@@ -2350,8 +2189,8 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         // the coordinator holds the only reference at remap time.
         let map = Arc::make_mut(&mut self.index_map);
         let from = map[reg][mv.index] as usize;
-        let value = self.regs[from][reg][mv.index];
-        self.regs[mv.to][reg][mv.index] = value;
+        let value = self.pipes[from].regs[reg][mv.index];
+        self.pipes[mv.to].regs[reg][mv.index] = value;
         map[reg][mv.index] = mv.to as u16;
         if S::ENABLED {
             TraceCtx::new(self.cycle, NO_LOC, NO_LOC).emit(
@@ -2387,7 +2226,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 } else {
                     0
                 };
-                arr.push(self.regs[pl][ri][idx]);
+                arr.push(self.pipes[pl].regs[ri][idx]);
             }
             final_regs.push(arr);
         }
@@ -2395,9 +2234,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.report.result.processed = self.report.completed;
         self.report.cycles = self.cycle;
         self.report.max_queue_depth = self
-            .queues
+            .pipes
             .iter()
-            .flatten()
+            .flat_map(|p| &p.queues)
             .map(|q| q.max_occupancy())
             .max()
             .unwrap_or(0);
@@ -2742,19 +2581,24 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         SwitchState {
             cycle: self.cycle,
             rr: self.rr,
-            regs: self.regs.clone(),
+            regs: self.pipes.iter().map(|p| p.regs.clone()).collect(),
             index_map: (*self.index_map).clone(),
             access_ctr: self.access_ctr.clone(),
             inflight: self.inflight.clone(),
             queues: self
-                .queues
+                .pipes
                 .iter()
-                .map(|row| row.iter().map(snap_queue).collect())
+                .map(|p| p.queues.iter().map(snap_queue).collect())
                 .collect(),
             lanes: self
-                .lanes
+                .pipes
                 .iter()
-                .map(|row| row.iter().map(|s| s.as_ref().map(snap_flight)).collect())
+                .map(|p| {
+                    p.lanes
+                        .iter()
+                        .map(|s| s.as_ref().map(snap_flight))
+                        .collect()
+                })
                 .collect(),
             channel: ChannelSnap {
                 stages: self.channel.stages(),
@@ -2795,9 +2639,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 .map(|(ready, dest, st, fl)| (*ready, dest.0, *st, snap_flight(fl)))
                 .collect(),
             egress_buf: self.egress_buf.clone(),
-            park_mask: self.park_mask.clone(),
-            inc_mask: self.inc_mask.clone(),
-            queue_mask: self.queue_mask.clone(),
+            park_mask: self.pipes.iter().map(|p| p.park).collect(),
+            inc_mask: self.pipes.iter().map(|p| p.inc).collect(),
+            queue_mask: self.pipes.iter().map(|p| p.qmask).collect(),
             dead: self.dead.clone(),
             evac_done: self.evac_done.clone(),
             evac_counts: self.evac_counts.clone(),
@@ -2868,8 +2712,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         {
             return incompat("index map shape does not match the program's registers".into());
         }
-        if state.access_ctr.len() != self.prog.regs.len()
-            || state.inflight.len() != self.prog.regs.len()
+        let sizes = || self.prog.regs.iter().map(|r| r.size as usize);
+        if !state.access_ctr.iter().map(Vec::len).eq(sizes())
+            || !state.inflight.iter().map(Vec::len).eq(sizes())
         {
             return incompat("counter shape does not match the program's registers".into());
         }
@@ -2922,16 +2767,21 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             }
             queues.push(qrow);
         }
-        self.queues = queues;
-        self.regs = state.regs;
+        for (((pipe, queues), regs), lanes) in self
+            .pipes
+            .iter_mut()
+            .zip(queues)
+            .zip(state.regs)
+            .zip(state.lanes)
+        {
+            pipe.queues = queues;
+            pipe.regs = regs;
+            pipe.lanes = lanes.into_iter().map(|s| s.map(unsnap_flight)).collect();
+        }
         self.index_map = Arc::new(state.index_map);
+        self.touched = state.access_ctr.iter().map(|c| Touched::of(c)).collect();
         self.access_ctr = state.access_ctr;
         self.inflight = state.inflight;
-        self.lanes = state
-            .lanes
-            .into_iter()
-            .map(|row| row.into_iter().map(|s| s.map(unsnap_flight)).collect())
-            .collect();
         self.channel = PhantomChannel::from_parts(
             self.stages,
             state
@@ -2973,20 +2823,19 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         // accelerators), not state: the scalar path never maintains
         // them, so rebuild from the restored lanes/queues — a snapshot
         // taken on one exec path then restores cleanly onto the other.
-        for pl in 0..k {
-            let mut park = 0u64;
-            let mut qmask = 0u64;
+        for pipe in &mut self.pipes {
+            let (mut park, mut qmask) = (0u64, 0u64);
             for st in 0..self.stages.min(64) {
-                if self.lanes[pl][st].is_some() {
+                if pipe.lanes[st].is_some() {
                     park |= 1 << st;
                 }
-                if !self.queues[pl][st].is_empty() {
+                if !pipe.queues[st].is_empty() {
                     qmask |= 1 << st;
                 }
             }
-            self.park_mask[pl] = park;
-            self.queue_mask[pl] = qmask;
-            self.inc_mask[pl] = 0;
+            pipe.park = park;
+            pipe.qmask = qmask;
+            pipe.inc = 0;
         }
         self.dead = state.dead;
         self.evac_done = state.evac_done;
@@ -3083,8 +2932,8 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                     || (key.index as usize) < new_prog.regs[key.reg.index()].size as usize)
         };
         let mut lost_phantoms = 0u64;
-        for row in &self.queues {
-            for q in row {
+        for pipe in &self.pipes {
+            for q in &pipe.queues {
                 let fifos: Vec<FifoParts<Flight>> = match q {
                     StageQueue::Logical(f) => vec![f.snapshot_parts()],
                     StageQueue::PerIndex { subs, .. } => {
@@ -3128,13 +2977,15 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 } else {
                     0
                 };
-                let value = self.regs[pl][ri][idx];
+                let value = self.pipes[pl].regs[ri][idx];
                 evacuated += 1;
                 fresh[pl][ri][idx] = value;
                 migrated += 1;
             }
         }
-        self.regs = fresh;
+        for (pipe, regs) in self.pipes.iter_mut().zip(fresh) {
+            pipe.regs = regs;
+        }
         // The parallel engine's workers read the program through the
         // shared block; republish it with the new program.
         if let Some(par) = self.par.as_mut() {
@@ -3762,7 +3613,7 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Flight>();
         assert_send::<StageQueue>();
-        assert_send::<Unit>();
+        assert_send::<Pipe>();
         assert_send::<Job>();
         assert_send::<WorkFx>();
         fn assert_sync<T: Sync>() {}
@@ -3777,31 +3628,6 @@ mod tests {
         assert_eq!(std::mem::size_of::<Flight>(), 8);
         assert_eq!(std::mem::size_of::<Option<Flight>>(), 8);
         assert!(std::mem::size_of::<Entry<Flight>>() <= 48);
-    }
-
-    /// `work_batch_seq` hands its view buffer from cycle to cycle
-    /// through an in-place `collect` (`batch::recycle_views`). That std
-    /// keeps the allocation is an optimisation, not a promise: if a
-    /// toolchain stops doing it, this fails instead of every cycle
-    /// quietly paying a `malloc`.
-    #[test]
-    fn view_buffer_survives_a_cycle() {
-        let (prog, trace) = sharded_trace(200, 5);
-        let mut sw = Mp5Switch::new(prog, SwitchConfig::mp5(4));
-        for p in trace {
-            sw.offer(p);
-        }
-        let buffer = |sw: &Mp5Switch| {
-            let views = &sw.batch_seq.as_ref().expect("sequential batch path").views;
-            (views.as_ptr() as usize, views.capacity())
-        };
-        let before = buffer(&sw);
-        assert!(before.1 >= 4);
-        for _ in 0..20 {
-            sw.tick();
-            sw.drain_egress();
-        }
-        assert_eq!(buffer(&sw), before);
     }
 
     /// Sorted-by-entry-order trace for the streaming API.
@@ -3902,6 +3728,12 @@ mod tests {
         let mut stray = state.clone();
         stray.rr = 4;
         let err = restore(SwitchConfig::mp5(4), stray).expect_err("rr must be < pipelines");
+        assert!(matches!(err, crate::RestoreError::Incompatible(_)));
+        // A counter array of the wrong length would index out of bounds
+        // at the next remap, through the bitmap rebuilt from it.
+        let mut short = state.clone();
+        short.access_ctr[0].pop();
+        let err = restore(SwitchConfig::mp5(4), short).expect_err("counter length");
         assert!(matches!(err, crate::RestoreError::Incompatible(_)));
         // A configuration that `validate` rejects is rejected here too.
         let never_remaps = SwitchConfig {

@@ -195,8 +195,16 @@ impl TacProgram {
 
     /// Wraps an index operand value into `[0, size)` (Euclidean modulo),
     /// the Banzai register addressing rule used across the workspace.
+    /// For a power-of-two `size` it is a mask: two's complement makes
+    /// `raw & (size - 1)` the Euclidean remainder for negative `raw`
+    /// too, and register arrays are mostly sized in powers of two.
+    #[inline]
     pub fn wrap_index(size: u32, raw: Value) -> u32 {
-        (raw.rem_euclid(size as Value)) as u32
+        if size.is_power_of_two() {
+            (raw & (size as Value - 1)) as u32
+        } else {
+            raw.rem_euclid(size as Value) as u32
+        }
     }
 
     /// Executes the program serially on one packet's field store against
@@ -589,6 +597,7 @@ impl Lowerer {
 mod tests {
     use super::*;
     use crate::parse;
+    use proptest::prelude::*;
 
     fn lower_src(src: &str) -> TacProgram {
         lower(&parse(src).unwrap())
@@ -764,6 +773,33 @@ mod tests {
         assert_eq!(TacProgram::wrap_index(4, -5), 3);
         assert_eq!(TacProgram::wrap_index(4, 7), 3);
         assert_eq!(TacProgram::wrap_index(1, 12345), 0);
+        assert_eq!(TacProgram::wrap_index(64, i64::MIN), 0);
+        assert_eq!(TacProgram::wrap_index(6, i64::MIN), 4);
+    }
+
+    proptest! {
+        /// The power-of-two mask is the Euclidean remainder, negative
+        /// values and both ends of `i64` included.
+        #[test]
+        fn wrap_index_is_rem_euclid(
+            raw in prop_oneof![
+                any::<i64>(),
+                -1_000i64..1_000,
+                Just(i64::MIN),
+                Just(i64::MAX),
+            ],
+            size in prop_oneof![
+                (0u32..32).prop_map(|b| 1u32 << b),
+                1u32..5_000,
+                Just(u32::MAX),
+            ],
+        ) {
+            prop_assert_eq!(
+                TacProgram::wrap_index(size, raw),
+                raw.rem_euclid(size as Value) as u32,
+                "size {} raw {}", size, raw
+            );
+        }
     }
 
     #[test]

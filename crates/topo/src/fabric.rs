@@ -23,8 +23,6 @@
 //! into it black-hole (counted), and routing excludes it — delivery
 //! degrades to the surviving paths instead of collapsing.
 
-use std::collections::HashMap;
-
 use mp5_compiler::program::CompiledProgram;
 use mp5_core::{ConfigError, EngineMode, EnginePool, Mp5Switch, RunReport, SwitchConfig};
 use mp5_faults::{FaultInjector, NoFaults};
@@ -32,7 +30,7 @@ use mp5_trace::{NopSink, TraceSink};
 use mp5_traffic::dc::DcPacket;
 use mp5_traffic::streams::{stream_rng, stream_seed};
 use mp5_types::time::cycle_len;
-use mp5_types::{FlowKey, Packet, PacketId, PortId, Value};
+use mp5_types::{FastMap, FlowKey, Packet, PacketId, PortId, Value};
 use rand::rngs::SmallRng;
 use serde::Serialize;
 
@@ -367,6 +365,9 @@ pub struct Fabric<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     out_links: Vec<Vec<u32>>,
     router: Router,
     dead: Vec<bool>,
+    /// Reusable buffer for a leaf's live candidate spines (one fill per
+    /// leaf-to-spine hop).
+    spines: Vec<u32>,
 }
 
 impl Fabric<NopSink, NoFaults> {
@@ -480,6 +481,7 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
         Ok(Fabric {
             dead: vec![false; n],
             router: Router::new(cfg.routing, salt),
+            spines: Vec::new(),
             topo,
             cfg,
             clen,
@@ -520,8 +522,10 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
         let mut pending: Option<DcPacket> = None;
         let mut exhausted = false;
 
-        let mut meta_map: HashMap<u64, PktMeta> = HashMap::new();
-        let mut flow_state: HashMap<u64, FlowState> = HashMap::new();
+        // In-flight and per-flow tables: looked up by id, never iterated,
+        // so the hasher is unobservable.
+        let mut meta_map: FastMap<u64, PktMeta> = FastMap::default();
+        let mut flow_state: FastMap<u64, FlowState> = FastMap::default();
         let mut fcts: Vec<u64> = Vec::new();
         let mut ledger = Ledger::new();
         let mut next_id = 0u64;
@@ -725,24 +729,24 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
         meta: PktMeta,
         now: u64,
         ledger: &mut Ledger,
-        meta_map: &mut HashMap<u64, PktMeta>,
+        meta_map: &mut FastMap<u64, PktMeta>,
     ) {
         let dst_leaf = self.topo.leaf_of_host(meta.dst_host);
         let link = match self.topo.role(s) {
             NodeRole::Leaf if dst_leaf == s => self.host_down[meta.dst_host as usize],
             NodeRole::Leaf => {
-                let candidates: Vec<u32> = self
-                    .topo
-                    .common_spines(s, dst_leaf)
-                    .into_iter()
-                    .filter(|&sp| !self.dead[sp as usize])
-                    .collect();
-                if candidates.is_empty() {
+                self.spines.clear();
+                self.spines.extend(
+                    self.topo
+                        .common_spines(s, dst_leaf)
+                        .filter(|&sp| !self.dead[sp as usize]),
+                );
+                if self.spines.is_empty() {
                     ledger.dropped_no_route += 1;
                     meta_map.remove(&pkt.id.0);
                     return;
                 }
-                let spine = self.router.pick_spine(s, meta.flow_id, now, &candidates);
+                let spine = self.router.pick_spine(s, meta.flow_id, now, &self.spines);
                 let pos = self.topo.neighbors[s as usize]
                     .iter()
                     .position(|&x| x == spine)
@@ -779,7 +783,7 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
         ticks: u64,
         ledger: Ledger,
         fcts: Vec<u64>,
-        meta_map: HashMap<u64, PktMeta>,
+        meta_map: FastMap<u64, PktMeta>,
     ) -> FabricRun<S> {
         let Fabric {
             topo,

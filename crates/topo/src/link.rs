@@ -51,6 +51,10 @@ pub struct Link {
     busy_until: u64,
     /// In-flight packets: `(arrival at far end, packet)`, ascending.
     q: VecDeque<(u64, Packet)>,
+    /// Arrival time of `q`'s head, `u64::MAX` when `q` is empty: the
+    /// fabric probes every link every tick, and while nothing is due
+    /// the probe is this one compare, without touching the queue.
+    head: u64,
     /// Counters.
     pub stats: LinkStats,
 }
@@ -64,6 +68,7 @@ impl Link {
             capacity,
             busy_until: 0,
             q: VecDeque::new(),
+            head: u64::MAX,
             stats: LinkStats::default(),
         }
     }
@@ -79,6 +84,9 @@ impl Link {
         let ready = start + pkt.size as u64 + self.latency;
         self.busy_until = start + pkt.size as u64;
         self.stats.busy_bytes += pkt.size as u64;
+        if self.q.is_empty() {
+            self.head = ready;
+        }
         self.q.push_back((ready, pkt));
         if self.q.len() > self.stats.max_queue {
             self.stats.max_queue = self.q.len();
@@ -90,11 +98,13 @@ impl Link {
     /// `before`, as `(arrival, packet)`. Arrivals pop in FIFO order
     /// (serialization makes them monotone).
     pub fn pop_ready(&mut self, before: u64) -> Option<(u64, Packet)> {
-        if self.q.front().is_some_and(|&(ready, _)| ready < before) {
-            self.stats.delivered += 1;
-            return self.q.pop_front();
+        if self.head >= before {
+            return None;
         }
-        None
+        self.stats.delivered += 1;
+        let out = self.q.pop_front();
+        self.head = self.q.front().map_or(u64::MAX, |&(ready, _)| ready);
+        out
     }
 
     /// Drops everything still queued (link into a failed switch),
@@ -103,6 +113,7 @@ impl Link {
         let n = self.q.len() as u64;
         self.stats.dropped += n;
         self.q.clear();
+        self.head = u64::MAX;
         n
     }
 
@@ -173,5 +184,68 @@ mod tests {
         assert_eq!(l.drop_all(), 5);
         assert!(l.is_empty());
         assert_eq!(l.stats.dropped, 5);
+    }
+
+    /// The cached head is the queue front's arrival, or `u64::MAX` on an
+    /// empty queue, after every operation that changes the front.
+    #[test]
+    fn cached_head_follows_push_pop_and_drop_all() {
+        let front = |l: &Link| l.q.front().map_or(u64::MAX, |&(at, _)| at);
+        let mut l = Link::new(8, 100);
+        assert_eq!(l.head, u64::MAX);
+        assert!(l.push(0, pkt(0, 64)));
+        assert!(l.push(0, pkt(1, 64)));
+        assert_eq!(
+            (l.head, front(&l)),
+            (164, 164),
+            "a push onto an empty queue"
+        );
+        assert!(l.pop_ready(164).is_none());
+        assert_eq!(l.pop_ready(165).map(|(at, p)| (at, p.id.0)), Some((164, 0)));
+        assert_eq!((l.head, front(&l)), (228, 228), "a pop exposes the next");
+        assert!(l.push(1_000, pkt(2, 64)));
+        assert_eq!(l.head, 228, "a push behind the head leaves it");
+        assert_eq!(l.pop_ready(u64::MAX).map(|(at, _)| at), Some(228));
+        assert_eq!(l.pop_ready(u64::MAX).map(|(at, _)| at), Some(1_164));
+        assert_eq!(l.head, u64::MAX, "the last pop empties it");
+        assert!(l.pop_ready(u64::MAX).is_none());
+        assert!(l.push(2_000, pkt(3, 64)));
+        assert_eq!(l.head, 2_164);
+        assert_eq!(l.drop_all(), 1);
+        assert_eq!(l.head, u64::MAX, "drop_all empties it");
+        assert!(l.pop_ready(u64::MAX).is_none());
+        assert!(l.push(0, pkt(4, 64)));
+        assert_eq!(
+            l.pop_ready(u64::MAX).map(|(at, p)| (at, p.id.0)),
+            Some((2_228, 4))
+        );
+        assert_eq!(l.stats.delivered, 4);
+    }
+
+    /// A link into a dead switch is drained each tick like a live one
+    /// and its packets discarded: each drain takes exactly the packets
+    /// due before the tick's end, in order, and leaves the rest queued.
+    #[test]
+    fn black_hole_drain_takes_exactly_the_due_packets() {
+        let mut l = Link::new(16, 10);
+        for i in 0..6 {
+            assert!(l.push(0, pkt(i, 100)));
+        }
+        // Arrivals at 110, 210, ..., 610.
+        let drain = |l: &mut Link, before: u64| {
+            let mut ids = Vec::new();
+            while let Some((_, p)) = l.pop_ready(before) {
+                ids.push(p.id.0);
+            }
+            ids
+        };
+        assert_eq!(drain(&mut l, 110), Vec::<u64>::new());
+        assert_eq!(drain(&mut l, 311), vec![0, 1, 2]);
+        assert_eq!(l.head, 410);
+        assert_eq!(drain(&mut l, 400), Vec::<u64>::new());
+        assert_eq!(drain(&mut l, u64::MAX), vec![3, 4, 5]);
+        assert!(l.is_empty());
+        assert_eq!(l.head, u64::MAX);
+        assert_eq!((l.stats.delivered, l.stats.dropped), (6, 0));
     }
 }

@@ -14,8 +14,14 @@
 //!
 //! Either way the choice is a pure function of `(seed, flow, time,
 //! candidate set)`, so repeated runs and both cycle engines agree.
+//!
+//! The flowlet table forgets expired flowlets: an entry idle for more
+//! than `gap` decides nothing (the next packet re-hashes with its epoch
+//! exactly as for an unseen flow), so sweeping such entries whenever the
+//! table has doubled since its last sweep keeps it O(active flowlets)
+//! without changing a single pick.
 
-use std::collections::HashMap;
+use mp5_types::FastMap;
 
 /// How flows are spread across the spines between a leaf pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,6 +72,9 @@ fn fnv1a(words: &[u64]) -> u64 {
     h
 }
 
+/// Flowlet-table size below which it is never swept.
+const SWEEP_FLOOR: usize = 1024;
+
 /// The fabric's next-hop selector. One instance serves every leaf; the
 /// flowlet table is keyed by `(leaf, flow)` so leaves stay independent.
 #[derive(Debug)]
@@ -73,7 +82,12 @@ pub struct Router {
     mode: RouteMode,
     salt: u64,
     /// Flowlet state: `(leaf, flow) -> (last packet time, chosen spine)`.
-    flowlet: HashMap<(u32, u64), (u64, u32)>,
+    /// Looked up, never iterated in an order that matters, so the
+    /// hasher is unobservable.
+    flowlet: FastMap<(u32, u64), (u64, u32)>,
+    /// Table size at which the next sweep of expired entries runs:
+    /// twice what the last sweep kept, and at least [`SWEEP_FLOOR`].
+    sweep_at: usize,
 }
 
 impl Router {
@@ -83,13 +97,16 @@ impl Router {
         Router {
             mode,
             salt,
-            flowlet: HashMap::new(),
+            flowlet: FastMap::default(),
+            sweep_at: SWEEP_FLOOR,
         }
     }
 
     /// Picks the spine carrying `flow` out of `leaf` at byte-time
     /// `now`, from the non-empty `candidates` slice (common spines of
-    /// the leaf pair, minus any the fabric marked dead).
+    /// the leaf pair, minus any the fabric marked dead). `now` must not
+    /// go backwards between calls (it is the fabric's clock): the
+    /// flowlet table's sweep relies on an expired entry staying expired.
     pub fn pick_spine(&mut self, leaf: u32, flow: u64, now: u64, candidates: &[u32]) -> u32 {
         debug_assert!(!candidates.is_empty());
         if candidates.len() == 1 {
@@ -102,10 +119,10 @@ impl Router {
             }
             RouteMode::Flowlet { gap } => {
                 let key = (leaf, flow);
-                if let Some(&(last, spine)) = self.flowlet.get(&key) {
-                    if now.saturating_sub(last) <= gap && candidates.contains(&spine) {
-                        self.flowlet.insert(key, (now, spine));
-                        return spine;
+                if let Some((last, spine)) = self.flowlet.get_mut(&key) {
+                    if now.saturating_sub(*last) <= gap && candidates.contains(spine) {
+                        *last = now;
+                        return *spine;
                     }
                 }
                 // New flowlet: fold the epoch in so consecutive
@@ -113,6 +130,11 @@ impl Router {
                 let h = fnv1a(&[self.salt, flow, now / gap.max(1)]);
                 let spine = candidates[(h % candidates.len() as u64) as usize];
                 self.flowlet.insert(key, (now, spine));
+                if self.flowlet.len() >= self.sweep_at {
+                    self.flowlet
+                        .retain(|_, &mut (last, _)| now.saturating_sub(last) <= gap);
+                    self.sweep_at = (2 * self.flowlet.len()).max(SWEEP_FLOOR);
+                }
                 spine
             }
         }
@@ -169,6 +191,61 @@ mod tests {
         let next = r.pick_spine(0, flow, 10, &survivors);
         assert_ne!(next, spine);
         assert!(survivors.contains(&next));
+    }
+
+    /// Many short flows through a flowlet router that sweeps, against a
+    /// reference table that never forgets (the router before the
+    /// sweep): every pick is the same, and the table stays bounded by
+    /// what is live within one gap rather than growing with the flows.
+    #[test]
+    fn sweeping_expired_flowlets_changes_no_pick_and_bounds_the_table() {
+        fn reference(
+            table: &mut std::collections::HashMap<(u32, u64), (u64, u32)>,
+            salt: u64,
+            gap: u64,
+            (leaf, flow, now): (u32, u64, u64),
+            candidates: &[u32],
+        ) -> u32 {
+            if candidates.len() == 1 {
+                return candidates[0];
+            }
+            if let Some(&(last, spine)) = table.get(&(leaf, flow)) {
+                if now.saturating_sub(last) <= gap && candidates.contains(&spine) {
+                    table.insert((leaf, flow), (now, spine));
+                    return spine;
+                }
+            }
+            let h = fnv1a(&[salt, flow, now / gap]);
+            let spine = candidates[(h % candidates.len() as u64) as usize];
+            table.insert((leaf, flow), (now, spine));
+            spine
+        }
+        let (salt, gap) = (11, 500);
+        let mut r = Router::new(RouteMode::Flowlet { gap }, salt);
+        let mut table = std::collections::HashMap::new();
+        let (all, narrowed) = ([4u32, 5, 6], [4u32, 6]);
+        let mut max_len = 0;
+        // 200 k packets of 50 k flows, each flow alive for ~4 packets
+        // over a window of a few gaps; now and then a spine is out.
+        for i in 0..200_000u64 {
+            let now = i * 7;
+            let flow = i / 4 + (i % 4) * 13;
+            let leaf = (flow % 3) as u32;
+            let candidates: &[u32] = if (i / 5_000) % 4 == 3 {
+                &narrowed
+            } else {
+                &all
+            };
+            let got = r.pick_spine(leaf, flow, now, candidates);
+            let want = reference(&mut table, salt, gap, (leaf, flow, now), candidates);
+            assert_eq!(got, want, "packet {i}");
+            max_len = max_len.max(r.flowlet.len());
+        }
+        assert!(table.len() > 40_000, "the reference keeps every flow");
+        assert!(
+            max_len <= 2 * SWEEP_FLOOR,
+            "the swept table peaked at {max_len} entries"
+        );
     }
 
     #[test]

@@ -454,14 +454,13 @@ impl Topology {
 
     /// The spines adjacent to both `leaf_a` and `leaf_b` — the ECMP
     /// candidate set for traffic between them. Ascending switch id.
-    pub fn common_spines(&self, leaf_a: u32, leaf_b: u32) -> Vec<u32> {
+    pub fn common_spines(&self, leaf_a: u32, leaf_b: u32) -> impl Iterator<Item = u32> + '_ {
         self.neighbors[leaf_a as usize]
             .iter()
             .copied()
-            .filter(|s| {
+            .filter(move |s| {
                 self.role(*s) == NodeRole::Spine && self.neighbors[leaf_b as usize].contains(s)
             })
-            .collect()
     }
 }
 
@@ -480,7 +479,7 @@ mod tests {
         assert_eq!(topo.host_port(9), 1);
         assert_eq!(topo.neighbor_port(1, 4), 8);
         assert_eq!(topo.neighbor_port(4, 3), 3); // spines carry no hosts
-        assert_eq!(topo.common_spines(0, 3), vec![4, 5]);
+        assert_eq!(topo.common_spines(0, 3).collect::<Vec<_>>(), vec![4, 5]);
     }
 
     #[test]

@@ -1,0 +1,194 @@
+//! Digests of whole runs, written by the parent commit of PR 25
+//! (`1a8155c`) before any of its changes, the way PR 15/16 pinned their
+//! codecs (`tests/codec_golden.rs`): the remap bookkeeping, the work
+//! phase's per-pipeline state, the fabric tick and the flowlet table
+//! were rewritten for speed, and every simulated result must come out
+//! bit for bit as it did before.
+//!
+//! What each run exercises: `flowlet`, `heavy_hitter` and `conga` on an
+//! 8-pipeline switch with skewed keys remap 76, 113 and 114 times (the
+//! D2 heuristic's selection and counter reset), and the 4×2 fabric runs
+//! cross links, spine picks and — under flowlet routing — the flowlet
+//! table's eviction.
+
+use mp5::compiler::{compile, Target};
+use mp5::core::{EngineMode, Mp5Switch, SwitchConfig};
+use mp5::faults::NoFaults;
+use mp5::topo::{Fabric, FabricConfig, RouteMode, TopologyConfig};
+use mp5::trace::{stream_hash, EventKind, MemSink};
+use mp5::traffic::streams::fnv1a_fold;
+use mp5::traffic::{AccessPattern, DcPattern, DcWorkload, TraceBuilder};
+
+/// `mp5run programs/APP.mp5 --packets 30000 --pipelines 8 --pattern
+/// skewed --keys 64 --trace FILE`, in process: `(stream_hash, remap
+/// events)` of the traced run.
+fn switch_digest(app: &str) -> (u64, usize) {
+    let path = format!(
+        "{}/crates/apps/programs/{app}.mp5",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let prog = compile(&source, &Target::default()).expect("bundled program compiles");
+    let declared = prog.declared_fields;
+    let pattern = AccessPattern::paper_skewed();
+    let trace = TraceBuilder::new(30_000, 1).build(prog.num_fields(), move |rng, _, f| {
+        for v in f.iter_mut().take(declared) {
+            *v = pattern.draw(64, rng) as i64;
+        }
+    });
+    let (report, sink) =
+        Mp5Switch::with_sink(prog, SwitchConfig::mp5(8), MemSink::new()).run_traced(trace);
+    let events = sink.into_events();
+    let remaps = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::RemapMove { .. }))
+        .count();
+    assert_eq!(report.remap_moves, remaps as u64);
+    (stream_hash(&events), remaps)
+}
+
+#[test]
+fn skewed_switch_runs_keep_their_digests() {
+    for (app, hash, remaps) in [
+        ("flowlet", 0x2783_e7c0_1cc1_810a, 76),
+        ("heavy_hitter", 0xe642_4ee2_f571_54ff, 113),
+        ("conga", 0xea69_80cb_e36f_b973, 114),
+    ] {
+        assert_eq!(switch_digest(app), (hash, remaps), "{app}");
+    }
+}
+
+/// A traced 4×2 leaf–spine run of `heavy_hitter`: every switch's
+/// `stream_hash` in switch-id order, then the fabric's delivery digest.
+fn fabric_digests(routing: RouteMode) -> (Vec<u64>, u64) {
+    let app = mp5::apps::by_name("heavy_hitter").expect("app exists");
+    let prog = app.compile().expect("app compiles");
+    let topo = TopologyConfig::leaf_spine(4, 2, 2)
+        .validate()
+        .expect("valid topology");
+    let hosts = topo.num_hosts();
+    let mut cfg = FabricConfig::new(SwitchConfig::mp5(4).with_hardware_fifos());
+    cfg.routing = routing;
+    cfg.seed = 5;
+    let workload = DcWorkload::new(hosts, 600, 5)
+        .load(0.5)
+        .max_pkts_per_flow(8)
+        .pattern(DcPattern::Uniform);
+    let fabric = Fabric::with_hooks(topo, cfg, prog.clone(), |_| MemSink::new(), |_| NoFaults)
+        .expect("valid fabric");
+    let fill = app.fill;
+    let run = fabric.run(workload.stream(), |key, rng, fields| {
+        fill(&prog, key, rng, fields)
+    });
+    assert!(run.report.conservation_closed());
+    let per_switch = run.sinks.iter().map(|s| stream_hash(&s.events)).collect();
+    (per_switch, run.report.delivery_digest)
+}
+
+#[test]
+fn fabric_runs_keep_their_digests() {
+    let ecmp = [
+        0x3d36_c387_c1af_d9f3,
+        0xe20e_902f_1cad_77d6,
+        0x2c9a_03e0_e945_2e66,
+        0xb74c_a22d_eb19_ede6,
+        0x7b1d_25df_a822_5ea4,
+        0xfc28_8a7e_452a_a47a,
+    ];
+    let flowlet = [
+        0x51b5_5d7f_ccad_fc26,
+        0x58cb_7d81_75df_5374,
+        0xa8fc_b0a1_1d56_4714,
+        0x823e_c459_dd28_30df,
+        0x9359_5d81_c3a0_28b8,
+        0x3912_3ad7_30a5_4965,
+    ];
+    for (routing, switches, delivery) in [
+        (RouteMode::Ecmp, ecmp, 0x221e_1338_3189_ff95),
+        (
+            RouteMode::Flowlet { gap: 20_000 },
+            flowlet,
+            0x0a05_eb1e_9b8c_a9e6,
+        ),
+    ] {
+        let (got, digest) = fabric_digests(routing);
+        assert_eq!(
+            (got.as_slice(), digest),
+            (&switches[..], delivery),
+            "{routing:?}"
+        );
+    }
+}
+
+/// Thousands of one- and two-packet flows under flowlet routing: the
+/// flowlet table sweeps its expired entries five times over this run,
+/// and the report (JSON bytes, folded) must be the one the parent wrote
+/// with a table that never forgot anything.
+#[test]
+fn many_short_flowlets_keep_their_report() {
+    let app = mp5::apps::by_name("flowlet").expect("app exists");
+    let prog = app.compile().expect("app compiles");
+    let topo = TopologyConfig::leaf_spine(4, 2, 2)
+        .validate()
+        .expect("valid topology");
+    let hosts = topo.num_hosts();
+    let mut cfg = FabricConfig::new(SwitchConfig::mp5(4).with_hardware_fifos());
+    cfg.routing = RouteMode::Flowlet { gap: 2_000 };
+    cfg.seed = 9;
+    let workload = DcWorkload::new(hosts, 6_000, 9)
+        .load(0.4)
+        .max_pkts_per_flow(2);
+    let fabric = Fabric::new(topo, cfg, prog.clone()).expect("valid fabric");
+    let fill = app.fill;
+    let report = fabric
+        .run(workload.stream(), |key, rng, fields| {
+            fill(&prog, key, rng, fields)
+        })
+        .report;
+    assert_eq!(report.flows_started, 6_000);
+    let folded = report
+        .to_json()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| fnv1a_fold(h, b as u64));
+    assert_eq!(
+        (folded, report.delivery_digest),
+        (0x0d57_3efd_d4a7_1cfd, 0x7553_8ca5_f958_b2ac)
+    );
+}
+
+/// `tests/codec_golden.rs`'s `fabric_report_json`: the codec test there
+/// re-prints the golden file; this one re-runs the fabric that wrote it
+/// and asserts the fresh report is the same bytes.
+#[test]
+fn a_fresh_fabric_run_reproduces_the_golden_report() {
+    let app = mp5::apps::by_name("heavy_hitter").expect("app exists");
+    let prog = app.compile().expect("app compiles");
+    let topo = TopologyConfig::leaf_spine(2, 2, 2)
+        .validate()
+        .expect("valid topology");
+    let hosts = topo.num_hosts();
+    let mut cfg = FabricConfig::new(
+        SwitchConfig::mp5(4)
+            .with_hardware_fifos()
+            .with_engine(EngineMode::Sequential),
+    );
+    cfg.seed = 3;
+    let workload = DcWorkload::new(hosts, 300, 3)
+        .load(0.7)
+        .max_pkts_per_flow(4)
+        .pattern(DcPattern::Uniform);
+    let fabric = Fabric::new(topo, cfg, prog.clone()).expect("valid fabric");
+    let fill = app.fill;
+    let fresh = fabric
+        .run(workload.stream(), |key, rng, fields| {
+            fill(&prog, key, rng, fields)
+        })
+        .report
+        .to_json();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/fabric_report.json"
+    );
+    let golden = std::fs::read_to_string(path).expect("golden report");
+    assert!(fresh == golden, "a fresh run no longer writes {path}");
+}
