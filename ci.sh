@@ -14,11 +14,13 @@ set -eu
 # handlers covered — so steps only fill in the variables below.
 TRACE_TMP=""
 TRACE_SCALAR_TMP=""
+TRACE_PAR_TMP=""
 FABRIC_TMP=""
 SERVE_TMP=""
 cleanup() {
     if [ -n "$TRACE_TMP" ]; then rm -f "$TRACE_TMP"; fi
     if [ -n "$TRACE_SCALAR_TMP" ]; then rm -f "$TRACE_SCALAR_TMP"; fi
+    if [ -n "$TRACE_PAR_TMP" ]; then rm -f "$TRACE_PAR_TMP"; fi
     if [ -n "$FABRIC_TMP" ]; then rm -rf "$FABRIC_TMP"; fi
     if [ -n "$SERVE_TMP" ]; then rm -rf "$SERVE_TMP"; fi
 }
@@ -96,9 +98,9 @@ echo "==> mp5lint over the program corpus"
     crates/analysis/fixtures/broken crates/analysis/fixtures/clean
 
 echo "==> traced smoke run (batch exec path) through the offline auditor"
-# Traced runs ride the SoA batch path (no scalar fallback); the
-# auditor must accept the batch-produced stream, and the stream must
-# be byte-identical to the frozen scalar reference's.
+# The auditor must accept the batch path's stream, and the stream must
+# be byte-identical to the scalar reference's: both run the same
+# in-place work pass, and only the batch path's occupancy masks differ.
 TRACE_TMP=$(mktemp -t mp5-ci-trace.XXXXXX)
 ./target/release/mp5run crates/apps/programs/flowlet.mp5 \
     --packets 4000 --exec batch --trace "$TRACE_TMP"
@@ -113,13 +115,20 @@ cmp "$TRACE_TMP" "$TRACE_SCALAR_TMP" || {
     exit 1
 }
 
-echo "==> engine smoke: parallel engine at pinned worker counts"
+echo "==> engine smoke: parallel engine streams at pinned worker counts"
 # Pinned counts (not "one worker per pipeline") so the equivalence
 # matrix covers workers < pipelines sharding on every runner class.
-./target/release/mp5run crates/apps/programs/flowlet.mp5 \
-    --packets 4000 --engine par:2
-./target/release/mp5run crates/apps/programs/flowlet.mp5 \
-    --packets 4000 --engine par:4
+# Workers record each pipeline's events into its own MemSink; the
+# merged stream must be byte-identical to the sequential one.
+TRACE_PAR_TMP=$(mktemp -t mp5-ci-trace-par.XXXXXX)
+for workers in 2 4; do
+    ./target/release/mp5run crates/apps/programs/flowlet.mp5 \
+        --packets 4000 --engine "par:$workers" --trace "$TRACE_PAR_TMP" >/dev/null
+    cmp "$TRACE_TMP" "$TRACE_PAR_TMP" || {
+        echo "ci.sh: par:$workers event stream diverged from the sequential engine's" >&2
+        exit 1
+    }
+done
 
 echo "==> chaos smoke: 3 seeded fault plans per app, auditor-gated"
 # Quick plans: every case must finish clean (no panics, closed fault

@@ -1,22 +1,21 @@
-//! Data-oriented batch execution kernels (DESIGN.md §13).
+//! The stage execution kernel (DESIGN.md §13).
 //!
-//! The scalar interpreter in [`crate::program`] walks one packet at a
-//! time: for every `(packet, stage)` pair it re-dispatches on each
-//! [`TacInstr`] and allocates a fresh access `Vec`. The kernel here
-//! flips the loop nest: the caller packs the fields of every packet
-//! executing a given stage this cycle into a [`FieldMatrix`] (one row
-//! per *lane*), and [`CompiledProgram::execute_stage_batch`] runs
-//! **instruction-major** — one dispatch per instruction, then a tight
-//! lane loop over matrix rows the compiler can unroll and vectorize.
-//! State accesses land in a caller-owned flat buffer tagged by lane,
-//! so steady-state execution allocates nothing.
+//! The interpreter in [`crate::program`] walks one packet at a time
+//! and allocates a fresh access `Vec` per `(packet, stage)` pair.
+//! [`CompiledProgram::execute_stage_batch`] runs a stage
+//! **instruction-major** over any number of *lanes* — one dispatch per
+//! instruction, then a lane loop — and appends state accesses to a
+//! caller-owned buffer tagged by lane, so steady-state execution
+//! allocates nothing. Lanes are rows of any [`LaneFields`] store: a
+//! dense [`FieldMatrix`], or, as the switch runs it, one lane over a
+//! packet's own field vector at the moment its stage is scheduled.
 //!
-//! Semantics are shared with the scalar path, not duplicated: ALU
+//! Semantics are shared with the interpreter, not duplicated: ALU
 //! work funnels through the same [`TacExpr::eval`](mp5_lang::TacExpr)
 //! and the stateful ops mirror `exec_instr` exactly (predicate-false
 //! reads still zero the destination and record no access). The
-//! equivalence is pinned by tests here and by the switch-level batch
-//! round-trip property tests.
+//! equivalence is pinned by tests here and, end to end, by the switch's
+//! equivalence to the Banzai reference.
 
 use crate::program::CompiledProgram;
 use mp5_lang::tac::TacInstr;
@@ -27,10 +26,9 @@ use mp5_types::{RegId, Value};
 ///
 /// Lanes of one batch may belong to different pipelines, each with its
 /// own replica of every register array (design principle D2). The
-/// kernel is generic over this trait — monomorphized per engine — so
-/// the sequential engine can serve reads from the switch's register
-/// table and the parallel engine from a worker's contiguous slice of
-/// per-pipeline units, without the kernel knowing either layout.
+/// kernel is generic over this trait — monomorphized per store — so it
+/// never knows the layout: the switch hands it one pipeline's replica,
+/// and a table indexed by `slot` serves lanes of several pipelines.
 pub trait BatchRegs {
     /// Reads `reg[idx]` in the register file of `slot` (the caller's
     /// pipeline/view handle carried per lane).
@@ -43,9 +41,9 @@ pub trait BatchRegs {
 ///
 /// The kernel only ever touches one lane's field vector at a time, so
 /// it does not care whether rows live in a dense [`FieldMatrix`] or
-/// in place inside caller-owned packets — the engine executes stages
-/// directly over its parked flights' field vectors, skipping the
-/// pack/unpack copy a dense matrix would force every cycle.
+/// in place inside caller-owned packets — the switch executes a stage
+/// directly on the scheduled packet's field vector, with no copy in or
+/// out.
 pub trait LaneFields {
     /// Lane `lane`'s field vector.
     fn row(&self, lane: u32) -> &[Value];
@@ -79,9 +77,9 @@ pub struct LaneAccess {
 }
 
 /// A dense lane-major matrix of packet fields: row `l` holds the full
-/// field vector of lane `l`. The struct-of-arrays half of the batch
-/// representation — instruction-major kernels stride over rows with no
-/// per-packet indirection, and the buffer is reused across cycles.
+/// field vector of lane `l`. A many-lane kernel call strides over rows
+/// with no per-packet indirection, and the buffer is reused across
+/// calls.
 #[derive(Debug, Default)]
 pub struct FieldMatrix {
     vals: Vec<Value>,

@@ -65,28 +65,23 @@ impl std::str::FromStr for EngineMode {
     }
 }
 
-/// Which implementation of the per-cycle work phase executes packets.
+/// How the per-cycle work phase finds its work.
 ///
-/// Both paths implement the same machine and produce **bit-identical**
-/// [`crate::RunReport`]s; they differ only in how the per-(pipeline,
-/// stage) inner loop is organized. Traced runs (`TraceSink::ENABLED`)
-/// always use the scalar path so the event stream keeps its historical
-/// interleaving — the batch path is an untraced-hot-path optimization,
-/// selected statically so traced builds pay nothing for the check. See
-/// `DESIGN.md` §13.
+/// Both variants run the same in-place work pass — per pipeline, stages
+/// ascending, each `(pipeline, stage)` slot schedules at most one packet
+/// and runs its stage on the spot — and produce **bit-identical**
+/// [`crate::RunReport`]s and, traced, the same event stream. They differ
+/// only in how slots are found and FIFOs serviced. See `DESIGN.md` §13.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum ExecPath {
-    /// The historical packet-at-a-time loop: each (pipeline, stage)
-    /// slot resolves/executes its packet inline as the scheduler visits
-    /// it.
+    /// The reference: the work pass probes every slot, the move phase
+    /// scans every lane, and a FIFO services with the paper-literal
+    /// scan over all of its lanes.
     Scalar,
-    /// Struct-of-arrays batching (the default): the scheduler first
-    /// *sweeps* every slot, packing chosen packets into a
-    /// [`PacketBatch`](crate::switch) — fields in a flat matrix, lane
-    /// metadata and verdict flags in parallel arrays — then executes
-    /// each stage's lanes as one tight loop over the matrix, and
-    /// finally *compacts*: verdicts, retirements and buffered side
-    /// effects are applied in the scalar path's exact order.
+    /// The default: for programs of at most 64 stages, per-pipeline
+    /// occupancy masks (incoming, queued, parked) lead the work pass and
+    /// the move phase to exactly the slots that hold work, and a FIFO
+    /// services through its occupancy index (same head, cheaper scan).
     #[default]
     Batch,
 }
@@ -240,8 +235,9 @@ pub struct SwitchConfig {
     /// Which cycle engine executes the simulation (results are
     /// bit-identical either way; see [`EngineMode`]).
     pub engine: EngineMode,
-    /// Which work-phase implementation executes packets (results are
-    /// bit-identical either way; see [`ExecPath`]).
+    /// How the work pass finds its slots and FIFOs service: occupancy
+    /// masks or a probe of every slot (results are bit-identical either
+    /// way; see [`ExecPath`]).
     pub exec: ExecPath,
     /// Record per-packet artifacts in the report: the per-packet output
     /// field map, the completion list, and the per-index access log.

@@ -5,15 +5,13 @@ use std::sync::{Arc, Mutex};
 
 use mp5_banzai::RunResult;
 use mp5_compiler::program::{INDEX_ARRAY_LEVEL, REG_STAGE_SENTINEL};
-use mp5_compiler::CompiledProgram;
+use mp5_compiler::{BatchRegs, CompiledProgram, LaneAccess, LaneFields, ResolvedAccess};
 use mp5_fabric::{
     Crossbar, Entry, FifoParts, FifoStats, LaneParts, LogicalFifo, OrderKey, PhantomChannel,
     PhantomKey, PopOutcome,
 };
 use mp5_faults::{FaultClass, FaultInjector, FaultKind, NoFaults, PhantomFate};
-use mp5_trace::{
-    BufSink, DropCause, Event, EventKind, MemSink, NopSink, TraceCtx, TraceSink, NO_LOC,
-};
+use mp5_trace::{DropCause, Event, EventKind, MemSink, NopSink, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::time::cycle_len;
 use mp5_types::{AccessTag, FastSet, Packet, PacketId, PipelineId, RegId, StageId, Value};
 
@@ -26,12 +24,6 @@ use crate::state::{
     KeySnap, LaneSnap, QueueSnap, ReportSnap, RestoreError, ResultSnap, StatsSnap, SwapError,
     SwapReport, SwitchState, XbarSnap,
 };
-
-/// The struct-of-arrays work phase (a child module so it can share the
-/// private work-phase types below; see DESIGN.md §13).
-#[path = "batch.rs"]
-mod batch;
-use batch::{batch_work, PacketBatch};
 
 /// Converts a fabric phantom key into the trace schema's access key.
 fn tkey(key: PhantomKey) -> mp5_trace::Key {
@@ -87,8 +79,8 @@ struct FlightInner {
     ingress: PipelineId,
 }
 
-/// The owning handle to a packet in flight. Lanes, incoming rows, batch
-/// rows and every FIFO slot hold (and move) this one pointer; the
+/// The owning handle to a packet in flight. Lanes, incoming rows and
+/// every FIFO slot hold (and move) this one pointer; the
 /// packet itself is written once at ingress and stays put until
 /// [`Mp5Switch::complete`] takes it back out (DESIGN.md §13).
 #[derive(Debug, Clone)]
@@ -399,8 +391,8 @@ impl StageQueue {
     }
 
     /// O(1) for the logical layout (the FIFO keeps an occupancy
-    /// counter); the batch sweep probes this for every `(pipeline,
-    /// stage)` slot before paying for a full `serve` scan.
+    /// counter); the work pass probes this for every `(pipeline, stage)`
+    /// slot before paying for a full `serve` scan.
     fn is_empty(&self) -> bool {
         match self {
             StageQueue::Logical(f) => f.is_empty(),
@@ -457,6 +449,10 @@ struct WorkCtx<'a> {
     /// Fabric-scale runs turn this off — see
     /// [`SwitchConfig::record_detail`].
     record_detail: bool,
+    /// Whether the occupancy masks (`Pipe::{inc, qmask, park}`) are
+    /// maintained and drive the pass (`ExecPath::Batch`); the scalar
+    /// reference probes every slot and leaves them alone.
+    masks: bool,
 }
 
 impl WorkCtx<'_> {
@@ -601,19 +597,24 @@ struct Pipe {
     /// Side effects on shared structures, applied by the coordinator in
     /// ascending pipeline order.
     fx: WorkFx,
-    /// Trace events of this cycle's work phase (traced runs only),
-    /// flushed into the sink in ascending pipeline order.
+    /// Trace events of this cycle's work phase on a parallel-engine
+    /// worker (traced runs only), flushed into the sink in ascending
+    /// pipeline order by the coordinator.
     events: Vec<Event>,
+    /// Reusable address-resolution output for the pipeline head.
+    resolved: Vec<ResolvedAccess>,
+    /// Reusable kernel output for one body stage of one packet.
+    kout: Vec<LaneAccess>,
     /// Stages holding a parked flight (`ExecPath::Batch`, stages < 64):
-    /// compaction sets a bit when it parks, the move phase drains
+    /// the work pass sets a bit when it parks, the move phase drains
     /// exactly the set bits instead of scanning every lane slot.
     park: u64,
     /// Filled `inc_row` slots (stages < 64): the move phase and ingress
-    /// set bits, the batch sweep takes the mask and tests bits instead of
+    /// set bits, the work pass takes the mask and tests bits instead of
     /// probing every slot.
     inc: u64,
     /// Stage FIFOs that *may* be non-empty (stages < 64; a conservative
-    /// superset): every enqueue site sets a bit, the batch sweep visits
+    /// superset): every enqueue site sets a bit, the work pass visits
     /// only `inc | qmask` and clears a bit lazily when the queue turns
     /// out empty.
     qmask: u64,
@@ -632,91 +633,165 @@ impl Pipe {
     }
 }
 
-/// The admit/work phase of one pipeline for one cycle: each stage
-/// processes at most one packet, with the incoming pass-through packet
-/// taking priority over queued stateful work (Invariant 2).
+/// Register-file adapter for the kernel: a one-lane call runs against
+/// this pipeline's replica, so the slot handle is ignored.
+struct Replica<'a>(&'a mut [Vec<Value>]);
+
+impl BatchRegs for Replica<'_> {
+    #[inline]
+    fn read(&mut self, _slot: u16, reg: RegId, idx: u32) -> Value {
+        self.0[reg.index()][idx as usize]
+    }
+
+    #[inline]
+    fn write(&mut self, _slot: u16, reg: RegId, idx: u32, val: Value) {
+        self.0[reg.index()][idx as usize] = val;
+    }
+}
+
+/// Field adapter for the kernel: lane 0 is the flight's own field
+/// vector, read and written in place.
+struct OneLane<'a>(&'a mut [Value]);
+
+impl LaneFields for OneLane<'_> {
+    #[inline]
+    fn row(&self, _lane: u32) -> &[Value] {
+        self.0
+    }
+
+    #[inline]
+    fn row_mut(&mut self, _lane: u32) -> &mut [Value] {
+        self.0
+    }
+}
+
+/// The admit/work phase of one pipeline for one cycle, stages
+/// ascending: each `(pipeline, stage)` slot makes its scheduler
+/// decision — the incoming pass-through packet first (Invariant 2),
+/// else one FIFO service — and runs the chosen packet's stage on the
+/// spot, so side effects and trace events come out in the one order
+/// the report and the stream are defined by (DESIGN.md §13).
+///
+/// With masks on and at most 64 stages the pass visits only the slots
+/// in `inc | qmask`, ascending bit order being stage order: any other
+/// slot has no incoming packet and nothing queued, so its decision is
+/// a no-op. The scalar reference, and wider programs, probe every slot.
 fn work_pipeline<S: TraceSink>(ctx: &WorkCtx<'_>, pl: usize, pipe: &mut Pipe, sink: &mut S) {
-    let Pipe {
-        inc_row,
-        queues,
-        lanes,
-        regs,
-        fx,
-        ..
-    } = pipe;
-    for st in 0..inc_row.len() {
-        if let Some(fl) = inc_row[st].take() {
-            // Starvation handling (§3.4): drop an incoming packet that
-            // is stateless-from-here-on in favor of a long-starved
-            // queued stateful packet.
-            if let Some(thr) = ctx.starvation_threshold {
-                let starved = fl.pkt.tags.is_empty()
-                    && queues[st].oldest_ts().is_some_and(|ts| {
-                        let now = ctx.cycle * ctx.clen;
-                        now.saturating_sub(ts.0) > thr * ctx.clen
-                    });
-                if starved {
-                    fx.starvation_drops.push((pl as u16, st as u16));
-                    if S::ENABLED {
-                        TraceCtx::new(ctx.cycle, pl as u16, st as u16).emit(
-                            sink,
-                            EventKind::Drop {
-                                pkt: fl.pkt.id,
-                                cause: DropCause::Starvation,
-                            },
-                        );
-                    }
-                    if ctx.stalled(pl, st) {
-                        fx.stall_cycles += 1;
-                    } else {
-                        serve_queue(ctx, pl, st, queues, lanes, regs, sink, fx);
-                    }
-                    continue;
-                }
-            }
-            if S::ENABLED {
-                // Invariant 2 in action: the incoming packet takes the
-                // slot; `bypassed` flags the case where queued stateful
-                // work was waiting.
-                let bypassed = !queues[st].is_empty();
-                TraceCtx::new(ctx.cycle, pl as u16, st as u16).emit(
-                    sink,
-                    EventKind::Execute {
-                        pkt: fl.pkt.id,
-                        queued: false,
-                        bypassed,
-                    },
+    if ctx.masks {
+        // Consumed on every width: bits exist only for stages < 64.
+        let inc = std::mem::take(&mut pipe.inc);
+        if pipe.inc_row.len() <= 64 {
+            let mut work = inc | pipe.qmask;
+            while work != 0 {
+                let st = work.trailing_zeros() as usize;
+                work &= work - 1;
+                debug_assert_eq!(
+                    inc & (1 << st) != 0,
+                    pipe.inc_row[st].is_some(),
+                    "incoming mask out of sync at stage {st}"
                 );
+                work_slot(ctx, pl, st, pipe, sink);
             }
-            let fl = process_flight(ctx, pl, st, fl, queues, regs, sink, fx);
-            lanes[st] = Some(fl);
-        } else if ctx.stalled(pl, st) {
-            // Injected stall: the stage's scheduler is frozen this
-            // cycle. Only count slots where work was actually waiting.
-            if !queues[st].is_empty() {
-                fx.stall_cycles += 1;
-            }
-        } else {
-            serve_queue(ctx, pl, st, queues, lanes, regs, sink, fx);
+            debug_assert!(
+                pipe.inc_row.iter().all(|s| s.is_none()),
+                "incoming flight missed by the work mask"
+            );
+            return;
         }
     }
+    for st in 0..pipe.inc_row.len() {
+        work_slot(ctx, pl, st, pipe, sink);
+    }
+}
+
+/// One `(pipeline, stage)` slot: the scheduler's decision, then the
+/// chosen packet's stage.
+fn work_slot<S: TraceSink>(ctx: &WorkCtx<'_>, pl: usize, st: usize, pipe: &mut Pipe, sink: &mut S) {
+    let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
+    let fl = if let Some(fl) = pipe.inc_row[st].take() {
+        // Starvation handling (§3.4): drop an incoming packet that is
+        // stateless-from-here-on in favor of a long-starved queued
+        // stateful packet. A threshold past the byte-time horizon
+        // saturates, so it never fires.
+        if let Some(thr) = ctx.starvation_threshold {
+            let starved = fl.pkt.tags.is_empty()
+                && pipe.queues[st].oldest_ts().is_some_and(|ts| {
+                    let now = ctx.cycle * ctx.clen;
+                    now.saturating_sub(ts.0) > thr.saturating_mul(ctx.clen)
+                });
+            if starved {
+                pipe.fx.starvation_drops.push((pl as u16, st as u16));
+                if S::ENABLED {
+                    tctx.emit(
+                        sink,
+                        EventKind::Drop {
+                            pkt: fl.pkt.id,
+                            cause: DropCause::Starvation,
+                        },
+                    );
+                }
+                if ctx.stalled(pl, st) {
+                    pipe.fx.stall_cycles += 1;
+                } else if let Some(queued) = serve_queue(ctx, pl, st, pipe, sink) {
+                    process_flight(ctx, pl, st, queued, pipe, sink);
+                }
+                return;
+            }
+        }
+        if S::ENABLED {
+            // Invariant 2 in action: the incoming packet takes the
+            // slot; `bypassed` flags the case where queued stateful
+            // work was waiting.
+            let bypassed = !pipe.queues[st].is_empty();
+            tctx.emit(
+                sink,
+                EventKind::Execute {
+                    pkt: fl.pkt.id,
+                    queued: false,
+                    bypassed,
+                },
+            );
+        }
+        fl
+    } else if ctx.stalled(pl, st) {
+        // Injected stall: the stage's scheduler is frozen this cycle.
+        // Only count slots where work was actually waiting.
+        if !pipe.queues[st].is_empty() {
+            pipe.fx.stall_cycles += 1;
+        } else if ctx.masks && st < 64 {
+            pipe.qmask &= !(1 << st);
+        }
+        return;
+    } else if let Some(fl) = serve_queue(ctx, pl, st, pipe, sink) {
+        fl
+    } else {
+        return;
+    };
+    process_flight(ctx, pl, st, fl, pipe, sink);
 }
 
 /// Serves one packet from the stage's FIFO, if the scheduler finds a
 /// servable head.
-#[allow(clippy::too_many_arguments)]
 fn serve_queue<S: TraceSink>(
     ctx: &WorkCtx<'_>,
     pl: usize,
     st: usize,
-    queues: &mut [StageQueue],
-    lanes: &mut [Option<Flight>],
-    regs: &mut [Vec<Value>],
+    pipe: &mut Pipe,
     sink: &mut S,
-    fx: &mut WorkFx,
-) {
+) -> Option<Flight> {
+    // A truly empty queue's `serve` is a no-op (`pop` scans every lane
+    // head twice just to report `Empty`), and most queues are empty
+    // most cycles. A queue holding only free stales still counts as
+    // occupied, so the drain inside `pop` is preserved. An empty queue
+    // also retires its (conservative) occupancy bit here.
+    if pipe.queues[st].is_empty() {
+        if ctx.masks && st < 64 {
+            pipe.qmask &= !(1 << st);
+        }
+        return None;
+    }
     let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
-    match queues[st].serve(st, sink, tctx) {
+    match pipe.queues[st].serve(st, sink, tctx) {
         Serve::Served(fl) => {
             if S::ENABLED {
                 tctx.emit(
@@ -728,32 +803,31 @@ fn serve_queue<S: TraceSink>(
                     },
                 );
             }
-            let fl = process_flight(ctx, pl, st, fl, queues, regs, sink, fx);
-            lanes[st] = Some(fl);
+            Some(fl)
         }
         Serve::Wasted => {
-            fx.wasted_cycles += 1;
+            pipe.fx.wasted_cycles += 1;
+            None
         }
-        Serve::Idle => {}
+        Serve::Idle => None,
     }
 }
 
-/// Executes the stage's work on a packet: address resolution at the
-/// pipeline head, phantom generation at the end of the prologue, and
-/// the body stage program elsewhere.
-#[allow(clippy::too_many_arguments)]
+/// Executes the stage's work on the packet its slot scheduled —
+/// address resolution at the pipeline head, phantom generation at the
+/// end of the prologue, the body stage program elsewhere — and parks it
+/// in the stage's lane for the next move phase.
 fn process_flight<S: TraceSink>(
     ctx: &WorkCtx<'_>,
     pl: usize,
     st: usize,
     mut fl: Flight,
-    queues: &mut [StageQueue],
-    regs: &mut [Vec<Value>],
+    pipe: &mut Pipe,
     sink: &mut S,
-    fx: &mut WorkFx,
-) -> Flight {
+) {
+    let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
     if st == 0 && ctx.prologue > 0 {
-        resolve_flight(ctx, &mut fl, fx);
+        resolve_flight(ctx, &mut fl, &mut pipe.resolved, &mut pipe.fx);
     }
     if ctx.prologue > 0 && st == ctx.prologue - 1 && ctx.phantoms {
         // Phantom generation stage: one phantom per resolved access, in
@@ -761,7 +835,7 @@ fn process_flight<S: TraceSink>(
         // is shared).
         for tag in &fl.pkt.tags {
             if S::ENABLED {
-                TraceCtx::new(ctx.cycle, pl as u16, st as u16).emit(
+                tctx.emit(
                     sink,
                     EventKind::PhantomEmit {
                         key: tkey(fl.key(tag)),
@@ -770,7 +844,7 @@ fn process_flight<S: TraceSink>(
                     },
                 );
             }
-            fx.injects.push(PhantomInject {
+            pipe.fx.injects.push(PhantomInject {
                 msg: PhantomMsg {
                     key: fl.key(tag),
                     ts: fl.order,
@@ -780,15 +854,27 @@ fn process_flight<S: TraceSink>(
                 from: StageId(st as u16),
                 dest: tag.stage,
             });
-            fx.phantoms_generated += 1;
+            pipe.fx.phantoms_generated += 1;
         }
     }
     if st >= ctx.prologue {
-        let body = st - ctx.prologue;
-        let accesses = ctx.prog.execute_stage(body, &mut fl.pkt.fields, regs);
-        for a in &accesses {
+        // The body stage: one lane of the instruction-major kernel over
+        // the flight's own fields and this pipeline's register replica.
+        let kout = &mut pipe.kout;
+        kout.clear();
+        ctx.prog.execute_stage_batch(
+            st - ctx.prologue,
+            &[0],
+            &[0],
+            &mut OneLane(&mut fl.pkt.fields),
+            &mut Replica(&mut pipe.regs),
+            kout,
+        );
+        // A read-modify-write reports its index once.
+        kout.dedup();
+        for a in kout.iter() {
             if S::ENABLED {
-                TraceCtx::new(ctx.cycle, pl as u16, st as u16).emit(
+                tctx.emit(
                     sink,
                     EventKind::Access {
                         pkt: fl.pkt.id,
@@ -799,7 +885,7 @@ fn process_flight<S: TraceSink>(
                 );
             }
             if ctx.record_detail {
-                fx.accesses.push((a.reg, a.index, fl.pkt.id));
+                pipe.fx.accesses.push((a.reg, a.index, fl.pkt.id));
             }
         }
         // Retire this stage's tags. A retired *speculative* tag whose
@@ -815,32 +901,42 @@ fn process_flight<S: TraceSink>(
             let tag = fl.pkt.tags.remove(0);
             retired_speculative |= tag.speculative;
             if !first && ctx.phantoms {
-                let key = fl.key(&tag);
-                let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
-                queues[st].cancel(key, false, sink, tctx);
+                pipe.queues[st].cancel(fl.key(&tag), false, sink, tctx);
             }
             first = false;
             if tag.reg != REG_STAGE_SENTINEL && tag.index != INDEX_ARRAY_LEVEL {
-                fx.ctr_ops.push(CtrOp::Dec {
+                pipe.fx.ctr_ops.push(CtrOp::Dec {
                     reg: tag.reg,
                     index: tag.index,
                 });
             }
         }
-        if retired_speculative && accesses.is_empty() {
-            fx.wasted_cycles += 1;
+        if retired_speculative && kout.is_empty() {
+            pipe.fx.wasted_cycles += 1;
         }
     }
-    fl
+    pipe.lanes[st] = Some(fl);
+    if ctx.masks && st < 64 {
+        pipe.park |= 1 << st;
+    }
 }
 
 /// Runs preemptive address resolution (§3.3) on an arriving packet:
 /// computes every index it will access, consults the index-to-pipeline
 /// map, tags the packet, and buffers the runtime counter bumps.
-fn resolve_flight(ctx: &WorkCtx<'_>, fl: &mut Flight, fx: &mut WorkFx) {
-    let resolved = ctx.prog.resolve(&mut fl.pkt.fields);
-    let mut tags = Vec::with_capacity(resolved.len());
-    for r in resolved {
+fn resolve_flight(
+    ctx: &WorkCtx<'_>,
+    fl: &mut Flight,
+    resolved: &mut Vec<ResolvedAccess>,
+    fx: &mut WorkFx,
+) {
+    ctx.prog.resolve_into(&mut fl.pkt.fields, resolved);
+    // A packet another switch of a fabric forwarded still owns its last
+    // hop's (retired, empty) tag list: reuse it.
+    let tags = &mut fl.pkt.tags;
+    tags.clear();
+    tags.reserve_exact(resolved.len());
+    for r in resolved.iter() {
         let dest = if r.reg == REG_STAGE_SENTINEL
             || r.index == INDEX_ARRAY_LEVEL
             || !ctx.prog.regs[r.reg.index()].shardable
@@ -866,7 +962,6 @@ fn resolve_flight(ctx: &WorkCtx<'_>, fl: &mut Flight, fx: &mut WorkFx) {
         });
     }
     debug_assert!(tags.windows(2).all(|w| w[0].stage <= w[1].stage));
-    fl.pkt.tags = tags;
 }
 
 // ---------------------------------------------------------------------
@@ -887,11 +982,9 @@ struct EngineShared {
     tracing: bool,
     /// Mirrors [`SwitchConfig::record_detail`] for worker-side gating.
     record_detail: bool,
-    /// Whether workers run the SoA batch work phase (`ExecPath::Batch`)
-    /// instead of the scalar loop. Traced batch runs buffer events per
-    /// pipeline and the coordinator replays them in pipeline order,
-    /// same as the scalar parallel path.
-    batch: bool,
+    /// Whether the occupancy masks drive the work pass
+    /// (`ExecPath::Batch`); see [`WorkCtx::masks`].
+    masks: bool,
 }
 
 /// A cycle's worth of work for one worker: a contiguous chunk of
@@ -908,20 +1001,15 @@ struct Job {
     /// Injected stalls active this cycle (empty under `NoFaults`; a
     /// plain clone per job keeps workers free of fault generics).
     stalls: Vec<(u16, u16)>,
-    /// Recycled SoA buffers when `shared.batch` is set: the worker runs
-    /// the batch passes over its contiguous pipeline range instead of
-    /// the scalar loop (`None` on the scalar path).
-    batch: Option<PacketBatch>,
 }
 
-/// What one worker hands back per job: the finished pipes (with
-/// buffered effects and events) plus the job's recycled batch buffers.
-type JobOut = (Vec<Pipe>, Option<PacketBatch>);
-
-/// Worker-side entry point: runs the work phase for every pipe in the
-/// job and hands the pipes (with buffered effects and events) back,
-/// along with the job's recycled batch buffers.
-fn run_job(mut job: Job) -> JobOut {
+/// Worker-side entry point: runs the work pass for every pipe in the
+/// job and hands the pipes (with buffered effects and events) back.
+/// `run_job` is a plain fn (no sink generic reaches the workers), so
+/// the traced/untraced split is a runtime branch between two
+/// monomorphizations; a traced worker records into each pipe's own
+/// `MemSink`, in the order the sequential engine emits.
+fn run_job(mut job: Job) -> Vec<Pipe> {
     let shared = Arc::clone(&job.shared);
     let ctx = WorkCtx {
         prog: &shared.prog,
@@ -933,21 +1021,8 @@ fn run_job(mut job: Job) -> JobOut {
         prologue: shared.prologue,
         stalls: &job.stalls,
         record_detail: shared.record_detail,
+        masks: shared.masks,
     };
-    if let Some(pack) = job.batch.as_mut() {
-        // SoA path: this worker's pipes are a contiguous range of the
-        // cycle's global batch; sweep/execute/compact run over all of
-        // them at once (see `batch_work`). `run_job` is a plain fn (no
-        // sink generic reaches the workers), so the traced/untraced
-        // split is a runtime branch on two monomorphizations — the type
-        // parameter only feeds the `const ENABLED` guards.
-        if shared.tracing {
-            batch_work::<MemSink>(&ctx, job.base, &mut job.pipes, pack);
-        } else {
-            batch_work::<NopSink>(&ctx, job.base, &mut job.pipes, pack);
-        }
-        return (job.pipes, job.batch);
-    }
     for (j, pipe) in job.pipes.iter_mut().enumerate() {
         let pl = job.base + j;
         if shared.tracing {
@@ -960,7 +1035,7 @@ fn run_job(mut job: Job) -> JobOut {
             work_pipeline(&ctx, pl, pipe, &mut NopSink);
         }
     }
-    (job.pipes, None)
+    job.pipes
 }
 
 /// A shareable handle to a parallel-engine worker pool.
@@ -976,7 +1051,7 @@ fn run_job(mut job: Job) -> JobOut {
 /// them.
 #[derive(Clone)]
 pub struct EnginePool {
-    inner: Arc<Mutex<WorkerPool<Job, JobOut>>>,
+    inner: Arc<Mutex<WorkerPool<Job, Vec<Pipe>>>>,
     workers: usize,
 }
 
@@ -996,7 +1071,7 @@ impl EnginePool {
     }
 
     /// Runs one barrier round on the pool (see [`WorkerPool::exchange`]).
-    fn exchange(&self, jobs: Vec<Job>) -> Vec<JobOut> {
+    fn exchange(&self, jobs: Vec<Job>) -> Vec<Vec<Pipe>> {
         self.inner
             .lock()
             .expect("engine pool lock poisoned")
@@ -1013,13 +1088,10 @@ impl std::fmt::Debug for EnginePool {
 }
 
 /// The parallel engine's per-switch state: the (possibly shared) worker
-/// pool, the `Arc`ed run-wide context, and recycled per-job buffers.
+/// pool and the `Arc`ed run-wide context.
 struct ParEngine {
     pool: EnginePool,
     shared: Arc<EngineShared>,
-    /// Recycled per-job SoA buffers for the batch path (empty on the
-    /// scalar path).
-    spare_batch: Vec<PacketBatch>,
 }
 
 impl std::fmt::Debug for ParEngine {
@@ -1090,12 +1162,9 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     /// Parallel engine (worker pool + shared statics); `None` under
     /// [`EngineMode::Sequential`].
     par: Option<ParEngine>,
-    /// Whether the SoA batch work phase is in effect
-    /// (`ExecPath::Batch`, decided once at construction).
-    use_batch: bool,
-    /// The sequential engine's SoA buffers (unused on the scalar path
-    /// and by the parallel engine, whose jobs carry their own).
-    pack: PacketBatch,
+    /// Whether the occupancy masks drive the work pass and the move
+    /// phase (`ExecPath::Batch`, decided once at construction).
+    masks: bool,
     sink: S,
     /// Deterministic fault schedule (inert [`NoFaults`] by default).
     faults: F,
@@ -1237,11 +1306,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         let pipes = (0..k).map(|_| Pipe::new(&prog, &cfg)).collect();
         let mut report = RunReport::new();
         report.set_cycle_len(cycle_len(timing_k));
-        // Traced runs ride the SoA path too: the batch passes buffer
-        // events per pipeline and flush them in the canonical scalar
-        // order (see `batch::merge_flush`), so the recorded stream hash
-        // is bit-identical to the scalar reference either way.
-        let use_batch = cfg.exec == ExecPath::Batch;
+        let masks = cfg.exec == ExecPath::Batch;
         let par = match cfg.engine {
             EngineMode::Sequential => None,
             EngineMode::Parallel(_) => {
@@ -1253,14 +1318,10 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                     prologue,
                     tracing: S::ENABLED,
                     record_detail: cfg.record_detail,
-                    batch: use_batch,
+                    masks,
                 });
                 let pool = pool.unwrap_or_else(|| EnginePool::new(cfg.engine.workers_for(k)));
-                Some(ParEngine {
-                    pool,
-                    shared,
-                    spare_batch: Vec::new(),
-                })
+                Some(ParEngine { pool, shared })
             }
         };
         Ok(Mp5Switch {
@@ -1287,8 +1348,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             cycle: 0,
             report,
             par,
-            use_batch,
-            pack: PacketBatch::default(),
+            masks,
             sink,
             faults,
             dead: vec![false; k],
@@ -1628,12 +1688,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// The move phase: every stage occupant advances, pipelines
     /// ascending, stages descending — the order the event stream and
     /// `RunReport` are defined by. For programs of ≤ 64 stages the batch
-    /// path drains the park mask (filled by last cycle's compaction)
+    /// path drains the park mask (filled by last cycle's work pass)
     /// highest bit first, which visits exactly the occupied lane slots
     /// in that order; the scalar reference, and wider programs, scan
     /// every slot.
     fn move_phase(&mut self) {
-        let masked = self.use_batch && self.stages <= 64;
+        let masked = self.masks && self.stages <= 64;
         for pl in 0..self.k {
             if masked {
                 let mut mask = std::mem::take(&mut self.pipes[pl].park);
@@ -1673,9 +1733,10 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             _ => {
                 let pipe = &mut self.pipes[pl];
                 pipe.inc_row[next] = Some(fl);
-                // Only the batch sweep reads (and clears) the mask; the
-                // scalar reference leaves it as its snapshots always had it.
-                if self.use_batch && next < 64 {
+                // Only the masked work pass reads (and clears) the mask;
+                // the scalar reference leaves it as its snapshots always
+                // had it.
+                if self.masks && next < 64 {
                     pipe.inc |= 1 << next;
                 }
                 return;
@@ -1706,10 +1767,8 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     }
 
     /// The work phase on the sequential engine, over the switch's own
-    /// pipes: the SoA passes over all of them at once (batch path) or
-    /// `work_pipeline` one pipeline at a time (scalar reference), then
-    /// each pipeline's events and side effects in ascending order — the
-    /// scalar effect order.
+    /// pipes in ascending order: each pipeline's work pass emits straight
+    /// into the sink, then its buffered side effects are applied.
     fn work_seq(&mut self) {
         let ctx = WorkCtx {
             prog: &self.prog,
@@ -1721,18 +1780,10 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             prologue: self.prologue,
             stalls: self.faults.active_stalls(),
             record_detail: self.cfg.record_detail,
+            masks: self.masks,
         };
-        if self.use_batch {
-            batch_work::<S>(&ctx, 0, &mut self.pipes, &mut self.pack);
-        }
         for (pl, pipe) in self.pipes.iter_mut().enumerate() {
-            if !self.use_batch {
-                work_pipeline(&ctx, pl, pipe, &mut self.sink);
-            } else if S::ENABLED {
-                for ev in pipe.events.drain(..) {
-                    self.sink.emit(ev);
-                }
-            }
+            work_pipeline(&ctx, pl, pipe, &mut self.sink);
             apply_work_fx(
                 &mut pipe.fx,
                 &mut self.access_ctr,
@@ -1775,9 +1826,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 base: range.start,
                 pipes: self.pipes[range].iter_mut().map(std::mem::take).collect(),
                 stalls: stalls.clone(),
-                batch: shared
-                    .batch
-                    .then(|| par.spare_batch.pop().unwrap_or_default()),
             });
         }
         // `Parallel(n)` resolving to a single worker (n = 1, or k = 1)
@@ -1792,10 +1840,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             par.pool.exchange(jobs)
         };
         let mut pl = 0;
-        for (pipes, pack) in outs {
-            if let Some(pack) = pack {
-                par.spare_batch.push(pack);
-            }
+        for pipes in outs {
             for mut pipe in pipes {
                 debug_assert!(pipe.inc_row.iter().all(|s| s.is_none()));
                 if S::ENABLED {
@@ -2998,7 +3043,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 prologue: s.prologue,
                 tracing: s.tracing,
                 record_detail: s.record_detail,
-                batch: s.batch,
+                masks: s.masks,
             });
         }
         self.prog = new_prog;

@@ -15,10 +15,11 @@
 //! the chosen access pattern (every field gets an independent draw),
 //! which drives the register indexes for typical hash-indexed programs.
 //!
-//! `--exec scalar|batch` selects the work-phase implementation for the
-//! MP5-family designs (default `batch`; results are bit-identical —
-//! the scalar path is the frozen reference oracle). `recirc` has a
-//! single implementation and ignores the flag.
+//! `--exec scalar|batch` selects how the MP5-family designs' work pass
+//! finds its work (default `batch`, led by occupancy masks; `scalar`
+//! probes every slot and services FIFOs with the paper-literal lane
+//! scan). Results and traces are bit-identical. `recirc` has a single
+//! implementation and ignores the flag.
 //!
 //! Observability flags (any of them switches the run into traced mode):
 //!

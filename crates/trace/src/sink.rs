@@ -64,24 +64,6 @@ impl TraceSink for MemSink {
     }
 }
 
-/// A borrowed event buffer: appends into a `Vec<Event>` owned by the
-/// caller. The batch execution path uses this to collect events into
-/// per-batch scratch buffers during stage-major kernels and flush them
-/// to the real sink in canonical scalar order at compaction — the
-/// traced path rides the SoA loop instead of falling back to scalar.
-#[derive(Debug)]
-pub struct BufSink<'a>(
-    /// The destination buffer.
-    pub &'a mut Vec<Event>,
-);
-
-impl TraceSink for BufSink<'_> {
-    #[inline]
-    fn emit(&mut self, ev: Event) {
-        self.0.push(ev);
-    }
-}
-
 /// A bounded ring-buffer sink holding the most recent `capacity`
 /// events — "flight recorder" mode for long runs where only the tail
 /// leading up to an anomaly matters.

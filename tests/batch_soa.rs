@@ -1,14 +1,15 @@
-//! SoA batch work-phase property suite: random traffic through random
-//! switch configurations must produce **byte-identical** [`RunReport`]s
-//! on the scalar reference interpreter and the data-oriented batch path
-//! (pack → stage-major execute → verdict compaction), for one canonical
-//! program per shardability class `mp5-analysis` emits (paper §3.3).
+//! Exec-path property suite: random traffic through random switch
+//! configurations must produce **byte-identical** [`RunReport`]s on the
+//! scalar reference (every slot probed, paper-literal FIFO scan) and
+//! the mask-led batch path (occupancy masks, indexed FIFO service), for
+//! one canonical program per shardability class `mp5-analysis` emits
+//! (paper §3.3).
 //!
-//! The class coverage matters because the batch kernel's gather/dedup
-//! handling differs with how arrays shard: a `Shardable` array spreads
-//! indexes across pipelines, while the three pinned classes serialize
-//! at array granularity and stress the consecutive-access dedup and
-//! wasted-speculation verdict bits instead.
+//! The class coverage matters because queueing differs with how arrays
+//! shard: a `Shardable` array spreads indexes across pipelines, while
+//! the three pinned classes serialize at array granularity and stress
+//! the consecutive-access dedup and wasted-speculation accounting
+//! instead.
 
 use proptest::prelude::*;
 
@@ -118,8 +119,8 @@ fn config_strategy() -> impl Strategy<Value = SwitchConfig> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Random batches through SoA pack → stage execute → compact are
-    /// byte-identical to the scalar path, per shardability class.
+    /// Random traffic on the batch path is byte-identical to the
+    /// scalar path, per shardability class.
     #[test]
     fn batch_path_matches_scalar_for_every_shard_class(
         case_idx in 0usize..CASES.len(),

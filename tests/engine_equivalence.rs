@@ -7,16 +7,19 @@
 //! This is the contract `EngineMode` documents and `DESIGN.md` §10
 //! argues: the parallel engine shards the work phase of each cycle and
 //! merges buffered side effects in pipeline order, so no observable
-//! difference may ever appear. The same bar applies to the work phase's
-//! two execution paths (`ExecPath::Scalar` vs the SoA `Batch` default,
-//! DESIGN.md §13). Scale knob: `MP5_EQ_PACKETS` (default 300 packets
-//! per run).
+//! difference may ever appear. The same bar applies to the work pass's
+//! two exec paths (`ExecPath::Scalar`, probing every slot, vs the
+//! mask-led `Batch` default, DESIGN.md §13). Scale knob:
+//! `MP5_EQ_PACKETS` (default 300 packets per run).
 
 use mp5::apps::ALL_APPS;
+use mp5::banzai::BanzaiSwitch;
+use mp5::compiler::{compile, Target};
 use mp5::core::{EngineMode, ExecPath, Mp5Switch, RunReport, SwitchConfig};
 use mp5::faults::FaultPlan;
 use mp5::sim::experiments::app_trace;
 use mp5::trace::{audit, stream_hash, MemSink, NopSink};
+use mp5::traffic::TraceBuilder;
 
 fn packets_per_run() -> usize {
     std::env::var("MP5_EQ_PACKETS")
@@ -102,7 +105,7 @@ fn untraced_runs_agree_across_engines() {
     }
 }
 
-/// The SoA batch work phase (the default, [`ExecPath::Batch`]) must be
+/// The mask-led work pass (the default, [`ExecPath::Batch`]) must be
 /// bit-identical to the scalar reference interpreter: all ten bundled
 /// programs × seeds × pipelines {1,2,4,8} through the sequential
 /// engine.
@@ -187,10 +190,9 @@ fn batch_work_phase_matches_scalar_under_faults() {
     }
 }
 
-/// Attaching a sink no longer changes the execution path: a traced run
-/// rides the SoA batch passes (events buffered per batch, flushed in
-/// canonical scalar order) and its report equals the untraced batch
-/// run's report.
+/// Attaching a sink does not change the execution path: a traced run
+/// emits from the same in-place work pass, and its report equals the
+/// untraced batch run's report.
 #[test]
 fn traced_runs_ride_the_batch_path() {
     for app in &ALL_APPS[..4] {
@@ -237,7 +239,7 @@ fn traced_batch_stream_matches_traced_scalar() {
 }
 
 /// The same stream-identity bar under fault plans: stalls, kills,
-/// phantom drops and grant delays interleave with the batch passes
+/// phantom drops and grant delays interleave with the work pass
 /// without perturbing the canonical event order, on both engines.
 #[test]
 fn traced_batch_stream_is_bit_identical_under_faults() {
@@ -266,6 +268,61 @@ fn traced_batch_stream_is_bit_identical_under_faults() {
                 "{} k={k}: fault ledger must close",
                 app.name
             );
+        }
+    }
+}
+
+/// The occupancy masks cover 64 stages; a wider program probes every
+/// slot on both exec paths. A 70-link dependency chain feeding one
+/// `r[16]` update, one operation per stage, fills 100 stages: batch and
+/// scalar on both engines give one report and one event stream, and
+/// that report is equivalent to Banzai's single pipeline.
+#[test]
+fn programs_wider_than_64_stages_agree_on_every_path() {
+    let mut src = String::from(
+        "struct Packet { int h; int o; };
+         int r[16] = {0};
+         void func(struct Packet p) {
+             int t0 = p.h;\n",
+    );
+    for i in 1..=70 {
+        src += &format!("int t{i} = t{} * 3 + 1;\n", i - 1);
+    }
+    src += "r[p.h % 16] = r[p.h % 16] + t70;
+            p.o = r[p.h % 16];
+         }";
+    let target = Target {
+        max_stages: 100,
+        max_chain_depth: 1,
+        max_ops_per_stage: 256,
+        ..Default::default()
+    };
+    let prog = compile(&src, &target).expect("the chain compiles");
+    assert!(
+        prog.num_stages() > 64,
+        "the chain must be wider than the masks: {} stages",
+        prog.num_stages()
+    );
+    let trace = TraceBuilder::new(300, 7).build(prog.num_fields(), |rng, _, f| {
+        f[0] = rand::Rng::gen_range(rng, 0..1000);
+    });
+    let reference = BanzaiSwitch::new(prog.clone()).run(trace.clone());
+    let mut first: Option<(RunReport, u64)> = None;
+    for exec in [ExecPath::Batch, ExecPath::Scalar] {
+        for engine in [EngineMode::Sequential, EngineMode::Parallel(2)] {
+            let cfg = SwitchConfig::mp5(4).with_exec(exec).with_engine(engine);
+            let (rep, hash) = traced(&prog, &trace, cfg);
+            assert!(
+                rep.result.equivalent_to(&reference),
+                "{exec} {engine:?}: not equivalent to Banzai"
+            );
+            match &first {
+                None => first = Some((rep, hash)),
+                Some((rep0, hash0)) => {
+                    assert_eq!(rep0, &rep, "{exec} {engine:?}: report diverged");
+                    assert_eq!(*hash0, hash, "{exec} {engine:?}: event stream diverged");
+                }
+            }
         }
     }
 }

@@ -240,6 +240,46 @@ fn starvation_threshold_sheds_stateless_packets() {
 }
 
 #[test]
+fn starvation_threshold_past_the_horizon_never_fires() {
+    // The probe compares ages in byte-times, so the threshold is scaled
+    // by the cycle length (256 at k = 4). `1 << 56` scaled that way used
+    // to wrap to zero and shed packets a real threshold never would.
+    let src = "struct Packet { int kind; int o; };
+        int hot = 0;
+        void func(struct Packet p) {
+            if (p.kind == 1) { hot = hot + 1; }
+            p.o = p.kind;
+        }";
+    let prog = compile(src, &Target::default()).unwrap();
+    let trace = TraceBuilder::new(6000, 3).build(prog.num_fields(), |rng, _, f| {
+        f[0] = i64::from(rand::Rng::gen_bool(rng, 0.5));
+    });
+    let run = |threshold| {
+        Mp5Switch::new(
+            prog.clone(),
+            SwitchConfig {
+                starvation_threshold: threshold,
+                ..SwitchConfig::mp5(4)
+            },
+        )
+        .run(trace.clone())
+    };
+    let none = run(None);
+    for threshold in [1u64 << 56, u64::MAX] {
+        let rep = run(Some(threshold));
+        assert_eq!(rep.drops.starvation, 0, "threshold {threshold} fired");
+        assert_eq!(
+            rep.result, none.result,
+            "threshold {threshold} changed the run"
+        );
+    }
+    assert!(
+        run(Some(16)).drops.starvation > 0,
+        "a real threshold still sheds"
+    );
+}
+
+#[test]
 fn pairs_atom_program_is_equivalent_on_mp5() {
     // Two registers entangled by shared dataflow need a Banzai
     // "pairs"-class atom: both arrays co-reside in one stage, pinned to
