@@ -13,14 +13,10 @@ set -eu
 # one handler per signal), leaking whichever temporaries the earlier
 # handlers covered — so steps only fill in the variables below.
 TRACE_TMP=""
-TRACE_SCALAR_TMP=""
-TRACE_PAR_TMP=""
 FABRIC_TMP=""
 SERVE_TMP=""
 cleanup() {
     if [ -n "$TRACE_TMP" ]; then rm -f "$TRACE_TMP"; fi
-    if [ -n "$TRACE_SCALAR_TMP" ]; then rm -f "$TRACE_SCALAR_TMP"; fi
-    if [ -n "$TRACE_PAR_TMP" ]; then rm -f "$TRACE_PAR_TMP"; fi
     if [ -n "$FABRIC_TMP" ]; then rm -rf "$FABRIC_TMP"; fi
     if [ -n "$SERVE_TMP" ]; then rm -rf "$SERVE_TMP"; fi
 }
@@ -53,7 +49,7 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 # --workspace: at a workspace root that is itself a package, a plain
 # `cargo test` runs the facade crate's tests only; the member crates'
-# own suites (FIFO properties, engine and snapshot units, the traffic
+# own suites (FIFO properties, switch and snapshot units, the traffic
 # golden digests) pin the bit-identity contracts and must run here.
 cargo test -q --workspace
 
@@ -97,89 +93,63 @@ echo "==> mp5lint over the program corpus"
 ./target/release/mp5lint -q crates/apps/programs \
     crates/analysis/fixtures/broken crates/analysis/fixtures/clean
 
-echo "==> traced smoke run (batch exec path) through the offline auditor"
-# The auditor must accept the batch path's stream, and the stream must
-# be byte-identical to the scalar reference's: both run the same
-# in-place work pass, and only the batch path's occupancy masks differ.
+echo "==> traced smoke run through the offline auditor"
 TRACE_TMP=$(mktemp -t mp5-ci-trace.XXXXXX)
 ./target/release/mp5run crates/apps/programs/flowlet.mp5 \
-    --packets 4000 --exec batch --trace "$TRACE_TMP"
+    --packets 4000 --trace "$TRACE_TMP"
 ./target/release/mp5audit --quiet "$TRACE_TMP"
-
-echo "==> traced batch-vs-scalar stream bit-identity"
-TRACE_SCALAR_TMP=$(mktemp -t mp5-ci-trace-scalar.XXXXXX)
-./target/release/mp5run crates/apps/programs/flowlet.mp5 \
-    --packets 4000 --exec scalar --trace "$TRACE_SCALAR_TMP" >/dev/null
-cmp "$TRACE_TMP" "$TRACE_SCALAR_TMP" || {
-    echo "ci.sh: batch-traced event stream diverged from the scalar reference" >&2
-    exit 1
-}
-
-echo "==> engine smoke: parallel engine streams at pinned worker counts"
-# Pinned counts (not "one worker per pipeline") so the equivalence
-# matrix covers workers < pipelines sharding on every runner class.
-# Workers record each pipeline's events into its own MemSink; the
-# merged stream must be byte-identical to the sequential one.
-TRACE_PAR_TMP=$(mktemp -t mp5-ci-trace-par.XXXXXX)
-for workers in 2 4; do
-    ./target/release/mp5run crates/apps/programs/flowlet.mp5 \
-        --packets 4000 --engine "par:$workers" --trace "$TRACE_PAR_TMP" >/dev/null
-    cmp "$TRACE_TMP" "$TRACE_PAR_TMP" || {
-        echo "ci.sh: par:$workers event stream diverged from the sequential engine's" >&2
-        exit 1
-    }
-done
 
 echo "==> chaos smoke: 3 seeded fault plans per app, auditor-gated"
 # Quick plans: every case must finish clean (no panics, closed fault
-# ledger, zero auditor findings, seq/par bit-identity). Seeds are fixed
-# so this cannot flake; the nightly CI job runs the wider sweep.
+# ledger, zero auditor findings). Seeds are fixed so this cannot flake;
+# the nightly CI job runs the wider sweep.
 ./target/release/mp5chaos --seeds 3 --packets 400 --horizon 200
 
 echo "==> faulted replay smoke: chaos seed through mp5run + auditor"
 ./target/release/mp5run crates/apps/programs/flowlet.mp5 \
     --packets 4000 --chaos-seed 3 --audit
 
-echo "==> fabric smoke: traced 2x2 leaf-spine run, seq/par bit-identity, auditor"
+echo "==> fabric smoke: traced 2x2 leaf-spine run, auditor"
 FABRIC_TMP=$(mktemp -d -t mp5-ci-fabric.XXXXXX)
 ./target/release/mp5fabric --leaves 2 --spines 2 --flows 500 \
-    --trace-dir "$FABRIC_TMP" --audit --verify-par --quiet
+    --trace-dir "$FABRIC_TMP" --audit --quiet
 for f in "$FABRIC_TMP"/sw*.jsonl; do
     ./target/release/mp5audit --quiet "$f"
 done
 
-echo "==> fabric smoke: flowlet routing, seq/par bit-identity, auditor"
+echo "==> fabric smoke: flowlet routing, auditor"
 # Flowlet routing keeps (and sweeps) a per-flow table the ECMP run above
-# never touches; --verify-par also moves every switch's per-pipeline
-# state through the parallel engine's jobs.
+# never touches.
 ./target/release/mp5fabric --leaves 2 --spines 2 --flows 3000 --routing flowlet:2000 \
-    --audit --verify-par --quiet
+    --audit --quiet
 
 echo "==> fabric chaos smoke: spine fail-stop mid-run, ledger closed"
 ./target/release/mp5chaos --seeds 1 --apps flowlet --packets 400 --horizon 200 --fabric
 
 echo "==> serve smoke: checkpoint / kill / restore stitches the identical stream"
-# A run halted at a checkpoint and restored from the snapshot file —
-# on the *other* engine and exec path — must emit exactly the event
-# stream of the run that was never interrupted. Lifecycle markers
-# (snapshot/restored/swap) describe operator actions, not simulated
-# behaviour, so they are stripped before the byte compare; the
-# stitched stream must also satisfy the offline auditor.
+# A run halted at a checkpoint and restored from the snapshot file must
+# emit exactly the event stream of the run that was never interrupted.
+# So must the same halt written by the retired parallel engine on the
+# retired scalar exec path (tests/golden/par_scalar.snap). Lifecycle
+# markers (snapshot/restored/swap) describe operator actions, not
+# simulated behaviour, so they are stripped before the byte compare;
+# the stitched streams must also satisfy the offline auditor.
 SERVE_TMP=$(mktemp -d -t mp5-ci-serve.XXXXXX)
 ./target/release/mp5serve --app flowlet --packets 800 \
     --trace "$SERVE_TMP/full.jsonl"
 ./target/release/mp5serve --app flowlet --packets 800 \
     --snapshot "$SERVE_TMP/ckpt.snap" --halt-at 120 \
     --trace "$SERVE_TMP/pre.jsonl"
-./target/release/mp5serve --restore "$SERVE_TMP/ckpt.snap" \
-    --engine par:2 --exec scalar --trace "$SERVE_TMP/post.jsonl"
-grep -hv '"k":"snapshot"\|"k":"restored"\|"k":"swap"' \
-    "$SERVE_TMP/pre.jsonl" "$SERVE_TMP/post.jsonl" > "$SERVE_TMP/stitched.jsonl"
-cmp "$SERVE_TMP/full.jsonl" "$SERVE_TMP/stitched.jsonl" || {
-    echo "ci.sh: restored event stream diverged from the uninterrupted run" >&2
-    exit 1
-}
-./target/release/mp5audit --quiet "$SERVE_TMP/stitched.jsonl"
+for snap in "$SERVE_TMP/ckpt.snap" tests/golden/par_scalar.snap; do
+    ./target/release/mp5serve --restore "$snap" --trace "$SERVE_TMP/post.jsonl"
+    grep -hv '"k":"snapshot"\|"k":"restored"\|"k":"swap"' \
+        "$SERVE_TMP/pre.jsonl" "$SERVE_TMP/post.jsonl" > "$SERVE_TMP/stitched.jsonl"
+    cmp "$SERVE_TMP/full.jsonl" "$SERVE_TMP/stitched.jsonl" || {
+        echo "ci.sh: the run restored from $snap diverged from the uninterrupted run" >&2
+        exit 1
+    }
+    ./target/release/mp5audit --quiet "$SERVE_TMP/stitched.jsonl"
+done
 
 echo "==> serve smoke: zero-downtime hot-swap, ledger closed"
 ./target/release/mp5serve --app flowlet --packets 800 \

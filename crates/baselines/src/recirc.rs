@@ -23,16 +23,15 @@
 //! condition C1 (paper Example 2) and costs throughput (§4.3.2, D3).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use mp5_compiler::program::{INDEX_ARRAY_LEVEL, REG_STAGE_SENTINEL};
 use mp5_compiler::CompiledProgram;
-use mp5_core::{EngineMode, RunReport, WorkerPool};
+use mp5_core::RunReport;
 use mp5_fabric::OrderKey;
 use mp5_faults::{FaultClass, FaultInjector, NoFaults};
-use mp5_trace::{Event, EventKind, MemSink, NopSink, TraceCtx, TraceSink, NO_LOC};
+use mp5_trace::{EventKind, NopSink, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::time::cycle_len;
-use mp5_types::{hash2, Packet, PacketId, PipelineId, RegId, StageId, Value};
+use mp5_types::{hash2, Packet, PipelineId, StageId, Value};
 
 /// Configuration of the re-circulation baseline.
 #[derive(Debug, Clone)]
@@ -48,9 +47,6 @@ pub struct RecircConfig {
     pub seed: u64,
     /// Hard cycle cap override.
     pub max_cycles: Option<u64>,
-    /// Which cycle engine executes the work phase (results are
-    /// bit-identical either way; see [`EngineMode`]).
-    pub engine: EngineMode,
 }
 
 impl RecircConfig {
@@ -62,14 +58,7 @@ impl RecircConfig {
             recirc_latency: 2,
             seed: 0,
             max_cycles: None,
-            engine: EngineMode::Sequential,
         }
-    }
-
-    /// Selects the cycle engine (builder style).
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
     }
 }
 
@@ -144,11 +133,7 @@ fn stage_executable(prologue: usize, pl: usize, body_stage: usize, fl: &Flight) 
 }
 
 /// Work phase for one pipeline: execute eligible stages in program
-/// order. Shared verbatim by the sequential and parallel engines so
-/// their outputs are bit-identical; state-access log entries are
-/// buffered in `accesses` and merged by the coordinator in pipeline
-/// order (the exact sequential order).
-#[allow(clippy::too_many_arguments)]
+/// order, recording state accesses and stall hits into `report`.
 fn work_row<S: TraceSink>(
     ctx: &RecircCtx<'_>,
     pl: usize,
@@ -156,9 +141,8 @@ fn work_row<S: TraceSink>(
     lanes: &mut [Option<Flight>],
     regs: &mut [Vec<Value>],
     sink: &mut S,
-    accesses: &mut Vec<(RegId, u32, PacketId)>,
-) -> u64 {
-    let mut stall_hits = 0u64;
+    report: &mut RunReport,
+) {
     for (st, slot) in inc_row.iter_mut().enumerate() {
         if let Some(mut fl) = slot.take() {
             if fl.exec_ptr == st
@@ -168,7 +152,7 @@ fn work_row<S: TraceSink>(
                 // Injected stall: the stage skips this packet, which
                 // recirculates for another pass — the baseline's native
                 // recovery path.
-                stall_hits += 1;
+                report.fault.stall_cycles += 1;
                 lanes[st] = Some(fl);
                 continue;
             }
@@ -199,97 +183,18 @@ fn work_row<S: TraceSink>(
                             },
                         );
                     }
-                    accesses.push((a.reg, a.index, fl.pkt.id));
+                    report
+                        .result
+                        .access_log
+                        .entry((a.reg, a.index))
+                        .or_default()
+                        .push(fl.pkt.id);
                 }
                 fl.exec_ptr += 1;
             }
             lanes[st] = Some(fl);
         }
     }
-    stall_hits
-}
-
-/// Inputs every worker shares, snapshotted at construction.
-#[derive(Debug)]
-struct RecircShared {
-    prog: CompiledProgram,
-    prologue: usize,
-    /// Whether the coordinator's sink records events (`S::ENABLED`):
-    /// workers buffer into a [`MemSink`] only when it does.
-    tracing: bool,
-}
-
-/// One pipeline's work-phase payload, *moved* into a worker and back.
-#[derive(Debug)]
-struct RecircUnit {
-    pl: usize,
-    inc_row: Vec<Option<Flight>>,
-    lanes: Vec<Option<Flight>>,
-    regs: Vec<Vec<Value>>,
-    accesses: Vec<(RegId, u32, PacketId)>,
-    events: Vec<Event>,
-    /// Executions suppressed by injected stalls this cycle.
-    stall_hits: u64,
-}
-
-/// A worker's per-cycle job: a contiguous chunk of pipelines.
-#[derive(Debug)]
-struct RecircJob {
-    shared: Arc<RecircShared>,
-    cycle: u64,
-    units: Vec<RecircUnit>,
-    /// Injected stalls active this cycle (empty under `NoFaults`).
-    stalls: Vec<(u16, u16)>,
-}
-
-/// The job function executed on the worker threads.
-fn run_recirc_job(mut job: RecircJob) -> Vec<RecircUnit> {
-    for u in &mut job.units {
-        let ctx = RecircCtx {
-            prog: &job.shared.prog,
-            prologue: job.shared.prologue,
-            cycle: job.cycle,
-            stalls: &job.stalls,
-        };
-        if job.shared.tracing {
-            let mut sink = MemSink {
-                events: std::mem::take(&mut u.events),
-            };
-            u.stall_hits = work_row(
-                &ctx,
-                u.pl,
-                &mut u.inc_row,
-                &mut u.lanes,
-                &mut u.regs,
-                &mut sink,
-                &mut u.accesses,
-            );
-            u.events = sink.into_events();
-        } else {
-            u.stall_hits = work_row(
-                &ctx,
-                u.pl,
-                &mut u.inc_row,
-                &mut u.lanes,
-                &mut u.regs,
-                &mut NopSink,
-                &mut u.accesses,
-            );
-        }
-    }
-    job.units
-}
-
-/// A recycled `(accesses, events)` buffer pair for one pipeline row.
-type SpareBuffers = (Vec<(RegId, u32, PacketId)>, Vec<Event>);
-
-/// The parallel engine: a persistent worker pool plus reusable buffers.
-#[derive(Debug)]
-struct RecircEngine {
-    pool: WorkerPool<RecircJob, Vec<RecircUnit>>,
-    shared: Arc<RecircShared>,
-    /// Recycled buffers to avoid per-cycle allocs.
-    spare: Vec<SpareBuffers>,
 }
 
 /// The re-circulation switch simulator.
@@ -327,8 +232,6 @@ pub struct RecircSwitch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     report: RunReport,
     total_recircs: u64,
     max_passes: u32,
-    /// Worker pool when `cfg.engine` is [`EngineMode::Parallel`].
-    par: Option<RecircEngine>,
     sink: S,
     /// Deterministic fault schedule (inert [`NoFaults`] by default).
     faults: F,
@@ -379,22 +282,6 @@ impl<S: TraceSink, F: FaultInjector> RecircSwitch<S, F> {
             .collect();
         let mut report = RunReport::new();
         report.set_cycle_len(cycle_len(k));
-        let par = match cfg.engine {
-            EngineMode::Sequential => None,
-            EngineMode::Parallel(n) => {
-                assert!(n >= 1, "EngineMode::Parallel needs at least one worker");
-                let shared = Arc::new(RecircShared {
-                    prog: prog.clone(),
-                    prologue,
-                    tracing: S::ENABLED,
-                });
-                Some(RecircEngine {
-                    pool: WorkerPool::new(cfg.engine.workers_for(k), run_recirc_job),
-                    shared,
-                    spare: Vec::new(),
-                })
-            }
-        };
         RecircSwitch {
             lanes: (0..k).map(|_| vec![None; body_stages]).collect(),
             fresh: (0..k).map(|_| VecDeque::new()).collect(),
@@ -405,7 +292,6 @@ impl<S: TraceSink, F: FaultInjector> RecircSwitch<S, F> {
             report,
             total_recircs: 0,
             max_passes: 0,
-            par,
             cfg,
             prog,
             k,
@@ -565,113 +451,27 @@ impl<S: TraceSink, F: FaultInjector> RecircSwitch<S, F> {
             }
         }
 
-        // 5. Work phase: execute eligible stages in program order.
-        // Per-pipeline work is independent (a stage only touches its
-        // own pipeline's register copies), so the parallel engine
-        // shards it by pipeline; access-log entries are buffered and
-        // merged in pipeline order either way.
-        if self.par.is_some() {
-            self.work_parallel(&mut incoming);
-        } else {
-            let mut accesses = Vec::new();
-            for (pl, inc_row) in incoming.iter_mut().enumerate() {
-                let ctx = RecircCtx {
-                    prog: &self.prog,
-                    prologue: self.prologue,
-                    cycle: self.cycle,
-                    stalls: self.faults.active_stalls(),
-                };
-                let hits = work_row(
-                    &ctx,
-                    pl,
-                    inc_row,
-                    &mut self.lanes[pl],
-                    &mut self.regs[pl],
-                    &mut self.sink,
-                    &mut accesses,
-                );
-                self.report.fault.stall_cycles += hits;
-                for (reg, index, pkt) in accesses.drain(..) {
-                    self.report
-                        .result
-                        .access_log
-                        .entry((reg, index))
-                        .or_default()
-                        .push(pkt);
-                }
-            }
+        // 5. Work phase: execute eligible stages in program order,
+        // pipelines ascending.
+        let ctx = RecircCtx {
+            prog: &self.prog,
+            prologue: self.prologue,
+            cycle: self.cycle,
+            stalls: self.faults.active_stalls(),
+        };
+        for (pl, inc_row) in incoming.iter_mut().enumerate() {
+            work_row(
+                &ctx,
+                pl,
+                inc_row,
+                &mut self.lanes[pl],
+                &mut self.regs[pl],
+                &mut self.sink,
+                &mut self.report,
+            );
         }
 
         self.cycle += 1;
-    }
-
-    /// Work phase on the worker pool: one barrier round per cycle, with
-    /// per-pipeline state *moved* into the jobs and back. The merge
-    /// applies every buffered effect in ascending pipeline order —
-    /// exactly the sequential order — so reports and event streams are
-    /// bit-identical to [`EngineMode::Sequential`].
-    fn work_parallel(&mut self, incoming: &mut [Vec<Option<Flight>>]) {
-        let Some(par) = self.par.as_mut() else {
-            // Guarded by the `par.is_some()` check in `step`; skipping
-            // the work phase silently would corrupt the run.
-            unreachable!("work_parallel called without a parallel engine");
-        };
-        let stalls: Vec<(u16, u16)> = self.faults.active_stalls().to_vec();
-        let k = self.k;
-        let workers = par.pool.workers();
-        let mut units = Vec::with_capacity(k);
-        for (pl, inc_row) in incoming.iter_mut().enumerate() {
-            let (accesses, events) = par.spare.pop().unwrap_or_default();
-            units.push(RecircUnit {
-                pl,
-                inc_row: std::mem::take(inc_row),
-                lanes: std::mem::take(&mut self.lanes[pl]),
-                regs: std::mem::take(&mut self.regs[pl]),
-                accesses,
-                events,
-                stall_hits: 0,
-            });
-        }
-        // Contiguous chunks, first `rem` workers take one extra, so a
-        // flatten of the results restores ascending pipeline order.
-        let base = k / workers;
-        let rem = k % workers;
-        let mut it = units.into_iter();
-        let mut jobs = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let take = base + usize::from(w < rem);
-            let chunk: Vec<RecircUnit> = it.by_ref().take(take).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            jobs.push(RecircJob {
-                shared: Arc::clone(&par.shared),
-                cycle: self.cycle,
-                units: chunk,
-                stalls: stalls.clone(),
-            });
-        }
-        for mut unit in par.pool.exchange(jobs).into_iter().flatten() {
-            let pl = unit.pl;
-            incoming[pl] = std::mem::take(&mut unit.inc_row);
-            self.lanes[pl] = std::mem::take(&mut unit.lanes);
-            self.regs[pl] = std::mem::take(&mut unit.regs);
-            self.report.fault.stall_cycles += unit.stall_hits;
-            if S::ENABLED {
-                for ev in unit.events.drain(..) {
-                    self.sink.emit(ev);
-                }
-            }
-            for (reg, index, pkt) in unit.accesses.drain(..) {
-                self.report
-                    .result
-                    .access_log
-                    .entry((reg, index))
-                    .or_default()
-                    .push(pkt);
-            }
-            par.spare.push((unit.accesses, unit.events));
-        }
     }
 
     /// Resolution happens once, at first ingress (the baseline has no
@@ -898,29 +698,6 @@ mod tests {
             count(|k| matches!(k, EventKind::Egress { .. })),
             rep.report.completed
         );
-    }
-
-    #[test]
-    fn parallel_engine_is_bit_identical_to_sequential() {
-        use mp5_trace::{stream_hash, MemSink};
-        let (prog, t) = trace(TWO_STATE, 1500, 9);
-        let (seq, seq_sink) =
-            RecircSwitch::with_sink(prog.clone(), RecircConfig::new(4), MemSink::new())
-                .run_traced(t.clone());
-        let seq_hash = stream_hash(&seq_sink.into_events());
-        for n in [1, 2, 4, 8] {
-            let cfg = RecircConfig::new(4).with_engine(EngineMode::Parallel(n));
-            let (par, par_sink) =
-                RecircSwitch::with_sink(prog.clone(), cfg, MemSink::new()).run_traced(t.clone());
-            assert_eq!(seq.report, par.report, "Parallel({n}) report diverged");
-            assert_eq!(seq.total_recircs, par.total_recircs);
-            assert_eq!(seq.max_passes, par.max_passes);
-            assert_eq!(
-                seq_hash,
-                stream_hash(&par_sink.into_events()),
-                "Parallel({n}) event stream diverged"
-            );
-        }
     }
 
     #[test]

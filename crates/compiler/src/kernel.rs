@@ -223,8 +223,8 @@ mod tests {
     use super::*;
     use mp5_lang::tac::StateAccess;
 
-    /// A plain per-slot register table, as the sequential engine sees
-    /// it: `tables[slot][reg][index]`.
+    /// A plain per-slot register table, one replica per pipeline:
+    /// `tables[slot][reg][index]`.
     struct Tables(Vec<Vec<Vec<Value>>>);
 
     impl BatchRegs for Tables {

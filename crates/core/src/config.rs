@@ -1,116 +1,5 @@
 //! Switch configuration.
 
-/// Which cycle engine executes the simulation.
-///
-/// Both engines implement the *same* machine: the parallel engine
-/// shards the per-(pipeline, stage) work phase of every cycle across a
-/// persistent worker pool and merges the buffered side effects in
-/// pipeline order, so its output — the [`crate::RunReport`], the final
-/// register state, and (under tracing) the exact event stream — is
-/// **bit-identical** to the sequential engine's. See `DESIGN.md` §10
-/// for the determinism argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum EngineMode {
-    /// One thread simulates every pipeline×stage in program order (the
-    /// historical engine; still the default).
-    Sequential,
-    /// The work phase of each cycle is sharded over `n` persistent
-    /// worker threads (clamped to the pipeline count at run time).
-    /// `Parallel(0)` is rejected by [`SwitchConfig::validate`]; use
-    /// [`EngineMode::parallel_auto`] to size from the host.
-    Parallel(usize),
-}
-
-impl EngineMode {
-    /// A parallel engine sized to the host's available parallelism
-    /// (falls back to `Parallel(1)` when it cannot be determined).
-    pub fn parallel_auto() -> Self {
-        EngineMode::Parallel(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
-    /// Number of worker threads this mode will use for a `k`-pipeline
-    /// switch: `0` for the sequential engine, `min(n, k)` for
-    /// `Parallel(n)` (extra workers would never receive work).
-    pub fn workers_for(&self, pipelines: usize) -> usize {
-        match *self {
-            EngineMode::Sequential => 0,
-            EngineMode::Parallel(n) => n.min(pipelines).max(1),
-        }
-    }
-}
-
-impl std::str::FromStr for EngineMode {
-    type Err = String;
-
-    /// Parses the CLI spelling used by `mp5run --engine`:
-    /// `seq`, `par` (auto-sized from the host), or `par:N`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "seq" | "sequential" => Ok(EngineMode::Sequential),
-            "par" | "parallel" => Ok(EngineMode::parallel_auto()),
-            other => match other.strip_prefix("par:") {
-                Some(n) => match n.parse::<usize>() {
-                    Ok(n) if n >= 1 => Ok(EngineMode::Parallel(n)),
-                    _ => Err(format!("invalid worker count '{n}' (need an integer >= 1)")),
-                },
-                None => Err(format!(
-                    "unknown engine '{other}' (expected seq, par, or par:N)"
-                )),
-            },
-        }
-    }
-}
-
-/// How the per-cycle work phase finds its work.
-///
-/// Both variants run the same in-place work pass — per pipeline, stages
-/// ascending, each `(pipeline, stage)` slot schedules at most one packet
-/// and runs its stage on the spot — and produce **bit-identical**
-/// [`crate::RunReport`]s and, traced, the same event stream. They differ
-/// only in how slots are found and FIFOs serviced. See `DESIGN.md` §13.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum ExecPath {
-    /// The reference: the work pass probes every slot, the move phase
-    /// scans every lane, and a FIFO services with the paper-literal
-    /// scan over all of its lanes.
-    Scalar,
-    /// The default: for programs of at most 64 stages, per-pipeline
-    /// occupancy masks (incoming, queued, parked) lead the work pass and
-    /// the move phase to exactly the slots that hold work, and a FIFO
-    /// services through its occupancy index (same head, cheaper scan).
-    #[default]
-    Batch,
-}
-
-impl std::str::FromStr for ExecPath {
-    type Err = String;
-
-    /// Parses the CLI spelling used by `mp5run --exec`: `scalar` or
-    /// `batch`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(ExecPath::Scalar),
-            "batch" | "soa" => Ok(ExecPath::Batch),
-            other => Err(format!(
-                "unknown exec path '{other}' (expected scalar or batch)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ExecPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExecPath::Scalar => "scalar",
-            ExecPath::Batch => "batch",
-        })
-    }
-}
-
 /// A structurally invalid [`SwitchConfig`], reported by
 /// [`SwitchConfig::validate`] (and by `Mp5Switch::try_new` /
 /// `Mp5Switch::try_with_sink`) instead of silently "fixing" the
@@ -129,9 +18,6 @@ pub enum ConfigError {
         /// The logical pipeline count it must at least match.
         logical: usize,
     },
-    /// `EngineMode::Parallel(0)` — a parallel engine needs at least one
-    /// worker.
-    ZeroWorkers,
     /// `remap_period` was zero: "every 0 cycles" is no schedule (it used
     /// to be accepted and quietly never remapped).
     ZeroRemapPeriod,
@@ -146,12 +32,6 @@ impl std::fmt::Display for ConfigError {
                 "physical_pipelines ({physical}) is smaller than the logical pipeline \
                  count ({logical}); a logical MP5 cannot outnumber the chip's pipelines"
             ),
-            ConfigError::ZeroWorkers => {
-                write!(
-                    f,
-                    "EngineMode::Parallel(0): need at least one worker thread"
-                )
-            }
             ConfigError::ZeroRemapPeriod => write!(
                 f,
                 "remap_period is 0; the sharding heuristic needs a period of at least one cycle"
@@ -232,13 +112,6 @@ pub struct SwitchConfig {
     /// the pipelines still run at the physical chip's rate `N·B/k_phys`.
     /// Must be `>= pipelines` (checked by [`SwitchConfig::validate`]).
     pub physical_pipelines: Option<usize>,
-    /// Which cycle engine executes the simulation (results are
-    /// bit-identical either way; see [`EngineMode`]).
-    pub engine: EngineMode,
-    /// How the work pass finds its slots and FIFOs service: occupancy
-    /// masks or a probe of every slot (results are bit-identical either
-    /// way; see [`ExecPath`]).
-    pub exec: ExecPath,
     /// Record per-packet artifacts in the report: the per-packet output
     /// field map, the completion list, and the per-index access log.
     /// Defaults to `true` (the historical behaviour every equivalence
@@ -266,8 +139,6 @@ impl SwitchConfig {
             seed: 0,
             max_cycles: None,
             physical_pipelines: None,
-            engine: EngineMode::Sequential,
-            exec: ExecPath::Batch,
             record_detail: true,
         }
     }
@@ -315,19 +186,6 @@ impl SwitchConfig {
         self
     }
 
-    /// Selects the cycle engine (builder style).
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Selects the work-phase implementation (builder style); see
-    /// [`ExecPath`].
-    pub fn with_exec(mut self, exec: ExecPath) -> Self {
-        self.exec = exec;
-        self
-    }
-
     /// Toggles per-packet report artifacts (builder style); see
     /// [`SwitchConfig::record_detail`].
     pub fn with_record_detail(mut self, on: bool) -> Self {
@@ -353,9 +211,6 @@ impl SwitchConfig {
                     logical: self.pipelines,
                 });
             }
-        }
-        if self.engine == EngineMode::Parallel(0) {
-            return Err(ConfigError::ZeroWorkers);
         }
         if self.remap_period == 0 {
             return Err(ConfigError::ZeroRemapPeriod);
@@ -420,49 +275,10 @@ mod tests {
         };
         assert_eq!(ok.validate(), Ok(()));
 
-        let none = SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(0));
-        assert_eq!(none.validate(), Err(ConfigError::ZeroWorkers));
-        let par = SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(3));
-        assert_eq!(par.validate(), Ok(()));
-
         let never = SwitchConfig {
             remap_period: 0,
             ..SwitchConfig::mp5(4)
         };
         assert_eq!(never.validate(), Err(ConfigError::ZeroRemapPeriod));
-    }
-
-    #[test]
-    fn workers_for_clamps_to_pipelines() {
-        assert_eq!(EngineMode::Sequential.workers_for(4), 0);
-        assert_eq!(EngineMode::Parallel(8).workers_for(4), 4);
-        assert_eq!(EngineMode::Parallel(2).workers_for(4), 2);
-        assert!(matches!(EngineMode::parallel_auto(), EngineMode::Parallel(n) if n >= 1));
-    }
-
-    #[test]
-    fn exec_path_defaults_to_batch_and_parses() {
-        assert_eq!(SwitchConfig::mp5(4).exec, ExecPath::Batch);
-        assert_eq!(
-            SwitchConfig::mp5(4).with_exec(ExecPath::Scalar).exec,
-            ExecPath::Scalar
-        );
-        assert_eq!("scalar".parse(), Ok(ExecPath::Scalar));
-        assert_eq!("batch".parse(), Ok(ExecPath::Batch));
-        assert_eq!("soa".parse(), Ok(ExecPath::Batch));
-        assert!("vector".parse::<ExecPath>().is_err());
-        assert_eq!(ExecPath::Scalar.to_string(), "scalar");
-        assert_eq!(ExecPath::Batch.to_string(), "batch");
-    }
-
-    #[test]
-    fn engine_mode_parses_cli_spellings() {
-        assert_eq!("seq".parse(), Ok(EngineMode::Sequential));
-        assert_eq!("sequential".parse(), Ok(EngineMode::Sequential));
-        assert_eq!("par:3".parse(), Ok(EngineMode::Parallel(3)));
-        assert!(matches!("par".parse(), Ok(EngineMode::Parallel(n)) if n >= 1));
-        assert!("par:0".parse::<EngineMode>().is_err());
-        assert!("par:x".parse::<EngineMode>().is_err());
-        assert!("fast".parse::<EngineMode>().is_err());
     }
 }

@@ -26,26 +26,25 @@
 //!    the logical FIFO's `pop()` serves the globally-oldest entry, with
 //!    phantom heads freezing the serial order (D4).
 //!
-//! The same engine, reconfigured through [`SwitchConfig`], also realizes
-//! the paper's ablations: no-D4 (phantoms off), static sharding, the
-//! naive single-pipeline-state design, and the ideal-MP5 upper bound
-//! (per-index queues + LPT re-sharding). The recirculation baseline has
+//! One cycle engine (DESIGN.md §10), reconfigured through
+//! [`SwitchConfig`], also realizes the paper's ablations: no-D4
+//! (phantoms off), static sharding, the naive single-pipeline-state
+//! design, and the ideal-MP5 upper bound (per-index queues + LPT
+//! re-sharding). The recirculation baseline has
 //! a different datapath and lives in `mp5-baselines`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod engine;
 pub mod partition;
 pub mod report;
 pub mod shard;
 pub mod state;
 pub mod switch;
 
-pub use config::{ConfigError, EngineMode, ExecPath, ShardingMode, SprayMode, SwitchConfig};
-pub use engine::WorkerPool;
+pub use config::{ConfigError, ShardingMode, SprayMode, SwitchConfig};
 pub use partition::{Partition, PartitionReport, PartitionedSwitch};
 pub use report::{DropCounts, FaultReport, RunReport};
 pub use state::{RestoreError, SwapError, SwapReport, SwitchState};
-pub use switch::{EnginePool, InvariantViolation, Mp5Switch};
+pub use switch::{InvariantViolation, Mp5Switch};

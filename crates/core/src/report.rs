@@ -73,9 +73,9 @@ impl FaultReport {
 
 /// Result of running a packet trace through an MP5 switch.
 ///
-/// `PartialEq` compares every field — the equality the engine
-/// equivalence suite relies on to assert the parallel engine is
-/// bit-identical to the sequential one.
+/// `PartialEq` compares every field — the equality the restore, swap
+/// and digest tests rely on to assert a run is bit-identical to its
+/// oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Functional-equivalence evidence (final registers, packet outputs,

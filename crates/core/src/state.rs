@@ -11,12 +11,12 @@
 //! the switch's runtime representation: every hash-map becomes a
 //! **sorted `Vec`** (deterministic bytes, JSON-friendly keys), every
 //! fabric type becomes a struct of public plain fields, and derived
-//! views (the phantom directory, occupancy indexes, engine scratch
+//! views (the phantom directory, occupancy indexes, work-pass scratch
 //! buffers) are omitted entirely — `Mp5Switch::try_restore_with`
 //! rebuilds them. The contract, enforced by the snapshot proptest
 //! suite, is *bit-identical continuation*: a switch restored from a
 //! checkpoint produces the same `RunReport` and traced `stream_hash`
-//! as the uninterrupted run, on both exec paths and both engines.
+//! as the uninterrupted run.
 
 use mp5_types::{Packet, PacketId, RegId, Value};
 use serde::{Deserialize, Serialize};
@@ -275,7 +275,7 @@ pub struct ReportSnap {
 ///
 /// Produced by `Mp5Switch::extract_state`, consumed by
 /// `Mp5Switch::try_restore_with`. Everything the next `tick()` can
-/// observe is here; engine scratch buffers (which are empty at the
+/// observe is here; work-pass scratch buffers (which are empty at the
 /// boundary by construction) are not.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchState {
@@ -314,7 +314,7 @@ pub struct SwitchState {
     /// Completed packets not yet drained by the caller,
     /// `(packet, exit cycle)` in completion order.
     pub egress_buf: Vec<(Packet, u64)>,
-    /// Per-pipeline parked-stage bitmask (batch exec path).
+    /// Per-pipeline parked-stage bitmask (derived; rebuilt on restore).
     pub park_mask: Vec<u64>,
     /// Per-pipeline incoming-row bitmask (zero at a boundary; kept for
     /// completeness).

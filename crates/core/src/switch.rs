@@ -1,7 +1,6 @@
 //! The MP5 switch simulator (architecture §3.2 + runtime §3.4).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use mp5_banzai::RunResult;
 use mp5_compiler::program::{INDEX_ARRAY_LEVEL, REG_STAGE_SENTINEL};
@@ -11,12 +10,11 @@ use mp5_fabric::{
     PhantomKey, PopOutcome,
 };
 use mp5_faults::{FaultClass, FaultInjector, FaultKind, NoFaults, PhantomFate};
-use mp5_trace::{DropCause, Event, EventKind, MemSink, NopSink, TraceCtx, TraceSink, NO_LOC};
+use mp5_trace::{DropCause, EventKind, NopSink, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::time::cycle_len;
 use mp5_types::{AccessTag, FastSet, Packet, PacketId, PipelineId, RegId, StageId, Value};
 
-use crate::config::{ConfigError, EngineMode, ExecPath, ShardingMode, SprayMode, SwitchConfig};
-use crate::engine::{shard_ranges, WorkerPool};
+use crate::config::{ConfigError, ShardingMode, SprayMode, SwitchConfig};
 use crate::report::RunReport;
 use crate::shard::{self, Touched};
 use crate::state::{
@@ -35,8 +33,8 @@ fn tkey(key: PhantomKey) -> mp5_trace::Key {
 }
 
 /// Stable identity hash of a phantom key, fed to the fault injector's
-/// phantom-drop decision. Pure function of the key, so the sequential
-/// and parallel engines see identical fates.
+/// phantom-drop decision. Pure function of the key, so a run and its
+/// replay (or its restore) see identical fates.
 fn fault_key_hash(key: &PhantomKey) -> u64 {
     key.pkt.0 ^ ((key.reg.0 as u64) << 48) ^ ((key.index as u64) << 32)
 }
@@ -153,13 +151,7 @@ impl StageQueue {
                 capacity: cfg.fifo_capacity,
             }
         } else {
-            let mut fifo = LogicalFifo::new(cfg.pipelines, cfg.fifo_capacity);
-            // The scalar interpreter is the reference oracle: it keeps
-            // the paper-literal all-lane service scan, while the batch
-            // path services through the occupancy index (same head
-            // choice, cheaper scan — see `LogicalFifo`).
-            fifo.set_reference_service(cfg.exec == ExecPath::Scalar);
-            StageQueue::Logical(fifo)
+            StageQueue::Logical(LogicalFifo::new(cfg.pipelines, cfg.fifo_capacity))
         }
     }
 
@@ -409,28 +401,21 @@ impl StageQueue {
 }
 
 // ---------------------------------------------------------------------
-
-// The per-cycle work phase, shared by both execution engines.
+// The per-cycle work phase.
 //
-// Within a cycle, the admit/work phase of pipeline `pl` only touches
-// its own `Pipe` (incoming row, stage FIFOs, lanes, register copies)
-// plus a handful of *shared* structures (the global sharding counters,
-// the phantom channel, the run report, the trace sink). The functions
-// below operate on the `Pipe` directly and buffer every
-// shared-structure effect in its `WorkFx`, which the caller applies in
-// ascending pipeline order — the exact order the historical sequential
-// loop produced. The sequential engine calls them inline with the real
-// sink; the parallel engine runs them on worker threads with a
-// per-pipeline `MemSink` and replays events on the coordinator. Either
-// way the observable behaviour is bit-identical (DESIGN.md §10).
+// Within a cycle, the admit/work phase of pipeline `pl` touches its own
+// `Pipe` (incoming row, stage FIFOs, lanes, register copies) and writes
+// the switch's shared state — the sharding counters, the phantom
+// channel, the run report, the trace sink — through a `Work`, a borrow
+// split from `Mp5Switch::pipes`. Pipelines run in ascending order and
+// stages ascending within each, so every effect lands in the one order
+// the report and the event stream are defined by (DESIGN.md §10, §13).
 // ---------------------------------------------------------------------
 
-/// Read-only per-cycle view of the switch shared by every pipeline's
-/// work phase. Everything here is immutable for the duration of the
-/// phase (the index map only changes in the coordinator's remap phase),
-/// which is what makes the phase shardable across worker threads
-/// without locks or interior mutability.
-struct WorkCtx<'a> {
+/// One cycle's work phase: what every pipeline's pass reads (immutable
+/// for the phase — the index map only changes in the remap phase) and
+/// the shared switch state it writes straight into.
+struct Work<'a, S> {
     prog: &'a CompiledProgram,
     index_map: &'a [Vec<u16>],
     phantoms: bool,
@@ -440,22 +425,22 @@ struct WorkCtx<'a> {
     cycle: u64,
     prologue: usize,
     /// `(pipeline, stage)` pairs suppressed by injected stalls this
-    /// cycle — plain data so the work phase needs no fault generics
-    /// and the parallel engine stays bit-identical (empty under
-    /// `NoFaults`, so the gate below is a length check on the hot
-    /// path).
+    /// cycle (empty under `NoFaults`, so the gate below is a length
+    /// check on the hot path).
     stalls: &'a [(u16, u16)],
     /// Whether per-packet artifacts (the access log) are recorded.
     /// Fabric-scale runs turn this off — see
     /// [`SwitchConfig::record_detail`].
     record_detail: bool,
-    /// Whether the occupancy masks (`Pipe::{inc, qmask, park}`) are
-    /// maintained and drive the pass (`ExecPath::Batch`); the scalar
-    /// reference probes every slot and leaves them alone.
-    masks: bool,
+    access_ctr: &'a mut [Vec<u64>],
+    touched: &'a mut [Touched],
+    inflight: &'a mut [Vec<u32>],
+    channel: &'a mut PhantomChannel<PhantomMsg>,
+    report: &'a mut RunReport,
+    sink: &'a mut S,
 }
 
-impl WorkCtx<'_> {
+impl<S> Work<'_, S> {
     /// Is `(pl, st)` under an injected stall this cycle? Stalls only
     /// suppress *queue service*: pass-through packets keep their slot
     /// (Invariant 2 is a hardware datapath property, not a scheduler
@@ -466,121 +451,9 @@ impl WorkCtx<'_> {
     }
 }
 
-/// One buffered update to the global sharding counters. Kept as a
-/// single ordered stream because `inflight` decrements saturate: the
-/// inc/dec interleaving must replay exactly as the sequential engine
-/// produced it.
-#[derive(Debug, Clone, Copy)]
-enum CtrOp {
-    /// Address resolution counted an upcoming access (`access_ctr` and
-    /// `inflight` both increment).
-    Inc { reg: RegId, index: u32 },
-    /// A tag retired after its access executed (`inflight` decrements,
-    /// saturating).
-    Dec { reg: RegId, index: u32 },
-}
-
-/// A phantom injection onto the dedicated channel, buffered because the
-/// channel is shared across pipelines (injection order = delivery order
-/// per hop, so it must replay in pipeline order).
-#[derive(Debug)]
-struct PhantomInject {
-    msg: PhantomMsg,
-    from: StageId,
-    dest: StageId,
-}
-
-/// Buffered side effects of one pipeline's work phase on *shared*
-/// switch structures. The sequential engine applies them right after
-/// each pipeline's work; the parallel engine ships them back to the
-/// coordinator, which applies them in ascending pipeline order —
-/// reproducing the sequential effect order exactly.
-#[derive(Debug, Default)]
-struct WorkFx {
-    ctr_ops: Vec<CtrOp>,
-    injects: Vec<PhantomInject>,
-    /// `(reg, index, packet)` accesses for the report's access log.
-    accesses: Vec<(RegId, u32, PacketId)>,
-    wasted_cycles: u64,
-    /// `(pipeline, stage)` locations of this cycle's starvation drops
-    /// (the count *and* the per-stage attribution ride together so both
-    /// engines replay them identically).
-    starvation_drops: Vec<(u16, u16)>,
-    phantoms_generated: u64,
-    /// Stage-service slots suppressed by injected stalls.
-    stall_cycles: u64,
-}
-
-impl WorkFx {
-    /// Nothing buffered: the common case for a pipeline in a cycle (a
-    /// lane only produces effects at resolution, phantom generation and
-    /// tag retirement).
-    #[inline]
-    fn is_untouched(&self) -> bool {
-        self.ctr_ops.is_empty()
-            && self.injects.is_empty()
-            && self.accesses.is_empty()
-            && self.starvation_drops.is_empty()
-            && self.wasted_cycles | self.phantoms_generated | self.stall_cycles == 0
-    }
-}
-
-/// Applies one pipeline's buffered side effects to the shared switch
-/// structures, draining the buffers for reuse. Must be called in
-/// ascending pipeline order within a cycle.
-fn apply_work_fx(
-    fx: &mut WorkFx,
-    access_ctr: &mut [Vec<u64>],
-    touched: &mut [Touched],
-    inflight: &mut [Vec<u32>],
-    channel: &mut PhantomChannel<PhantomMsg>,
-    report: &mut RunReport,
-) {
-    if fx.is_untouched() {
-        return;
-    }
-    for op in fx.ctr_ops.drain(..) {
-        match op {
-            CtrOp::Inc { reg, index } => {
-                let (r, i) = (reg.index(), index as usize);
-                access_ctr[r][i] += 1;
-                touched[r].set(i);
-                inflight[r][i] += 1;
-            }
-            CtrOp::Dec { reg, index } => {
-                let c = &mut inflight[reg.index()][index as usize];
-                *c = c.saturating_sub(1);
-            }
-        }
-    }
-    for inj in fx.injects.drain(..) {
-        channel.inject(inj.msg, inj.from, inj.dest);
-    }
-    for (reg, index, pkt) in fx.accesses.drain(..) {
-        report
-            .result
-            .access_log
-            .entry((reg, index))
-            .or_default()
-            .push(pkt);
-    }
-    report.wasted_cycles += fx.wasted_cycles;
-    report.drops.starvation += fx.starvation_drops.len() as u64;
-    for (p, s) in fx.starvation_drops.drain(..) {
-        report.count_stage_drop(p, s);
-    }
-    report.phantoms_generated += fx.phantoms_generated;
-    report.fault.stall_cycles += fx.stall_cycles;
-    fx.wasted_cycles = 0;
-    fx.phantoms_generated = 0;
-    fx.stall_cycles = 0;
-}
-
 /// One pipeline's work-phase state: everything phase 4 reads and
 /// writes for that pipeline, and nothing any other pipeline does. The
-/// switch holds one per pipeline; the sequential engine runs the work
-/// phase over `&mut [Pipe]` in place, and the parallel engine moves
-/// whole `Pipe`s into its jobs and back (DESIGN.md §10, §13).
+/// switch holds one per pipeline (DESIGN.md §13).
 #[derive(Debug, Default)]
 struct Pipe {
     /// This cycle's incoming flights per stage, filled by the move phase
@@ -594,20 +467,13 @@ struct Pipe {
     /// This pipeline's replica of every register array; only the
     /// index-map-active copy of each index is meaningful (D2, Figure 3).
     regs: Vec<Vec<Value>>,
-    /// Side effects on shared structures, applied by the coordinator in
-    /// ascending pipeline order.
-    fx: WorkFx,
-    /// Trace events of this cycle's work phase on a parallel-engine
-    /// worker (traced runs only), flushed into the sink in ascending
-    /// pipeline order by the coordinator.
-    events: Vec<Event>,
     /// Reusable address-resolution output for the pipeline head.
     resolved: Vec<ResolvedAccess>,
     /// Reusable kernel output for one body stage of one packet.
     kout: Vec<LaneAccess>,
-    /// Stages holding a parked flight (`ExecPath::Batch`, stages < 64):
-    /// the work pass sets a bit when it parks, the move phase drains
-    /// exactly the set bits instead of scanning every lane slot.
+    /// Stages holding a parked flight (stages < 64): the work pass sets
+    /// a bit when it parks, the move phase drains exactly the set bits
+    /// instead of scanning every lane slot.
     park: u64,
     /// Filled `inc_row` slots (stages < 64): the move phase and ingress
     /// set bits, the work pass takes the mask and tests bits instead of
@@ -672,68 +538,67 @@ impl LaneFields for OneLane<'_> {
 /// spot, so side effects and trace events come out in the one order
 /// the report and the stream are defined by (DESIGN.md §13).
 ///
-/// With masks on and at most 64 stages the pass visits only the slots
-/// in `inc | qmask`, ascending bit order being stage order: any other
-/// slot has no incoming packet and nothing queued, so its decision is
-/// a no-op. The scalar reference, and wider programs, probe every slot.
-fn work_pipeline<S: TraceSink>(ctx: &WorkCtx<'_>, pl: usize, pipe: &mut Pipe, sink: &mut S) {
-    if ctx.masks {
-        // Consumed on every width: bits exist only for stages < 64.
-        let inc = std::mem::take(&mut pipe.inc);
-        if pipe.inc_row.len() <= 64 {
-            let mut work = inc | pipe.qmask;
-            while work != 0 {
-                let st = work.trailing_zeros() as usize;
-                work &= work - 1;
-                debug_assert_eq!(
-                    inc & (1 << st) != 0,
-                    pipe.inc_row[st].is_some(),
-                    "incoming mask out of sync at stage {st}"
-                );
-                work_slot(ctx, pl, st, pipe, sink);
-            }
-            debug_assert!(
-                pipe.inc_row.iter().all(|s| s.is_none()),
-                "incoming flight missed by the work mask"
+/// For programs of at most 64 stages the pass visits only the slots in
+/// `inc | qmask`, ascending bit order being stage order: any other slot
+/// has no incoming packet and nothing queued, so its decision is a
+/// no-op. Wider programs probe every slot.
+fn work_pipeline<S: TraceSink>(w: &mut Work<'_, S>, pl: usize, pipe: &mut Pipe) {
+    // Consumed on every width: bits exist only for stages < 64.
+    let inc = std::mem::take(&mut pipe.inc);
+    if pipe.inc_row.len() <= 64 {
+        let mut work = inc | pipe.qmask;
+        while work != 0 {
+            let st = work.trailing_zeros() as usize;
+            work &= work - 1;
+            debug_assert_eq!(
+                inc & (1 << st) != 0,
+                pipe.inc_row[st].is_some(),
+                "incoming mask out of sync at stage {st}"
             );
-            return;
+            work_slot(w, pl, st, pipe);
         }
+        debug_assert!(
+            pipe.inc_row.iter().all(|s| s.is_none()),
+            "incoming flight missed by the work mask"
+        );
+        return;
     }
     for st in 0..pipe.inc_row.len() {
-        work_slot(ctx, pl, st, pipe, sink);
+        work_slot(w, pl, st, pipe);
     }
 }
 
 /// One `(pipeline, stage)` slot: the scheduler's decision, then the
 /// chosen packet's stage.
-fn work_slot<S: TraceSink>(ctx: &WorkCtx<'_>, pl: usize, st: usize, pipe: &mut Pipe, sink: &mut S) {
-    let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
+fn work_slot<S: TraceSink>(w: &mut Work<'_, S>, pl: usize, st: usize, pipe: &mut Pipe) {
+    let tctx = TraceCtx::new(w.cycle, pl as u16, st as u16);
     let fl = if let Some(fl) = pipe.inc_row[st].take() {
         // Starvation handling (§3.4): drop an incoming packet that is
         // stateless-from-here-on in favor of a long-starved queued
         // stateful packet. A threshold past the byte-time horizon
         // saturates, so it never fires.
-        if let Some(thr) = ctx.starvation_threshold {
+        if let Some(thr) = w.starvation_threshold {
             let starved = fl.pkt.tags.is_empty()
                 && pipe.queues[st].oldest_ts().is_some_and(|ts| {
-                    let now = ctx.cycle * ctx.clen;
-                    now.saturating_sub(ts.0) > thr.saturating_mul(ctx.clen)
+                    let now = w.cycle * w.clen;
+                    now.saturating_sub(ts.0) > thr.saturating_mul(w.clen)
                 });
             if starved {
-                pipe.fx.starvation_drops.push((pl as u16, st as u16));
+                w.report.drops.starvation += 1;
+                w.report.count_stage_drop(pl as u16, st as u16);
                 if S::ENABLED {
                     tctx.emit(
-                        sink,
+                        w.sink,
                         EventKind::Drop {
                             pkt: fl.pkt.id,
                             cause: DropCause::Starvation,
                         },
                     );
                 }
-                if ctx.stalled(pl, st) {
-                    pipe.fx.stall_cycles += 1;
-                } else if let Some(queued) = serve_queue(ctx, pl, st, pipe, sink) {
-                    process_flight(ctx, pl, st, queued, pipe, sink);
+                if w.stalled(pl, st) {
+                    w.report.fault.stall_cycles += 1;
+                } else if let Some(queued) = serve_queue(w, pl, st, pipe) {
+                    process_flight(w, pl, st, queued, pipe);
                 }
                 return;
             }
@@ -744,7 +609,7 @@ fn work_slot<S: TraceSink>(ctx: &WorkCtx<'_>, pl: usize, st: usize, pipe: &mut P
             // work was waiting.
             let bypassed = !pipe.queues[st].is_empty();
             tctx.emit(
-                sink,
+                w.sink,
                 EventKind::Execute {
                     pkt: fl.pkt.id,
                     queued: false,
@@ -753,31 +618,30 @@ fn work_slot<S: TraceSink>(ctx: &WorkCtx<'_>, pl: usize, st: usize, pipe: &mut P
             );
         }
         fl
-    } else if ctx.stalled(pl, st) {
+    } else if w.stalled(pl, st) {
         // Injected stall: the stage's scheduler is frozen this cycle.
         // Only count slots where work was actually waiting.
         if !pipe.queues[st].is_empty() {
-            pipe.fx.stall_cycles += 1;
-        } else if ctx.masks && st < 64 {
+            w.report.fault.stall_cycles += 1;
+        } else if st < 64 {
             pipe.qmask &= !(1 << st);
         }
         return;
-    } else if let Some(fl) = serve_queue(ctx, pl, st, pipe, sink) {
+    } else if let Some(fl) = serve_queue(w, pl, st, pipe) {
         fl
     } else {
         return;
     };
-    process_flight(ctx, pl, st, fl, pipe, sink);
+    process_flight(w, pl, st, fl, pipe);
 }
 
 /// Serves one packet from the stage's FIFO, if the scheduler finds a
 /// servable head.
 fn serve_queue<S: TraceSink>(
-    ctx: &WorkCtx<'_>,
+    w: &mut Work<'_, S>,
     pl: usize,
     st: usize,
     pipe: &mut Pipe,
-    sink: &mut S,
 ) -> Option<Flight> {
     // A truly empty queue's `serve` is a no-op (`pop` scans every lane
     // head twice just to report `Empty`), and most queues are empty
@@ -785,17 +649,17 @@ fn serve_queue<S: TraceSink>(
     // occupied, so the drain inside `pop` is preserved. An empty queue
     // also retires its (conservative) occupancy bit here.
     if pipe.queues[st].is_empty() {
-        if ctx.masks && st < 64 {
+        if st < 64 {
             pipe.qmask &= !(1 << st);
         }
         return None;
     }
-    let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
-    match pipe.queues[st].serve(st, sink, tctx) {
+    let tctx = TraceCtx::new(w.cycle, pl as u16, st as u16);
+    match pipe.queues[st].serve(st, w.sink, tctx) {
         Serve::Served(fl) => {
             if S::ENABLED {
                 tctx.emit(
-                    sink,
+                    w.sink,
                     EventKind::Execute {
                         pkt: fl.pkt.id,
                         queued: true,
@@ -806,7 +670,7 @@ fn serve_queue<S: TraceSink>(
             Some(fl)
         }
         Serve::Wasted => {
-            pipe.fx.wasted_cycles += 1;
+            w.report.wasted_cycles += 1;
             None
         }
         Serve::Idle => None,
@@ -818,25 +682,23 @@ fn serve_queue<S: TraceSink>(
 /// end of the prologue, the body stage program elsewhere — and parks it
 /// in the stage's lane for the next move phase.
 fn process_flight<S: TraceSink>(
-    ctx: &WorkCtx<'_>,
+    w: &mut Work<'_, S>,
     pl: usize,
     st: usize,
     mut fl: Flight,
     pipe: &mut Pipe,
-    sink: &mut S,
 ) {
-    let tctx = TraceCtx::new(ctx.cycle, pl as u16, st as u16);
-    if st == 0 && ctx.prologue > 0 {
-        resolve_flight(ctx, &mut fl, &mut pipe.resolved, &mut pipe.fx);
+    let tctx = TraceCtx::new(w.cycle, pl as u16, st as u16);
+    if st == 0 && w.prologue > 0 {
+        resolve_flight(w, &mut fl, &mut pipe.resolved);
     }
-    if ctx.prologue > 0 && st == ctx.prologue - 1 && ctx.phantoms {
+    if w.prologue > 0 && st == w.prologue - 1 && w.phantoms {
         // Phantom generation stage: one phantom per resolved access, in
-        // tag order, onto the dedicated channel (buffered: the channel
-        // is shared).
+        // tag order, onto the dedicated channel.
         for tag in &fl.pkt.tags {
             if S::ENABLED {
                 tctx.emit(
-                    sink,
+                    w.sink,
                     EventKind::PhantomEmit {
                         key: tkey(fl.key(tag)),
                         dest_pipeline: tag.pipeline.0,
@@ -844,26 +706,26 @@ fn process_flight<S: TraceSink>(
                     },
                 );
             }
-            pipe.fx.injects.push(PhantomInject {
-                msg: PhantomMsg {
+            w.channel.inject(
+                PhantomMsg {
                     key: fl.key(tag),
                     ts: fl.order,
                     dest: tag.pipeline,
                     lane: fl.ingress,
                 },
-                from: StageId(st as u16),
-                dest: tag.stage,
-            });
-            pipe.fx.phantoms_generated += 1;
+                StageId(st as u16),
+                tag.stage,
+            );
+            w.report.phantoms_generated += 1;
         }
     }
-    if st >= ctx.prologue {
+    if st >= w.prologue {
         // The body stage: one lane of the instruction-major kernel over
         // the flight's own fields and this pipeline's register replica.
         let kout = &mut pipe.kout;
         kout.clear();
-        ctx.prog.execute_stage_batch(
-            st - ctx.prologue,
+        w.prog.execute_stage_batch(
+            st - w.prologue,
             &[0],
             &[0],
             &mut OneLane(&mut fl.pkt.fields),
@@ -875,7 +737,7 @@ fn process_flight<S: TraceSink>(
         for a in kout.iter() {
             if S::ENABLED {
                 tctx.emit(
-                    sink,
+                    w.sink,
                     EventKind::Access {
                         pkt: fl.pkt.id,
                         reg: a.reg,
@@ -884,8 +746,13 @@ fn process_flight<S: TraceSink>(
                     },
                 );
             }
-            if ctx.record_detail {
-                pipe.fx.accesses.push((a.reg, a.index, fl.pkt.id));
+            if w.record_detail {
+                w.report
+                    .result
+                    .access_log
+                    .entry((a.reg, a.index))
+                    .or_default()
+                    .push(fl.pkt.id);
             }
         }
         // Retire this stage's tags. A retired *speculative* tag whose
@@ -900,37 +767,36 @@ fn process_flight<S: TraceSink>(
         while fl.pkt.tags.first().is_some_and(|t| t.stage.index() == st) {
             let tag = fl.pkt.tags.remove(0);
             retired_speculative |= tag.speculative;
-            if !first && ctx.phantoms {
-                pipe.queues[st].cancel(fl.key(&tag), false, sink, tctx);
+            if !first && w.phantoms {
+                pipe.queues[st].cancel(fl.key(&tag), false, w.sink, tctx);
             }
             first = false;
-            if tag.reg != REG_STAGE_SENTINEL && tag.index != INDEX_ARRAY_LEVEL {
-                pipe.fx.ctr_ops.push(CtrOp::Dec {
-                    reg: tag.reg,
-                    index: tag.index,
-                });
-            }
+            release_inflight(w.inflight, &tag);
         }
         if retired_speculative && kout.is_empty() {
-            pipe.fx.wasted_cycles += 1;
+            w.report.wasted_cycles += 1;
         }
     }
     pipe.lanes[st] = Some(fl);
-    if ctx.masks && st < 64 {
+    if st < 64 {
         pipe.park |= 1 << st;
+    }
+}
+
+/// Releases the in-flight count (the remap guard) a tag holds once its
+/// access has executed or its packet was dropped.
+fn release_inflight(inflight: &mut [Vec<u32>], tag: &AccessTag) {
+    if tag.reg != REG_STAGE_SENTINEL && tag.index != INDEX_ARRAY_LEVEL {
+        let c = &mut inflight[tag.reg.index()][tag.index as usize];
+        *c = c.saturating_sub(1);
     }
 }
 
 /// Runs preemptive address resolution (§3.3) on an arriving packet:
 /// computes every index it will access, consults the index-to-pipeline
-/// map, tags the packet, and buffers the runtime counter bumps.
-fn resolve_flight(
-    ctx: &WorkCtx<'_>,
-    fl: &mut Flight,
-    resolved: &mut Vec<ResolvedAccess>,
-    fx: &mut WorkFx,
-) {
-    ctx.prog.resolve_into(&mut fl.pkt.fields, resolved);
+/// map, tags the packet, and bumps the runtime counters.
+fn resolve_flight<S>(w: &mut Work<'_, S>, fl: &mut Flight, resolved: &mut Vec<ResolvedAccess>) {
+    w.prog.resolve_into(&mut fl.pkt.fields, resolved);
     // A packet another switch of a fabric forwarded still owns its last
     // hop's (retired, empty) tag list: reuse it.
     let tags = &mut fl.pkt.tags;
@@ -939,19 +805,19 @@ fn resolve_flight(
     for r in resolved.iter() {
         let dest = if r.reg == REG_STAGE_SENTINEL
             || r.index == INDEX_ARRAY_LEVEL
-            || !ctx.prog.regs[r.reg.index()].shardable
+            || !w.prog.regs[r.reg.index()].shardable
         {
             // Pinned arrays and stage-level serialization live on
             // pipeline 0 (§3.3's conservative fallbacks).
             PipelineId(0)
         } else {
-            PipelineId(ctx.index_map[r.reg.index()][r.index as usize])
+            PipelineId(w.index_map[r.reg.index()][r.index as usize])
         };
         if r.reg != REG_STAGE_SENTINEL && r.index != INDEX_ARRAY_LEVEL {
-            fx.ctr_ops.push(CtrOp::Inc {
-                reg: r.reg,
-                index: r.index,
-            });
+            let (ri, i) = (r.reg.index(), r.index as usize);
+            w.access_ctr[ri][i] += 1;
+            w.touched[ri].set(i);
+            w.inflight[ri][i] += 1;
         }
         tags.push(AccessTag {
             reg: r.reg,
@@ -961,145 +827,7 @@ fn resolve_flight(
             speculative: r.speculative,
         });
     }
-    debug_assert!(tags.windows(2).all(|w| w[0].stage <= w[1].stage));
-}
-
-// ---------------------------------------------------------------------
-// The parallel engine: jobs and the worker-side entry point.
-// ---------------------------------------------------------------------
-
-/// Immutable run-wide inputs shared with the worker threads once (via
-/// `Arc`), so per-cycle jobs stay O(1) in size.
-#[derive(Debug)]
-struct EngineShared {
-    prog: CompiledProgram,
-    phantoms: bool,
-    starvation_threshold: Option<u64>,
-    clen: u64,
-    prologue: usize,
-    /// Whether the coordinator's sink observes events (workers record
-    /// into per-pipeline `MemSink`s only in that case).
-    tracing: bool,
-    /// Mirrors [`SwitchConfig::record_detail`] for worker-side gating.
-    record_detail: bool,
-    /// Whether the occupancy masks drive the work pass
-    /// (`ExecPath::Batch`); see [`WorkCtx::masks`].
-    masks: bool,
-}
-
-/// A cycle's worth of work for one worker: a contiguous chunk of
-/// pipelines, *moved* in and moved back out (no sharing, no locks), plus
-/// the shared read-only context.
-#[derive(Debug)]
-struct Job {
-    shared: Arc<EngineShared>,
-    index_map: Arc<Vec<Vec<u16>>>,
-    cycle: u64,
-    /// Pipeline id of `pipes[0]`.
-    base: usize,
-    pipes: Vec<Pipe>,
-    /// Injected stalls active this cycle (empty under `NoFaults`; a
-    /// plain clone per job keeps workers free of fault generics).
-    stalls: Vec<(u16, u16)>,
-}
-
-/// Worker-side entry point: runs the work pass for every pipe in the
-/// job and hands the pipes (with buffered effects and events) back.
-/// `run_job` is a plain fn (no sink generic reaches the workers), so
-/// the traced/untraced split is a runtime branch between two
-/// monomorphizations; a traced worker records into each pipe's own
-/// `MemSink`, in the order the sequential engine emits.
-fn run_job(mut job: Job) -> Vec<Pipe> {
-    let shared = Arc::clone(&job.shared);
-    let ctx = WorkCtx {
-        prog: &shared.prog,
-        index_map: &job.index_map,
-        phantoms: shared.phantoms,
-        starvation_threshold: shared.starvation_threshold,
-        clen: shared.clen,
-        cycle: job.cycle,
-        prologue: shared.prologue,
-        stalls: &job.stalls,
-        record_detail: shared.record_detail,
-        masks: shared.masks,
-    };
-    for (j, pipe) in job.pipes.iter_mut().enumerate() {
-        let pl = job.base + j;
-        if shared.tracing {
-            let mut sink = MemSink {
-                events: std::mem::take(&mut pipe.events),
-            };
-            work_pipeline(&ctx, pl, pipe, &mut sink);
-            pipe.events = sink.into_events();
-        } else {
-            work_pipeline(&ctx, pl, pipe, &mut NopSink);
-        }
-    }
-    job.pipes
-}
-
-/// A shareable handle to a parallel-engine worker pool.
-///
-/// A single-switch run owns its pool implicitly (the constructors build
-/// one per switch), but a multi-switch fabric stepping many
-/// [`Mp5Switch`]es in one global cycle loop should *not* pay one thread
-/// pool per switch: build one `EnginePool` and hand a clone to every
-/// switch via [`Mp5Switch::try_with_pool`]. Switches take turns on the
-/// pool (the fabric advances them in a fixed order, so the mutex is
-/// never contended), and determinism is unaffected — the merge order of
-/// worker results is pipeline order regardless of which pool executed
-/// them.
-#[derive(Clone)]
-pub struct EnginePool {
-    inner: Arc<Mutex<WorkerPool<Job, Vec<Pipe>>>>,
-    workers: usize,
-}
-
-impl EnginePool {
-    /// Spawns a pool of `workers` (≥ 1) persistent threads running the
-    /// MP5 work phase.
-    pub fn new(workers: usize) -> Self {
-        EnginePool {
-            inner: Arc::new(Mutex::new(WorkerPool::new(workers, run_job))),
-            workers,
-        }
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs one barrier round on the pool (see [`WorkerPool::exchange`]).
-    fn exchange(&self, jobs: Vec<Job>) -> Vec<Vec<Pipe>> {
-        self.inner
-            .lock()
-            .expect("engine pool lock poisoned")
-            .exchange(jobs)
-    }
-}
-
-impl std::fmt::Debug for EnginePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EnginePool")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
-/// The parallel engine's per-switch state: the (possibly shared) worker
-/// pool and the `Arc`ed run-wide context.
-struct ParEngine {
-    pool: EnginePool,
-    shared: Arc<EngineShared>,
-}
-
-impl std::fmt::Debug for ParEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParEngine")
-            .field("workers", &self.pool.workers())
-            .finish()
-    }
+    debug_assert!(tags.windows(2).all(|p| p[0].stage <= p[1].stage));
 }
 
 /// The MP5 multi-pipeline switch.
@@ -1123,13 +851,11 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     stages: usize,
     prologue: usize,
     /// Per-pipeline work-phase state: incoming row, FIFO bank, lanes,
-    /// register replica, effect and event buffers, occupancy masks.
+    /// register replica, kernel scratch, occupancy masks.
     pipes: Vec<Pipe>,
     /// index-to-pipeline map, replicated in hardware, one logical copy
-    /// here (`Arc` so parallel-engine jobs can snapshot it per cycle;
-    /// the coordinator's remap phase is the only writer, via
-    /// `Arc::make_mut` when no job holds a reference).
-    index_map: Arc<Vec<Vec<u16>>>,
+    /// here; the remap phase is its only writer.
+    index_map: Vec<Vec<u16>>,
     /// Packet access counters per register index (dynamic sharding).
     access_ctr: Vec<Vec<u64>>,
     /// Per register, the indexes whose `access_ctr` moved since the last
@@ -1159,12 +885,6 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     /// divisibility test into a compare.
     next_remap: u64,
     report: RunReport,
-    /// Parallel engine (worker pool + shared statics); `None` under
-    /// [`EngineMode::Sequential`].
-    par: Option<ParEngine>,
-    /// Whether the occupancy masks drive the work pass and the move
-    /// phase (`ExecPath::Batch`, decided once at construction).
-    masks: bool,
     sink: S,
     /// Deterministic fault schedule (inert [`NoFaults`] by default).
     faults: F,
@@ -1248,38 +968,13 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// The validating constructor: rejects structurally invalid
     /// configurations (zero pipelines, `physical_pipelines` below the
-    /// logical count, a zero-worker parallel engine) with a typed
-    /// [`ConfigError`] instead of silently "fixing" them.
+    /// logical count, a zero remap period) with a typed [`ConfigError`]
+    /// instead of silently "fixing" them.
     pub fn try_with_faults(
         prog: CompiledProgram,
         cfg: SwitchConfig,
         sink: S,
         faults: F,
-    ) -> Result<Self, ConfigError> {
-        Self::build(prog, cfg, sink, faults, None)
-    }
-
-    /// Like [`Mp5Switch::try_with_faults`], but the parallel engine
-    /// (when `cfg.engine` selects one) executes on the caller-provided
-    /// shared [`EnginePool`] instead of spawning a private one — the
-    /// multi-switch composition path, where one pool serves every
-    /// switch in the fabric. Ignored under [`EngineMode::Sequential`].
-    pub fn try_with_pool(
-        prog: CompiledProgram,
-        cfg: SwitchConfig,
-        sink: S,
-        faults: F,
-        pool: &EnginePool,
-    ) -> Result<Self, ConfigError> {
-        Self::build(prog, cfg, sink, faults, Some(pool.clone()))
-    }
-
-    fn build(
-        prog: CompiledProgram,
-        cfg: SwitchConfig,
-        sink: S,
-        faults: F,
-        pool: Option<EnginePool>,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let k = cfg.pipelines;
@@ -1306,24 +1001,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         let pipes = (0..k).map(|_| Pipe::new(&prog, &cfg)).collect();
         let mut report = RunReport::new();
         report.set_cycle_len(cycle_len(timing_k));
-        let masks = cfg.exec == ExecPath::Batch;
-        let par = match cfg.engine {
-            EngineMode::Sequential => None,
-            EngineMode::Parallel(_) => {
-                let shared = Arc::new(EngineShared {
-                    prog: prog.clone(),
-                    phantoms: cfg.phantoms,
-                    starvation_threshold: cfg.starvation_threshold,
-                    clen: cycle_len(timing_k),
-                    prologue,
-                    tracing: S::ENABLED,
-                    record_detail: cfg.record_detail,
-                    masks,
-                });
-                let pool = pool.unwrap_or_else(|| EnginePool::new(cfg.engine.workers_for(k)));
-                Some(ParEngine { pool, shared })
-            }
-        };
         Ok(Mp5Switch {
             channel: PhantomChannel::new(stages),
             channel_buf: Vec::new(),
@@ -1337,7 +1014,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             stages,
             prologue,
             pipes,
-            index_map: Arc::new(index_map),
+            index_map,
             access_ctr,
             touched,
             inflight,
@@ -1347,8 +1024,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             rr: 0,
             cycle: 0,
             report,
-            par,
-            masks,
             sink,
             faults,
             dead: vec![false; k],
@@ -1669,33 +1344,20 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
         // 4. Admit/work phase: each (pipeline, stage) processes at most
         // one packet; incoming pass-through has priority (Invariant 2).
-        // Per-(pipeline, stage) work is data-independent within the
-        // cycle — the crossbar exchange already happened in phase 3 —
-        // so the parallel engine shards it over the worker pool, while
-        // the sequential engine runs the same `work_pipeline` inline.
-        // Shared-structure side effects are buffered per pipeline and
-        // applied in ascending pipeline order either way, keeping the
-        // two engines bit-identical.
-        if self.par.is_some() {
-            self.work_parallel();
-        } else {
-            self.work_seq();
-        }
+        self.work_phase();
 
         self.cycle += 1;
     }
 
     /// The move phase: every stage occupant advances, pipelines
     /// ascending, stages descending — the order the event stream and
-    /// `RunReport` are defined by. For programs of ≤ 64 stages the batch
-    /// path drains the park mask (filled by last cycle's work pass)
-    /// highest bit first, which visits exactly the occupied lane slots
-    /// in that order; the scalar reference, and wider programs, scan
-    /// every slot.
+    /// `RunReport` are defined by. For programs of ≤ 64 stages it drains
+    /// the park mask (filled by last cycle's work pass) highest bit
+    /// first, which visits exactly the occupied lane slots in that
+    /// order; wider programs scan every slot.
     fn move_phase(&mut self) {
-        let masked = self.masks && self.stages <= 64;
         for pl in 0..self.k {
-            if masked {
+            if self.stages <= 64 {
                 let mut mask = std::mem::take(&mut self.pipes[pl].park);
                 while mask != 0 {
                     let st = 63 - mask.leading_zeros() as usize;
@@ -1733,10 +1395,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             _ => {
                 let pipe = &mut self.pipes[pl];
                 pipe.inc_row[next] = Some(fl);
-                // Only the masked work pass reads (and clears) the mask;
-                // the scalar reference leaves it as its snapshots always
-                // had it.
-                if self.masks && next < 64 {
+                if next < 64 {
                     pipe.inc |= 1 << next;
                 }
                 return;
@@ -1766,11 +1425,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.enqueue_stateful(dest, next, fl);
     }
 
-    /// The work phase on the sequential engine, over the switch's own
-    /// pipes in ascending order: each pipeline's work pass emits straight
-    /// into the sink, then its buffered side effects are applied.
-    fn work_seq(&mut self) {
-        let ctx = WorkCtx {
+    /// The work phase: every pipeline's pass, ascending, over a `Work`
+    /// that borrows the shared state beside `pipes`, so each effect is
+    /// written where it lands, in the order the stream is defined by.
+    fn work_phase(&mut self) {
+        let mut w = Work {
             prog: &self.prog,
             index_map: &self.index_map,
             phantoms: self.cfg.phantoms,
@@ -1780,85 +1439,15 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             prologue: self.prologue,
             stalls: self.faults.active_stalls(),
             record_detail: self.cfg.record_detail,
-            masks: self.masks,
+            access_ctr: &mut self.access_ctr,
+            touched: &mut self.touched,
+            inflight: &mut self.inflight,
+            channel: &mut self.channel,
+            report: &mut self.report,
+            sink: &mut self.sink,
         };
         for (pl, pipe) in self.pipes.iter_mut().enumerate() {
-            work_pipeline(&ctx, pl, pipe, &mut self.sink);
-            apply_work_fx(
-                &mut pipe.fx,
-                &mut self.access_ctr,
-                &mut self.touched,
-                &mut self.inflight,
-                &mut self.channel,
-                &mut self.report,
-            );
-        }
-    }
-
-    /// The work phase on the parallel engine: move the pipes into jobs
-    /// of contiguous pipeline ranges, run them on the worker pool,
-    /// barrier on the results, and move them back in ascending pipeline
-    /// order (trace-event replay, side-effect application) so the
-    /// outcome is bit-identical to the sequential engine's.
-    fn work_parallel(&mut self) {
-        let Some(par) = self.par.as_mut() else {
-            // Guarded by the `par.is_some()` check in `step`; silently
-            // skipping the work phase would corrupt the run, so this
-            // must stay loud.
-            unreachable!("work_parallel called without a parallel engine");
-        };
-        let stalls: Vec<(u16, u16)> = self.faults.active_stalls().to_vec();
-        let shared = Arc::clone(&par.shared);
-        // A shared pool may have more workers than this switch has
-        // pipelines; never build more jobs than pipelines (a job per
-        // worker with some empty would still be correct, but chunking by
-        // `min` keeps job sizes contiguous and non-degenerate).
-        let workers = par.pool.workers().min(self.k).max(1);
-        // Contiguous range shards in pipeline order: worker order ==
-        // pipeline order, so putting the results back in job order
-        // restores ascending order.
-        let mut jobs = Vec::with_capacity(workers);
-        for range in shard_ranges(self.k, workers) {
-            jobs.push(Job {
-                shared: Arc::clone(&shared),
-                index_map: Arc::clone(&self.index_map),
-                cycle: self.cycle,
-                base: range.start,
-                pipes: self.pipes[range].iter_mut().map(std::mem::take).collect(),
-                stalls: stalls.clone(),
-            });
-        }
-        // `Parallel(n)` resolving to a single worker (n = 1, or k = 1)
-        // degenerates to sequential work with a rendezvous barrier on
-        // top — two thread handoffs per cycle for nothing, ~27× on
-        // per-cycle p50 at k = 1. Run the lone job inline on the
-        // coordinator instead: `run_job` is a plain fn, so this is the
-        // exact computation the worker would have done.
-        let outs = if jobs.len() == 1 {
-            jobs.drain(..).map(run_job).collect()
-        } else {
-            par.pool.exchange(jobs)
-        };
-        let mut pl = 0;
-        for pipes in outs {
-            for mut pipe in pipes {
-                debug_assert!(pipe.inc_row.iter().all(|s| s.is_none()));
-                if S::ENABLED {
-                    for ev in pipe.events.drain(..) {
-                        self.sink.emit(ev);
-                    }
-                }
-                apply_work_fx(
-                    &mut pipe.fx,
-                    &mut self.access_ctr,
-                    &mut self.touched,
-                    &mut self.inflight,
-                    &mut self.channel,
-                    &mut self.report,
-                );
-                self.pipes[pl] = pipe;
-                pl += 1;
-            }
+            work_pipeline(&mut w, pl, pipe);
         }
     }
 
@@ -1970,7 +1559,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// channel) and release its in-flight counters.
     fn drop_remaining(&mut self, fl: Flight, st: usize) {
         for tag in &fl.pkt.tags {
-            self.dec_inflight(tag);
+            release_inflight(&mut self.inflight, tag);
             if tag.stage.index() <= st {
                 continue; // this stage's keys were handled by the caller
             }
@@ -1990,13 +1579,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 // Still on the channel: discard at delivery.
                 self.cancelled.insert(key);
             }
-        }
-    }
-
-    fn dec_inflight(&mut self, tag: &AccessTag) {
-        if tag.reg != REG_STAGE_SENTINEL && tag.index != INDEX_ARRAY_LEVEL {
-            let c = &mut self.inflight[tag.reg.index()][tag.index as usize];
-            *c = c.saturating_sub(1);
         }
     }
 
@@ -2229,10 +1811,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     }
 
     fn apply_move(&mut self, reg: usize, mv: shard::Move) {
-        // `make_mut` does not copy in steady state: parallel-engine
-        // jobs return their `Arc` snapshot before the cycle ends, so
-        // the coordinator holds the only reference at remap time.
-        let map = Arc::make_mut(&mut self.index_map);
+        let map = &mut self.index_map;
         let from = map[reg][mv.index] as usize;
         let value = self.pipes[from].regs[reg][mv.index];
         self.pipes[mv.to].regs[reg][mv.index] = value;
@@ -2388,11 +1967,10 @@ fn snap_fifo(f: &LogicalFifo<Flight>) -> FifoSnap {
     }
 }
 
-/// Rebuilds a logical FIFO; `indexed` selects the service-scan mode of
-/// the *target* switch (it is an execution detail, not state, so a
-/// scalar-path snapshot restores cleanly into a batch-path switch and
-/// vice versa).
-fn unsnap_fifo(s: FifoSnap, indexed: bool) -> LogicalFifo<Flight> {
+/// Rebuilds a logical FIFO, servicing through its occupancy index
+/// (the service-scan mode is not state: a v1 snapshot written by the
+/// scalar exec path restores into it as well).
+fn unsnap_fifo(s: FifoSnap) -> LogicalFifo<Flight> {
     LogicalFifo::from_parts(FifoParts {
         capacity: s.capacity,
         lanes: s
@@ -2414,7 +1992,7 @@ fn unsnap_fifo(s: FifoSnap, indexed: bool) -> LogicalFifo<Flight> {
             blocked_cycles: s.stats.blocked_cycles,
             recovered: s.stats.recovered,
         },
-        indexed,
+        indexed: true,
     })
 }
 
@@ -2448,10 +2026,7 @@ fn unsnap_queue(q: QueueSnap, cfg: &SwitchConfig) -> Result<StageQueue, RestoreE
                     cfg.pipelines
                 )));
             }
-            Ok(StageQueue::Logical(unsnap_fifo(
-                s,
-                cfg.exec != ExecPath::Scalar,
-            )))
+            Ok(StageQueue::Logical(unsnap_fifo(s)))
         }
         QueueSnap::PerIndex {
             subs,
@@ -2472,10 +2047,7 @@ fn unsnap_queue(q: QueueSnap, cfg: &SwitchConfig) -> Result<StageQueue, RestoreE
                 }
             }
             Ok(StageQueue::PerIndex {
-                subs: subs
-                    .into_iter()
-                    .map(|(i, s)| (i, unsnap_fifo(s, true)))
-                    .collect(),
+                subs: subs.into_iter().map(|(i, s)| (i, unsnap_fifo(s))).collect(),
                 max_total,
                 capacity,
             })
@@ -2609,7 +2181,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// program and configuration fully determine the rest of the run:
     /// a switch rebuilt via [`Mp5Switch::try_restore_with`] continues
     /// **bit-identically** (same `RunReport`, same traced
-    /// `stream_hash`) on either exec path and either engine.
+    /// `stream_hash`).
     ///
     /// Emits a `SnapshotTaken` lifecycle event (traced runs only);
     /// lifecycle events are excluded from `stream_hash` and ignored by
@@ -2627,7 +2199,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             cycle: self.cycle,
             rr: self.rr,
             regs: self.pipes.iter().map(|p| p.regs.clone()).collect(),
-            index_map: (*self.index_map).clone(),
+            index_map: self.index_map.clone(),
             access_ctr: self.access_ctr.clone(),
             inflight: self.inflight.clone(),
             queues: self
@@ -2700,10 +2272,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// `prog` and `cfg` must match the checkpointed run's (the snapshot
     /// carries opaque register values and stage-resolved tags, so the
     /// shapes must line up; mismatches are rejected as
-    /// [`RestoreError::Incompatible`]). The engine and exec path *may*
-    /// differ — both are bit-identical implementations of the same
-    /// machine, so a sequential/scalar checkpoint restores into a
-    /// parallel/batch switch and continues identically.
+    /// [`RestoreError::Incompatible`]).
     ///
     /// Emits a `Restored` lifecycle event (traced runs only).
     pub fn try_restore_with(
@@ -2713,7 +2282,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         sink: S,
         faults: F,
     ) -> Result<Self, RestoreError> {
-        let mut sw = Self::build(prog, cfg, sink, faults, None)?;
+        let mut sw = Self::try_with_faults(prog, cfg, sink, faults)?;
         sw.inject_state(state)?;
         Ok(sw)
     }
@@ -2823,7 +2392,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             pipe.regs = regs;
             pipe.lanes = lanes.into_iter().map(|s| s.map(unsnap_flight)).collect();
         }
-        self.index_map = Arc::new(state.index_map);
+        self.index_map = state.index_map;
         self.touched = state.access_ctr.iter().map(|c| Touched::of(c)).collect();
         self.access_ctr = state.access_ctr;
         self.inflight = state.inflight;
@@ -2864,10 +2433,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             .map(|(ready, dest, st, fl)| (ready, PipelineId(dest), st, unsnap_flight(fl)))
             .collect();
         self.egress_buf = state.egress_buf;
-        // The masks are derived occupancy views (batch-path
-        // accelerators), not state: the scalar path never maintains
-        // them, so rebuild from the restored lanes/queues — a snapshot
-        // taken on one exec path then restores cleanly onto the other.
+        // The masks are derived occupancy views, not state: rebuild them
+        // from the restored lanes/queues (v1 snapshots written by the
+        // retired scalar exec path carry masks it never maintained).
         for pipe in &mut self.pipes {
             let (mut park, mut qmask) = (0u64, 0u64);
             for st in 0..self.stages.min(64) {
@@ -3030,21 +2598,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
         for (pipe, regs) in self.pipes.iter_mut().zip(fresh) {
             pipe.regs = regs;
-        }
-        // The parallel engine's workers read the program through the
-        // shared block; republish it with the new program.
-        if let Some(par) = self.par.as_mut() {
-            let s = &par.shared;
-            par.shared = Arc::new(EngineShared {
-                prog: new_prog.clone(),
-                phantoms: s.phantoms,
-                starvation_threshold: s.starvation_threshold,
-                clen: s.clen,
-                prologue: s.prologue,
-                tracing: s.tracing,
-                record_detail: s.record_detail,
-                masks: s.masks,
-            });
         }
         self.prog = new_prog;
         if S::ENABLED {
@@ -3406,66 +2959,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_is_bit_identical_to_sequential() {
-        use crate::config::EngineMode;
-        use mp5_trace::{stream_hash, MemSink};
-        let prog = compile(SHARDED, &Target::default()).unwrap();
-        let nf = prog.num_fields();
-        let trace = TraceBuilder::new(1500, 33).build(nf, |r, _, f| {
-            use rand::Rng;
-            f[0] = r.gen_range(0..1_000);
-        });
-        let (seq, seq_sink) =
-            Mp5Switch::with_sink(prog.clone(), SwitchConfig::mp5(4), MemSink::new())
-                .run_traced(trace.clone());
-        for n in [1usize, 2, 3, 4, 7] {
-            let cfg = SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(n));
-            let (par, par_sink) =
-                Mp5Switch::with_sink(prog.clone(), cfg, MemSink::new()).run_traced(trace.clone());
-            assert_eq!(seq, par, "RunReport must be bit-identical (n={n})");
-            assert_eq!(
-                stream_hash(&seq_sink.events),
-                stream_hash(&par_sink.events),
-                "traced event stream must be bit-identical (n={n})"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_engine_matches_on_every_ablation() {
-        use crate::config::EngineMode;
-        for cfg in [
-            SwitchConfig::mp5(4),
-            SwitchConfig::ideal(4),
-            SwitchConfig::no_d4(4),
-            SwitchConfig::static_shard(4, 7),
-            SwitchConfig::naive(4),
-            SwitchConfig::mp5(4).with_hardware_fifos(),
-            SwitchConfig {
-                starvation_threshold: Some(4),
-                ecn_threshold: Some(2),
-                ..SwitchConfig::mp5(4)
-            },
-        ] {
-            let prog = compile(SHARDED, &Target::default()).unwrap();
-            let nf = prog.num_fields();
-            let trace = TraceBuilder::new(800, 44).build(nf, |r, _, f| {
-                use rand::Rng;
-                f[0] = r.gen_range(0..1_000);
-            });
-            let seq = Mp5Switch::new(prog.clone(), cfg.clone()).run(trace.clone());
-            let par_cfg = SwitchConfig {
-                engine: EngineMode::Parallel(4),
-                ..cfg.clone()
-            };
-            let par = Mp5Switch::new(prog, par_cfg).run(trace);
-            assert_eq!(seq, par, "engines diverged under {cfg:?}");
-        }
-    }
-
-    #[test]
     fn try_new_rejects_invalid_configs() {
-        use crate::config::{ConfigError, EngineMode};
+        use crate::config::ConfigError;
         let prog = compile(COUNTER, &Target::default()).unwrap();
         // physical_pipelines below the logical count is a hard error
         // now (it used to be silently clamped upward).
@@ -3479,11 +2974,6 @@ mod tests {
                 physical: 2,
                 logical: 4
             })
-        );
-        let zero_workers = SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(0));
-        assert_eq!(
-            Mp5Switch::try_new(prog.clone(), zero_workers).err(),
-            Some(ConfigError::ZeroWorkers)
         );
         let never_remaps = SwitchConfig {
             remap_period: 0,
@@ -3651,22 +3141,7 @@ mod tests {
         );
     }
 
-    /// The engine's job payloads cross thread boundaries: every type
-    /// moved into a worker must be `Send` (compile-time audit).
-    #[test]
-    fn engine_payloads_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<Flight>();
-        assert_send::<StageQueue>();
-        assert_send::<Pipe>();
-        assert_send::<Job>();
-        assert_send::<WorkFx>();
-        fn assert_sync<T: Sync>() {}
-        assert_sync::<EngineShared>();
-        assert_sync::<CompiledProgram>();
-    }
-
-    /// Queues, lanes and batch rows move flights around every cycle:
+    /// Queues, lanes and incoming rows move flights around every cycle:
     /// what they move must stay a pointer, not the packet.
     #[test]
     fn flights_are_handles() {
@@ -3690,38 +3165,15 @@ mod tests {
     #[test]
     fn snapshot_restore_continues_bit_identically() {
         let (prog, trace) = sharded_trace(3000, 11);
-        // (checkpoint cfg, restore cfg): the restore side may pick a
-        // different engine/exec path — all are bit-identical machines.
-        let cases = [
-            (
-                SwitchConfig::mp5(4).with_exec(ExecPath::Scalar),
-                SwitchConfig::mp5(4).with_exec(ExecPath::Scalar),
-            ),
-            (SwitchConfig::mp5(4), SwitchConfig::mp5(4)),
-            (
-                SwitchConfig::mp5(4).with_exec(ExecPath::Scalar),
-                SwitchConfig::mp5(4).with_exec(ExecPath::Batch),
-            ),
-            (
-                SwitchConfig::mp5(4),
-                SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(2)),
-            ),
-            (
-                SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(2)),
-                SwitchConfig::mp5(4),
-            ),
-        ];
+        let cfg = SwitchConfig::mp5(4);
+        let oracle = Mp5Switch::new(prog.clone(), cfg.clone()).run(trace.clone());
+        assert!(oracle.remap_moves > 0, "the run must remap to test it");
         // Checkpoint cycles: mid-period, and one before, at and one
         // after a multiple of `remap_period` (100) — the restored
         // switch recomputes when its next remap is due, and must agree
         // with the run that was never interrupted.
-        let cases = cases
-            .iter()
-            .flat_map(|c| [40, 99, 100, 101].map(|at| (c.0.clone(), c.1.clone(), at)));
-        for (cfg_a, cfg_b, at) in cases {
-            let oracle = Mp5Switch::new(prog.clone(), cfg_b.clone()).run(trace.clone());
-            assert!(oracle.remap_moves > 0, "the run must remap to test it");
-            let mut sw = Mp5Switch::new(prog.clone(), cfg_a.clone());
+        for at in [40, 99, 100, 101] {
+            let mut sw = Mp5Switch::new(prog.clone(), cfg.clone());
             for p in trace.clone() {
                 sw.offer(p);
             }
@@ -3737,17 +3189,14 @@ mod tests {
             let json = serde_json::to_string(&state).expect("state serializes");
             let state: crate::SwitchState = serde_json::from_str(&json).expect("state parses");
             let mut sw =
-                Mp5Switch::try_restore_with(prog.clone(), cfg_b.clone(), state, NopSink, NoFaults)
+                Mp5Switch::try_restore_with(prog.clone(), cfg.clone(), state, NopSink, NoFaults)
                     .expect("restore");
             while !sw.is_idle() {
                 sw.tick();
                 sw.drain_egress();
             }
             let (report, _) = sw.finish_stream();
-            assert_eq!(
-                report, oracle,
-                "restored run diverged ({cfg_a:?} -> {cfg_b:?} at cycle {at})"
-            );
+            assert_eq!(report, oracle, "restored run diverged at cycle {at}");
         }
     }
 
@@ -3796,36 +3245,31 @@ mod tests {
     #[test]
     fn hot_swap_identical_program_completes_with_closed_ledger() {
         let (prog, trace) = sharded_trace(3000, 13);
-        for cfg in [
-            SwitchConfig::mp5(4),
-            SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(2)),
-        ] {
-            let oracle = Mp5Switch::new(prog.clone(), cfg.clone()).run(trace.clone());
-            let mut sw = Mp5Switch::new(prog.clone(), cfg.clone());
-            for p in trace.clone() {
-                sw.offer(p);
-            }
-            for _ in 0..30 {
-                sw.tick();
-                sw.drain_egress();
-            }
-            // Swap in a freshly compiled copy of the same source, mid-
-            // traffic, without draining.
-            let recompiled = compile(SHARDED, &Target::default()).unwrap();
-            let swap = sw.hot_swap(recompiled).expect("identical layout must swap");
-            assert!(swap.closed(), "swap ledger must close: {swap:?}");
-            assert_eq!(swap.migrated, 64, "SHARDED owns one 64-entry table");
-            assert_eq!(swap.lost_phantoms, 0);
-            while !sw.is_idle() {
-                sw.tick();
-                sw.drain_egress();
-            }
-            let (report, _) = sw.finish_stream();
-            assert_eq!(
-                report, oracle,
-                "swap to an identical program must be invisible"
-            );
+        let oracle = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(4)).run(trace.clone());
+        let mut sw = Mp5Switch::new(prog, SwitchConfig::mp5(4));
+        for p in trace {
+            sw.offer(p);
         }
+        for _ in 0..30 {
+            sw.tick();
+            sw.drain_egress();
+        }
+        // Swap in a freshly compiled copy of the same source, mid-
+        // traffic, without draining.
+        let recompiled = compile(SHARDED, &Target::default()).unwrap();
+        let swap = sw.hot_swap(recompiled).expect("identical layout must swap");
+        assert!(swap.closed(), "swap ledger must close: {swap:?}");
+        assert_eq!(swap.migrated, 64, "SHARDED owns one 64-entry table");
+        assert_eq!(swap.lost_phantoms, 0);
+        while !sw.is_idle() {
+            sw.tick();
+            sw.drain_egress();
+        }
+        let (report, _) = sw.finish_stream();
+        assert_eq!(
+            report, oracle,
+            "swap to an identical program must be invisible"
+        );
     }
 
     #[test]

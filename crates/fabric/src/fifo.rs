@@ -233,11 +233,10 @@ pub struct LogicalFifo<T> {
     lane_pos: Vec<u32>,
     /// When `false`, service scans walk every lane head (the paper's
     /// literal `pop()` and this FIFO's behavior before the occupancy
-    /// index existed). The scalar reference interpreter runs in this
-    /// mode: its job is to be the obviously-correct oracle the batch
-    /// path is differentially tested against, so it keeps the naive
-    /// scan while the index (still maintained and debug-asserted
-    /// either way) accelerates the production batch path.
+    /// index existed). Tests run this mode as the obviously-correct
+    /// oracle the index is checked against; the switch always services
+    /// through the index (still maintained and debug-asserted either
+    /// way).
     indexed: bool,
 }
 
@@ -526,7 +525,7 @@ impl<T> LogicalFifo<T> {
     }
 
     /// Reference service scan: the pre-index two-pass implementation,
-    /// kept verbatim for the scalar reference path — reclaim `free`
+    /// kept verbatim as the tests' oracle — reclaim `free`
     /// stale entries at every lane head (`drain_free_stale`), then pick
     /// the minimum-timestamp head over **all** `k` lanes, the way the
     /// paper's `pop()` reads. Keeps the index in sync for lanes it

@@ -34,24 +34,3 @@ pub use fifo::{
 };
 pub use ring::RingBuffer;
 pub use xbar::Crossbar;
-
-#[cfg(test)]
-mod send_audit {
-    use super::*;
-
-    fn assert_send<T: Send>() {}
-
-    /// The parallel cycle engine in `mp5-core` moves per-pipeline
-    /// fabric state into worker threads; every fabric component must
-    /// therefore stay `Send` (no `Rc`/`RefCell` may creep in).
-    #[test]
-    fn fabric_components_are_send() {
-        assert_send::<RingBuffer<u64>>();
-        assert_send::<LogicalFifo<u64>>();
-        assert_send::<Crossbar>();
-        assert_send::<PhantomChannel<u64>>();
-        assert_send::<Entry<u64>>();
-        assert_send::<PopOutcome<u64>>();
-        assert_send::<(OrderKey, PhantomKey, FifoAddr)>();
-    }
-}

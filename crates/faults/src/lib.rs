@@ -18,9 +18,10 @@
 //!   cycle-sorted cursor plus active fault windows.
 //!
 //! Determinism is the whole point: the same plan against the same
-//! trace must produce bit-identical runs on the sequential and the
-//! parallel engine, so every decision here is a pure function of
-//! `(seed, cycle, key)` — no ambient randomness, no wall-clock.
+//! trace must produce bit-identical runs — replayed from JSON, or
+//! restored from a snapshot — so every decision here is a pure
+//! function of `(seed, cycle, key)`: no ambient randomness, no
+//! wall-clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -612,9 +613,9 @@ pub enum PhantomFate {
 /// `if F::ENABLED` constant-folds away and the hot path is unchanged.
 ///
 /// All queries are pure functions of injector state set up by
-/// [`FaultInjector::begin_cycle`], which the coordinator calls exactly
-/// once per cycle *before* any phase — this keeps sequential and
-/// parallel engines bit-identical under the same plan.
+/// [`FaultInjector::begin_cycle`], which the switch calls exactly once
+/// per cycle *before* any phase — this keeps every run of the same
+/// plan bit-identical.
 pub trait FaultInjector: Send + 'static {
     /// Statically known enablement flag (false for [`NoFaults`]).
     const ENABLED: bool;

@@ -21,7 +21,7 @@
 use std::io::BufRead;
 use std::path::Path;
 
-use mp5_core::{EngineMode, ExecPath, RunReport, SwitchConfig};
+use mp5_core::{RunReport, SwitchConfig};
 use mp5_faults::{NoFaults, PlannedFaults};
 use mp5_serve::{
     compile_source, io_err, parse_packet_line, FaultState, ServeError, Server, Snapshot,
@@ -36,8 +36,6 @@ struct Args {
     packets: usize,
     seed: u64,
     keys: u64,
-    engine: Option<EngineMode>,
-    exec: Option<ExecPath>,
     stdin: bool,
     faults: Option<String>,
     checkpoint_every: Option<u64>,
@@ -63,14 +61,12 @@ fn usage() -> ! {
            --stdin               ingest newline-JSON packets from stdin instead\n\
          switch:\n\
            --pipelines K         pipelines (default 4)\n\
-           --engine seq|par:N    cycle engine (default: config default)\n\
-           --exec scalar|batch   execution path (default: config default)\n\
            --faults PATH         fault plan JSON\n\
          checkpointing:\n\
            --checkpoint-every N  checkpoint every N cycles (needs --snapshot)\n\
            --snapshot PATH       snapshot file (written atomically)\n\
            --halt-at CYCLE       stop at CYCLE, write a final snapshot, exit 0\n\
-           --restore PATH        resume from a snapshot (engine/exec may differ)\n\
+           --restore PATH        resume from a snapshot\n\
          hot-swap:\n\
            --swap-at CYCLE       hot-swap the program at CYCLE\n\
            --swap-program PATH   DSL source to swap in\n\
@@ -89,8 +85,6 @@ fn parse_args() -> Args {
         packets: 4_000,
         seed: 1,
         keys: 64,
-        engine: None,
-        exec: None,
         stdin: false,
         faults: None,
         checkpoint_every: None,
@@ -118,18 +112,6 @@ fn parse_args() -> Args {
             "--packets" => args.packets = val("--packets").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
             "--keys" => args.keys = val("--keys").parse().unwrap_or_else(|_| usage()),
-            "--engine" => {
-                args.engine = Some(val("--engine").parse().unwrap_or_else(|e| {
-                    eprintln!("--engine: {e}");
-                    usage()
-                }))
-            }
-            "--exec" => {
-                args.exec = Some(val("--exec").parse().unwrap_or_else(|e| {
-                    eprintln!("--exec: {e}");
-                    usage()
-                }))
-            }
             "--stdin" => args.stdin = true,
             "--faults" => args.faults = Some(val("--faults")),
             "--checkpoint-every" => {
@@ -164,6 +146,14 @@ fn parse_args() -> Args {
         args.app.is_some() as u8 + args.program.is_some() as u8 + args.restore.is_some() as u8;
     if sources != 1 {
         eprintln!("exactly one of --app, PROGRAM.dsl, or --restore is required");
+        usage()
+    }
+    if let Err(e) = SwitchConfig::mp5(args.pipelines).validate() {
+        eprintln!("--pipelines: {e}");
+        usage()
+    }
+    if args.keys == 0 {
+        eprintln!("--keys: the key space needs at least one key");
         usage()
     }
     if args.checkpoint_every.is_some() && args.snapshot.is_none() {
@@ -263,7 +253,7 @@ fn session<S: TraceSink, F: FaultState>(
     let mut server: Server<S, F> = match snap {
         Some(snap) => {
             let from = snap.cycle();
-            let server = Server::restore(snap, sink, args.engine, args.exec)?;
+            let server = Server::restore(snap, sink, None, None)?;
             println!(
                 "restored @ cycle {from}: {} in flight, resuming",
                 server.live_report().offered - server.live_report().completed
@@ -279,13 +269,7 @@ fn session<S: TraceSink, F: FaultState>(
                 (None, Some(path)) => read_file(path)?,
                 (None, None) => unreachable!("parse_args enforces a workload source"),
             };
-            let mut cfg = SwitchConfig::mp5(args.pipelines);
-            if let Some(e) = args.engine {
-                cfg = cfg.with_engine(e);
-            }
-            if let Some(x) = args.exec {
-                cfg = cfg.with_exec(x);
-            }
+            let cfg = SwitchConfig::mp5(args.pipelines);
             let plan_json = args.faults.as_deref().map(read_file).transpose()?;
             let server = Server::new(&source, cfg, sink, plan_json)?;
             println!(

@@ -22,20 +22,19 @@
 //!
 //! The restore contract is exact: a run that is checkpointed at cycle
 //! `C`, killed, and restored produces the same [`RunReport`] and the
-//! same event-stream hash as the run that was never interrupted — on
-//! either execution path and either cycle engine, which are free to
-//! differ between the checkpoint and the restore.
+//! same event-stream hash as the run that was never interrupted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::convert::Infallible;
 use std::io::Write;
 use std::path::Path;
 
 use mp5_compiler::{compile, CompiledProgram, Target};
 use mp5_core::{
-    ConfigError, EngineMode, ExecPath, Mp5Switch, RestoreError, RunReport, SwapError, SwapReport,
-    SwitchConfig, SwitchState,
+    ConfigError, Mp5Switch, RestoreError, RunReport, SwapError, SwapReport, SwitchConfig,
+    SwitchState,
 };
 use mp5_faults::{FaultInjector, FaultPlan, InjectorState, NoFaults, PlannedFaults};
 use mp5_trace::TraceSink;
@@ -77,7 +76,8 @@ pub enum ServeError {
     Version(u32),
     /// The embedded program source no longer compiles.
     Compile(String),
-    /// The snapshot's switch configuration is invalid.
+    /// The switch configuration (given, or read from a snapshot) is
+    /// invalid.
     Config(ConfigError),
     /// The snapshot does not fit the switch it is being restored into.
     Restore(RestoreError),
@@ -103,7 +103,7 @@ impl std::fmt::Display for ServeError {
                 "snapshot codec version {v} is not supported (this build reads v{SNAPSHOT_VERSION})"
             ),
             ServeError::Compile(e) => write!(f, "embedded program does not compile: {e}"),
-            ServeError::Config(e) => write!(f, "snapshot configuration invalid: {e}"),
+            ServeError::Config(e) => write!(f, "switch configuration invalid: {e}"),
             ServeError::Restore(e) => write!(f, "restore rejected: {e}"),
             ServeError::Swap(e) => write!(f, "hot-swap rejected: {e}"),
             ServeError::Plan(why) => write!(f, "fault plan: {why}"),
@@ -528,7 +528,7 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
     ) -> Result<Self, ServeError> {
         let prog = compile_source(source)?;
         let faults = F::fresh(plan_json.as_deref())?;
-        let sw = Mp5Switch::with_faults(prog, config.clone(), sink, faults);
+        let sw = Mp5Switch::try_with_faults(prog, config.clone(), sink, faults)?;
         Ok(Server {
             sw,
             source: source.to_string(),
@@ -539,30 +539,24 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
     }
 
     /// Rebuilds a switch from a snapshot and resumes it, bit-identical
-    /// to the run that was checkpointed. `engine`/`exec` override the
-    /// snapshot's configuration when given — both cycle engines and
-    /// both execution paths implement the same machine, so a restore
-    /// may switch between them freely.
+    /// to the run that was checkpointed.
+    ///
+    /// The two trailing parameters are vestigial (they used to pick a
+    /// cycle engine and an exec path) and only `None` fits them; ROADMAP
+    /// item 1(b) removes them together with their last callers.
     pub fn restore(
         snap: Snapshot,
         sink: S,
-        engine: Option<EngineMode>,
-        exec: Option<ExecPath>,
+        _engine: Option<Infallible>,
+        _exec: Option<Infallible>,
     ) -> Result<Self, ServeError> {
         let prog = compile_source(&snap.source)?;
-        let mut config = snap.config.clone();
-        if let Some(e) = engine {
-            config = config.with_engine(e);
-        }
-        if let Some(x) = exec {
-            config = config.with_exec(x);
-        }
         let faults = F::restore_from(snap.fault_plan.as_deref(), snap.injector.as_ref())?;
-        let sw = Mp5Switch::try_restore_with(prog, config.clone(), snap.state, sink, faults)?;
+        let sw = Mp5Switch::try_restore_with(prog, snap.config.clone(), snap.state, sink, faults)?;
         Ok(Server {
             sw,
             source: snap.source,
-            config,
+            config: snap.config,
             plan_json: snap.fault_plan,
             seq: snap.seq,
         })

@@ -1,0 +1,28 @@
+//! `mp5serve` at the process boundary: a flag value no switch can run
+//! with is a usage error (exit 2) that names the flag, never a panic.
+
+use std::process::Command;
+
+fn assert_usage_error(args: &[&str], flag: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mp5serve"))
+        .args(args)
+        .output()
+        .expect("mp5serve starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+}
+
+#[test]
+fn zero_pipelines_is_a_usage_error() {
+    assert_usage_error(&["--app", "flowlet", "--pipelines", "0"], "--pipelines");
+}
+
+#[test]
+fn an_empty_key_space_is_a_usage_error() {
+    let program = format!(
+        "{}/../apps/programs/flowlet.mp5",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    assert_usage_error(&[&program, "--keys", "0"], "--keys");
+}

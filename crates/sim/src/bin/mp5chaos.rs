@@ -5,23 +5,22 @@
 //! cargo run --release -p mp5-sim --bin mp5chaos -- \
 //!     [--seeds N] [--start-seed N] [--apps all|name,name,...] \
 //!     [--pipelines K] [--packets N] [--horizon CYCLES] \
-//!     [--seq-only] [--dump-plans DIR]
+//!     [--dump-plans DIR]
 //! ```
 //!
 //! For every `app × seed` case the harness rolls a chaos
 //! [`FaultPlan`](mp5_faults::FaultPlan) (stalls, recoverable phantom
 //! drops, forced FIFO overflow, crossbar grant delays, remap aborts,
-//! and at most one pipeline kill), runs it traced on the sequential
-//! engine, and checks the three chaos contracts: clean finish with a
-//! closed fault ledger, zero findings from the offline invariant
-//! auditor, and — unless `--seq-only` — bit-identity between the
-//! sequential and parallel cycle engines under the identical plan.
+//! and at most one pipeline kill), runs it traced, and checks the two
+//! chaos contracts: clean finish with a closed fault ledger, and zero
+//! findings from the offline invariant auditor.
 //!
 //! Every failing case prints its seed; re-running with
 //! `--seeds 1 --start-seed <seed> --apps <app> --dump-plans .`
 //! reproduces it exactly and writes the offending plan as JSON for
 //! `mp5run --faults`.
 
+use mp5_core::SwitchConfig;
 use mp5_sim::chaos::{self, ChaosOpts};
 
 struct Cli {
@@ -37,7 +36,7 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: mp5chaos [--seeds N] [--start-seed N] [--apps all|name,...] \
-         [--pipelines K] [--packets N] [--horizon CYCLES] [--seq-only] [--dump-plans DIR] \
+         [--pipelines K] [--packets N] [--horizon CYCLES] [--dump-plans DIR] \
          [--fabric] [--kill-restore]"
     );
     std::process::exit(2)
@@ -72,7 +71,6 @@ fn parse_cli() -> Cli {
             }
             "--packets" => cli.opts.packets = val("--packets").parse().unwrap_or_else(|_| usage()),
             "--horizon" => cli.opts.horizon = val("--horizon").parse().unwrap_or_else(|_| usage()),
-            "--seq-only" => cli.opts.check_parallel = false,
             "--dump-plans" => cli.dump_plans = Some(val("--dump-plans")),
             "--fabric" => cli.fabric = true,
             "--kill-restore" => cli.kill_restore = true,
@@ -82,6 +80,10 @@ fn parse_cli() -> Cli {
                 usage()
             }
         }
+    }
+    if let Err(e) = SwitchConfig::mp5(cli.opts.pipelines).validate() {
+        eprintln!("--pipelines: {e}");
+        usage()
     }
     cli
 }
@@ -113,17 +115,12 @@ fn main() {
     let apps = selected_apps(&cli.apps);
     let seeds: Vec<u64> = (0..cli.seeds).map(|i| cli.start_seed + i).collect();
     println!(
-        "== mp5chaos ==  {} app(s) x {} seed(s), k={}, {} packets, horizon {} cycles, engines: {}",
+        "== mp5chaos ==  {} app(s) x {} seed(s), k={}, {} packets, horizon {} cycles",
         apps.len(),
         seeds.len(),
         cli.opts.pipelines,
         cli.opts.packets,
         cli.opts.horizon,
-        if cli.opts.check_parallel {
-            "seq+par (bit-identity checked)"
-        } else {
-            "seq only"
-        }
     );
 
     let outcomes = chaos::run_campaign(&apps, &seeds, &cli.opts);
@@ -194,12 +191,7 @@ fn main() {
     if failed == 0 {
         println!(
             "\nchaos PASSED: {total}/{total} case(s) clean (no panics, ledger closed, \
-             auditor zero findings{})",
-            if cli.opts.check_parallel {
-                ", engines bit-identical"
-            } else {
-                ""
-            }
+             auditor zero findings)"
         );
     } else {
         eprintln!("\nchaos FAILED: {failed}/{total} case(s) violated the chaos contracts");

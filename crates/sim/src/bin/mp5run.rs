@@ -5,8 +5,7 @@
 //! ```sh
 //! cargo run --release -p mp5-sim --bin mp5run -- program.dsl \
 //!     [--pipelines 4] [--packets 20000] [--pattern uniform|skewed] \
-//!     [--design mp5|ideal|no-d4|static|naive|recirc] [--seed 1] \
-//!     [--engine seq|par|par:N] [--exec scalar|batch] [--keys 1024] \
+//!     [--design mp5|ideal|no-d4|static|naive|recirc] [--seed 1] [--keys 1024] \
 //!     [--packet-size 64] \
 //!     [--trace out.jsonl] [--audit] [--rollup out.csv] [--chrome out.json]
 //! ```
@@ -14,12 +13,6 @@
 //! The program's declared packet fields are filled with keys drawn from
 //! the chosen access pattern (every field gets an independent draw),
 //! which drives the register indexes for typical hash-indexed programs.
-//!
-//! `--exec scalar|batch` selects how the MP5-family designs' work pass
-//! finds its work (default `batch`, led by occupancy masks; `scalar`
-//! probes every slot and services FIFOs with the paper-literal lane
-//! scan). Results and traces are bit-identical. `recirc` has a single
-//! implementation and ignores the flag.
 //!
 //! Observability flags (any of them switches the run into traced mode):
 //!
@@ -45,7 +38,7 @@
 use mp5_banzai::BanzaiSwitch;
 use mp5_baselines::{RecircConfig, RecircSwitch};
 use mp5_compiler::{compile, Target};
-use mp5_core::{EngineMode, ExecPath, Mp5Switch, SwitchConfig};
+use mp5_core::{Mp5Switch, SwitchConfig};
 use mp5_faults::FaultPlan;
 use mp5_sim::c1_violation_fraction;
 use mp5_trace::{audit, Event, MemSink, NopSink, Rollup};
@@ -57,8 +50,6 @@ struct Args {
     packets: usize,
     pattern: AccessPattern,
     design: String,
-    engine: EngineMode,
-    exec: ExecPath,
     seed: u64,
     keys: u64,
     packet_size: u32,
@@ -74,7 +65,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: mp5run <program.dsl> [--pipelines N] [--packets N] \
          [--pattern uniform|skewed] [--design mp5|ideal|no-d4|static|naive|recirc] \
-         [--engine seq|par|par:N] [--exec scalar|batch] [--seed N] [--keys N] \
+         [--seed N] [--keys N] \
          [--packet-size BYTES] \
          [--trace FILE] [--audit] [--rollup FILE] [--chrome FILE] \
          [--faults PLAN.json] [--chaos-seed N]"
@@ -89,8 +80,6 @@ fn parse_args() -> Args {
         packets: 20_000,
         pattern: AccessPattern::Uniform,
         design: "mp5".into(),
-        engine: EngineMode::Sequential,
-        exec: ExecPath::Batch,
         seed: 1,
         keys: 1024,
         packet_size: 64,
@@ -130,18 +119,6 @@ fn parse_args() -> Args {
                 }
             }
             "--design" => args.design = val("--design"),
-            "--engine" => {
-                args.engine = val("--engine").parse().unwrap_or_else(|e| {
-                    eprintln!("--engine: {e}");
-                    usage()
-                })
-            }
-            "--exec" => {
-                args.exec = val("--exec").parse().unwrap_or_else(|e| {
-                    eprintln!("--exec: {e}");
-                    usage()
-                })
-            }
             "--trace" => args.trace_out = Some(val("--trace")),
             "--audit" => args.audit = true,
             "--rollup" => args.rollup_out = Some(val("--rollup")),
@@ -161,6 +138,15 @@ fn parse_args() -> Args {
         }
     }
     if args.program.is_empty() {
+        usage()
+    }
+    // Every design, recirc included, runs on at least one pipeline.
+    if let Err(e) = SwitchConfig::mp5(args.pipelines).validate() {
+        eprintln!("--pipelines: {e}");
+        usage()
+    }
+    if args.keys == 0 {
+        eprintln!("--keys: the key space needs at least one key");
         usage()
     }
     args
@@ -217,7 +203,7 @@ fn main() {
             }))
         }
         (None, Some(seed)) => {
-            let horizon = (args.packets / k.max(1)).max(64) as u64;
+            let horizon = (args.packets / k).max(64) as u64;
             Some(FaultPlan::chaos(seed, k, prog.num_stages(), horizon))
         }
         (None, None) => None,
@@ -238,7 +224,7 @@ fn main() {
         || args.chrome_out.is_some();
     let (report, events, extra) = match args.design.as_str() {
         "recirc" => {
-            let cfg = RecircConfig::new(k).with_engine(args.engine);
+            let cfg = RecircConfig::new(k);
             let (rep, events) = match (tracing, &plan) {
                 (true, Some(p)) => {
                     let (rep, sink) =
@@ -275,9 +261,7 @@ fn main() {
                     eprintln!("unknown design '{other}'");
                     usage()
                 }
-            }
-            .with_engine(args.engine)
-            .with_exec(args.exec);
+            };
             let (report, events) = match (tracing, &plan) {
                 (true, Some(p)) => {
                     let (report, sink) =
@@ -302,10 +286,9 @@ fn main() {
 
     let c1 = c1_violation_fraction(&reference.access_log, &report.result.access_log);
     println!(
-        "design {:<7} k={k} exec={}: throughput {:.3} of line rate, completed {}/{}, \
+        "design {:<7} k={k}: throughput {:.3} of line rate, completed {}/{}, \
          steered {}, remap moves {}, max queue {}{extra}",
         args.design,
-        args.exec,
         report.normalized_throughput(),
         report.completed,
         report.offered,

@@ -2,7 +2,7 @@
 //!
 //! Each *case* rolls a [`FaultPlan::chaos`] schedule for one bundled
 //! application and executes it on the MP5 switch with tracing on, then
-//! checks the three chaos contracts:
+//! checks the two chaos contracts:
 //!
 //! 1. **No panics / clean finish** — the run drains, packets are
 //!    conserved, and every injected fault is accounted
@@ -11,14 +11,11 @@
 //!    invariant auditor (`mp5audit`) with zero findings: phantom
 //!    pairing, Invariant 1/2, C1 and packet conservation all hold
 //!    *under faults*.
-//! 3. **Engine bit-identity** — the sequential and parallel cycle
-//!    engines produce the same [`RunReport`] and the same event-stream
-//!    hash under the identical fault plan.
 //!
 //! The harness is pure library code so the `mp5chaos` binary and the
 //! `tests/chaos.rs` suite share one implementation.
 
-use mp5_core::{EngineMode, Mp5Switch, RunReport, SwitchConfig};
+use mp5_core::{Mp5Switch, RunReport, SwitchConfig};
 use mp5_faults::FaultPlan;
 use mp5_trace::{audit, stream_hash, MemSink};
 
@@ -31,8 +28,6 @@ pub struct ChaosOpts {
     pub packets: usize,
     /// Rough cycle horizon the fault schedule is rolled over.
     pub horizon: u64,
-    /// Also run the parallel engine and demand bit-identity.
-    pub check_parallel: bool,
 }
 
 impl Default for ChaosOpts {
@@ -41,7 +36,6 @@ impl Default for ChaosOpts {
             pipelines: 4,
             packets: 600,
             horizon: 400,
-            check_parallel: true,
         }
     }
 }
@@ -55,9 +49,9 @@ pub struct ChaosOutcome {
     pub seed: u64,
     /// Faults in the rolled plan.
     pub plan_len: usize,
-    /// The sequential run's report.
+    /// The run's report.
     pub report: RunReport,
-    /// Auditor findings on the sequential event stream.
+    /// Auditor findings on the event stream.
     pub audit_findings: usize,
     /// Problems found; empty means the case passed.
     pub failures: Vec<String>,
@@ -95,7 +89,7 @@ pub fn chaos_plan(prog: &mp5_compiler::CompiledProgram, seed: u64, opts: &ChaosO
     FaultPlan::chaos(seed, opts.pipelines, prog.num_stages(), opts.horizon)
 }
 
-/// Runs one chaos case: app × seed, both engines, auditor-gated.
+/// Runs one chaos case: app × seed, auditor-gated.
 pub fn run_case(app: &mp5_apps::AppSpec, seed: u64, opts: &ChaosOpts) -> ChaosOutcome {
     let (prog, trace) = crate::experiments::app_trace(app, opts.packets, seed);
     let plan = chaos_plan(&prog, seed, opts);
@@ -105,36 +99,34 @@ pub fn run_case(app: &mp5_apps::AppSpec, seed: u64, opts: &ChaosOpts) -> ChaosOu
     }
 
     let cfg = SwitchConfig::mp5(opts.pipelines);
-    let (seq_rep, sink) =
-        Mp5Switch::with_faults(prog.clone(), cfg.clone(), MemSink::new(), plan.injector())
-            .run_traced(trace.clone());
-    let seq_events = sink.into_events();
+    let (rep, sink) =
+        Mp5Switch::with_faults(prog, cfg, MemSink::new(), plan.injector()).run_traced(trace);
 
-    if seq_rep.completed + seq_rep.drops.total_data() != seq_rep.offered {
+    if rep.completed + rep.drops.total_data() != rep.offered {
         failures.push(format!(
             "packets not conserved: completed {} + data drops {} != offered {}",
-            seq_rep.completed,
-            seq_rep.drops.total_data(),
-            seq_rep.offered
+            rep.completed,
+            rep.drops.total_data(),
+            rep.offered
         ));
     }
-    if !seq_rep.fault.accounted() {
+    if !rep.fault.accounted() {
         failures.push(format!(
             "fault ledger broken: injected {} != recovered {} + degraded {}",
-            seq_rep.fault.injected, seq_rep.fault.recovered, seq_rep.fault.degraded
+            rep.fault.injected, rep.fault.recovered, rep.fault.degraded
         ));
     }
     // Faults scheduled past the drain cycle legitimately never fire, so
     // `injected <= plan.len()` rather than equality.
-    if seq_rep.fault.injected as usize > plan.len() {
+    if rep.fault.injected as usize > plan.len() {
         failures.push(format!(
             "more faults fired ({}) than the plan holds ({})",
-            seq_rep.fault.injected,
+            rep.fault.injected,
             plan.len()
         ));
     }
 
-    let audit_rep = audit(&seq_events);
+    let audit_rep = audit(&sink.into_events());
     if !audit_rep.is_clean() {
         let mut shown = String::new();
         for f in audit_rep.findings.iter().take(3) {
@@ -146,24 +138,11 @@ pub fn run_case(app: &mp5_apps::AppSpec, seed: u64, opts: &ChaosOpts) -> ChaosOu
         ));
     }
 
-    if opts.check_parallel {
-        let par_cfg = cfg.with_engine(EngineMode::Parallel(opts.pipelines));
-        let (par_rep, par_sink) =
-            Mp5Switch::with_faults(prog, par_cfg, MemSink::new(), plan.injector())
-                .run_traced(trace);
-        if par_rep != seq_rep {
-            failures.push("parallel engine diverged from sequential under faults".into());
-        }
-        if stream_hash(&par_sink.into_events()) != stream_hash(&seq_events) {
-            failures.push("parallel event stream diverged from sequential under faults".into());
-        }
-    }
-
     ChaosOutcome {
         app: app.name.to_string(),
         seed,
         plan_len: plan.len(),
-        report: seq_rep,
+        report: rep,
         audit_findings: audit_rep.findings.len(),
         failures,
     }
@@ -194,7 +173,7 @@ pub fn run_campaign(
 pub struct FabricChaosOutcome {
     /// Chaos seed (drives workload, ECMP salt, and kill timing).
     pub seed: u64,
-    /// The fabric report of the (sequential) kill run.
+    /// The fabric report of the kill run.
     pub report: mp5_topo::FabricReport,
     /// Problems found; empty means the case passed.
     pub failures: Vec<String>,
@@ -234,9 +213,7 @@ impl FabricChaosOutcome {
 /// datacenter workload loses one spine mid-run (which spine and when
 /// derive from the seed). Contracts: the conservation ledger closes,
 /// delivery degrades to the surviving paths instead of collapsing (the
-/// surviving spine keeps forwarding and most packets still arrive), and
-/// the whole faulted run is bit-identical across the sequential and
-/// parallel cycle engines.
+/// surviving spine keeps forwarding and most packets still arrive).
 pub fn run_fabric_case(seed: u64, opts: &ChaosOpts) -> FabricChaosOutcome {
     use mp5_topo::{Fabric, FabricConfig, SpineKill, TopologyConfig};
 
@@ -250,77 +227,57 @@ pub fn run_fabric_case(seed: u64, opts: &ChaosOpts) -> FabricChaosOutcome {
     };
     let mut failures = Vec::new();
 
-    let run = |engine: EngineMode| {
-        let topo = TopologyConfig::leaf_spine(leaves, 2, 2)
-            .validate()
-            .expect("valid topology");
-        let hosts = topo.num_hosts();
-        let mut cfg = FabricConfig::new(
-            SwitchConfig::mp5(opts.pipelines)
-                .with_hardware_fifos()
-                .with_engine(engine),
-        );
-        cfg.seed = seed;
-        cfg.kill_spine = Some(kill);
-        let workload = mp5_traffic::DcWorkload::new(hosts, 600, seed)
-            .load(0.7)
-            .max_pkts_per_flow(4);
-        let prog2 = prog.clone();
-        Fabric::new(topo, cfg, prog.clone())
-            .expect("valid fabric config")
-            .run(workload.stream(), move |key, rng, fields| {
-                fill(&prog2, key, rng, fields)
-            })
-            .report
-    };
-
-    let seq = run(EngineMode::Sequential);
-    if !seq.conservation_closed() {
+    let topo = TopologyConfig::leaf_spine(leaves, 2, 2)
+        .validate()
+        .expect("valid topology");
+    let hosts = topo.num_hosts();
+    let mut cfg = FabricConfig::new(SwitchConfig::mp5(opts.pipelines).with_hardware_fifos());
+    cfg.seed = seed;
+    cfg.kill_spine = Some(kill);
+    let workload = mp5_traffic::DcWorkload::new(hosts, 600, seed)
+        .load(0.7)
+        .max_pkts_per_flow(4);
+    let r = Fabric::new(topo, cfg, prog.clone())
+        .expect("valid fabric config")
+        .run(workload.stream(), |key, rng, fields| {
+            fill(&prog, key, rng, fields)
+        })
+        .report;
+    if !r.conservation_closed() {
         failures.push(format!(
             "conservation ledger open: injected {} != delivered {} + accounted drops",
-            seq.injected, seq.delivered
+            r.injected, r.delivered
         ));
     }
     let dead = kill.spine as usize;
     let alive = leaves + (dead - leaves + 1) % 2;
-    if !seq.switches[dead].dead {
+    if !r.switches[dead].dead {
         failures.push(format!("spine {dead} was not marked dead"));
     }
-    if seq.switches[alive].dead {
+    if r.switches[alive].dead {
         failures.push(format!("surviving spine {alive} wrongly marked dead"));
     }
     // Graceful degradation: the survivor keeps forwarding, and the
     // fabric still delivers the bulk of the traffic over it.
-    if seq.switches[alive].completed <= seq.switches[dead].completed {
+    if r.switches[alive].completed <= r.switches[dead].completed {
         failures.push(format!(
             "surviving spine forwarded {} packets, dead one {} — traffic did not shift",
-            seq.switches[alive].completed, seq.switches[dead].completed
+            r.switches[alive].completed, r.switches[dead].completed
         ));
     }
-    if seq.delivered_fraction() < 0.5 {
+    if r.delivered_fraction() < 0.5 {
         failures.push(format!(
             "fabric collapsed: only {:.1}% delivered after a single-spine loss",
-            100.0 * seq.delivered_fraction()
+            100.0 * r.delivered_fraction()
         ));
     }
-    if seq.lost_in_dead + seq.dropped_to_dead == 0 {
+    if r.lost_in_dead + r.dropped_to_dead == 0 {
         failures.push("mid-run kill stranded no packets — kill likely never fired".into());
-    }
-
-    if opts.check_parallel {
-        let par = run(EngineMode::Parallel(opts.pipelines));
-        if par != seq {
-            failures.push(format!(
-                "parallel engine diverged from sequential under spine kill \
-                 (digest {:#x} vs {:#x})",
-                par.delivery_digest, seq.delivery_digest
-            ));
-        }
     }
 
     FabricChaosOutcome {
         seed,
-        report: seq,
+        report: r,
         failures,
     }
 }
@@ -417,8 +374,7 @@ impl KillRestoreOutcome {
 /// 2. The restored run (from the last pre-kill checkpoint, fault
 ///    injector cursor included) finishes with the identical
 ///    [`RunReport`] and identical event-stream hash as the
-///    uninterrupted oracle — on the sequential engine and (unless
-///    `check_parallel` is off) restored into the parallel engine too.
+///    uninterrupted oracle.
 /// 3. The stitched event stream (pre-kill + post-restore) passes the
 ///    offline auditor with zero findings, and the fault ledger closes.
 pub fn run_kill_restore_case(
@@ -434,7 +390,7 @@ pub fn run_kill_restore_case(
     let cfg = SwitchConfig::mp5(opts.pipelines);
     let mut failures = Vec::new();
 
-    // The uninterrupted oracle (sequential, traced, same fault plan).
+    // The uninterrupted oracle (traced, same fault plan).
     let (oracle_rep, oracle_sink) =
         Mp5Switch::with_faults(prog, cfg.clone(), MemSink::new(), plan.injector())
             .run_traced(trace.clone());
@@ -478,44 +434,28 @@ pub fn run_kill_restore_case(
     let snap = last.expect("kill cycle is a checkpoint cycle");
 
     let mut audit_findings = 0usize;
-    let engines = [
-        ("seq", None),
-        ("par", Some(EngineMode::Parallel(opts.pipelines))),
-    ];
-    for (label, engine) in engines {
-        if engine.is_some() && !opts.check_parallel {
-            continue;
-        }
-        let mut srv: Server<MemSink, mp5_faults::PlannedFaults> =
-            match Server::restore(snap.clone(), MemSink::new(), engine, None) {
-                Ok(s) => s,
-                Err(e) => {
-                    failures.push(format!("{label} restore failed: {e}"));
-                    continue;
-                }
-            };
-        while !srv.is_idle() {
-            srv.tick();
-            srv.drain_egress();
-        }
-        let (rep, sink) = srv.finish();
-        if rep != oracle_rep {
-            failures.push(format!(
-                "{label} restore diverged from the uninterrupted run"
-            ));
-        }
-        if !rep.fault.accounted() {
-            failures.push(format!(
-                "{label} restore: fault ledger open (injected {} != recovered {} + degraded {})",
-                rep.fault.injected, rep.fault.recovered, rep.fault.degraded
-            ));
-        }
-        let mut stitched = events_before.clone();
-        stitched.extend(sink.into_events());
-        if stream_hash(&stitched) != oracle_hash {
-            failures.push(format!("{label} restored event stream diverged"));
-        }
-        if label == "seq" {
+    match Server::<MemSink, mp5_faults::PlannedFaults>::restore(snap, MemSink::new(), None, None) {
+        Err(e) => failures.push(format!("restore failed: {e}")),
+        Ok(mut srv) => {
+            while !srv.is_idle() {
+                srv.tick();
+                srv.drain_egress();
+            }
+            let (rep, sink) = srv.finish();
+            if rep != oracle_rep {
+                failures.push("restore diverged from the uninterrupted run".into());
+            }
+            if !rep.fault.accounted() {
+                failures.push(format!(
+                    "restore: fault ledger open (injected {} != recovered {} + degraded {})",
+                    rep.fault.injected, rep.fault.recovered, rep.fault.degraded
+                ));
+            }
+            let mut stitched = events_before;
+            stitched.extend(sink.into_events());
+            if stream_hash(&stitched) != oracle_hash {
+                failures.push("restored event stream diverged".into());
+            }
             let audit_rep = audit(&stitched);
             audit_findings = audit_rep.findings.len();
             if !audit_rep.is_clean() {

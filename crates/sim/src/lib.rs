@@ -9,7 +9,7 @@
 //!   EXPERIMENTS.md records.
 //! * [`table`] — plain-text table rendering and CSV/JSON emission.
 //! * [`chaos`] — randomized seed-deterministic fault campaigns
-//!   (auditor-gated, engine-bit-identity-checked) shared by the
+//!   (auditor-gated, ledger-checked) shared by the
 //!   `mp5chaos` binary and the chaos test suite.
 //!
 //! Runners fan independent simulator runs out over OS threads (each run

@@ -5,19 +5,18 @@
 //! cargo run --release -p mp5-topo --bin mp5fabric -- \
 //!     [--app NAME] [--leaves N] [--spines N] [--hosts-per-leaf N] \
 //!     [--flows N] [--seed N] [--load F] [--pkts-per-flow N] \
-//!     [--pipelines K] [--engine seq|par|par:N] \
+//!     [--pipelines K] \
 //!     [--routing ecmp|flowlet|flowlet:GAP] \
 //!     [--incast FANIN[:PERIOD]] [--outcast FANOUT] \
 //!     [--kill-spine IDX[@TICK]] [--link-cap N] [--link-latency N] \
-//!     [--trace-dir DIR] [--audit] [--json FILE] [--verify-par] [--quiet]
+//!     [--trace-dir DIR] [--audit] [--json FILE] [--quiet]
 //! ```
 //!
 //! Builds the requested topology, streams a seeded datacenter workload
 //! (web-search flow sizes; optionally incast or outcast) through it,
 //! and prints the [`FabricReport`]: delivery and drop ledger, flow
 //! completion times, per-link utilization, and per-switch rows. The
-//! run is bit-deterministic: same flags, same report, on either cycle
-//! engine (`--verify-par` proves it by running both and comparing).
+//! run is bit-deterministic: same flags, same report.
 //!
 //! `--trace-dir` writes each switch's event stream as
 //! `DIR/sw<ID>.jsonl` for `mp5audit`; `--audit` runs the invariant
@@ -25,10 +24,9 @@
 //! use them at smoke scale, not on million-flow runs.
 //!
 //! Exit status: 0 on a clean conserved run, 1 if the conservation
-//! ledger fails to close, an audit finds violations, or `--verify-par`
-//! detects divergence.
+//! ledger fails to close or an audit finds violations.
 
-use mp5_core::{EngineMode, SwitchConfig};
+use mp5_core::SwitchConfig;
 use mp5_topo::{Fabric, FabricConfig, FabricReport, RouteMode, SpineKill, TopologyConfig};
 use mp5_trace::{audit, MemSink, NopSink, TraceSink};
 use mp5_traffic::{DcPattern, DcWorkload};
@@ -43,7 +41,6 @@ struct Cli {
     load: f64,
     pkts_per_flow: u32,
     pipelines: usize,
-    engine: EngineMode,
     routing: RouteMode,
     pattern: DcPattern,
     kill_spine: Option<(u32, u64)>,
@@ -52,7 +49,6 @@ struct Cli {
     trace_dir: Option<String>,
     audit: bool,
     json: Option<String>,
-    verify_par: bool,
     quiet: bool,
 }
 
@@ -60,10 +56,10 @@ fn usage() -> ! {
     eprintln!(
         "usage: mp5fabric [--app NAME] [--leaves N] [--spines N] [--hosts-per-leaf N] \
          [--flows N] [--seed N] [--load F] [--pkts-per-flow N] [--pipelines K] \
-         [--engine seq|par|par:N] [--routing ecmp|flowlet|flowlet:GAP] \
+         [--routing ecmp|flowlet|flowlet:GAP] \
          [--incast FANIN[:PERIOD]] [--outcast FANOUT] [--kill-spine IDX[@TICK]] \
          [--link-cap N] [--link-latency N] [--trace-dir DIR] [--audit] \
-         [--json FILE] [--verify-par] [--quiet]"
+         [--json FILE] [--quiet]"
     );
     std::process::exit(2)
 }
@@ -79,7 +75,6 @@ fn parse_cli() -> Cli {
         load: 0.8,
         pkts_per_flow: 64,
         pipelines: 4,
-        engine: EngineMode::Sequential,
         routing: RouteMode::Ecmp,
         pattern: DcPattern::Uniform,
         kill_spine: None,
@@ -88,7 +83,6 @@ fn parse_cli() -> Cli {
         trace_dir: None,
         audit: false,
         json: None,
-        verify_par: false,
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -113,12 +107,6 @@ fn parse_cli() -> Cli {
                 cli.pkts_per_flow = val("--pkts-per-flow").parse().unwrap_or_else(|_| usage())
             }
             "--pipelines" => cli.pipelines = val("--pipelines").parse().unwrap_or_else(|_| usage()),
-            "--engine" => {
-                cli.engine = val("--engine").parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
             "--routing" => {
                 cli.routing = val("--routing").parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
@@ -159,7 +147,6 @@ fn parse_cli() -> Cli {
             "--trace-dir" => cli.trace_dir = Some(val("--trace-dir")),
             "--audit" => cli.audit = true,
             "--json" => cli.json = Some(val("--json")),
-            "--verify-par" => cli.verify_par = true,
             "--quiet" => cli.quiet = true,
             "--help" | "-h" => usage(),
             other => {
@@ -171,12 +158,8 @@ fn parse_cli() -> Cli {
     cli
 }
 
-fn fabric_config(cli: &Cli, engine: EngineMode) -> FabricConfig {
-    let mut cfg = FabricConfig::new(
-        SwitchConfig::mp5(cli.pipelines)
-            .with_hardware_fifos()
-            .with_engine(engine),
-    );
+fn fabric_config(cli: &Cli) -> FabricConfig {
+    let mut cfg = FabricConfig::new(SwitchConfig::mp5(cli.pipelines).with_hardware_fifos());
     cfg.link_capacity = cli.link_cap;
     cfg.link_latency = cli.link_latency;
     cfg.routing = cli.routing;
@@ -188,11 +171,7 @@ fn fabric_config(cli: &Cli, engine: EngineMode) -> FabricConfig {
     cfg
 }
 
-fn run_once<S: TraceSink>(
-    cli: &Cli,
-    engine: EngineMode,
-    mk_sink: impl FnMut(u32) -> S,
-) -> (FabricReport, Vec<S>) {
+fn run_once<S: TraceSink>(cli: &Cli, mk_sink: impl FnMut(u32) -> S) -> (FabricReport, Vec<S>) {
     let app = mp5_apps::by_name(&cli.app).unwrap_or_else(|| {
         let names: Vec<&str> = mp5_apps::ALL_APPS.iter().map(|a| a.name).collect();
         eprintln!(
@@ -217,13 +196,9 @@ fn run_once<S: TraceSink>(
         .load(cli.load)
         .max_pkts_per_flow(cli.pkts_per_flow)
         .pattern(cli.pattern);
-    let fabric = Fabric::with_hooks(
-        topo,
-        fabric_config(cli, engine),
-        prog.clone(),
-        mk_sink,
-        |_| mp5_faults::NoFaults,
-    )
+    let fabric = Fabric::with_hooks(topo, fabric_config(cli), prog.clone(), mk_sink, |_| {
+        mp5_faults::NoFaults
+    })
     .unwrap_or_else(|e| {
         eprintln!("invalid fabric: {e}");
         std::process::exit(2)
@@ -300,9 +275,9 @@ fn main() {
 
     let traced = cli.trace_dir.is_some() || cli.audit;
     let (report, sinks) = if traced {
-        run_once(&cli, cli.engine, |_| MemSink::new())
+        run_once(&cli, |_| MemSink::new())
     } else {
-        let (r, _) = run_once(&cli, cli.engine, |_| NopSink);
+        let (r, _) = run_once(&cli, |_| NopSink);
         (r, Vec::new())
     };
 
@@ -351,22 +326,6 @@ fn main() {
         }
         if !failed && !cli.quiet {
             println!("audit: {} switches clean", sinks.len());
-        }
-    }
-
-    if cli.verify_par {
-        let other = match cli.engine {
-            EngineMode::Sequential => EngineMode::parallel_auto(),
-            EngineMode::Parallel(_) => EngineMode::Sequential,
-        };
-        let (other_report, _) = run_once(&cli, other, |_| NopSink);
-        if other_report == report {
-            if !cli.quiet {
-                println!("verify-par: engines agree bit-for-bit");
-            }
-        } else {
-            eprintln!("FAIL: sequential and parallel engines diverged");
-            failed = true;
         }
     }
 

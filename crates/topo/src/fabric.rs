@@ -8,8 +8,7 @@
 //! inject, deliver-to-hosts, collect link arrivals per switch, step
 //! every switch, route every egress — and every per-phase iteration is
 //! in ascending id order, so a fabric run is a pure function of
-//! `(topology, config, program, workload)`: repeated runs and both
-//! cycle engines (`EngineMode::Sequential` / `Parallel(n)`) produce
+//! `(topology, config, program, workload)`: repeated runs produce
 //! bit-identical [`FabricReport`]s.
 //!
 //! Scale: the workload arrives as a lazy [`DcPacket`] iterator (see
@@ -24,7 +23,7 @@
 //! degrades to the surviving paths instead of collapsing.
 
 use mp5_compiler::program::CompiledProgram;
-use mp5_core::{ConfigError, EngineMode, EnginePool, Mp5Switch, RunReport, SwitchConfig};
+use mp5_core::{ConfigError, Mp5Switch, RunReport, SwitchConfig};
 use mp5_faults::{FaultInjector, NoFaults};
 use mp5_trace::{NopSink, TraceSink};
 use mp5_traffic::dc::DcPacket;
@@ -86,7 +85,7 @@ pub struct SpineKill {
 /// Configuration of a [`Fabric`] run.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Per-switch configuration template (pipelines, engine, FIFOs…).
+    /// Per-switch configuration template (pipelines, FIFOs, sharding…).
     /// Every switch in the fabric is built from this; `record_detail`
     /// is forced off so fabric-scale runs stay O(registers) per switch.
     pub switch: SwitchConfig,
@@ -244,9 +243,8 @@ impl SwitchSummary {
 }
 
 /// Everything a fabric run produces. `PartialEq` compares every field —
-/// the equality the fabric equivalence suite uses to assert that the
-/// sequential and parallel engines (and repeated runs) are
-/// bit-identical.
+/// the equality the fabric equivalence suite uses to assert that
+/// repeated runs are bit-identical.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FabricReport {
     /// Global ticks simulated.
@@ -402,32 +400,14 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
             }
         }
         let swcfg = cfg.switch.clone().with_record_detail(false);
-        // One worker pool serves every switch: the global loop steps
-        // switches one at a time, so per-switch pools would idle.
-        let pool = match swcfg.engine {
-            EngineMode::Parallel(_) => {
-                Some(EnginePool::new(swcfg.engine.workers_for(swcfg.pipelines)))
-            }
-            EngineMode::Sequential => None,
-        };
         let mut switches = Vec::with_capacity(n);
         for s in 0..n as u32 {
-            let sw = match &pool {
-                Some(p) => Mp5Switch::try_with_pool(
-                    prog.clone(),
-                    swcfg.clone(),
-                    mk_sink(s),
-                    mk_faults(s),
-                    p,
-                )?,
-                None => Mp5Switch::try_with_faults(
-                    prog.clone(),
-                    swcfg.clone(),
-                    mk_sink(s),
-                    mk_faults(s),
-                )?,
-            };
-            switches.push(sw);
+            switches.push(Mp5Switch::try_with_faults(
+                prog.clone(),
+                swcfg.clone(),
+                mk_sink(s),
+                mk_faults(s),
+            )?);
         }
 
         // Link construction, in the fixed global order: per host an

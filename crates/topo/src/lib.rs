@@ -13,7 +13,7 @@
 //!
 //! Determinism is the contract throughout: a fabric run is a pure
 //! function of `(topology, config, program, workload)` — bit-identical
-//! across repeats and across the sequential and parallel cycle engines.
+//! across repeats.
 //! The `mp5fabric` binary is the CLI front end; the workload comes from
 //! [`mp5_traffic::dc`].
 

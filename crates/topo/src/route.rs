@@ -13,7 +13,7 @@
 //!   flowlet epoch so consecutive flowlets decorrelate.
 //!
 //! Either way the choice is a pure function of `(seed, flow, time,
-//! candidate set)`, so repeated runs and both cycle engines agree.
+//! candidate set)`, so repeated runs agree.
 //!
 //! The flowlet table forgets expired flowlets: an entry idle for more
 //! than `gap` decides nothing (the next packet re-hashes with its epoch

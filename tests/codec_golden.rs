@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use mp5::core::{EngineMode, Mp5Switch, SwitchConfig};
+use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::faults::{FaultPlan, NoFaults, PlannedFaults};
 use mp5::serve::{parse_packet_line, FaultState, ServeError, Server, Snapshot};
 use mp5::sim::experiments::app_trace;
@@ -76,11 +76,7 @@ fn fabric_report_json() -> String {
         .validate()
         .expect("valid topology");
     let hosts = topo.num_hosts();
-    let mut cfg = FabricConfig::new(
-        SwitchConfig::mp5(4)
-            .with_hardware_fifos()
-            .with_engine(EngineMode::Sequential),
-    );
+    let mut cfg = FabricConfig::new(SwitchConfig::mp5(4).with_hardware_fifos());
     cfg.seed = 3;
     let workload = DcWorkload::new(hosts, 300, 3)
         .load(0.7)
@@ -128,12 +124,40 @@ fn regenerate_goldens() {
 
 const SNAPSHOTS: [&str; 2] = ["faulted.snap", "plain.snap"];
 
+/// Written by `mp5serve --app flowlet --packets 800 --engine par:2
+/// --exec scalar --halt-at 120 --snapshot` before the parallel engine
+/// and the scalar exec path were deleted.
+const PAR_SCALAR: &str = "par_scalar.snap";
+
+/// A snapshot's text before its checksum trailer.
+fn body_of(text: &str) -> &str {
+    &text[..text
+        .rfind("@checksum ")
+        .expect("a snapshot ends in a checksum")]
+}
+
 #[test]
 fn snapshots_decode_and_reencode_to_the_same_bytes() {
-    for name in SNAPSHOTS {
+    for name in SNAPSHOTS.into_iter().chain([PAR_SCALAR]) {
         let text = read_golden(name);
         let snap = Snapshot::decode(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(snap.encode(), text, "{name}");
+        // This build writes neither `@config` key of the retired cycle
+        // engine and exec path, so the body matches without them.
+        let body = body_of(&text);
+        let keys = body
+            .find(",\"engine\":")
+            .expect("a v1 @config names an engine");
+        let rest = keys
+            + body[keys..]
+                .find(",\"record_detail\":")
+                .expect("then record_detail");
+        let encoded = snap.encode();
+        assert_eq!(
+            body_of(&encoded),
+            format!("{}{}", &body[..keys], &body[rest..]),
+            "{name}"
+        );
+        assert_eq!(Snapshot::decode(&encoded).unwrap(), snap, "{name}");
         let faulted = name == "faulted.snap";
         assert_eq!(snap.fault_plan.is_some(), faulted, "{name}");
         assert_eq!(snap.injector.is_some(), faulted, "{name}");
@@ -166,6 +190,50 @@ fn snapshots_restore_and_finish_like_the_uninterrupted_run() {
     }
     check::<PlannedFaults>("faulted.snap");
     check::<NoFaults>("plain.snap");
+}
+
+/// A snapshot of the retired parallel engine on the retired scalar exec
+/// path still loads (the decoder skips the two `@config` keys), holds
+/// the state this build reaches at the same cycle, and finishes with the
+/// report and event stream of a run that was never interrupted.
+#[test]
+fn a_parallel_scalar_snapshot_finishes_like_the_uninterrupted_run() {
+    let snap = Snapshot::decode(&read_golden(PAR_SCALAR)).unwrap();
+    let app = mp5::apps::by_name("flowlet").expect("app exists");
+    let (prog, trace) = app_trace(app, 800, 1);
+    let (oracle, oracle_sink) =
+        Mp5Switch::with_sink(prog, snap.config.clone(), MemSink::new()).run_traced(trace.clone());
+
+    // This build's own run up to the halt supplies the events before it.
+    let mut srv: Server<MemSink, NoFaults> =
+        Server::new(&snap.source, snap.config.clone(), MemSink::new(), None).unwrap();
+    srv.offer_all(trace);
+    while srv.cycle() < snap.cycle() {
+        srv.tick();
+        srv.drain_egress();
+    }
+    let mut ours = srv.checkpoint().state;
+    // The occupancy masks are derived views the scalar path never
+    // maintained; restore rebuilds them.
+    ours.park_mask.clone_from(&snap.state.park_mask);
+    ours.inc_mask.clone_from(&snap.state.inc_mask);
+    ours.queue_mask.clone_from(&snap.state.queue_mask);
+    assert!(ours == snap.state, "the state at the halt differs");
+    let mut events = srv.abandon().into_events();
+
+    let mut restored: Server<MemSink, NoFaults> =
+        Server::restore(snap, MemSink::new(), None, None).unwrap();
+    while !restored.is_idle() {
+        restored.tick();
+        restored.drain_egress();
+    }
+    let (report, sink) = restored.finish();
+    events.extend(sink.into_events());
+    assert_eq!(report, oracle);
+    assert_eq!(
+        stream_hash(&events),
+        stream_hash(&oracle_sink.into_events())
+    );
 }
 
 #[test]

@@ -1,21 +1,14 @@
-//! Engine equivalence suite: the parallel cycle engine must be
-//! **bit-identical** to the sequential one — same [`RunReport`] (final
-//! registers, packet outputs, per-state access order, every counter)
-//! and the same traced event stream (compared by `stream_hash`) — for
-//! every bundled application, across seeds and pipeline counts.
-//!
-//! This is the contract `EngineMode` documents and `DESIGN.md` §10
-//! argues: the parallel engine shards the work phase of each cycle and
-//! merges buffered side effects in pipeline order, so no observable
-//! difference may ever appear. The same bar applies to the work pass's
-//! two exec paths (`ExecPath::Scalar`, probing every slot, vs the
-//! mask-led `Batch` default, DESIGN.md §13). Scale knob:
+//! The one cycle engine against its references: traced runs report
+//! what untraced runs report, a program wider than the 64-stage
+//! occupancy masks matches Banzai's single pipeline, fault ledgers close
+//! under mixed and chaos plans, a fault plan replays through JSON, and
+//! the auditor sees a silent phantom loss. Scale knob:
 //! `MP5_EQ_PACKETS` (default 300 packets per run).
 
 use mp5::apps::ALL_APPS;
 use mp5::banzai::BanzaiSwitch;
 use mp5::compiler::{compile, Target};
-use mp5::core::{EngineMode, ExecPath, Mp5Switch, RunReport, SwitchConfig};
+use mp5::core::{Mp5Switch, RunReport, SwitchConfig};
 use mp5::faults::FaultPlan;
 use mp5::sim::experiments::app_trace;
 use mp5::trace::{audit, stream_hash, MemSink, NopSink};
@@ -28,255 +21,38 @@ fn packets_per_run() -> usize {
         .unwrap_or(300)
 }
 
-/// One traced run; returns the report and the event-stream hash.
+/// The report of one traced run.
 fn traced(
     prog: &mp5::compiler::CompiledProgram,
     trace: &[mp5::types::Packet],
     cfg: SwitchConfig,
-) -> (RunReport, u64) {
-    let (report, sink) =
-        Mp5Switch::with_sink(prog.clone(), cfg, MemSink::new()).run_traced(trace.to_vec());
-    let hash = stream_hash(&sink.into_events());
-    (report, hash)
-}
-
-/// All ten bundled programs × seeds {1,2,3} × pipelines {1,2,4,8}:
-/// identical reports and identical event streams.
-#[test]
-fn parallel_engine_is_bit_identical_on_every_program() {
-    let packets = packets_per_run();
-    for app in &ALL_APPS {
-        for seed in [1u64, 2, 3] {
-            let (prog, trace) = app_trace(app, packets, seed);
-            for k in [1usize, 2, 4, 8] {
-                let (seq_rep, seq_hash) = traced(&prog, &trace, SwitchConfig::mp5(k));
-                let par_cfg = SwitchConfig::mp5(k).with_engine(EngineMode::Parallel(k));
-                let (par_rep, par_hash) = traced(&prog, &trace, par_cfg);
-                assert_eq!(
-                    seq_rep, par_rep,
-                    "{} seed={seed} k={k}: reports diverged",
-                    app.name
-                );
-                assert_eq!(
-                    seq_hash, par_hash,
-                    "{} seed={seed} k={k}: event streams diverged",
-                    app.name
-                );
-            }
-        }
-    }
-}
-
-/// Worker counts that do not divide the pipeline count evenly (and
-/// exceed it) must not matter either: `Parallel(n)` for n in 1..=8 on a
-/// 4-pipeline switch, many short runs.
-#[test]
-fn worker_count_never_changes_results() {
-    let app = &ALL_APPS[0]; // flowlet
-    let (prog, trace) = app_trace(app, 200, 5);
-    let (seq_rep, seq_hash) = traced(&prog, &trace, SwitchConfig::mp5(4));
-    for n in 1usize..=8 {
-        for round in 0..3 {
-            let cfg = SwitchConfig::mp5(4).with_engine(EngineMode::Parallel(n));
-            let (par_rep, par_hash) = traced(&prog, &trace, cfg);
-            assert_eq!(
-                seq_rep, par_rep,
-                "Parallel({n}) round {round}: reports diverged"
-            );
-            assert_eq!(
-                seq_hash, par_hash,
-                "Parallel({n}) round {round}: event streams diverged"
-            );
-        }
-    }
-}
-
-/// The untraced parallel path (NopSink workers) must agree with the
-/// untraced sequential path too — tracing must not be what makes the
-/// engines agree.
-#[test]
-fn untraced_runs_agree_across_engines() {
-    for app in &ALL_APPS[..4] {
-        let (prog, trace) = app_trace(app, 400, 11);
-        let seq = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(4)).run(trace.clone());
-        let cfg = SwitchConfig::mp5(4).with_engine(EngineMode::parallel_auto());
-        let par = Mp5Switch::new(prog.clone(), cfg).run(trace);
-        assert_eq!(seq, par, "{}: untraced reports diverged", app.name);
-    }
-}
-
-/// The mask-led work pass (the default, [`ExecPath::Batch`]) must be
-/// bit-identical to the scalar reference interpreter: all ten bundled
-/// programs × seeds × pipelines {1,2,4,8} through the sequential
-/// engine.
-#[test]
-fn batch_work_phase_is_bit_identical_to_scalar() {
-    let packets = packets_per_run();
-    for app in &ALL_APPS {
-        for seed in [1u64, 2] {
-            let (prog, trace) = app_trace(app, packets, seed);
-            for k in [1usize, 2, 4, 8] {
-                let scalar_cfg = SwitchConfig::mp5(k).with_exec(ExecPath::Scalar);
-                let scalar = Mp5Switch::new(prog.clone(), scalar_cfg).run(trace.clone());
-                let batch = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k)).run(trace.clone());
-                assert_eq!(
-                    scalar, batch,
-                    "{} seed={seed} k={k}: scalar and batch work phases diverged",
-                    app.name
-                );
-            }
-        }
-    }
-}
-
-/// Exec paths must also agree when the parallel engine shards the batch
-/// ranges across pinned worker counts (including workers < pipelines),
-/// and both must match the sequential batch run.
-#[test]
-fn batch_work_phase_matches_scalar_on_the_parallel_engine() {
-    for app in &ALL_APPS[..4] {
-        let (prog, trace) = app_trace(app, 300, 5);
-        for k in [4usize, 8] {
-            let seq = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k)).run(trace.clone());
-            for workers in [2usize, 4] {
-                let par = SwitchConfig::mp5(k).with_engine(EngineMode::Parallel(workers));
-                let scalar_rep =
-                    Mp5Switch::new(prog.clone(), par.clone().with_exec(ExecPath::Scalar))
-                        .run(trace.clone());
-                let batch_rep = Mp5Switch::new(prog.clone(), par).run(trace.clone());
-                assert_eq!(
-                    scalar_rep, batch_rep,
-                    "{} k={k} par:{workers}: exec paths diverged",
-                    app.name
-                );
-                assert_eq!(
-                    seq, batch_rep,
-                    "{} k={k} par:{workers}: engines diverged on the batch path",
-                    app.name
-                );
-            }
-        }
-    }
-}
-
-/// Fault injection runs on the shared phase machinery, so the batch
-/// work phase must not disturb it: same fault plan, same report on
-/// both exec paths (untraced; the traced × faulted cross-product is
-/// covered by `traced_batch_stream_is_bit_identical_under_faults`).
-#[test]
-fn batch_work_phase_matches_scalar_under_faults() {
-    for app in &ALL_APPS[..4] {
-        let (prog, trace) = app_trace(app, 300, 3);
-        for k in [2usize, 4] {
-            let plan = FaultPlan::chaos(41, k, prog.num_stages(), 250);
-            let run = |exec: ExecPath| {
-                let cfg = SwitchConfig::mp5(k).with_exec(exec);
-                Mp5Switch::with_faults(prog.clone(), cfg, NopSink, plan.injector())
-                    .run(trace.clone())
-            };
-            let scalar = run(ExecPath::Scalar);
-            let batch = run(ExecPath::Batch);
-            assert_eq!(
-                scalar, batch,
-                "{} k={k}: exec paths diverged under faults",
-                app.name
-            );
-            assert!(
-                batch.fault.accounted(),
-                "{} k={k}: fault ledger must close on the batch path",
-                app.name
-            );
-        }
-    }
+) -> RunReport {
+    Mp5Switch::with_sink(prog.clone(), cfg, MemSink::new())
+        .run_traced(trace.to_vec())
+        .0
 }
 
 /// Attaching a sink does not change the execution path: a traced run
-/// emits from the same in-place work pass, and its report equals the
-/// untraced batch run's report.
+/// emits from the same mask-led work pass, and its report equals the
+/// untraced run's report.
 #[test]
 fn traced_runs_ride_the_batch_path() {
     for app in &ALL_APPS[..4] {
         let (prog, trace) = app_trace(app, 300, 7);
-        let (traced_rep, _) = traced(&prog, &trace, SwitchConfig::mp5(4));
-        let batch_rep = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(4)).run(trace.clone());
+        let traced_rep = traced(&prog, &trace, SwitchConfig::mp5(4));
+        let untraced = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(4)).run(trace.clone());
         assert_eq!(
-            traced_rep, batch_rep,
-            "{}: traced and untraced batch reports diverged",
+            traced_rep, untraced,
+            "{}: traced and untraced reports diverged",
             app.name
         );
     }
 }
 
-/// The load-bearing contract of the traced batch path: for every
-/// bundled program, on both engines, the batch path's *event stream* is
-/// bit-identical (by `stream_hash`) to the traced scalar reference —
-/// recorded traces, JSONL files, and auditor verdicts cannot depend on
-/// which exec path produced them.
-#[test]
-fn traced_batch_stream_matches_traced_scalar() {
-    let packets = packets_per_run();
-    for app in &ALL_APPS {
-        let (prog, trace) = app_trace(app, packets, 1);
-        for k in [1usize, 4] {
-            let scalar_cfg = SwitchConfig::mp5(k).with_exec(ExecPath::Scalar);
-            let (scalar_rep, scalar_hash) = traced(&prog, &trace, scalar_cfg);
-            for engine in [EngineMode::Sequential, EngineMode::Parallel(k)] {
-                let cfg = SwitchConfig::mp5(k).with_engine(engine);
-                let (batch_rep, batch_hash) = traced(&prog, &trace, cfg);
-                assert_eq!(
-                    scalar_rep, batch_rep,
-                    "{} k={k} {engine:?}: traced batch report diverged from scalar",
-                    app.name
-                );
-                assert_eq!(
-                    scalar_hash, batch_hash,
-                    "{} k={k} {engine:?}: traced batch event stream diverged from scalar",
-                    app.name
-                );
-            }
-        }
-    }
-}
-
-/// The same stream-identity bar under fault plans: stalls, kills,
-/// phantom drops and grant delays interleave with the work pass
-/// without perturbing the canonical event order, on both engines.
-#[test]
-fn traced_batch_stream_is_bit_identical_under_faults() {
-    for app in &ALL_APPS[..4] {
-        let (prog, trace) = app_trace(app, 300, 3);
-        for k in [2usize, 4] {
-            let plan = FaultPlan::chaos(41, k, prog.num_stages(), 250);
-            let scalar_cfg = SwitchConfig::mp5(k).with_exec(ExecPath::Scalar);
-            let (scalar_rep, scalar_hash) = traced_faulted(&prog, &trace, scalar_cfg, &plan);
-            for engine in [EngineMode::Sequential, EngineMode::Parallel(k)] {
-                let cfg = SwitchConfig::mp5(k).with_engine(engine);
-                let (batch_rep, batch_hash) = traced_faulted(&prog, &trace, cfg, &plan);
-                assert_eq!(
-                    scalar_rep, batch_rep,
-                    "{} k={k} {engine:?}: faulted traced batch report diverged",
-                    app.name
-                );
-                assert_eq!(
-                    scalar_hash, batch_hash,
-                    "{} k={k} {engine:?}: faulted traced batch stream diverged",
-                    app.name
-                );
-            }
-            assert!(
-                scalar_rep.fault.accounted(),
-                "{} k={k}: fault ledger must close",
-                app.name
-            );
-        }
-    }
-}
-
 /// The occupancy masks cover 64 stages; a wider program probes every
-/// slot on both exec paths. A 70-link dependency chain feeding one
-/// `r[16]` update, one operation per stage, fills 100 stages: batch and
-/// scalar on both engines give one report and one event stream, and
-/// that report is equivalent to Banzai's single pipeline.
+/// slot. A 70-link dependency chain feeding one `r[16]` update, one
+/// operation per stage, fills 100 stages: the run is equivalent to
+/// Banzai's single pipeline, traced or not, with one report either way.
 #[test]
 fn programs_wider_than_64_stages_agree_on_every_path() {
     let mut src = String::from(
@@ -307,24 +83,13 @@ fn programs_wider_than_64_stages_agree_on_every_path() {
         f[0] = rand::Rng::gen_range(rng, 0..1000);
     });
     let reference = BanzaiSwitch::new(prog.clone()).run(trace.clone());
-    let mut first: Option<(RunReport, u64)> = None;
-    for exec in [ExecPath::Batch, ExecPath::Scalar] {
-        for engine in [EngineMode::Sequential, EngineMode::Parallel(2)] {
-            let cfg = SwitchConfig::mp5(4).with_exec(exec).with_engine(engine);
-            let (rep, hash) = traced(&prog, &trace, cfg);
-            assert!(
-                rep.result.equivalent_to(&reference),
-                "{exec} {engine:?}: not equivalent to Banzai"
-            );
-            match &first {
-                None => first = Some((rep, hash)),
-                Some((rep0, hash0)) => {
-                    assert_eq!(rep0, &rep, "{exec} {engine:?}: report diverged");
-                    assert_eq!(*hash0, hash, "{exec} {engine:?}: event stream diverged");
-                }
-            }
-        }
-    }
+    let rep = traced(&prog, &trace, SwitchConfig::mp5(4));
+    assert!(
+        rep.result.equivalent_to(&reference),
+        "not equivalent to Banzai"
+    );
+    let untraced = Mp5Switch::new(prog, SwitchConfig::mp5(4)).run(trace);
+    assert_eq!(rep, untraced, "traced and untraced reports diverged");
 }
 
 /// One traced run under a fault plan; report + event-stream hash.
@@ -340,14 +105,13 @@ fn traced_faulted(
     (report, hash)
 }
 
-/// Bit-identity must survive fault injection: the same fault plan on
-/// the same trace produces the same report and the same event stream
-/// on both engines — stalls are handed to workers as plain data and
-/// every other hook runs on the coordinator, so no nondeterminism may
-/// leak in. Covers a mixed plan (kill + stall + drops + delays) and a
-/// pure chaos plan, across pipeline counts.
+/// Every injected fault is accounted (`injected == recovered +
+/// degraded`) under a mixed plan (kill + stall + drops + delays +
+/// remap abort) and two chaos plans, across pipeline counts; and the
+/// sink still only observes: each traced faulted run reports what its
+/// untraced twin reports.
 #[test]
-fn engines_stay_bit_identical_under_faults() {
+fn fault_ledgers_close_under_mixed_and_chaos_plans() {
     let packets = packets_per_run();
     for app in &ALL_APPS[..4] {
         for k in [2usize, 4] {
@@ -358,24 +122,29 @@ fn engines_stay_bit_identical_under_faults() {
                 .phantom_drop(5, 150, 120)
                 .grant_delay(20, 2, 80)
                 .remap_abort(15, 1);
-            let chaos = FaultPlan::chaos(99, k, prog.num_stages(), 250);
-            for (name, plan) in [("mixed", &mixed), ("chaos", &chaos)] {
-                let (seq_rep, seq_hash) = traced_faulted(&prog, &trace, SwitchConfig::mp5(k), plan);
-                let par_cfg = SwitchConfig::mp5(k).with_engine(EngineMode::Parallel(k));
-                let (par_rep, par_hash) = traced_faulted(&prog, &trace, par_cfg, plan);
-                assert_eq!(
-                    seq_rep, par_rep,
-                    "{} k={k} {name} plan: reports diverged under faults",
-                    app.name
-                );
-                assert_eq!(
-                    seq_hash, par_hash,
-                    "{} k={k} {name} plan: event streams diverged under faults",
-                    app.name
-                );
+            let chaos41 = FaultPlan::chaos(41, k, prog.num_stages(), 250);
+            let chaos99 = FaultPlan::chaos(99, k, prog.num_stages(), 250);
+            for (name, plan) in [
+                ("mixed", &mixed),
+                ("chaos41", &chaos41),
+                ("chaos99", &chaos99),
+            ] {
+                let (rep, _) = traced_faulted(&prog, &trace, SwitchConfig::mp5(k), plan);
                 assert!(
-                    seq_rep.fault.accounted(),
+                    rep.fault.accounted(),
                     "{} k={k} {name} plan: fault ledger must close",
+                    app.name
+                );
+                let untraced = Mp5Switch::with_faults(
+                    prog.clone(),
+                    SwitchConfig::mp5(k),
+                    NopSink,
+                    plan.injector(),
+                )
+                .run(trace.clone());
+                assert_eq!(
+                    rep, untraced,
+                    "{} k={k} {name} plan: traced and untraced reports diverged",
                     app.name
                 );
             }

@@ -1,31 +1,20 @@
 //! Fabric-level determinism and conservation: a multi-switch leaf–spine
 //! run is a pure function of `(topology, config, workload)` — repeated
-//! runs and both cycle engines produce bit-identical [`FabricReport`]s
-//! — and every injected packet is delivered or accounted to exactly one
-//! drop cause.
+//! runs produce bit-identical [`FabricReport`]s — and every injected
+//! packet is delivered or accounted to exactly one drop cause.
 
-use mp5::core::{EngineMode, SwitchConfig};
+use mp5::core::SwitchConfig;
 use mp5::topo::{Fabric, FabricConfig, FabricReport, RouteMode, SpineKill, TopologyConfig};
 use mp5::traffic::{DcPattern, DcWorkload};
 
-fn run_fabric(
-    leaves: usize,
-    spines: usize,
-    seed: u64,
-    engine: EngineMode,
-    kill: Option<SpineKill>,
-) -> FabricReport {
+fn run_fabric(leaves: usize, spines: usize, seed: u64, kill: Option<SpineKill>) -> FabricReport {
     let app = mp5::apps::by_name("heavy_hitter").expect("app exists");
     let prog = app.compile().expect("app compiles");
     let topo = TopologyConfig::leaf_spine(leaves, spines, 2)
         .validate()
         .expect("valid topology");
     let hosts = topo.num_hosts();
-    let mut cfg = FabricConfig::new(
-        SwitchConfig::mp5(4)
-            .with_hardware_fifos()
-            .with_engine(engine),
-    );
+    let mut cfg = FabricConfig::new(SwitchConfig::mp5(4).with_hardware_fifos());
     cfg.seed = seed;
     cfg.kill_spine = kill;
     let workload = DcWorkload::new(hosts, 800, seed)
@@ -45,7 +34,7 @@ fn run_fabric(
 fn conservation_closes_on_every_seed_and_shape() {
     for &(leaves, spines) in &[(2usize, 2usize), (4, 2)] {
         for seed in [1u64, 2, 3] {
-            let r = run_fabric(leaves, spines, seed, EngineMode::Sequential, None);
+            let r = run_fabric(leaves, spines, seed, None);
             assert!(
                 r.conservation_closed(),
                 "{leaves}x{spines} seed {seed}: injected {} != delivered {} + drops",
@@ -62,33 +51,17 @@ fn conservation_closes_on_every_seed_and_shape() {
 fn repeated_runs_are_bit_identical() {
     for &(leaves, spines) in &[(2usize, 2usize), (4, 2)] {
         for seed in [1u64, 2, 3] {
-            let a = run_fabric(leaves, spines, seed, EngineMode::Sequential, None);
-            let b = run_fabric(leaves, spines, seed, EngineMode::Sequential, None);
+            let a = run_fabric(leaves, spines, seed, None);
+            let b = run_fabric(leaves, spines, seed, None);
             assert_eq!(a, b, "{leaves}x{spines} seed {seed}: rerun diverged");
         }
     }
 }
 
 #[test]
-fn sequential_and_parallel_engines_agree() {
-    for &(leaves, spines) in &[(2usize, 2usize), (4, 2)] {
-        for seed in [1u64, 2, 3] {
-            let seq = run_fabric(leaves, spines, seed, EngineMode::Sequential, None);
-            let par = run_fabric(leaves, spines, seed, EngineMode::Parallel(3), None);
-            assert_eq!(
-                seq, par,
-                "{leaves}x{spines} seed {seed}: engines diverged \
-                 (digest {:#x} vs {:#x})",
-                seq.delivery_digest, par.delivery_digest
-            );
-        }
-    }
-}
-
-#[test]
 fn seeds_actually_change_the_run() {
-    let a = run_fabric(2, 2, 1, EngineMode::Sequential, None);
-    let b = run_fabric(2, 2, 2, EngineMode::Sequential, None);
+    let a = run_fabric(2, 2, 1, None);
+    let b = run_fabric(2, 2, 2, None);
     assert_ne!(
         a.delivery_digest, b.delivery_digest,
         "different seeds must produce different traffic"
@@ -101,10 +74,10 @@ fn spine_kill_degrades_but_stays_conserved_and_deterministic() {
         spine: 4, // 4 leaves → spines are ids 4 and 5
         at_tick: 200,
     });
-    let healthy = run_fabric(4, 2, 1, EngineMode::Sequential, None);
-    let a = run_fabric(4, 2, 1, EngineMode::Sequential, kill);
-    let b = run_fabric(4, 2, 1, EngineMode::Parallel(2), kill);
-    assert_eq!(a, b, "kill run must stay engine-deterministic");
+    let healthy = run_fabric(4, 2, 1, None);
+    let a = run_fabric(4, 2, 1, kill);
+    let b = run_fabric(4, 2, 1, kill);
+    assert_eq!(a, b, "kill run must be deterministic");
     assert!(a.conservation_closed(), "kill run ledger must close");
     assert!(a.switches[4].dead && !a.switches[5].dead);
     // Traffic still flows over the surviving spine...

@@ -12,7 +12,7 @@
 //! table's eviction.
 
 use mp5::compiler::{compile, Target};
-use mp5::core::{EngineMode, Mp5Switch, SwitchConfig};
+use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::faults::NoFaults;
 use mp5::topo::{Fabric, FabricConfig, RouteMode, TopologyConfig};
 use mp5::trace::{stream_hash, EventKind, MemSink};
@@ -167,11 +167,7 @@ fn a_fresh_fabric_run_reproduces_the_golden_report() {
         .validate()
         .expect("valid topology");
     let hosts = topo.num_hosts();
-    let mut cfg = FabricConfig::new(
-        SwitchConfig::mp5(4)
-            .with_hardware_fifos()
-            .with_engine(EngineMode::Sequential),
-    );
+    let mut cfg = FabricConfig::new(SwitchConfig::mp5(4).with_hardware_fifos());
     cfg.seed = 3;
     let workload = DcWorkload::new(hosts, 300, 3)
         .load(0.7)

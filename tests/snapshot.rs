@@ -1,16 +1,14 @@
 //! Crash-safety property: checkpoint/restore is invisible.
 //!
-//! For random programs, traffic, checkpoint cycles, and
-//! engine/exec-path combinations (which may *differ* between the
-//! checkpointed run and the restored one — both sides implement the
-//! same machine), a run that is checkpointed at cycle `C`, torn down,
+//! For random programs, traffic and checkpoint cycles, a run that is
+//! checkpointed at cycle `C`, torn down,
 //! serialized through the full snapshot codec, and restored into a
 //! fresh switch must finish with the identical [`RunReport`] and the
 //! identical event-stream hash as the run that was never interrupted.
 
 use proptest::prelude::*;
 
-use mp5::core::{EngineMode, ExecPath, Mp5Switch, SwitchConfig};
+use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::serve::{Server, Snapshot};
 use mp5::trace::{stream_hash, MemSink};
 use mp5::traffic::TraceBuilder;
@@ -36,18 +34,6 @@ const PROGRAMS: [&str; 3] = [
      }",
 ];
 
-fn engine_strategy() -> impl Strategy<Value = EngineMode> {
-    prop_oneof![
-        Just(EngineMode::Sequential),
-        Just(EngineMode::Parallel(2)),
-        Just(EngineMode::Parallel(4)),
-    ]
-}
-
-fn exec_strategy() -> impl Strategy<Value = ExecPath> {
-    prop_oneof![Just(ExecPath::Scalar), Just(ExecPath::Batch)]
-}
-
 fn packets(source: &str, n: usize, seed: u64, keys: u64) -> Vec<mp5::types::Packet> {
     let prog = mp5::compiler::compile(source, &mp5::compiler::Target::default()).unwrap();
     TraceBuilder::new(n, seed).build(prog.num_fields(), move |rng, _, f| {
@@ -62,8 +48,8 @@ proptest! {
     })]
 
     /// Checkpoint at a random cycle, round-trip the snapshot through
-    /// the codec, restore under a (possibly different) engine and exec
-    /// path, and compare against the uninterrupted oracle.
+    /// the codec, restore, and compare against the uninterrupted
+    /// oracle.
     #[test]
     fn restore_is_invisible(
         prog_idx in 0usize..PROGRAMS.len(),
@@ -71,25 +57,20 @@ proptest! {
         n in 150usize..450,
         keys in prop_oneof![Just(4u64), Just(32), Just(512)],
         ckpt_frac in 1u64..9,
-        engine_a in engine_strategy(),
-        exec_a in exec_strategy(),
-        engine_b in engine_strategy(),
-        exec_b in exec_strategy(),
     ) {
         let source = PROGRAMS[prog_idx];
-        let k = 4usize;
-        let cfg_a = SwitchConfig::mp5(k).with_engine(engine_a).with_exec(exec_a);
+        let cfg = SwitchConfig::mp5(4);
 
-        // Uninterrupted oracle under configuration A.
+        // Uninterrupted oracle.
         let prog = mp5::compiler::compile(source, &mp5::compiler::Target::default()).unwrap();
-        let (oracle, oracle_sink) = Mp5Switch::with_sink(prog, cfg_a.clone(), MemSink::new())
+        let (oracle, oracle_sink) = Mp5Switch::with_sink(prog, cfg.clone(), MemSink::new())
             .run_traced(packets(source, n, seed, keys));
         let oracle_hash = stream_hash(&oracle_sink.into_events());
 
         // Same run, checkpointed at a random in-flight cycle...
         let ckpt_cycle = (oracle.cycles * ckpt_frac / 10).max(1);
         let mut srv: Server<MemSink, NoFaults> =
-            Server::new(source, cfg_a, MemSink::new(), None).unwrap();
+            Server::new(source, cfg, MemSink::new(), None).unwrap();
         srv.offer_all(packets(source, n, seed, keys));
         while srv.cycle() < ckpt_cycle && !srv.is_idle() {
             srv.tick();
@@ -98,10 +79,10 @@ proptest! {
         let snap = srv.checkpoint();
         let events_before = srv.abandon().into_events();
 
-        // ...codec round-trip, then restored under configuration B.
+        // ...codec round-trip, then restored.
         let snap = Snapshot::decode(&snap.encode()).expect("codec round-trips");
         let mut srv: Server<MemSink, NoFaults> =
-            Server::restore(snap, MemSink::new(), Some(engine_b), Some(exec_b)).unwrap();
+            Server::restore(snap, MemSink::new(), None, None).unwrap();
         while !srv.is_idle() {
             srv.tick();
             srv.drain_egress();

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use mp5::compiler::{compile, Target};
-use mp5::core::{EngineMode, ExecPath, Mp5Switch, ShardingMode, SprayMode, SwitchConfig};
+use mp5::core::{Mp5Switch, ShardingMode, SprayMode, SwitchConfig};
 use mp5::traffic::TraceBuilder;
 
 const PROGRAMS: [&str; 3] = [
@@ -42,15 +42,9 @@ fn config_strategy() -> impl Strategy<Value = SwitchConfig> {
         ],
         any::<bool>(),
         prop_oneof![Just(None), Just(Some(4u64)), Just(Some(64))],
-        prop_oneof![
-            Just(EngineMode::Sequential),
-            Just(EngineMode::Parallel(2)),
-            Just(EngineMode::Parallel(4)),
-        ],
-        prop_oneof![Just(ExecPath::Scalar), Just(ExecPath::Batch)],
     )
         .prop_map(
-            |(k, fifo, phantoms, per_index, sharding, single, starve, engine, exec)| SwitchConfig {
+            |(k, fifo, phantoms, per_index, sharding, single, starve)| SwitchConfig {
                 pipelines: k,
                 // Per-index queues are unbounded by design; bounded
                 // capacity applies to the logical-FIFO layout only.
@@ -69,8 +63,6 @@ fn config_strategy() -> impl Strategy<Value = SwitchConfig> {
                 seed: 7,
                 max_cycles: None,
                 physical_pipelines: None,
-                engine,
-                exec,
                 record_detail: true,
             },
         )
