@@ -105,6 +105,12 @@ echo "==> chaos smoke: 3 seeded fault plans per app, auditor-gated"
 # the nightly CI job runs the wider sweep.
 ./target/release/mp5chaos --seeds 3 --packets 400 --horizon 200
 
+echo "==> kill-restore smoke: checkpoint, kill and restore under live faults"
+# Every case checkpoints mid-run under a chaos plan, dies, and restores
+# the faulted snapshot through the restore checks to the uninterrupted
+# run's report and stream (plus a plain chaos pass per case: 40 cases).
+./target/release/mp5chaos --kill-restore --seeds 2 --packets 400 --horizon 200
+
 echo "==> faulted replay smoke: chaos seed through mp5run + auditor"
 ./target/release/mp5run crates/apps/programs/flowlet.mp5 \
     --packets 4000 --chaos-seed 3 --audit

@@ -4,9 +4,10 @@ use std::collections::BTreeMap;
 
 use mp5_banzai::RunResult;
 use mp5_types::{Cycle, PacketId, Time};
+use serde::{Deserialize, Serialize};
 
 /// Packet-drop counters by cause (§3.4 "Handling packet drops").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DropCounts {
     /// Phantoms dropped on full FIFOs.
     pub phantom_fifo_full: u64,
@@ -32,7 +33,7 @@ impl DropCounts {
 /// is either fully absorbed by the recovery machinery or acknowledged
 /// as permanent degradation (a dead pipeline, or a deliberately silent
 /// phantom loss used as an auditor negative control).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultReport {
     /// Faults fired by the plan.
     pub injected: u64,

@@ -1,134 +1,75 @@
 //! Checkpointable switch state.
 //!
-//! [`SwitchState`] is a plain-data mirror of every live field of an
-//! [`crate::Mp5Switch`] at a **cycle boundary** (between two `tick()`
-//! calls): register files, FIFO occupancy (data *and* phantom lanes,
-//! including the recovery queue), the remap table, crossbar and
-//! scheduler cursors, the phantom channel's in-flight set, cycle
-//! counters, and the full [`crate::RunReport`] accumulated so far.
+//! MP5's state is the D2 register shards with their index map, plus the
+//! D4 phantom placeholders in the stage FIFOs; a checkpoint is that
+//! plus everything else the next cycle can observe — FIFO occupancy
+//! (data, phantom and stale entries, and the recovery queue), the
+//! phantoms on the channel, packets in lanes and at ingress, crossbar
+//! and scheduler cursors, fault degradation, and the
+//! [`crate::RunReport`] so far — taken at a **cycle boundary**, between
+//! two `tick()` calls, when every per-cycle scratch buffer is empty.
 //!
-//! The mirror exists so checkpoints can be serialized without exposing
-//! the switch's runtime representation: every hash-map becomes a
-//! **sorted `Vec`** (deterministic bytes, JSON-friendly keys), every
-//! fabric type becomes a struct of public plain fields, and derived
-//! views (the phantom directory, occupancy indexes, work-pass scratch
-//! buffers) are omitted entirely — `Mp5Switch::try_restore_with`
-//! rebuilds them. The contract, enforced by the snapshot proptest
-//! suite, is *bit-identical continuation*: a switch restored from a
-//! checkpoint produces the same `RunReport` and traced `stream_hash`
-//! as the uninterrupted run.
+//! [`SwitchState`] serializes the live types themselves: a queued
+//! packet is the switch's own [`Flight`], a FIFO the fabric's
+//! [`FifoParts`], a key the fabric's [`PhantomKey`]. A type of its own
+//! appears only where the runtime representation is not plain data —
+//! hash maps and `BTreeMap`s become sorted vectors (deterministic
+//! bytes, JSON-friendly keys), the channel's flights a flat list, a
+//! crossbar its counters. Derived views (the phantom directory, FIFO
+//! occupancy indexes, the per-pipeline occupancy masks, the remap
+//! bitmap, work-pass scratch) are not written; a restore
+//! (`Mp5Switch::try_restore_with`) rebuilds them, after checking that
+//! the state is one the program and configuration can run. The
+//! contract, enforced by the snapshot proptest suite, is *bit-identical
+//! continuation*: a switch restored from a checkpoint produces the same
+//! `RunReport` and traced `stream_hash` as the uninterrupted run.
 
-use mp5_types::{Packet, PacketId, RegId, Value};
+use mp5_fabric::{Entry, FifoParts, OrderKey, PhantomKey};
+use mp5_types::{AccessTag, Packet, PacketId, PipelineId, RegId, Value};
 use serde::{Deserialize, Serialize};
 
-/// A packet in flight inside the switch (mirror of the runtime
-/// `Flight`): the packet, its switch-entry order key, and the pipeline
-/// it was sprayed onto.
+use crate::report::{DropCounts, FaultReport};
+
+/// A packet in flight inside the switch: the packet, its switch-entry
+/// order key, and the pipeline it was sprayed onto (the lane its
+/// phantoms use).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlightState {
     /// The packet (header fields, tags, metadata).
     pub pkt: Packet,
     /// Switch entry order `(arrival byte-time, ingress port)`.
-    pub order: (u64, u64),
+    pub order: OrderKey,
     /// Pipeline assigned at admission.
-    pub ingress: u16,
+    pub ingress: PipelineId,
 }
 
-/// A phantom directory key (mirror of `mp5_fabric::PhantomKey`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct KeySnap {
-    /// The data packet this phantom stands in for.
-    pub pkt: PacketId,
-    /// The register array of the access.
-    pub reg: RegId,
-    /// The resolved register index of the access.
-    pub index: u32,
-}
+/// The owning handle to a packet in flight. Lanes, incoming rows and
+/// every FIFO slot hold (and move) this one pointer; the packet itself
+/// is written once at ingress and stays put until the switch completes
+/// it (DESIGN.md §13).
+pub type Flight = Box<FlightState>;
 
-/// One queued FIFO entry (mirror of `mp5_fabric::Entry<Flight>`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EntrySnap {
-    /// A placeholder for a data packet that has not yet arrived.
-    Phantom {
-        /// Directory key.
-        key: KeySnap,
-        /// Ordering timestamp.
-        ts: (u64, u64),
-    },
-    /// An actual data packet, ready for stateful processing.
-    Data {
-        /// The queued flight.
-        item: FlightState,
-        /// Ordering timestamp.
-        ts: (u64, u64),
-    },
-    /// A cancelled placeholder (free entries reclaim without consuming
-    /// service; non-free ones cost one pop cycle, per §3.3).
-    Stale {
-        /// Ordering timestamp.
-        ts: (u64, u64),
-        /// Whether the entry reclaims without consuming service.
-        free: bool,
-    },
-}
-
-/// FIFO statistics counters (mirror of `mp5_fabric::FifoStats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StatsSnap {
-    /// Phantoms dropped on full lanes.
-    pub phantom_drops: u64,
-    /// Data packets dropped because their phantom was missing.
-    pub data_drops_no_phantom: u64,
-    /// Data packets dropped on full lanes.
-    pub data_drops_full: u64,
-    /// Pop cycles consumed by stale entries.
-    pub stale_cycles: u64,
-    /// Pop cycles blocked behind a phantom head.
-    pub blocked_cycles: u64,
-    /// Lost-phantom data packets re-admitted via the recovery queue.
-    pub recovered: u64,
-}
-
-/// One physical FIFO lane: its stable head sequence number, occupancy
-/// high-water mark, and queued entries head-to-tail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LaneSnap {
-    /// Sequence number of the head element (keeps `FifoAddr`s stable
-    /// across restore).
-    pub head_seq: u64,
-    /// Occupancy high-water mark.
-    pub max_occupancy: usize,
-    /// Entries, head to tail.
-    pub entries: Vec<EntrySnap>,
-}
-
-/// A whole logical FIFO: `k` lanes plus the timestamp-sorted recovery
-/// queue. The phantom directory and occupancy index are derived views
-/// and are rebuilt on restore.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FifoSnap {
-    /// Per-lane capacity (`None` = unbounded).
-    pub capacity: Option<usize>,
-    /// The lanes, in pipeline order.
-    pub lanes: Vec<LaneSnap>,
-    /// Recovery queue (data entries only), ascending timestamp.
-    pub recovered: Vec<EntrySnap>,
-    /// Recovery-queue high-water mark.
-    pub max_recovered: usize,
-    /// Statistics counters.
-    pub stats: StatsSnap,
+impl FlightState {
+    /// The phantom key for one of this packet's access tags.
+    pub(crate) fn key(&self, tag: &AccessTag) -> PhantomKey {
+        PhantomKey {
+            pkt: self.pkt.id,
+            reg: tag.reg,
+            index: tag.index,
+        }
+    }
 }
 
 /// One per-(pipeline, stage) input queue.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QueueSnap {
     /// The paper's logical FIFO of `k` lanes.
-    Logical(FifoSnap),
+    Logical(FifoParts<Flight>),
     /// The ideal-MP5 per-index queue bank (`per_index_fifos`), as
     /// `(register index, sub-queue)` pairs in ascending index order.
     PerIndex {
         /// Live sub-queues, ascending register index.
-        subs: Vec<(u32, FifoSnap)>,
+        subs: Vec<(u32, FifoParts<Flight>)>,
         /// Total-occupancy high-water mark.
         max_total: usize,
         /// Bound applied to each sub-queue.
@@ -136,18 +77,31 @@ pub enum QueueSnap {
     },
 }
 
-/// A phantom in flight on the dedicated channel (mirror of the runtime
-/// `PhantomMsg` plus its channel position).
+impl QueueSnap {
+    /// Every queued entry, FIFO by FIFO (the logical one, or each
+    /// per-index sub-queue), lanes before the recovery queue.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &Entry<Flight>> {
+        let (one, subs) = match self {
+            QueueSnap::Logical(f) => (Some(f), None),
+            QueueSnap::PerIndex { subs, .. } => (None, Some(subs.iter().map(|(_, f)| f))),
+        };
+        let fifos = one.into_iter().chain(subs.into_iter().flatten());
+        fifos.flat_map(|f| f.lanes.iter().flat_map(|l| &l.entries).chain(&f.recovered))
+    }
+}
+
+/// A phantom in flight on the dedicated channel: its message, flattened,
+/// plus its channel position.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelFlightSnap {
     /// Directory key of the phantom.
-    pub key: KeySnap,
+    pub key: PhantomKey,
     /// Ordering timestamp it will freeze in the destination FIFO.
-    pub ts: (u64, u64),
+    pub ts: OrderKey,
     /// Destination pipeline.
-    pub dest: u16,
+    pub dest: PipelineId,
     /// Source lane recorded for FIFO placement.
-    pub lane: u16,
+    pub lane: PipelineId,
     /// Current hop position (stage the phantom has reached).
     pub at: u16,
     /// Destination stage.
@@ -178,8 +132,8 @@ pub struct XbarSnap {
     pub steer_cycles: u64,
 }
 
-/// Mirror of `mp5_banzai::RunResult` with the hash maps flattened to
-/// sorted vectors.
+/// `mp5_banzai::RunResult` with the hash maps flattened to sorted
+/// vectors.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResultSnap {
     /// Final contents of every register array.
@@ -193,48 +147,7 @@ pub struct ResultSnap {
     pub processed: u64,
 }
 
-/// Mirror of [`crate::DropCounts`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DropsSnap {
-    /// Phantoms dropped on full FIFOs.
-    pub phantom_fifo_full: u64,
-    /// Data packets dropped because their phantom was missing.
-    pub data_no_phantom: u64,
-    /// Data packets dropped on full FIFOs.
-    pub data_fifo_full: u64,
-    /// Stateless packets dropped in favor of starving stateful packets.
-    pub starvation: u64,
-}
-
-/// Mirror of [`crate::FaultReport`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultSnap {
-    /// Faults fired by the plan.
-    pub injected: u64,
-    /// Transient faults fully absorbed.
-    pub recovered: u64,
-    /// Faults acknowledged as permanent degradation.
-    pub degraded: u64,
-    /// Cycles spent with at least one dead pipeline.
-    pub degraded_cycles: u64,
-    /// Indexes evacuated off dead pipelines.
-    pub evacuated_indexes: u64,
-    /// Phantoms lost to injected drops / forced overflow.
-    pub phantoms_dropped: u64,
-    /// Lost-phantom data packets recovered into FIFO order.
-    pub phantoms_recovered: u64,
-    /// Pipelines dead so far (ascending).
-    pub dead_pipelines: Vec<u16>,
-    /// Stage-cycles suppressed by injected stalls.
-    pub stall_cycles: u64,
-    /// Crossbar grants delayed by injected grant latency.
-    pub delayed_grants: u64,
-    /// Remap rounds aborted by injected control-plane failures.
-    pub aborted_remaps: u64,
-}
-
-/// Mirror of [`crate::RunReport`] with `BTreeMap`/`FastMap` fields
-/// flattened to sorted vectors.
+/// [`crate::RunReport`] with its maps flattened to sorted vectors.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReportSnap {
     /// Functional-equivalence evidence.
@@ -244,7 +157,7 @@ pub struct ReportSnap {
     /// Packets processed to completion.
     pub completed: u64,
     /// Drops by cause.
-    pub drops: DropsSnap,
+    pub drops: DropCounts,
     /// Total simulated cycles so far.
     pub cycles: u64,
     /// Duration of the input stream in byte-times.
@@ -268,15 +181,15 @@ pub struct ReportSnap {
     /// Per-`(pipeline, stage)` drop counts, ascending location.
     pub stage_drops: Vec<(u16, u16, u64)>,
     /// Fault-injection accounting.
-    pub fault: FaultSnap,
+    pub fault: FaultReport,
 }
 
 /// Complete live state of an [`crate::Mp5Switch`] at a cycle boundary.
 ///
 /// Produced by `Mp5Switch::extract_state`, consumed by
 /// `Mp5Switch::try_restore_with`. Everything the next `tick()` can
-/// observe is here; work-pass scratch buffers (which are empty at the
-/// boundary by construction) are not.
+/// observe is here; derived views and work-pass scratch buffers (empty
+/// at the boundary by construction) are not.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchState {
     /// Simulated cycle count.
@@ -294,33 +207,26 @@ pub struct SwitchState {
     /// Input queues, `[pipeline][stage]`.
     pub queues: Vec<Vec<QueueSnap>>,
     /// Stage occupancy, `[pipeline][stage]`.
-    pub lanes: Vec<Vec<Option<FlightState>>>,
+    pub lanes: Vec<Vec<Option<Flight>>>,
     /// The phantom channel.
     pub channel: ChannelSnap,
     /// Per-stage crossbar statistics.
     pub crossbars: Vec<XbarSnap>,
     /// Phantoms cancelled while still on the channel, ascending key.
-    pub cancelled: Vec<KeySnap>,
+    pub cancelled: Vec<PhantomKey>,
     /// Phantoms lost to injected faults, awaiting their data packet,
     /// ascending key.
-    pub lost: Vec<KeySnap>,
+    pub lost: Vec<PhantomKey>,
     /// Arrived packets waiting for an ingress slot, queue order.
-    pub ingress_q: Vec<FlightState>,
+    pub ingress_q: Vec<Flight>,
     /// Future arrivals, ascending entry order.
     pub arrivals: Vec<Packet>,
     /// Steered packets held back by injected grant delays:
     /// `(ready cycle, dest pipeline, stage, flight)`, insertion order.
-    pub pending_grants: Vec<(u64, u16, usize, FlightState)>,
+    pub pending_grants: Vec<(u64, PipelineId, usize, Flight)>,
     /// Completed packets not yet drained by the caller,
     /// `(packet, exit cycle)` in completion order.
     pub egress_buf: Vec<(Packet, u64)>,
-    /// Per-pipeline parked-stage bitmask (derived; rebuilt on restore).
-    pub park_mask: Vec<u64>,
-    /// Per-pipeline incoming-row bitmask (zero at a boundary; kept for
-    /// completeness).
-    pub inc_mask: Vec<u64>,
-    /// Per-pipeline maybe-non-empty-FIFO bitmask (conservative).
-    pub queue_mask: Vec<u64>,
     /// Per-pipeline liveness (`true` = killed by an injected fault).
     pub dead: Vec<bool>,
     /// Dead pipelines whose evacuation-complete event was emitted.
@@ -490,8 +396,42 @@ mod tests {
         assert!(r.to_string().contains("pipeline count"));
     }
 
+    /// A state of live types, with a free stale entry, a bounded
+    /// capacity and a per-index queue, survives JSON unchanged.
     #[test]
     fn state_round_trips_through_json() {
+        use mp5_fabric::{FifoStats, LaneParts};
+        let fifo = |entries| FifoParts::<Flight> {
+            capacity: Some(8),
+            lanes: vec![LaneParts {
+                head_seq: 4,
+                max_occupancy: 2,
+                entries,
+            }],
+            recovered: vec![],
+            max_recovered: 0,
+            stats: FifoStats::default(),
+        };
+        let stale = Entry::Stale {
+            ts: OrderKey(9, 0),
+            free: true,
+        };
+        let flight = Box::new(FlightState {
+            pkt: Packet::new(PacketId(3), mp5_types::PortId(1), 9, 64, 2),
+            order: OrderKey(9, 1),
+            ingress: PipelineId(0),
+        });
+        let per_index = QueueSnap::PerIndex {
+            subs: vec![(
+                5,
+                fifo(vec![Entry::Data {
+                    item: flight.clone(),
+                    ts: OrderKey(9, 1),
+                }]),
+            )],
+            max_total: 1,
+            capacity: Some(8),
+        };
         let snap = SwitchState {
             cycle: 7,
             rr: 1,
@@ -499,23 +439,10 @@ mod tests {
             index_map: vec![vec![0, 0]],
             access_ctr: vec![vec![3, 0]],
             inflight: vec![vec![0, 1]],
-            queues: vec![vec![QueueSnap::Logical(FifoSnap {
-                capacity: Some(8),
-                lanes: vec![LaneSnap {
-                    head_seq: 4,
-                    max_occupancy: 2,
-                    entries: vec![EntrySnap::Stale {
-                        ts: (9, 0),
-                        free: true,
-                    }],
-                }],
-                recovered: vec![],
-                max_recovered: 0,
-                stats: StatsSnap::default(),
-            })]],
-            lanes: vec![vec![None]],
+            queues: vec![vec![QueueSnap::Logical(fifo(vec![stale])), per_index]],
+            lanes: vec![vec![None, Some(flight.clone())]],
             channel: ChannelSnap {
-                stages: 1,
+                stages: 2,
                 max_in_flight: 0,
                 delivered: 0,
                 flights: vec![],
@@ -526,13 +453,10 @@ mod tests {
             }],
             cancelled: vec![],
             lost: vec![],
-            ingress_q: vec![],
+            ingress_q: vec![flight],
             arrivals: vec![],
             pending_grants: vec![],
             egress_buf: vec![],
-            park_mask: vec![0],
-            inc_mask: vec![0],
-            queue_mask: vec![0],
             dead: vec![false],
             evac_done: vec![false],
             evac_counts: vec![0],

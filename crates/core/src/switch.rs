@@ -1,14 +1,11 @@
 //! The MP5 switch simulator (architecture §3.2 + runtime §3.4).
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use mp5_banzai::RunResult;
 use mp5_compiler::program::{INDEX_ARRAY_LEVEL, REG_STAGE_SENTINEL};
 use mp5_compiler::{BatchRegs, CompiledProgram, LaneAccess, LaneFields, ResolvedAccess};
-use mp5_fabric::{
-    Crossbar, Entry, FifoParts, FifoStats, LaneParts, LogicalFifo, OrderKey, PhantomChannel,
-    PhantomKey, PopOutcome,
-};
+use mp5_fabric::{Crossbar, Entry, LogicalFifo, OrderKey, PhantomChannel, PhantomKey, PopOutcome};
 use mp5_faults::{FaultClass, FaultInjector, FaultKind, NoFaults, PhantomFate};
 use mp5_trace::{DropCause, EventKind, NopSink, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::time::cycle_len;
@@ -18,9 +15,8 @@ use crate::config::{ConfigError, ShardingMode, SprayMode, SwitchConfig};
 use crate::report::RunReport;
 use crate::shard::{self, Touched};
 use crate::state::{
-    ChannelFlightSnap, ChannelSnap, DropsSnap, EntrySnap, FaultSnap, FifoSnap, FlightState,
-    KeySnap, LaneSnap, QueueSnap, ReportSnap, RestoreError, ResultSnap, StatsSnap, SwapError,
-    SwapReport, SwitchState, XbarSnap,
+    ChannelFlightSnap, ChannelSnap, Flight, FlightState, QueueSnap, ReportSnap, RestoreError,
+    ResultSnap, SwapError, SwapReport, SwitchState, XbarSnap,
 };
 
 /// Converts a fabric phantom key into the trace schema's access key.
@@ -67,49 +63,6 @@ impl std::fmt::Display for InvariantViolation {
 }
 
 impl std::error::Error for InvariantViolation {}
-
-/// A packet in flight through the switch, with its entry-order key and
-/// ingress pipeline (the lane its phantoms use).
-#[derive(Debug, Clone)]
-struct FlightInner {
-    pkt: Packet,
-    order: OrderKey,
-    ingress: PipelineId,
-}
-
-/// The owning handle to a packet in flight. Lanes, incoming rows and
-/// every FIFO slot hold (and move) this one pointer; the
-/// packet itself is written once at ingress and stays put until
-/// [`Mp5Switch::complete`] takes it back out (DESIGN.md §13).
-#[derive(Debug, Clone)]
-struct Flight(Box<FlightInner>);
-
-impl std::ops::Deref for Flight {
-    type Target = FlightInner;
-
-    #[inline]
-    fn deref(&self) -> &FlightInner {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for Flight {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut FlightInner {
-        &mut self.0
-    }
-}
-
-impl FlightInner {
-    /// The phantom key for one of this packet's access tags.
-    fn key(&self, tag: &AccessTag) -> PhantomKey {
-        PhantomKey {
-            pkt: self.pkt.id,
-            reg: tag.reg,
-            index: tag.index,
-        }
-    }
-}
 
 /// A phantom packet payload on the dedicated channel: 48 bits in
 /// hardware — `(packet id, state, index, pipeline, stage)` (Figure 5).
@@ -1293,11 +1246,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 break; // unreachable: `front()` was just checked
             };
             let order = OrderKey(pkt.arrival, pkt.port.0 as u64);
-            self.ingress_q.push_back(Flight(Box::new(FlightInner {
+            self.ingress_q.push_back(Box::new(FlightState {
                 pkt,
                 order,
                 ingress: PipelineId(0), // assigned at admission
-            })));
+            }));
         }
         let admit_limit = match self.cfg.spray {
             SprayMode::RoundRobin => self.k,
@@ -1556,7 +1509,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// Cleans up after dropping a data packet at stage `st`: cancel all
     /// of its not-yet-consumed phantoms (in FIFOs or still on the
-    /// channel) and release its in-flight counters.
+    /// channel) and release its in-flight counters. Takes the handle so
+    /// the packet is freed here, not in the enqueue path.
+    #[allow(clippy::boxed_local)]
     fn drop_remaining(&mut self, fl: Flight, st: usize) {
         for tag in &fl.pkt.tags {
             release_inflight(&mut self.inflight, tag);
@@ -1729,7 +1684,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
     }
 
-    /// A packet exits the final stage.
+    /// A packet exits the final stage. Takes the handle, not the
+    /// flight: the packet moves out of the box without copying the rest.
+    #[allow(clippy::boxed_local)]
     fn complete(&mut self, pl: usize, fl: Flight) {
         if S::ENABLED {
             TraceCtx::new(self.cycle, pl as u16, (self.stages - 1) as u16)
@@ -1751,7 +1708,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         if fl.pkt.ecn {
             self.report.ecn_marked += 1;
         }
-        self.egress_buf.push((fl.0.pkt, self.cycle));
+        self.egress_buf.push((fl.pkt, self.cycle));
     }
 
     /// Background dynamic sharding (Figure 6 / LPT), with the in-flight
@@ -1869,192 +1826,88 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 }
 
 // ------------------------------------------------------------------
-// Checkpoint / restore / hot swap (plain-data mirrors in crate::state)
+// Checkpoint / restore / hot swap (the serialized form: crate::state)
 // ------------------------------------------------------------------
 
-fn snap_key(k: PhantomKey) -> KeySnap {
-    KeySnap {
-        pkt: k.pkt,
-        reg: k.reg,
-        index: k.index,
+impl StageQueue {
+    /// The queue's FIFOs: the logical one, or each per-index sub-queue.
+    fn fifos(&self) -> impl Iterator<Item = &LogicalFifo<Flight>> {
+        let (one, subs) = match self {
+            StageQueue::Logical(f) => (Some(f), None),
+            StageQueue::PerIndex { subs, .. } => (None, Some(subs.values())),
+        };
+        one.into_iter().chain(subs.into_iter().flatten())
     }
-}
 
-fn unsnap_key(k: KeySnap) -> PhantomKey {
-    PhantomKey {
-        pkt: k.pkt,
-        reg: k.reg,
-        index: k.index,
-    }
-}
-
-fn snap_flight(f: &Flight) -> FlightState {
-    FlightState {
-        pkt: f.pkt.clone(),
-        order: (f.order.0, f.order.1),
-        ingress: f.ingress.0,
-    }
-}
-
-fn unsnap_flight(f: FlightState) -> Flight {
-    Flight(Box::new(FlightInner {
-        pkt: f.pkt,
-        order: OrderKey(f.order.0, f.order.1),
-        ingress: PipelineId(f.ingress),
-    }))
-}
-
-fn snap_entry(e: &Entry<Flight>) -> EntrySnap {
-    match e {
-        Entry::Phantom { key, ts } => EntrySnap::Phantom {
-            key: snap_key(*key),
-            ts: (ts.0, ts.1),
-        },
-        Entry::Data { item, ts } => EntrySnap::Data {
-            item: snap_flight(item),
-            ts: (ts.0, ts.1),
-        },
-        Entry::Stale { ts, free } => EntrySnap::Stale {
-            ts: (ts.0, ts.1),
-            free: *free,
-        },
-    }
-}
-
-fn unsnap_entry(e: EntrySnap) -> Entry<Flight> {
-    match e {
-        EntrySnap::Phantom { key, ts } => Entry::Phantom {
-            key: unsnap_key(key),
-            ts: OrderKey(ts.0, ts.1),
-        },
-        EntrySnap::Data { item, ts } => Entry::Data {
-            item: unsnap_flight(item),
-            ts: OrderKey(ts.0, ts.1),
-        },
-        EntrySnap::Stale { ts, free } => Entry::Stale {
-            ts: OrderKey(ts.0, ts.1),
-            free,
-        },
-    }
-}
-
-fn snap_fifo(f: &LogicalFifo<Flight>) -> FifoSnap {
-    let parts = f.snapshot_parts();
-    FifoSnap {
-        capacity: parts.capacity,
-        lanes: parts
-            .lanes
-            .into_iter()
-            .map(|l| LaneSnap {
-                head_seq: l.head_seq,
-                max_occupancy: l.max_occupancy,
-                entries: l.entries.iter().map(snap_entry).collect(),
-            })
-            .collect(),
-        recovered: parts.recovered.iter().map(snap_entry).collect(),
-        max_recovered: parts.max_recovered,
-        stats: {
-            let s = parts.stats;
-            StatsSnap {
-                phantom_drops: s.phantom_drops,
-                data_drops_no_phantom: s.data_drops_no_phantom,
-                data_drops_full: s.data_drops_full,
-                stale_cycles: s.stale_cycles,
-                blocked_cycles: s.blocked_cycles,
-                recovered: s.recovered,
-            }
-        },
-    }
-}
-
-/// Rebuilds a logical FIFO, servicing through its occupancy index
-/// (the service-scan mode is not state: a v1 snapshot written by the
-/// scalar exec path restores into it as well).
-fn unsnap_fifo(s: FifoSnap) -> LogicalFifo<Flight> {
-    LogicalFifo::from_parts(FifoParts {
-        capacity: s.capacity,
-        lanes: s
-            .lanes
-            .into_iter()
-            .map(|l| LaneParts {
-                head_seq: l.head_seq,
-                max_occupancy: l.max_occupancy,
-                entries: l.entries.into_iter().map(unsnap_entry).collect(),
-            })
-            .collect(),
-        recovered: s.recovered.into_iter().map(unsnap_entry).collect(),
-        max_recovered: s.max_recovered,
-        stats: FifoStats {
-            phantom_drops: s.stats.phantom_drops,
-            data_drops_no_phantom: s.stats.data_drops_no_phantom,
-            data_drops_full: s.stats.data_drops_full,
-            stale_cycles: s.stats.stale_cycles,
-            blocked_cycles: s.stats.blocked_cycles,
-            recovered: s.stats.recovered,
-        },
-        indexed: true,
-    })
-}
-
-fn snap_queue(q: &StageQueue) -> QueueSnap {
-    match q {
-        StageQueue::Logical(f) => QueueSnap::Logical(snap_fifo(f)),
-        StageQueue::PerIndex {
-            subs,
-            max_total,
-            capacity,
-        } => QueueSnap::PerIndex {
-            subs: subs.iter().map(|(i, f)| (*i, snap_fifo(f))).collect(),
-            max_total: *max_total,
-            capacity: *capacity,
-        },
-    }
-}
-
-fn unsnap_queue(q: QueueSnap, cfg: &SwitchConfig) -> Result<StageQueue, RestoreError> {
-    match q {
-        QueueSnap::Logical(s) => {
-            if cfg.per_index_fifos {
-                return Err(RestoreError::Incompatible(
-                    "logical-FIFO snapshot cannot restore into a per-index configuration".into(),
-                ));
-            }
-            if s.lanes.len() != cfg.pipelines {
-                return Err(RestoreError::Incompatible(format!(
-                    "FIFO snapshot has {} lanes, switch has {} pipelines",
-                    s.lanes.len(),
-                    cfg.pipelines
-                )));
-            }
-            Ok(StageQueue::Logical(unsnap_fifo(s)))
-        }
-        QueueSnap::PerIndex {
-            subs,
-            max_total,
-            capacity,
-        } => {
-            if !cfg.per_index_fifos {
-                return Err(RestoreError::Incompatible(
-                    "per-index snapshot cannot restore into a logical-FIFO configuration".into(),
-                ));
-            }
-            for (i, s) in &subs {
-                if s.lanes.len() != 1 {
-                    return Err(RestoreError::Incompatible(format!(
-                        "per-index sub-queue {i} has {} lanes, expected 1",
-                        s.lanes.len()
-                    )));
-                }
-            }
-            Ok(StageQueue::PerIndex {
-                subs: subs.into_iter().map(|(i, s)| (i, unsnap_fifo(s))).collect(),
+    /// The queue's explicit state for a checkpoint.
+    fn snapshot(&self) -> QueueSnap {
+        match self {
+            StageQueue::Logical(f) => QueueSnap::Logical(f.snapshot_parts()),
+            StageQueue::PerIndex {
+                subs,
                 max_total,
                 capacity,
-            })
+            } => QueueSnap::PerIndex {
+                subs: subs.iter().map(|(i, f)| (*i, f.snapshot_parts())).collect(),
+                max_total: *max_total,
+                capacity: *capacity,
+            },
+        }
+    }
+
+    /// Rebuilds a checkpointed queue in `cfg`'s layout. Each per-index
+    /// sub-queue must hold only its own index's phantoms: a packet looks
+    /// for its phantom in the sub-queue of that index and nowhere else.
+    fn restore(q: QueueSnap, cfg: &SwitchConfig) -> Result<Self, RestoreError> {
+        use RestoreError::Incompatible;
+        let fifo = |parts: mp5_fabric::FifoParts<Flight>, lanes: usize| {
+            if parts.lanes.len() != lanes {
+                let got = parts.lanes.len();
+                return Err(Incompatible(format!(
+                    "a FIFO has {got} lanes, expected {lanes}"
+                )));
+            }
+            LogicalFifo::from_parts(parts).map_err(Incompatible)
+        };
+        match (q, cfg.per_index_fifos) {
+            (QueueSnap::Logical(f), false) => Ok(StageQueue::Logical(fifo(f, cfg.pipelines)?)),
+            (
+                QueueSnap::PerIndex {
+                    subs,
+                    max_total,
+                    capacity,
+                },
+                true,
+            ) => {
+                let mut fifos = std::collections::BTreeMap::new();
+                for (i, f) in subs {
+                    let f = fifo(f, 1)?;
+                    if f.iter_entries()
+                        .any(|e| matches!(e, Entry::Phantom { key, .. } if key.index != i))
+                    {
+                        return Err(Incompatible(format!(
+                            "sub-queue {i} holds another index's phantom"
+                        )));
+                    }
+                    fifos.insert(i, f);
+                }
+                Ok(StageQueue::PerIndex {
+                    subs: fifos,
+                    max_total,
+                    capacity,
+                })
+            }
+            (QueueSnap::Logical(_), true) => Err(Incompatible(
+                "logical-FIFO snapshot cannot restore into a per-index configuration".into(),
+            )),
+            (QueueSnap::PerIndex { .. }, false) => Err(Incompatible(
+                "per-index snapshot cannot restore into a logical-FIFO configuration".into(),
+            )),
         }
     }
 }
 
+/// The report with its three maps written as sorted vectors.
 fn snap_report(r: &RunReport) -> ReportSnap {
     let mut outputs: Vec<(PacketId, Vec<Value>)> = r
         .result
@@ -2067,7 +1920,7 @@ fn snap_report(r: &RunReport) -> ReportSnap {
         .result
         .access_log
         .iter()
-        .map(|((reg, idx), v)| (*reg, *idx, v.clone()))
+        .map(|(&(reg, idx), v)| (reg, idx, v.clone()))
         .collect();
     access_log.sort_unstable_by_key(|&(reg, idx, _)| (reg, idx));
     ReportSnap {
@@ -2079,12 +1932,7 @@ fn snap_report(r: &RunReport) -> ReportSnap {
         },
         offered: r.offered,
         completed: r.completed,
-        drops: DropsSnap {
-            phantom_fifo_full: r.drops.phantom_fifo_full,
-            data_no_phantom: r.drops.data_no_phantom,
-            data_fifo_full: r.drops.data_fifo_full,
-            starvation: r.drops.starvation,
-        },
+        drops: r.drops,
         cycles: r.cycles,
         input_duration: r.input_duration,
         completions: r.completions.clone(),
@@ -2098,50 +1946,25 @@ fn snap_report(r: &RunReport) -> ReportSnap {
         stage_drops: r
             .stage_drops
             .iter()
-            .map(|(&(pl, st), &n)| (pl, st, n))
+            .map(|(&(p, s), &n)| (p, s, n))
             .collect(),
-        fault: {
-            let f = &r.fault;
-            FaultSnap {
-                injected: f.injected,
-                recovered: f.recovered,
-                degraded: f.degraded,
-                degraded_cycles: f.degraded_cycles,
-                evacuated_indexes: f.evacuated_indexes,
-                phantoms_dropped: f.phantoms_dropped,
-                phantoms_recovered: f.phantoms_recovered,
-                dead_pipelines: f.dead_pipelines.clone(),
-                stall_cycles: f.stall_cycles,
-                delayed_grants: f.delayed_grants,
-                aborted_remaps: f.aborted_remaps,
-            }
-        },
+        fault: r.fault.clone(),
     }
 }
 
+/// The report back from its serialized form.
 fn unsnap_report(s: ReportSnap) -> RunReport {
-    let mut result = RunResult {
-        final_regs: s.result.final_regs,
-        outputs: Default::default(),
-        access_log: Default::default(),
-        processed: s.result.processed,
-    };
-    for (k, v) in s.result.outputs {
-        result.outputs.insert(k, v);
-    }
-    for (reg, idx, v) in s.result.access_log {
-        result.access_log.insert((reg, idx), v);
-    }
+    let access_log = s.result.access_log.into_iter();
     RunReport {
-        result,
+        result: RunResult {
+            final_regs: s.result.final_regs,
+            outputs: s.result.outputs.into_iter().collect(),
+            access_log: access_log.map(|(reg, idx, v)| ((reg, idx), v)).collect(),
+            processed: s.result.processed,
+        },
         offered: s.offered,
         completed: s.completed,
-        drops: crate::report::DropCounts {
-            phantom_fifo_full: s.drops.phantom_fifo_full,
-            data_no_phantom: s.drops.data_no_phantom,
-            data_fifo_full: s.drops.data_fifo_full,
-            starvation: s.drops.starvation,
-        },
+        drops: s.drops,
         cycles: s.cycles,
         input_duration: s.input_duration,
         completions: s.completions,
@@ -2155,21 +1978,9 @@ fn unsnap_report(s: ReportSnap) -> RunReport {
         stage_drops: s
             .stage_drops
             .into_iter()
-            .map(|(pl, st, n)| ((pl, st), n))
+            .map(|(p, q, n)| ((p, q), n))
             .collect(),
-        fault: crate::report::FaultReport {
-            injected: s.fault.injected,
-            recovered: s.fault.recovered,
-            degraded: s.fault.degraded,
-            degraded_cycles: s.fault.degraded_cycles,
-            evacuated_indexes: s.fault.evacuated_indexes,
-            phantoms_dropped: s.fault.phantoms_dropped,
-            phantoms_recovered: s.fault.phantoms_recovered,
-            dead_pipelines: s.fault.dead_pipelines,
-            stall_cycles: s.fault.stall_cycles,
-            delayed_grants: s.fault.delayed_grants,
-            aborted_remaps: s.fault.aborted_remaps,
-        },
+        fault: s.fault,
     }
 }
 
@@ -2191,10 +2002,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             TraceCtx::new(self.cycle, NO_LOC, NO_LOC)
                 .emit(&mut self.sink, EventKind::SnapshotTaken { seq });
         }
-        let mut cancelled: Vec<KeySnap> = self.cancelled.iter().copied().map(snap_key).collect();
-        cancelled.sort_unstable();
-        let mut lost: Vec<KeySnap> = self.lost.iter().copied().map(snap_key).collect();
-        lost.sort_unstable();
+        let sorted = |keys: &FastSet<PhantomKey>| {
+            let mut keys: Vec<PhantomKey> = keys.iter().copied().collect();
+            keys.sort_unstable();
+            keys
+        };
         SwitchState {
             cycle: self.cycle,
             rr: self.rr,
@@ -2205,31 +2017,21 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             queues: self
                 .pipes
                 .iter()
-                .map(|p| p.queues.iter().map(snap_queue).collect())
+                .map(|p| p.queues.iter().map(StageQueue::snapshot).collect())
                 .collect(),
-            lanes: self
-                .pipes
-                .iter()
-                .map(|p| {
-                    p.lanes
-                        .iter()
-                        .map(|s| s.as_ref().map(snap_flight))
-                        .collect()
-                })
-                .collect(),
+            lanes: self.pipes.iter().map(|p| p.lanes.clone()).collect(),
             channel: ChannelSnap {
                 stages: self.channel.stages(),
                 max_in_flight: self.channel.max_in_flight(),
                 delivered: self.channel.delivered(),
                 flights: self
                     .channel
-                    .snapshot_flights()
-                    .into_iter()
+                    .flights()
                     .map(|(msg, at, dest_stage)| ChannelFlightSnap {
-                        key: snap_key(msg.key),
-                        ts: (msg.ts.0, msg.ts.1),
-                        dest: msg.dest.0,
-                        lane: msg.lane.0,
+                        key: msg.key,
+                        ts: msg.ts,
+                        dest: msg.dest,
+                        lane: msg.lane,
                         at,
                         dest_stage,
                     })
@@ -2246,19 +2048,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                     }
                 })
                 .collect(),
-            cancelled,
-            lost,
-            ingress_q: self.ingress_q.iter().map(snap_flight).collect(),
+            cancelled: sorted(&self.cancelled),
+            lost: sorted(&self.lost),
+            ingress_q: self.ingress_q.iter().cloned().collect(),
             arrivals: self.arrivals.iter().cloned().collect(),
-            pending_grants: self
-                .pending_grants
-                .iter()
-                .map(|(ready, dest, st, fl)| (*ready, dest.0, *st, snap_flight(fl)))
-                .collect(),
+            pending_grants: self.pending_grants.iter().cloned().collect(),
             egress_buf: self.egress_buf.clone(),
-            park_mask: self.pipes.iter().map(|p| p.park).collect(),
-            inc_mask: self.pipes.iter().map(|p| p.inc).collect(),
-            queue_mask: self.pipes.iter().map(|p| p.qmask).collect(),
             dead: self.dead.clone(),
             evac_done: self.evac_done.clone(),
             evac_counts: self.evac_counts.clone(),
@@ -2288,8 +2083,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     }
 
     /// Replaces this freshly built switch's state with a checkpointed
-    /// one. Validates every shape against the program/configuration the
-    /// switch was built with before touching anything.
+    /// one. Validates every shape and [the content](Self::check_content)
+    /// against the program/configuration the switch was built with
+    /// before touching anything.
     fn inject_state(&mut self, state: SwitchState) -> Result<(), RestoreError> {
         let k = self.k;
         let incompat = |why: String| Err(RestoreError::Incompatible(why));
@@ -2356,9 +2152,6 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             return incompat("crossbar statistics are not stages x (k*k)".into());
         }
         for field in [
-            state.park_mask.len(),
-            state.inc_mask.len(),
-            state.queue_mask.len(),
             state.dead.len(),
             state.evac_done.len(),
             state.evac_counts.len(),
@@ -2373,14 +2166,29 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 state.rr
             ));
         }
+        self.check_content(&state)
+            .map_err(RestoreError::Incompatible)?;
         let mut queues = Vec::with_capacity(k);
         for row in state.queues {
-            let mut qrow = Vec::with_capacity(self.stages);
-            for q in row {
-                qrow.push(unsnap_queue(q, &self.cfg)?);
-            }
-            queues.push(qrow);
+            let row = row.into_iter().map(|q| StageQueue::restore(q, &self.cfg));
+            queues.push(row.collect::<Result<Vec<_>, _>>()?);
         }
+        let flights = state.channel.flights.into_iter().map(|f| {
+            let msg = PhantomMsg {
+                key: f.key,
+                ts: f.ts,
+                dest: f.dest,
+                lane: f.lane,
+            };
+            (msg, f.at, f.dest_stage)
+        });
+        self.channel = PhantomChannel::from_parts(
+            self.stages,
+            flights.collect(),
+            state.channel.max_in_flight,
+            state.channel.delivered,
+        )
+        .map_err(RestoreError::Incompatible)?;
         for (((pipe, queues), regs), lanes) in self
             .pipes
             .iter_mut()
@@ -2390,52 +2198,25 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         {
             pipe.queues = queues;
             pipe.regs = regs;
-            pipe.lanes = lanes.into_iter().map(|s| s.map(unsnap_flight)).collect();
+            pipe.lanes = lanes;
         }
         self.index_map = state.index_map;
         self.touched = state.access_ctr.iter().map(|c| Touched::of(c)).collect();
         self.access_ctr = state.access_ctr;
         self.inflight = state.inflight;
-        self.channel = PhantomChannel::from_parts(
-            self.stages,
-            state
-                .channel
-                .flights
-                .into_iter()
-                .map(|f| {
-                    (
-                        PhantomMsg {
-                            key: unsnap_key(f.key),
-                            ts: OrderKey(f.ts.0, f.ts.1),
-                            dest: PipelineId(f.dest),
-                            lane: PipelineId(f.lane),
-                        },
-                        f.at,
-                        f.dest_stage,
-                    )
-                })
-                .collect(),
-            state.channel.max_in_flight,
-            state.channel.delivered,
-        );
         self.crossbars = state
             .crossbars
             .into_iter()
             .map(|x| Crossbar::from_parts(k, x.routed, x.steer_cycles))
             .collect();
-        self.cancelled = state.cancelled.into_iter().map(unsnap_key).collect();
-        self.lost = state.lost.into_iter().map(unsnap_key).collect();
-        self.ingress_q = state.ingress_q.into_iter().map(unsnap_flight).collect();
+        self.cancelled = state.cancelled.into_iter().collect();
+        self.lost = state.lost.into_iter().collect();
+        self.ingress_q = state.ingress_q.into();
         self.arrivals = state.arrivals.into();
-        self.pending_grants = state
-            .pending_grants
-            .into_iter()
-            .map(|(ready, dest, st, fl)| (ready, PipelineId(dest), st, unsnap_flight(fl)))
-            .collect();
+        self.pending_grants = state.pending_grants.into();
         self.egress_buf = state.egress_buf;
         // The masks are derived occupancy views, not state: rebuild them
-        // from the restored lanes/queues (v1 snapshots written by the
-        // retired scalar exec path carry masks it never maintained).
+        // from the restored lanes and queues.
         for pipe in &mut self.pipes {
             let (mut park, mut qmask) = (0u64, 0u64);
             for st in 0..self.stages.min(64) {
@@ -2465,6 +2246,87 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         if S::ENABLED {
             TraceCtx::new(self.cycle, NO_LOC, NO_LOC)
                 .emit(&mut self.sink, EventKind::Restored { from_cycle });
+        }
+        Ok(())
+    }
+
+    /// What a checkpoint must hold beyond its shape for this switch to
+    /// run it: every pipeline, stage, register and index it names is in
+    /// range, every packet carries the program's fields, every tag list
+    /// is in stage order, and every phantom — queued, or on the channel
+    /// and not cancelled — sits where a packet in flight will come for
+    /// it, per that packet's tag. Under D4 a phantom no packet comes for
+    /// blocks its FIFO forever.
+    fn check_content(&self, s: &SwitchState) -> Result<(), String> {
+        let (k, stages, nf) = (self.k, self.stages, self.prog.num_fields());
+        if s.index_map.iter().flatten().any(|&p| p as usize >= k) {
+            return Err(format!("the index map names a pipeline outside 0..{k}"));
+        }
+        if let Some(p) = s.arrivals.iter().find(|p| p.fields.len() != nf) {
+            return Err(format!("arrival {} has {} fields", p.id, p.fields.len()));
+        }
+        for (_, dest, st, fl) in &s.pending_grants {
+            let due = |t: &AccessTag| t.pipeline == *dest && t.stage.index() == *st;
+            if !fl.pkt.tags.first().is_some_and(due) {
+                return Err(format!(
+                    "held packet {} is not due at {dest}/{st}",
+                    fl.pkt.id
+                ));
+            }
+        }
+        // Every queue entry, with the (pipeline, stage) it waits at.
+        let queued = || {
+            s.queues.iter().enumerate().flat_map(|(pl, row)| {
+                let row = row.iter().enumerate();
+                row.flat_map(move |(st, q)| q.entries().map(move |e| (pl, st, e)))
+            })
+        };
+        let data = queued().filter_map(|(.., e)| match e {
+            Entry::Data { item, .. } => Some(item),
+            _ => None,
+        });
+        let held = s.pending_grants.iter().map(|(.., fl)| fl);
+        let flights = s.lanes.iter().flatten().flatten().chain(&s.ingress_q);
+        // Keyed by the file's contents: the default hasher keeps crafted
+        // collisions from making the check quadratic.
+        let mut awaited = HashSet::new();
+        for fl in flights.chain(held).chain(data) {
+            let (id, n, ing) = (fl.pkt.id, fl.pkt.fields.len(), fl.ingress);
+            let ordered = fl.pkt.tags.windows(2).all(|w| w[0].stage <= w[1].stage);
+            if n != nf || ing.index() >= k || !ordered {
+                return Err(format!(
+                    "packet {id}: {n} fields, ingress {ing}, ordered {ordered}"
+                ));
+            }
+            for t in &fl.pkt.tags {
+                let reg = self.prog.regs.get(t.reg.index());
+                let indexed = reg.is_some_and(|r| t.index == INDEX_ARRAY_LEVEL || t.index < r.size);
+                let placed = t.pipeline.index() < k && t.stage.index() < stages;
+                if !(placed && (t.reg == REG_STAGE_SENTINEL || indexed)) {
+                    return Err(format!("packet {id} has an out-of-range tag {t:?}"));
+                }
+                awaited.insert((fl.key(t), t.pipeline.index(), t.stage.index()));
+            }
+        }
+        for (pl, st, e) in queued() {
+            if let Entry::Phantom { key, .. } = e {
+                if !awaited.contains(&(*key, pl, st)) {
+                    return Err(format!("no packet comes for phantom {key:?} at {pl}/{st}"));
+                }
+            }
+        }
+        let cancelled: HashSet<&PhantomKey> = s.cancelled.iter().collect();
+        for f in &s.channel.flights {
+            if f.dest.index() >= k || f.lane.index() >= k {
+                return Err(format!(
+                    "channel phantom {:?} is bound outside 0..{k}",
+                    f.key
+                ));
+            }
+            let at = (f.key, f.dest.index(), f.dest_stage as usize);
+            if !awaited.contains(&at) && !cancelled.contains(&f.key) {
+                return Err(format!("no packet comes for channel phantom {:?}", f.key));
+            }
         }
         Ok(())
     }
@@ -2544,33 +2406,18 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 && (key.index == INDEX_ARRAY_LEVEL
                     || (key.index as usize) < new_prog.regs[key.reg.index()].size as usize)
         };
-        let mut lost_phantoms = 0u64;
-        for pipe in &self.pipes {
-            for q in &pipe.queues {
-                let fifos: Vec<FifoParts<Flight>> = match q {
-                    StageQueue::Logical(f) => vec![f.snapshot_parts()],
-                    StageQueue::PerIndex { subs, .. } => {
-                        subs.values().map(|f| f.snapshot_parts()).collect()
-                    }
-                };
-                for parts in fifos {
-                    for lane in &parts.lanes {
-                        for e in &lane.entries {
-                            if let Entry::Phantom { key, .. } = e {
-                                if !valid(key) {
-                                    lost_phantoms += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (msg, _, _) in self.channel.snapshot_flights() {
-            if !valid(&msg.key) {
-                lost_phantoms += 1;
-            }
-        }
+        let queued = self.pipes.iter().flat_map(|p| &p.queues);
+        let queued = queued
+            .flat_map(StageQueue::fifos)
+            .flat_map(LogicalFifo::iter_entries)
+            .filter_map(|e| match e {
+                Entry::Phantom { key, .. } => Some(key),
+                _ => None,
+            });
+        let lost_phantoms = queued
+            .chain(self.channel.flights().map(|(msg, ..)| &msg.key))
+            .filter(|key| !valid(key))
+            .count() as u64;
         // Ledger sides B and C: read each index's active copy out of
         // the old register file (evacuated), write it into the new
         // one's (migrated). The index map is untouched, so ownership —

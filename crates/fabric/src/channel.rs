@@ -120,45 +120,42 @@ impl<T> PhantomChannel<T> {
         self.stages as usize
     }
 
-    /// Exports the in-flight phantoms for a checkpoint, in injection
-    /// order, as `(payload, at_stage, dest_stage)` triples.
-    pub fn snapshot_flights(&self) -> Vec<(T, u16, u16)>
-    where
-        T: Clone,
-    {
-        self.flights
-            .iter()
-            .map(|f| (f.payload.clone(), f.at, f.dest))
-            .collect()
+    /// The in-flight phantoms in injection order, as `(payload,
+    /// at_stage, dest_stage)`: what a checkpoint records.
+    pub fn flights(&self) -> impl Iterator<Item = (&T, u16, u16)> {
+        self.flights.iter().map(|f| (&f.payload, f.at, f.dest))
     }
 
     /// Rebuilds a channel from checkpointed parts. Flight order must be
-    /// the injection order exported by [`Self::snapshot_flights`] — the
-    /// Invariant 1 delivery-order guarantee depends on it.
+    /// the injection order [`Self::flights`] lists — the Invariant 1
+    /// delivery-order guarantee depends on it. A flight that is not
+    /// strictly before a destination within the channel is an `Err`.
     pub fn from_parts(
         stages: usize,
         flights: Vec<(T, u16, u16)>,
         max_in_flight: usize,
         delivered: u64,
-    ) -> Self {
-        let flights: Vec<InFlight<T>> = flights
+    ) -> Result<Self, String> {
+        let flights = flights
             .into_iter()
             .map(|(payload, at, dest)| {
-                assert!(
-                    at < dest && dest as usize <= stages,
-                    "restored phantom flight violates feed-forward bounds"
-                );
-                InFlight { payload, at, dest }
+                if at < dest && dest as usize <= stages {
+                    Ok(InFlight { payload, at, dest })
+                } else {
+                    Err(format!(
+                        "phantom flight {at} -> {dest} on a {stages}-stage channel"
+                    ))
+                }
             })
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         let max_in_flight = max_in_flight.max(flights.len());
-        PhantomChannel {
+        Ok(PhantomChannel {
             flights,
             spare: Vec::new(),
             stages: stages as u16,
             max_in_flight,
             delivered,
-        }
+        })
     }
 }
 
@@ -221,12 +218,11 @@ mod tests {
         ch.inject(1, StageId(0), StageId(4));
         ch.inject(2, StageId(0), StageId(2));
         ch.advance(); // 2 not yet delivered; both at stage 1
-        let mut restored = PhantomChannel::from_parts(
-            ch.stages(),
-            ch.snapshot_flights(),
-            ch.max_in_flight(),
-            ch.delivered(),
-        );
+        let flights = ch.flights().map(|(&p, at, dest)| (p, at, dest)).collect();
+        let mut restored =
+            PhantomChannel::from_parts(ch.stages(), flights, ch.max_in_flight(), ch.delivered())
+                .unwrap();
+        assert!(PhantomChannel::from_parts(8, vec![(0u32, 4, 4)], 0, 0).is_err());
         // Both channels must deliver identically from here on.
         for _ in 0..4 {
             let a = ch.advance();

@@ -36,6 +36,7 @@ use std::collections::VecDeque;
 
 use mp5_trace::{EventKind, TraceCtx, TraceSink};
 use mp5_types::{FastMap, PacketId, PipelineId, RegId};
+use serde::{Deserialize, Serialize};
 
 use crate::ring::RingBuffer;
 
@@ -54,8 +55,9 @@ fn tk(key: PhantomKey) -> mp5_trace::Key {
 /// The paper's directory is "indexed by packet's id"; we additionally key
 /// by `(reg, index)` because a packet whose predicate could not be
 /// resolved preemptively may own *two* speculative phantoms in the same
-/// stage, one per branch (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// stage, one per branch (§3.3). Ordered field by field, the order a
+/// checkpoint lists its key sets in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PhantomKey {
     /// The data packet this phantom stands in for.
     pub pkt: PacketId,
@@ -71,7 +73,7 @@ pub struct PhantomKey {
 /// ingress port)` — unique per packet because a port delivers at most one
 /// packet per byte-time. For the no-D4 ablation it is `(queue entry
 /// cycle, source lane)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct OrderKey(pub u64, pub u64);
 
 /// Stable address of a queued entry: `(lane, sequence number)`.
@@ -84,7 +86,7 @@ pub struct FifoAddr {
 }
 
 /// One queued element.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Entry<T> {
     /// A placeholder for a data packet that has not yet arrived.
     Phantom {
@@ -144,7 +146,7 @@ pub enum PopOutcome<T> {
 const NOT_OCCUPIED: u32 = u32::MAX;
 
 /// Checkpointed contents of one lane of a [`LogicalFifo`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneParts<T> {
     /// Sequence number of the lane's head element (restores the stable
     /// addresses the directory and any outstanding [`FifoAddr`]s use).
@@ -157,9 +159,10 @@ pub struct LaneParts<T> {
 
 /// Checkpointed contents of a whole [`LogicalFifo`]. Only explicit
 /// state is captured: the phantom directory and the packed occupancy
-/// index are derived views and are rebuilt by
-/// [`LogicalFifo::from_parts`].
-#[derive(Debug, Clone)]
+/// index are derived views, and the service-scan mode is not state;
+/// [`LogicalFifo::from_parts`] rebuilds the views and services through
+/// the index.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FifoParts<T> {
     /// Per-lane ring capacity (`None` = unbounded).
     pub capacity: Option<usize>,
@@ -171,12 +174,10 @@ pub struct FifoParts<T> {
     pub max_recovered: usize,
     /// Statistics counters.
     pub stats: FifoStats,
-    /// Service-scan mode (see [`LogicalFifo::set_reference_service`]).
-    pub indexed: bool,
 }
 
 /// Statistics counters for one logical FIFO.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FifoStats {
     /// Phantoms dropped because a lane was full at push time.
     pub phantom_drops: u64,
@@ -681,15 +682,26 @@ impl<T> LogicalFifo<T> {
             recovered: self.recovered.iter().cloned().collect(),
             max_recovered: self.max_recovered,
             stats: self.stats,
-            indexed: self.indexed,
         }
     }
 
     /// Rebuilds a FIFO from checkpointed parts, reconstructing the
     /// phantom directory (every queued `Phantom` entry at its stable
-    /// `(lane, seq)` address) and the packed occupancy index.
-    pub fn from_parts(parts: FifoParts<T>) -> Self {
-        assert!(!parts.lanes.is_empty(), "a logical FIFO needs lanes");
+    /// `(lane, seq)` address) and the packed occupancy index. Parts no
+    /// FIFO can hold — no lanes, a lane over capacity, a phantom key
+    /// queued twice, a non-data entry in the recovery queue — are an
+    /// `Err` naming the fault.
+    pub fn from_parts(parts: FifoParts<T>) -> Result<Self, String> {
+        if parts.lanes.is_empty() {
+            return Err("a logical FIFO needs lanes".into());
+        }
+        if parts
+            .recovered
+            .iter()
+            .any(|e| !matches!(e, Entry::Data { .. }))
+        {
+            return Err("the recovery queue holds a non-data entry".into());
+        }
         let k = parts.lanes.len();
         let mut directory = FastMap::default();
         let mut total = parts.recovered.len();
@@ -708,8 +720,9 @@ impl<T> LogicalFifo<T> {
                         lane: PipelineId::from(l),
                         seq: lp.head_seq + pos as u64,
                     };
-                    let prev = directory.insert(*key, addr);
-                    assert!(prev.is_none(), "duplicate phantom key in checkpoint");
+                    if directory.insert(*key, addr).is_some() {
+                        return Err(format!("phantom key {key:?} is queued twice"));
+                    }
                 }
             }
             lanes.push(RingBuffer::from_parts(
@@ -717,10 +730,10 @@ impl<T> LogicalFifo<T> {
                 lp.head_seq,
                 parts.capacity,
                 lp.max_occupancy,
-            ));
+            )?);
         }
         let max_recovered = parts.max_recovered.max(parts.recovered.len());
-        LogicalFifo {
+        Ok(LogicalFifo {
             lanes,
             directory,
             recovered: parts.recovered.into(),
@@ -729,8 +742,8 @@ impl<T> LogicalFifo<T> {
             total,
             occupied,
             lane_pos,
-            indexed: parts.indexed,
-        }
+            indexed: true,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1094,7 +1107,7 @@ mod tests {
         assert!(matches!(f.pop(), PopOutcome::ConsumedStale));
         assert!(matches!(f.pop(), PopOutcome::Data("b")));
 
-        let mut g = LogicalFifo::from_parts(f.snapshot_parts());
+        let mut g = LogicalFifo::from_parts(f.snapshot_parts()).unwrap();
         g.check_occupancy_index();
         assert_eq!(g.len(), f.len());
         assert_eq!(g.stats().stale_cycles, 1);
@@ -1132,7 +1145,7 @@ mod tests {
         for p in (20..200).step_by(9) {
             assert!(f.cancel(key(p), p % 2 == 0));
         }
-        let mut g = LogicalFifo::from_parts(f.snapshot_parts());
+        let mut g = LogicalFifo::from_parts(f.snapshot_parts()).unwrap();
         for p in (20..200).rev() {
             assert_eq!(f.has_phantom(key(p)), g.has_phantom(key(p)));
             assert_eq!(f.insert_data(key(p), p), g.insert_data(key(p), p));

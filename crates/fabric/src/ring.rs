@@ -130,23 +130,27 @@ impl<T> RingBuffer<T> {
     /// head-to-tail order, the head element's sequence number, and the
     /// statistics high-water mark. Reconstructing `head_seq` exactly is
     /// what keeps previously-issued [`FifoAddr`](crate::FifoAddr)-style
-    /// sequence addresses valid after a restore.
+    /// sequence addresses valid after a restore. More items than the
+    /// capacity holds is an `Err`.
     pub fn from_parts(
         items: Vec<T>,
         head_seq: u64,
         capacity: Option<usize>,
         max_occupancy: usize,
-    ) -> Self {
-        if let Some(c) = capacity {
-            assert!(items.len() <= c, "restored ring exceeds its capacity");
+    ) -> Result<Self, String> {
+        if let Some(c) = capacity.filter(|&c| items.len() > c) {
+            return Err(format!(
+                "a ring of capacity {c} holds {} entries",
+                items.len()
+            ));
         }
         let buf: std::collections::VecDeque<T> = items.into();
-        RingBuffer {
+        Ok(RingBuffer {
             max_occupancy: max_occupancy.max(buf.len()),
             buf,
             head_seq,
             capacity,
-        }
+        })
     }
 }
 
@@ -215,7 +219,8 @@ mod tests {
         r.pop_front();
         r.pop_front();
         let items: Vec<i32> = r.iter().copied().collect();
-        let restored = RingBuffer::from_parts(items, r.head_seq(), r.capacity(), r.max_occupancy());
+        let restored =
+            RingBuffer::from_parts(items, r.head_seq(), r.capacity(), r.max_occupancy()).unwrap();
         assert_eq!(restored.head_seq(), 2);
         assert_eq!(restored.get(2), Some(&2));
         assert_eq!(restored.get(3), Some(&3));
@@ -224,6 +229,7 @@ mod tests {
         // New pushes continue the original sequence numbering.
         let mut restored = restored;
         assert_eq!(restored.push_back(9).unwrap(), 4);
+        assert!(RingBuffer::from_parts(vec![1, 2, 3], 0, Some(2), 0).is_err());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 
 use serde::json::{Parser, Value};
-use serde::Deserialize as _;
+use serde::{Deserialize, Serialize};
 
 /// SplitMix64 — tiny, seed-stable PRNG step used for chaos-plan
 /// generation and per-phantom drop decisions. Hand-rolled so the crate
@@ -213,6 +213,13 @@ pub enum PlanError {
     RateOutOfRange(u32),
     /// A windowed fault has a zero-length window or zero count.
     EmptyWindow,
+    /// A checkpointed injector's cursor is past the end of its plan.
+    CursorPastPlan {
+        /// Index of the next unfired fault.
+        cursor: usize,
+        /// Faults in the plan.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -233,6 +240,9 @@ impl std::fmt::Display for PlanError {
                 write!(f, "phantom drop rate {r} permille exceeds 1000")
             }
             PlanError::EmptyWindow => write!(f, "windowed fault has zero cycles/count"),
+            PlanError::CursorPastPlan { cursor, len } => {
+                write!(f, "injector cursor {cursor} is past a {len}-fault plan")
+            }
         }
     }
 }
@@ -702,7 +712,7 @@ struct DropWindow {
 /// top of a freshly compiled injector via
 /// [`PlannedFaults::restore_state`]. The per-cycle `stall_pairs` cache
 /// is derived and rebuilt on the next `begin_cycle`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct InjectorState {
     /// Index of the next unfired plan entry.
     pub cursor: usize,
@@ -778,22 +788,41 @@ impl PlannedFaults {
     }
 
     /// Re-applies checkpointed runtime state on top of a freshly
-    /// compiled injector for the same plan. The `stall_pairs` cache is
-    /// rebuilt immediately so `stage_stalled` answers correctly even
-    /// before the next `begin_cycle`.
-    pub fn restore_state(&mut self, state: &InjectorState) {
-        assert!(
-            state.cursor <= self.plan.len(),
-            "injector state cursor exceeds plan length"
-        );
-        self.cursor = state.cursor;
+    /// compiled injector for the same plan, running on a `k`-pipeline,
+    /// `stages`-stage switch. The `stall_pairs` cache is rebuilt
+    /// immediately so `stage_stalled` answers correctly even before the
+    /// next `begin_cycle`. A cursor past the plan, or an active window
+    /// that [`FaultPlan::validate`] would reject, is an `Err` and leaves
+    /// the injector as it was.
+    pub fn restore_state(
+        &mut self,
+        state: InjectorState,
+        k: usize,
+        stages: usize,
+    ) -> Result<(), PlanError> {
+        let (cursor, len) = (state.cursor, self.plan.len());
+        if cursor > len {
+            return Err(PlanError::CursorPastPlan { cursor, len });
+        }
+        for &(pipeline, stage, _) in state.stalls.iter().chain(&state.overflows) {
+            if pipeline as usize >= k {
+                return Err(PlanError::PipelineOutOfRange { pipeline, k });
+            }
+            if stage as usize >= stages {
+                return Err(PlanError::StageOutOfRange { stage, stages });
+            }
+        }
+        if let Some(&(rate, ..)) = state.drops.iter().find(|d| d.0 > 1000) {
+            return Err(PlanError::RateOutOfRange(rate));
+        }
+        self.cursor = cursor;
         self.cycle = state.cycle;
-        self.stalls = state.stalls.clone();
-        self.overflows = state.overflows.clone();
+        self.stalls = state.stalls;
+        self.overflows = state.overflows;
         self.drops = state
             .drops
-            .iter()
-            .map(|&(rate_permille, until, silent)| DropWindow {
+            .into_iter()
+            .map(|(rate_permille, until, silent)| DropWindow {
                 rate_permille,
                 until,
                 silent,
@@ -803,6 +832,7 @@ impl PlannedFaults {
         self.grant_until = state.grant_until;
         self.remap_aborts = state.remap_aborts;
         self.stall_pairs = self.stalls.iter().map(|&(p, s, _)| (p, s)).collect();
+        Ok(())
     }
 }
 
@@ -1169,7 +1199,10 @@ mod tests {
         let state = live.snapshot_state();
 
         let mut restored = plan.injector();
-        restored.restore_state(&state);
+        let mut past = state.clone();
+        past.cursor = 99;
+        assert!(plan.injector().restore_state(past, 4, 8).is_err());
+        restored.restore_state(state.clone(), 4, 8).unwrap();
         assert_eq!(restored.snapshot_state(), state);
         // Mid-window queries answer identically before any begin_cycle.
         assert_eq!(restored.stage_stalled(1, 2), live.stage_stalled(1, 2));

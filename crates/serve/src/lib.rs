@@ -143,58 +143,6 @@ pub fn io_err(path: &Path, err: std::io::Error) -> ServeError {
 // Fault-injector checkpointing
 // ---------------------------------------------------------------------
 
-/// Serializable mirror of [`InjectorState`] (the faults crate stays
-/// dependency-free, so the serde derive lives here).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct InjectorSnap {
-    /// Index of the next unfired plan entry.
-    pub cursor: usize,
-    /// Last cycle the injector observed.
-    pub cycle: u64,
-    /// Active stall windows as `(pipeline, stage, until)`.
-    pub stalls: Vec<(u16, u16, u64)>,
-    /// Active overflow windows as `(pipeline, stage, until)`.
-    pub overflows: Vec<(u16, u16, u64)>,
-    /// Active phantom-drop windows as `(rate_permille, until, silent)`.
-    pub drops: Vec<(u32, u64, bool)>,
-    /// Current crossbar grant latency (0 = none).
-    pub grant_delay: u64,
-    /// Cycle at which the grant-delay window expires.
-    pub grant_until: u64,
-    /// Unconsumed remap aborts.
-    pub remap_aborts: u32,
-}
-
-impl From<InjectorState> for InjectorSnap {
-    fn from(s: InjectorState) -> Self {
-        InjectorSnap {
-            cursor: s.cursor,
-            cycle: s.cycle,
-            stalls: s.stalls,
-            overflows: s.overflows,
-            drops: s.drops,
-            grant_delay: s.grant_delay,
-            grant_until: s.grant_until,
-            remap_aborts: s.remap_aborts,
-        }
-    }
-}
-
-impl From<InjectorSnap> for InjectorState {
-    fn from(s: InjectorSnap) -> Self {
-        InjectorState {
-            cursor: s.cursor,
-            cycle: s.cycle,
-            stalls: s.stalls,
-            overflows: s.overflows,
-            drops: s.drops,
-            grant_delay: s.grant_delay,
-            grant_until: s.grant_until,
-            remap_aborts: s.remap_aborts,
-        }
-    }
-}
-
 /// A fault injector the server knows how to checkpoint and rebuild.
 ///
 /// Implemented for [`NoFaults`] (nothing to save) and
@@ -206,11 +154,14 @@ pub trait FaultState: FaultInjector + Sized {
     fn fresh(plan_json: Option<&str>) -> Result<Self, ServeError>;
     /// Exports the replay cursor for a checkpoint (`None` if there is
     /// nothing to save).
-    fn snap(&self) -> Option<InjectorSnap>;
-    /// Rebuilds the injector a snapshot was taken with.
+    fn snap(&self) -> Option<InjectorState>;
+    /// Rebuilds the injector a snapshot was taken with, for a
+    /// `k`-pipeline, `stages`-stage switch.
     fn restore_from(
         plan_json: Option<&str>,
-        snap: Option<&InjectorSnap>,
+        snap: Option<InjectorState>,
+        k: usize,
+        stages: usize,
     ) -> Result<Self, ServeError>;
 }
 
@@ -224,13 +175,15 @@ impl FaultState for NoFaults {
         }
     }
 
-    fn snap(&self) -> Option<InjectorSnap> {
+    fn snap(&self) -> Option<InjectorState> {
         None
     }
 
     fn restore_from(
         plan_json: Option<&str>,
-        _snap: Option<&InjectorSnap>,
+        _snap: Option<InjectorState>,
+        _k: usize,
+        _stages: usize,
     ) -> Result<Self, ServeError> {
         Self::fresh(plan_json)
     }
@@ -244,17 +197,20 @@ impl FaultState for PlannedFaults {
         Ok(plan.injector())
     }
 
-    fn snap(&self) -> Option<InjectorSnap> {
-        Some(self.snapshot_state().into())
+    fn snap(&self) -> Option<InjectorState> {
+        Some(self.snapshot_state())
     }
 
     fn restore_from(
         plan_json: Option<&str>,
-        snap: Option<&InjectorSnap>,
+        snap: Option<InjectorState>,
+        k: usize,
+        stages: usize,
     ) -> Result<Self, ServeError> {
         let mut inj = Self::fresh(plan_json)?;
         if let Some(s) = snap {
-            inj.restore_state(&s.clone().into());
+            inj.restore_state(s, k, stages)
+                .map_err(|e| ServeError::Plan(e.to_string()))?;
         }
         Ok(inj)
     }
@@ -284,7 +240,7 @@ pub struct Snapshot {
     /// Fault plan JSON, if the run injects faults.
     pub fault_plan: Option<String>,
     /// Fault-injector replay cursor, if the run injects faults.
-    pub injector: Option<InjectorSnap>,
+    pub injector: Option<InjectorState>,
 }
 
 /// Appends one `@tag body` section line, serializing the body straight
@@ -434,7 +390,7 @@ impl Snapshot {
         let mut config: Option<SwitchConfig> = None;
         let mut state: Option<SwitchState> = None;
         let mut fault_plan: Option<String> = None;
-        let mut injector: Option<InjectorSnap> = None;
+        let mut injector: Option<InjectorState> = None;
         for line in lines {
             if line.trim().is_empty() {
                 continue;
@@ -551,7 +507,8 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
         _exec: Option<Infallible>,
     ) -> Result<Self, ServeError> {
         let prog = compile_source(&snap.source)?;
-        let faults = F::restore_from(snap.fault_plan.as_deref(), snap.injector.as_ref())?;
+        let (k, stages) = (snap.config.pipelines, prog.num_stages());
+        let faults = F::restore_from(snap.fault_plan.as_deref(), snap.injector, k, stages)?;
         let sw = Mp5Switch::try_restore_with(prog, snap.config.clone(), snap.state, sink, faults)?;
         Ok(Server {
             sw,
