@@ -157,6 +157,26 @@ for snap in "$SERVE_TMP/ckpt.snap" tests/golden/par_scalar.snap; do
     ./target/release/mp5audit --quiet "$SERVE_TMP/stitched.jsonl"
 done
 
+echo "==> serve smoke: a streamed stdin feed, audited and stitched across a halt"
+# tests/golden/feed.jsonl was generated under tests/golden/feed.dsl. The
+# streamed run must audit clean; a halt at cycle 2 (which ingests the
+# rest of the feed into its checkpoint) restored from the snapshot must
+# emit the uninterrupted run's stream.
+./target/release/mp5serve tests/golden/feed.dsl --stdin \
+    --trace "$SERVE_TMP/feed-full.jsonl" < tests/golden/feed.jsonl
+./target/release/mp5audit --quiet "$SERVE_TMP/feed-full.jsonl"
+./target/release/mp5serve tests/golden/feed.dsl --stdin --halt-at 2 \
+    --snapshot "$SERVE_TMP/feed.snap" --trace "$SERVE_TMP/feed-pre.jsonl" \
+    < tests/golden/feed.jsonl
+./target/release/mp5serve --restore "$SERVE_TMP/feed.snap" \
+    --trace "$SERVE_TMP/feed-post.jsonl"
+grep -hv '"k":"snapshot"\|"k":"restored"\|"k":"swap"' \
+    "$SERVE_TMP/feed-pre.jsonl" "$SERVE_TMP/feed-post.jsonl" > "$SERVE_TMP/feed-stitched.jsonl"
+cmp "$SERVE_TMP/feed-full.jsonl" "$SERVE_TMP/feed-stitched.jsonl" || {
+    echo "ci.sh: the streamed feed restored from its halt diverged from the uninterrupted run" >&2
+    exit 1
+}
+
 echo "==> serve smoke: zero-downtime hot-swap, ledger closed"
 ./target/release/mp5serve --app flowlet --packets 800 \
     --swap-at 120 --swap-program crates/apps/programs/flowlet.mp5

@@ -8,7 +8,7 @@ use mp5_compiler::{BatchRegs, CompiledProgram, LaneAccess, LaneFields, ResolvedA
 use mp5_fabric::{Crossbar, Entry, LogicalFifo, OrderKey, PhantomChannel, PhantomKey, PopOutcome};
 use mp5_faults::{FaultClass, FaultInjector, FaultKind, NoFaults, PhantomFate};
 use mp5_trace::{DropCause, EventKind, NopSink, TraceCtx, TraceSink, NO_LOC};
-use mp5_types::time::cycle_len;
+use mp5_types::time::{cycle_len, Time};
 use mp5_types::{AccessTag, FastSet, Packet, PacketId, PipelineId, RegId, StageId, Value};
 
 use crate::config::{ConfigError, ShardingMode, SprayMode, SwitchConfig};
@@ -1139,6 +1139,24 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.cycle
     }
 
+    /// Byte-times per cycle of this switch's clock (`64·k` of the
+    /// physical chip).
+    pub fn cycle_len(&self) -> Time {
+        cycle_len(self.timing_k)
+    }
+
+    /// The byte-time the current cycle ends at, `(cycle + 1)·cycle_len`:
+    /// the next [`Mp5Switch::tick`] admits every arrival due before it.
+    pub fn horizon(&self) -> Time {
+        (self.cycle + 1) * self.cycle_len()
+    }
+
+    /// The last offered packet not yet admitted (the tail of the
+    /// arrival queue), if any.
+    pub fn last_arrival(&self) -> Option<&Packet> {
+        self.arrivals.back()
+    }
+
     /// Read access to the in-progress report (offered/completed/drop
     /// counters are live; end-of-run aggregates are filled by
     /// [`Mp5Switch::finish_stream`]). A fabric uses this for resident
@@ -1240,7 +1258,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.crossbars.iter_mut().for_each(|x| x.end_cycle());
 
         // 3b. Ingress: spray eligible arrivals over pipelines.
-        let now_end = (self.cycle + 1) * cycle_len(self.timing_k);
+        let now_end = self.horizon();
         while self.arrivals.front().is_some_and(|p| p.arrival < now_end) {
             let Some(pkt) = self.arrivals.pop_front() else {
                 break; // unreachable: `front()` was just checked

@@ -19,6 +19,11 @@
 //!   checkpoint itself, restore from a snapshot into a *fresh* switch
 //!   with bit-identical continued execution, and hot-swap a newly
 //!   compiled program at a cycle boundary without draining.
+//! * Ingest — [`Server::ingest_due`] pulls a packet feed (a
+//!   [`packet_feed`] over newline JSON, or any iterator of
+//!   [`FeedItem`]s) only as far as the switch's clock needs it, and
+//!   [`Server::offer`] rejects, as a typed [`ServeError::Feed`], a
+//!   packet the switch cannot take where it stands in the feed.
 //!
 //! The restore contract is exact: a run that is checkpointed at cycle
 //! `C`, killed, and restored produces the same [`RunReport`] and the
@@ -28,7 +33,7 @@
 #![warn(missing_docs)]
 
 use std::convert::Infallible;
-use std::io::Write;
+use std::io::{BufRead, Write};
 use std::path::Path;
 
 use mp5_compiler::{compile, CompiledProgram, Target};
@@ -38,7 +43,7 @@ use mp5_core::{
 };
 use mp5_faults::{FaultInjector, FaultPlan, InjectorState, NoFaults, PlannedFaults};
 use mp5_trace::TraceSink;
-use mp5_types::Packet;
+use mp5_types::{Packet, Time};
 use serde::{Deserialize, Serialize};
 
 /// Snapshot codec version this build reads and writes.
@@ -86,6 +91,14 @@ pub enum ServeError {
     /// A fault plan is missing, malformed, or supplied where faults
     /// are disabled.
     Plan(String),
+    /// A packet feed line is unreadable, not a packet, or not one the
+    /// switch can take where it stands in the feed.
+    Feed {
+        /// 1-based line number, blank lines included.
+        line: usize,
+        /// What is wrong with it.
+        why: String,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -107,6 +120,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Restore(e) => write!(f, "restore rejected: {e}"),
             ServeError::Swap(e) => write!(f, "hot-swap rejected: {e}"),
             ServeError::Plan(why) => write!(f, "fault plan: {why}"),
+            ServeError::Feed { line, why } => write!(f, "packet feed line {line}: {why}"),
         }
     }
 }
@@ -520,12 +534,90 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
     }
 
     /// Offers a batch of packets, sorting them into entry order first
-    /// (the streaming API's contract).
+    /// (the streaming API's contract). Unchecked: the batch is trusted
+    /// to fit the program and the clock; a feed goes through
+    /// [`Server::offer`].
     pub fn offer_all(&mut self, mut packets: Vec<Packet>) {
         packets.sort_by_key(|p| p.entry_order_key());
         for p in packets {
             self.sw.offer(p);
         }
+    }
+
+    /// Offers feed line `line`'s packet, checked where it enters. The
+    /// switch takes it only if it carries the program's field count,
+    /// does not precede the last packet still waiting to arrive in
+    /// entry order (equal keys keep feed order), and is not due before
+    /// the cycle the switch has reached, where it would enter later
+    /// than its arrival says.
+    pub fn offer(&mut self, line: usize, pkt: Packet) -> Result<(), ServeError> {
+        let reject = |why: String| Err(ServeError::Feed { line, why });
+        let nf = self.sw.program().num_fields();
+        if pkt.fields.len() != nf {
+            return reject(format!(
+                "the packet has {} fields, the program {nf}",
+                pkt.fields.len()
+            ));
+        }
+        let (arrival, port) = pkt.entry_order_key();
+        if let Some(last) = self.sw.last_arrival() {
+            if (arrival, port) < last.entry_order_key() {
+                return reject(format!(
+                    "arrival {arrival} port {} is out of entry order: the packet before it \
+                     arrives at {} on port {}",
+                    port.0, last.arrival, last.port.0
+                ));
+            }
+        }
+        let start = self.sw.cycle() * self.sw.cycle_len();
+        if arrival < start {
+            return reject(format!(
+                "arrival {arrival} is before cycle {} (byte-time {start}), which the switch \
+                 has reached",
+                self.sw.cycle()
+            ));
+        }
+        self.sw.offer(pkt);
+        Ok(())
+    }
+
+    /// The byte-time the cycle about to run ends at: the next
+    /// [`Server::tick`] admits every offered packet due before it.
+    pub fn horizon(&self) -> Time {
+        self.sw.horizon()
+    }
+
+    /// Offers feed packets while the switch's clock needs them: until
+    /// the last packet offered is due at or after [`Server::horizon`],
+    /// or the feed ends. Beyond the cycle about to run, at most that
+    /// one look-ahead packet is pulled, so ingest holds a window of the
+    /// feed, never the whole of it.
+    pub fn ingest_due<I>(&mut self, feed: &mut I) -> Result<(), ServeError>
+    where
+        I: Iterator<Item = FeedItem> + ?Sized,
+    {
+        let horizon = self.horizon();
+        while self.sw.last_arrival().is_none_or(|p| p.arrival < horizon) {
+            let Some(item) = feed.next() else {
+                break;
+            };
+            let (line, pkt) = item?;
+            self.offer(line, pkt)?;
+        }
+        Ok(())
+    }
+
+    /// Offers the rest of the feed. A checkpoint taken after it holds
+    /// every future arrival, as the switch has no cursor into the feed.
+    pub fn ingest_rest<I>(&mut self, feed: &mut I) -> Result<(), ServeError>
+    where
+        I: Iterator<Item = FeedItem> + ?Sized,
+    {
+        for item in feed {
+            let (line, pkt) = item?;
+            self.offer(line, pkt)?;
+        }
+        Ok(())
     }
 
     /// Advances one cycle.
@@ -608,11 +700,41 @@ pub fn compile_source(source: &str) -> Result<CompiledProgram, ServeError> {
     compile(source, &Target::default()).map_err(|e| ServeError::Compile(e.to_string()))
 }
 
+/// One packet of an ingest feed with its 1-based line number, or why
+/// that line is not one.
+pub type FeedItem = Result<(usize, Packet), ServeError>;
+
 /// Parses one newline-JSON packet feed line (the `mp5serve --stdin`
 /// ingest format: each line a serialized [`Packet`]).
 pub fn parse_packet_line(line: &str, lineno: usize) -> Result<Packet, ServeError> {
-    serde_json::from_str(line)
-        .map_err(|e| ServeError::Format(format!("packet feed line {lineno}: {e}")))
+    serde_json::from_str(line).map_err(|e| ServeError::Feed {
+        line: lineno,
+        why: e.to_string(),
+    })
+}
+
+/// Reads a newline-JSON packet feed one line at a time, numbering lines
+/// as an editor does and skipping blank ones. Ends at the first end of
+/// input.
+pub fn packet_feed<R: BufRead>(mut reader: R) -> impl Iterator<Item = FeedItem> {
+    let mut text = String::new();
+    let mut line = 0;
+    std::iter::from_fn(move || loop {
+        text.clear();
+        line += 1;
+        match reader.read_line(&mut text) {
+            Ok(0) => return None,
+            Ok(_) if text.trim().is_empty() => continue,
+            Ok(_) => return Some(parse_packet_line(text.trim(), line).map(|p| (line, p))),
+            Err(e) => {
+                return Some(Err(ServeError::Feed {
+                    line,
+                    why: e.to_string(),
+                }))
+            }
+        }
+    })
+    .fuse()
 }
 
 /// A quick content fingerprint for tests and logs (FNV-1a64 of the
@@ -861,6 +983,75 @@ mod tests {
             let back = parse_packet_line(&line, i + 1).unwrap();
             assert_eq!(*p, back);
         }
-        assert!(parse_packet_line("{not json", 7).is_err());
+        assert!(matches!(
+            parse_packet_line("{not json", 7),
+            Err(ServeError::Feed { line: 7, .. })
+        ));
+    }
+
+    #[test]
+    fn ingest_pulls_each_packet_only_when_its_cycle_needs_it() {
+        let packets = trace(600, 5);
+        assert!(packets.is_sorted_by_key(|p| p.entry_order_key()));
+        let fresh = || -> Server<NopSink, NoFaults> {
+            Server::new(COUNTER, SwitchConfig::mp5(4), NopSink, None).unwrap()
+        };
+        let mut whole = fresh();
+        whole.offer_all(packets.clone());
+        while !whole.is_idle() {
+            whole.tick();
+            whole.drain_egress();
+        }
+
+        let pulled = std::cell::Cell::new(0);
+        let mut feed = packets.iter().enumerate().map(|(i, p)| {
+            pulled.set(pulled.get() + 1);
+            Ok((i + 1, p.clone()))
+        });
+        let mut srv = fresh();
+        loop {
+            srv.ingest_due(&mut feed).unwrap();
+            // Every packet due before the horizon is in, and at most one
+            // packet past it.
+            let due = packets.partition_point(|p| p.arrival < srv.horizon());
+            assert!(
+                (due..=due + 1).contains(&pulled.get()),
+                "cycle {}: {} pulled, {due} due",
+                srv.cycle(),
+                pulled.get()
+            );
+            if srv.is_idle() {
+                break;
+            }
+            srv.tick();
+            srv.drain_egress();
+        }
+        assert_eq!(pulled.get(), packets.len());
+        assert_eq!(srv.finish().0, whole.finish().0);
+    }
+
+    #[test]
+    fn offer_rejects_what_the_switch_cannot_take_where_it_stands() {
+        let mut srv: Server<NopSink, NoFaults> =
+            Server::new(COUNTER, SwitchConfig::mp5(4), NopSink, None).unwrap();
+        let pkts = trace(3, 1);
+        let why = |line: usize, r: Result<(), ServeError>| match r {
+            Err(ServeError::Feed { line: at, why }) if at == line => why,
+            other => panic!("line {line}: expected a feed error, got {other:?}"),
+        };
+        let mut short = pkts[0].clone();
+        short.fields.pop();
+        assert!(why(1, srv.offer(1, short)).contains("fields"));
+
+        srv.offer(2, pkts[1].clone()).unwrap();
+        let order = why(3, srv.offer(3, pkts[0].clone()));
+        assert!(order.contains("out of entry order"), "{order}");
+
+        // Once the switch has passed a packet's arrival, it is late.
+        for _ in 0..10 {
+            srv.tick();
+        }
+        let late = why(4, srv.offer(4, pkts[2].clone()));
+        assert!(late.contains("before cycle 10"), "{late}");
     }
 }

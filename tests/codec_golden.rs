@@ -36,14 +36,10 @@ fn read_golden(name: &str) -> String {
 // Generation (run once, on the parent commit)
 // ---------------------------------------------------------------------
 
-const PROGRAM: &str = "struct Packet { int h; int v; int o; };
-     int a[4] = {0};
-     int b[64] = {0};
-     void func(struct Packet p) {
-         if (p.h % 3 == 0) { a[p.h % 4] = a[p.h % 4] + p.v; }
-         b[p.h % 64] = b[p.h % 64] + 1;
-         p.o = b[p.h % 64];
-     }";
+/// The program every golden here ran (no trailing newline: the bytes
+/// are the snapshots' `@source`). `mp5serve tests/golden/feed.dsl
+/// --stdin < tests/golden/feed.jsonl` serves the feed under it.
+const PROGRAM: &str = include_str!("golden/feed.dsl");
 
 fn packets(n: usize, seed: u64) -> Vec<Packet> {
     let prog = mp5::serve::compile_source(PROGRAM).unwrap();
@@ -253,6 +249,14 @@ fn feed_lines_parse_and_reprint_to_the_same_bytes() {
         .map(|l| serde_json::from_str(l).unwrap())
         .collect();
     assert_eq!(parsed, packets(20, 9));
+}
+
+#[test]
+fn feed_dsl_is_the_program_the_goldens_ran() {
+    for name in SNAPSHOTS {
+        let snap = Snapshot::decode(&read_golden(name)).unwrap();
+        assert_eq!(snap.source, PROGRAM, "{name}");
+    }
 }
 
 #[test]
