@@ -92,6 +92,11 @@ need_bin mp5serve
 echo "==> mp5lint over the program corpus"
 ./target/release/mp5lint -q crates/apps/programs \
     crates/analysis/fixtures/broken crates/analysis/fixtures/clean
+# The targeted fixtures fire only under the target their header names.
+./target/release/mp5lint -q --no-pairs \
+    crates/analysis/fixtures/targeted/pairs_unsupported.mp5
+./target/release/mp5lint -q --max-stages=2 \
+    crates/analysis/fixtures/targeted/too_many_stages.mp5
 
 echo "==> traced smoke run through the offline auditor"
 TRACE_TMP=$(mktemp -t mp5-ci-trace.XXXXXX)

@@ -13,86 +13,89 @@
 //!    *array-level* serialization — correct, but every packet serializes
 //!    through the array's stage, so we surface it as a warning.
 //!
-//! This module checks both, on the planned accesses before codegen
-//! ([`plan_hazards`]) and on a finished [`CompiledProgram`]
-//! ([`verify_coverage`], usable as a post-codegen audit).
+//! This module checks both, on the transformer's plans recorded in the
+//! compiler's [`Layout`] ([`plan_hazards`]) and on a finished
+//! [`CompiledProgram`] ([`verify_coverage`], usable as a post-codegen
+//! audit).
 
 use mp5_compiler::program::REG_STAGE_SENTINEL;
-use mp5_compiler::{AccessPlan, CompiledProgram, IdxPlan};
-use mp5_lang::tac::{TacInstr, TacProgram};
+use mp5_compiler::{AccessPlan, CompiledProgram, IdxPlan, Layout};
+use mp5_lang::tac::TacProgram;
 use mp5_lang::{Code, Diagnostic};
 use mp5_types::RegId;
 
-/// Diagnoses planned accesses (pre-codegen): array-level serialization
-/// warnings plus uncovered-stage errors.
+use crate::{access_positions, first_access_span};
+
+/// Does a plan cover `reg` resident at physical stage `stage`: its own
+/// plan, or a stage-level plan for that stage?
+fn covers(plans: &[AccessPlan], reg: RegId, stage: usize) -> bool {
+    plans
+        .iter()
+        .any(|p| p.reg == reg || (p.reg == REG_STAGE_SENTINEL && p.stage.index() == stage))
+}
+
+/// Diagnoses the transformer's planned accesses (pre-codegen):
+/// array-level serialization warnings plus uncovered-stage errors.
 ///
-/// `reg_pvsm_stage` maps each register to the PVSM stage its plans live
-/// in (`plan.stage` values are physical ids = prologue + PVSM stage).
-pub fn plan_hazards(
-    tac: &TacProgram,
-    plans: &[AccessPlan],
-    prologue_stages: usize,
-    reg_pvsm_stage: &[Option<usize>],
-) -> Vec<Diagnostic> {
+/// Also returns, per register, whether the D4 plan covers it (a
+/// register no instruction touches needs no plan).
+pub fn plan_hazards(tac: &TacProgram, layout: &Layout) -> (Vec<bool>, Vec<Diagnostic>) {
+    let res = &layout.transform.resolution;
+    // Each accessed register's physical stage before any merge.
+    let mut reg_stage: Vec<Option<usize>> = vec![None; tac.regs.len()];
+    for c in &layout.schedule.clusters {
+        for &r in &c.regs {
+            reg_stage[r.index()] = Some(res.stages + c.stage);
+        }
+    }
     let mut diags = Vec::new();
 
     // (1) Array-level serialization warnings.
-    for plan in plans {
-        if matches!(plan.idx, IdxPlan::ArrayLevel) {
-            let (name, span) = if plan.reg == REG_STAGE_SENTINEL {
-                // Stage-level plan: name every register in that stage.
-                let names: Vec<&str> = reg_pvsm_stage
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| {
-                        s.map(|s| s + prologue_stages == plan.stage.index()) == Some(true)
-                    })
-                    .map(|(ri, _)| tac.regs[ri].name.as_str())
-                    .collect();
-                (names.join("', '"), first_access_span(tac, None))
-            } else {
-                (
-                    tac.regs[plan.reg.index()].name.clone(),
-                    first_access_span(tac, Some(plan.reg)),
-                )
-            };
-            diags.push(Diagnostic::warning(
-                Code::ARRAY_LEVEL_SERIALIZATION,
-                span,
-                format!(
-                    "access to register '{name}' cannot be address-resolved in the \
-                     prologue: every packet serializes through its stage \
-                     (array-level phantom)"
-                ),
-            ));
-        }
+    for plan in res.plans.iter().filter(|p| p.idx == IdxPlan::ArrayLevel) {
+        let (name, span) = if plan.reg == REG_STAGE_SENTINEL {
+            // Stage-level plan: name every register in that stage.
+            let names: Vec<&str> = (0..tac.regs.len())
+                .filter(|&ri| reg_stage[ri] == Some(plan.stage.index()))
+                .map(|ri| tac.regs[ri].name.as_str())
+                .collect();
+            (names.join("', '"), first_access_span(tac, None))
+        } else {
+            (
+                tac.regs[plan.reg.index()].name.clone(),
+                first_access_span(tac, Some(plan.reg)),
+            )
+        };
+        diags.push(Diagnostic::warning(
+            Code::ARRAY_LEVEL_SERIALIZATION,
+            span,
+            format!(
+                "access to register '{name}' cannot be address-resolved in the \
+                 prologue: every packet serializes through its stage \
+                 (array-level phantom)"
+            ),
+        ));
     }
 
     // (2) D4 coverage: every register with a stateful access needs a
     // plan (its own, or a stage-level plan at its stage).
-    for (ri, pvsm_stage) in reg_pvsm_stage.iter().enumerate() {
-        let Some(pvsm_stage) = pvsm_stage else {
-            continue;
-        };
-        let reg = RegId::from(ri);
-        let covered = plans.iter().any(|p| {
-            p.reg == reg
-                || (p.reg == REG_STAGE_SENTINEL && p.stage.index() == prologue_stages + pvsm_stage)
-        });
-        if !covered {
-            diags.push(Diagnostic::error(
-                Code::UNCOVERED_STATEFUL_STAGE,
-                first_access_span(tac, Some(reg)),
-                format!(
-                    "stateful stage of register '{}' is not covered by the phantom \
-                     plan: its serial access order cannot be frozen (D4 violated)",
-                    tac.regs[ri].name
-                ),
-            ));
-        }
+    let covered: Vec<bool> = reg_stage
+        .iter()
+        .enumerate()
+        .map(|(ri, s)| s.is_none_or(|s| covers(&res.plans, RegId::from(ri), s)))
+        .collect();
+    for ri in (0..tac.regs.len()).filter(|&ri| !covered[ri]) {
+        diags.push(Diagnostic::error(
+            Code::UNCOVERED_STATEFUL_STAGE,
+            first_access_span(tac, Some(RegId::from(ri))),
+            format!(
+                "stateful stage of register '{}' is not covered by the phantom \
+                 plan: its serial access order cannot be frozen (D4 violated)",
+                tac.regs[ri].name
+            ),
+        ));
     }
 
-    diags
+    (covered, diags)
 }
 
 /// Audits a finished [`CompiledProgram`]: every register placed in a
@@ -106,53 +109,30 @@ pub fn verify_coverage(prog: &CompiledProgram) -> Vec<Diagnostic> {
     for (ri, meta) in prog.regs.iter().enumerate() {
         let reg = RegId::from(ri);
         // Only registers actually accessed by the TAC need phantoms.
-        let accessed = prog.tac.instrs.iter().any(|i| match i {
-            TacInstr::RegRead { reg: r, .. } | TacInstr::RegWrite { reg: r, .. } => *r == reg,
-            TacInstr::Assign { .. } => false,
-        });
-        if !accessed {
+        if access_positions(&prog.tac, Some(reg)).next().is_none()
+            || covers(&prog.resolution.plans, reg, meta.stage.index())
+        {
             continue;
         }
-        let covered = prog
-            .resolution
-            .plans
-            .iter()
-            .any(|p| p.reg == reg || (p.reg == REG_STAGE_SENTINEL && p.stage == meta.stage));
-        if !covered {
-            diags.push(Diagnostic::error(
-                Code::UNCOVERED_STATEFUL_STAGE,
-                first_access_span(&prog.tac, Some(reg)),
-                format!(
-                    "stateful stage {} (register '{}') has no access plan: serial \
-                     order cannot be frozen pre-emptively (D4 violated)",
-                    meta.stage.index(),
-                    meta.name
-                ),
-            ));
-        }
+        diags.push(Diagnostic::error(
+            Code::UNCOVERED_STATEFUL_STAGE,
+            first_access_span(&prog.tac, Some(reg)),
+            format!(
+                "stateful stage {} (register '{}') has no access plan: serial \
+                 order cannot be frozen pre-emptively (D4 violated)",
+                meta.stage.index(),
+                meta.name
+            ),
+        ));
     }
     diags
-}
-
-/// Span of the first stateful access to `reg` (or to any register when
-/// `None`), for diagnostic placement.
-fn first_access_span(tac: &TacProgram, reg: Option<RegId>) -> mp5_lang::Span {
-    tac.instrs
-        .iter()
-        .position(|i| match i {
-            TacInstr::RegRead { reg: r, .. } | TacInstr::RegWrite { reg: r, .. } => {
-                reg.map(|want| *r == want).unwrap_or(true)
-            }
-            TacInstr::Assign { .. } => false,
-        })
-        .map(|p| tac.span_of(p))
-        .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mp5_compiler::{compile, Target};
+    use mp5_lang::tac::TacInstr;
 
     #[test]
     fn compiled_programs_are_covered() {

@@ -2,29 +2,32 @@
 //!
 //! The MP5 compiler's all-or-nothing guarantee (a program either runs at
 //! line rate or does not compile) lives or dies by the quality of its
-//! static feedback. This crate analyzes a lowered [`TacProgram`] against
-//! a [`Target`] *before* code generation and produces a structured
-//! [`AnalysisReport`]:
+//! static feedback. This crate renders the compiler's own stage-layout
+//! decision ([`Layout`]) for a lowered [`TacProgram`] on a [`Target`] as
+//! a structured [`AnalysisReport`]. It decides nothing about the layout
+//! itself, so a clean report means the program compiles, and the
+//! report's classes and stage counts are the compiled program's:
 //!
-//! * **Shardability** ([`shard`]): classifies every register array as
-//!   `Shardable`, `PinnedStatefulIndex`, `PinnedCoResident`, or
-//!   `PinnedStatefulPredicate` (paper §3.3) with the responsible TAC
-//!   instructions.
+//! * **Shardability** ([`shard`]): the transformer's class of every
+//!   register array — `Shardable`, `PinnedStatefulIndex`,
+//!   `PinnedCoResident`, or `PinnedStatefulPredicate` (paper §3.3) — with
+//!   the responsible TAC instructions, plus arrays the tail merge pinned.
 //! * **Hazards / D4** ([`hazard`]): verifies every stateful access's
 //!   address is resolvable in the prologue and the phantom plan covers
 //!   every stateful stage; flags accesses whose serial order degrades to
 //!   array-level serialization.
-//! * **Resource pressure** ([`pressure`]): predicts stages, per-stage
-//!   operations, and SRAM against the target — simulating codegen's
-//!   tail-merge fallback — so oversize programs fail with a precise
-//!   explanation.
+//! * **Resource pressure** ([`pressure`]): the layout's stages,
+//!   per-stage operations and budget overruns, plus SRAM (which code
+//!   generation does not model), so oversize programs fail with a
+//!   precise explanation.
 //!
 //! All findings are span-carrying [`Diagnostic`]s with stable `MP5xxx`
 //! codes, rendered rustc-style by `mp5-lang`'s diagnostics engine. The
-//! `mp5lint` binary drives this over `.mp5` sources; [`analyze_tac`]
+//! `mp5lint` binary drives this over `.mp5` sources; [`analyze_layout`]
 //! plugs into `mp5_compiler::CompileOptions::analyzer` so
-//! `compile_with_options` can gate compilation on a clean report and
-//! attach it to the [`CompiledProgram`].
+//! `compile_with_options` can gate compilation on a clean report of the
+//! layout it is about to emit (flow-order stage included) and attach it
+//! to the [`CompiledProgram`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,96 +37,65 @@ pub mod json;
 pub mod pressure;
 pub mod shard;
 
-use mp5_compiler::schedule::{pipeline_with, ScheduleError};
-use mp5_compiler::transform::transform;
+use mp5_compiler::schedule::ScheduleError;
 use mp5_compiler::{
-    AnalysisReport, CompileError, CompileOptions, CompiledProgram, RegAnalysis, Target,
+    AnalysisReport, CompileError, CompileOptions, CompiledProgram, Layout, RegAnalysis, Target,
 };
 use mp5_lang::tac::{TacInstr, TacProgram};
-use mp5_lang::{Code, Diagnostic};
+use mp5_lang::{Code, Diagnostic, Span};
 use mp5_types::RegId;
 
 pub use mp5_compiler::ShardClass;
 
-/// Analyzes a lowered program against a target.
+/// Analyzes a lowered program against a target, as compiled without
+/// flow-order enforcement.
+pub fn analyze_tac(tac: &TacProgram, target: &Target) -> AnalysisReport {
+    analyze_layout(tac, target, Layout::new(tac, target, false).as_ref())
+}
+
+/// Renders the compiler's layout of `tac` on `target` (or why it could
+/// not be scheduled) as a report.
 ///
 /// This has the [`mp5_compiler::AnalyzerFn`] signature, so it can be
 /// plugged straight into [`CompileOptions::analyzer`].
-pub fn analyze_tac(tac: &TacProgram, target: &Target) -> AnalysisReport {
-    let sched = match pipeline_with(tac, target.max_chain_depth, target.allow_pairs) {
-        Ok(s) => s,
+pub fn analyze_layout(
+    tac: &TacProgram,
+    target: &Target,
+    layout: Result<&Layout, &ScheduleError>,
+) -> AnalysisReport {
+    let layout = match layout {
+        Ok(layout) => layout,
         Err(e) => return schedule_failure_report(tac, e),
     };
-
-    // Shardability with evidence.
-    let classes = shard::classify(tac, &sched);
-    let mut diagnostics = shard::diagnostics(tac, &classes);
-
-    // Ground-truth plans from the transformer, for hazard checks.
-    let xf = transform(tac, &sched, target.max_chain_depth);
-
-    // Map each accessed register to its PVSM stage.
-    let mut reg_pvsm_stage: Vec<Option<usize>> = vec![None; tac.regs.len()];
-    for c in &sched.clusters {
-        for &r in &c.regs {
-            reg_pvsm_stage[r.index()] = Some(c.stage);
-        }
-    }
-    diagnostics.extend(hazard::plan_hazards(
-        tac,
-        &xf.resolution.plans,
-        xf.resolution.stages,
-        &reg_pvsm_stage,
-    ));
-
-    // Resource pressure (simulating codegen's merge fallback).
-    let p = pressure::estimate(tac, &sched, xf.resolution.stages, target);
-    diagnostics.extend(p.diagnostics.iter().cloned());
-
-    // Merge-induced pinning: arrays the codegen fallback will co-locate.
-    let mut final_classes = classes;
-    for &r in &p.merged_pinned {
-        let c = &mut final_classes[r.index()];
-        if c.class.is_shardable() {
-            c.class = ShardClass::PinnedCoResident;
-            diagnostics.push(Diagnostic::warning(
-                Code::PINNED_CO_RESIDENT,
-                first_access_span(tac, r),
-                format!(
-                    "register '{}' will be pinned by the stage-merge fallback: \
-                     the program exceeds the stage budget, so codegen co-locates \
-                     tail stages",
-                    tac.regs[r.index()].name
-                ),
-            ));
-        }
+    let shards = &layout.transform.shards;
+    let mut diagnostics = shard::diagnostics(tac, shards);
+    let (covered, hazards) = hazard::plan_hazards(tac, layout);
+    diagnostics.extend(hazards);
+    let (pressure, budget) = pressure::estimate(tac, layout, target);
+    diagnostics.extend(budget);
+    for &r in &layout.merge_pinned {
+        diagnostics.push(Diagnostic::warning(
+            Code::PINNED_CO_RESIDENT,
+            first_access_span(tac, Some(r)),
+            format!(
+                "register '{}' will be pinned by the stage-merge fallback: \
+                 the program exceeds the stage budget, so codegen co-locates \
+                 tail stages",
+                tac.regs[r.index()].name
+            ),
+        ));
     }
 
-    // D4 coverage per register (for the report rows).
-    let covered: Vec<bool> = (0..tac.regs.len())
-        .map(|ri| {
-            let reg = RegId::from(ri);
-            match reg_pvsm_stage[ri] {
-                None => true, // never accessed: nothing to cover
-                Some(stage) => xf.resolution.plans.iter().any(|pl| {
-                    pl.reg == reg
-                        || (pl.reg == mp5_compiler::program::REG_STAGE_SENTINEL
-                            && pl.stage.index() == xf.resolution.stages + stage)
-                }),
-            }
-        })
-        .collect();
-
-    let regs = final_classes
-        .into_iter()
+    let regs = shards
+        .iter()
         .enumerate()
-        .map(|(ri, c)| RegAnalysis {
+        .map(|(ri, s)| RegAnalysis {
             reg: RegId::from(ri),
             name: tac.regs[ri].name.clone(),
             size: tac.regs[ri].size,
-            class: c.class,
-            culprits: c.culprits,
-            speculative: c.speculative,
+            class: layout.class(RegId::from(ri)),
+            culprits: s.culprits.clone(),
+            speculative: s.speculative,
             covered: covered[ri],
         })
         .collect();
@@ -131,13 +103,13 @@ pub fn analyze_tac(tac: &TacProgram, target: &Target) -> AnalysisReport {
     sort_diags(&mut diagnostics);
     AnalysisReport {
         regs,
-        pressure: Some(p.estimate),
+        pressure: Some(pressure),
         diagnostics,
     }
 }
 
 /// Report for a program that cannot even be scheduled.
-fn schedule_failure_report(tac: &TacProgram, e: ScheduleError) -> AnalysisReport {
+fn schedule_failure_report(tac: &TacProgram, e: &ScheduleError) -> AnalysisReport {
     let mut diagnostics = Vec::new();
     let mut regs: Vec<RegAnalysis> = tac
         .regs
@@ -155,17 +127,13 @@ fn schedule_failure_report(tac: &TacProgram, e: ScheduleError) -> AnalysisReport
         .collect();
     match e {
         ScheduleError::CrossRegisterAtom { regs: names } => {
-            let mut span = mp5_lang::Span::default();
+            let mut span = Span::default();
             for (ri, r) in tac.regs.iter().enumerate() {
                 if names.contains(&r.name) {
                     regs[ri].class = ShardClass::PinnedCoResident;
-                    regs[ri].culprits = access_positions(tac, RegId::from(ri));
-                    if span == mp5_lang::Span::default() {
-                        span = regs[ri]
-                            .culprits
-                            .first()
-                            .map(|&p| tac.span_of(p))
-                            .unwrap_or_default();
+                    regs[ri].culprits = access_positions(tac, Some(RegId::from(ri))).collect();
+                    if span == Span::default() {
+                        span = first_access_span(tac, Some(RegId::from(ri)));
                     }
                 }
             }
@@ -181,7 +149,7 @@ fn schedule_failure_report(tac: &TacProgram, e: ScheduleError) -> AnalysisReport
         }
         other => diagnostics.push(Diagnostic::error(
             Code::INTERNAL,
-            mp5_lang::Span::default(),
+            Span::default(),
             format!("pipelining failed: {other}"),
         )),
     }
@@ -192,22 +160,31 @@ fn schedule_failure_report(tac: &TacProgram, e: ScheduleError) -> AnalysisReport
     }
 }
 
-fn access_positions(tac: &TacProgram, reg: RegId) -> Vec<usize> {
+/// TAC positions of the stateful accesses to `reg` (to any register when
+/// `None`).
+pub(crate) fn access_positions(
+    tac: &TacProgram,
+    reg: Option<RegId>,
+) -> impl Iterator<Item = usize> + '_ {
     tac.instrs
         .iter()
         .enumerate()
-        .filter(|(_, i)| match i {
-            TacInstr::RegRead { reg: r, .. } | TacInstr::RegWrite { reg: r, .. } => *r == reg,
-            TacInstr::Assign { .. } => false,
+        .filter_map(move |(p, i)| match i {
+            TacInstr::RegRead { reg: r, .. } | TacInstr::RegWrite { reg: r, .. }
+                if reg.is_none_or(|want| *r == want) =>
+            {
+                Some(p)
+            }
+            _ => None,
         })
-        .map(|(p, _)| p)
-        .collect()
 }
 
-fn first_access_span(tac: &TacProgram, reg: RegId) -> mp5_lang::Span {
+/// Span of the first stateful access to `reg` (to any register when
+/// `None`), for diagnostic placement.
+pub(crate) fn first_access_span(tac: &TacProgram, reg: Option<RegId>) -> Span {
     access_positions(tac, reg)
-        .first()
-        .map(|&p| tac.span_of(p))
+        .next()
+        .map(|p| tac.span_of(p))
         .unwrap_or_default()
 }
 
@@ -258,7 +235,7 @@ pub fn compile_with_analysis(
     target: &Target,
 ) -> Result<CompiledProgram, CompileError> {
     let opts = CompileOptions {
-        analyzer: Some(analyze_tac),
+        analyzer: Some(analyze_layout),
         ..CompileOptions::default()
     };
     mp5_compiler::compile_with_options(source, target, &opts)

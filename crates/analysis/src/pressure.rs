@@ -1,16 +1,14 @@
-//! Resource-pressure estimation against a [`Target`], before codegen.
+//! Resource pressure of the compiler's [`Layout`] against a [`Target`].
 //!
-//! Predicts exactly what `mp5_compiler::codegen::compile_tac` will do —
-//! including the §3.3 conservative fallback that merges body stages from
-//! the tail of the pipeline when the stage budget is exceeded — so an
-//! oversize program fails *here*, with a precise explanation of which
-//! budget broke and by how much, instead of deep inside codegen.
-//!
-//! The SRAM model follows §4.2: each register slot costs the 64-bit
-//! value word plus `mp5-asic`'s 30 bits of per-index sharding metadata.
+//! The layout already records every stage and operation budget it
+//! exceeds, after the §3.3 tail-merge fallback and the §3.4 flow-order
+//! stage; this module turns those overruns into diagnostics that say
+//! which budget broke and by how much. SRAM is the one budget code
+//! generation does not model. It follows §4.2: each register slot costs
+//! the 64-bit value word plus `mp5-asic`'s 30 bits of per-index sharding
+//! metadata.
 
-use mp5_compiler::schedule::Schedule;
-use mp5_compiler::{PressureEstimate, Target};
+use mp5_compiler::{Layout, Overrun, PressureEstimate, Target, FLOW_ORDER_REG};
 use mp5_lang::tac::TacProgram;
 use mp5_lang::{Code, Diagnostic};
 
@@ -18,60 +16,25 @@ use mp5_lang::{Code, Diagnostic};
 /// the per-index sharding metadata from the paper's ASIC model (§4.2).
 pub const SRAM_BITS_PER_SLOT: u64 = 64 + 30;
 
-/// Outcome of the pressure simulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pressure {
-    /// The numeric estimate (also attached to the analysis report).
-    pub estimate: PressureEstimate,
-    /// Budget findings (errors when a budget is exceeded).
-    pub diagnostics: Vec<Diagnostic>,
-    /// Registers that codegen's tail-merge fallback will newly pin
-    /// (co-resident in a merged stage).
-    pub merged_pinned: Vec<mp5_types::RegId>,
-}
-
-/// Simulates codegen's stage assembly and tail-merge fallback, then
-/// checks every budget of `target`.
+/// Measures `layout` against every budget of `target`: the estimate,
+/// and one error per budget exceeded.
 pub fn estimate(
     tac: &TacProgram,
-    sched: &Schedule,
-    prologue_stages: usize,
+    layout: &Layout,
     target: &Target,
-) -> Pressure {
-    // Body stages as codegen builds them: instruction counts and
-    // resident registers per stage.
-    let num_body = sched.num_stages.max(1);
-    let mut ops: Vec<usize> = vec![0; num_body];
-    for &s in &sched.stage_of {
-        ops[s] += 1;
-    }
-    let mut regs: Vec<Vec<mp5_types::RegId>> = vec![Vec::new(); num_body];
-    for c in &sched.clusters {
-        regs[c.stage].extend(c.regs.iter().copied());
-    }
-
-    // Tail-merge fallback, exactly as codegen performs it.
-    let mut merges = 0usize;
-    while prologue_stages + ops.len() > target.max_stages && ops.len() > 1 {
-        let tail_ops = ops.pop().expect("len > 1");
-        let tail_regs = regs.pop().expect("len > 1");
-        *ops.last_mut().expect("len > 1") += tail_ops;
-        regs.last_mut().expect("len > 1").extend(tail_regs);
-        merges += 1;
-    }
-
-    let mut diagnostics = Vec::new();
-    let total_stages = prologue_stages + ops.len();
-    if total_stages > target.max_stages {
-        diagnostics.push(
-            Diagnostic::error(
+) -> (PressureEstimate, Vec<Diagnostic>) {
+    let prologue_stages = layout.prologue_stages;
+    let mut diagnostics: Vec<Diagnostic> = layout
+        .overruns
+        .iter()
+        .map(|o| match *o {
+            Overrun::Stages { needed } => Diagnostic::error(
                 Code::TOO_MANY_STAGES,
                 Default::default(),
                 format!(
-                    "program needs {total_stages} stages ({prologue_stages} \
-                     prologue + {} body) even after merging every body stage; \
-                     the target has {}",
-                    ops.len(),
+                    "program needs {needed} stages ({prologue_stages} prologue + {} body) \
+                     even after merging every body stage; the target has {}",
+                    layout.stages.len(),
                     target.max_stages
                 ),
             )
@@ -79,34 +42,36 @@ pub fn estimate(
                 "the address-resolution prologue cannot be merged: shrink the \
                  program's dependent state chain or raise Target::max_stages",
             ),
-        );
-    }
-
-    let peak_stage_ops = ops.iter().copied().max().unwrap_or(0);
-    for (si, &n) in ops.iter().enumerate() {
-        if n > target.max_ops_per_stage {
-            diagnostics.push(Diagnostic::error(
+            Overrun::FlowOrderStage { needed } => Diagnostic::error(
+                Code::TOO_MANY_STAGES,
+                Default::default(),
+                format!(
+                    "program needs {needed} stages: flow-order enforcement gives \
+                     '{FLOW_ORDER_REG}' a final stage of its own; the target has {}",
+                    target.max_stages
+                ),
+            ),
+            Overrun::Ops { stage, needed } => Diagnostic::error(
                 Code::TOO_MANY_OPS,
                 Default::default(),
                 format!(
-                    "stage {} holds {n} operations, the target allows {} per stage",
-                    prologue_stages + si,
+                    "stage {stage} holds {needed} operations, the target allows {} per stage",
                     target.max_ops_per_stage
                 ),
-            ));
-        }
-    }
+            ),
+        })
+        .collect();
 
-    // SRAM per merged stage.
     let sram_bits: Vec<u64> = tac
         .regs
         .iter()
         .map(|r| r.size as u64 * SRAM_BITS_PER_SLOT)
         .collect();
-    for (si, stage_regs) in regs.iter().enumerate() {
-        let bits: u64 = stage_regs.iter().map(|r| sram_bits[r.index()]).sum();
+    for (si, stage) in layout.stages.iter().enumerate() {
+        let bits: u64 = stage.regs.iter().map(|r| sram_bits[r.index()]).sum();
         if bits > target.max_sram_bits_per_stage {
-            let names: Vec<&str> = stage_regs
+            let names: Vec<&str> = stage
+                .regs
                 .iter()
                 .map(|r| tac.regs[r.index()].name.as_str())
                 .collect();
@@ -126,48 +91,34 @@ pub fn estimate(
         }
     }
 
-    // Registers newly pinned by merging: codegen pins every register in
-    // a multi-register stage once any merge happened.
-    let mut merged_pinned = Vec::new();
-    if merges > 0 {
-        for stage_regs in &regs {
-            if stage_regs.len() > 1 {
-                merged_pinned.extend(stage_regs.iter().copied());
-            }
-        }
-    }
-
-    let fits = diagnostics.is_empty();
-    Pressure {
-        estimate: PressureEstimate {
-            prologue_stages,
-            body_stages: ops.len(),
-            total_stages,
-            max_stages: target.max_stages,
-            peak_stage_ops,
-            max_ops_per_stage: target.max_ops_per_stage,
-            predicted_merges: merges,
-            sram_bits,
-            max_sram_bits_per_stage: target.max_sram_bits_per_stage,
-            fits,
-        },
-        diagnostics,
-        merged_pinned,
-    }
+    let estimate = PressureEstimate {
+        prologue_stages,
+        body_stages: layout.stages.len(),
+        total_stages: layout.total_stages(),
+        max_stages: target.max_stages,
+        peak_stage_ops: layout
+            .stages
+            .iter()
+            .map(|s| s.instrs.len())
+            .max()
+            .unwrap_or(0),
+        max_ops_per_stage: target.max_ops_per_stage,
+        predicted_merges: layout.merges,
+        sram_bits,
+        max_sram_bits_per_stage: target.max_sram_bits_per_stage,
+        fits: diagnostics.is_empty(),
+    };
+    (estimate, diagnostics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp5_compiler::schedule::pipeline_with;
-    use mp5_compiler::transform::transform;
     use mp5_lang::frontend;
 
-    fn pressure_of(src: &str, target: &Target) -> Pressure {
+    fn pressure_of(src: &str, target: &Target) -> (PressureEstimate, Vec<Diagnostic>) {
         let tac = frontend(src).unwrap();
-        let sched = pipeline_with(&tac, target.max_chain_depth, target.allow_pairs).unwrap();
-        let xf = transform(&tac, &sched, target.max_chain_depth);
-        estimate(&tac, &sched, xf.resolution.stages, target)
+        estimate(&tac, &Layout::new(&tac, target, false).unwrap(), target)
     }
 
     const CHAIN3: &str = "struct Packet { int h; };
@@ -182,52 +133,22 @@ mod tests {
 
     #[test]
     fn small_program_fits_default_target() {
-        let p = pressure_of(CHAIN3, &Target::default());
-        assert!(p.estimate.fits, "{:?}", p.diagnostics);
-        assert_eq!(p.estimate.predicted_merges, 0);
-        assert!(p.merged_pinned.is_empty());
-        assert_eq!(p.estimate.sram_bits, vec![4 * 94; 3]);
-    }
-
-    #[test]
-    fn merge_prediction_matches_codegen() {
-        // Squeeze by one stage: codegen merges the two tail stages and
-        // pins their registers; the estimate must predict the same.
-        let full = mp5_compiler::compile(CHAIN3, &Target::default()).unwrap();
-        let squeezed_target = Target {
-            max_stages: full.num_stages() - 1,
-            ..Target::default()
-        };
-        let p = pressure_of(CHAIN3, &squeezed_target);
-        assert!(p.estimate.fits, "{:?}", p.diagnostics);
-        assert!(p.estimate.predicted_merges >= 1);
-        assert!(!p.merged_pinned.is_empty());
-        let squeezed = mp5_compiler::compile(CHAIN3, &squeezed_target).unwrap();
-        assert_eq!(p.estimate.total_stages, squeezed.num_stages());
-        // Exactly the registers codegen pinned are predicted.
-        let predicted: Vec<usize> = p.merged_pinned.iter().map(|r| r.index()).collect();
-        for (ri, meta) in squeezed.regs.iter().enumerate() {
-            assert_eq!(
-                !meta.shardable,
-                predicted.contains(&ri),
-                "reg {ri} pin prediction mismatch"
-            );
-        }
+        let (p, diags) = pressure_of(CHAIN3, &Target::default());
+        assert!(p.fits, "{diags:?}");
+        assert_eq!(p.predicted_merges, 0);
+        assert_eq!(p.sram_bits, vec![4 * 94; 3]);
     }
 
     #[test]
     fn impossible_stage_budget_is_an_error() {
-        let p = pressure_of(
+        let (p, diags) = pressure_of(
             "struct Packet { int h; };
              int a[4];
              void func(struct Packet p) { a[p.h % 4] = a[p.h % 4] + hash2(p.h, 3); }",
             &Target::tiny(1),
         );
-        assert!(!p.estimate.fits);
-        assert!(p
-            .diagnostics
-            .iter()
-            .any(|d| d.code == Code::TOO_MANY_STAGES));
+        assert!(!p.fits);
+        assert!(diags.iter().any(|d| d.code == Code::TOO_MANY_STAGES));
     }
 
     #[test]
@@ -242,19 +163,19 @@ mod tests {
             "struct Packet {{ {fields} }};
              void func(struct Packet p) {{ {body} }}"
         );
-        let p = pressure_of(&src, &Target::tiny(16));
-        assert!(p.diagnostics.iter().any(|d| d.code == Code::TOO_MANY_OPS));
+        let (_, diags) = pressure_of(&src, &Target::tiny(16));
+        assert!(diags.iter().any(|d| d.code == Code::TOO_MANY_OPS));
     }
 
     #[test]
     fn sram_budget_is_checked() {
-        let p = pressure_of(
+        let (p, diags) = pressure_of(
             "struct Packet { int h; };
              int big[100000];
              void func(struct Packet p) { big[p.h % 100000] = 1; }",
             &Target::default(),
         );
-        assert!(p.diagnostics.iter().any(|d| d.code == Code::SRAM_OVERFLOW));
-        assert_eq!(p.estimate.sram_bits, vec![100000 * 94]);
+        assert!(diags.iter().any(|d| d.code == Code::SRAM_OVERFLOW));
+        assert_eq!(p.sram_bits, vec![100000 * 94]);
     }
 }

@@ -1,212 +1,32 @@
-//! Shardability classification (paper §3.3).
+//! Shardability diagnostics (paper §3.3).
 //!
-//! Mirrors the decision procedure of `mp5-compiler`'s PVSM-to-PVSM
-//! transformer, but keeps the *reasons*: for every register array it
-//! reports not just whether the array can be dynamically sharded across
-//! pipelines (design principle D2) but which access sites — by TAC
-//! position and source span — force a pinned classification. The
-//! `transform` pass only returns a `Vec<bool>`; this module is the
-//! explainable version, and a property test asserts the two always
-//! agree.
+//! The sharding decision is the compiler's: `mp5-compiler`'s transformer
+//! records, per register array, a [`RegShard`] — the class, the TAC
+//! positions that forced a pinned verdict and the speculative flag.
+//! This module only renders that record: a warning per pinned array
+//! pointing at its culprit access, and a note for a speculative phantom
+//! plan.
 
-use mp5_compiler::schedule::Schedule;
-use mp5_compiler::slice::Slicer;
-use mp5_compiler::ShardClass;
+use mp5_compiler::{RegShard, ShardClass};
 use mp5_lang::tac::{TacInstr, TacProgram};
 use mp5_lang::{Code, Diagnostic, Operand};
+use mp5_types::RegId;
 
-/// Classification of one register array, with evidence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegClassification {
-    /// The verdict.
-    pub class: ShardClass,
-    /// TAC instruction positions responsible for a pinned verdict
-    /// (empty for `Shardable`).
-    pub culprits: Vec<usize>,
-    /// Whether the access plan will be *speculative* (stateful
-    /// predicate, single access group — shardable but phantoms are
-    /// generated for both branch outcomes).
-    pub speculative: bool,
-}
-
-impl RegClassification {
-    fn shardable() -> Self {
-        RegClassification {
-            class: ShardClass::Shardable,
-            culprits: Vec::new(),
-            speculative: false,
-        }
-    }
-}
-
-/// One access site of a register (TAC position + operands).
-struct Site {
-    pos: usize,
-    idx: Operand,
-    pred: Option<Operand>,
-}
-
-/// Classifies every register array of a scheduled program.
-///
-/// Returns one entry per register, indexed by `RegId`, mirroring
-/// `transform`'s shardability verdicts: `class.is_shardable()` is `true`
-/// exactly when `transform(..).shardable[reg]` is.
-pub fn classify(tac: &TacProgram, sched: &Schedule) -> Vec<RegClassification> {
-    let slicer = Slicer::new(tac);
-    let mut out = vec![RegClassification::shardable(); tac.regs.len()];
-
-    for cluster in &sched.clusters {
-        // Pairs-class atom: entangled arrays co-reside in one stage and
-        // the whole group is pinned.
-        if cluster.regs.len() > 1 {
-            let culprits: Vec<usize> = cluster
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| {
-                    matches!(
-                        tac.instrs[m],
-                        TacInstr::RegRead { .. } | TacInstr::RegWrite { .. }
-                    )
-                })
-                .collect();
-            for &r in &cluster.regs {
-                out[r.index()] = RegClassification {
-                    class: ShardClass::PinnedCoResident,
-                    culprits: culprits.clone(),
-                    speculative: false,
-                };
-            }
-            continue;
-        }
-
-        let reg = cluster.regs[0];
-        let mut sites: Vec<Site> = Vec::new();
-        for &m in &cluster.members {
-            if let TacInstr::RegRead { idx, pred, .. } | TacInstr::RegWrite { idx, pred, .. } =
-                &tac.instrs[m]
-            {
-                sites.push(Site {
-                    pos: m,
-                    idx: *idx,
-                    pred: *pred,
-                });
-            }
-        }
-        debug_assert!(!sites.is_empty());
-
-        // Group by syntactic index operand (CSE makes equal indexes
-        // literally identical), exactly as the transformer does.
-        let mut groups: Vec<(Operand, Vec<Site>)> = Vec::new();
-        for s in sites {
-            match groups.iter_mut().find(|(op, _)| *op == s.idx) {
-                Some((_, v)) => v.push(s),
-                None => groups.push((s.idx, vec![s])),
-            }
-        }
-
-        // Per group: can the index / predicate be resolved in the
-        // prologue (i.e. sliced to pure header computation)?
-        let mut any_idx_stateful = false;
-        let mut any_pred_speculative = false;
-        let mut idx_culprits: Vec<usize> = Vec::new();
-        let mut pred_culprits: Vec<usize> = Vec::new();
-        let mut single_group_speculative = false;
-        for (idx_op, sites) in &groups {
-            if slicer.try_slice(*idx_op, sites[0].pos).is_none() {
-                any_idx_stateful = true;
-                idx_culprits.extend(sites.iter().map(|s| s.pos));
-            }
-            // Union predicate over the group's sites — an unpredicated
-            // site makes the union Always, masking stateful predicates
-            // (the transformer's rule).
-            let always = sites.iter().any(|s| s.pred.is_none());
-            let speculative = sites.iter().any(|s| match s.pred {
-                None => false,
-                Some(p) => slicer.try_slice(p, s.pos).is_none(),
-            });
-            if !always && speculative {
-                any_pred_speculative = true;
-                single_group_speculative = true;
-                pred_culprits.extend(sites.iter().filter_map(|s| {
-                    s.pred.and_then(|p| {
-                        if slicer.try_slice(p, s.pos).is_none() {
-                            Some(s.pos)
-                        } else {
-                            None
-                        }
-                    })
-                }));
-            }
-        }
-
-        out[reg.index()] = if groups.len() == 1 {
-            if any_idx_stateful {
-                RegClassification {
-                    class: ShardClass::PinnedStatefulIndex,
-                    culprits: idx_culprits,
-                    speculative: false,
-                }
-            } else {
-                RegClassification {
-                    class: ShardClass::Shardable,
-                    culprits: Vec::new(),
-                    speculative: single_group_speculative,
-                }
-            }
-        } else {
-            // Multiple distinct indexes pin the array regardless; name
-            // the dominant cause.
-            let (class, culprits) = if any_idx_stateful {
-                (ShardClass::PinnedStatefulIndex, idx_culprits)
-            } else if any_pred_speculative {
-                (ShardClass::PinnedStatefulPredicate, pred_culprits)
-            } else {
-                (
-                    ShardClass::PinnedCoResident,
-                    groups
-                        .iter()
-                        .flat_map(|(_, ss)| ss.iter().map(|s| s.pos))
-                        .collect(),
-                )
-            };
-            RegClassification {
-                class,
-                culprits,
-                speculative: false,
-            }
-        };
-    }
-
-    out
-}
+use crate::first_access_span;
 
 /// Renders shardability findings as diagnostics (warnings for pinned
 /// arrays, a note for speculative phantom plans).
-pub fn diagnostics(tac: &TacProgram, classes: &[RegClassification]) -> Vec<Diagnostic> {
+pub fn diagnostics(tac: &TacProgram, shards: &[RegShard]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for (ri, c) in classes.iter().enumerate() {
+    for (ri, c) in shards.iter().enumerate() {
         let name = &tac.regs[ri].name;
         let span = c
             .culprits
             .first()
             .map(|&p| tac.span_of(p))
             .filter(|s| s.line > 0)
-            .or_else(|| {
-                // Fall back to the register's first stateful access.
-                use mp5_lang::tac::TacInstr;
-                let rid = mp5_types::RegId::from(ri);
-                tac.instrs
-                    .iter()
-                    .position(|i| match i {
-                        TacInstr::RegRead { reg, .. } | TacInstr::RegWrite { reg, .. } => {
-                            *reg == rid
-                        }
-                        TacInstr::Assign { .. } => false,
-                    })
-                    .map(|p| tac.span_of(p))
-            })
-            .unwrap_or_default();
+            // Fall back to the register's first stateful access.
+            .unwrap_or_else(|| first_access_span(tac, Some(RegId::from(ri))));
         let site_note = |d: Diagnostic| {
             if c.culprits.is_empty() {
                 d
@@ -270,9 +90,9 @@ pub fn diagnostics(tac: &TacProgram, classes: &[RegClassification]) -> Vec<Diagn
 /// Do the culprits of a co-resident verdict use more than one distinct
 /// index operand (the multiple-distinct-indexes hard case, as opposed to
 /// a pairs-class entanglement)?
-fn has_multi_index(tac: &TacProgram, c: &RegClassification) -> bool {
+fn has_multi_index(tac: &TacProgram, c: &RegShard) -> bool {
     let mut idxs: Vec<Operand> = Vec::new();
-    let mut regs: Vec<mp5_types::RegId> = Vec::new();
+    let mut regs: Vec<RegId> = Vec::new();
     for &p in &c.culprits {
         if let TacInstr::RegRead { reg, idx, .. } | TacInstr::RegWrite { reg, idx, .. } =
             &tac.instrs[p]
@@ -291,124 +111,19 @@ fn has_multi_index(tac: &TacProgram, c: &RegClassification) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp5_compiler::schedule::pipeline;
-    use mp5_compiler::transform::transform;
-    use mp5_lang::frontend;
-
-    fn classified(src: &str) -> (TacProgram, Vec<RegClassification>) {
-        let tac = frontend(src).unwrap();
-        let sched = pipeline(&tac, 4).unwrap();
-        let classes = classify(&tac, &sched);
-        // Invariant: agrees with the transformer on shardability.
-        let xf = transform(&tac, &sched, 4);
-        for (ri, c) in classes.iter().enumerate() {
-            assert_eq!(
-                c.class.is_shardable(),
-                xf.shardable[ri],
-                "class {:?} disagrees with transform for reg {ri}",
-                c.class
-            );
-        }
-        (tac, classes)
-    }
-
-    #[test]
-    fn pure_index_is_shardable() {
-        let (_, cs) = classified(
-            "struct Packet { int h; };
-             int r[8];
-             void func(struct Packet p) { r[p.h % 8] = r[p.h % 8] + 1; }",
-        );
-        assert_eq!(cs[0].class, ShardClass::Shardable);
-        assert!(cs[0].culprits.is_empty());
-        assert!(!cs[0].speculative);
-    }
-
-    #[test]
-    fn stateful_index_pins_with_culprit() {
-        let (tac, cs) = classified(
-            "struct Packet { int h; };
-             int ptr = 0;
-             int r[8];
-             void func(struct Packet p) { r[ptr % 8] = 1; }",
-        );
-        assert_eq!(cs[1].class, ShardClass::PinnedStatefulIndex);
-        assert_eq!(cs[1].culprits.len(), 1);
-        // Culprit points at the RegWrite on r.
-        assert!(matches!(
-            tac.instrs[cs[1].culprits[0]],
-            TacInstr::RegWrite { .. }
-        ));
-    }
-
-    #[test]
-    fn stateful_predicate_single_group_is_speculative_but_shardable() {
-        let (_, cs) = classified(
-            "struct Packet { int h; };
-             int gate = 0;
-             int r[8];
-             void func(struct Packet p) {
-                 if (gate > 0) { r[p.h % 8] = 1; }
-             }",
-        );
-        assert_eq!(cs[1].class, ShardClass::Shardable);
-        assert!(cs[1].speculative);
-    }
-
-    #[test]
-    fn distinct_indexes_pin_co_resident() {
-        let (_, cs) = classified(
-            "struct Packet { int m; int i; int j; };
-             int r[8];
-             void func(struct Packet p) {
-                 if (p.m == 1) { r[p.i % 8] = 1; } else { r[p.j % 8] = 2; }
-             }",
-        );
-        assert_eq!(cs[0].class, ShardClass::PinnedCoResident);
-        assert_eq!(cs[0].culprits.len(), 2);
-    }
-
-    #[test]
-    fn stateful_predicate_multi_group_pins() {
-        let (_, cs) = classified(
-            "struct Packet { int i; int j; };
-             int gate = 0;
-             int r[8];
-             void func(struct Packet p) {
-                 if (gate > 0) { r[p.i % 8] = 1; }
-                 if (gate > 1) { r[p.j % 8] = 2; }
-             }",
-        );
-        assert_eq!(cs[1].class, ShardClass::PinnedStatefulPredicate);
-        assert!(!cs[1].culprits.is_empty());
-    }
-
-    #[test]
-    fn pairs_atoms_pin_co_resident() {
-        let (_, cs) = classified(
-            "struct Packet { int h; int o; };
-             int a[4] = {0};
-             int b[4] = {0};
-             void func(struct Packet p) {
-                 int t = a[p.h % 4] + b[p.h % 4];
-                 a[p.h % 4] = t;
-                 b[p.h % 4] = t;
-                 p.o = t;
-             }",
-        );
-        assert_eq!(cs[0].class, ShardClass::PinnedCoResident);
-        assert_eq!(cs[1].class, ShardClass::PinnedCoResident);
-    }
+    use mp5_compiler::{Layout, Target};
 
     #[test]
     fn diagnostics_carry_spans_and_codes() {
-        let (tac, cs) = classified(
+        let tac = mp5_lang::frontend(
             "struct Packet { int h; };
              int ptr = 0;
              int r[8];
              void func(struct Packet p) { r[ptr % 8] = 1; }",
-        );
-        let ds = diagnostics(&tac, &cs);
+        )
+        .unwrap();
+        let layout = Layout::new(&tac, &Target::default(), false).unwrap();
+        let ds = diagnostics(&tac, &layout.transform.shards);
         assert_eq!(ds.len(), 1, "{ds:?}");
         assert_eq!(ds[0].code, Code::PINNED_STATEFUL_INDEX);
         assert!(

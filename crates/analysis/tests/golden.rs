@@ -334,3 +334,41 @@ fn lint_json_output_round_trips() {
         }
     }
 }
+
+/// DSL source is an external input, so it fails typed: every prefix of
+/// every corpus program, and the program with one bit flipped at each
+/// byte, goes through the analyzer and the compiler without a panic.
+#[test]
+fn truncated_or_flipped_sources_never_panic() {
+    let target = Target::default();
+    let mut variants = 0;
+    for dir in [
+        apps_dir(),
+        fixture_dir("broken"),
+        fixture_dir("clean"),
+        fixture_dir("targeted"),
+    ] {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        for path in files {
+            let bytes = std::fs::read(&path).unwrap();
+            for i in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << (i % 7);
+                for variant in [&bytes[..i], &flipped[..]] {
+                    let source = String::from_utf8_lossy(variant);
+                    let run = std::panic::catch_unwind(|| {
+                        analyze_source(&source, &target);
+                        mp5_compiler::compile(&source, &target).ok()
+                    });
+                    assert!(run.is_ok(), "{} at byte {i}", path.display());
+                    variants += 1;
+                }
+            }
+        }
+    }
+    assert!(variants > 18_000, "only {variants} variants");
+}

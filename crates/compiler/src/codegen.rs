@@ -1,27 +1,21 @@
-//! Code generation: PVSM → physical pipeline configuration.
+//! Code generation: a [`Layout`] → the physical pipeline configuration.
 //!
-//! Checks the transformed PVSM against the [`Target`] machine limits and
-//! assembles the final [`CompiledProgram`]. When the serialized PVSM
-//! needs more stages than the machine has, code generation applies the
-//! paper's conservative fallback (§3.3): co-locate register arrays by
-//! merging body stages from the tail of the pipeline, pin every array in
-//! a shared stage (`shardable = false`), and replace their access plans
-//! with a single stage-level plan that serializes all packets through
-//! the stage in arrival order.
-
-use std::collections::HashMap;
+//! Every stage-layout decision (shard classes, the §3.3 tail-merge
+//! fallback, the §3.4 flow-order stage, budget overruns) is made once,
+//! in [`Layout::new`]. Code generation turns the layout's first overrun
+//! into a [`CompileError`], or else stamps register metadata from it and
+//! assembles the final [`CompiledProgram`]. A configured analyzer is
+//! handed the same layout, so its report describes exactly this
+//! program.
 
 use mp5_lang::tac::TacProgram;
 use mp5_lang::LangError;
 use mp5_types::{RegId, StageId};
 
-use crate::program::{
-    AccessPlan, AtomClass, CompiledProgram, IdxPlan, PredPlan, RegMeta, StageCode,
-    INDEX_ARRAY_LEVEL, REG_STAGE_SENTINEL,
-};
-use crate::schedule::{pipeline_with, ScheduleError};
+use crate::layout::Layout;
+use crate::program::{AtomClass, CompiledProgram, RegMeta};
+use crate::schedule::ScheduleError;
 use crate::target::Target;
-use crate::transform::transform;
 
 /// Compilation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,9 +24,9 @@ pub enum CompileError {
     Lang(LangError),
     /// Pipelining error (e.g. cross-register atoms).
     Schedule(ScheduleError),
-    /// The program needs more stages than the machine has, even after
+    /// The program needs more stages than the machine has: even after
     /// the shared-stage fallback (the resolution prologue alone
-    /// overflows the pipeline).
+    /// overflows the pipeline), or for the flow-order stage.
     TooManyStages {
         /// Stages required (prologue + at least one body stage).
         needed: usize,
@@ -152,8 +146,9 @@ pub struct CompileOptions {
     /// otherwise cause (e.g. for NATs and stateful firewalls).
     pub enforce_flow_order: Option<FlowOrderSpec>,
     /// Optional pre-codegen analyzer (the `mp5-analysis` crate's
-    /// `analyze_tac`, or any custom [`crate::report::AnalyzerFn`]). When
-    /// set, it runs on the lowered TAC *before* code generation: if the
+    /// `analyze_layout`, or any custom [`crate::report::AnalyzerFn`]).
+    /// When set, it is handed the lowered TAC and the [`Layout`] code
+    /// generation is about to emit, flow-order stage included: if the
     /// report contains error-level findings, compilation stops with
     /// [`CompileError::AnalysisRejected`]; otherwise the report is
     /// attached to [`CompiledProgram::analysis`].
@@ -183,7 +178,10 @@ pub fn compile_with_options(
     if let Some(spec) = &opts.enforce_flow_order {
         append_flow_order(&mut tac, spec)?;
     }
-    let report = opts.analyzer.map(|analyze| analyze(&tac, target));
+    let layout = Layout::new(&tac, target, opts.enforce_flow_order.is_some());
+    let report = opts
+        .analyzer
+        .map(|analyze| analyze(&tac, target, layout.as_ref()));
     if let Some(r) = &report {
         if r.has_errors() {
             return Err(CompileError::AnalysisRejected {
@@ -191,12 +189,8 @@ pub fn compile_with_options(
             });
         }
     }
-    let mut prog = compile_tac(tac, target)?;
+    let mut prog = generate(tac, layout?, target)?;
     prog.analysis = report;
-    if opts.enforce_flow_order.is_some() {
-        relocate_flow_order(&mut prog, target)?;
-    }
-    debug_assert_eq!(prog.validate(), Ok(()));
     Ok(prog)
 }
 
@@ -205,13 +199,24 @@ fn append_flow_order(tac: &mut TacProgram, spec: &FlowOrderSpec) -> Result<(), C
     use mp5_lang::tac::{RegInfo, TacInstr};
     use mp5_lang::{Operand, TacExpr};
 
+    let semantic = |message: String| {
+        CompileError::Lang(LangError::Semantic {
+            span: Default::default(),
+            message,
+        })
+    };
+    if tac.reg(FLOW_ORDER_REG).is_some() {
+        return Err(semantic(format!(
+            "flow-order enforcement adds register '{FLOW_ORDER_REG}', which the program \
+             already declares"
+        )));
+    }
     let mut key_ops = Vec::new();
     for name in &spec.key_fields {
         let id = tac.field(name).ok_or_else(|| {
-            CompileError::Lang(mp5_lang::LangError::Semantic {
-                span: Default::default(),
-                message: format!("flow-order enforcement requires packet field '{name}'"),
-            })
+            semantic(format!(
+                "flow-order enforcement requires packet field '{name}'"
+            ))
         })?;
         key_ops.push(Operand::Field(id));
     }
@@ -247,215 +252,70 @@ fn append_flow_order(tac: &mut TacProgram, spec: &FlowOrderSpec) -> Result<(), C
     Ok(())
 }
 
-/// Moves the flow-order register into a dedicated *final* body stage —
-/// ordering is only effective if nothing stateful happens after it.
-fn relocate_flow_order(prog: &mut CompiledProgram, target: &Target) -> Result<(), CompileError> {
-    let reg = prog.reg(FLOW_ORDER_REG).expect("just appended");
-    let cur_body = prog.regs[reg.index()].stage.index() - prog.resolution.stages;
-    let already_last = cur_body + 1 == prog.stages.len() && prog.stages[cur_body].regs.len() == 1;
-    if !already_last {
-        if prog.num_stages() + 1 > target.max_stages {
-            return Err(CompileError::TooManyStages {
-                needed: prog.num_stages() + 1,
-                available: target.max_stages,
-            });
-        }
-        // Extract the dummy write (its hash inputs are plain Assigns
-        // computed earlier; only the stateful op moves).
-        let mut moved = Vec::new();
-        prog.stages[cur_body].instrs.retain(|ins| {
-            if matches!(ins, mp5_lang::TacInstr::RegWrite { reg: r, .. } if *r == reg) {
-                moved.push(ins.clone());
-                false
-            } else {
-                true
-            }
-        });
-        prog.stages[cur_body].regs.retain(|r| *r != reg);
-        prog.stages.push(StageCode {
-            instrs: moved,
-            regs: vec![reg],
-        });
-    }
-    let last = StageId((prog.resolution.stages + prog.stages.len() - 1) as u16);
-    prog.regs[reg.index()].stage = last;
-    for p in &mut prog.resolution.plans {
-        if p.reg == reg {
-            p.stage = last;
-        }
-    }
-    prog.resolution.plans.sort_by_key(|p| p.stage);
-    Ok(())
-}
-
 /// Compiles an already-lowered three-address program.
 pub fn compile_tac(tac: TacProgram, target: &Target) -> Result<CompiledProgram, CompileError> {
-    let sched = pipeline_with(&tac, target.max_chain_depth, target.allow_pairs)?;
-    let xf = transform(&tac, &sched, target.max_chain_depth);
+    let layout = Layout::new(&tac, target, false)?;
+    generate(tac, layout, target)
+}
 
-    // ---- assemble body stages from the schedule ----
-    let mut body: Vec<StageCode> = (0..sched.num_stages.max(1))
-        .map(|_| StageCode {
-            instrs: Vec::new(),
-            regs: Vec::new(),
-        })
-        .collect();
-    for (j, ins) in tac.instrs.iter().enumerate() {
-        body[sched.stage_of[j]].instrs.push(ins.clone());
+/// Emits the program `layout` describes, or the error for its first
+/// overrun.
+fn generate(
+    tac: TacProgram,
+    mut layout: Layout,
+    target: &Target,
+) -> Result<CompiledProgram, CompileError> {
+    if let Some(o) = layout.overruns.first() {
+        return Err(o.error(target));
     }
-    for c in &sched.clusters {
-        body[c.stage].regs.extend(c.regs.iter().copied());
-    }
-
-    let mut shardable = xf.shardable.clone();
-    let mut plans = xf.resolution.plans.clone();
-    let mut prologue_stages = xf.resolution.stages;
-
-    // ---- stage-budget fallback: merge body stages from the tail ----
-    let mut merged_any = false;
-    while prologue_stages + body.len() > target.max_stages && body.len() > 1 {
-        // Merge the last two body stages.
-        let tail = body.pop().expect("len > 1");
-        let last = body.last_mut().expect("len > 1");
-        last.instrs.extend(tail.instrs);
-        last.regs.extend(tail.regs);
-        merged_any = true;
-    }
-    if prologue_stages + body.len() > target.max_stages {
-        return Err(CompileError::TooManyStages {
-            needed: prologue_stages + body.len(),
-            available: target.max_stages,
-        });
-    }
-    if merged_any {
-        // Pin every register in a multi-register stage and replace its
-        // plans with one stage-level plan.
-        let shared: Vec<usize> = body
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.regs.len() > 1)
-            .map(|(i, _)| i)
-            .collect();
-        for &si in &shared {
-            for r in &body[si].regs {
-                shardable[r.index()] = false;
-            }
-        }
-        // Rebuild plans: keep plans for untouched stages (stage ids may
-        // have shifted, so recompute from the register's new body stage);
-        // stage-level plans for shared stages.
-        let mut reg_body_stage: HashMap<RegId, usize> = HashMap::new();
-        for (si, s) in body.iter().enumerate() {
-            for r in &s.regs {
-                reg_body_stage.insert(*r, si);
-            }
-        }
-        let mut new_plans: Vec<AccessPlan> = Vec::new();
-        let mut shared_done: Vec<usize> = Vec::new();
-        for p in &plans {
-            let body_stage = if p.reg == REG_STAGE_SENTINEL {
-                // Pre-existing stage-level plan (pairs atom): locate the
-                // stage by its original physical id.
-                (p.stage.index() - prologue_stages).min(body.len() - 1)
-            } else {
-                reg_body_stage[&p.reg]
-            };
-            if body[body_stage].regs.len() > 1 {
-                if !shared_done.contains(&body_stage) {
-                    shared_done.push(body_stage);
-                    new_plans.push(AccessPlan {
-                        stage: StageId((prologue_stages + body_stage) as u16),
-                        reg: REG_STAGE_SENTINEL,
-                        idx: IdxPlan::ArrayLevel,
-                        pred: PredPlan::Always,
-                    });
-                }
-            } else {
-                new_plans.push(AccessPlan {
-                    stage: StageId((prologue_stages + body_stage) as u16),
-                    ..p.clone()
-                });
-            }
-        }
-        new_plans.sort_by_key(|p| p.stage);
-        plans = new_plans;
-    }
-
-    if plans.is_empty() {
-        prologue_stages = 0;
-    }
-
-    // ---- per-stage op budget ----
-    for (si, s) in body.iter().enumerate() {
-        if s.instrs.len() > target.max_ops_per_stage {
-            return Err(CompileError::TooManyOpsInStage {
-                stage: prologue_stages + si,
-                needed: s.instrs.len(),
-                available: target.max_ops_per_stage,
-            });
-        }
-    }
-
     // A register declared but never referenced by any instruction is
     // not resident in any scheduled stage; park it in the first body
     // stage so its (initial) state still has a home. `validate()`
     // requires every register to be resident exactly where its
-    // RegMeta.stage says, and the RegMeta loop below falls back to
-    // body stage 0 for exactly these registers.
-    if !body.is_empty() {
-        for ri in 0..tac.regs.len() {
-            if !body.iter().any(|s| s.regs.contains(&RegId::from(ri))) {
-                body[0].regs.push(RegId::from(ri));
-            }
+    // RegMeta.stage says.
+    let home = |layout: &Layout, r: RegId| layout.stages.iter().position(|s| s.regs.contains(&r));
+    for r in (0..tac.regs.len()).map(RegId::from) {
+        if home(&layout, r).is_none() {
+            layout.stages[0].regs.push(r);
         }
     }
 
-    // ---- register metadata ----
-    let classes = classify_atoms(&tac, &sched);
+    let atoms = classify_atoms(&tac, &layout.schedule);
     let regs: Vec<RegMeta> = tac
         .regs
         .iter()
         .enumerate()
         .map(|(ri, r)| {
-            let body_stage = body
-                .iter()
-                .position(|s| s.regs.contains(&RegId::from(ri)))
-                .unwrap_or(0);
+            let reg = RegId::from(ri);
+            let body_stage = home(&layout, reg).expect("every register is parked");
             RegMeta {
                 name: r.name.clone(),
                 size: r.size,
                 init: r.init.clone(),
-                stage: StageId((prologue_stages + body_stage) as u16),
-                shardable: shardable[ri],
-                atom_class: classes[ri],
+                stage: StageId((layout.prologue_stages + body_stage) as u16),
+                shardable: layout.class(reg).is_shardable(),
+                atom_class: atoms[ri],
             }
         })
         .collect();
 
     let mut field_names = tac.field_names.clone();
-    field_names.extend(xf.extra_fields.iter().cloned());
-
+    field_names.extend(layout.transform.extra_fields);
     let prog = CompiledProgram {
         field_names,
         declared_fields: tac.declared_fields,
         regs,
         resolution: crate::program::ResolutionCode {
-            instrs: xf.resolution.instrs,
-            plans,
-            stages: prologue_stages,
+            instrs: layout.transform.resolution.instrs,
+            plans: layout.plans,
+            stages: layout.prologue_stages,
         },
-        stages: body,
+        stages: layout.stages,
         tac,
         analysis: None,
     };
     debug_assert_eq!(prog.validate(), Ok(()));
     Ok(prog)
-}
-
-/// Convenience for tests: does this resolved access denote array-level
-/// serialization?
-pub fn is_array_level(index: u32) -> bool {
-    index == INDEX_ARRAY_LEVEL
 }
 
 /// Classifies every register's stateful atom into the Banzai atom
@@ -510,7 +370,7 @@ fn classify_atoms(tac: &TacProgram, sched: &crate::schedule::Schedule) -> Vec<At
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::ResolvedAccess;
+    use crate::program::{ResolvedAccess, REG_STAGE_SENTINEL};
     use mp5_types::Value;
 
     fn compiled(src: &str) -> CompiledProgram {

@@ -19,11 +19,16 @@
 //!    packet generation, handling the three hard cases of §3.3:
 //!    stateful predicates (speculative phantoms for both branches),
 //!    stateful index computations (array pinned to one pipeline,
-//!    no sharding), and insufficient stages (co-resident arrays pinned,
-//!    stage-level phantoms).
-//! 3. **Code generation** ([`codegen`]): checks the PVSM against the
-//!    physical machine's resource limits ([`target::Target`]) and emits
-//!    the final [`CompiledProgram`].
+//!    no sharding), and multiple distinct indexes (array pinned). It
+//!    records each register's verdict and the TAC positions behind it.
+//! 3. **Layout** ([`layout`]): assembles the body stages against the
+//!    physical machine's resource limits ([`target::Target`]) — the
+//!    tail-merge fallback for insufficient stages (co-resident arrays
+//!    pinned, stage-level phantoms) and the §3.4 flow-order stage — and
+//!    records every budget it exceeds.
+//! 4. **Code generation** ([`codegen`]): rejects a layout that exceeds a
+//!    budget, or emits the final [`CompiledProgram`] from it. The
+//!    optional analyzer (`mp5-analysis`) reads the same layout.
 //!
 //! The compiled artifact is *one* program: MP5's design principle D1
 //! (processing homogeneity) replicates it onto every pipeline.
@@ -33,6 +38,7 @@
 
 pub mod codegen;
 pub mod kernel;
+pub mod layout;
 pub mod program;
 pub mod report;
 pub mod schedule;
@@ -45,11 +51,13 @@ pub use codegen::{
     FLOW_ORDER_REG,
 };
 pub use kernel::{BatchRegs, FieldMatrix, LaneAccess, LaneFields};
+pub use layout::{Layout, Overrun};
 pub use program::{
     AccessPlan, CompiledProgram, IdxPlan, PredPlan, ResolutionCode, ResolvedAccess, StageCode,
 };
-pub use report::{AnalysisReport, AnalyzerFn, PressureEstimate, RegAnalysis, ShardClass};
+pub use report::{AnalysisReport, AnalyzerFn, PressureEstimate, RegAnalysis};
 pub use target::Target;
+pub use transform::{RegShard, ShardClass};
 
 #[cfg(test)]
 mod tests {

@@ -1,13 +1,16 @@
-//! Structured pre-codegen program analysis report (data model).
+//! The analysis report attached to a [`crate::CompiledProgram`] (data
+//! model only).
 //!
-//! The *analyzer* that fills this in lives in the `mp5-analysis` crate
-//! (it runs between TAC and code generation); only the data model lives
-//! here, so that [`crate::compile_with_options`] can attach a report to
-//! [`crate::CompiledProgram`] without a dependency cycle between the
-//! compiler and the analyzer.
+//! The analyzer that fills it in lives in the `mp5-analysis` crate; only
+//! the data model lives here, so that [`crate::compile_with_options`]
+//! can attach a report without a dependency cycle between the compiler
+//! and the analyzer.
 //!
-//! The report answers, *before* code generation, the three questions the
-//! paper's compilability story hinges on:
+//! The analyzer decides nothing about the stage layout: it is handed the
+//! compiler's own [`Layout`] record (shard classes and culprits, tail
+//! merges, the flow-order stage, budget overruns) and turns it into
+//! diagnostics, adding only what code generation does not model (SRAM,
+//! source spans, notes). The report answers three questions:
 //!
 //! 1. **Shardability** (§3.3): can each register array be dynamically
 //!    sharded across pipelines (design principle D2), or must it be
@@ -17,64 +20,24 @@
 //!    resolvable in the prologue, and does the phantom-packet plan cover
 //!    every stateful stage so serial order can be frozen pre-emptively?
 //! 3. **Resource pressure**: how many stages / operations / SRAM bits
-//!    will the program need versus what the [`crate::Target`] provides,
-//!    with the codegen fallback (tail-stage merging) simulated so the
-//!    prediction matches what `compile` will actually do.
+//!    the layout needs versus what the [`crate::Target`] provides.
 
 use mp5_lang::Diagnostic;
 use mp5_types::RegId;
 
-/// Signature of a pre-codegen analyzer pluggable into
-/// [`crate::CompileOptions::analyzer`].
+use crate::layout::Layout;
+use crate::schedule::ScheduleError;
+use crate::transform::ShardClass;
+
+/// Signature of an analyzer pluggable into
+/// [`crate::CompileOptions::analyzer`]: it is given the lowered program,
+/// the target and the compiler's layout of it (or why scheduling
+/// failed), and renders them as a report.
 ///
 /// A plain function pointer (not a trait object) so `CompileOptions`
 /// keeps its `Clone + PartialEq + Eq` derives.
-pub type AnalyzerFn = fn(&mp5_lang::TacProgram, &crate::Target) -> AnalysisReport;
-
-/// Why (or whether) a register array can be dynamically sharded across
-/// pipelines (paper §3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ShardClass {
-    /// The array's slots can be distributed across per-pipeline shards:
-    /// every access resolves to one exact, header-derived index in the
-    /// prologue.
-    Shardable,
-    /// A stateful *index* computation (the address depends on register
-    /// state) makes the address unresolvable in the prologue; the array
-    /// is pinned to one pipeline and serialized at array granularity.
-    PinnedStatefulIndex,
-    /// The array shares a stage with other arrays (a Banzai pairs-class
-    /// atom, or codegen's shared-stage fallback, or multiple distinct
-    /// resolvable indexes) and the co-resident group is pinned together.
-    PinnedCoResident,
-    /// A stateful *predicate* combined with multiple access sites keeps
-    /// the taken set unresolvable; the array is pinned rather than
-    /// speculatively phantomed.
-    PinnedStatefulPredicate,
-}
-
-impl ShardClass {
-    /// `true` only for [`ShardClass::Shardable`].
-    pub fn is_shardable(self) -> bool {
-        matches!(self, ShardClass::Shardable)
-    }
-
-    /// Stable machine-readable name (used by JSON output).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShardClass::Shardable => "shardable",
-            ShardClass::PinnedStatefulIndex => "pinned-stateful-index",
-            ShardClass::PinnedCoResident => "pinned-co-resident",
-            ShardClass::PinnedStatefulPredicate => "pinned-stateful-predicate",
-        }
-    }
-}
-
-impl std::fmt::Display for ShardClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+pub type AnalyzerFn =
+    fn(&mp5_lang::TacProgram, &crate::Target, Result<&Layout, &ScheduleError>) -> AnalysisReport;
 
 /// Analysis result for one register array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,12 +62,14 @@ pub struct RegAnalysis {
     pub covered: bool,
 }
 
-/// Predicted resource consumption versus a [`crate::Target`].
+/// Resource consumption of the compiler's layout versus a
+/// [`crate::Target`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PressureEstimate {
-    /// Address-resolution prologue stages the transform will emit.
+    /// Address-resolution prologue stages.
     pub prologue_stages: usize,
-    /// Body stages *after* simulating codegen's tail-merge fallback.
+    /// Body stages after the tail-merge fallback and the flow-order
+    /// stage.
     pub body_stages: usize,
     /// Total physical stages (`prologue + body`).
     pub total_stages: usize,
@@ -114,8 +79,8 @@ pub struct PressureEstimate {
     pub peak_stage_ops: usize,
     /// Per-stage operation budget of the target.
     pub max_ops_per_stage: usize,
-    /// Body-stage merges the codegen fallback will perform (each merge
-    /// pins the co-resident arrays of the merged stage).
+    /// Body-stage merges of the tail-merge fallback (each merge pins the
+    /// co-resident arrays of the merged stage).
     pub predicted_merges: usize,
     /// SRAM bits per register array (data + per-index metadata).
     pub sram_bits: Vec<u64>,
@@ -166,25 +131,6 @@ impl AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_class_names_are_stable() {
-        assert_eq!(ShardClass::Shardable.to_string(), "shardable");
-        assert_eq!(
-            ShardClass::PinnedStatefulIndex.to_string(),
-            "pinned-stateful-index"
-        );
-        assert_eq!(
-            ShardClass::PinnedCoResident.to_string(),
-            "pinned-co-resident"
-        );
-        assert_eq!(
-            ShardClass::PinnedStatefulPredicate.to_string(),
-            "pinned-stateful-predicate"
-        );
-        assert!(ShardClass::Shardable.is_shardable());
-        assert!(!ShardClass::PinnedCoResident.is_shardable());
-    }
 
     #[test]
     fn empty_report_is_clean() {

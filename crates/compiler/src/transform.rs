@@ -18,13 +18,18 @@
 //! * **Stateful index** (`reg1[reg2[0]]`): the index cannot be computed
 //!   preemptively, so "MP5 ... maps the entire register array to a
 //!   single pipeline, i.e., effectively no state sharding"
-//!   ([`IdxPlan::ArrayLevel`] + `shardable = false`).
+//!   ([`IdxPlan::ArrayLevel`] + [`ShardClass::PinnedStatefulIndex`]).
 //! * **Multiple distinct indexes of one array** (e.g. speculative
 //!   `if/else` branches touching `reg[i]` and `reg[j]`): the two indexes
 //!   could be sharded to different pipelines, but a packet can only be
-//!   in one pipeline at a time, so the array is pinned
-//!   (`shardable = false`) while keeping exact per-index phantoms where
-//!   the predicates are resolvable.
+//!   in one pipeline at a time, so the array is pinned while keeping
+//!   exact per-index phantoms where the predicates are resolvable.
+//!
+//! Each verdict is recorded as a [`RegShard`]: the class, the TAC
+//! positions that forced it and the speculative flag. This is the only
+//! place the decision is made; code generation stamps
+//! `RegMeta::shardable` from it, and `mp5-analysis` renders it as
+//! diagnostics.
 
 use std::collections::BTreeSet;
 
@@ -37,14 +42,85 @@ use crate::program::{AccessPlan, IdxPlan, PredPlan, ResolutionCode};
 use crate::schedule::Schedule;
 use crate::slice::Slicer;
 
+/// Why (or whether) a register array can be dynamically sharded across
+/// pipelines (paper §3.3).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ShardClass {
+    /// The array's slots can be distributed across per-pipeline shards:
+    /// every access resolves to one exact, header-derived index in the
+    /// prologue.
+    #[default]
+    Shardable,
+    /// A stateful *index* computation (the address depends on register
+    /// state) makes the address unresolvable in the prologue; the array
+    /// is pinned to one pipeline and serialized at array granularity.
+    PinnedStatefulIndex,
+    /// The array shares a stage with other arrays (a Banzai pairs-class
+    /// atom, or codegen's shared-stage fallback, or multiple distinct
+    /// resolvable indexes) and the co-resident group is pinned together.
+    PinnedCoResident,
+    /// A stateful *predicate* combined with multiple access sites keeps
+    /// the taken set unresolvable; the array is pinned rather than
+    /// speculatively phantomed.
+    PinnedStatefulPredicate,
+}
+
+impl ShardClass {
+    /// `true` only for [`ShardClass::Shardable`].
+    pub fn is_shardable(self) -> bool {
+        matches!(self, ShardClass::Shardable)
+    }
+
+    /// Stable machine-readable name (used by JSON output).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShardClass::Shardable => "shardable",
+            ShardClass::PinnedStatefulIndex => "pinned-stateful-index",
+            ShardClass::PinnedCoResident => "pinned-co-resident",
+            ShardClass::PinnedStatefulPredicate => "pinned-stateful-predicate",
+        }
+    }
+}
+
+impl std::fmt::Display for ShardClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// The transformer's sharding decision for one register array, with the
+/// evidence it decided on.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RegShard {
+    /// The verdict.
+    pub class: ShardClass,
+    /// TAC positions of the accesses that forced a pinned verdict (empty
+    /// for `Shardable`).
+    pub culprits: Vec<usize>,
+    /// A shardable array whose only access group sits under a stateful
+    /// predicate: its phantom is speculative (§3.3).
+    pub speculative: bool,
+}
+
+impl RegShard {
+    fn pinned(class: ShardClass, culprits: Vec<usize>) -> Self {
+        RegShard {
+            class,
+            culprits,
+            speculative: false,
+        }
+    }
+}
+
 /// Output of the transformer: the resolution prologue plus per-register
-/// shardability verdicts (indexed like `tac.regs`).
+/// sharding decisions (indexed like `tac.regs`).
 #[derive(Debug, Clone)]
 pub struct TransformResult {
     /// The resolution prologue (instrs, plans, stage count).
     pub resolution: ResolutionCode,
-    /// Whether each register array may be sharded across pipelines.
-    pub shardable: Vec<bool>,
+    /// Why each register array may or may not be sharded across
+    /// pipelines, before code generation's tail merge.
+    pub shards: Vec<RegShard>,
     /// Extra metadata field names created for synthesized predicate
     /// combinations (appended after `tac.field_names`).
     pub extra_fields: Vec<String>,
@@ -59,15 +135,12 @@ struct AccessSite {
 }
 
 /// Runs the transformation.
-///
-/// `stage_base` maps a PVSM stage to its physical stage id (the body
-/// offset after the prologue is sized, so the caller passes a closure).
 pub fn transform(tac: &TacProgram, schedule: &Schedule, max_chain_depth: usize) -> TransformResult {
     let slicer = Slicer::new(tac);
     let mut slice_set: BTreeSet<usize> = BTreeSet::new();
     let mut extra_fields: Vec<String> = Vec::new();
     let mut synth: Vec<TacInstr> = Vec::new();
-    let mut shardable = vec![true; tac.regs.len()];
+    let mut shards = vec![RegShard::default(); tac.regs.len()];
 
     // Plans in PVSM-stage order (phantom generation order).
     let mut staged_plans: Vec<(usize, AccessPlan)> = Vec::new();
@@ -84,8 +157,15 @@ pub fn transform(tac: &TacProgram, schedule: &Schedule, max_chain_depth: usize) 
             // dataflow, so they co-reside in one stage, are pinned to
             // one pipeline, and every packet that might touch them
             // serializes through a single stage-level phantom.
+            let culprits: Vec<usize> = cluster
+                .members
+                .iter()
+                .copied()
+                .filter(|&m| !matches!(tac.instrs[m], TacInstr::Assign { .. }))
+                .collect();
             for &r in &cluster.regs {
-                shardable[r.index()] = false;
+                shards[r.index()] =
+                    RegShard::pinned(ShardClass::PinnedCoResident, culprits.clone());
             }
             staged_plans.push((
                 cluster.stage,
@@ -125,9 +205,11 @@ pub fn transform(tac: &TacProgram, schedule: &Schedule, max_chain_depth: usize) 
             }
         }
 
-        // Try to slice every index and predicate.
+        // Try to slice every index and predicate, keeping the sites
+        // whose index or (deciding) predicate is stateful.
         let mut group_plans: Vec<(IdxPlan, PredPlan)> = Vec::new();
-        let mut all_resolvable = true;
+        let mut idx_culprits: Vec<usize> = Vec::new();
+        let mut pred_culprits: Vec<usize> = Vec::new();
         for (idx_op, sites) in &groups {
             let idx_plan = {
                 let mut tmp = slice_set.clone();
@@ -135,14 +217,14 @@ pub fn transform(tac: &TacProgram, schedule: &Schedule, max_chain_depth: usize) 
                     slice_set = tmp;
                     IdxPlan::Exact(*idx_op)
                 } else {
-                    all_resolvable = false;
+                    idx_culprits.extend(sites.iter().map(|s| s.pos));
                     IdxPlan::ArrayLevel
                 }
             };
             // Union predicate across the group's sites.
             let mut pred_ops: Vec<Operand> = Vec::new();
             let mut always = false;
-            let mut speculative = false;
+            let mut stateful_preds: Vec<usize> = Vec::new();
             for s in sites {
                 match s.pred {
                     None => always = true,
@@ -154,15 +236,15 @@ pub fn transform(tac: &TacProgram, schedule: &Schedule, max_chain_depth: usize) 
                                 pred_ops.push(p);
                             }
                         } else {
-                            speculative = true;
+                            stateful_preds.push(s.pos);
                         }
                     }
                 }
             }
             let pred_plan = if always {
                 PredPlan::Always
-            } else if speculative {
-                all_resolvable = false;
+            } else if !stateful_preds.is_empty() {
+                pred_culprits.extend(stateful_preds);
                 PredPlan::Speculative
             } else if pred_ops.len() == 1 {
                 PredPlan::Exact(pred_ops[0])
@@ -185,9 +267,15 @@ pub fn transform(tac: &TacProgram, schedule: &Schedule, max_chain_depth: usize) 
         // Decide shardability and final plans for this register.
         if groups.len() == 1 {
             let (idx_plan, pred_plan) = group_plans.pop().unwrap();
-            if matches!(idx_plan, IdxPlan::ArrayLevel) {
-                shardable[reg.index()] = false;
-            }
+            shards[reg.index()] = match idx_plan {
+                IdxPlan::ArrayLevel => {
+                    RegShard::pinned(ShardClass::PinnedStatefulIndex, idx_culprits)
+                }
+                IdxPlan::Exact(_) => RegShard {
+                    speculative: matches!(pred_plan, PredPlan::Speculative),
+                    ..RegShard::default()
+                },
+            };
             staged_plans.push((
                 cluster.stage,
                 AccessPlan {
@@ -198,9 +286,19 @@ pub fn transform(tac: &TacProgram, schedule: &Schedule, max_chain_depth: usize) 
                 },
             ));
         } else {
-            // Multiple distinct indexes of one array: pin the array.
-            shardable[reg.index()] = false;
-            if all_resolvable {
+            // Multiple distinct indexes of one array: pin the array, and
+            // name the dominant cause.
+            shards[reg.index()] = if !idx_culprits.is_empty() {
+                RegShard::pinned(ShardClass::PinnedStatefulIndex, idx_culprits)
+            } else if !pred_culprits.is_empty() {
+                RegShard::pinned(ShardClass::PinnedStatefulPredicate, pred_culprits)
+            } else {
+                let all = groups.iter().flat_map(|(_, ss)| ss.iter().map(|s| s.pos));
+                RegShard::pinned(ShardClass::PinnedCoResident, all.collect())
+            };
+            // Co-resident only for its distinct indexes: every index
+            // and predicate resolved.
+            if shards[reg.index()].class == ShardClass::PinnedCoResident {
                 // Exact per-index phantoms, all destined to the pinned
                 // pipeline.
                 for (idx_plan, pred_plan) in group_plans {
@@ -262,7 +360,7 @@ pub fn transform(tac: &TacProgram, schedule: &Schedule, max_chain_depth: usize) 
             plans,
             stages,
         },
-        shardable,
+        shards,
         extra_fields,
     }
 }
@@ -328,7 +426,7 @@ mod tests {
         assert_eq!(r.resolution.plans.len(), 1);
         assert!(matches!(r.resolution.plans[0].idx, IdxPlan::Exact(_)));
         assert!(matches!(r.resolution.plans[0].pred, PredPlan::Always));
-        assert!(r.shardable[0]);
+        assert_eq!(r.shards[0], RegShard::default());
         assert!(r.resolution.stages >= 2, "compute + phantom-gen stages");
     }
 
@@ -350,12 +448,17 @@ mod tests {
             .unwrap();
         assert!(matches!(plan_r.pred, PredPlan::Speculative));
         assert!(matches!(plan_r.idx, IdxPlan::Exact(_)));
-        assert!(r.shardable[1], "index is still exact, so sharding is fine");
+        assert_eq!(
+            r.shards[1].class,
+            ShardClass::Shardable,
+            "index is still exact"
+        );
+        assert!(r.shards[1].speculative);
     }
 
     #[test]
     fn stateful_index_pins_array() {
-        let (_, r) = xform(
+        let (tac, r) = xform(
             "struct Packet { int h; };
              int ptr = 0;
              int r[8];
@@ -368,7 +471,13 @@ mod tests {
             .find(|p| p.reg.index() == 1)
             .unwrap();
         assert!(matches!(plan_r.idx, IdxPlan::ArrayLevel));
-        assert!(!r.shardable[1], "stateful index => no sharding");
+        // Stateful index: no sharding, and the write is the culprit.
+        assert_eq!(r.shards[1].class, ShardClass::PinnedStatefulIndex);
+        assert_eq!(r.shards[1].culprits.len(), 1);
+        assert!(matches!(
+            tac.instrs[r.shards[1].culprits[0]],
+            TacInstr::RegWrite { .. }
+        ));
     }
 
     #[test]
@@ -386,7 +495,7 @@ mod tests {
             assert!(matches!(p.idx, IdxPlan::Exact(_)));
             assert!(matches!(p.pred, PredPlan::Exact(_)));
         }
-        assert!(r.shardable[0] && r.shardable[1]);
+        assert!(r.shards.iter().all(|s| s.class.is_shardable()));
     }
 
     #[test]
@@ -404,7 +513,7 @@ mod tests {
         );
         assert_eq!(r.resolution.plans.len(), 1);
         assert!(matches!(r.resolution.plans[0].pred, PredPlan::Always));
-        assert!(r.shardable[0]);
+        assert!(r.shards[0].class.is_shardable());
     }
 
     #[test]
@@ -416,7 +525,9 @@ mod tests {
                  if (p.m == 1) { r[p.i % 8] = 1; } else { r[p.j % 8] = 2; }
              }",
         );
-        assert!(!r.shardable[0], "two indexes may shard apart: pin");
+        // Two indexes may shard apart: pin, naming both sites.
+        assert_eq!(r.shards[0].class, ShardClass::PinnedCoResident);
+        assert_eq!(r.shards[0].culprits.len(), 2);
         assert_eq!(r.resolution.plans.len(), 2);
         for p in &r.resolution.plans {
             assert!(matches!(p.idx, IdxPlan::Exact(_)));
@@ -447,12 +558,64 @@ mod tests {
              }",
         );
         // b's index depends on a's value: b unshardable, a shardable.
-        assert!(r.shardable[0]);
-        assert!(!r.shardable[1]);
+        assert!(r.shards[0].class.is_shardable());
+        assert_eq!(r.shards[1].class, ShardClass::PinnedStatefulIndex);
         assert!(r
             .resolution
             .plans
             .windows(2)
             .all(|w| w[0].stage <= w[1].stage));
+    }
+
+    #[test]
+    fn stateful_predicate_over_two_indexes_pins() {
+        let (_, r) = xform(
+            "struct Packet { int i; int j; };
+             int gate = 0;
+             int r[8];
+             void func(struct Packet p) {
+                 if (gate > 0) { r[p.i % 8] = 1; }
+                 if (gate > 1) { r[p.j % 8] = 2; }
+             }",
+        );
+        assert_eq!(r.shards[1].class, ShardClass::PinnedStatefulPredicate);
+        assert_eq!(r.shards[1].culprits.len(), 2);
+    }
+
+    #[test]
+    fn pairs_atoms_pin_co_resident() {
+        let (_, r) = xform(
+            "struct Packet { int h; int o; };
+             int a[4] = {0};
+             int b[4] = {0};
+             void func(struct Packet p) {
+                 int t = a[p.h % 4] + b[p.h % 4];
+                 a[p.h % 4] = t;
+                 b[p.h % 4] = t;
+                 p.o = t;
+             }",
+        );
+        for s in &r.shards {
+            assert_eq!(s.class, ShardClass::PinnedCoResident);
+            assert_eq!(s.culprits.len(), 4, "both reads and both writes");
+        }
+    }
+
+    #[test]
+    fn shard_class_names_are_stable() {
+        assert_eq!(ShardClass::Shardable.to_string(), "shardable");
+        assert_eq!(
+            ShardClass::PinnedStatefulIndex.to_string(),
+            "pinned-stateful-index"
+        );
+        assert_eq!(
+            ShardClass::PinnedCoResident.to_string(),
+            "pinned-co-resident"
+        );
+        assert_eq!(
+            ShardClass::PinnedStatefulPredicate.to_string(),
+            "pinned-stateful-predicate"
+        );
+        assert!(!ShardClass::PinnedCoResident.is_shardable());
     }
 }

@@ -10,8 +10,13 @@
 //! D2 heuristic's selection and counter reset), and the 4×2 fabric runs
 //! cross links, spine picks and — under flowlet routing — the flowlet
 //! table's eviction.
+//!
+//! `compiled_programs_keep_their_digests` pins compiled programs the
+//! same way: its digests were written by `a065ff9`, before the stage
+//! layout (schedule, transform, tail merge, flow-order stage) moved
+//! into one compiler step that the analyzer reads.
 
-use mp5::compiler::{compile, Target};
+use mp5::compiler::{compile, compile_with_options, CompileOptions, FlowOrderSpec, Target};
 use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::faults::NoFaults;
 use mp5::topo::{Fabric, FabricConfig, RouteMode, TopologyConfig};
@@ -187,4 +192,146 @@ fn a_fresh_fabric_run_reproduces_the_golden_report() {
     );
     let golden = std::fs::read_to_string(path).expect("golden report");
     assert!(fresh == golden, "a fresh run no longer writes {path}");
+}
+
+/// FNV-1a over the `Debug` form of one compile's result (`None` when it
+/// is rejected), with the stage budget it was compiled for.
+fn compile_digest(source: &str, max_stages: usize, flow_order: bool) -> Option<u64> {
+    let opts = CompileOptions {
+        enforce_flow_order: flow_order.then(FlowOrderSpec::default),
+        analyzer: None,
+    };
+    let target = Target {
+        max_stages,
+        ..Target::default()
+    };
+    let prog = compile_with_options(source, &target, &opts).ok()?;
+    Some(
+        format!("{prog:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            }),
+    )
+}
+
+/// Every bundled app, plain and with flow-order enforcement, at the
+/// default 16-stage target and at the smallest stage budget it still
+/// compiles under (where the tail-merge fallback does the most), plus
+/// every analysis fixture that compiles at the default target: each
+/// `CompiledProgram` must come out exactly as it did.
+#[test]
+fn compiled_programs_keep_their_digests() {
+    let default = Target::default().max_stages;
+    // (app, plain (default, (min stages, at min)), flow-order likewise)
+    #[allow(clippy::type_complexity)]
+    let apps: [(&str, [Option<(u64, usize, u64)>; 2]); 10] = [
+        (
+            "flowlet",
+            [
+                Some((0x1aac_5d94_1fac_ac84, 3, 0x627f_be42_0cbc_0ad7)),
+                Some((0x17b0_d7b9_4b59_aa7f, 6, 0x17b0_d7b9_4b59_aa7f)),
+            ],
+        ),
+        (
+            "conga",
+            [
+                Some((0x068b_3357_d913_b36f, 3, 0xc2c7_1ffc_bd51_135f)),
+                None,
+            ],
+        ),
+        (
+            "wfq",
+            [
+                Some((0xef56_93d3_51c5_a026, 3, 0xb46e_bde5_2bfb_3ae7)),
+                Some((0x5656_e8fe_76d5_0216, 5, 0x5656_e8fe_76d5_0216)),
+            ],
+        ),
+        (
+            "sequencer",
+            [
+                Some((0x9842_d6e5_b03a_cf75, 3, 0x1127_13cd_8cb5_4790)),
+                None,
+            ],
+        ),
+        (
+            "heavy_hitter",
+            [
+                Some((0xb4d3_d541_2e59_e183, 4, 0x768e_db05_6134_6429)),
+                Some((0xb314_7c6b_045a_2de9, 8, 0x30a6_06fa_7d9b_faf1)),
+            ],
+        ),
+        (
+            "ddos_counter",
+            [
+                Some((0xcf7f_1b2c_0244_d702, 3, 0xac6c_bf08_e434_a413)),
+                None,
+            ],
+        ),
+        (
+            "rate_limiter",
+            [
+                Some((0x0841_de7a_3d04_73ba, 3, 0xee83_1d3e_9949_7353)),
+                Some((0x37af_cd50_d415_e455, 6, 0x37af_cd50_d415_e455)),
+            ],
+        ),
+        (
+            "syn_flood",
+            [
+                Some((0xabd3_6908_d6ac_83ad, 3, 0xfc97_6371_1b2e_a20c)),
+                None,
+            ],
+        ),
+        (
+            "bloom_firewall",
+            [
+                Some((0xcadf_8e42_bcbc_b6ff, 4, 0x2c93_06ba_0e5d_e5f9)),
+                Some((0xffec_409a_50de_5319, 10, 0xffec_409a_50de_5319)),
+            ],
+        ),
+        (
+            "sampled_netflow",
+            [
+                Some((0x5f70_c6e7_c363_18f0, 3, 0x6642_ec60_021f_9d08)),
+                Some((0x1751_cc92_d89b_2b1e, 6, 0x1751_cc92_d89b_2b1e)),
+            ],
+        ),
+    ];
+    for (app, want) in apps {
+        let source = mp5::apps::by_name(app).expect("app exists").source;
+        for (flow_order, want) in [false, true].into_iter().zip(want) {
+            let got = compile_digest(source, default, flow_order).map(|d| {
+                let min = (1..=default)
+                    .find(|&s| compile_digest(source, s, flow_order).is_some())
+                    .expect("compiles at the default");
+                (d, min, compile_digest(source, min, flow_order).unwrap())
+            });
+            assert_eq!(got, want, "{app} flow_order={flow_order}");
+        }
+    }
+    let fixtures: [(&str, Option<u64>); 12] = [
+        ("broken/co_resident.mp5", Some(0x1803_b3c8_16ad_5f04)),
+        ("broken/lex_error.mp5", None),
+        ("broken/multi_index.mp5", Some(0xe257_7583_312d_0618)),
+        ("broken/semantic_errors.mp5", None),
+        ("broken/sram_overflow.mp5", Some(0x7483_d017_d057_de70)),
+        ("broken/stateful_index.mp5", Some(0x9ba5_130c_7174_a981)),
+        ("broken/stateful_predicate.mp5", Some(0xc1e2_70ed_b10b_d44e)),
+        ("broken/syntax_error.mp5", None),
+        ("clean/counter.mp5", Some(0x51cf_15d3_7c6d_416d)),
+        ("clean/two_tables.mp5", Some(0x7504_f9a0_4a18_713a)),
+        (
+            "targeted/pairs_unsupported.mp5",
+            Some(0x8447_db21_fa17_6ab0),
+        ),
+        ("targeted/too_many_stages.mp5", Some(0x55f9_d9d4_9b9a_d32d)),
+    ];
+    for (file, want) in fixtures {
+        let path = format!(
+            "{}/crates/analysis/fixtures/{file}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(compile_digest(&source, default, false), want, "{file}");
+    }
 }

@@ -4,11 +4,14 @@
 
 use std::collections::HashMap;
 
+use mp5::analysis::analyze_layout;
 use mp5::banzai::BanzaiSwitch;
 use mp5::compiler::{
-    compile, compile_with_options, CompileOptions, FlowOrderSpec, Target, FLOW_ORDER_REG,
+    compile, compile_with_options, CompileError, CompileOptions, FlowOrderSpec, Target,
+    FLOW_ORDER_REG,
 };
 use mp5::core::{Mp5Switch, SwitchConfig};
+use mp5::lang::LangError;
 use mp5::sim::reordered_flow_fraction;
 use mp5::traffic::TraceBuilder;
 use mp5::types::{PacketId, Value};
@@ -154,6 +157,89 @@ fn flow_order_requires_key_fields() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("src_ip"), "{err}");
+}
+
+#[test]
+fn flow_order_rejects_a_program_declaring_its_register() {
+    let source = NATISH.replace(
+        "int bindings[4] = {0};",
+        "int bindings[4] = {0};\n    int __flow_order[4] = {0};",
+    );
+    let source = source.replace("p.nat_port = 0;", "p.nat_port = __flow_order[p.proto % 4];");
+    assert!(compile(&source, &Target::default()).is_ok());
+    let err = compile_with_options(
+        &source,
+        &Target::default(),
+        &CompileOptions {
+            enforce_flow_order: Some(FlowOrderSpec::default()),
+            ..Default::default()
+        },
+    )
+    .unwrap_err();
+    assert!(
+        matches!(&err, CompileError::Lang(LangError::Semantic { message, .. })
+            if message.contains(FLOW_ORDER_REG)),
+        "{err:?}"
+    );
+}
+
+/// Every bundled app with flow-order enforcement (keyed on the 5-tuple
+/// fields it declares, or else its first field) and the analyzer hook,
+/// at every stage budget from 1 to 23: a clean analysis means the
+/// program compiles, and the attached report describes the program that
+/// came out — its stage count and every array's shardability.
+#[test]
+fn analyzer_clean_means_compiles_with_flow_order() {
+    let mut wrong = Vec::new();
+    for app in mp5::apps::ALL_APPS.iter() {
+        let plain = app.compile().expect("app compiles");
+        let declared = &plain.field_names[..plain.declared_fields];
+        let mut key_fields: Vec<String> = FlowOrderSpec::default()
+            .key_fields
+            .into_iter()
+            .filter(|k| declared.contains(k))
+            .collect();
+        if key_fields.is_empty() {
+            key_fields.push(declared[0].clone());
+        }
+        let opts = CompileOptions {
+            enforce_flow_order: Some(FlowOrderSpec {
+                key_fields,
+                buckets: 1024,
+            }),
+            analyzer: Some(analyze_layout),
+        };
+        for max_stages in 1..=23 {
+            let target = Target {
+                max_stages,
+                ..Target::default()
+            };
+            let case = format!("{} at {max_stages} stages", app.name);
+            match compile_with_options(app.source, &target, &opts) {
+                Err(CompileError::AnalysisRejected { .. }) => {}
+                Err(e) => wrong.push(format!("{case}: analysis clean, then {e}")),
+                Ok(prog) => {
+                    let report = prog.analysis.as_ref().expect("report attached");
+                    let stages = report.pressure.as_ref().map(|p| p.total_stages);
+                    if stages != Some(prog.num_stages()) {
+                        wrong.push(format!("{case}: report says {stages:?} stages"));
+                    }
+                    let classes: Vec<bool> =
+                        report.regs.iter().map(|r| r.class.is_shardable()).collect();
+                    let metas: Vec<bool> = prog.regs.iter().map(|m| m.shardable).collect();
+                    if classes != metas {
+                        wrong.push(format!("{case}: classes {classes:?}, program {metas:?}"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} wrong:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
 }
 
 #[test]
