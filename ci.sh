@@ -67,13 +67,6 @@ echo "==> benchmark package builds and passes its tests against this vendor/"
 # a vendored-API break must show here, not in the benchmark run.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
-echo "==> figure printers build and run (two of run_experiments.sh's thirteen, tiny scale)"
-# `cargo test --workspace` does not compile `harness = false` benches
-# and --quick skips the clippy pass that does, so without this step
-# nothing here would notice crates/bench breaking.
-MP5_EXP_PACKETS=200 MP5_EXP_SEEDS=1 \
-    cargo bench -q -p mp5-bench --bench table1 --bench fig7a >/dev/null
-
 if [ "$QUICK" -eq 0 ]; then
     echo "==> cargo clippy (deny warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
@@ -88,6 +81,13 @@ need_bin mp5audit
 need_bin mp5chaos
 need_bin mp5fabric
 need_bin mp5serve
+need_bin mp5exp
+
+echo "==> every paper table and figure through mp5exp (tiny scale)"
+# tests/figures.rs pins their bytes at this scale; this drives the binary
+# end to end and fails if a slice's claim does not hold (D4's zero C1
+# violations, enforced flow order's zero reordered flows).
+MP5_EXP_PACKETS=200 MP5_EXP_SEEDS=1 ./target/release/mp5exp all >/dev/null
 
 echo "==> mp5lint over the program corpus"
 ./target/release/mp5lint -q crates/apps/programs \

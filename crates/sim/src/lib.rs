@@ -4,10 +4,10 @@
 //!   reordering analysis.
 //! * [`synth`] — the synthetic stateful programs and traces behind the
 //!   §4.3 sensitivity experiments.
-//! * [`experiments`] — one runner per paper table/figure, returning
-//!   structured rows that the `mp5-bench` targets print and
-//!   EXPERIMENTS.md records.
-//! * [`table`] — plain-text table rendering and CSV/JSON emission.
+//! * [`experiments`] — the §4 evaluation as one grid of runs; every
+//!   paper table and figure is a named slice of it, printed by the
+//!   `mp5exp` binary and recorded in EXPERIMENTS.md.
+//! * [`table`] — plain-text table rendering and JSON archiving.
 //! * [`chaos`] — randomized seed-deterministic fault campaigns
 //!   (auditor-gated, ledger-checked) shared by the
 //!   `mp5chaos` binary and the chaos test suite.
@@ -27,7 +27,6 @@ pub mod table;
 
 pub use metrics::{c1_violation_fraction, c1_violation_sets, reordered_flow_fraction};
 pub use synth::{synthetic_program, synthetic_trace, SynthConfig};
-pub use table::TableError;
 
 /// Runs `jobs` closures on a thread pool and returns results in job
 /// order. Each job must be independent and deterministic.

@@ -45,97 +45,14 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
-/// Why serializing experiment rows failed.
-///
-/// Row types are plain structs of numbers and strings, so in practice
-/// these errors indicate a programming mistake (e.g. a row type with a
-/// non-string map key) — but archiving results must never panic halfway
-/// through a long experiment batch, so the failure is typed and
-/// propagated instead.
-#[derive(Debug)]
-pub enum TableError {
-    /// The JSON serializer rejected a row.
-    Serialize(serde_json::Error),
-    /// A row did not serialize to a JSON object, so no CSV header can
-    /// be derived from its keys.
-    RowNotAnObject {
-        /// Index of the offending row.
-        row: usize,
-    },
-}
-
-impl std::fmt::Display for TableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TableError::Serialize(e) => write!(f, "experiment rows failed to serialize: {e}"),
-            TableError::RowNotAnObject { row } => {
-                write!(
-                    f,
-                    "row {row} is not a JSON object; cannot derive a CSV header"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for TableError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TableError::Serialize(e) => Some(e),
-            TableError::RowNotAnObject { .. } => None,
-        }
-    }
-}
-
-impl From<serde_json::Error> for TableError {
-    fn from(e: serde_json::Error) -> Self {
-        TableError::Serialize(e)
-    }
-}
-
 /// Serializes rows to a JSON string (for archiving experiment outputs).
-pub fn to_json<T: Serialize>(rows: &[T]) -> Result<String, TableError> {
-    Ok(serde_json::to_string_pretty(rows)?)
-}
-
-/// Writes rows to CSV (header from the first row's keys via JSON).
-pub fn to_csv<T: Serialize>(rows: &[T]) -> Result<String, TableError> {
-    let vals: Vec<serde_json::Value> = rows
-        .iter()
-        .map(|r| serde_json::to_value(r))
-        .collect::<Result<_, _>>()?;
-    let Some(first) = vals.first() else {
-        return Ok(String::new());
-    };
-    let keys: Vec<String> = match first.as_object() {
-        Some(o) => o.keys().cloned().collect(),
-        None => return Err(TableError::RowNotAnObject { row: 0 }),
-    };
-    let mut out = keys.join(",");
-    out.push('\n');
-    for v in &vals {
-        let row: Vec<String> = keys
-            .iter()
-            .map(|k| match &v[k] {
-                serde_json::Value::String(s) => s.clone(),
-                other => other.to_string(),
-            })
-            .collect();
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    Ok(out)
+pub fn to_json<T: Serialize>(rows: &[T]) -> Result<String, serde_json::Error> {
+    serde_json::to_string_pretty(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Serialize)]
-    struct Row {
-        name: String,
-        value: f64,
-    }
 
     #[test]
     fn render_aligns_columns() {
@@ -153,55 +70,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let rows = vec![
-            Row {
-                name: "a".into(),
-                value: 1.5,
-            },
-            Row {
-                name: "b".into(),
-                value: 2.0,
-            },
-        ];
-        let csv = to_csv(&rows).unwrap();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("name,value"));
-        assert_eq!(lines.next(), Some("a,1.5"));
-    }
-
-    #[test]
     fn json_round_trips() {
-        let rows = vec![Row {
-            name: "x".into(),
-            value: 3.25,
-        }];
+        let rows = vec![(String::from("x"), 3.25)];
         let j = to_json(&rows).unwrap();
         let back: Vec<serde_json::Value> = serde_json::from_str(&j).unwrap();
-        assert_eq!(back[0]["value"], 3.25);
-    }
-
-    #[test]
-    fn csv_of_non_object_rows_is_a_typed_error() {
-        // Bare numbers serialize to JSON scalars, not objects: no CSV
-        // header can be derived and the error says which row is at
-        // fault instead of panicking.
-        let rows = vec![1u32, 2];
-        match to_csv(&rows) {
-            Err(TableError::RowNotAnObject { row: 0 }) => {}
-            other => panic!("expected RowNotAnObject, got {other:?}"),
-        }
-        assert!(to_csv(&rows)
-            .unwrap_err()
-            .to_string()
-            .contains("CSV header"));
-    }
-
-    #[test]
-    fn empty_rows_serialize_cleanly() {
-        let rows: Vec<Row> = Vec::new();
-        assert_eq!(to_csv(&rows).unwrap(), "");
-        assert_eq!(to_json(&rows).unwrap(), "[]");
+        assert_eq!(back[0][1], 3.25);
+        assert_eq!(to_json::<f64>(&[]).unwrap(), "[]");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! `mp5run` and `mp5chaos` at the process boundary: a flag value no
-//! switch can run with is a usage error (exit 2) that names the flag,
-//! never a panic.
+//! `mp5run`, `mp5chaos` and `mp5exp` at the process boundary: a flag or
+//! scale value no switch can run with is a usage error (exit 2) that
+//! names the flag, never a panic or a silently wrong run.
 
 use std::process::Command;
 
@@ -45,4 +45,37 @@ fn an_empty_key_space_is_a_usage_error() {
         &[&program(), "--keys", "0"],
         "--keys",
     );
+}
+
+fn assert_mp5exp_usage_error(args: &[&str], env: (&str, &str), names: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mp5exp"))
+        .args(args)
+        .env_remove("MP5_EXP_JSON")
+        .env(env.0, env.1)
+        .output()
+        .expect("the binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} {env:?}: {stderr}");
+    assert!(
+        stderr.contains(names),
+        "{args:?} {env:?} must name {names}: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing runs: {args:?} {env:?}");
+}
+
+#[test]
+fn experiment_scale_must_be_a_positive_integer() {
+    for var in ["MP5_EXP_PACKETS", "MP5_EXP_SEEDS"] {
+        for bad in ["0", "abc", "2e4", ""] {
+            assert_mp5exp_usage_error(&["table1"], (var, bad), var);
+        }
+    }
+}
+
+#[test]
+fn an_unknown_slice_is_a_usage_error_that_lists_the_slices() {
+    let ok = ("MP5_EXP_SEEDS", "1");
+    assert_mp5exp_usage_error(&["fig9"], ok, "micro_d4 fig7a");
+    assert_mp5exp_usage_error(&["table1", "--bench"], ok, "ext_chiplet");
+    assert_mp5exp_usage_error(&[], ok, "table1");
 }
