@@ -1,16 +1,17 @@
 //! Baseline switch designs MP5 is evaluated against.
 //!
 //! Four of the paper's five comparison points are *configurations* of
-//! the MP5 engine and are re-exported here as constructors:
+//! the MP5 engine, built by `mp5_core::SwitchConfig`'s constructors:
 //!
-//! * [`naive`] — all state and all packets on one pipeline (§3.1,
+//! * `naive` — all state and all packets on one pipeline (§3.1,
 //!   challenge #1): correct, but capped at `1/k` of line rate.
-//! * [`static_shard`] — D2 ablation: state sharded randomly at compile
+//! * `static_shard` — D2 ablation: state sharded randomly at compile
 //!   time, never re-balanced (§4.3.2).
-//! * [`no_d4`] — D4 ablation: steering + sharding but no phantom
+//! * `no_d4` — D4 ablation: steering + sharding but no phantom
 //!   packets, so C1 can be violated (§4.3.2).
-//! * [`ideal`] — the upper bound of §4.3.3: per-index queues (no
-//!   head-of-line blocking) and LPT re-sharding.
+//! * `ideal` — the upper bound of §4.3.3: per-index queues (no
+//!   head-of-line blocking) and the Figure 6 balancer iterated to a
+//!   fixed point.
 //!
 //! The fifth — the **state-of-the-art multi-pipelined switch with
 //! packet re-circulation** (§2.3) — has a genuinely different datapath
@@ -24,53 +25,3 @@
 pub mod recirc;
 
 pub use recirc::{RecircConfig, RecircReport, RecircSwitch};
-
-use mp5_compiler::CompiledProgram;
-use mp5_core::{Mp5Switch, SwitchConfig};
-
-/// The naive single-active-pipeline design (§3.1 challenge #1).
-pub fn naive(prog: CompiledProgram, pipelines: usize) -> Mp5Switch {
-    Mp5Switch::new(prog, SwitchConfig::naive(pipelines))
-}
-
-/// Static (compile-time random) sharding, no runtime re-balancing.
-pub fn static_shard(prog: CompiledProgram, pipelines: usize, seed: u64) -> Mp5Switch {
-    Mp5Switch::new(prog, SwitchConfig::static_shard(pipelines, seed))
-}
-
-/// MP5 without preemptive order enforcement (no phantom packets).
-pub fn no_d4(prog: CompiledProgram, pipelines: usize) -> Mp5Switch {
-    Mp5Switch::new(prog, SwitchConfig::no_d4(pipelines))
-}
-
-/// The ideal MP5 upper bound (no HOL blocking, LPT re-sharding).
-pub fn ideal(prog: CompiledProgram, pipelines: usize) -> Mp5Switch {
-    Mp5Switch::new(prog, SwitchConfig::ideal(pipelines))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mp5_compiler::{compile, Target};
-
-    #[test]
-    fn constructors_apply_expected_configs() {
-        let prog = compile(
-            "struct Packet { int h; };
-             int r[8];
-             void func(struct Packet p) { r[p.h % 8] = r[p.h % 8] + 1; }",
-            &Target::default(),
-        )
-        .unwrap();
-        assert!(!no_d4(prog.clone(), 4).config().phantoms);
-        assert!(ideal(prog.clone(), 4).config().per_index_fifos);
-        assert_eq!(
-            naive(prog.clone(), 4).config().spray,
-            mp5_core::SprayMode::SinglePipeline(0)
-        );
-        assert_eq!(
-            static_shard(prog, 4, 1).config().sharding,
-            mp5_core::ShardingMode::Static
-        );
-    }
-}

@@ -166,11 +166,6 @@ impl CompiledProgram {
         self.field_names.len()
     }
 
-    /// Physical stage id of the first body stage.
-    pub fn first_body_stage(&self) -> StageId {
-        StageId(self.resolution.stages as u16)
-    }
-
     /// Runs the address resolution program on a packet's fields,
     /// returning the accesses for which phantoms/tags are generated
     /// (ordered by ascending stage, generation order).

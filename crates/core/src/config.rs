@@ -56,8 +56,9 @@ pub enum ShardingMode {
     /// All state pinned to pipeline 0 (the naive design of §3.1 /
     /// challenge #1, and the destination for unshardable arrays).
     Pinned,
-    /// Ideal upper bound (§4.3.3): re-sharding by longest-processing-
-    /// time assignment over the measured counters every period.
+    /// Ideal upper bound (§4.3.3): every period, the Figure 6 balancer
+    /// iterated to a fixed point over cumulative counters
+    /// ([`crate::shard::remap_to_fixpoint`]).
     IdealPeriodic,
 }
 
@@ -144,7 +145,7 @@ impl SwitchConfig {
     }
 
     /// The ideal-MP5 upper bound (§4.3.3's baseline): no head-of-line
-    /// blocking, LPT re-sharding.
+    /// blocking, fixed-point re-sharding.
     pub fn ideal(pipelines: usize) -> Self {
         SwitchConfig {
             sharding: ShardingMode::IdealPeriodic,

@@ -29,8 +29,8 @@
 //! One cycle engine (DESIGN.md §10), reconfigured through
 //! [`SwitchConfig`], also realizes the paper's ablations: no-D4
 //! (phantoms off), static sharding, the naive single-pipeline-state
-//! design, and the ideal-MP5 upper bound (per-index queues + LPT
-//! re-sharding). The recirculation baseline has
+//! design, and the ideal-MP5 upper bound (per-index queues +
+//! fixed-point re-sharding). The recirculation baseline has
 //! a different datapath and lives in `mp5-baselines`.
 
 #![forbid(unsafe_code)]

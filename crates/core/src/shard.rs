@@ -7,10 +7,9 @@
 //!   find the most- and least-loaded pipelines `H`/`L`, compute
 //!   `C = (c_max − c_min)/2`, and move the single index on `H` with the
 //!   largest counter `< C` (if its in-flight counter is zero).
-//! * [`remap_lpt`] — the ideal baseline's near-optimal assignment:
-//!   longest-processing-time greedy bin packing of all movable indexes
-//!   (optimal re-mapping reduces to bin packing, NP-hard, §3.4 — LPT is
-//!   the standard 4/3-approximation).
+//! * [`remap_to_fixpoint`] — the ideal baseline's re-sharding: the
+//!   same heuristic iterated until no move narrows the load gap
+//!   (optimal re-mapping reduces to bin packing, NP-hard, §3.4).
 //!
 //! The switch runs the heuristic over the indexes a period touched
 //! (`Touched`, a bitmap set at every counter bump): an index whose
@@ -214,49 +213,6 @@ pub fn remap_to_fixpoint(
     moves
 }
 
-/// Longest-processing-time greedy re-assignment.
-///
-/// Indexes with non-zero in-flight counters keep their pipeline (their
-/// load pre-fills the bins); everything else is re-assigned greedily,
-/// heaviest first, to the least-loaded pipeline. Returns the moves that
-/// change an index's pipeline.
-///
-/// Kept for comparison and unit-tested, but **not** used by the ideal
-/// baseline: see [`remap_to_fixpoint`] for why.
-pub fn remap_lpt(map: &[u16], counters: &[u64], inflight: &[u32], pipelines: usize) -> Vec<Move> {
-    if pipelines < 2 || map.is_empty() {
-        return Vec::new();
-    }
-    let mut load = vec![0u64; pipelines];
-    let mut movable: Vec<usize> = Vec::new();
-    for (i, &p) in map.iter().enumerate() {
-        // Only re-balance indexes with observed load: moving cold
-        // indexes would pile them all onto one pipeline (their measured
-        // weight is zero) and wreck the spread for the *next* period.
-        if inflight[i] == 0 && counters[i] > 0 {
-            movable.push(i);
-        } else {
-            load[p as usize] += counters[i];
-        }
-    }
-    // Heaviest first; ties by index for determinism.
-    movable.sort_by_key(|&i| (std::cmp::Reverse(counters[i]), i));
-    let mut moves = Vec::new();
-    for i in movable {
-        let target = (0..pipelines)
-            .min_by_key(|&p| (load[p], p))
-            .expect("pipelines > 0");
-        load[target] += counters[i];
-        if map[i] as usize != target {
-            moves.push(Move {
-                index: i,
-                to: target,
-            });
-        }
-    }
-    moves
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,33 +357,6 @@ mod tests {
         let inflight = [0u32, 0];
         // C = 50; index 0 has 100 >= 50: no eligible index on H.
         assert_eq!(remap_heuristic(&map, &counters, &inflight, 2), None);
-    }
-
-    #[test]
-    fn lpt_balances_loads() {
-        let map = [0u16, 0, 0, 0];
-        let counters = [8u64, 7, 6, 5];
-        let inflight = [0u32; 4];
-        let moves = remap_lpt(&map, &counters, &inflight, 2);
-        // LPT: 8->p0, 7->p1, 6->p1, 5->p0 => loads 13 vs 13.
-        let mut map2: Vec<u16> = map.to_vec();
-        for m in &moves {
-            map2[m.index] = m.to as u16;
-        }
-        let mut load = [0u64; 2];
-        for (i, &p) in map2.iter().enumerate() {
-            load[p as usize] += counters[i];
-        }
-        assert_eq!(load[0], load[1], "LPT must balance this instance exactly");
-    }
-
-    #[test]
-    fn lpt_keeps_inflight_indexes() {
-        let map = [1u16, 0, 0];
-        let counters = [100u64, 1, 1];
-        let inflight = [5u32, 0, 0];
-        let moves = remap_lpt(&map, &counters, &inflight, 2);
-        assert!(moves.iter().all(|m| m.index != 0), "in-flight index pinned");
     }
 
     #[test]

@@ -642,15 +642,6 @@ impl<T> LogicalFifo<T> {
         self.lanes[lane?].front()
     }
 
-    /// True if the next `pop()` would make progress (serve data or
-    /// reclaim a costly stale) rather than block or find nothing.
-    pub fn pop_would_progress(&mut self) -> bool {
-        matches!(
-            self.peek_oldest(),
-            Some(Entry::Data { .. }) | Some(Entry::Stale { free: false, .. })
-        )
-    }
-
     /// Iterates over all queued entries (diagnostics / end-of-run
     /// accounting).
     pub fn iter_entries(&self) -> impl Iterator<Item = &Entry<T>> {
@@ -1073,7 +1064,10 @@ mod tests {
         f.push_recovered("rec2", OrderKey(2, 0));
         f.push_recovered("rec1", OrderKey(1, 0)); // sorted insert
         assert_eq!(f.oldest_ts(), Some(OrderKey(1, 0)));
-        assert!(f.pop_would_progress());
+        assert!(matches!(
+            f.peek_oldest(),
+            Some(Entry::Data { item: "rec1", .. })
+        ));
         assert!(matches!(f.pop(), PopOutcome::Data("rec1")));
         assert!(matches!(f.pop(), PopOutcome::Data("rec2")));
         assert!(matches!(f.pop(), PopOutcome::Data("lane")));

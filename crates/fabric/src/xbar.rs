@@ -89,24 +89,6 @@ impl Crossbar {
         self.routed[from.index() * self.k + to.index()]
     }
 
-    /// Total packets that crossed pipelines (off-diagonal routes).
-    pub fn total_steered(&self) -> u64 {
-        let mut sum = 0;
-        for i in 0..self.k {
-            for j in 0..self.k {
-                if i != j {
-                    sum += self.routed[i * self.k + j];
-                }
-            }
-        }
-        sum
-    }
-
-    /// Total packets that stayed in their pipeline (diagonal routes).
-    pub fn total_straight(&self) -> u64 {
-        (0..self.k).map(|i| self.routed[i * self.k + i]).sum()
-    }
-
     /// Cycles in which at least one packet was steered.
     pub fn steer_cycles(&self) -> u64 {
         self.steer_cycles
@@ -150,8 +132,7 @@ mod tests {
         xb.route(PipelineId(0), PipelineId(2));
         xb.route(PipelineId(1), PipelineId(1));
         assert_eq!(xb.routed(PipelineId(0), PipelineId(2)), 2);
-        assert_eq!(xb.total_steered(), 2);
-        assert_eq!(xb.total_straight(), 1);
+        assert_eq!(xb.routed(PipelineId(1), PipelineId(1)), 1);
     }
 
     #[test]

@@ -737,14 +737,6 @@ pub fn packet_feed<R: BufRead>(mut reader: R) -> impl Iterator<Item = FeedItem> 
     .fuse()
 }
 
-/// A quick content fingerprint for tests and logs (FNV-1a64 of the
-/// encoded snapshot, minus the checksum line).
-pub fn snapshot_fingerprint(snap: &Snapshot) -> u64 {
-    let text = snap.encode();
-    let body = text.rfind(CHECKSUM_TAG).unwrap_or(text.len());
-    fnv1a64(&text.as_bytes()[..body])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -113,12 +113,6 @@ impl DcWorkload {
     pub fn stream(&self) -> DcStream {
         DcStream::new(self.clone())
     }
-
-    /// Total packets the stream will yield (consumes a throwaway
-    /// stream; only use on workloads small enough to enumerate).
-    pub fn count_packets(&self) -> u64 {
-        self.stream().map(|_| 1u64).sum()
-    }
 }
 
 /// One packet emitted by a [`DcStream`].
