@@ -49,8 +49,10 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 # --workspace: at a workspace root that is itself a package, a plain
 # `cargo test` runs the facade crate's tests only; the member crates'
-# own suites (FIFO properties, switch and snapshot units, the traffic
-# golden digests) pin the bit-identity contracts and must run here.
+# own suites (FIFO properties, the switch units in
+# crates/core/src/switch/tests.rs, the traffic golden digests, each
+# CLI's crates/*/tests/bad_flags.rs) pin the bit-identity contracts and
+# the process boundary and must run here.
 cargo test -q --workspace
 
 echo "==> vendored crates' own tests"

@@ -24,7 +24,8 @@
 //! use them at smoke scale, not on million-flow runs.
 //!
 //! Exit status: 0 on a clean conserved run, 1 if the conservation
-//! ledger fails to close or an audit finds violations.
+//! ledger fails to close or an audit finds violations, 2 on a bad flag
+//! or a fabric no run can use (e.g. `--link-cap 0`).
 
 use mp5_core::SwitchConfig;
 use mp5_topo::{Fabric, FabricConfig, FabricReport, RouteMode, SpineKill, TopologyConfig};
@@ -155,6 +156,20 @@ fn parse_cli() -> Cli {
             }
         }
     }
+    // Values the workload generator cannot run with: usage errors that
+    // name the flag, not a panic inside the run.
+    if !(cli.load > 0.0 && cli.load <= 1.0) {
+        eprintln!("--load must be in (0, 1], got {}", cli.load);
+        usage()
+    }
+    if cli.pkts_per_flow == 0 {
+        eprintln!("--pkts-per-flow must be at least 1");
+        usage()
+    }
+    if cli.leaves.saturating_mul(cli.hosts_per_leaf) < 2 {
+        eprintln!("--leaves x --hosts-per-leaf must give at least two hosts");
+        usage()
+    }
     cli
 }
 
@@ -165,7 +180,7 @@ fn fabric_config(cli: &Cli) -> FabricConfig {
     cfg.routing = cli.routing;
     cfg.seed = cli.seed;
     cfg.kill_spine = cli.kill_spine.map(|(idx, at_tick)| SpineKill {
-        spine: cli.leaves as u32 + idx,
+        spine: (cli.leaves as u32).saturating_add(idx),
         at_tick,
     });
     cfg

@@ -1,15 +1,15 @@
 //! The one cycle engine against its references: traced runs report
 //! what untraced runs report, a program wider than the 64-stage
-//! occupancy masks matches Banzai's single pipeline, fault ledgers close
-//! under mixed and chaos plans, a fault plan replays through JSON, and
-//! the auditor sees a silent phantom loss. Scale knob:
-//! `MP5_EQ_PACKETS` (default 300 packets per run).
+//! occupancy masks matches Banzai's single pipeline and restores
+//! mid-run, fault ledgers close under mixed and chaos plans, a fault
+//! plan replays through JSON, and the auditor sees a silent phantom
+//! loss. Scale knob: `MP5_EQ_PACKETS` (default 300 packets per run).
 
 use mp5::apps::ALL_APPS;
 use mp5::banzai::BanzaiSwitch;
 use mp5::compiler::{compile, Target};
 use mp5::core::{Mp5Switch, RunReport, SwitchConfig};
-use mp5::faults::FaultPlan;
+use mp5::faults::{FaultPlan, NoFaults};
 use mp5::sim::experiments::app_trace;
 use mp5::trace::{audit, stream_hash, MemSink, NopSink};
 use mp5::traffic::TraceBuilder;
@@ -49,12 +49,10 @@ fn traced_runs_ride_the_batch_path() {
     }
 }
 
-/// The occupancy masks cover 64 stages; a wider program probes every
-/// slot. A 70-link dependency chain feeding one `r[16]` update, one
-/// operation per stage, fills 100 stages: the run is equivalent to
-/// Banzai's single pipeline, traced or not, with one report either way.
-#[test]
-fn programs_wider_than_64_stages_agree_on_every_path() {
+/// A 70-link dependency chain feeding one `r[16]` update, one operation
+/// per stage: a program of 100 stages, wider than the 64-stage
+/// occupancy masks, and 300 packets for it.
+fn wide_chain() -> (mp5::compiler::CompiledProgram, Vec<mp5::types::Packet>) {
     let mut src = String::from(
         "struct Packet { int h; int o; };
          int r[16] = {0};
@@ -82,6 +80,15 @@ fn programs_wider_than_64_stages_agree_on_every_path() {
     let trace = TraceBuilder::new(300, 7).build(prog.num_fields(), |rng, _, f| {
         f[0] = rand::Rng::gen_range(rng, 0..1000);
     });
+    (prog, trace)
+}
+
+/// The occupancy masks cover 64 stages; a wider program probes every
+/// slot. The wide chain's run is equivalent to Banzai's single
+/// pipeline, traced or not, with one report either way.
+#[test]
+fn programs_wider_than_64_stages_agree_on_every_path() {
+    let (prog, trace) = wide_chain();
     let reference = BanzaiSwitch::new(prog.clone()).run(trace.clone());
     let rep = traced(&prog, &trace, SwitchConfig::mp5(4));
     assert!(
@@ -90,6 +97,41 @@ fn programs_wider_than_64_stages_agree_on_every_path() {
     );
     let untraced = Mp5Switch::new(prog, SwitchConfig::mp5(4)).run(trace);
     assert_eq!(rep, untraced, "traced and untraced reports diverged");
+}
+
+/// A checkpoint of the wide chain, taken while packets occupy stages
+/// past the masks, restores into a fresh switch that finishes the run
+/// exactly as the uninterrupted run does.
+#[test]
+fn a_wide_program_restores_mid_run() {
+    let (prog, mut trace) = wide_chain();
+    let cfg = SwitchConfig::mp5(4);
+    let oracle = Mp5Switch::new(prog.clone(), cfg.clone()).run(trace.clone());
+    trace.sort_by_key(|p| p.entry_order_key());
+    let mut sw = Mp5Switch::new(prog.clone(), cfg.clone());
+    for p in trace {
+        sw.offer(p);
+    }
+    for _ in 0..90 {
+        sw.tick();
+        sw.drain_egress();
+    }
+    let state = sw.extract_state(1);
+    assert!(
+        state
+            .lanes
+            .iter()
+            .any(|row| row[64..].iter().any(Option::is_some)),
+        "the checkpoint must catch a flight past stage 64"
+    );
+    let mut sw = Mp5Switch::try_restore_with(prog, cfg, state, NopSink, NoFaults)
+        .expect("the checkpoint restores");
+    while !sw.is_idle() {
+        sw.tick();
+        sw.drain_egress();
+    }
+    let (report, _) = sw.finish_stream();
+    assert_eq!(report, oracle, "the restored run diverged");
 }
 
 /// One traced run under a fault plan; report + event-stream hash.
