@@ -77,6 +77,18 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> the vendored JSON codec: rustfmt, and clippy unless --quick"
+# vendor/ is excluded from the workspace, so the two passes above never
+# see the codec every snapshot, packet feed, report and trace line
+# goes through.
+for crate in serde serde_derive serde_json; do
+    if [ "$QUICK" -eq 0 ]; then
+        cargo clippy -q --offline --manifest-path "vendor/$crate/Cargo.toml" \
+            --target-dir target/vendor --all-targets -- -D warnings
+    fi
+    cargo fmt --manifest-path "vendor/$crate/Cargo.toml" -- --check
+done
+
 need_bin mp5lint
 need_bin mp5run
 need_bin mp5audit

@@ -28,9 +28,9 @@
 //! only the serialized event stream, so agreement between the two is
 //! evidence about the switch, not about one shared implementation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use mp5_types::PacketId;
+use mp5_types::{FastMap, PacketId};
 
 use crate::event::{Event, EventKind, Key};
 
@@ -296,15 +296,19 @@ impl Auditor {
             events: events.len() as u64,
             ..Default::default()
         };
-        let mut phantoms: HashMap<Key, PhState> = HashMap::new();
+        // The per-event maps hash with `FastMap`: a trace is the
+        // simulator's own output, so a crafted file could at worst slow
+        // an audit down. Any of them that reaches the report is sorted
+        // before it is iterated, so findings never follow hash order.
+        let mut phantoms: FastMap<Key, PhState> = FastMap::default();
         // Per-packet (admissions, exits).
-        let mut pkts: HashMap<PacketId, (u32, u32)> = HashMap::new();
+        let mut pkts: FastMap<PacketId, (u32, u32)> = FastMap::default();
         // Per-(reg, index) actual access sequence, in stream order.
         let mut accesses: BTreeMap<(u16, u32), AccessSeq> = BTreeMap::new();
         // Per-slot bookkeeping, valid within the current cycle only.
         let mut cur_cycle: u64 = 0;
-        let mut execs: HashMap<(u16, u16), u8> = HashMap::new();
-        let mut pending_pop: HashMap<(u16, u16), PacketId> = HashMap::new();
+        let mut execs: FastMap<(u16, u16), u8> = FastMap::default();
+        let mut pending_pop: FastMap<(u16, u16), PacketId> = FastMap::default();
 
         let max = self.max_findings;
         let flag = |rep: &mut AuditReport, check: Check, loc: (u64, u16, u16), detail: String| {
@@ -337,7 +341,7 @@ impl Auditor {
             if ev.cycle != cur_cycle {
                 // Slot bookkeeping closes at each cycle boundary: a pop
                 // that never became an execute is a lost service slot.
-                for ((p, st), pkt) in pending_pop.drain() {
+                for ((p, st), pkt) in drain_sorted(&mut pending_pop) {
                     let detail = format!("pop_data(pkt{}) at p{p}/s{st} never executed", pkt.0);
                     flag(&mut rep, Check::Inv2, global(cur_cycle), detail);
                 }
@@ -545,7 +549,7 @@ impl Auditor {
                 | EventKind::ProgramSwapped { .. } => {}
             }
         }
-        for ((p, st), pkt) in pending_pop.drain() {
+        for ((p, st), pkt) in drain_sorted(&mut pending_pop) {
             let detail = format!("pop_data(pkt{}) at p{p}/s{st} never executed", pkt.0);
             flag(&mut rep, Check::Inv2, global(cur_cycle), detail);
         }
@@ -613,7 +617,7 @@ impl Auditor {
             let mut reference: Vec<(u64, u64, PacketId)> =
                 seq.iter().map(|(p, o)| (o.0, o.1, *p)).collect();
             reference.sort_by_key(|&(o1, o2, _)| (o1, o2));
-            let rank: HashMap<PacketId, usize> = reference
+            let rank: FastMap<PacketId, usize> = reference
                 .iter()
                 .enumerate()
                 .map(|(i, &(_, _, p))| (p, i))
@@ -648,6 +652,13 @@ impl Auditor {
         rep.c1_accessors = accessors.len() as u64;
         rep
     }
+}
+
+/// Empties `map`, returning its entries in ascending key order.
+fn drain_sorted<K: Ord, V>(map: &mut FastMap<K, V>) -> Vec<(K, V)> {
+    let mut entries: Vec<(K, V)> = map.drain().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    entries
 }
 
 /// Audits an event stream with the default configuration.
@@ -941,6 +952,34 @@ mod tests {
         ];
         let rep = audit(&evs);
         assert!(rep.is_clean(), "{rep}");
+    }
+
+    #[test]
+    fn unexecuted_pops_are_reported_in_slot_order_every_time() {
+        // Four pops at one cycle that no execute follows; the next
+        // cycle's first event closes their slots.
+        let slots = [(3u16, 1u16), (0, 2), (2, 0), (0, 1)];
+        let mut evs: Vec<Event> = slots
+            .iter()
+            .zip(0u64..)
+            .map(|(&(p, st), pkt)| ev(7, p, st, EventKind::PopData { pkt: PacketId(pkt) }))
+            .collect();
+        evs.push(ev(8, 0, 0, EventKind::PopStale));
+        let first = audit(&evs).findings;
+        let details: Vec<&str> = first.iter().map(|f| f.detail.as_str()).collect();
+        assert_eq!(
+            details,
+            [
+                "pop_data(pkt3) at p0/s1 never executed",
+                "pop_data(pkt1) at p0/s2 never executed",
+                "pop_data(pkt2) at p2/s0 never executed",
+                "pop_data(pkt0) at p3/s1 never executed",
+            ]
+        );
+        assert!(first.iter().all(|f| f.check == Check::Inv2 && f.cycle == 7));
+        for _ in 0..15 {
+            assert_eq!(audit(&evs).findings, first);
+        }
     }
 
     #[test]

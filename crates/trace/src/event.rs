@@ -916,9 +916,17 @@ mod tests {
             let with_extra = line.replacen(r#""p":2,"#, &format!(r#"{extra}"p":2,"#), 1);
             assert_eq!(Event::parse_jsonl(&with_extra).unwrap(), ev, "{with_extra}");
         }
-        // Key order is free; what follows the object is not.
-        let reordered = r#"{"pkt":4,"k":"egress","s":3,"p":2,"c":1}"#;
-        assert_eq!(Event::parse_jsonl(reordered).unwrap(), ev);
+        // Key order, an escape in a key and whitespace between tokens
+        // are free; a comma with no member after it, or anything after
+        // the object, is not.
+        for alike in [
+            r#"{"pkt":4,"k":"egress","s":3,"p":2,"c":1}"#,
+            r#"{"c":1,"p":2,"s":3,"k":"egress","p\u006bt":4}"#,
+            r#"{ "c" : 1 , "p":2, "s" :3,"k":"egress" ,"pkt": 4 }"#,
+        ] {
+            assert_eq!(Event::parse_jsonl(alike).unwrap(), ev, "{alike}");
+        }
+        assert!(rejection(&line.replace('}', ",}")).contains("expected string"));
         assert!(rejection(&format!("{line}x")).contains("trailing characters"));
         assert!(rejection(&line.replace(r#","pkt":4"#, "")).contains("missing field 'pkt'"));
     }

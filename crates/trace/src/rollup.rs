@@ -7,7 +7,9 @@
 //! a crossbar steering matrix. `mp5-sim` renders these as aligned
 //! tables, and `mp5run --rollup` writes them as CSV.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use mp5_types::{FastMap, FastSet};
 
 use crate::event::{Event, EventKind, Key};
 
@@ -147,8 +149,8 @@ impl Rollup {
     /// Folds a stream into a rollup.
     pub fn from_events(events: &[Event]) -> Self {
         let mut r = Rollup::default();
-        let mut enq_cycle: HashMap<Key, u64> = HashMap::new();
-        let mut touched: HashMap<u16, std::collections::HashSet<u32>> = HashMap::new();
+        let mut enq_cycle: FastMap<Key, u64> = FastMap::default();
+        let mut touched: FastMap<u16, FastSet<u32>> = FastMap::default();
         for ev in events {
             r.events += 1;
             r.cycles = r.cycles.max(ev.cycle);

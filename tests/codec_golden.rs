@@ -362,10 +362,17 @@ mod shapes {
     }
 
     /// Every escape class (quote, backslash, the five short escapes,
-    /// other control characters) next to 1- to 4-byte UTF-8.
-    const CHARS: [char; 16] = [
+    /// other control characters) next to 1- to 4-byte UTF-8, and the
+    /// JSON punctuation a layout pass must leave alone inside strings.
+    const CHARS: [char; 22] = [
         'a',
         ' ',
+        '{',
+        '}',
+        '[',
+        ']',
+        ',',
+        ':',
         '"',
         '\\',
         '/',
