@@ -120,8 +120,9 @@ TRACE_TMP=$(mktemp -t mp5-ci-trace.XXXXXX)
 
 echo "==> chaos smoke: 3 seeded fault plans per app, auditor-gated"
 # Quick plans: every case must finish clean (no panics, closed fault
-# ledger, zero auditor findings). Seeds are fixed so this cannot flake;
-# the nightly CI job runs the wider sweep.
+# ledger, zero auditor findings, relation (a) against Banzai). Seeds
+# are fixed so this cannot flake; the nightly CI job runs the wider
+# sweep.
 ./target/release/mp5chaos --seeds 3 --packets 400 --horizon 200
 
 echo "==> kill-restore smoke: checkpoint, kill and restore under live faults"

@@ -20,7 +20,7 @@
 //! bitmap, work-pass scratch) are not written; a restore
 //! (`Mp5Switch::try_restore_with`) rebuilds them, after checking that
 //! the state is one the program and configuration can run. The
-//! contract, enforced by the snapshot proptest suite, is *bit-identical
+//! contract, enforced by the model harness (`tests/model.rs`), is *bit-identical
 //! continuation*: a switch restored from a checkpoint produces the same
 //! `RunReport` and traced `stream_hash` as the uninterrupted run.
 

@@ -507,10 +507,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         // Ledger side A: every queued or in-flight phantom must still
         // address a valid register coordinate under the new program.
         // Layout validation guarantees this; the scan is the evidence.
+        // A stage-level phantom addresses its stage, not a register.
         let valid = |key: &PhantomKey| {
-            key.reg.index() < new_prog.regs.len()
-                && (key.index == INDEX_ARRAY_LEVEL
-                    || (key.index as usize) < new_prog.regs[key.reg.index()].size as usize)
+            let reg = new_prog.regs.get(key.reg.index());
+            key.reg == REG_STAGE_SENTINEL
+                || reg.is_some_and(|r| key.index == INDEX_ARRAY_LEVEL || key.index < r.size)
         };
         let queued = self.pipes.iter().flat_map(|p| &p.queues);
         let queued = queued

@@ -202,7 +202,8 @@ pub struct FifoStats {
 /// whose phantoms were lost to an injected fault. `pop()` treats the
 /// recovery head as one more candidate in the global minimum-timestamp
 /// comparison, so a recovered packet re-enters the serial order at
-/// exactly the position its phantom would have held — preserving C1.
+/// exactly the position its phantom would have held — preserving C1
+/// unless a newer entry was served before it arrived (DESIGN.md §11).
 /// The directory only ever points at phantoms inside lanes, so the
 /// side list can never invalidate a `FifoAddr`.
 #[derive(Debug, Clone)]
@@ -434,9 +435,9 @@ impl<T> LogicalFifo<T> {
     /// Recovers a data packet whose phantom was lost to an injected
     /// fault: the entry joins the timestamp-sorted recovery queue and
     /// competes in `pop()`'s global minimum-timestamp comparison as if
-    /// its phantom had been delivered — same serial position, so C1 is
-    /// preserved. The recovery queue is unbounded by design: recovery
-    /// must never itself drop a packet.
+    /// its phantom had been delivered: the same serial position among
+    /// the entries still queued. The recovery queue is unbounded by
+    /// design: recovery must never itself drop a packet.
     pub fn push_recovered(&mut self, item: T, ts: OrderKey) {
         let pos = self.recovered.partition_point(|e| e.ts() <= ts);
         self.recovered.insert(pos, Entry::Data { item, ts });
@@ -451,14 +452,16 @@ impl<T> LogicalFifo<T> {
     }
 
     /// True if the recovery queue head is globally oldest (it wins the
-    /// pop this cycle). Ties cannot occur: order keys are unique per
-    /// packet and a packet is never both recovered and lane-queued.
+    /// pop this cycle). A tie means the lane head is a sibling phantom
+    /// of the recovered packet itself, whose phantom for this key was
+    /// lost while another of its keys here was not; the packet wins,
+    /// and its execution cancels that sibling.
     fn recovered_wins(&self, lane: Option<usize>) -> bool {
         match (self.recovered_head_ts(), lane) {
             (Some(_), None) => true,
             (Some(rts), Some(l)) => {
                 let lts = self.lanes[l].front().map(|e| e.ts());
-                lts.is_none_or(|lts| rts < lts)
+                lts.is_none_or(|lts| rts <= lts)
             }
             (None, _) => false,
         }

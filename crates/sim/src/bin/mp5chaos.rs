@@ -11,9 +11,10 @@
 //! For every `app × seed` case the harness rolls a chaos
 //! [`FaultPlan`](mp5_faults::FaultPlan) (stalls, recoverable phantom
 //! drops, forced FIFO overflow, crossbar grant delays, remap aborts,
-//! and at most one pipeline kill), runs it traced, and checks the two
-//! chaos contracts: clean finish with a closed fault ledger, and zero
-//! findings from the offline invariant auditor.
+//! and at most one pipeline kill), runs it traced, and checks the
+//! chaos contracts: clean finish with a closed fault ledger, zero
+//! findings from the offline invariant auditor, and relation (a)
+//! against Banzai (DESIGN.md §11).
 //!
 //! Every failing case prints its seed; re-running with
 //! `--seeds 1 --start-seed <seed> --apps <app> --dump-plans .`
@@ -191,7 +192,7 @@ fn main() {
     if failed == 0 {
         println!(
             "\nchaos PASSED: {total}/{total} case(s) clean (no panics, ledger closed, \
-             auditor zero findings)"
+             auditor zero findings, Banzai-equivalent)"
         );
     } else {
         eprintln!("\nchaos FAILED: {failed}/{total} case(s) violated the chaos contracts");

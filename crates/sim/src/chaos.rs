@@ -2,7 +2,7 @@
 //!
 //! Each *case* rolls a [`FaultPlan::chaos`] schedule for one bundled
 //! application and executes it on the MP5 switch with tracing on, then
-//! checks the two chaos contracts:
+//! checks the chaos contracts:
 //!
 //! 1. **No panics / clean finish** — the run drains, packets are
 //!    conserved, and every injected fault is accounted
@@ -11,10 +11,13 @@
 //!    invariant auditor (`mp5audit`) with zero findings: phantom
 //!    pairing, Invariant 1/2, C1 and packet conservation all hold
 //!    *under faults*.
+//! 3. **Banzai** — a run that completes every packet is functionally
+//!    equivalent to the single pipeline, C1 included.
 //!
 //! The harness is pure library code so the `mp5chaos` binary and the
 //! `tests/chaos.rs` suite share one implementation.
 
+use mp5_banzai::BanzaiSwitch;
 use mp5_core::{Mp5Switch, RunReport, SwitchConfig};
 use mp5_faults::FaultPlan;
 use mp5_trace::{audit, stream_hash, MemSink};
@@ -98,6 +101,7 @@ pub fn run_case(app: &mp5_apps::AppSpec, seed: u64, opts: &ChaosOpts) -> ChaosOu
         failures.push(format!("chaos plan invalid: {e}"));
     }
 
+    let banzai = BanzaiSwitch::new(prog.clone()).run(trace.clone());
     let cfg = SwitchConfig::mp5(opts.pipelines);
     let (rep, sink) =
         Mp5Switch::with_faults(prog, cfg, MemSink::new(), plan.injector()).run_traced(trace);
@@ -124,6 +128,12 @@ pub fn run_case(app: &mp5_apps::AppSpec, seed: u64, opts: &ChaosOpts) -> ChaosOu
             rep.fault.injected,
             plan.len()
         ));
+    }
+
+    // Relation (a) of DESIGN.md §11, lost phantoms included: on the
+    // bundled apps it held in every probe, so a failure is a finding.
+    if rep.completed == rep.offered && !rep.result.equivalent_to(&banzai) {
+        failures.push("every packet completed, yet the run is not equivalent to Banzai".into());
     }
 
     let audit_rep = audit(&sink.into_events());

@@ -1,12 +1,13 @@
 //! Chaos suite: randomized seed-deterministic fault campaigns across
-//! every bundled application, gated on the two chaos contracts
-//! (see `mp5::sim::chaos`):
+//! every bundled application, gated on the chaos contracts (see
+//! `mp5::sim::chaos`):
 //!
 //! 1. no panics, packets conserved, fault ledger closed
 //!    (`injected == recovered + degraded`);
 //! 2. the offline invariant auditor reports **zero** findings on the
 //!    traced run — Invariant 1/2, phantom pairing, C1 and packet
-//!    conservation all hold under injected faults.
+//!    conservation all hold under injected faults;
+//! 3. a run that completes every packet is equivalent to Banzai.
 //!
 //! Scale knob: `MP5_CHAOS_PACKETS` (default 300 packets per case).
 

@@ -1,346 +1,60 @@
-//! Property-based functional equivalence: the paper's headline claim.
-//!
-//! §2.2.1 defines functional equivalence over *all possible packet
-//! processing programs and input packet streams*. We approximate "all"
-//! with proptest: generate random stateful programs from a template
-//! grammar (counters, predicated updates, ternary reads, cross-register
-//! value chains, stateful predicates) and random line-rate packet
-//! streams, then require that MP5 — at a random pipeline count —
-//! produces exactly the single-pipeline Banzai switch's final register
-//! state, per-packet outputs, and per-state access order (condition C1).
-//!
-//! A negative control checks the property is non-trivial: the no-D4
-//! ablation must *fail* it on at least some generated cases.
+//! The paper's headline claim on the statement-template grammar: MP5,
+//! at any pipeline count, ends with the single-pipeline Banzai switch's
+//! registers, per-packet outputs and per-state access order (condition
+//! C1). Each test is a slice of the model-based harness
+//! (`tests/harness/mod.rs`) with the program drawn from the grammar
+//! and one input pinned; every case also runs traced, faulted where
+//! drawn, checkpointed and restored.
 
-use proptest::prelude::*;
+mod harness;
 
-/// proptest's prelude exports its own `Rng` trait (for a different
-/// `rand` major); route field draws through the workspace's rand
-/// explicitly.
-fn draw64(rng: &mut rand::rngs::SmallRng) -> i64 {
-    rand::Rng::gen_range(rng, 0..64)
+use harness::*;
+
+const GRAMMAR: Pins = Pins {
+    program: Some(Program::Grammar),
+    design: None,
+    plan: None,
+};
+
+/// The dynamic-sharding design is Banzai on every generated program.
+#[test]
+fn mp5_is_functionally_equivalent_to_single_pipeline() {
+    let pins = Pins {
+        design: Some(Design::Mp5),
+        plan: Some(Plan::Clean),
+        ..GRAMMAR
+    };
+    assert_reached(&sweep(24, pins), &["equivalent to Banzai"]);
 }
 
-use mp5::banzai::BanzaiSwitch;
-use mp5::compiler::{compile, Target};
-use mp5::core::{Mp5Switch, SwitchConfig};
-use mp5::traffic::TraceBuilder;
-
-/// One generated statement template.
-#[derive(Debug, Clone)]
-enum GenStmt {
-    /// `r[p.hF % S] = r[p.hF % S] + delta;`
-    Bump {
-        reg: usize,
-        field: usize,
-        delta: i64,
-    },
-    /// `p.out = r[p.hF % S];`
-    ReadOut { reg: usize, field: usize },
-    /// `if (p.hF > t) { r[p.hF % S] = p.hF; }`
-    PredUpdate {
-        reg: usize,
-        field: usize,
-        thresh: i64,
-    },
-    /// `p.out = (p.hF % 2 == 0) ? rA[p.hF % SA] : rB[p.hF % SB];`
-    TernaryRead { a: usize, b: usize, field: usize },
-    /// `int v = rS[p.hF % S]; rD[p.hG % SD] = rD[p.hG % SD] + v;`
-    Chain {
-        src: usize,
-        dst: usize,
-        f: usize,
-        g: usize,
-    },
-    /// `if (rG[0] > 0) { rD[p.hF % SD] = rD[p.hF % SD] + 1; }` —
-    /// a stateful predicate, exercising speculative phantoms.
-    StatefulPred {
-        gate: usize,
-        reg: usize,
-        field: usize,
-    },
+/// The ideal baseline changes scheduling, never semantics.
+#[test]
+fn ideal_mp5_is_functionally_equivalent() {
+    let pins = Pins {
+        design: Some(Design::Ideal),
+        plan: Some(Plan::Clean),
+        ..GRAMMAR
+    };
+    assert_reached(&sweep(16, pins), &["equivalent to Banzai"]);
 }
 
-#[derive(Debug, Clone)]
-struct GenProgram {
-    reg_sizes: Vec<u32>,
-    stmts: Vec<GenStmt>,
+/// Banzai, the compiled program run serially, agrees with the TAC
+/// interpreter on every register and declared field (compiler
+/// soundness), under every design and plan.
+#[test]
+fn compiled_execution_matches_tac_semantics() {
+    let tally = sweep(24, GRAMMAR);
+    assert_reached(&tally, &["packets checked against the TAC semantics"]);
 }
 
-const NFIELDS: usize = 4;
-
-impl GenProgram {
-    fn source(&self) -> String {
-        let mut s = String::from("struct Packet { ");
-        for i in 0..NFIELDS {
-            s.push_str(&format!("int h{i}; "));
-        }
-        s.push_str("int out; };\n");
-        for (i, size) in self.reg_sizes.iter().enumerate() {
-            s.push_str(&format!("int r{i}[{size}] = {{{}}};\n", (i as i64) + 1));
-        }
-        s.push_str("void func(struct Packet p) {\n");
-        let mut locals = 0usize;
-        for st in &self.stmts {
-            match st {
-                GenStmt::Bump { reg, field, delta } => {
-                    let sz = self.reg_sizes[*reg];
-                    s.push_str(&format!(
-                        "r{reg}[p.h{field} % {sz}] = r{reg}[p.h{field} % {sz}] + {delta};\n"
-                    ));
-                }
-                GenStmt::ReadOut { reg, field } => {
-                    let sz = self.reg_sizes[*reg];
-                    s.push_str(&format!("p.out = r{reg}[p.h{field} % {sz}];\n"));
-                }
-                GenStmt::PredUpdate { reg, field, thresh } => {
-                    let sz = self.reg_sizes[*reg];
-                    s.push_str(&format!(
-                        "if (p.h{field} > {thresh}) {{ r{reg}[p.h{field} % {sz}] = p.h{field}; }}\n"
-                    ));
-                }
-                GenStmt::TernaryRead { a, b, field } => {
-                    let (sa, sb) = (self.reg_sizes[*a], self.reg_sizes[*b]);
-                    s.push_str(&format!(
-                        "p.out = (p.h{field} % 2 == 0) ? r{a}[p.h{field} % {sa}] : r{b}[p.h{field} % {sb}];\n"
-                    ));
-                }
-                GenStmt::Chain { src, dst, f, g } => {
-                    let (ss, sd) = (self.reg_sizes[*src], self.reg_sizes[*dst]);
-                    let v = format!("v{locals}");
-                    locals += 1;
-                    s.push_str(&format!(
-                        "int {v} = r{src}[p.h{f} % {ss}];\n\
-                         r{dst}[p.h{g} % {sd}] = r{dst}[p.h{g} % {sd}] + {v};\n"
-                    ));
-                }
-                GenStmt::StatefulPred { gate, reg, field } => {
-                    let sz = self.reg_sizes[*reg];
-                    s.push_str(&format!(
-                        "if (r{gate}[0] > 0) {{ r{reg}[p.h{field} % {sz}] = r{reg}[p.h{field} % {sz}] + 1; }}\n"
-                    ));
-                }
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
-}
-
-fn stmt_strategy(nregs: usize) -> impl Strategy<Value = GenStmt> {
-    let r = 0..nregs;
-    let f = 0..NFIELDS;
-    prop_oneof![
-        (r.clone(), f.clone(), 1i64..5).prop_map(|(reg, field, delta)| GenStmt::Bump {
-            reg,
-            field,
-            delta
-        }),
-        (r.clone(), f.clone()).prop_map(|(reg, field)| GenStmt::ReadOut { reg, field }),
-        (r.clone(), f.clone(), 0i64..32)
-            .prop_map(|(reg, field, thresh)| { GenStmt::PredUpdate { reg, field, thresh } }),
-        (r.clone(), r.clone(), f.clone()).prop_map(|(a, b, field)| GenStmt::TernaryRead {
-            a,
-            b,
-            field
-        }),
-        (r.clone(), r.clone(), f.clone(), 0..NFIELDS)
-            .prop_map(|(src, dst, f, g)| { GenStmt::Chain { src, dst, f, g } }),
-        (r.clone(), r, f).prop_map(|(gate, reg, field)| GenStmt::StatefulPred { gate, reg, field }),
-    ]
-}
-
-fn program_strategy() -> impl Strategy<Value = GenProgram> {
-    (1usize..=3)
-        .prop_flat_map(|nregs| {
-            (
-                proptest::collection::vec(1u32..32, nregs),
-                proptest::collection::vec(stmt_strategy(nregs), 1..4),
-            )
-        })
-        .prop_map(|(reg_sizes, stmts)| GenProgram { reg_sizes, stmts })
-}
-
-/// Some generated statement mixes are legitimately uncompilable (e.g. a
-/// `Chain` from a register into itself forms a valid single atom, but a
-/// chain that entangles two registers is a cross-register atom the
-/// machine rejects). Those cases are discarded, not failed.
-fn try_compile(src: &str) -> Option<mp5::compiler::CompiledProgram> {
-    compile(src, &Target::default()).ok()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// The headline theorem: for every generated program and stream,
-    /// MP5 ≡ single pipeline (registers, outputs, and access order).
-    #[test]
-    fn mp5_is_functionally_equivalent_to_single_pipeline(
-        gp in program_strategy(),
-        k in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8)],
-        npackets in 50usize..250,
-        seed in 0u64..1_000,
-    ) {
-        let Some(prog) = try_compile(&gp.source()) else {
-            return Ok(()); // machine-rejected template: vacuous
-        };
-        let nf = prog.num_fields();
-        let trace = TraceBuilder::new(npackets, seed).build(nf, |rng, _, f| {
-            for v in f.iter_mut().take(NFIELDS) {
-                *v = draw64(rng);
-            }
-        });
-        let reference = BanzaiSwitch::new(prog.clone()).run(trace.clone());
-        let report = Mp5Switch::new(prog, SwitchConfig::mp5(k)).run(trace);
-        prop_assert_eq!(report.completed as usize, npackets);
-        prop_assert!(
-            report.result.equivalent_to(&reference),
-            "program:\n{}\nk={} seed={}",
-            gp.source(), k, seed
-        );
-    }
-
-    /// The ideal baseline must satisfy the same equivalence (it changes
-    /// scheduling, never semantics).
-    #[test]
-    fn ideal_mp5_is_functionally_equivalent(
-        gp in program_strategy(),
-        k in 2usize..6,
-        seed in 0u64..500,
-    ) {
-        let Some(prog) = try_compile(&gp.source()) else { return Ok(()); };
-        let nf = prog.num_fields();
-        let trace = TraceBuilder::new(150, seed).build(nf, |rng, _, f| {
-            for v in f.iter_mut().take(NFIELDS) {
-                *v = draw64(rng);
-            }
-        });
-        let reference = BanzaiSwitch::new(prog.clone()).run(trace.clone());
-        let report = Mp5Switch::new(prog, SwitchConfig::ideal(k)).run(trace);
-        prop_assert!(report.result.equivalent_to(&reference));
-    }
-
-    /// Serial execution of the compiled program must match the TAC
-    /// reference semantics exactly (compiler soundness).
-    #[test]
-    fn compiled_execution_matches_tac_semantics(
-        gp in program_strategy(),
-        inputs in proptest::collection::vec(
-            proptest::collection::vec(0i64..64, NFIELDS), 1..40),
-    ) {
-        let src = gp.source();
-        let Some(prog) = try_compile(&src) else { return Ok(()); };
-        let tac = mp5::lang::frontend(&src).expect("frontend succeeded before");
-        let mut regs_c = prog.initial_regs();
-        let mut regs_t = tac.initial_regs();
-        for inp in &inputs {
-            let mut fc = vec![0; prog.num_fields()];
-            fc[..NFIELDS].copy_from_slice(inp);
-            prog.execute_serial(&mut fc, &mut regs_c);
-            let mut ft = vec![0; tac.field_names.len()];
-            ft[..NFIELDS].copy_from_slice(inp);
-            tac.execute(&mut ft, &mut regs_t);
-            prop_assert_eq!(&fc[..prog.declared_fields], &ft[..tac.declared_fields]);
-        }
-        prop_assert_eq!(regs_c, regs_t);
-    }
-}
-
-/// Negative control: the equivalence property is not vacuous — the
-/// no-D4 ablation must fail it on a contended two-stage program.
+/// Negative control: the relation is not vacuous, the no-D4 ablation
+/// breaks it on contended programs.
 #[test]
 fn no_d4_fails_the_equivalence_property() {
-    let src = "struct Packet { int a; int b; int o; };
-        int r1[2] = {0};
-        int r2[64] = {0};
-        void func(struct Packet p) {
-            if (p.a == 0) { r1[0] = r1[0] + 1; }
-            r2[p.b % 64] = r2[p.b % 64] + 1;
-            p.o = r2[p.b % 64];
-        }";
-    let prog = compile(src, &Target::default()).unwrap();
-    let nf = prog.num_fields();
-    let mut failed = false;
-    for seed in 0..5 {
-        let trace = TraceBuilder::new(4000, seed).build(nf, |rng, _, f| {
-            f[0] = draw64(rng) % 2;
-            f[1] = draw64(rng);
-        });
-        let reference = BanzaiSwitch::new(prog.clone()).run(trace.clone());
-        let nod4 = Mp5Switch::new(prog.clone(), SwitchConfig::no_d4(4)).run(trace);
-        if !nod4.result.equivalent_to(&reference) {
-            failed = true;
-            break;
-        }
-    }
-    assert!(failed, "no-D4 must break equivalence under contention");
-}
-
-/// Guard against the property becoming vacuous: each statement template
-/// must compile on its own (only *combinations* may legally be
-/// rejected, e.g. cross-register atoms).
-#[test]
-fn every_statement_template_compiles() {
-    let cases = [
-        GenProgram {
-            reg_sizes: vec![8],
-            stmts: vec![GenStmt::Bump {
-                reg: 0,
-                field: 0,
-                delta: 2,
-            }],
-        },
-        GenProgram {
-            reg_sizes: vec![8],
-            stmts: vec![GenStmt::ReadOut { reg: 0, field: 1 }],
-        },
-        GenProgram {
-            reg_sizes: vec![8],
-            stmts: vec![GenStmt::PredUpdate {
-                reg: 0,
-                field: 2,
-                thresh: 9,
-            }],
-        },
-        GenProgram {
-            reg_sizes: vec![8, 4],
-            stmts: vec![GenStmt::TernaryRead {
-                a: 0,
-                b: 1,
-                field: 3,
-            }],
-        },
-        GenProgram {
-            reg_sizes: vec![8, 4],
-            stmts: vec![GenStmt::Chain {
-                src: 0,
-                dst: 1,
-                f: 0,
-                g: 1,
-            }],
-        },
-        GenProgram {
-            reg_sizes: vec![8, 4],
-            stmts: vec![GenStmt::StatefulPred {
-                gate: 0,
-                reg: 1,
-                field: 0,
-            }],
-        },
-        GenProgram {
-            reg_sizes: vec![8],
-            stmts: vec![GenStmt::StatefulPred {
-                gate: 0,
-                reg: 0,
-                field: 0,
-            }],
-        },
-    ];
-    for gp in &cases {
-        assert!(
-            try_compile(&gp.source()).is_some(),
-            "template failed to compile:\n{}",
-            gp.source()
-        );
-    }
+    let pins = Pins {
+        program: Some(Program::Fixed),
+        design: Some(Design::NoD4),
+        plan: Some(Plan::Clean),
+    };
+    assert_reached(&sweep(24, pins), &["no-D4 diverged from Banzai"]);
 }

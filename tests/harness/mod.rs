@@ -1,0 +1,666 @@
+//! The model-based harness: Banzai's serial, entry-order execution is
+//! the one oracle for the switch (DESIGN.md §6).
+//!
+//! Each generated case draws a program (the statement-template grammar,
+//! a fixed program, a bundled app, or a 100-stage chain), traffic, `k`,
+//! a design, a FIFO bound, a remap period, a fault plan, a checkpoint
+//! cycle and a hot-swap point. It runs Banzai, an untraced switch, a
+//! traced switch, and a switch that is checkpointed through the
+//! snapshot codec, restored and hot-swapped on the way, then checks
+//! conservation, the fault and swap ledgers, the event counts, that
+//! every run reports the same, and the Banzai relation of DESIGN.md §11.
+//! A tally over all cases proves the cases reach every regime.
+//!
+//! `tests/model.rs` sweeps every input; the other suites that include
+//! this module pin one input (the program, the design or the fault
+//! plan) with [`Pins`] and check that their slice reaches its regimes.
+
+// Each including suite uses part of the module.
+#![allow(dead_code)]
+
+use std::collections::{BTreeMap, HashMap};
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use mp5::apps::ALL_APPS;
+use mp5::banzai::{BanzaiSwitch, RunResult};
+use mp5::compiler::{compile, CompiledProgram, Target};
+use mp5::core::{Mp5Switch, RunReport, ShardingMode, SprayMode, SwapReport, SwitchConfig};
+use mp5::faults::{FaultPlan, NoFaults, PlannedFaults};
+use mp5::serve::{FaultState, Server, Snapshot};
+use mp5::sim::experiments::app_trace;
+use mp5::trace::{audit, stream_hash, Event, EventKind, MemSink, NopSink, TraceSink};
+use mp5::traffic::TraceBuilder;
+use mp5::types::Packet;
+
+/// One statement template of the generated-program grammar; `S` is the
+/// register's size.
+#[derive(Debug, Clone, Copy)]
+pub enum GenStmt {
+    /// `(reg, field, delta)`: `r[p.hF % S] = r[p.hF % S] + delta;`
+    Bump(usize, usize, i64),
+    /// `(reg, field)`: `p.out = r[p.hF % S];`
+    ReadOut(usize, usize),
+    /// `(reg, field, t)`: `if (p.hF > t) { r[p.hF % S] = p.hF; }`
+    PredUpdate(usize, usize, i64),
+    /// `(a, b, field)`: `p.out = (p.hF % 2 == 0) ? rA[p.hF % SA] : rB[p.hF % SB];`
+    TernaryRead(usize, usize, usize),
+    /// `(src, dst, f, g)`: `int v = rS[p.hF % S]; rD[p.hG % SD] = rD[p.hG % SD] + v;`
+    Chain(usize, usize, usize, usize),
+    /// `(gate, reg, field)`: `if (rG[0] > 0) { r[p.hF % S] = r[p.hF % S] + 1; }`,
+    /// a stateful predicate, so speculative phantoms.
+    StatefulPred(usize, usize, usize),
+}
+pub use GenStmt::*;
+
+pub const NFIELDS: usize = 4;
+
+/// A program of the grammar: its register sizes and statements.
+pub fn source(reg_sizes: &[u32], stmts: &[GenStmt]) -> String {
+    let mut s = String::from("struct Packet { int h0; int h1; int h2; int h3; int out; };\n");
+    for (i, size) in reg_sizes.iter().enumerate() {
+        s += &format!("int r{i}[{size}] = {{{}}};\n", i + 1);
+    }
+    s += "void func(struct Packet p) {\n";
+    let sz = |r: usize| reg_sizes[r];
+    for (v, st) in stmts.iter().enumerate() {
+        s += &match *st {
+            Bump(r, f, d) => format!("r{r}[p.h{f} % {0}] = r{r}[p.h{f} % {0}] + {d};\n", sz(r)),
+            ReadOut(r, f) => format!("p.out = r{r}[p.h{f} % {}];\n", sz(r)),
+            PredUpdate(r, f, t) => {
+                format!(
+                    "if (p.h{f} > {t}) {{ r{r}[p.h{f} % {}] = p.h{f}; }}\n",
+                    sz(r)
+                )
+            }
+            TernaryRead(a, b, f) => format!(
+                "p.out = (p.h{f} % 2 == 0) ? r{a}[p.h{f} % {}] : r{b}[p.h{f} % {}];\n",
+                sz(a),
+                sz(b)
+            ),
+            Chain(a, b, f, g) => format!(
+                "int v{v} = r{a}[p.h{f} % {}];\nr{b}[p.h{g} % {1}] = r{b}[p.h{g} % {1}] + v{v};\n",
+                sz(a),
+                sz(b)
+            ),
+            StatefulPred(gate, r, f) => format!(
+                "if (r{gate}[0] > 0) {{ r{r}[p.h{f} % {0}] = r{r}[p.h{f} % {0}] + 1; }}\n",
+                sz(r)
+            ),
+        };
+    }
+    s + "}\n"
+}
+
+/// A random program of the grammar; combinations of templates may be
+/// legally uncompilable (a cross-register atom), so the caller compiles.
+fn generate_source(rng: &mut SmallRng) -> String {
+    let nregs = rng.gen_range(1..=3);
+    let reg_sizes: Vec<u32> = (0..nregs).map(|_| rng.gen_range(1..32)).collect();
+    let n = rng.gen_range(1..4);
+    let mut draw = |m: usize| rng.gen_range(0..m);
+    let stmts: Vec<_> = (0..n)
+        .map(|_| match draw(6) {
+            0 => Bump(draw(nregs), draw(NFIELDS), 1 + draw(4) as i64),
+            1 => ReadOut(draw(nregs), draw(NFIELDS)),
+            2 => PredUpdate(draw(nregs), draw(NFIELDS), draw(32) as i64),
+            3 => TernaryRead(draw(nregs), draw(nregs), draw(NFIELDS)),
+            4 => Chain(draw(nregs), draw(nregs), draw(NFIELDS), draw(NFIELDS)),
+            _ => StatefulPred(draw(nregs), draw(nregs), draw(NFIELDS)),
+        })
+        .collect();
+    source(&reg_sizes, &stmts)
+}
+
+/// Fixed programs, one per regime the grammar reaches rarely.
+pub const FIXED: [&str; 7] = [
+    // One hot state: maximal queueing at one stage.
+    "struct Packet { int h; int o; };
+     int c = 0;
+     void func(struct Packet p) { c = c + 1; p.o = c; }",
+    // A shardable table: dynamic sharding, remaps, phantom traffic.
+    "struct Packet { int h; int o; };
+     int t[32] = {0};
+     void func(struct Packet p) { t[p.h % 32] = t[p.h % 32] + 1; p.o = t[p.h % 32]; }",
+    // Two stateful stages, one shardable: cross-stage phantom flights.
+    "struct Packet { int h; int o; };
+     int a[4] = {0};
+     int b[64] = {0};
+     void func(struct Packet p) {
+         if (p.h % 3 == 0) { a[p.h % 4] = a[p.h % 4] + 1; }
+         b[p.h % 64] = b[p.h % 64] + 1;
+         p.o = b[p.h % 64];
+     }",
+    // Figure 3: half the packets serialize on a hot state, the rest
+    // overtake them at the second stage unless D4 holds them back.
+    "struct Packet { int a; int b; int o; };
+     int r1[2] = {0};
+     int r2[64] = {0};
+     void func(struct Packet p) {
+         if (p.a % 2 == 0) { r1[0] = r1[0] + 1; }
+         r2[p.b % 64] = r2[p.b % 64] + 1;
+         p.o = r2[p.b % 64];
+     }",
+    // A toggling stateful predicate: false branches waste cycles.
+    "struct Packet { int h; int o; };
+     int gate = 0;
+     int r[32] = {0};
+     void func(struct Packet p) {
+         gate = 1 - gate;
+         if (gate == 1) { r[p.h % 32] = r[p.h % 32] + 1; }
+         p.o = gate;
+     }",
+    // An index read from state: the array is pinned.
+    "struct Packet { int h; int o; };
+     int ptr = 0;
+     int r[16] = {0};
+     void func(struct Packet p) {
+         ptr = (ptr + 1) % 16;
+         r[ptr % 16] = r[ptr % 16] + p.h;
+         p.o = ptr;
+     }",
+    // No state at all.
+    "struct Packet { int a; int b; };
+     void func(struct Packet p) { p.b = p.a * 2 + 1; }",
+];
+
+/// A 70-link dependency chain feeding one `r[16]` update, one operation
+/// per stage: 100 stages, wider than the 64-stage occupancy masks.
+fn wide_chain() -> String {
+    let mut src = String::from(
+        "struct Packet { int h; int o; };
+         int r[16] = {0};
+         void func(struct Packet p) {
+             int t0 = p.h;\n",
+    );
+    for i in 1..=70 {
+        src += &format!("int t{i} = t{} * 3 + 1;\n", i - 1);
+    }
+    src + "r[p.h % 16] = r[p.h % 16] + t70; p.o = r[p.h % 16]; }"
+}
+
+fn target(wide: bool) -> Target {
+    match wide {
+        false => Target::default(),
+        true => Target {
+            max_stages: 100,
+            max_chain_depth: 1,
+            max_ops_per_stage: 256,
+            ..Default::default()
+        },
+    }
+}
+
+/// A random design: any sharding, spray, phantom, queue layout and
+/// starvation setting.
+fn random_config(rng: &mut SmallRng, k: usize) -> SwitchConfig {
+    use ShardingMode::*;
+    SwitchConfig {
+        sharding: [Dynamic, Static, Pinned, IdealPeriodic][rng.gen_range(0..4)],
+        phantoms: rng.gen_bool(0.5),
+        per_index_fifos: rng.gen_bool(0.5),
+        spray: match rng.gen_bool(0.5) {
+            true => SprayMode::SinglePipeline(0),
+            false => SprayMode::RoundRobin,
+        },
+        starvation_threshold: [None, Some(4), Some(64)][rng.gen_range(0..3)],
+        ecn_threshold: Some(4),
+        seed: 7,
+        ..SwitchConfig::mp5(k)
+    }
+}
+
+/// Where a case's program comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Program {
+    /// A bundled app through `app_trace`.
+    App,
+    /// The 100-stage chain.
+    Wide,
+    /// One of [`FIXED`].
+    Fixed,
+    /// The statement-template grammar.
+    Grammar,
+}
+
+/// A case's switch design: a preset or [`random_config`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Design {
+    Mp5,
+    Ideal,
+    NoD4,
+    Static,
+    Naive,
+    Random,
+}
+
+/// A case's fault plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plan {
+    Clean,
+    Chaos,
+    /// A kill, a stall, phantom drops, grant delays and a remap abort
+    /// in one plan; `Chaos` on one pipeline.
+    Mixed,
+}
+
+/// The inputs a sweep holds fixed; every `None` is drawn. Pinning one
+/// input leaves the draws of the others as they were.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Pins {
+    pub program: Option<Program>,
+    pub design: Option<Design>,
+    pub plan: Option<Plan>,
+}
+
+/// One generated input: everything but the checkpoint and swap cycles,
+/// which are drawn against the uninterrupted run's length.
+pub struct Case {
+    pub src: String,
+    pub wide: bool,
+    /// A bundled app, for which the relation is claimed under phantom
+    /// loss too (DESIGN.md §11).
+    pub app: bool,
+    pub prog: CompiledProgram,
+    pub trace: Vec<Packet>,
+    pub cfg: SwitchConfig,
+    pub plan: Option<FaultPlan>,
+}
+
+impl Case {
+    pub fn generate(rng: &mut SmallRng, pins: Pins) -> Case {
+        let k = [1, 2, 3, 4, 8][rng.gen_range(0..5)];
+        let (n, seed) = (rng.gen_range(100..400), rng.gen_range(0..1000));
+        let keys = [2, 8, 64, 1000][rng.gen_range(0..4)];
+        let which = rng.gen_range(0..40);
+        let program = pins.program.unwrap_or(match which {
+            0..=3 => Program::App,
+            4 => Program::Wide,
+            5..=19 => Program::Fixed,
+            _ => Program::Grammar,
+        });
+        let app = program == Program::App;
+        let (src, wide, prog, trace) = if app {
+            let app = &ALL_APPS[rng.gen_range(0..ALL_APPS.len())];
+            let (prog, trace) = app_trace(app, n, seed);
+            (app.source.to_string(), false, prog, trace)
+        } else {
+            let (src, wide) = match program {
+                Program::Wide => (wide_chain(), true),
+                Program::Fixed => (FIXED[rng.gen_range(0..FIXED.len())].to_string(), false),
+                _ => loop {
+                    let src = generate_source(rng);
+                    if compile(&src, &Target::default()).is_ok() {
+                        break (src, false);
+                    }
+                },
+            };
+            let prog = compile(&src, &target(wide)).expect("the drawn program compiles");
+            let filled = prog.declared_fields.min(NFIELDS);
+            let n = if wide { n.min(150) } else { n };
+            let trace = TraceBuilder::new(n, seed).build(prog.num_fields(), |r, _, f| {
+                f[..filled]
+                    .iter_mut()
+                    .for_each(|v| *v = r.gen_range(0..keys))
+            });
+            (src, wide, prog, trace)
+        };
+        use Design::*;
+        let design = [Mp5, Mp5, Mp5, Ideal, NoD4, Static, Naive, Random][rng.gen_range(0..8)];
+        let mut cfg = match pins.design.unwrap_or(design) {
+            Mp5 => SwitchConfig::mp5(k),
+            Ideal => SwitchConfig::ideal(k),
+            NoD4 => SwitchConfig::no_d4(k),
+            Static => SwitchConfig::static_shard(k, seed),
+            Naive => SwitchConfig::naive(k),
+            Random => random_config(rng, k),
+        };
+        // Per-index queues are unbounded by design.
+        if !cfg.per_index_fifos {
+            cfg.fifo_capacity = [None, None, None, Some(1), Some(2), Some(8)][rng.gen_range(0..6)];
+        }
+        cfg.remap_period = [17, 50, 100][rng.gen_range(0..3)];
+        let stages = prog.num_stages();
+        let chaos = FaultPlan::chaos(seed, k, stages, trace.len() as u64 / 2);
+        let plan = [Plan::Clean, Plan::Clean, Plan::Chaos, Plan::Mixed][rng.gen_range(0..4)];
+        let plan = match pins.plan.unwrap_or(plan) {
+            Plan::Clean => None,
+            Plan::Chaos => Some(chaos),
+            Plan::Mixed if k >= 2 => Some(
+                FaultPlan::new(17)
+                    .pipeline_fail(30, (k - 1) as u16)
+                    .stage_stall(10, 0, 1.min(stages as u16 - 1), 40)
+                    .phantom_drop(5, 150, 120)
+                    .grant_delay(20, 2, 80)
+                    .remap_abort(15, 1),
+            ),
+            _ => Some(chaos),
+        };
+        Case {
+            src,
+            wide,
+            app,
+            prog,
+            trace,
+            cfg,
+            plan,
+        }
+    }
+
+    fn plan_json(&self) -> Option<String> {
+        self.plan.as_ref().map(FaultPlan::to_json)
+    }
+
+    /// A fresh switch whose injector is built from the plan's JSON, as
+    /// `mp5run --faults` builds it.
+    pub fn switch<S: TraceSink, F: FaultState>(&self, sink: S) -> Mp5Switch<S, F> {
+        let faults = F::fresh(self.plan_json().as_deref()).expect("the plan parses");
+        Mp5Switch::with_faults(self.prog.clone(), self.cfg.clone(), sink, faults)
+    }
+}
+
+/// Regimes every run of the harness must reach, counted over all cases.
+pub const REGIMES: [&str; 16] = [
+    "equivalent to Banzai",
+    "no-D4 diverged from Banzai",
+    "remap moves",
+    "steers",
+    "wasted cycles",
+    "phantom-full drops",
+    "no-phantom drops",
+    "recovered phantoms",
+    "indexes evacuated off a dead pipeline",
+    "delayed grants",
+    "aborted remaps",
+    "phantom emits",
+    "data matches",
+    "hot swaps",
+    "mid-run restores",
+    "checkpoints past stage 64",
+];
+
+pub type Tally = BTreeMap<&'static str, u64>;
+
+/// The run that is checkpointed at `ckpt` and hot-swapped at `swap`:
+/// its report, its stitched event stream and its swap ledger.
+type Resumed = (RunReport, Vec<Event>, Option<SwapReport>);
+
+/// Through `Server`: the fault plan as JSON, the checkpoint through
+/// `Snapshot::encode`/`decode`, the swap to a recompiled copy of the
+/// source.
+fn served<F: FaultState>(c: &Case, ckpt: u64, swap: Option<u64>) -> Resumed {
+    let mut srv = Server::<MemSink, F>::new(&c.src, c.cfg.clone(), MemSink::new(), c.plan_json())
+        .expect("the server boots");
+    srv.offer_all(c.trace.clone());
+    let (mut before, mut swapped) = (Vec::new(), None);
+    while !srv.is_idle() {
+        if Some(srv.cycle()) == swap {
+            swapped = Some(srv.hot_swap(&c.src).expect("an identical program swaps"));
+        }
+        if srv.cycle() == ckpt {
+            let snap = Snapshot::decode(&srv.checkpoint().encode()).expect("codec round-trips");
+            before = srv.abandon().into_events();
+            srv = Server::restore(snap, MemSink::new(), None, None).expect("the snapshot restores");
+        }
+        srv.tick();
+        srv.drain_egress();
+    }
+    let (report, sink) = srv.finish();
+    before.extend(sink.into_events());
+    (report, before, swapped)
+}
+
+/// `Server` compiles for the default target, so the wide chain goes
+/// through `extract_state` → JSON → `try_restore_with` instead.
+fn direct<F: FaultState>(c: &Case, ckpt: u64, swap: Option<u64>, tally: &mut Tally) -> Resumed {
+    let mut sw = c.switch::<_, F>(MemSink::new());
+    let mut trace = c.trace.clone();
+    trace.sort_by_key(Packet::entry_order_key);
+    trace.into_iter().for_each(|p| sw.offer(p));
+    let (mut before, mut swapped) = (Vec::new(), None);
+    while !sw.is_idle() {
+        if Some(sw.cycle()) == swap {
+            let recompiled = compile(&c.src, &target(c.wide)).unwrap();
+            swapped = Some(sw.hot_swap(recompiled).expect("an identical program swaps"));
+        }
+        if sw.cycle() == ckpt {
+            let state = sw.extract_state(1);
+            let past_64 = state
+                .lanes
+                .iter()
+                .any(|row| row.iter().skip(64).any(Option::is_some));
+            *tally.entry("checkpoints past stage 64").or_default() += past_64 as u64;
+            let json = serde_json::to_string(&state).expect("the state serializes");
+            let injector = sw.faults().snap();
+            before = sw.abandon().into_events();
+            let (k, stages) = (c.cfg.pipelines, c.prog.num_stages());
+            let faults = F::restore_from(c.plan_json().as_deref(), injector, k, stages).unwrap();
+            let state = serde_json::from_str(&json).expect("the state parses");
+            let (prog, cfg) = (c.prog.clone(), c.cfg.clone());
+            sw = Mp5Switch::try_restore_with(prog, cfg, state, MemSink::new(), faults)
+                .expect("the state restores");
+        }
+        sw.tick();
+        sw.drain_egress();
+    }
+    let (report, sink) = sw.finish_stream();
+    before.extend(sink.into_events());
+    (report, before, swapped)
+}
+
+/// Runs one case four ways and checks everything the harness checks.
+fn check<F: FaultState>(c: &Case, rng: &mut SmallRng, tally: &mut Tally) {
+    let banzai = BanzaiSwitch::new(c.prog.clone()).run(c.trace.clone());
+    check_tac(c, &banzai);
+    let untraced = c.switch::<_, F>(NopSink).run(c.trace.clone());
+    let (r, sink) = c.switch::<_, F>(MemSink::new()).run_traced(c.trace.clone());
+    let events = sink.into_events();
+    assert_eq!(
+        r, untraced,
+        "the traced report differs from the untraced one"
+    );
+
+    // Conservation, outputs and completions.
+    let d = &r.drops;
+    assert_eq!(r.offered, c.trace.len() as u64);
+    assert_eq!(
+        r.completed + d.total_data(),
+        r.offered,
+        "not conserved: {d:?}"
+    );
+    assert_eq!(r.result.outputs.len() as u64, r.completed);
+    assert_eq!(r.completions.len() as u64, r.completed);
+    let mut ids: Vec<_> = r.completions.iter().map(|&(p, _)| p).collect();
+    ids.sort();
+    ids.dedup();
+    assert_eq!(ids.len() as u64, r.completed, "a packet completed twice");
+    assert!(
+        r.completions.windows(2).all(|w| w[0].1 <= w[1].1),
+        "exit cycles go back"
+    );
+    let fifo_drops = d.phantom_fifo_full + d.data_no_phantom + d.data_fifo_full + d.starvation;
+    assert_eq!(
+        r.stage_drop_total(),
+        fifo_drops,
+        "unattributed: {:?}",
+        r.stage_drops
+    );
+
+    // The fault ledger.
+    assert!(
+        r.fault.accounted(),
+        "the fault ledger is open: {:?}",
+        r.fault
+    );
+    let planned = c.plan.as_ref().map_or(0, FaultPlan::len);
+    assert!(
+        r.fault.injected as usize <= planned,
+        "more faults fired than planned"
+    );
+    if let Some(plan) = &c.plan {
+        assert_eq!(&FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
+    }
+
+    // The event counts.
+    let count = |f: fn(&EventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count() as u64;
+    assert_eq!(count(|k| matches!(k, EventKind::Ingress { .. })), r.offered);
+    assert_eq!(
+        count(|k| matches!(k, EventKind::Egress { .. })),
+        r.completed
+    );
+    assert_eq!(
+        count(|k| matches!(k, EventKind::Execute { queued: true, .. })),
+        count(|k| matches!(k, EventKind::PopData { .. })),
+        "a queued execution without its pop"
+    );
+
+    // Unbounded FIFOs without starvation shedding never drop.
+    if c.cfg.fifo_capacity.is_none() && d.starvation == 0 {
+        assert_eq!(r.completed, r.offered, "an unbounded switch dropped");
+    }
+    assert!((0.0..=1.0).contains(&r.normalized_throughput()));
+
+    // The Banzai relation (DESIGN.md §11). The generated plans hold no
+    // silent phantom drop. Outside the apps, a run that lost a phantom
+    // to a fault and broke the relation is the recovery finding:
+    // counted, not failed.
+    let complete = r.completed == r.offered;
+    let equivalent = complete && r.result.equivalent_to(&banzai);
+    let (mut in_relation, mut lost_broke_c1) = (false, false);
+    if c.cfg.phantoms {
+        let order: HashMap<_, _> = c
+            .trace
+            .iter()
+            .map(|p| (p.id, p.entry_order_key()))
+            .collect();
+        let in_order = r.result.access_log.values().all(|log| {
+            // A packet that touches one state twice is logged twice.
+            let mut keys: Vec<_> = log.iter().map(|id| order[id]).collect();
+            keys.dedup();
+            keys.windows(2).all(|w| w[0] < w[1])
+        });
+        let holds = in_order && (equivalent || !complete);
+        lost_broke_c1 = !c.app && r.fault.phantoms_dropped > 0 && !holds;
+        if !lost_broke_c1 {
+            assert!(in_order, "(b): an access out of entry order");
+            assert!(equivalent || !complete, "(a): not equivalent to Banzai");
+            assert!(audit(&events).is_clean(), "the auditor found a violation");
+            in_relation = equivalent;
+        }
+    }
+
+    // The interrupted run: checkpointed one before, at or one after a
+    // remap boundary, or anywhere; hot-swapped or not.
+    let period = c.cfg.remap_period;
+    let ckpt = match rng.gen_range(0..4) {
+        0 => rng.gen_range(1..r.cycles.max(2)),
+        near => (period * rng.gen_range(1..=(r.cycles / period).max(1)) + near - 2).max(1),
+    };
+    let swap = rng.gen_bool(0.5).then(|| rng.gen_range(0..r.cycles.max(1)));
+    let (resumed, stitched, swapped) = match c.wide {
+        false => served::<F>(c, ckpt, swap),
+        true => direct::<F>(c, ckpt, swap, tally),
+    };
+    assert_eq!(
+        resumed, r,
+        "the restored run diverged (checkpoint {ckpt}, swap {swap:?})"
+    );
+    assert_eq!(
+        stream_hash(&stitched),
+        stream_hash(&events),
+        "the stitched stream diverged"
+    );
+    if let Some(s) = swapped {
+        assert!(s.closed(), "the swap ledger is open: {s:?}");
+    }
+
+    for (regime, n) in [
+        ("equivalent to Banzai", in_relation as u64),
+        (
+            "no-D4 diverged from Banzai",
+            (!c.cfg.phantoms && complete && !equivalent) as u64,
+        ),
+        ("lost phantoms broke C1", lost_broke_c1 as u64),
+        ("remap moves", r.remap_moves),
+        ("steers", r.steered),
+        ("wasted cycles", r.wasted_cycles),
+        ("phantom-full drops", d.phantom_fifo_full),
+        ("no-phantom drops", d.data_no_phantom),
+        ("recovered phantoms", r.fault.phantoms_recovered),
+        (
+            "indexes evacuated off a dead pipeline",
+            r.fault.evacuated_indexes,
+        ),
+        ("delayed grants", r.fault.delayed_grants),
+        ("aborted remaps", r.fault.aborted_remaps),
+        (
+            "phantom emits",
+            count(|k| matches!(k, EventKind::PhantomEmit { .. })),
+        ),
+        (
+            "data matches",
+            count(|k| matches!(k, EventKind::DataMatch { .. })),
+        ),
+        ("hot swaps", swapped.is_some() as u64),
+        ("mid-run restores", (ckpt < r.cycles) as u64),
+        ("cases", 1),
+        ("packets checked against the TAC semantics", r.offered),
+        ("data drops", d.total_data()),
+        ("faults injected", r.fault.injected),
+    ] {
+        *tally.entry(regime).or_default() += n;
+    }
+}
+
+/// Banzai runs the compiled program; the TAC interpreter runs the
+/// source. They agree on every register and every declared field.
+fn check_tac(c: &Case, banzai: &RunResult) {
+    let tac = mp5::lang::frontend(&c.src).expect("the frontend accepts what compiled");
+    let (declared, mut regs) = (tac.declared_fields, tac.initial_regs());
+    let mut trace = c.trace.clone();
+    trace.sort_by_key(Packet::entry_order_key);
+    for p in &trace {
+        let mut fields = vec![0; tac.field_names.len()];
+        fields[..declared].copy_from_slice(&p.fields[..declared]);
+        tac.execute(&mut fields, &mut regs);
+        assert_eq!(
+            banzai.outputs[&p.id],
+            fields[..declared],
+            "packet {:?}",
+            p.id
+        );
+    }
+    assert_eq!(
+        banzai.final_regs, regs,
+        "registers differ from the TAC semantics"
+    );
+}
+
+/// Runs cases `0..cases` under `pins`, each seeded by its number, and
+/// returns the tally of what they reached. A failing case prints its
+/// design, plan and program before the panic goes on.
+pub fn sweep(cases: u64, pins: Pins) -> Tally {
+    let mut tally = Tally::new();
+    for i in 0..cases {
+        let rng = &mut SmallRng::seed_from_u64(i);
+        let c = Case::generate(rng, pins);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match c.plan {
+            Some(_) => check::<PlannedFaults>(&c, rng, &mut tally),
+            None => check::<NoFaults>(&c, rng, &mut tally),
+        }));
+        if let Err(e) = run {
+            eprintln!("case {i}: {:?}\nplan {:?}\n{}", c.cfg, c.plan_json(), c.src);
+            std::panic::resume_unwind(e);
+        }
+    }
+    eprintln!("{tally:#?}");
+    tally
+}
+
+/// Fails unless some case reached each of `regimes`.
+pub fn assert_reached(tally: &Tally, regimes: &[&str]) {
+    for regime in regimes {
+        assert!(tally.get(regime) > Some(&0), "no case reached {regime}");
+    }
+}

@@ -4,11 +4,12 @@
 use mp5::asic::{AsicModel, PAPER_TABLE1};
 use mp5::banzai::BanzaiSwitch;
 use mp5::baselines::{RecircConfig, RecircSwitch};
-use mp5::core::{Mp5Switch, SwitchConfig};
+use mp5::core::{Mp5Switch, RunReport, SwitchConfig};
 use mp5::sim::c1_violation_fraction;
 use mp5::sim::experiments::app_trace;
 use mp5::sim::synth::{synthetic_compiled, synthetic_trace, SynthConfig};
-use mp5::traffic::AccessPattern;
+use mp5::traffic::{AccessPattern, SizeDist, TraceBuilder};
+use mp5::types::Packet;
 
 /// §4.4: all four real applications process packets at line rate on
 /// MP5 at the paper's default 4 pipelines, with functional equivalence
@@ -206,8 +207,73 @@ fn stateless_is_easy_for_everyone() {
     ] {
         assert!(report.result.equivalent_to(&reference));
         assert!(report.normalized_throughput() > 0.95);
+        assert_eq!(report.phantoms_generated, 0, "no state, no phantoms");
     }
     let rec = RecircSwitch::new(prog, RecircConfig::new(4)).run(trace);
     assert!(rec.report.result.equivalent_to(&reference));
     assert!(rec.report.normalized_throughput() > 0.95);
+}
+
+/// A 64-entry table, one access per packet.
+const SHARDED: &str = "struct Packet { int h; int out; };
+    int tbl[64] = {0};
+    void func(struct Packet p) {
+        tbl[p.h % 64] = tbl[p.h % 64] + 1;
+        p.out = tbl[p.h % 64];
+    }";
+
+fn sharded_run(cfg: SwitchConfig, trace: impl FnOnce(usize) -> Vec<Packet>) -> RunReport {
+    let prog = mp5::compiler::compile(SHARDED, &mp5::compiler::Target::default()).unwrap();
+    let trace = trace(prog.num_fields());
+    Mp5Switch::new(prog, cfg).run(trace)
+}
+
+/// §3.1: the naive design (all state and all packets on one pipeline)
+/// caps at `1/k` of line rate.
+#[test]
+fn naive_design_caps_at_one_over_k() {
+    let t = sharded_run(SwitchConfig::naive(4), |nf| {
+        TraceBuilder::new(2000, 6).build(nf, |r, _, f| f[0] = rand::Rng::gen_range(r, 0..1000))
+    })
+    .normalized_throughput();
+    assert!(
+        t < 0.30 && t > 0.15,
+        "naive with k=4 should sit near 0.25, got {t}"
+    );
+}
+
+/// §4.3.2 D2: on skewed traffic, dynamic sharding moves state and is at
+/// least as fast as static sharding.
+#[test]
+fn dynamic_beats_static_on_skew() {
+    let pat = AccessPattern::paper_skewed();
+    let trace = |nf| TraceBuilder::new(6000, 8).build(nf, |r, _, f| f[0] = pat.draw(64, r) as i64);
+    let dynamic = sharded_run(SwitchConfig::mp5(4), trace);
+    let static_ = sharded_run(SwitchConfig::static_shard(4, 99), trace);
+    let (d, s) = (
+        dynamic.normalized_throughput(),
+        static_.normalized_throughput(),
+    );
+    assert!(d >= s * 0.99, "dynamic {d} should be >= static {s}");
+    assert!(dynamic.remap_moves > 0, "the heuristic must act on skew");
+}
+
+/// Figure 7d's effect: with 1400 B packets the inter-arrival budget is
+/// ~22 slots, so even the serialized counter keeps up at k=4.
+#[test]
+fn larger_packets_reach_line_rate_on_counter() {
+    let prog = mp5::compiler::compile(
+        "struct Packet { int seq; };
+         int count = 0;
+         void func(struct Packet p) { count = count + 1; p.seq = count; }",
+        &mp5::compiler::Target::default(),
+    )
+    .unwrap();
+    let trace = TraceBuilder::new(1500, 13)
+        .size(SizeDist::Fixed(1400))
+        .build(prog.num_fields(), |_, _, _| {});
+    let t = Mp5Switch::new(prog, SwitchConfig::mp5(4))
+        .run(trace)
+        .normalized_throughput();
+    assert!(t > 0.95, "got {t}");
 }
