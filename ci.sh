@@ -59,7 +59,7 @@ echo "==> vendored crates' own tests"
 # vendor/ is excluded from the workspace, so nothing above runs these;
 # the codec every snapshot, packet feed and report goes through lives
 # there. One shared target dir keeps vendor/ itself clean.
-for crate in serde serde_derive serde_json rand proptest; do
+for crate in serde serde_derive serde_json rand; do
     cargo test -q --offline --manifest-path "vendor/$crate/Cargo.toml" \
         --target-dir target/vendor
 done

@@ -1,5 +1,5 @@
-//! Property test (hand-rolled generator, no external property-testing
-//! crate) tying the static analyzer to the compiler's actual behaviour:
+//! Property test (a hand-rolled program generator over seeded
+//! `SmallRng` draws) tying the static analyzer to the compiler's actual behaviour:
 //! **analyzer-clean ⇔ compiles**. A program with no error-level
 //! findings under the default [`Target`] must pass
 //! `mp5_compiler::compile` with that target, and a compiled program
@@ -7,59 +7,35 @@
 
 use mp5_analysis::analyze_source;
 use mp5_compiler::{compile, Target};
-
-/// xorshift64* — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Generates a random well-formed MP5 program exercising the
 /// shardability-relevant corners: pure hash indexes, stateful indexes,
 /// repeated vs distinct indexes, predicated updates (pure and stateful
 /// predicates), and read-back into packet fields.
-fn gen_program(rng: &mut Rng) -> String {
-    let nregs = 1 + rng.below(3) as usize;
+fn gen_program(rng: &mut SmallRng) -> String {
+    let nregs = rng.gen_range(1..4);
     let mut decls = String::new();
     let mut body = String::new();
     let sizes = [1usize, 4, 8, 16];
 
     for r in 0..nregs {
-        let size = sizes[rng.below(sizes.len() as u64) as usize];
+        let size = sizes[rng.gen_range(0..sizes.len())];
         decls.push_str(&format!("int reg{r}[{size}] = {{0}};\n"));
-        let idx = |rng: &mut Rng| -> String {
+        let idx = |rng: &mut SmallRng| -> String {
             if size == 1 {
                 "0".to_string()
             } else {
-                match rng.below(3) {
+                match rng.gen_range(0..3) {
                     0 => format!("p.h % {size}"),
-                    1 => format!("hash2(p.h, {}) % {size}", 1 + rng.below(97)),
+                    1 => format!("hash2(p.h, {}) % {size}", rng.gen_range(1..98)),
                     _ => format!("p.g % {size}"),
                 }
             }
         };
         let i = idx(rng);
-        match rng.below(5) {
+        match rng.gen_range(0..5) {
             // Plain counter at one index (the common, shardable case).
             0 => body.push_str(&format!("reg{r}[{i}] = reg{r}[{i}] + 1;\n")),
             // Counter plus read-back into a field.
@@ -70,13 +46,13 @@ fn gen_program(rng: &mut Rng) -> String {
             // Purely-predicated update (resolvable predicate).
             2 => body.push_str(&format!(
                 "if (p.h > {}) {{ reg{r}[{i}] = reg{r}[{i}] + 1; }}\n",
-                rng.below(100)
+                rng.gen_range(0..100)
             )),
             // Stateful predicate over a single-index access: the access
             // still shards via a speculative phantom.
             3 => body.push_str(&format!(
                 "if (reg{r}[{i}] < {}) {{ reg{r}[{i}] = reg{r}[{i}] + 1; }}\n",
-                1 + rng.below(1000)
+                rng.gen_range(1..1001)
             )),
             // Two accesses, possibly at distinct indexes (may pin).
             _ => {
@@ -87,7 +63,7 @@ fn gen_program(rng: &mut Rng) -> String {
         }
         // Occasionally index a later register with this register's value
         // (stateful index: pins the later register).
-        if r + 1 < nregs && rng.chance(20) {
+        if r + 1 < nregs && rng.gen_bool(0.2) {
             let size2 = 8;
             decls.push_str(&format!("int sidx{r}[{size2}] = {{0}};\n"));
             body.push_str(&format!("sidx{r}[reg{r}[{i}] % {size2}] = p.h;\n"));
@@ -105,7 +81,7 @@ fn analyzer_clean_programs_compile() {
     let mut compiled_ok = 0usize;
     let mut pinned_seen = 0usize;
     for seed in 0..300u64 {
-        let src = gen_program(&mut Rng::new(seed));
+        let src = gen_program(&mut SmallRng::seed_from_u64(seed));
         let analysis = analyze_source(&src, &target);
 
         match compile(&src, &target) {

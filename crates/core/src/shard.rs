@@ -216,7 +216,8 @@ pub fn remap_to_fixpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// The switch's selection: counters read over a bitmap holding every
     /// non-zero index plus the `stale` ones (set bits over zero
@@ -239,44 +240,42 @@ mod tests {
         mv
     }
 
-    /// `n` counters, about `zero_pct` % of them zero; of the rest half
-    /// are in `0..3` (ties) and half in `0..1_000`.
-    fn counters(n: usize, zero_pct: u32) -> impl Strategy<Value = Vec<u64>> {
-        proptest::collection::vec((0u32..100, 0u64..1_000), n).prop_map(move |v| {
-            v.into_iter()
-                .map(|(r, c)| match r {
-                    r if r < zero_pct => 0,
-                    r if r % 2 == 0 => c % 3,
-                    _ => c,
-                })
-                .collect()
-        })
+    /// A counter that is zero with probability `zero_pct` %; otherwise
+    /// in `0..3` (ties) or `0..1_000`, evenly.
+    fn counter(rng: &mut SmallRng, zero_pct: u32) -> u64 {
+        let (r, c) = (rng.gen_range(0u32..100), rng.gen_range(0u64..1_000));
+        match r {
+            r if r < zero_pct => 0,
+            r if r % 2 == 0 => c % 3,
+            _ => c,
+        }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 3_000, ..ProptestConfig::default() })]
-
-        /// Small counter ranges make ties on counter (and so on index)
-        /// common, sparse hot entries leave `H` with only zero-counter
-        /// candidates, `1..3` in-flight entries exercise the guard, and
-        /// `k = 1`, all-zero and one-apart loads (`cmax == cmin`,
-        /// `C == 0`) all come up; the zero share spans sparse and dense
-        /// bitmaps.
-        #[test]
-        fn bitmap_selection_is_the_dense_heuristic(
-            case in (1usize..6, 1usize..150, 0u32..100).prop_flat_map(|(k, n, zero_pct)| (
-                Just(k),
-                proptest::collection::vec(0u16..k as u16, n),
-                counters(n, zero_pct),
-                proptest::collection::vec(prop_oneof![Just(0u32), Just(0), 1u32..3], n),
-                proptest::collection::vec(prop_oneof![Just(false), Just(false), Just(true)], n),
-            )),
-        ) {
-            let (k, map, counters, inflight, stale) = case;
-            prop_assert_eq!(
+    /// Small counter ranges make ties on counter (and so on index)
+    /// common, sparse hot entries leave `H` with only zero-counter
+    /// candidates, `1..3` in-flight entries (one in three) exercise the
+    /// guard, and `k = 1`, all-zero and one-apart loads (`cmax == cmin`,
+    /// `C == 0`) all come up; the zero share spans sparse and dense
+    /// bitmaps.
+    #[test]
+    fn bitmap_selection_is_the_dense_heuristic() {
+        for case in 0..3_000 {
+            let rng = &mut SmallRng::seed_from_u64(case);
+            let (k, n, zero_pct) = (
+                rng.gen_range(1usize..6),
+                rng.gen_range(1usize..150),
+                rng.gen_range(0u32..100),
+            );
+            let map: Vec<u16> = (0..n).map(|_| rng.gen_range(0..k as u16)).collect();
+            let counters: Vec<u64> = (0..n).map(|_| counter(rng, zero_pct)).collect();
+            let inflight: Vec<u32> = (0..n)
+                .map(|_| [0, 0, rng.gen_range(1..3)][rng.gen_range(0..3)])
+                .collect();
+            let stale: Vec<bool> = (0..n).map(|_| rng.gen_range(0..3) == 0).collect();
+            assert_eq!(
                 over_bitmap(&map, &counters, &inflight, k, &stale),
                 remap_heuristic(&map, &counters, &inflight, k),
-                "map {:?} counters {:?} inflight {:?} stale {:?}", map, counters, inflight, stale
+                "case {case}: map {map:?} counters {counters:?} inflight {inflight:?} stale {stale:?}"
             );
         }
     }

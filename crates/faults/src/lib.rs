@@ -454,7 +454,12 @@ impl FaultPlan {
                 "phantom_drop" => FaultKind::PhantomDrop {
                     rate_permille: u32_field("rate_permille")?,
                     cycles: u64_field("cycles")?,
-                    silent: fv["silent"].as_bool().unwrap_or(false),
+                    // Absent is `false`; any other value is an error,
+                    // never a silently recoverable drop.
+                    silent: match fv.as_object().and_then(|o| o.get("silent")) {
+                        None => false,
+                        Some(v) => v.as_bool().ok_or_else(|| err("\"silent\" is not a bool"))?,
+                    },
                 },
                 "fifo_overflow" => FaultKind::FifoOverflow {
                     pipeline: u16_field("pipeline")?,
@@ -1046,6 +1051,14 @@ mod tests {
             "\"seed\": 18446744073709551616",
             "missing numeric \"seed\"",
         );
+        // `silent` is a bool or absent, nothing else.
+        for not_a_bool in ["1", "\"true\"", "null"] {
+            rejected(
+                "\"silent\": true",
+                &format!("\"silent\": {not_a_bool}"),
+                "fault #0: \"silent\" is not a bool",
+            );
+        }
         // Anything but an unsigned integer literal is not a cycle count.
         for not_a_count in ["-5", "5.0", "5e0", "\"5\"", "null", "[5]"] {
             rejected(

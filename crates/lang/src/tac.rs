@@ -597,7 +597,8 @@ impl Lowerer {
 mod tests {
     use super::*;
     use crate::parse;
-    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn lower_src(src: &str) -> TacProgram {
         lower(&parse(src).unwrap())
@@ -777,27 +778,24 @@ mod tests {
         assert_eq!(TacProgram::wrap_index(6, i64::MIN), 4);
     }
 
-    proptest! {
-        /// The power-of-two mask is the Euclidean remainder, negative
-        /// values and both ends of `i64` included.
-        #[test]
-        fn wrap_index_is_rem_euclid(
-            raw in prop_oneof![
-                any::<i64>(),
-                -1_000i64..1_000,
-                Just(i64::MIN),
-                Just(i64::MAX),
-            ],
-            size in prop_oneof![
-                (0u32..32).prop_map(|b| 1u32 << b),
-                1u32..5_000,
-                Just(u32::MAX),
-            ],
-        ) {
-            prop_assert_eq!(
+    /// The power-of-two mask is the Euclidean remainder, negative
+    /// values and both ends of `i64` included.
+    #[test]
+    fn wrap_index_is_rem_euclid() {
+        for case in 0..256 {
+            let rng = &mut SmallRng::seed_from_u64(case);
+            let raw = [rng.gen(), rng.gen_range(-1_000..1_000), i64::MIN, i64::MAX];
+            let raw = raw[rng.gen_range(0..4)];
+            let size = [
+                1u32 << rng.gen_range(0..32),
+                rng.gen_range(1..5_000),
+                u32::MAX,
+            ];
+            let size = size[rng.gen_range(0..3)];
+            assert_eq!(
                 TacProgram::wrap_index(size, raw),
                 raw.rem_euclid(size as Value) as u32,
-                "size {} raw {}", size, raw
+                "case {case}: size {size} raw {raw}"
             );
         }
     }

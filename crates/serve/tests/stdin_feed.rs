@@ -10,7 +10,7 @@ use std::process::{Command, Output, Stdio};
 
 use mp5_core::SwitchConfig;
 use mp5_faults::NoFaults;
-use mp5_serve::Server;
+use mp5_serve::{parse_packet_line, ServeError, Server};
 use mp5_trace::{MemSink, NopSink};
 use mp5_types::Packet;
 
@@ -255,6 +255,41 @@ fn a_line_without_the_programs_field_count_is_rejected() {
         r#"{"id":9,"port":0,"arrival":200,"size":64,"fields":[1,2,3],"tags":[],"ecn":false}"#;
     let feed = format!("{}\n{}\n{short}\n", lines[0], lines[1]);
     assert_rejected(&serve(&feed), 3, "3 fields");
+}
+
+/// No proper prefix of a golden feed line is a packet, and no one-bit
+/// change to a line goes unnoticed; neither makes the reader panic.
+/// Each error names the line it was given. No flip aliases: every key
+/// is required, and a flipped value byte spells another value or none.
+#[test]
+fn a_truncated_or_flipped_feed_line_is_an_error_or_another_packet() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/feed.jsonl");
+    let feed = std::fs::read_to_string(golden).expect("the golden feed");
+    for (i, line) in feed.lines().enumerate() {
+        let lineno = i + 1;
+        let packet = parse_packet_line(line, lineno).expect("a golden line parses");
+        let names_line = |r: Result<Packet, ServeError>| match r {
+            Err(ServeError::Feed { line, .. }) => line == lineno,
+            _ => false,
+        };
+        for cut in 0..line.len() {
+            let prefix = &line[..cut];
+            let r = parse_packet_line(prefix, lineno);
+            assert!(names_line(r), "line {lineno}: {prefix}");
+        }
+        let mut bytes = line.as_bytes().to_vec();
+        for (at, mask) in (0..bytes.len()).flat_map(|at| [(at, 0x01), (at, 0x04), (at, 0x10)]) {
+            bytes[at] ^= mask;
+            // Every reader takes `&str`: a flip that leaves no valid
+            // UTF-8 never reaches the parser.
+            if let Ok(damaged) = std::str::from_utf8(&bytes) {
+                let r = parse_packet_line(damaged, lineno);
+                let noticed = r.as_ref().is_ok_and(|p| *p != packet) || names_line(r);
+                assert!(noticed, "line {lineno}: flip {mask:#x} at byte {at}");
+            }
+            bytes[at] ^= mask;
+        }
+    }
 }
 
 #[test]

@@ -5,6 +5,8 @@
 //! `e06d1ca`), so every file here is what the old `Value`-tree codec
 //! produced. Each must still decode, and re-encode to the same bytes.
 
+mod harness;
+
 use std::path::PathBuf;
 
 use mp5::core::state::{Flight, QueueSnap};
@@ -323,7 +325,8 @@ fn a_detailed_snapshot_of_5k_packets_round_trips_within_seconds() {
 // ---------------------------------------------------------------------
 
 mod shapes {
-    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
     use serde::{Deserialize, Serialize};
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -364,122 +367,73 @@ mod shapes {
     /// Every escape class (quote, backslash, the five short escapes,
     /// other control characters) next to 1- to 4-byte UTF-8, and the
     /// JSON punctuation a layout pass must leave alone inside strings.
-    const CHARS: [char; 22] = [
-        'a',
-        ' ',
-        '{',
-        '}',
-        '[',
-        ']',
-        ',',
-        ':',
-        '"',
-        '\\',
-        '/',
-        '\n',
-        '\r',
-        '\t',
-        '\u{08}',
-        '\u{0c}',
-        '\u{00}',
-        '\u{1f}',
-        '\u{7f}',
-        'é',
-        '\u{20ac}',
-        '\u{10348}',
-    ];
+    const CHARS: &str = "a {}[],:\"\\/\n\r\t\u{08}\u{0c}\u{00}\u{1f}\u{7f}é\u{20ac}\u{10348}";
 
-    pub fn text() -> impl Strategy<Value = String> {
-        proptest::collection::vec(0usize..CHARS.len(), 0..12)
-            .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+    /// `0..max` draws of `draw`, the count drawn too.
+    pub fn vec_of<T>(rng: &mut SmallRng, max: usize, draw: fn(&mut SmallRng) -> T) -> Vec<T> {
+        (0..rng.gen_range(0..max)).map(|_| draw(rng)).collect()
+    }
+
+    pub fn text(rng: &mut SmallRng) -> String {
+        let chars: Vec<char> = CHARS.chars().collect();
+        (0..rng.gen_range(0..12))
+            .map(|_| chars[rng.gen_range(0..chars.len())])
+            .collect()
     }
 
     /// Finite floats from raw bits, salted with the edge cases: both
     /// zeros, integral values (printed with `.0`), exponent forms.
-    pub fn float() -> impl Strategy<Value = f64> {
-        prop_oneof![
-            any::<u64>().prop_map(|bits| {
-                let f = f64::from_bits(bits);
-                if f.is_finite() {
-                    f
-                } else {
-                    0.0
-                }
-            }),
-            Just(0.0),
-            Just(-0.0),
-            Just(3.0),
-            Just(-1e300),
-            Just(2.5e-7),
-            Just(f64::MAX),
-            Just(f64::MIN_POSITIVE),
-        ]
+    pub fn float(rng: &mut SmallRng) -> f64 {
+        const EDGES: [f64; 7] = [0.0, -0.0, 3.0, -1e300, 2.5e-7, f64::MAX, f64::MIN_POSITIVE];
+        match rng.gen_range(0..8) {
+            7 => Some(f64::from_bits(rng.gen()))
+                .filter(|f| f.is_finite())
+                .unwrap_or(0.0),
+            i => EDGES[i],
+        }
     }
 
-    pub fn unsigned() -> impl Strategy<Value = u64> {
-        prop_oneof![any::<u64>(), Just(0), Just(u64::MAX), 0u64..100]
+    pub fn unsigned(rng: &mut SmallRng) -> u64 {
+        [rng.gen(), 0, u64::MAX, rng.gen_range(0..100)][rng.gen_range(0..4)]
     }
 
-    pub fn signed() -> impl Strategy<Value = i64> {
-        prop_oneof![
-            any::<i64>(),
-            Just(i64::MIN),
-            Just(i64::MAX),
-            Just(0),
-            -100i64..100
-        ]
+    pub fn signed(rng: &mut SmallRng) -> i64 {
+        [rng.gen(), i64::MIN, i64::MAX, 0, rng.gen_range(-100..100)][rng.gen_range(0..5)]
     }
 
-    pub fn variant() -> impl Strategy<Value = Variant> {
-        prop_oneof![
-            Just(Variant::Unit),
-            unsigned().prop_map(Variant::Newtype),
-            (signed(), text()).prop_map(|(a, b)| Variant::Tuple(a, b)),
-            (float(), any::<bool>(), signed()).prop_map(|(x, some, y)| Variant::Struct {
-                x,
-                y: some.then_some(Newtype(y)),
-            }),
-        ]
-    }
-
-    pub fn named() -> impl Strategy<Value = Named> {
-        let scalars = (unsigned(), signed(), any::<u8>(), -128i16..128, float());
-        let texts = (text(), text(), text());
-        let small = (
-            any::<bool>(),
-            any::<bool>(),
-            any::<u32>(),
-            any::<u16>(),
-            any::<i32>(),
-        );
-        let nested = proptest::collection::vec(proptest::collection::vec(-400i16..400, 0..4), 0..4);
-        let variants = proptest::collection::vec(variant(), 0..5);
-        (scalars, texts, small, nested, variants, float(), float()).prop_map(
-            |(
-                (unsigned, signed, a, b, float),
-                (t1, t2, t3),
-                (f1, f2, w, h, i),
-                nested,
-                variants,
-                g,
-                h2,
-            )| Named {
-                unsigned,
-                signed,
-                small: (a, b as i8),
-                optional: f1.then_some(w),
-                nested,
-                text: t1,
-                float,
-                flag: f2,
-                triple: (h, t2, f1),
-                quad: (w, i, g, f2.then_some(f1)),
-                unit: Unit,
-                newtype: Newtype(signed),
-                tuple: Tuple(unsigned, t3, h2),
-                variants,
+    pub fn variant(rng: &mut SmallRng) -> Variant {
+        match rng.gen_range(0..4) {
+            0 => Variant::Unit,
+            1 => Variant::Newtype(unsigned(rng)),
+            2 => Variant::Tuple(signed(rng), text(rng)),
+            _ => Variant::Struct {
+                x: float(rng),
+                y: rng.gen::<bool>().then(|| Newtype(signed(rng))),
             },
-        )
+        }
+    }
+
+    pub fn named(rng: &mut SmallRng) -> Named {
+        let (unsigned, signed, float) = (unsigned(rng), signed(rng), float(rng));
+        let (f1, f2, w): (bool, bool, u32) = (rng.gen(), rng.gen(), rng.gen());
+        Named {
+            unsigned,
+            signed,
+            small: (rng.gen(), rng.gen_range(-128i16..128) as i8),
+            optional: f1.then_some(w),
+            nested: vec_of(rng, 4, |rng| {
+                vec_of(rng, 4, |rng| rng.gen_range(-400i16..400))
+            }),
+            text: text(rng),
+            float,
+            flag: f2,
+            triple: (rng.gen(), text(rng), f1),
+            quad: (w, rng.gen(), self::float(rng), f2.then_some(f1)),
+            unit: Unit,
+            newtype: Newtype(signed),
+            tuple: Tuple(unsigned, text(rng), self::float(rng)),
+            variants: vec_of(rng, 5, variant),
+        }
     }
 }
 
@@ -507,92 +461,131 @@ fn squeeze(text: &str) -> String {
 }
 
 /// The three properties every shape must satisfy; comparing the
-/// re-encoded text as well as the value tells `-0.0` from `0.0`.
-fn round_trips<T>(value: &T) -> Result<(), proptest::prelude::TestCaseError>
+/// re-encoded text as well as the value tells `-0.0` from `0.0`. A
+/// failure names the value and the check it failed.
+fn round_trips<T>(value: &T)
 where
     T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
 {
-    use proptest::prelude::*;
     let text = serde_json::to_string(value).unwrap();
-
-    // Direct: text -> T.
-    let direct: T = serde_json::from_str(&text).map_err(|e| TestCaseError::fail(e.to_string()))?;
-    prop_assert_eq!(&direct, value);
-    prop_assert_eq!(&serde_json::to_string(&direct).unwrap(), &text);
-
-    // By way of a `Value`: the document type agrees with the typed path
-    // on what the text means and prints it back unchanged.
-    let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
-    prop_assert_eq!(&serde_json::to_string(&doc).unwrap(), &text);
-    prop_assert_eq!(&doc.to_string(), &text);
-    prop_assert_eq!(&serde_json::to_value(value).unwrap(), &doc);
-    let via_doc: T = serde_json::from_value(doc).unwrap();
-    prop_assert_eq!(&via_doc, value);
-
-    // Pretty is compact plus whitespace, and reads back the same.
+    let fail = |e: serde_json::Error| -> ! { panic!("{value:?} as {text}: {e}") };
+    let direct: T = serde_json::from_str(&text).unwrap_or_else(|e| fail(e));
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| fail(e));
+    let via_doc: T = serde_json::from_value(doc.clone()).unwrap_or_else(|e| fail(e));
     let pretty = serde_json::to_string_pretty(value).unwrap();
-    prop_assert_eq!(&squeeze(&pretty), &text);
-    let from_pretty: T = serde_json::from_str(&pretty).unwrap();
-    prop_assert_eq!(&serde_json::to_string(&from_pretty).unwrap(), &text);
-    Ok(())
+    let from_pretty: T = serde_json::from_str(&pretty).unwrap_or_else(|e| fail(e));
+    let checks = [
+        // Direct: text -> T.
+        ("text -> T", direct == *value),
+        (
+            "text -> T -> text",
+            serde_json::to_string(&direct).unwrap() == text,
+        ),
+        // By way of a `Value`: the document type agrees with the typed
+        // path on what the text means and prints it back unchanged.
+        (
+            "Value -> text",
+            serde_json::to_string(&doc).unwrap() == text,
+        ),
+        ("Value Display", doc.to_string() == text),
+        ("T -> Value", serde_json::to_value(value).unwrap() == doc),
+        ("Value -> T", via_doc == *value),
+        // Pretty is compact plus whitespace, and reads back the same.
+        (
+            "pretty is compact plus whitespace",
+            squeeze(&pretty) == text,
+        ),
+        (
+            "pretty -> T -> text",
+            serde_json::to_string(&from_pretty).unwrap() == text,
+        ),
+    ];
+    if let Some((check, _)) = checks.iter().find(|(_, ok)| !ok) {
+        panic!("{check} fails on {value:?} as {text}");
+    }
 }
 
 mod round_trip {
     use super::round_trips;
     use super::shapes::*;
-    use proptest::prelude::*;
+    use crate::harness::cases;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+    const N: u64 = 200;
 
-        #[test]
-        fn named_struct(v in named()) { round_trips(&v)?; }
+    #[test]
+    fn named_struct() {
+        cases(N, named, |v, _| round_trips(v));
+    }
 
-        #[test]
-        fn newtype_struct(v in signed()) { round_trips(&Newtype(v))?; }
+    #[test]
+    fn newtype_struct() {
+        cases(N, |rng| Newtype(signed(rng)), |v, _| round_trips(v));
+    }
 
-        #[test]
-        fn tuple_struct(a in unsigned(), b in text(), c in float()) { round_trips(&Tuple(a, b, c))?; }
+    #[test]
+    fn tuple_struct() {
+        let draw = |rng: &mut SmallRng| Tuple(unsigned(rng), text(rng), float(rng));
+        cases(N, draw, |v, _| round_trips(v));
+    }
 
-        #[test]
-        fn unit_struct(_v in 0u8..1) { round_trips(&Unit)?; }
+    #[test]
+    fn unit_struct() {
+        round_trips(&Unit);
+    }
 
-        #[test]
-        fn enum_variants(v in proptest::collection::vec(variant(), 0..6)) { round_trips(&v)?; }
+    #[test]
+    fn enum_variants() {
+        cases(N, |rng| vec_of(rng, 6, variant), |v, _| round_trips(v));
+    }
 
-        #[test]
-        fn option_and_nested_vec(v in proptest::collection::vec(
-            proptest::collection::vec((any::<bool>(), signed()).prop_map(|(s, v)| s.then_some(v)), 0..5),
-            0..5,
-        )) { round_trips(&v)?; }
+    #[test]
+    fn option_and_nested_vec() {
+        let draw = |rng: &mut SmallRng| {
+            vec_of(rng, 5, |rng| {
+                vec_of(rng, 5, |rng| rng.gen::<bool>().then(|| signed(rng)))
+            })
+        };
+        cases(N, draw, |v, _| round_trips(v));
+    }
 
-        #[test]
-        fn tuples_of_two_to_four(a in unsigned(), b in text(), c in float(), d in signed()) {
-            round_trips(&(a, b.clone()))?;
-            round_trips(&(d, c, b.clone()))?;
-            round_trips(&(b, a, d, c))?;
-        }
+    #[test]
+    fn tuples_of_two_to_four() {
+        let draw = |rng: &mut SmallRng| (unsigned(rng), text(rng), float(rng), signed(rng));
+        cases(N, draw, |(a, b, c, d), _| {
+            round_trips(&(*a, b.clone()));
+            round_trips(&(*d, *c, b.clone()));
+            round_trips(&(b.clone(), *a, *d, *c));
+        });
+    }
 
-        #[test]
-        fn extreme_integers(_v in 0u8..1) {
-            round_trips(&(i64::MIN, i64::MAX, u64::MAX, 0u64))?;
-            round_trips(&vec![i64::MIN, -1, 0, 1, i64::MAX])?;
-        }
+    #[test]
+    fn extreme_integers() {
+        round_trips(&(i64::MIN, i64::MAX, u64::MAX, 0u64));
+        round_trips(&vec![i64::MIN, -1, 0, 1, i64::MAX]);
+    }
 
-        #[test]
-        fn floats(v in proptest::collection::vec(float(), 0..8)) { round_trips(&v)?; }
+    #[test]
+    fn floats() {
+        cases(N, |rng| vec_of(rng, 8, float), |v, _| round_trips(v));
+    }
 
-        #[test]
-        fn strings(v in proptest::collection::vec(text(), 0..6)) { round_trips(&v)?; }
+    #[test]
+    fn strings() {
+        cases(N, |rng| vec_of(rng, 6, text), |v, _| round_trips(v));
+    }
 
-        #[test]
-        fn packets(id in any::<u64>(), port in any::<u16>(), fields in proptest::collection::vec(signed(), 0..6)) {
+    #[test]
+    fn packets() {
+        let draw = |rng: &mut SmallRng| {
             let mut p = crate::packets(1, 1).remove(0);
-            p.id = mp5::types::PacketId(id);
-            p.port = mp5::types::PortId(port);
-            p.fields = fields;
-            round_trips(&p)?;
-        }
+            p.id = mp5::types::PacketId(rng.gen());
+            p.port = mp5::types::PortId(rng.gen());
+            p.fields = vec_of(rng, 6, signed);
+            p
+        };
+        cases(N, draw, |p, _| round_trips(p));
     }
 }
 
@@ -1233,19 +1226,19 @@ fn a_truncated_or_flipped_event_line_is_an_error_or_another_event() {
 
 mod events {
     use super::*;
-    use proptest::prelude::*;
+    use harness::cases;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
     /// Mostly small and boundary values, so that two draws often agree
     /// in some fields and differ in others.
-    fn word() -> impl Strategy<Value = u64> {
-        prop_oneof![
-            0u64..3,
-            9u64..12,
-            Just(u16::MAX as u64),
-            Just(u32::MAX as u64),
-            Just(u64::MAX),
-            any::<u64>(),
-        ]
+    fn word(rng: &mut SmallRng) -> u64 {
+        match rng.gen_range(0..6) {
+            0 => rng.gen_range(0..3),
+            1 => rng.gen_range(9..12),
+            2 => rng.gen(),
+            i => [u16::MAX as u64, u32::MAX as u64, u64::MAX][i - 3],
+        }
     }
 
     /// One event from seven words: location, then the kind's fields.
@@ -1258,32 +1251,34 @@ mod events {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
-
-        /// The encoding is injective — what lets `stream_hash` digest
-        /// events where it used to digest their text. `b` is `a` with
-        /// one word drawn again, which that kind may or may not read.
-        #[test]
-        fn equal_events_and_equal_lines_are_the_same_thing(
-            kind in 0usize..29,
-            other_kind in 0usize..29,
-            words in proptest::collection::vec(word(), 7),
-            redrawn in (0usize..7, word()),
-            flags in (any::<bool>(), any::<bool>()),
-            same_kind in any::<bool>(),
-        ) {
-            let a = event_from(kind, &words, flags);
+    /// The encoding is injective — what lets `stream_hash` digest
+    /// events where it used to digest their text. `b` is `a` with
+    /// one word drawn again, which that kind may or may not read, and
+    /// half the time another kind.
+    #[test]
+    fn equal_events_and_equal_lines_are_the_same_thing() {
+        let draw = |rng: &mut SmallRng| {
+            let words: Vec<u64> = (0..7).map(|_| word(rng)).collect();
+            let flags = (rng.gen(), rng.gen());
+            let kind = rng.gen_range(0..29);
             let mut other_words = words.clone();
-            other_words[redrawn.0] = redrawn.1;
-            let b = event_from(if same_kind { kind } else { other_kind }, &other_words, flags);
-            prop_assert_eq!(a == b, a.to_jsonl() == b.to_jsonl(), "{:?} / {:?}", a, b);
-            prop_assert_eq!(Event::parse_jsonl(&a.to_jsonl()), Ok(a));
-            let lifecycle = a.kind.is_lifecycle() || b.kind.is_lifecycle();
-            if !lifecycle {
-                prop_assert_eq!(a == b, stream_hash(&[a]) == stream_hash(&[b]));
-                prop_assert_eq!(a == b, stream_hash(&[a, b]) == stream_hash(&[b, a]));
+            other_words[rng.gen_range(0..7)] = word(rng);
+            let other_kind = if rng.gen() {
+                kind
+            } else {
+                rng.gen_range(0..29)
+            };
+            let b = event_from(other_kind, &other_words, flags);
+            (event_from(kind, &words, flags), b)
+        };
+        cases(2_000, draw, |&(a, b), _| {
+            assert_eq!(a == b, a.to_jsonl() == b.to_jsonl());
+            assert_eq!(Event::parse_jsonl(&a.to_jsonl()), Ok(a));
+            if !(a.kind.is_lifecycle() || b.kind.is_lifecycle()) {
+                assert_eq!(a == b, stream_hash(&[a]) == stream_hash(&[b]));
+                let (ab, ba) = (stream_hash(&[a, b]), stream_hash(&[b, a]));
+                assert_eq!(a == b, ab == ba);
             }
-        }
+        });
     }
 }

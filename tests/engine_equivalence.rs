@@ -11,8 +11,6 @@ use harness::*;
 use mp5::core::Mp5Switch;
 use mp5::faults::PlannedFaults;
 use mp5::trace::{stream_hash, MemSink};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Attaching a sink does not change the execution path: every case
 /// asserts that its traced report equals its untraced one.
@@ -77,24 +75,27 @@ fn fault_plans_replay_identically_through_json() {
         ..Pins::default()
     };
     assert_reached(&sweep(8, pins), &["faults injected"]);
-    for i in 0..8 {
-        let c = Case::generate(&mut SmallRng::seed_from_u64(i), pins);
-        let plan = c.plan.as_ref().expect("the plan is pinned");
-        let (direct, a) = Mp5Switch::with_faults(
-            c.prog.clone(),
-            c.cfg.clone(),
-            MemSink::new(),
-            plan.injector(),
-        )
-        .run_traced(c.trace.clone());
-        let (replayed, b) = c
-            .switch::<_, PlannedFaults>(MemSink::new())
+    cases(
+        8,
+        |rng| Case::generate(rng, pins),
+        |c, _| {
+            let plan = c.plan.as_ref().expect("the plan is pinned");
+            let (direct, a) = Mp5Switch::with_faults(
+                c.prog.clone(),
+                c.cfg.clone(),
+                MemSink::new(),
+                plan.injector(),
+            )
             .run_traced(c.trace.clone());
-        assert_eq!(direct, replayed, "case {i}: JSON changed the run");
-        assert_eq!(
-            stream_hash(&a.into_events()),
-            stream_hash(&b.into_events()),
-            "case {i}: JSON changed the event stream"
-        );
-    }
+            let (replayed, b) = c
+                .switch::<_, PlannedFaults>(MemSink::new())
+                .run_traced(c.trace.clone());
+            assert_eq!(direct, replayed, "JSON changed the run");
+            assert_eq!(
+                stream_hash(&a.into_events()),
+                stream_hash(&b.into_events()),
+                "JSON changed the event stream"
+            );
+        },
+    );
 }

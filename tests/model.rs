@@ -15,7 +15,7 @@ use mp5::compiler::{compile, Target};
 use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::faults::FaultPlan;
 use mp5::sim::experiments::app_trace;
-use mp5::trace::{audit, MemSink, NopSink};
+use mp5::trace::{audit, Check, MemSink, NopSink};
 use mp5::traffic::TraceBuilder;
 
 /// Generated cases per run of the harness.
@@ -120,4 +120,24 @@ fn a_lost_phantom_still_breaks_c1() {
     let r = Mp5Switch::with_faults(prog, SwitchConfig::mp5(2), NopSink, plan.injector()).run(trace);
     assert_eq!(r.completed, r.offered);
     assert!(r.fault.phantoms_recovered > 0 && !r.result.equivalent_to(&banzai));
+}
+
+/// Per-index queues (`ideal`, or any design with `per_index_fifos`)
+/// break C1 on bundled apps in clean runs: a later packet's access
+/// overtakes an earlier one at the same index, so relation (a) fails
+/// too. Shared lanes run the same trace in order. This input breaks
+/// it today; once a fix makes this test fail, delete it and the
+/// per-index exception in the harness's `check_fabric`.
+#[test]
+fn per_index_queues_still_break_c1() {
+    let conga = mp5::apps::by_name("conga").unwrap();
+    let (prog, trace) = app_trace(conga, 300, 0);
+    let banzai = BanzaiSwitch::new(prog.clone()).run(trace.clone());
+    let lanes = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(2)).run(trace.clone());
+    assert!(lanes.result.equivalent_to(&banzai));
+    let sw = Mp5Switch::with_sink(prog, SwitchConfig::ideal(2), MemSink::new());
+    let (r, sink) = sw.run_traced(trace);
+    assert_eq!(r.completed, r.offered);
+    assert!(!r.result.equivalent_to(&banzai));
+    assert!(audit(&sink.into_events()).count(Check::C1) > 0);
 }
