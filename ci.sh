@@ -183,7 +183,7 @@ echo "==> serve smoke: a streamed stdin feed, audited and stitched across a halt
 # rest of the feed into its checkpoint) restored from the snapshot must
 # emit the uninterrupted run's stream.
 ./target/release/mp5serve tests/golden/feed.dsl --stdin \
-    --trace "$SERVE_TMP/feed-full.jsonl" < tests/golden/feed.jsonl
+    --trace "$SERVE_TMP/feed-full.jsonl" < tests/golden/feed.jsonl > "$SERVE_TMP/feed.out"
 ./target/release/mp5audit --quiet "$SERVE_TMP/feed-full.jsonl"
 ./target/release/mp5serve tests/golden/feed.dsl --stdin --halt-at 2 \
     --snapshot "$SERVE_TMP/feed.snap" --trace "$SERVE_TMP/feed-pre.jsonl" \
@@ -194,6 +194,34 @@ grep -hv '"k":"snapshot"\|"k":"restored"\|"k":"swap"' \
     "$SERVE_TMP/feed-pre.jsonl" "$SERVE_TMP/feed-post.jsonl" > "$SERVE_TMP/feed-stitched.jsonl"
 cmp "$SERVE_TMP/feed-full.jsonl" "$SERVE_TMP/feed-stitched.jsonl" || {
     echo "ci.sh: the streamed feed restored from its halt diverged from the uninterrupted run" >&2
+    exit 1
+}
+
+echo "==> serve smoke: one id on every packet serves as the original feed"
+# Packet ids are labels (DESIGN.md §8, defect 6): with every id of the
+# feed set to 7 the run must end in the original's done: line, and a
+# halt at cycle 2 restored from its snapshot must emit the relabelled
+# run's stream, so a restore does not lean on unique ids either. The
+# timeout turns a hang into a failure. The auditor keys its checks by
+# packet id, so it does not run on these streams.
+sed -E 's/"id":[0-9]+/"id":7/' tests/golden/feed.jsonl > "$SERVE_TMP/feed7.jsonl"
+timeout 60 ./target/release/mp5serve tests/golden/feed.dsl --stdin \
+    --trace "$SERVE_TMP/feed7-full.jsonl" < "$SERVE_TMP/feed7.jsonl" > "$SERVE_TMP/feed7.out"
+grep '^done:' "$SERVE_TMP/feed.out" > "$SERVE_TMP/feed.done"
+grep '^done:' "$SERVE_TMP/feed7.out" > "$SERVE_TMP/feed7.done"
+cmp "$SERVE_TMP/feed.done" "$SERVE_TMP/feed7.done" || {
+    echo "ci.sh: the relabelled feed did not finish as the original" >&2
+    exit 1
+}
+timeout 60 ./target/release/mp5serve tests/golden/feed.dsl --stdin --halt-at 2 \
+    --snapshot "$SERVE_TMP/feed7.snap" --trace "$SERVE_TMP/feed7-pre.jsonl" \
+    < "$SERVE_TMP/feed7.jsonl"
+timeout 60 ./target/release/mp5serve --restore "$SERVE_TMP/feed7.snap" \
+    --trace "$SERVE_TMP/feed7-post.jsonl"
+grep -hv '"k":"snapshot"\|"k":"restored"\|"k":"swap"' \
+    "$SERVE_TMP/feed7-pre.jsonl" "$SERVE_TMP/feed7-post.jsonl" > "$SERVE_TMP/feed7-stitched.jsonl"
+cmp "$SERVE_TMP/feed7-full.jsonl" "$SERVE_TMP/feed7-stitched.jsonl" || {
+    echo "ci.sh: the relabelled feed restored from its halt diverged from its uninterrupted run" >&2
     exit 1
 }
 

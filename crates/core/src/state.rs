@@ -43,10 +43,11 @@ pub struct FlightState {
     pub ingress: PipelineId,
 }
 
-/// The owning handle to a packet in flight. Lanes, incoming rows and
-/// every FIFO slot hold (and move) this one pointer; the packet itself
-/// is written once at ingress and stays put until the switch completes
-/// it (DESIGN.md §13).
+/// A packet in flight as a checkpoint writes it. The running switch
+/// keeps every packet in flight once, in a slab, and moves `u32`
+/// handles to it (DESIGN.md §13); a `Flight` is built only when a
+/// checkpoint is extracted, and unpacked into the slab on restore, so
+/// the bytes are those of the boxed flights the switch once moved.
 pub type Flight = Box<FlightState>;
 
 impl FlightState {

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use mp5_compiler::CompiledProgram;
-use mp5_fabric::{Crossbar, OrderKey, PhantomChannel, PhantomKey};
+use mp5_fabric::{Crossbar, FifoAddr, OrderKey, PhantomChannel, PhantomKey};
 use mp5_faults::{FaultInjector, NoFaults};
 use mp5_trace::{EventKind, NopSink, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::time::{cycle_len, Time};
@@ -12,12 +12,13 @@ use mp5_types::{FastSet, Packet, PipelineId, RegId, StageId};
 use crate::config::{ConfigError, ShardingMode, SwitchConfig};
 use crate::report::RunReport;
 use crate::shard::{self, Touched};
-use crate::state::Flight;
 use queue::StageQueue;
+use slab::{Flights, Handle};
 use work::Pipe;
 
 mod queue;
 mod recovery;
+mod slab;
 mod snapshot;
 mod steer;
 #[cfg(test)]
@@ -63,13 +64,20 @@ impl std::fmt::Display for InvariantViolation {
 impl std::error::Error for InvariantViolation {}
 
 /// A phantom packet payload on the dedicated channel: 48 bits in
-/// hardware — `(packet id, state, index, pipeline, stage)` (Figure 5).
+/// hardware — `(packet id, state, index, pipeline, stage)` (Figure 5),
+/// where the packet id is its buffer slot: here the packet's handle and
+/// which of its tags the phantom stands for, so delivery records the
+/// phantom's FIFO address in that packet's row.
 #[derive(Debug, Clone)]
 struct PhantomMsg {
     key: PhantomKey,
     ts: OrderKey,
     dest: PipelineId,
     lane: PipelineId,
+    flight: Handle,
+    /// The tag's place counted from the end of the packet's tag list
+    /// (`slab::from_back`).
+    back: u16,
 }
 
 /// The MP5 multi-pipeline switch.
@@ -109,14 +117,18 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     channel: PhantomChannel<PhantomMsg>,
     /// Reusable buffer for the channel's per-cycle deliveries.
     channel_buf: Vec<(PhantomMsg, StageId)>,
-    /// Reusable buffer for one packet's stage keys in
-    /// [`Mp5Switch::enqueue_stateful`] (runs per stateful arrival).
-    key_scratch: Vec<PhantomKey>,
+    /// Reusable buffer for one packet's stage keys and their phantoms'
+    /// addresses in [`Mp5Switch::enqueue_stateful`] (runs per stateful
+    /// arrival).
+    key_scratch: Vec<(PhantomKey, FifoAddr)>,
     crossbars: Vec<Crossbar>,
     /// Phantoms cancelled while still on the channel.
     cancelled: FastSet<PhantomKey>,
+    /// Every packet between arrival and exit, and its phantoms'
+    /// addresses; everything else holds handles into it.
+    flights: Flights,
     /// Arrived packets waiting for an ingress slot.
-    ingress_q: VecDeque<Flight>,
+    ingress_q: VecDeque<Handle>,
     /// Future arrivals, ascending entry order.
     arrivals: VecDeque<Packet>,
     rr: usize,
@@ -145,7 +157,7 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     /// Steered packets held back by injected crossbar grant delays:
     /// `(ready_cycle, dest pipeline, stage, flight)`, drained in
     /// insertion order once ready.
-    pending_grants: VecDeque<(u64, PipelineId, usize, Flight)>,
+    pending_grants: VecDeque<(u64, PipelineId, usize, Handle)>,
     /// Packets that exited the final stage, `(packet, exit cycle)` in
     /// completion order. The streaming API's output side: a fabric
     /// calls [`Mp5Switch::drain_egress`] each tick to route them on;
@@ -235,6 +247,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             channel: PhantomChannel::new(stages),
             channel_buf: Vec::new(),
             key_scratch: Vec::new(),
+            flights: Flights::new(prog.resolution.plans.len()),
             crossbars: (0..stages).map(|_| Crossbar::new(k)).collect(),
             next_remap: cfg.remap_period,
             cfg,
@@ -318,27 +331,14 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             .map(|p| p.arrival + mp5_types::BYTES_PER_SLOT)
             .unwrap_or(0);
         self.arrivals = packets.into();
-        let clen = cycle_len(self.timing_k);
-        let input_cycles = self.report.input_duration / clen + 1;
-        let cap = self.cfg.max_cycles.unwrap_or_else(|| {
-            input_cycles * (self.k as u64 + 2) * 4 + (self.stages as u64) * 16 + 100_000
-        });
         while !self.drained() {
-            if self.cycle >= cap {
-                let pipes = self.pipes.iter();
-                return Err(InvariantViolation {
-                    cap,
-                    ingress: self.ingress_q.len(),
-                    in_lanes: pipes.clone().flat_map(|p| &p.lanes).flatten().count(),
-                    queued: pipes.flat_map(|p| &p.queues).map(StageQueue::len).sum(),
-                    channel: self.channel.in_flight(),
-                });
-            }
+            self.check_liveness()?;
             self.step();
             // Whole-trace runs have no egress consumer: drop completions
             // as they happen so the buffer never grows past one cycle.
             self.egress_buf.clear();
         }
+        debug_assert_eq!(self.flights.len(), 0, "a drained switch holds a packet");
         Ok(self.finish())
     }
 
@@ -378,6 +378,31 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// `(packet, exit cycle)` in completion order.
     pub fn drain_egress(&mut self) -> Vec<(Packet, u64)> {
         std::mem::take(&mut self.egress_buf)
+    }
+
+    /// The liveness bound every run is held to: `Err` once the switch
+    /// has reached its cycle cap with work still inside. The cap is
+    /// [`SwitchConfig::max_cycles`], or else a bound that grows with the
+    /// input offered so far (four times `k + 2` cycles per input cycle,
+    /// plus slack for the pipeline depth), which a well-formed
+    /// configuration drains well within. The whole-trace `run` checks it
+    /// before every cycle; a streaming caller checks it between ticks.
+    pub fn check_liveness(&self) -> Result<(), InvariantViolation> {
+        let cap = self.cfg.max_cycles.unwrap_or_else(|| {
+            let input_cycles = self.report.input_duration / self.cycle_len() + 1;
+            input_cycles * (self.k as u64 + 2) * 4 + (self.stages as u64) * 16 + 100_000
+        });
+        if self.cycle < cap || self.drained() {
+            return Ok(());
+        }
+        let pipes = self.pipes.iter();
+        Err(InvariantViolation {
+            cap,
+            ingress: self.ingress_q.len(),
+            in_lanes: pipes.clone().flat_map(|p| &p.lanes).flatten().count(),
+            queued: pipes.flat_map(|p| &p.queues).map(StageQueue::len).sum(),
+            channel: self.channel.in_flight(),
+        })
     }
 
     /// True when nothing is buffered or in flight anywhere inside the

@@ -3,20 +3,24 @@
 //! checkpointed form.
 
 use mp5_compiler::program::INDEX_ARRAY_LEVEL;
-use mp5_fabric::{Entry, LogicalFifo, OrderKey, PhantomKey, PopOutcome};
+use mp5_fabric::{Entry, FifoAddr, FifoCore, FifoParts, OrderKey, PhantomKey, PopOutcome};
 use mp5_trace::{TraceCtx, TraceSink};
-use mp5_types::PipelineId;
+use mp5_types::{PacketId, PipelineId};
 
+use super::slab::{from_back, Flights, Handle, SEQ_ROOM};
 use crate::config::SwitchConfig;
 use crate::state::{Flight, QueueSnap, RestoreError};
 
 /// Per-(pipeline, stage) input queue: the bank of `k` FIFOs, or one
-/// FIFO per register index in the ideal configuration.
+/// FIFO per register index in the ideal configuration. Phantoms are
+/// inserted and cancelled at the address their push returned, which
+/// the caller keeps in [`Flights`]; an index's sub-queue is found by
+/// the key's index.
 #[derive(Debug)]
 pub(super) enum StageQueue {
-    Logical(LogicalFifo<Flight>),
+    Logical(FifoCore<Handle>),
     PerIndex {
-        subs: std::collections::BTreeMap<u32, LogicalFifo<Flight>>,
+        subs: std::collections::BTreeMap<u32, FifoCore<Handle>>,
         max_total: usize,
         /// Bound applied to each per-index sub-queue (`fifo_capacity`):
         /// the ideal configuration honors bounded-FIFO runs too.
@@ -27,7 +31,7 @@ pub(super) enum StageQueue {
 /// What a stage's scheduler did with its FIFO this cycle.
 pub(super) enum Serve {
     Idle,
-    Served(Flight),
+    Served(Handle),
     Wasted,
 }
 
@@ -40,7 +44,7 @@ impl StageQueue {
                 capacity: cfg.fifo_capacity,
             }
         } else {
-            StageQueue::Logical(LogicalFifo::new(cfg.pipelines, cfg.fifo_capacity))
+            StageQueue::Logical(FifoCore::new(cfg.pipelines, cfg.fifo_capacity))
         }
     }
 
@@ -48,7 +52,7 @@ impl StageQueue {
     /// takes there: the bank itself and `lane`, or that index's own
     /// sub-queue (opened on first use) and its one lane.
     #[inline]
-    fn fifo(&mut self, index: u32, lane: PipelineId) -> (&mut LogicalFifo<Flight>, PipelineId) {
+    fn fifo(&mut self, index: u32, lane: PipelineId) -> (&mut FifoCore<Handle>, PipelineId) {
         match self {
             StageQueue::Logical(f) => (f, lane),
             StageQueue::PerIndex { subs, capacity, .. } => {
@@ -58,12 +62,12 @@ impl StageQueue {
     }
 
     fn sub(
-        subs: &mut std::collections::BTreeMap<u32, LogicalFifo<Flight>>,
+        subs: &mut std::collections::BTreeMap<u32, FifoCore<Handle>>,
         capacity: Option<usize>,
         index: u32,
-    ) -> &mut LogicalFifo<Flight> {
+    ) -> &mut FifoCore<Handle> {
         subs.entry(index)
-            .or_insert_with(|| LogicalFifo::new(1, capacity))
+            .or_insert_with(|| FifoCore::new(1, capacity))
     }
 
     /// Records a new peak total depth after an enqueue (per-index
@@ -78,6 +82,7 @@ impl StageQueue {
         }
     }
 
+    /// Queues a phantom; its address, or `None` if the lane was full.
     #[inline]
     pub(super) fn push_phantom<S: TraceSink>(
         &mut self,
@@ -86,59 +91,64 @@ impl StageQueue {
         lane: PipelineId,
         sink: &mut S,
         ctx: TraceCtx,
-    ) -> bool {
+    ) -> Option<FifoAddr> {
         let (f, lane) = self.fifo(key.index, lane);
-        let ok = f.push_phantom_traced(key, ts, lane, sink, ctx).is_ok();
+        let addr = f.push_phantom_traced(key, ts, lane, sink, ctx).ok();
         self.note_depth();
-        ok
+        addr
     }
 
     #[inline]
     pub(super) fn push_data<S: TraceSink>(
         &mut self,
-        fl: Flight,
+        pkt: PacketId,
+        h: Handle,
         ts: OrderKey,
         lane: PipelineId,
         sink: &mut S,
         ctx: TraceCtx,
-    ) -> Result<(), Flight> {
+    ) -> Result<(), Handle> {
         let (f, lane) = self.fifo(INDEX_ARRAY_LEVEL, lane);
-        let r = f.push_data_traced(fl.pkt.id, fl, ts, lane, sink, ctx);
+        let r = f.push_data_traced(pkt, h, ts, lane, sink, ctx);
         self.note_depth();
         r.map(|_| ())
     }
 
     /// Re-inserts a data packet whose phantom was lost to an injected
     /// fault directly into FIFO order at its original order key (the
-    /// C1-preserving recovery path; see `LogicalFifo::push_recovered`).
+    /// C1-preserving recovery path; see `FifoCore::push_recovered`).
     pub(super) fn push_recovered<S: TraceSink>(
         &mut self,
         key: PhantomKey,
-        fl: Flight,
+        h: Handle,
         ts: OrderKey,
         sink: &mut S,
         ctx: TraceCtx,
     ) {
         let (f, _) = self.fifo(key.index, PipelineId(0));
-        f.push_recovered_traced(key, fl, ts, sink, ctx);
+        f.push_recovered_traced(key, h, ts, sink, ctx);
         self.note_depth();
     }
 
+    /// Replaces `key`'s phantom at `addr` with the packet.
     #[inline]
     pub(super) fn insert_data<S: TraceSink>(
         &mut self,
+        addr: FifoAddr,
         key: PhantomKey,
-        fl: Flight,
+        h: Handle,
         sink: &mut S,
         ctx: TraceCtx,
-    ) -> Result<(), Flight> {
+    ) -> Result<(), Handle> {
         let (f, _) = self.fifo(key.index, PipelineId(0));
-        f.insert_data_traced(key, fl, sink, ctx).map(|_| ())
+        f.insert_data_traced(addr, key, h, sink, ctx)
     }
 
+    /// Cancels `key`'s phantom at `addr`, if it is there.
     #[inline]
     pub(super) fn cancel<S: TraceSink>(
         &mut self,
+        addr: FifoAddr,
         key: PhantomKey,
         free: bool,
         sink: &mut S,
@@ -146,13 +156,20 @@ impl StageQueue {
     ) -> bool {
         self.fifo(key.index, PipelineId(0))
             .0
-            .cancel_traced(key, free, sink, ctx)
+            .cancel_traced(addr, key, free, sink, ctx)
     }
 
     #[inline]
-    pub(super) fn serve<S: TraceSink>(&mut self, st: usize, sink: &mut S, ctx: TraceCtx) -> Serve {
+    pub(super) fn serve<S: TraceSink>(
+        &mut self,
+        st: usize,
+        flights: &Flights,
+        sink: &mut S,
+        ctx: TraceCtx,
+    ) -> Serve {
+        let pkt_of = |h: &Handle| flights[*h].pkt.id;
         match self {
-            StageQueue::Logical(f) => match f.pop_traced(sink, ctx, |fl| fl.pkt.id) {
+            StageQueue::Logical(f) => match f.pop_traced(sink, ctx, pkt_of) {
                 PopOutcome::Data(fl) => Serve::Served(fl),
                 PopOutcome::ConsumedStale => Serve::Wasted,
                 PopOutcome::Empty | PopOutcome::BlockedOnPhantom(_) => Serve::Idle,
@@ -164,33 +181,28 @@ impl StageQueue {
                 // only when every sibling is also at its queue's head —
                 // otherwise an earlier-arrived packet for that sibling
                 // index would be overtaken when this packet executes all
-                // of its accesses at once.
+                // of its accesses at once. Siblings are found by the
+                // address recorded for them, not by key, so two packets
+                // that share an id cannot stand in for each other.
                 enum Head {
-                    Phantom(PhantomKey),
-                    Data(Vec<PhantomKey>),
+                    Phantom(Option<FifoAddr>),
+                    Data(Handle),
                     Stale,
                 }
                 let mut heads: std::collections::BTreeMap<u32, (OrderKey, Head)> =
                     Default::default();
                 for (&idx, f) in subs.iter_mut() {
-                    let Some(entry) = f.peek_oldest() else {
+                    let Some((addr, entry)) = f.peek_oldest_at() else {
                         continue;
                     };
                     let ts = entry.ts();
                     let head = match entry {
-                        mp5_fabric::Entry::Phantom { key, .. } => Head::Phantom(*key),
-                        mp5_fabric::Entry::Stale { free, .. } => {
+                        Entry::Phantom { .. } => Head::Phantom(addr),
+                        Entry::Stale { free, .. } => {
                             debug_assert!(!free, "free stales are drained by peek");
                             Head::Stale
                         }
-                        mp5_fabric::Entry::Data { item, .. } => Head::Data(
-                            item.pkt
-                                .tags
-                                .iter()
-                                .filter(|t| t.stage.index() == st)
-                                .map(|t| item.key(t))
-                                .collect(),
-                        ),
+                        Entry::Data { item, .. } => Head::Data(*item),
                     };
                     heads.insert(idx, (ts, head));
                 }
@@ -201,16 +213,24 @@ impl StageQueue {
                     .collect();
                 cands.sort_unstable();
                 for (_, idx) in cands {
-                    if let (_, Head::Data(keys)) = &heads[&idx] {
-                        // A sibling key gates service only while its
-                        // phantom is still queued (in no-phantom modes,
-                        // or after drops, there is nothing to wait for).
-                        let eligible = keys.iter().all(|k| {
-                            k.index == idx
-                                || subs.get(&k.index).is_none_or(|sub| !sub.has_phantom(*k))
+                    if let (_, Head::Data(h)) = heads[&idx] {
+                        // A sibling gates service only while its phantom
+                        // is still queued (in no-phantom modes, or after
+                        // drops, there is nothing to wait for).
+                        let fl = &flights[h];
+                        let tags = &fl.pkt.tags;
+                        let eligible = tags.iter().enumerate().all(|(i, t)| {
+                            if t.stage.index() != st || t.index == idx {
+                                return true;
+                            }
+                            let addr = flights.addr(h, from_back(tags.len(), i));
+                            let queued = subs
+                                .get(&t.index)
+                                .is_some_and(|sub| sub.phantom_at(addr, fl.key(t)));
+                            !queued
                                 || matches!(
-                                    heads.get(&k.index),
-                                    Some((_, Head::Phantom(hk))) if hk == k
+                                    heads.get(&t.index),
+                                    Some((_, Head::Phantom(Some(a)))) if *a == addr
                                 )
                         });
                         if !eligible {
@@ -225,7 +245,7 @@ impl StageQueue {
                         debug_assert!(false, "candidate index {idx} vanished from sub-queues");
                         continue;
                     };
-                    let out = match sub.pop_traced(sink, ctx, |fl| fl.pkt.id) {
+                    let out = match sub.pop_traced(sink, ctx, pkt_of) {
                         PopOutcome::Data(fl) => Serve::Served(fl),
                         PopOutcome::ConsumedStale => Serve::Wasted,
                         // The candidate filter above excluded phantom heads
@@ -284,7 +304,7 @@ impl StageQueue {
 
 impl StageQueue {
     /// The queue's FIFOs: the logical one, or each per-index sub-queue.
-    pub(super) fn fifos(&self) -> impl Iterator<Item = &LogicalFifo<Flight>> {
+    pub(super) fn fifos(&self) -> impl Iterator<Item = &FifoCore<Handle>> {
         let (one, subs) = match self {
             StageQueue::Logical(f) => (Some(f), None),
             StageQueue::PerIndex { subs, .. } => (None, Some(subs.values())),
@@ -292,35 +312,50 @@ impl StageQueue {
         one.into_iter().chain(subs.into_iter().flatten())
     }
 
-    /// The queue's explicit state for a checkpoint.
-    pub(super) fn snapshot(&self) -> QueueSnap {
+    /// The queue's explicit state for a checkpoint, each queued handle
+    /// written as the packet it names.
+    pub(super) fn snapshot(&self, flights: &Flights) -> QueueSnap {
+        let parts = |f: &FifoCore<Handle>| f.snapshot_parts_with(|h| Box::new(flights[*h].clone()));
         match self {
-            StageQueue::Logical(f) => QueueSnap::Logical(f.snapshot_parts()),
+            StageQueue::Logical(f) => QueueSnap::Logical(parts(f)),
             StageQueue::PerIndex {
                 subs,
                 max_total,
                 capacity,
             } => QueueSnap::PerIndex {
-                subs: subs.iter().map(|(i, f)| (*i, f.snapshot_parts())).collect(),
+                subs: subs.iter().map(|(i, f)| (*i, parts(f))).collect(),
                 max_total: *max_total,
                 capacity: *capacity,
             },
         }
     }
 
-    /// Rebuilds a checkpointed queue in `cfg`'s layout. Each per-index
-    /// sub-queue must hold only its own index's phantoms: a packet looks
-    /// for its phantom in the sub-queue of that index and nowhere else.
-    pub(super) fn restore(q: QueueSnap, cfg: &SwitchConfig) -> Result<Self, RestoreError> {
+    /// Rebuilds a checkpointed queue in `cfg`'s layout, storing each
+    /// queued packet in `flights`. Each per-index sub-queue must hold
+    /// only its own index's phantoms: a packet looks for its phantom in
+    /// the sub-queue of that index and nowhere else. The phantoms'
+    /// addresses are the caller's to record.
+    pub(super) fn restore(
+        q: QueueSnap,
+        cfg: &SwitchConfig,
+        flights: &mut Flights,
+    ) -> Result<Self, RestoreError> {
         use RestoreError::Incompatible;
-        let fifo = |parts: mp5_fabric::FifoParts<Flight>, lanes: usize| {
+        let mut fifo = |parts: FifoParts<Flight>, lanes: usize| {
             if parts.lanes.len() != lanes {
                 let got = parts.lanes.len();
                 return Err(Incompatible(format!(
                     "a FIFO has {got} lanes, expected {lanes}"
                 )));
             }
-            LogicalFifo::from_parts(parts).map_err(Incompatible)
+            // Recorded phantom addresses pack the sequence number into
+            // 48 bits (`slab::SEQ_ROOM`).
+            if parts.lanes.iter().any(|l| l.head_seq > SEQ_ROOM) {
+                return Err(Incompatible(format!(
+                    "a lane's sequence numbers start past {SEQ_ROOM}"
+                )));
+            }
+            FifoCore::from_parts(parts.map(|fl| flights.alloc(*fl))).map_err(Incompatible)
         };
         match (q, cfg.per_index_fifos) {
             (QueueSnap::Logical(f), false) => Ok(StageQueue::Logical(fifo(f, cfg.pipelines)?)),
@@ -335,9 +370,7 @@ impl StageQueue {
                 let mut fifos = std::collections::BTreeMap::new();
                 for (i, f) in subs {
                     let f = fifo(f, 1)?;
-                    if f.iter_entries()
-                        .any(|e| matches!(e, Entry::Phantom { key, .. } if key.index != i))
-                    {
+                    if f.phantoms().any(|(_, key, _)| key.index != i) {
                         return Err(Incompatible(format!(
                             "sub-queue {i} holds another index's phantom"
                         )));

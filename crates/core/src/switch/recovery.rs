@@ -156,11 +156,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     #[inline]
     pub(super) fn release_grants(&mut self) {
         let pending = std::mem::take(&mut self.pending_grants);
-        for (ready, dest, st, fl) in pending {
+        for (ready, dest, st, h) in pending {
             if ready <= self.cycle {
-                self.enqueue_stateful(dest, st, fl);
+                self.enqueue_stateful(dest, st, h);
             } else {
-                self.pending_grants.push_back((ready, dest, st, fl));
+                self.pending_grants.push_back((ready, dest, st, h));
             }
         }
     }

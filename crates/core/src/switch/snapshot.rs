@@ -1,24 +1,54 @@
 //! Checkpoint, restore and hot swap (the serialized form: crate::state).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use mp5_banzai::RunResult;
 use mp5_compiler::program::{INDEX_ARRAY_LEVEL, REG_STAGE_SENTINEL};
 use mp5_compiler::CompiledProgram;
-use mp5_fabric::{Crossbar, Entry, LogicalFifo, PhantomChannel, PhantomKey};
+use mp5_fabric::{Crossbar, Entry, FifoAddr, FifoCore, OrderKey, PhantomChannel, PhantomKey};
 use mp5_faults::FaultInjector;
 use mp5_trace::{EventKind, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::{AccessTag, FastSet, PacketId, RegId, Value};
 
 use super::queue::StageQueue;
+use super::slab::{from_back, Flights, Handle};
 use super::{Mp5Switch, PhantomMsg};
 use crate::config::SwitchConfig;
 use crate::report::RunReport;
 use crate::shard::Touched;
 use crate::state::{
-    ChannelFlightSnap, ChannelSnap, ReportSnap, RestoreError, ResultSnap, SwapError, SwapReport,
-    SwitchState, XbarSnap,
+    ChannelFlightSnap, ChannelSnap, Flight, ReportSnap, RestoreError, ResultSnap, SwapError,
+    SwapReport, SwitchState, XbarSnap,
 };
+
+/// The packet in flight a restored phantom belongs to — the one that
+/// entered at the phantom's order key (`by_order`, `None` where two
+/// did) and has a tag for its key at pipeline `pl`, stage `st` — and
+/// that tag's place in the packet's row. A phantom no packet comes for
+/// would block its FIFO forever under D4; one that two packets could
+/// claim has no single owner.
+fn owner(
+    flights: &Flights,
+    by_order: &HashMap<OrderKey, Option<Handle>>,
+    (key, pl, st, ts): (PhantomKey, usize, usize, OrderKey),
+) -> Result<(Handle, usize), String> {
+    let orphan = || format!("no packet comes for phantom {key:?} at {pl}/{st}");
+    let h = match by_order.get(&ts) {
+        None => return Err(orphan()),
+        Some(None) => {
+            return Err(format!(
+                "phantom {key:?} at {pl}/{st} matches more than one packet in flight"
+            ))
+        }
+        Some(Some(h)) => *h,
+    };
+    let fl = &flights[h];
+    let tags = &fl.pkt.tags;
+    let here =
+        |t: &AccessTag| fl.key(t) == key && t.pipeline.index() == pl && t.stage.index() == st;
+    let i = tags.iter().position(here).ok_or_else(orphan)?;
+    Ok((h, from_back(tags.len(), i)))
+}
 
 /// The report with its three maps written as sorted vectors.
 fn snap_report(r: &RunReport) -> ReportSnap {
@@ -120,6 +150,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             keys.sort_unstable();
             keys
         };
+        let boxed = |h: &Handle| -> Flight { Box::new(self.flights[*h].clone()) };
         SwitchState {
             cycle: self.cycle,
             rr: self.rr,
@@ -130,9 +161,13 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             queues: self
                 .pipes
                 .iter()
-                .map(|p| p.queues.iter().map(StageQueue::snapshot).collect())
+                .map(|p| p.queues.iter().map(|q| q.snapshot(&self.flights)).collect())
                 .collect(),
-            lanes: self.pipes.iter().map(|p| p.lanes.clone()).collect(),
+            lanes: self
+                .pipes
+                .iter()
+                .map(|p| p.lanes.iter().map(|l| l.as_ref().map(boxed)).collect())
+                .collect(),
             channel: ChannelSnap {
                 stages: self.channel.stages(),
                 max_in_flight: self.channel.max_in_flight(),
@@ -163,9 +198,13 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 .collect(),
             cancelled: sorted(&self.cancelled),
             lost: sorted(&self.lost),
-            ingress_q: self.ingress_q.iter().cloned().collect(),
+            ingress_q: self.ingress_q.iter().map(boxed).collect(),
             arrivals: self.arrivals.iter().cloned().collect(),
-            pending_grants: self.pending_grants.iter().cloned().collect(),
+            pending_grants: self
+                .pending_grants
+                .iter()
+                .map(|(ready, dest, st, h)| (*ready, *dest, *st, boxed(h)))
+                .collect(),
             egress_buf: self.egress_buf.clone(),
             dead: self.dead.clone(),
             evac_done: self.evac_done.clone(),
@@ -274,38 +313,98 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
         self.check_content(&state)
             .map_err(RestoreError::Incompatible)?;
+        // Every packet in flight moves into a fresh slab. Rows start
+        // unset: the phantom directory is derived, so each queued
+        // phantom's address goes into the row of the one packet that
+        // comes for it.
+        let mut flights = Flights::new(self.prog.resolution.plans.len());
         let mut queues = Vec::with_capacity(k);
         for row in state.queues {
-            let row = row.into_iter().map(|q| StageQueue::restore(q, &self.cfg));
+            let row = row
+                .into_iter()
+                .map(|q| StageQueue::restore(q, &self.cfg, &mut flights));
             queues.push(row.collect::<Result<Vec<_>, _>>()?);
         }
-        let flights = state.channel.flights.into_iter().map(|f| {
+        let mut alloc = |fl: Flight| flights.alloc(*fl);
+        let lanes: Vec<Vec<Option<Handle>>> = state
+            .lanes
+            .into_iter()
+            .map(|row| row.into_iter().map(|l| l.map(&mut alloc)).collect())
+            .collect();
+        let ingress_q = state.ingress_q.into_iter().map(&mut alloc).collect();
+        let pending_grants = state
+            .pending_grants
+            .into_iter()
+            .map(|(ready, dest, st, fl)| (ready, dest, st, alloc(fl)))
+            .collect();
+        // Keyed by the file's contents: the default hasher keeps crafted
+        // collisions from making the restore quadratic.
+        let mut by_order = HashMap::new();
+        for (h, fl) in flights.iter() {
+            let one = by_order.entry(fl.order).or_insert(Some(h));
+            if *one != Some(h) {
+                *one = None;
+            }
+        }
+        let incompat = |why: String| RestoreError::Incompatible(why);
+        for (pl, row) in queues.iter().enumerate() {
+            for (st, q) in row.iter().enumerate() {
+                for (addr, key, ts) in q.fifos().flat_map(FifoCore::phantoms) {
+                    let (h, back) =
+                        owner(&flights, &by_order, (key, pl, st, ts)).map_err(incompat)?;
+                    if flights.addr(h, back) != FifoAddr::UNSET {
+                        return Err(incompat(format!(
+                            "phantom {key:?} at {pl}/{st} is queued twice"
+                        )));
+                    }
+                    flights.set_addr(h, back, addr);
+                }
+            }
+        }
+        let cancelled: FastSet<PhantomKey> = state.cancelled.into_iter().collect();
+        let mut on_channel = HashSet::new();
+        let mut channel = Vec::with_capacity(state.channel.flights.len());
+        for f in state.channel.flights {
+            // A cancelled phantom is discarded at delivery, before
+            // anything reads its handle.
+            let (flight, back) = if cancelled.contains(&f.key) {
+                (Handle::NONE, 0)
+            } else {
+                let at = (f.key, f.dest.index(), f.dest_stage as usize, f.ts);
+                let (h, back) = owner(&flights, &by_order, at).map_err(incompat)?;
+                if flights.addr(h, back) != FifoAddr::UNSET || !on_channel.insert((h, back)) {
+                    return Err(incompat(format!(
+                        "channel phantom {:?} stands for a tag another phantom holds",
+                        f.key
+                    )));
+                }
+                (h, back)
+            };
             let msg = PhantomMsg {
                 key: f.key,
                 ts: f.ts,
                 dest: f.dest,
                 lane: f.lane,
+                flight,
+                back: back as u16,
             };
-            (msg, f.at, f.dest_stage)
-        });
+            channel.push((msg, f.at, f.dest_stage));
+        }
         self.channel = PhantomChannel::from_parts(
             self.stages,
-            flights.collect(),
+            channel,
             state.channel.max_in_flight,
             state.channel.delivered,
         )
         .map_err(RestoreError::Incompatible)?;
-        for (((pipe, queues), regs), lanes) in self
-            .pipes
-            .iter_mut()
-            .zip(queues)
-            .zip(state.regs)
-            .zip(state.lanes)
+        for (((pipe, queues), regs), lanes) in
+            self.pipes.iter_mut().zip(queues).zip(state.regs).zip(lanes)
         {
             pipe.queues = queues;
             pipe.regs = regs;
             pipe.lanes = lanes;
         }
+        self.flights = flights;
         self.index_map = state.index_map;
         self.touched = state.access_ctr.iter().map(|c| Touched::of(c)).collect();
         self.access_ctr = state.access_ctr;
@@ -315,11 +414,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             .into_iter()
             .map(|x| Crossbar::from_parts(k, x.routed, x.steer_cycles))
             .collect();
-        self.cancelled = state.cancelled.into_iter().collect();
+        self.cancelled = cancelled;
         self.lost = state.lost.into_iter().collect();
-        self.ingress_q = state.ingress_q.into();
+        self.ingress_q = ingress_q;
         self.arrivals = state.arrivals.into();
-        self.pending_grants = state.pending_grants.into();
+        self.pending_grants = pending_grants;
         self.egress_buf = state.egress_buf;
         // The masks are derived occupancy views, not state: rebuild them
         // from the restored lanes and queues.
@@ -359,10 +458,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// What a checkpoint must hold beyond its shape for this switch to
     /// run it: every pipeline, stage, register and index it names is in
     /// range, every packet carries the program's fields, every tag list
-    /// is in stage order, and every phantom — queued, or on the channel
-    /// and not cancelled — sits where a packet in flight will come for
-    /// it, per that packet's tag. Under D4 a phantom no packet comes for
-    /// blocks its FIFO forever.
+    /// is in stage order, and every channel phantom is bound inside the
+    /// switch. That every phantom has the one packet that comes for it
+    /// is checked as [`Self::inject_state`] matches them up.
     fn check_content(&self, s: &SwitchState) -> Result<(), String> {
         let (k, stages, nf) = (self.k, self.stages, self.prog.num_fields());
         if s.index_map.iter().flatten().any(|&p| p as usize >= k) {
@@ -380,22 +478,13 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 ));
             }
         }
-        // Every queue entry, with the (pipeline, stage) it waits at.
-        let queued = || {
-            s.queues.iter().enumerate().flat_map(|(pl, row)| {
-                let row = row.iter().enumerate();
-                row.flat_map(move |(st, q)| q.entries().map(move |e| (pl, st, e)))
-            })
-        };
-        let data = queued().filter_map(|(.., e)| match e {
+        let queued = s.queues.iter().flatten().flat_map(|q| q.entries());
+        let data = queued.filter_map(|e| match e {
             Entry::Data { item, .. } => Some(item),
             _ => None,
         });
         let held = s.pending_grants.iter().map(|(.., fl)| fl);
         let flights = s.lanes.iter().flatten().flatten().chain(&s.ingress_q);
-        // Keyed by the file's contents: the default hasher keeps crafted
-        // collisions from making the check quadratic.
-        let mut awaited = HashSet::new();
         for fl in flights.chain(held).chain(data) {
             let (id, n, ing) = (fl.pkt.id, fl.pkt.fields.len(), fl.ingress);
             let ordered = fl.pkt.tags.windows(2).all(|w| w[0].stage <= w[1].stage);
@@ -411,27 +500,14 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 if !(placed && (t.reg == REG_STAGE_SENTINEL || indexed)) {
                     return Err(format!("packet {id} has an out-of-range tag {t:?}"));
                 }
-                awaited.insert((fl.key(t), t.pipeline.index(), t.stage.index()));
             }
         }
-        for (pl, st, e) in queued() {
-            if let Entry::Phantom { key, .. } = e {
-                if !awaited.contains(&(*key, pl, st)) {
-                    return Err(format!("no packet comes for phantom {key:?} at {pl}/{st}"));
-                }
-            }
-        }
-        let cancelled: HashSet<&PhantomKey> = s.cancelled.iter().collect();
         for f in &s.channel.flights {
             if f.dest.index() >= k || f.lane.index() >= k {
                 return Err(format!(
                     "channel phantom {:?} is bound outside 0..{k}",
                     f.key
                 ));
-            }
-            let at = (f.key, f.dest.index(), f.dest_stage as usize);
-            if !awaited.contains(&at) && !cancelled.contains(&f.key) {
-                return Err(format!("no packet comes for channel phantom {:?}", f.key));
             }
         }
         Ok(())
@@ -516,13 +592,10 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         let queued = self.pipes.iter().flat_map(|p| &p.queues);
         let queued = queued
             .flat_map(StageQueue::fifos)
-            .flat_map(LogicalFifo::iter_entries)
-            .filter_map(|e| match e {
-                Entry::Phantom { key, .. } => Some(key),
-                _ => None,
-            });
+            .flat_map(FifoCore::phantoms)
+            .map(|(_, key, _)| key);
         let lost_phantoms = queued
-            .chain(self.channel.flights().map(|(msg, ..)| &msg.key))
+            .chain(self.channel.flights().map(|(msg, ..)| msg.key))
             .filter(|key| !valid(key))
             .count() as u64;
         // Ledger sides B and C: read each index's active copy out of
@@ -553,6 +626,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         for (pipe, regs) in self.pipes.iter_mut().zip(fresh) {
             pipe.regs = regs;
         }
+        // Packets resolved from here on may hold more tags; packets past
+        // their prologue keep theirs.
+        self.flights.widen(new_prog.resolution.plans.len());
         self.prog = new_prog;
         if S::ENABLED {
             TraceCtx::new(self.cycle, NO_LOC, NO_LOC)

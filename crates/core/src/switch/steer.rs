@@ -8,15 +8,17 @@ use mp5_faults::FaultInjector;
 use mp5_trace::{DropCause, EventKind, TraceCtx, TraceSink};
 use mp5_types::PipelineId;
 
+use super::slab::{from_back, Handle};
 use super::work::release_inflight;
 use super::{tkey, Mp5Switch};
 use crate::config::SprayMode;
-use crate::state::{Flight, FlightState};
+use crate::state::FlightState;
 
 impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// Phantom delivery: the channel advances one hop and each phantom
     /// it delivers joins its destination stage FIFO, unless the packet
-    /// it stands for was dropped meanwhile or a fault takes it.
+    /// it stands for was dropped meanwhile or a fault takes it. The
+    /// address it is queued at goes into its packet's row.
     #[inline]
     pub(super) fn deliver_phantoms(&mut self) {
         let mut deliveries = std::mem::take(&mut self.channel_buf);
@@ -37,13 +39,17 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             }
             let pipe = &mut self.pipes[msg.dest.index()];
             let queue = &mut pipe.queues[stage.index()];
-            let ok = queue.push_phantom(msg.key, msg.ts, msg.lane, &mut self.sink, ctx);
-            if ok && stage.index() < 64 {
-                pipe.qmask |= 1 << stage.index();
-            }
-            if !ok {
-                self.report.drops.phantom_fifo_full += 1;
-                self.report.count_stage_drop(msg.dest.0, stage.0);
+            match queue.push_phantom(msg.key, msg.ts, msg.lane, &mut self.sink, ctx) {
+                Some(addr) => {
+                    if stage.index() < 64 {
+                        pipe.qmask |= 1 << stage.index();
+                    }
+                    self.flights.set_addr(msg.flight, msg.back as usize, addr);
+                }
+                None => {
+                    self.report.drops.phantom_fifo_full += 1;
+                    self.report.count_stage_drop(msg.dest.0, stage.0);
+                }
             }
         }
         self.channel_buf = deliveries;
@@ -60,11 +66,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 break; // unreachable: `front()` was just checked
             };
             let order = OrderKey(pkt.arrival, pkt.port.0 as u64);
-            self.ingress_q.push_back(Box::new(FlightState {
+            let h = self.flights.alloc(FlightState {
                 pkt,
                 order,
                 ingress: PipelineId(0), // assigned at admission
-            }));
+            });
+            self.ingress_q.push_back(h);
         }
         let admit_limit = match self.cfg.spray {
             SprayMode::RoundRobin => self.k,
@@ -91,9 +98,10 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             if self.pipes[pl].inc_row[0].is_some() {
                 continue;
             }
-            let Some(mut fl) = self.ingress_q.pop_front() else {
+            let Some(h) = self.ingress_q.pop_front() else {
                 break; // unreachable: emptiness was checked above
             };
+            let fl = &mut self.flights[h];
             fl.ingress = PipelineId(pl as u16);
             if S::ENABLED {
                 TraceCtx::new(self.cycle, pl as u16, 0).emit(
@@ -105,7 +113,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 );
             }
             let pipe = &mut self.pipes[pl];
-            pipe.inc_row[0] = Some(fl);
+            pipe.inc_row[0] = Some(h);
             pipe.inc |= 1;
         }
     }
@@ -123,10 +131,10 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 while mask != 0 {
                     let st = 63 - mask.leading_zeros() as usize;
                     mask ^= 1 << st;
-                    let fl = self.pipes[pl].lanes[st]
+                    let h = self.pipes[pl].lanes[st]
                         .take()
                         .expect("park mask bit set on an empty lane slot");
-                    self.advance(pl, st, fl);
+                    self.advance(pl, st, h);
                 }
                 debug_assert!(
                     self.pipes[pl].lanes.iter().all(|s| s.is_none()),
@@ -134,8 +142,8 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 );
             } else {
                 for st in (0..self.stages).rev() {
-                    if let Some(fl) = self.pipes[pl].lanes[st].take() {
-                        self.advance(pl, st, fl);
+                    if let Some(h) = self.pipes[pl].lanes[st].take() {
+                        self.advance(pl, st, h);
                     }
                 }
             }
@@ -145,17 +153,17 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// What the occupant of `(pl, st)` does this cycle: exit the final
     /// stage, cross the crossbar to the stage it is tagged for, or
     /// advance to the next stage of its own pipeline.
-    pub(super) fn advance(&mut self, pl: usize, st: usize, fl: Flight) {
+    pub(super) fn advance(&mut self, pl: usize, st: usize, h: Handle) {
         let next = st + 1;
         if next == self.stages {
-            self.complete(pl, fl);
+            self.complete(pl, h);
             return;
         }
-        let dest = match fl.pkt.tags.first() {
+        let dest = match self.flights[h].pkt.tags.first() {
             Some(t) if t.stage.index() == next => t.pipeline,
             _ => {
                 let pipe = &mut self.pipes[pl];
-                pipe.inc_row[next] = Some(fl);
+                pipe.inc_row[next] = Some(h);
                 if next < 64 {
                     pipe.inc |= 1 << next;
                 }
@@ -178,17 +186,18 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                     // the serial order.
                     self.report.fault.delayed_grants += 1;
                     self.pending_grants
-                        .push_back((self.cycle + delay, dest, next, fl));
+                        .push_back((self.cycle + delay, dest, next, h));
                     return;
                 }
             }
         }
-        self.enqueue_stateful(dest, next, fl);
+        self.enqueue_stateful(dest, next, h);
     }
 
     /// A data packet arrives at the stateful stage it is tagged for:
-    /// replace its phantom (or queue directly when phantoms are off).
-    pub(super) fn enqueue_stateful(&mut self, dest: PipelineId, st: usize, mut fl: Flight) {
+    /// replace its phantom at the address recorded for it (or queue
+    /// directly when phantoms are off).
+    pub(super) fn enqueue_stateful(&mut self, dest: PipelineId, st: usize, h: Handle) {
         let pipe = &mut self.pipes[dest.index()];
         // Conservative: set before knowing whether the enqueue sticks —
         // a spurious bit costs one lazy clear at the next sweep.
@@ -200,60 +209,63 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         // it joins has built past the threshold.
         if let Some(thr) = self.cfg.ecn_threshold {
             if queue.len() > thr {
-                fl.pkt.ecn = true;
+                self.flights[h].pkt.ecn = true;
             }
         }
+        let fl = &self.flights[h];
         let ctx = TraceCtx::new(self.cycle, dest.0, st as u16);
         if !self.cfg.phantoms {
             // no-D4 ablation: queue in arrival-at-stage order.
             let ts = OrderKey(self.cycle, fl.ingress.0 as u64);
-            let lane = fl.ingress;
-            if let Err(fl) = queue.push_data(fl, ts, lane, &mut self.sink, ctx) {
+            let (pkt, lane) = (fl.pkt.id, fl.ingress);
+            if let Err(h) = queue.push_data(pkt, h, ts, lane, &mut self.sink, ctx) {
                 self.report.drops.data_fifo_full += 1;
                 self.report.count_stage_drop(dest.0, st as u16);
                 if S::ENABLED {
                     ctx.emit(
                         &mut self.sink,
                         EventKind::Drop {
-                            pkt: fl.pkt.id,
+                            pkt,
                             cause: DropCause::FifoFull,
                         },
                     );
                 }
-                self.drop_remaining(fl, st);
+                self.drop_remaining(h, st);
             }
             return;
         }
         // All tags for this stage (possibly several: speculative
-        // branches or overlapping exact plans), collected into a
-        // reusable scratch — this runs once per stateful arrival.
+        // branches or overlapping exact plans) with their phantoms'
+        // addresses, collected into a reusable scratch — this runs once
+        // per stateful arrival.
         let mut keys = std::mem::take(&mut self.key_scratch);
         keys.clear();
+        let tags = &fl.pkt.tags;
         keys.extend(
-            fl.pkt
-                .tags
-                .iter()
+            tags.iter()
                 .take_while(|t| t.stage.index() == st)
-                .map(|t| fl.key(t)),
+                .enumerate()
+                .map(|(i, t)| (fl.key(t), self.flights.addr(h, from_back(tags.len(), i)))),
         );
+        let (ts, pkt) = (fl.order, fl.pkt.id);
         debug_assert!(!keys.is_empty());
-        if F::ENABLED && !self.lost.is_empty() && self.lost.remove(&keys[0]) {
+        if F::ENABLED && !self.lost.is_empty() && self.lost.remove(&keys[0].0) {
             // Injected-fault recovery: the phantom never reached this
             // FIFO, but the loss was recorded, so the data packet
             // re-enters the serial order directly at its original
             // entry-order key — exactly the slot its phantom would have
             // frozen, so C1 is preserved (older queued phantoms still
-            // block it; see `LogicalFifo::push_recovered`).
-            let ts = fl.order;
-            for k in &keys[1..] {
+            // block it; see `FifoCore::push_recovered`).
+            for (k, _) in &keys[1..] {
                 self.lost.remove(k); // siblings ride in with the data
             }
             self.report.fault.phantoms_recovered += 1;
-            queue.push_recovered(keys[0], fl, ts, &mut self.sink, ctx);
+            queue.push_recovered(keys[0].0, h, ts, &mut self.sink, ctx);
             self.key_scratch = keys;
             return;
         }
-        match queue.insert_data(keys[0], fl, &mut self.sink, ctx) {
+        let (key, addr) = keys[0];
+        match queue.insert_data(addr, key, h, &mut self.sink, ctx) {
             Ok(()) => {
                 // Sibling phantoms (speculative branches / overlapping
                 // plans) stay in place: they keep blocking their index
@@ -262,12 +274,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 // Cancelling them here would let a later packet overtake
                 // the not-yet-executed access in per-index scheduling.
                 if F::ENABLED && !self.lost.is_empty() {
-                    for k in &keys[1..] {
+                    for (k, _) in &keys[1..] {
                         self.lost.remove(k); // lost siblings need no recovery
                     }
                 }
             }
-            Err(fl) => {
+            Err(h) => {
                 // Phantom was dropped upstream: the drop cascades.
                 self.report.drops.data_no_phantom += 1;
                 self.report.count_stage_drop(dest.0, st as u16);
@@ -275,15 +287,15 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                     ctx.emit(
                         &mut self.sink,
                         EventKind::Drop {
-                            pkt: fl.pkt.id,
+                            pkt,
                             cause: DropCause::NoPhantom,
                         },
                     );
                 }
-                for &k in &keys[1..] {
-                    queue.cancel(k, true, &mut self.sink, ctx);
+                for &(k, a) in &keys[1..] {
+                    queue.cancel(a, k, true, &mut self.sink, ctx);
                 }
-                self.drop_remaining(fl, st);
+                self.drop_remaining(h, st);
             }
         }
         self.key_scratch = keys;
@@ -291,16 +303,18 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// Cleans up after dropping a data packet at stage `st`: cancel all
     /// of its not-yet-consumed phantoms (in FIFOs or still on the
-    /// channel) and release its in-flight counters. Takes the handle so
-    /// the packet is freed here, not in the enqueue path.
-    #[allow(clippy::boxed_local)]
-    pub(super) fn drop_remaining(&mut self, fl: Flight, st: usize) {
-        for tag in &fl.pkt.tags {
+    /// channel), release its in-flight counters and free its slot.
+    pub(super) fn drop_remaining(&mut self, h: Handle, st: usize) {
+        let fl = self.flights.free(h);
+        let n = fl.pkt.tags.len();
+        for (i, tag) in fl.pkt.tags.iter().enumerate() {
             release_inflight(&mut self.inflight, tag);
             if tag.stage.index() <= st {
                 continue; // this stage's keys were handled by the caller
             }
             let key = fl.key(tag);
+            // Freeing the slot leaves its row until the slot is reused.
+            let addr = self.flights.addr(h, from_back(n, i));
             if F::ENABLED && !self.lost.is_empty() && self.lost.remove(&key) {
                 // The phantom was already lost to a fault: there is
                 // nothing left to cancel anywhere.
@@ -308,17 +322,16 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             }
             let ctx = TraceCtx::new(self.cycle, tag.pipeline.0, tag.stage.0);
             let queue = &mut self.pipes[tag.pipeline.index()].queues[tag.stage.index()];
-            if !queue.cancel(key, true, &mut self.sink, ctx) {
+            if !queue.cancel(addr, key, true, &mut self.sink, ctx) {
                 // Still on the channel: discard at delivery.
                 self.cancelled.insert(key);
             }
         }
     }
 
-    /// A packet exits the final stage. Takes the handle, not the
-    /// flight: the packet moves out of the box without copying the rest.
-    #[allow(clippy::boxed_local)]
-    pub(super) fn complete(&mut self, pl: usize, fl: Flight) {
+    /// A packet exits the final stage: it leaves its slot for egress.
+    pub(super) fn complete(&mut self, pl: usize, h: Handle) {
+        let fl = self.flights.free(h);
         if S::ENABLED {
             TraceCtx::new(self.cycle, pl as u16, (self.stages - 1) as u16)
                 .emit(&mut self.sink, EventKind::Egress { pkt: fl.pkt.id });

@@ -2,6 +2,7 @@ use super::*;
 use mp5_compiler::{compile, Target};
 use mp5_fabric::Entry;
 use mp5_traffic::TraceBuilder;
+use slab::from_back;
 
 const COUNTER: &str = "struct Packet { int seq; };
     int count = 0;
@@ -112,12 +113,12 @@ fn dead_pipeline_owns_no_indexes_after_run() {
 }
 
 /// Queues, lanes and incoming rows move flights around every cycle:
-/// what they move must stay a pointer, not the packet.
+/// what they move must stay a slab handle, not the packet.
 #[test]
 fn flights_are_handles() {
-    assert_eq!(std::mem::size_of::<Flight>(), 8);
-    assert_eq!(std::mem::size_of::<Option<Flight>>(), 8);
-    assert!(std::mem::size_of::<Entry<Flight>>() <= 48);
+    assert_eq!(std::mem::size_of::<Handle>(), 4);
+    assert!(std::mem::size_of::<Option<Handle>>() <= 8);
+    assert!(std::mem::size_of::<Entry<Handle>>() <= 40);
 }
 
 /// Sorted-by-entry-order trace for the streaming API.
@@ -161,6 +162,15 @@ fn restore_rejects_mismatched_shapes() {
     short.access_ctr[0].pop();
     let err = restore(SwitchConfig::mp5(4), short).expect_err("counter length");
     assert!(matches!(err, crate::RestoreError::Incompatible(_)));
+    // A lane whose sequence numbers start past what a recorded phantom
+    // address can hold.
+    let mut far = state.clone();
+    let crate::state::QueueSnap::Logical(fifo) = &mut far.queues[0][0] else {
+        panic!("mp5 queues are logical FIFOs");
+    };
+    fifo.lanes[0].head_seq = slab::SEQ_ROOM + 1;
+    let err = restore(SwitchConfig::mp5(4), far).expect_err("a lane past the packed range");
+    assert!(matches!(err, crate::RestoreError::Incompatible(_)));
     // A configuration that `validate` rejects is rejected here too.
     let never_remaps = SwitchConfig {
         remap_period: 0,
@@ -172,6 +182,126 @@ fn restore_rejects_mismatched_shapes() {
         crate::RestoreError::Config(ConfigError::ZeroRemapPeriod)
     ));
     assert!(restore(SwitchConfig::mp5(4), state).is_ok());
+}
+
+/// A switch 40 cycles into a run whose packets wait at a hot first
+/// array while their phantoms for the second are queued.
+fn queued_phantoms(cfg: SwitchConfig) -> (CompiledProgram, Mp5Switch) {
+    let chain = "struct Packet { int h; int out; };
+        int hot[2] = {0};
+        int tbl[64] = {0};
+        void func(struct Packet p) {
+            hot[p.h % 2] = hot[p.h % 2] + 1;
+            tbl[p.h % 64] = tbl[p.h % 64] + hot[p.h % 2];
+            p.out = tbl[p.h % 64];
+        }";
+    let prog = compile(chain, &Target::default()).unwrap();
+    let mut trace = TraceBuilder::new(600, 11).build(prog.num_fields(), |r, _, f| {
+        use rand::Rng;
+        f[0] = r.gen_range(0..1_000);
+    });
+    trace.sort_by_key(|p| p.entry_order_key());
+    let mut sw = Mp5Switch::new(prog.clone(), cfg);
+    for p in trace {
+        sw.offer(p);
+    }
+    for _ in 0..40 {
+        sw.tick();
+        sw.drain_egress();
+    }
+    (prog, sw)
+}
+
+/// The phantom directory is derived, never written: a restore matches
+/// each queued phantom to the packet that comes for it and rebuilds
+/// that packet's row. So every address a switch holds for a queued
+/// phantom before `extract_state` is the one the restored switch
+/// holds, it still names that phantom, and both switches run on alike.
+#[test]
+fn restored_directory_matches_address_for_address() {
+    /// Each packet's row, by entry order: the address of every tag whose
+    /// phantom is queued there, else `UNSET`.
+    fn rows<S: TraceSink, F: FaultInjector>(
+        sw: &Mp5Switch<S, F>,
+    ) -> Vec<(OrderKey, Vec<FifoAddr>)> {
+        let mut rows: Vec<_> = sw
+            .flights
+            .iter()
+            .map(|(h, fl)| {
+                let tags = &fl.pkt.tags;
+                let row = tags.iter().enumerate().map(|(i, t)| {
+                    let addr = sw.flights.addr(h, from_back(tags.len(), i));
+                    let queue = &sw.pipes[t.pipeline.index()].queues[t.stage.index()];
+                    let live = queue.fifos().any(|f| f.phantom_at(addr, fl.key(t)));
+                    if live {
+                        addr
+                    } else {
+                        FifoAddr::UNSET
+                    }
+                });
+                (fl.order, row.collect())
+            })
+            .collect();
+        rows.sort_unstable_by_key(|(order, _)| *order);
+        rows
+    }
+    for cfg in [SwitchConfig::mp5(4), SwitchConfig::ideal(4)] {
+        let (prog, mut sw) = queued_phantoms(cfg.clone());
+        let before = rows(&sw);
+        let queued = before.iter().flat_map(|(_, r)| r);
+        assert!(queued.filter(|a| **a != FifoAddr::UNSET).count() > 10);
+        let state = sw.extract_state(1);
+        let mut back =
+            Mp5Switch::try_restore_with(prog.clone(), cfg, state, NopSink, NoFaults).unwrap();
+        assert_eq!(rows(&back), before);
+        for s in [&mut sw, &mut back] {
+            while !s.is_idle() {
+                s.tick();
+                s.drain_egress();
+            }
+        }
+        assert_eq!(back.finish_stream().0, sw.finish_stream().0);
+    }
+}
+
+/// A restore gives each queued phantom to exactly one packet: a second
+/// packet in flight with the same key, place and entry order makes the
+/// owner ambiguous, and the snapshot is rejected.
+#[test]
+fn restore_rejects_a_phantom_two_packets_could_claim() {
+    let (prog, mut sw) = queued_phantoms(SwitchConfig::mp5(4));
+    let mut state = sw.extract_state(1);
+    let queued: Vec<PhantomKey> = state
+        .queues
+        .iter()
+        .flatten()
+        .flat_map(|q| q.entries())
+        .filter_map(|e| match e {
+            Entry::Phantom { key, .. } => Some(*key),
+            _ => None,
+        })
+        .collect();
+    let twin = state
+        .queues
+        .iter()
+        .flatten()
+        .flat_map(|q| q.entries())
+        .find_map(|e| match e {
+            Entry::Data { item, .. }
+                if item.pkt.tags.iter().any(|t| queued.contains(&item.key(t))) =>
+            {
+                Some(item.clone())
+            }
+            _ => None,
+        })
+        .expect("a queued packet owns a queued phantom");
+    state.ingress_q.push(twin);
+    let err = Mp5Switch::try_restore_with(prog, SwitchConfig::mp5(4), state, NopSink, NoFaults)
+        .expect_err("an ambiguous owner is rejected");
+    assert!(
+        matches!(&err, crate::RestoreError::Incompatible(why) if why.contains("more than one packet")),
+        "{err}"
+    );
 }
 
 #[test]

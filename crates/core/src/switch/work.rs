@@ -18,11 +18,11 @@ use mp5_types::time::cycle_len;
 use mp5_types::{AccessTag, PipelineId, RegId, StageId, Value};
 
 use super::queue::{Serve, StageQueue};
+use super::slab::{from_back, Flights, Handle};
 use super::{tkey, Mp5Switch, PhantomMsg};
 use crate::config::SwitchConfig;
 use crate::report::RunReport;
 use crate::shard::Touched;
-use crate::state::Flight;
 
 /// One cycle's work phase: what every pipeline's pass reads (immutable
 /// for the phase — the index map only changes in the remap phase) and
@@ -48,6 +48,7 @@ struct Work<'a, S> {
     touched: &'a mut [Touched],
     inflight: &'a mut [Vec<u32>],
     channel: &'a mut PhantomChannel<PhantomMsg>,
+    flights: &'a mut Flights,
     report: &'a mut RunReport,
     sink: &'a mut S,
 }
@@ -71,11 +72,11 @@ pub(super) struct Pipe {
     /// This cycle's incoming flights per stage, filled by the move phase
     /// and the ingress spray, emptied by the work phase (so it is all
     /// `None` between cycles).
-    pub(super) inc_row: Vec<Option<Flight>>,
+    pub(super) inc_row: Vec<Option<Handle>>,
     /// Stage input queues.
     pub(super) queues: Vec<StageQueue>,
     /// Stage occupancy after the work phase.
-    pub(super) lanes: Vec<Option<Flight>>,
+    pub(super) lanes: Vec<Option<Handle>>,
     /// This pipeline's replica of every register array; only the
     /// index-map-active copy of each index is meaningful (D2, Figure 3).
     pub(super) regs: Vec<Vec<Value>>,
@@ -184,18 +185,21 @@ fn work_pipeline<S: TraceSink>(w: &mut Work<'_, S>, pl: usize, pipe: &mut Pipe) 
 /// chosen packet's stage.
 fn work_slot<S: TraceSink>(w: &mut Work<'_, S>, pl: usize, st: usize, pipe: &mut Pipe) {
     let tctx = TraceCtx::new(w.cycle, pl as u16, st as u16);
-    let fl = if let Some(fl) = pipe.inc_row[st].take() {
+    let h = if let Some(h) = pipe.inc_row[st].take() {
         // Starvation handling (§3.4): drop an incoming packet that is
         // stateless-from-here-on in favor of a long-starved queued
         // stateful packet. A threshold past the byte-time horizon
         // saturates, so it never fires.
         if let Some(thr) = w.starvation_threshold {
-            let starved = fl.pkt.tags.is_empty()
+            let starved = w.flights[h].pkt.tags.is_empty()
                 && pipe.queues[st].oldest_ts().is_some_and(|ts| {
                     let now = w.cycle * w.clen;
                     now.saturating_sub(ts.0) > thr.saturating_mul(w.clen)
                 });
             if starved {
+                // Stateless from here on: no phantom or counter to
+                // release, only the slot.
+                let fl = w.flights.free(h);
                 w.report.drops.starvation += 1;
                 w.report.count_stage_drop(pl as u16, st as u16);
                 if S::ENABLED {
@@ -223,13 +227,13 @@ fn work_slot<S: TraceSink>(w: &mut Work<'_, S>, pl: usize, st: usize, pipe: &mut
             tctx.emit(
                 w.sink,
                 EventKind::Execute {
-                    pkt: fl.pkt.id,
+                    pkt: w.flights[h].pkt.id,
                     queued: false,
                     bypassed,
                 },
             );
         }
-        fl
+        h
     } else if w.stalled(pl, st) {
         // Injected stall: the stage's scheduler is frozen this cycle.
         // Only count slots where work was actually waiting.
@@ -239,12 +243,12 @@ fn work_slot<S: TraceSink>(w: &mut Work<'_, S>, pl: usize, st: usize, pipe: &mut
             pipe.qmask &= !(1 << st);
         }
         return;
-    } else if let Some(fl) = serve_queue(w, pl, st, pipe) {
-        fl
+    } else if let Some(h) = serve_queue(w, pl, st, pipe) {
+        h
     } else {
         return;
     };
-    process_flight(w, pl, st, fl, pipe);
+    process_flight(w, pl, st, h, pipe);
 }
 
 /// Serves one packet from the stage's FIFO, if the scheduler finds a
@@ -254,7 +258,7 @@ fn serve_queue<S: TraceSink>(
     pl: usize,
     st: usize,
     pipe: &mut Pipe,
-) -> Option<Flight> {
+) -> Option<Handle> {
     // A truly empty queue's `serve` is a no-op (`pop` scans every lane
     // head twice just to report `Empty`), and most queues are empty
     // most cycles. A queue holding only free stales still counts as
@@ -267,19 +271,19 @@ fn serve_queue<S: TraceSink>(
         return None;
     }
     let tctx = TraceCtx::new(w.cycle, pl as u16, st as u16);
-    match pipe.queues[st].serve(st, w.sink, tctx) {
-        Serve::Served(fl) => {
+    match pipe.queues[st].serve(st, w.flights, w.sink, tctx) {
+        Serve::Served(h) => {
             if S::ENABLED {
                 tctx.emit(
                     w.sink,
                     EventKind::Execute {
-                        pkt: fl.pkt.id,
+                        pkt: w.flights[h].pkt.id,
                         queued: true,
                         bypassed: false,
                     },
                 );
             }
-            Some(fl)
+            Some(h)
         }
         Serve::Wasted => {
             w.report.wasted_cycles += 1;
@@ -297,17 +301,20 @@ fn process_flight<S: TraceSink>(
     w: &mut Work<'_, S>,
     pl: usize,
     st: usize,
-    mut fl: Flight,
+    h: Handle,
     pipe: &mut Pipe,
 ) {
     let tctx = TraceCtx::new(w.cycle, pl as u16, st as u16);
     if st == 0 && w.prologue > 0 {
-        resolve_flight(w, &mut fl, &mut pipe.resolved);
+        resolve_flight(w, h, &mut pipe.resolved);
     }
+    let fl = &mut w.flights[h];
     if w.prologue > 0 && st == w.prologue - 1 && w.phantoms {
         // Phantom generation stage: one phantom per resolved access, in
-        // tag order, onto the dedicated channel.
-        for tag in &fl.pkt.tags {
+        // tag order, onto the dedicated channel, each naming its packet
+        // and tag so delivery can record where it was queued.
+        let n = fl.pkt.tags.len();
+        for (i, tag) in fl.pkt.tags.iter().enumerate() {
             if S::ENABLED {
                 tctx.emit(
                     w.sink,
@@ -324,6 +331,8 @@ fn process_flight<S: TraceSink>(
                     ts: fl.order,
                     dest: tag.pipeline,
                     lane: fl.ingress,
+                    flight: h,
+                    back: from_back(n, i) as u16,
                 },
                 StageId(st as u16),
                 tag.stage,
@@ -374,22 +383,24 @@ fn process_flight<S: TraceSink>(
         // released now that the accesses have executed; each still
         // costs one pop cycle when reclaimed (§3.3's speculative-false
         // penalty).
+        let fl = &w.flights[h];
+        let tags = &fl.pkt.tags;
+        let here = tags.iter().take_while(|t| t.stage.index() == st).count();
         let mut retired_speculative = false;
-        let mut first = true;
-        while fl.pkt.tags.first().is_some_and(|t| t.stage.index() == st) {
-            let tag = fl.pkt.tags.remove(0);
+        for (i, tag) in tags[..here].iter().enumerate() {
             retired_speculative |= tag.speculative;
-            if !first && w.phantoms {
-                pipe.queues[st].cancel(fl.key(&tag), false, w.sink, tctx);
+            if i > 0 && w.phantoms {
+                let addr = w.flights.addr(h, from_back(tags.len(), i));
+                pipe.queues[st].cancel(addr, fl.key(tag), false, w.sink, tctx);
             }
-            first = false;
-            release_inflight(w.inflight, &tag);
+            release_inflight(w.inflight, tag);
         }
+        w.flights[h].pkt.tags.drain(..here);
         if retired_speculative && kout.is_empty() {
             w.report.wasted_cycles += 1;
         }
     }
-    pipe.lanes[st] = Some(fl);
+    pipe.lanes[st] = Some(h);
     if st < 64 {
         pipe.park |= 1 << st;
     }
@@ -407,7 +418,8 @@ pub(super) fn release_inflight(inflight: &mut [Vec<u32>], tag: &AccessTag) {
 /// Runs preemptive address resolution (§3.3) on an arriving packet:
 /// computes every index it will access, consults the index-to-pipeline
 /// map, tags the packet, and bumps the runtime counters.
-fn resolve_flight<S>(w: &mut Work<'_, S>, fl: &mut Flight, resolved: &mut Vec<ResolvedAccess>) {
+fn resolve_flight<S>(w: &mut Work<'_, S>, h: Handle, resolved: &mut Vec<ResolvedAccess>) {
+    let fl = &mut w.flights[h];
     w.prog.resolve_into(&mut fl.pkt.fields, resolved);
     // A packet another switch of a fabric forwarded still owns its last
     // hop's (retired, empty) tag list: reuse it.
@@ -461,6 +473,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             touched: &mut self.touched,
             inflight: &mut self.inflight,
             channel: &mut self.channel,
+            flights: &mut self.flights,
             report: &mut self.report,
             sink: &mut self.sink,
         };

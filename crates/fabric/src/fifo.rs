@@ -15,6 +15,14 @@
 //!    phantom head *blocks* every later packet until its data packet
 //!    arrives — this is how D4 freezes the serial processing order.
 //!
+//! In hardware the packet's id is its buffer slot, so the directory is
+//! an array beside the packet buffer. Here it lives with the caller the
+//! same way: [`FifoCore`] hands out each phantom's [`FifoAddr`] at
+//! `push` and matches `insert` by that address alone (the switch keeps
+//! the addresses beside each in-flight packet's slot), while
+//! [`LogicalFifo`] is the keyed form, a directory from [`PhantomKey`]
+//! to address in front of the core.
+//!
 //! Two extensions beyond the paper's literal text, both needed to run the
 //! paper's own scenarios:
 //!
@@ -73,16 +81,29 @@ pub struct PhantomKey {
 /// ingress port)` — unique per packet because a port delivers at most one
 /// packet per byte-time. For the no-D4 ablation it is `(queue entry
 /// cycle, source lane)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct OrderKey(pub u64, pub u64);
 
-/// Stable address of a queued entry: `(lane, sequence number)`.
+/// Stable address of a queued entry: `(lane, sequence number)`. A
+/// phantom's address is what `insert` and `cancel` go back to; the
+/// caller keeps it (the switch, beside the packet's buffer slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FifoAddr {
     /// Which of the `k` physical FIFOs.
     pub lane: PipelineId,
     /// Sequence number within that lane's ring buffer.
     pub seq: u64,
+}
+
+impl FifoAddr {
+    /// An address no FIFO issues (its lane does not exist): what a
+    /// caller records for a phantom that was never queued. Inserting or
+    /// cancelling at it fails like at any address that does not hold
+    /// the phantom asked for.
+    pub const UNSET: FifoAddr = FifoAddr {
+        lane: PipelineId(u16::MAX),
+        seq: u64::MAX,
+    };
 }
 
 /// One queued element.
@@ -120,13 +141,34 @@ impl<T> Entry<T> {
             Entry::Phantom { ts, .. } | Entry::Data { ts, .. } | Entry::Stale { ts, .. } => *ts,
         }
     }
+
+    /// The same entry with its payload (if any) passed through `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Entry<U> {
+        match self {
+            Entry::Phantom { key, ts } => Entry::Phantom { key, ts },
+            Entry::Data { item, ts } => Entry::Data { item: f(item), ts },
+            Entry::Stale { ts, free } => Entry::Stale { ts, free },
+        }
+    }
+
+    /// The entry with its payload borrowed.
+    pub fn as_ref(&self) -> Entry<&T> {
+        match self {
+            Entry::Phantom { key, ts } => Entry::Phantom { key: *key, ts: *ts },
+            Entry::Data { item, ts } => Entry::Data { item, ts: *ts },
+            Entry::Stale { ts, free } => Entry::Stale {
+                ts: *ts,
+                free: *free,
+            },
+        }
+    }
 }
 
 /// Error returned by `push` when the target lane is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PushError;
 
-/// Result of a [`LogicalFifo::pop`] attempt.
+/// Result of a [`FifoCore::pop`] attempt.
 #[derive(Debug)]
 pub enum PopOutcome<T> {
     /// All lanes empty: nothing to do this cycle.
@@ -141,15 +183,15 @@ pub enum PopOutcome<T> {
     ConsumedStale,
 }
 
-/// Sentinel in [`LogicalFifo::lane_pos`]: the lane holds no entries and
+/// Sentinel in [`FifoCore::lane_pos`]: the lane holds no entries and
 /// is absent from the packed occupied-lane list.
 const NOT_OCCUPIED: u32 = u32::MAX;
 
-/// Checkpointed contents of one lane of a [`LogicalFifo`].
+/// Checkpointed contents of one lane of a [`FifoCore`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneParts<T> {
     /// Sequence number of the lane's head element (restores the stable
-    /// addresses the directory and any outstanding [`FifoAddr`]s use).
+    /// addresses every outstanding [`FifoAddr`] uses).
     pub head_seq: u64,
     /// Statistics high-water mark of the lane's ring.
     pub max_occupancy: usize,
@@ -157,11 +199,11 @@ pub struct LaneParts<T> {
     pub entries: Vec<Entry<T>>,
 }
 
-/// Checkpointed contents of a whole [`LogicalFifo`]. Only explicit
-/// state is captured: the phantom directory and the packed occupancy
-/// index are derived views, and the service-scan mode is not state;
-/// [`LogicalFifo::from_parts`] rebuilds the views and services through
-/// the index.
+/// Checkpointed contents of a whole [`FifoCore`]. Only explicit state
+/// is captured: the packed occupancy index (and a [`LogicalFifo`]'s
+/// directory) are derived views, and the service-scan mode is not
+/// state; [`FifoCore::from_parts`] rebuilds the views and services
+/// through the index.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FifoParts<T> {
     /// Per-lane ring capacity (`None` = unbounded).
@@ -176,12 +218,36 @@ pub struct FifoParts<T> {
     pub stats: FifoStats,
 }
 
+impl<T> FifoParts<T> {
+    /// The same parts with every queued payload passed through `f`, in
+    /// queue order (lanes first, then the recovery queue).
+    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> FifoParts<U> {
+        let mut entries = |v: Vec<Entry<T>>| v.into_iter().map(|e| e.map(&mut f)).collect();
+        FifoParts {
+            capacity: self.capacity,
+            lanes: self
+                .lanes
+                .into_iter()
+                .map(|l| LaneParts {
+                    head_seq: l.head_seq,
+                    max_occupancy: l.max_occupancy,
+                    entries: entries(l.entries),
+                })
+                .collect(),
+            recovered: entries(self.recovered),
+            max_recovered: self.max_recovered,
+            stats: self.stats,
+        }
+    }
+}
+
 /// Statistics counters for one logical FIFO.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FifoStats {
     /// Phantoms dropped because a lane was full at push time.
     pub phantom_drops: u64,
-    /// Data packets dropped because their phantom was missing.
+    /// Data packets dropped because their phantom was missing (an
+    /// insert at an address that does not hold the packet's phantom).
     pub data_drops_no_phantom: u64,
     /// Data packets dropped because a lane was full at push time
     /// (no-phantom operating modes only).
@@ -195,7 +261,15 @@ pub struct FifoStats {
     pub recovered: u64,
 }
 
-/// The bank of `k` per-pipeline ring buffers operating as one FIFO.
+/// The bank of `k` per-pipeline ring buffers operating as one FIFO,
+/// addressed: `push_phantom` returns the placeholder's [`FifoAddr`], and
+/// `insert_data` and `cancel` name that address and the key it must
+/// hold. The caller keeps the addresses (the switch keeps them beside
+/// each packet's buffer slot, the paper's directory indexed by packet),
+/// so the FIFO holds no directory of its own. An addressed operation
+/// checks, in every build, that the slot still holds that key's
+/// phantom; at any other address it fails and leaves the queue as it
+/// was. [`LogicalFifo`] puts a keyed directory in front of it.
 ///
 /// Besides the `k` lanes, the FIFO carries a small *recovery queue*
 /// (`recovered`): a timestamp-sorted side list of **data** entries
@@ -204,15 +278,11 @@ pub struct FifoStats {
 /// comparison, so a recovered packet re-enters the serial order at
 /// exactly the position its phantom would have held — preserving C1
 /// unless a newer entry was served before it arrived (DESIGN.md §11).
-/// The directory only ever points at phantoms inside lanes, so the
-/// side list can never invalidate a `FifoAddr`.
+/// Phantoms only ever sit inside lanes, so the side list can never
+/// invalidate a `FifoAddr`.
 #[derive(Debug, Clone)]
-pub struct LogicalFifo<T> {
+pub struct FifoCore<T> {
     lanes: Vec<RingBuffer<Entry<T>>>,
-    /// Keyed by trusted simulator ids, and only ever point-queried
-    /// (`insert`/`remove`/`contains_key`), so neither the hasher nor
-    /// the iteration order is observable.
-    directory: FastMap<PhantomKey, FifoAddr>,
     recovered: VecDeque<Entry<T>>,
     max_recovered: usize,
     stats: FifoStats,
@@ -242,14 +312,13 @@ pub struct LogicalFifo<T> {
     indexed: bool,
 }
 
-impl<T> LogicalFifo<T> {
+impl<T> FifoCore<T> {
     /// Creates a logical FIFO with `k` lanes of the given per-lane
     /// capacity (`None` = unbounded, the paper's adaptive mode).
     pub fn new(lanes: usize, capacity: Option<usize>) -> Self {
         assert!(lanes > 0, "a logical FIFO needs at least one lane");
-        LogicalFifo {
+        FifoCore {
             lanes: (0..lanes).map(|_| RingBuffer::new(capacity)).collect(),
-            directory: FastMap::default(),
             recovered: VecDeque::new(),
             max_recovered: 0,
             stats: FifoStats::default(),
@@ -364,9 +433,10 @@ impl<T> LogicalFifo<T> {
     }
 
     /// `push(pkt, fifo_id)`: appends a phantom placeholder to lane
-    /// `lane`, recording its address in the directory. On a full lane the
-    /// phantom is dropped (recorded in [`FifoStats::phantom_drops`]) and
-    /// the eventual data packet will be dropped at `insert` time, exactly
+    /// `lane` and returns its address, which the caller keeps for
+    /// `insert`. On a full lane the phantom is dropped (recorded in
+    /// [`FifoStats::phantom_drops`]); the caller has no address for it,
+    /// so the eventual data packet is dropped at `insert` time, exactly
     /// the drop cascade described in §3.4.
     pub fn push_phantom(
         &mut self,
@@ -379,9 +449,7 @@ impl<T> LogicalFifo<T> {
             Ok(seq) => {
                 self.total += 1;
                 self.mark_occupied(lane.index());
-                let addr = FifoAddr { lane, seq };
-                self.directory.insert(key, addr);
-                Ok(addr)
+                Ok(FifoAddr { lane, seq })
             }
             Err(_) => {
                 self.stats.phantom_drops += 1;
@@ -410,26 +478,34 @@ impl<T> LogicalFifo<T> {
         }
     }
 
-    /// `insert(pkt, addr, fifo_id)`: replaces the queued phantom for
-    /// `key` with the data packet, which inherits the phantom's
-    /// timestamp (and hence its place in the global order). Returns
-    /// `Err(item)` if the directory has no entry — the phantom was
-    /// dropped, so the data packet must be dropped too.
-    pub fn insert_data(&mut self, key: PhantomKey, item: T) -> Result<FifoAddr, T> {
-        let Some(addr) = self.directory.remove(&key) else {
+    /// The slot at `addr`, if it holds `key`'s phantom.
+    fn phantom_slot(&mut self, addr: FifoAddr, key: PhantomKey) -> Option<&mut Entry<T>> {
+        let slot = self.lanes.get_mut(addr.lane.index())?.get_mut(addr.seq)?;
+        matches!(slot, Entry::Phantom { key: k, .. } if *k == key).then_some(slot)
+    }
+
+    /// Whether the slot at `addr` holds `key`'s phantom.
+    pub fn phantom_at(&self, addr: FifoAddr, key: PhantomKey) -> bool {
+        let slot = self
+            .lanes
+            .get(addr.lane.index())
+            .and_then(|l| l.get(addr.seq));
+        matches!(slot, Some(Entry::Phantom { key: k, .. }) if *k == key)
+    }
+
+    /// `insert(pkt, addr, fifo_id)`: replaces `key`'s phantom at `addr`
+    /// with the data packet, which inherits the phantom's timestamp
+    /// (and hence its place in the global order). Returns `Err(item)`,
+    /// and leaves the queue as it was, if the slot does not hold that
+    /// phantom — it was dropped, so the data packet must be dropped too.
+    pub fn insert_data(&mut self, addr: FifoAddr, key: PhantomKey, item: T) -> Result<(), T> {
+        let Some(slot) = self.phantom_slot(addr, key) else {
             self.stats.data_drops_no_phantom += 1;
             return Err(item);
         };
-        let slot = self.lanes[addr.lane.index()]
-            .get_mut(addr.seq)
-            .expect("directory address must point at a live slot");
-        debug_assert!(
-            matches!(slot, Entry::Phantom { key: k, .. } if *k == key),
-            "directory address must point at this key's phantom"
-        );
         let ts = slot.ts();
         *slot = Entry::Data { item, ts };
-        Ok(addr)
+        Ok(())
     }
 
     /// Recovers a data packet whose phantom was lost to an injected
@@ -467,22 +543,14 @@ impl<T> LogicalFifo<T> {
         }
     }
 
-    /// Whether a live phantom exists for `key`.
-    pub fn has_phantom(&self, key: PhantomKey) -> bool {
-        self.directory.contains_key(&key)
-    }
-
-    /// Cancels the phantom for `key`, if present. `free` cancellations
-    /// (upstream packet drop) are reclaimed without consuming service;
-    /// non-free ones (speculative false branch, §3.3) cost one pop cycle
-    /// when they reach the head.
-    pub fn cancel(&mut self, key: PhantomKey, free: bool) -> bool {
-        let Some(addr) = self.directory.remove(&key) else {
+    /// Cancels `key`'s phantom at `addr`, if the slot holds it; returns
+    /// whether it did. `free` cancellations (upstream packet drop) are
+    /// reclaimed without consuming service; non-free ones (speculative
+    /// false branch, §3.3) cost one pop cycle when they reach the head.
+    pub fn cancel(&mut self, addr: FifoAddr, key: PhantomKey, free: bool) -> bool {
+        let Some(slot) = self.phantom_slot(addr, key) else {
             return false;
         };
-        let slot = self.lanes[addr.lane.index()]
-            .get_mut(addr.seq)
-            .expect("directory address must point at a live slot");
         let ts = slot.ts();
         *slot = Entry::Stale { ts, free };
         true
@@ -638,11 +706,22 @@ impl<T> LogicalFifo<T> {
     /// without consuming anything. Used by per-index schedulers (the
     /// ideal-MP5 baseline) to compare heads across many queues.
     pub fn peek_oldest(&mut self) -> Option<&Entry<T>> {
+        self.peek_oldest_at().map(|(_, e)| e)
+    }
+
+    /// [`Self::peek_oldest`] with the entry's address: `None` for the
+    /// recovery-queue head, which no address names.
+    pub fn peek_oldest_at(&mut self) -> Option<(Option<FifoAddr>, &Entry<T>)> {
         let lane = self.service();
         if self.recovered_wins(lane) {
-            return self.recovered.front();
+            return self.recovered.front().map(|e| (None, e));
         }
-        self.lanes[lane?].front()
+        let l = &self.lanes[lane?];
+        let addr = FifoAddr {
+            lane: PipelineId::from(lane?),
+            seq: l.head_seq(),
+        };
+        l.front().map(|e| (Some(addr), e))
     }
 
     /// Iterates over all queued entries (diagnostics / end-of-run
@@ -654,14 +733,41 @@ impl<T> LogicalFifo<T> {
             .chain(self.recovered.iter())
     }
 
-    /// Exports the FIFO's explicit state for a checkpoint. The phantom
-    /// directory and the occupancy index are derived from the lane
-    /// contents, so they are not exported; [`Self::from_parts`] rebuilds
-    /// them.
+    /// Every queued phantom with its address, lane by lane, head to
+    /// tail: what a caller rebuilds its addresses from after
+    /// [`Self::from_parts`].
+    pub fn phantoms(&self) -> impl Iterator<Item = (FifoAddr, PhantomKey, OrderKey)> + '_ {
+        self.lanes.iter().enumerate().flat_map(|(l, lane)| {
+            let head = lane.head_seq();
+            lane.iter().enumerate().filter_map(move |(i, e)| match e {
+                Entry::Phantom { key, ts } => Some((
+                    FifoAddr {
+                        lane: PipelineId::from(l),
+                        seq: head + i as u64,
+                    },
+                    *key,
+                    *ts,
+                )),
+                _ => None,
+            })
+        })
+    }
+
+    /// Exports the FIFO's explicit state for a checkpoint. The occupancy
+    /// index is derived from the lane contents, so it is not exported;
+    /// [`Self::from_parts`] rebuilds it.
     pub fn snapshot_parts(&self) -> FifoParts<T>
     where
         T: Clone,
     {
+        self.snapshot_parts_with(T::clone)
+    }
+
+    /// [`Self::snapshot_parts`], each queued payload written as
+    /// `item(payload)`.
+    pub fn snapshot_parts_with<U>(&self, mut item: impl FnMut(&T) -> U) -> FifoParts<U> {
+        let mut entries =
+            |l: &mut dyn Iterator<Item = &Entry<T>>| l.map(|e| e.as_ref().map(&mut item)).collect();
         FifoParts {
             capacity: self.lanes[0].capacity(),
             lanes: self
@@ -670,21 +776,20 @@ impl<T> LogicalFifo<T> {
                 .map(|l| LaneParts {
                     head_seq: l.head_seq(),
                     max_occupancy: l.max_occupancy(),
-                    entries: l.iter().cloned().collect(),
+                    entries: entries(&mut l.iter()),
                 })
                 .collect(),
-            recovered: self.recovered.iter().cloned().collect(),
+            recovered: entries(&mut self.recovered.iter()),
             max_recovered: self.max_recovered,
             stats: self.stats,
         }
     }
 
-    /// Rebuilds a FIFO from checkpointed parts, reconstructing the
-    /// phantom directory (every queued `Phantom` entry at its stable
-    /// `(lane, seq)` address) and the packed occupancy index. Parts no
-    /// FIFO can hold — no lanes, a lane over capacity, a phantom key
-    /// queued twice, a non-data entry in the recovery queue — are an
-    /// `Err` naming the fault.
+    /// Rebuilds a FIFO from checkpointed parts, every entry at its
+    /// stable `(lane, seq)` address, and reconstructs the packed
+    /// occupancy index. Parts no FIFO can hold — no lanes, a lane over
+    /// capacity, a non-data entry in the recovery queue — are an `Err`
+    /// naming the fault.
     pub fn from_parts(parts: FifoParts<T>) -> Result<Self, String> {
         if parts.lanes.is_empty() {
             return Err("a logical FIFO needs lanes".into());
@@ -697,7 +802,6 @@ impl<T> LogicalFifo<T> {
             return Err("the recovery queue holds a non-data entry".into());
         }
         let k = parts.lanes.len();
-        let mut directory = FastMap::default();
         let mut total = parts.recovered.len();
         let mut occupied = Vec::with_capacity(k);
         let mut lane_pos = vec![NOT_OCCUPIED; k];
@@ -708,17 +812,6 @@ impl<T> LogicalFifo<T> {
                 lane_pos[l] = occupied.len() as u32;
                 occupied.push(l as u32);
             }
-            for (pos, e) in lp.entries.iter().enumerate() {
-                if let Entry::Phantom { key, .. } = e {
-                    let addr = FifoAddr {
-                        lane: PipelineId::from(l),
-                        seq: lp.head_seq + pos as u64,
-                    };
-                    if directory.insert(*key, addr).is_some() {
-                        return Err(format!("phantom key {key:?} is queued twice"));
-                    }
-                }
-            }
             lanes.push(RingBuffer::from_parts(
                 lp.entries,
                 lp.head_seq,
@@ -727,9 +820,8 @@ impl<T> LogicalFifo<T> {
             )?);
         }
         let max_recovered = parts.max_recovered.max(parts.recovered.len());
-        Ok(LogicalFifo {
+        Ok(FifoCore {
             lanes,
-            directory,
             recovered: parts.recovered.into(),
             max_recovered,
             stats: parts.stats,
@@ -746,7 +838,7 @@ impl<T> LogicalFifo<T> {
     // so these compile to exactly the untraced operations.
     // ------------------------------------------------------------------
 
-    /// Traced [`LogicalFifo::push_phantom`]: emits `ph_enq` on success,
+    /// Traced [`FifoCore::push_phantom`]: emits `ph_enq` on success,
     /// `ph_drop` when the lane is full.
     pub fn push_phantom_traced<S: TraceSink>(
         &mut self,
@@ -766,7 +858,7 @@ impl<T> LogicalFifo<T> {
         r
     }
 
-    /// Traced [`LogicalFifo::push_data`]: emits `data_enq` on success,
+    /// Traced [`FifoCore::push_data`]: emits `data_enq` on success,
     /// `data_enq_drop` when the lane is full. The caller supplies the
     /// packet id because `T` is opaque to the fabric.
     pub fn push_data_traced<S: TraceSink>(
@@ -788,17 +880,18 @@ impl<T> LogicalFifo<T> {
         r
     }
 
-    /// Traced [`LogicalFifo::insert_data`]: emits `data_match` when the
-    /// phantom is replaced, `data_orphan` when the directory has no
-    /// entry (the §3.4 drop cascade).
+    /// Traced [`FifoCore::insert_data`]: emits `data_match` when the
+    /// phantom is replaced, `data_orphan` when the slot does not hold
+    /// it (the §3.4 drop cascade).
     pub fn insert_data_traced<S: TraceSink>(
         &mut self,
+        addr: FifoAddr,
         key: PhantomKey,
         item: T,
         sink: &mut S,
         ctx: TraceCtx,
-    ) -> Result<FifoAddr, T> {
-        let r = self.insert_data(key, item);
+    ) -> Result<(), T> {
+        let r = self.insert_data(addr, key, item);
         if S::ENABLED {
             match &r {
                 Ok(_) => ctx.emit(sink, EventKind::DataMatch { key: tk(key) }),
@@ -808,7 +901,7 @@ impl<T> LogicalFifo<T> {
         r
     }
 
-    /// Traced [`LogicalFifo::push_recovered`]: emits `ph_recovered`
+    /// Traced [`FifoCore::push_recovered`]: emits `ph_recovered`
     /// (the C1-preserving fault-recovery path).
     pub fn push_recovered_traced<S: TraceSink>(
         &mut self,
@@ -824,23 +917,24 @@ impl<T> LogicalFifo<T> {
         }
     }
 
-    /// Traced [`LogicalFifo::cancel`]: emits `ph_cancel` only when a
+    /// Traced [`FifoCore::cancel`]: emits `ph_cancel` only when a
     /// live phantom was actually cancelled.
     pub fn cancel_traced<S: TraceSink>(
         &mut self,
+        addr: FifoAddr,
         key: PhantomKey,
         free: bool,
         sink: &mut S,
         ctx: TraceCtx,
     ) -> bool {
-        let found = self.cancel(key, free);
+        let found = self.cancel(addr, key, free);
         if S::ENABLED && found {
             ctx.emit(sink, EventKind::PhantomCancel { key: tk(key), free });
         }
         found
     }
 
-    /// Traced [`LogicalFifo::pop`]: emits `pop_data` / `pop_stale` /
+    /// Traced [`FifoCore::pop`]: emits `pop_data` / `pop_stale` /
     /// `pop_blocked` per outcome (nothing for an empty queue). The
     /// caller supplies a packet-id projection because `T` is opaque.
     pub fn pop_traced<S: TraceSink>(
@@ -861,6 +955,87 @@ impl<T> LogicalFifo<T> {
             }
         }
         out
+    }
+}
+
+/// The paper's keyed interface over a [`FifoCore`]: a directory from
+/// [`PhantomKey`] to the phantom's address, so `insert_data`, `cancel`
+/// and `has_phantom` name a key. It serves the FIFO's keyed tests and
+/// the benchmark's FIFO probe; the switch keeps addresses itself and
+/// drives the core. Every other operation is the core's, through
+/// `Deref`: none of them adds or consumes a phantom.
+#[derive(Debug, Clone)]
+pub struct LogicalFifo<T> {
+    core: FifoCore<T>,
+    /// Keyed by caller ids, and only ever point-queried, so neither
+    /// the hasher nor the iteration order is observable.
+    directory: FastMap<PhantomKey, FifoAddr>,
+}
+
+impl<T> std::ops::Deref for LogicalFifo<T> {
+    type Target = FifoCore<T>;
+    fn deref(&self) -> &FifoCore<T> {
+        &self.core
+    }
+}
+
+impl<T> std::ops::DerefMut for LogicalFifo<T> {
+    fn deref_mut(&mut self) -> &mut FifoCore<T> {
+        &mut self.core
+    }
+}
+
+impl<T> LogicalFifo<T> {
+    /// A keyed FIFO of `lanes` lanes; see [`FifoCore::new`].
+    pub fn new(lanes: usize, capacity: Option<usize>) -> Self {
+        LogicalFifo {
+            core: FifoCore::new(lanes, capacity),
+            directory: FastMap::default(),
+        }
+    }
+
+    /// [`FifoCore::push_phantom`], recording the address under `key`.
+    pub fn push_phantom(
+        &mut self,
+        key: PhantomKey,
+        ts: OrderKey,
+        lane: PipelineId,
+    ) -> Result<FifoAddr, PushError> {
+        let addr = self.core.push_phantom(key, ts, lane)?;
+        self.directory.insert(key, addr);
+        Ok(addr)
+    }
+
+    /// [`FifoCore::insert_data`] at the address recorded for `key`;
+    /// `Err(item)` if there is none (the phantom was dropped).
+    pub fn insert_data(&mut self, key: PhantomKey, item: T) -> Result<FifoAddr, T> {
+        let addr = self.directory.remove(&key).unwrap_or(FifoAddr::UNSET);
+        self.core.insert_data(addr, key, item).map(|()| addr)
+    }
+
+    /// Whether a live phantom exists for `key`.
+    pub fn has_phantom(&self, key: PhantomKey) -> bool {
+        self.directory.contains_key(&key)
+    }
+
+    /// [`FifoCore::cancel`] at the address recorded for `key`.
+    pub fn cancel(&mut self, key: PhantomKey, free: bool) -> bool {
+        self.directory
+            .remove(&key)
+            .is_some_and(|addr| self.core.cancel(addr, key, free))
+    }
+
+    /// [`FifoCore::from_parts`], rebuilding the directory from the
+    /// queued phantoms. A phantom key queued twice is an `Err`.
+    pub fn from_parts(parts: FifoParts<T>) -> Result<Self, String> {
+        let core = FifoCore::from_parts(parts)?;
+        let mut directory = FastMap::default();
+        for (addr, key, _) in core.phantoms() {
+            if directory.insert(key, addr).is_some() {
+                return Err(format!("phantom key {key:?} is queued twice"));
+            }
+        }
+        Ok(LogicalFifo { core, directory })
     }
 }
 
@@ -994,8 +1169,9 @@ mod tests {
         use mp5_trace::{EventKind as EK, MemSink, TraceCtx};
         let mut sink = MemSink::new();
         let ctx = TraceCtx::new(7, 1, 2);
-        let mut f: LogicalFifo<&str> = LogicalFifo::new(1, Some(1));
-        f.push_phantom_traced(key(0), OrderKey(0, 0), PipelineId(0), &mut sink, ctx)
+        let mut f: FifoCore<&str> = FifoCore::new(1, Some(1));
+        let a0 = f
+            .push_phantom_traced(key(0), OrderKey(0, 0), PipelineId(0), &mut sink, ctx)
             .unwrap();
         // Full lane: second phantom drops.
         assert!(f
@@ -1003,11 +1179,14 @@ mod tests {
             .is_err());
         // Blocked pop, then match, then served pop.
         let _ = f.pop_traced(&mut sink, ctx, |_| PacketId(99));
-        f.insert_data_traced(key(0), "d0", &mut sink, ctx).unwrap();
-        assert!(f.insert_data_traced(key(1), "d1", &mut sink, ctx).is_err());
+        f.insert_data_traced(a0, key(0), "d0", &mut sink, ctx)
+            .unwrap();
+        assert!(f
+            .insert_data_traced(FifoAddr::UNSET, key(1), "d1", &mut sink, ctx)
+            .is_err());
         let _ = f.pop_traced(&mut sink, ctx, |_| PacketId(0));
-        // Cancel of an unknown key emits nothing.
-        assert!(!f.cancel_traced(key(5), true, &mut sink, ctx));
+        // Cancel at an address that holds nothing emits nothing.
+        assert!(!f.cancel_traced(a0, key(0), true, &mut sink, ctx));
         let tags: Vec<&str> = sink.events.iter().map(|e| e.kind.tag()).collect();
         assert_eq!(
             tags,
@@ -1081,7 +1260,7 @@ mod tests {
         use mp5_trace::{MemSink, TraceCtx};
         let mut sink = MemSink::new();
         let ctx = TraceCtx::new(3, 0, 1);
-        let mut f: LogicalFifo<&str> = LogicalFifo::new(1, Some(4));
+        let mut f: FifoCore<&str> = FifoCore::new(1, Some(4));
         f.push_recovered_traced(key(7), "d", OrderKey(4, 0), &mut sink, ctx);
         assert_eq!(sink.events.len(), 1);
         assert_eq!(sink.events[0].kind.tag(), "ph_recovered");
@@ -1184,5 +1363,71 @@ mod tests {
         f.insert_data(k_then, "data").unwrap();
         assert!(matches!(f.pop(), PopOutcome::Data("data")));
         assert!(matches!(f.pop(), PopOutcome::ConsumedStale));
+    }
+
+    /// Insert and cancel go by address, and an address is checked
+    /// before it is used: one that holds another key's phantom, a stale
+    /// entry, a data entry, or a sequence number already popped or
+    /// never issued fails and leaves every lane as it was. A failed
+    /// insert counts its drop, as an insert with no phantom always has.
+    #[test]
+    fn a_bad_address_changes_nothing() {
+        let mut f: FifoCore<&str> = FifoCore::new(2, None);
+        let popped = f.push_data("gone", OrderKey(0, 0), PipelineId(0)).unwrap();
+        assert!(matches!(f.pop(), PopOutcome::Data("gone")));
+        let mine = f
+            .push_phantom(key(1), OrderKey(1, 0), PipelineId(0))
+            .unwrap();
+        let other = f
+            .push_phantom(key(2), OrderKey(2, 0), PipelineId(1))
+            .unwrap();
+        let stale = f
+            .push_phantom(key(1), OrderKey(3, 0), PipelineId(1))
+            .unwrap();
+        assert!(f.cancel(stale, key(1), false));
+        let data = f.push_data("d", OrderKey(4, 0), PipelineId(0)).unwrap();
+        let unissued = FifoAddr {
+            lane: PipelineId(0),
+            seq: data.seq + 1,
+        };
+        let lanes = |f: &FifoCore<&'static str>| f.snapshot_parts().lanes;
+        let before = lanes(&f);
+        for (what, addr) in [
+            ("another key's phantom", other),
+            ("a stale entry", stale),
+            ("a data entry", data),
+            ("a popped sequence number", popped),
+            ("a sequence number never issued", unissued),
+            ("the unset address", FifoAddr::UNSET),
+        ] {
+            assert!(!f.phantom_at(addr, key(1)), "{what}");
+            assert_eq!(f.insert_data(addr, key(1), "x"), Err("x"), "{what}");
+            assert!(!f.cancel(addr, key(1), true), "{what}");
+            assert!(!f.cancel(addr, key(1), false), "{what}");
+            assert_eq!(lanes(&f), before, "{what}");
+        }
+        assert_eq!(f.stats().data_drops_no_phantom, 6);
+        // The right address still works.
+        assert!(f.phantom_at(mine, key(1)));
+        f.insert_data(mine, key(1), "mine").unwrap();
+        assert!(matches!(f.pop(), PopOutcome::Data("mine")));
+    }
+
+    /// Two phantoms of one key (two packets that share an id) are two
+    /// addresses: each data packet fills its own.
+    #[test]
+    fn one_key_twice_is_two_addresses() {
+        let mut f: FifoCore<&str> = FifoCore::new(1, None);
+        let first = f
+            .push_phantom(key(7), OrderKey(0, 0), PipelineId(0))
+            .unwrap();
+        let second = f
+            .push_phantom(key(7), OrderKey(1, 0), PipelineId(0))
+            .unwrap();
+        f.insert_data(second, key(7), "second").unwrap();
+        assert!(matches!(f.pop(), PopOutcome::BlockedOnPhantom(k) if k == key(7)));
+        f.insert_data(first, key(7), "first").unwrap();
+        assert!(matches!(f.pop(), PopOutcome::Data("first")));
+        assert!(matches!(f.pop(), PopOutcome::Data("second")));
     }
 }

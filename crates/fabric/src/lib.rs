@@ -5,10 +5,12 @@
 //!
 //! * [`ring::RingBuffer`] — a fixed-capacity circular buffer, the physical
 //!   implementation of each per-pipeline FIFO.
-//! * [`fifo::LogicalFifo`] — the per-stage bank of `k` ring buffers that
+//! * [`fifo::FifoCore`] — the per-stage bank of `k` ring buffers that
 //!   logically operates as a single FIFO supporting the paper's three
 //!   operations `push(pkt, fifo_id)`, `insert(pkt, addr, fifo_id)` and
-//!   `pop()`, together with the phantom directory indexed by packet id.
+//!   `pop()`, matching a phantom by the address `push` returned; and
+//!   [`fifo::LogicalFifo`], the same FIFO behind a phantom directory
+//!   keyed by packet id.
 //! * [`xbar::Crossbar`] — the `k×k` crossbar between consecutive stages
 //!   that implements inter-pipeline packet steering (design principle D3).
 //! * [`channel::PhantomChannel`] — the physically separate interconnect
@@ -29,7 +31,7 @@ pub mod xbar;
 
 pub use channel::PhantomChannel;
 pub use fifo::{
-    Entry, FifoAddr, FifoParts, FifoStats, LaneParts, LogicalFifo, OrderKey, PhantomKey,
+    Entry, FifoAddr, FifoCore, FifoParts, FifoStats, LaneParts, LogicalFifo, OrderKey, PhantomKey,
     PopOutcome, PushError,
 };
 pub use ring::RingBuffer;

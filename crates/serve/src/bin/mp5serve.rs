@@ -356,6 +356,7 @@ fn session<S: TraceSink, F: FaultState>(
         if server.is_idle() {
             break;
         }
+        server.check_liveness()?;
         server.tick();
         egressed += server.drain_egress().len() as u64;
     }

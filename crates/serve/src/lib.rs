@@ -38,8 +38,8 @@ use std::path::Path;
 
 use mp5_compiler::{compile, CompiledProgram, Target};
 use mp5_core::{
-    ConfigError, Mp5Switch, RestoreError, RunReport, SwapError, SwapReport, SwitchConfig,
-    SwitchState,
+    ConfigError, InvariantViolation, Mp5Switch, RestoreError, RunReport, SwapError, SwapReport,
+    SwitchConfig, SwitchState,
 };
 use mp5_faults::{FaultInjector, FaultPlan, InjectorState, NoFaults, PlannedFaults};
 use mp5_trace::TraceSink;
@@ -99,6 +99,10 @@ pub enum ServeError {
         /// What is wrong with it.
         why: String,
     },
+    /// The switch ran to its cycle cap without draining
+    /// ([`Server::check_liveness`]): it is stuck, and ticking on would
+    /// hang the process.
+    Liveness(InvariantViolation),
 }
 
 impl std::fmt::Display for ServeError {
@@ -121,6 +125,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Swap(e) => write!(f, "hot-swap rejected: {e}"),
             ServeError::Plan(why) => write!(f, "fault plan: {why}"),
             ServeError::Feed { line, why } => write!(f, "packet feed line {line}: {why}"),
+            ServeError::Liveness(v) => write!(f, "switch stuck: {v}"),
         }
     }
 }
@@ -623,6 +628,13 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
     /// Advances one cycle.
     pub fn tick(&mut self) {
         self.sw.tick();
+    }
+
+    /// The run's liveness bound ([`Mp5Switch::check_liveness`]): a
+    /// serving loop checks it between ticks, so a switch that cannot
+    /// drain is a [`ServeError::Liveness`] instead of a hang.
+    pub fn check_liveness(&self) -> Result<(), ServeError> {
+        self.sw.check_liveness().map_err(ServeError::Liveness)
     }
 
     /// Packets that exited since the last drain.

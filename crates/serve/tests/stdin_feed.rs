@@ -323,6 +323,41 @@ fn a_line_due_before_a_restored_switchs_cycle_is_rejected() {
     assert_rejected(&out, 1, "before cycle 12");
 }
 
+/// A switch that cannot drain within its cycle cap is an error the
+/// serving loop gets back between ticks, carrying where the work is
+/// stuck, instead of a loop that ticks on.
+#[test]
+fn a_server_past_its_cycle_cap_is_an_error() {
+    let app = mp5_apps::by_name(APP).expect("app exists");
+    let cfg = SwitchConfig {
+        max_cycles: Some(5),
+        ..SwitchConfig::mp5(4)
+    };
+    let mut server =
+        Server::<NopSink, NoFaults>::new(app.source, cfg, NopSink, None).expect("server boots");
+    server.offer_all(feed_packets(40));
+    let mut ticks = 0;
+    let err = loop {
+        if let Err(e) = server.check_liveness() {
+            break e;
+        }
+        assert!(!server.is_idle(), "40 packets cannot drain in 5 cycles");
+        server.tick();
+        ticks += 1;
+    };
+    assert_eq!(ticks, 5);
+    let ServeError::Liveness(v) = &err else {
+        panic!("expected a liveness error, got {err}");
+    };
+    assert_eq!(v.cap, 5);
+    assert!(v.ingress + v.in_lanes + v.queued + v.channel > 0, "{v}");
+    let text = err.to_string();
+    assert!(
+        text.starts_with("switch stuck: simulation exceeded 5 cycles"),
+        "{text}"
+    );
+}
+
 /// The child's peak resident set (`VmHWM`), polled until it exits.
 #[cfg(target_os = "linux")]
 fn peak_rss_kb(feed: &Path) -> u64 {

@@ -64,7 +64,11 @@ impl PacketDisposition {
 /// names to ids once, so the simulators never touch strings.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Packet {
-    /// Unique id (also the phantom-directory key).
+    /// The packet's label in reports, traces and phantom keys. The
+    /// switch finds a packet's queued phantoms by its buffer slot, not
+    /// by this id, so a fault-free run without drops needs no unique
+    /// ids; a phantom cancelled on its way or lost to a fault is still
+    /// remembered by key (DESIGN.md §8, defect 6).
     pub id: PacketId,
     /// Arrival port.
     pub port: PortId,
