@@ -197,6 +197,21 @@ cmp "$SERVE_TMP/feed-full.jsonl" "$SERVE_TMP/feed-stitched.jsonl" || {
     exit 1
 }
 
+echo "==> serve smoke: a feed line that repeats the one before it is rejected"
+# A port delivers at most one packet per byte-time, so two lines with
+# the same (arrival, port) are no real input, and the FIFOs cannot order
+# them (DESIGN.md §8, defect 7): line 3 repeated as line 4 must stop the
+# run with exit 1 and an error naming line 4.
+sed '3p' tests/golden/feed.jsonl > "$SERVE_TMP/feed-dup.jsonl"
+status=0
+./target/release/mp5serve tests/golden/feed.dsl --stdin < "$SERVE_TMP/feed-dup.jsonl" \
+    > /dev/null 2> "$SERVE_TMP/feed-dup.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q 'packet feed line 4: ' "$SERVE_TMP/feed-dup.err"; then
+    echo "ci.sh: a repeated feed line must exit 1 naming line 4 (exit $status):" >&2
+    cat "$SERVE_TMP/feed-dup.err" >&2
+    exit 1
+fi
+
 echo "==> serve smoke: one id on every packet serves as the original feed"
 # Packet ids are labels (DESIGN.md §8, defect 6): with every id of the
 # feed set to 7 the run must end in the original's done: line, and a

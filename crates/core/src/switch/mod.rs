@@ -295,6 +295,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// Runs a full trace to completion and returns the report.
     ///
+    /// No two packets may share an [`Packet::entry_order_key`]: a port
+    /// delivers at most one packet per byte-time, and the stage FIFOs
+    /// order a packet's phantoms by that key alone, so packets that tie
+    /// on it are served in an order C1 does not fix (DESIGN.md §8,
+    /// defect 7).
+    ///
     /// Panics if the simulation fails to drain within its cycle cap; use
     /// [`Mp5Switch::try_run`] to handle that as a structured
     /// [`InvariantViolation`] instead.
@@ -349,16 +355,18 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// Offers one packet to the switch's ingress.
     ///
-    /// Packets must be offered in ascending [`Packet::entry_order_key`]
-    /// order (the fabric maintains a per-switch monotone arrival clock
-    /// to guarantee this); a violation is a caller bug and trips a
-    /// debug assertion.
+    /// Packets must be offered in strictly ascending
+    /// [`Packet::entry_order_key`] order (the fabric maintains a
+    /// per-switch monotone arrival clock to guarantee this). An equal
+    /// key breaks it too, as in [`Mp5Switch::run`]. A violation is a
+    /// caller bug and trips a debug assertion; `mp5-serve` rejects it
+    /// as a feed error before it gets here.
     pub fn offer(&mut self, pkt: Packet) {
         debug_assert!(
             self.arrivals
                 .back()
-                .is_none_or(|b| b.entry_order_key() <= pkt.entry_order_key()),
-            "streamed packets must arrive in entry order"
+                .is_none_or(|b| b.entry_order_key() < pkt.entry_order_key()),
+            "streamed packets must arrive in strictly ascending entry order"
         );
         self.report.offered += 1;
         let end = pkt.arrival + mp5_types::BYTES_PER_SLOT;

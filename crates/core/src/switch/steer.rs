@@ -25,7 +25,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.channel.advance_into(&mut deliveries);
         for (msg, stage) in deliveries.drain(..) {
             let ctx = TraceCtx::new(self.cycle, msg.dest.0, stage.0);
-            if self.cancelled.remove(&msg.key) {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&msg.key) {
                 if S::ENABLED {
                     ctx.emit(
                         &mut self.sink,

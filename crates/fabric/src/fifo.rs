@@ -187,6 +187,10 @@ pub enum PopOutcome<T> {
 /// is absent from the packed occupied-lane list.
 const NOT_OCCUPIED: u32 = u32::MAX;
 
+/// Sentinel in [`FifoCore::heads`]: all ones, the key of an empty lane.
+/// Service never compares it: the argmin walks occupied lanes only.
+const EMPTY_HEAD: OrderKey = OrderKey(u64::MAX, u64::MAX);
+
 /// Checkpointed contents of one lane of a [`FifoCore`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneParts<T> {
@@ -200,10 +204,11 @@ pub struct LaneParts<T> {
 }
 
 /// Checkpointed contents of a whole [`FifoCore`]. Only explicit state
-/// is captured: the packed occupancy index (and a [`LogicalFifo`]'s
-/// directory) are derived views, and the service-scan mode is not
-/// state; [`FifoCore::from_parts`] rebuilds the views and services
-/// through the index.
+/// is captured: the packed occupancy index, the head-key array, the
+/// free-stale count (and a [`LogicalFifo`]'s directory) are derived
+/// views, and the service-scan mode is not state;
+/// [`FifoCore::from_parts`] rebuilds the views and services through
+/// the index.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FifoParts<T> {
     /// Per-lane ring capacity (`None` = unbounded).
@@ -295,19 +300,31 @@ pub struct FifoCore<T> {
     /// Dense occupancy index: the lanes holding at least one entry, as
     /// a packed list (arbitrary order). Service scans (`pop`,
     /// `oldest_ts`, `peek_oldest`) walk only this list instead of all
-    /// `k` lane heads, so heavy-queue workloads with few active lanes
-    /// stop paying the linear scan (and the free-stale drain fuses into
-    /// the same pass). Maintained incrementally on every empty ↔
-    /// non-empty lane transition; debug builds assert it against a full
-    /// lane scan in `len()`.
+    /// `k` lanes, so heavy-queue workloads with few active lanes stop
+    /// paying the linear scan. Maintained incrementally on every empty
+    /// ↔ non-empty lane transition; debug builds assert it against a
+    /// full lane scan in `len()`.
     occupied: Vec<u32>,
     /// Per-lane position in `occupied`, or [`NOT_OCCUPIED`].
     lane_pos: Vec<u32>,
-    /// When `false`, service scans walk every lane head (the paper's
-    /// literal `pop()` and this FIFO's behavior before the occupancy
-    /// index existed). Tests run this mode as the obviously-correct
-    /// oracle the index is checked against; the switch always services
-    /// through the index (still maintained and debug-asserted either
+    /// Order key of each lane's head entry, [`EMPTY_HEAD`] for an
+    /// empty lane: the paper's `k` head timestamps feeding one
+    /// comparator. Service takes the argmin over this dense array and
+    /// reads one ring buffer, the winner's. A head is set by a push
+    /// into an empty lane and refreshed whenever the head leaves;
+    /// `insert_data` and `cancel` keep the entry's timestamp, so they
+    /// leave it alone.
+    heads: Vec<OrderKey>,
+    /// Queued `free` stale entries across the lanes. While it is 0,
+    /// which it is in every run without drops or faults, service skips
+    /// the free-stale drain walk.
+    free_stales: usize,
+    /// When `false`, service scans walk every lane's ring buffer (the
+    /// paper's literal `pop()` and this FIFO's behavior before the
+    /// occupancy index and the head array existed). Tests run this mode
+    /// as the obviously-correct oracle the fast path is checked
+    /// against; the switch always services through the index and the
+    /// head array (both still maintained and debug-asserted either
     /// way).
     indexed: bool,
 }
@@ -325,17 +342,20 @@ impl<T> FifoCore<T> {
             total: 0,
             occupied: Vec::with_capacity(lanes),
             lane_pos: vec![NOT_OCCUPIED; lanes],
+            heads: vec![EMPTY_HEAD; lanes],
+            free_stales: 0,
             indexed: true,
         }
     }
 
     /// Switches service scans to the pre-index reference behavior
-    /// (walk every lane head, `reference = true`) or back to the
-    /// occupancy-index fast path (`false`, the default). Semantics are
-    /// identical — both pick the same minimum-timestamp head — only the
-    /// scan cost differs. The occupancy index keeps being maintained in
-    /// reference mode, so debug builds continuously cross-check it
-    /// against the very scan the fast path replaces.
+    /// (drain and read every lane's ring buffer, `reference = true`) or
+    /// back to the fast path over the occupancy index and the head
+    /// array (`false`, the default). Semantics are identical — both
+    /// pick the same minimum-timestamp head — only the scan cost
+    /// differs. The index, the head array and the free-stale count keep
+    /// being maintained in reference mode, so debug builds continuously
+    /// cross-check them against the very scan the fast path replaces.
     pub fn set_reference_service(&mut self, reference: bool) {
         self.indexed = !reference;
     }
@@ -357,16 +377,29 @@ impl<T> FifoCore<T> {
         self.total
     }
 
-    /// Verifies the dense occupancy index against a full lane scan:
-    /// every non-empty lane appears exactly once at its recorded
-    /// position, every empty lane is absent. Debug builds run this from
-    /// `len()` on every emptiness probe; the property suite calls it
-    /// directly after each random operation.
+    /// Verifies the derived views against a full lane scan: every
+    /// non-empty lane appears exactly once at its recorded position in
+    /// the occupancy index, every empty lane is absent, each lane's
+    /// cached head key is its head entry's (or [`EMPTY_HEAD`]), and the
+    /// free-stale count is the number of queued `free` stale entries.
+    /// Debug builds run this from `len()` on every emptiness probe; the
+    /// FIFO index suite calls it directly after each random operation.
     #[doc(hidden)]
     pub fn check_occupancy_index(&self) {
         assert_eq!(self.lane_pos.len(), self.lanes.len());
+        assert_eq!(self.heads.len(), self.lanes.len());
         let mut indexed = 0usize;
+        let mut free_stales = 0usize;
         for (l, lane) in self.lanes.iter().enumerate() {
+            assert_eq!(
+                self.heads[l],
+                lane.front().map_or(EMPTY_HEAD, Entry::ts),
+                "lane {l}'s cached head key is stale"
+            );
+            free_stales += lane
+                .iter()
+                .filter(|e| matches!(e, Entry::Stale { free: true, .. }))
+                .count();
             let pos = self.lane_pos[l];
             if lane.is_empty() {
                 assert_eq!(pos, NOT_OCCUPIED, "empty lane {l} still indexed");
@@ -385,15 +418,26 @@ impl<T> FifoCore<T> {
             indexed,
             "occupancy index holds stale lanes"
         );
+        assert_eq!(
+            self.free_stales, free_stales,
+            "free-stale count out of sync"
+        );
     }
 
-    /// Adds `lane` to the occupancy index if it is not already present.
+    /// Books an entry keyed `ts` just pushed into lane `lane` at `seq`
+    /// and returns its address. A push into an empty lane makes the
+    /// entry the lane's head: the lane joins the occupancy index and
+    /// `ts` the head array.
     #[inline]
-    fn mark_occupied(&mut self, lane: usize) {
-        if self.lane_pos[lane] == NOT_OCCUPIED {
-            self.lane_pos[lane] = self.occupied.len() as u32;
-            self.occupied.push(lane as u32);
+    fn pushed(&mut self, lane: PipelineId, seq: u64, ts: OrderKey) -> FifoAddr {
+        let l = lane.index();
+        self.total += 1;
+        if self.lane_pos[l] == NOT_OCCUPIED {
+            self.lane_pos[l] = self.occupied.len() as u32;
+            self.occupied.push(l as u32);
+            self.heads[l] = ts;
         }
+        FifoAddr { lane, seq }
     }
 
     /// Removes `occupied[pos]` from the index (its lane went empty).
@@ -406,14 +450,48 @@ impl<T> FifoCore<T> {
         }
     }
 
-    /// Drops `lane` from the index if its last entry was just popped.
+    /// Refreshes `lane`'s cached head key after its head left; a lane
+    /// left empty drops out of the occupancy index.
     #[inline]
-    fn lane_emptied(&mut self, lane: usize) {
-        if self.lanes[lane].front().is_none() {
-            let pos = self.lane_pos[lane];
-            debug_assert_ne!(pos, NOT_OCCUPIED, "emptied lane was never indexed");
-            self.unmark_at(pos as usize);
+    fn head_left(&mut self, lane: usize) {
+        match self.lanes[lane].front() {
+            Some(e) => self.heads[lane] = e.ts(),
+            None => {
+                self.heads[lane] = EMPTY_HEAD;
+                let pos = self.lane_pos[lane];
+                debug_assert_ne!(pos, NOT_OCCUPIED, "emptied lane was never indexed");
+                self.unmark_at(pos as usize);
+            }
         }
+    }
+
+    /// Dequeues `lane`'s head entry, if any.
+    #[inline]
+    fn pop_head(&mut self, lane: usize) -> Option<Entry<T>> {
+        let e = self.lanes[lane].pop_front()?;
+        self.total -= 1;
+        self.head_left(lane);
+        Some(e)
+    }
+
+    /// Reclaims the `free` stale entries at `lane`'s head; returns
+    /// whether that left the lane empty (and so out of the index).
+    fn drain_lane(&mut self, lane: usize) -> bool {
+        let mut n = 0;
+        while matches!(
+            self.lanes[lane].front(),
+            Some(Entry::Stale { free: true, .. })
+        ) {
+            self.lanes[lane].pop_front();
+            n += 1;
+        }
+        if n == 0 {
+            return false;
+        }
+        self.total -= n;
+        self.free_stales -= n;
+        self.head_left(lane);
+        self.lanes[lane].is_empty()
     }
 
     /// True if every lane (and the recovery queue) is empty. O(1).
@@ -444,13 +522,8 @@ impl<T> FifoCore<T> {
         ts: OrderKey,
         lane: PipelineId,
     ) -> Result<FifoAddr, PushError> {
-        let l = &mut self.lanes[lane.index()];
-        match l.push_back(Entry::Phantom { key, ts }) {
-            Ok(seq) => {
-                self.total += 1;
-                self.mark_occupied(lane.index());
-                Ok(FifoAddr { lane, seq })
-            }
+        match self.lanes[lane.index()].push_back(Entry::Phantom { key, ts }) {
+            Ok(seq) => Ok(self.pushed(lane, seq, ts)),
             Err(_) => {
                 self.stats.phantom_drops += 1;
                 Err(PushError)
@@ -463,18 +536,12 @@ impl<T> FifoCore<T> {
     /// baseline), where data packets queue directly in arrival-at-stage
     /// order.
     pub fn push_data(&mut self, item: T, ts: OrderKey, lane: PipelineId) -> Result<FifoAddr, T> {
-        let l = &mut self.lanes[lane.index()];
-        match l.push_back(Entry::Data { item, ts }) {
-            Ok(seq) => {
-                self.total += 1;
-                self.mark_occupied(lane.index());
-                Ok(FifoAddr { lane, seq })
-            }
-            Err(Entry::Data { item, .. }) => {
+        match self.lanes[lane.index()].push_back_with(item, |item| Entry::Data { item, ts }) {
+            Ok(seq) => Ok(self.pushed(lane, seq, ts)),
+            Err(item) => {
                 self.stats.data_drops_full += 1;
                 Err(item)
             }
-            Err(_) => unreachable!("pushed entry kind cannot change"),
         }
     }
 
@@ -533,14 +600,8 @@ impl<T> FifoCore<T> {
     /// lost while another of its keys here was not; the packet wins,
     /// and its execution cancels that sibling.
     fn recovered_wins(&self, lane: Option<usize>) -> bool {
-        match (self.recovered_head_ts(), lane) {
-            (Some(_), None) => true,
-            (Some(rts), Some(l)) => {
-                let lts = self.lanes[l].front().map(|e| e.ts());
-                lts.is_none_or(|lts| rts <= lts)
-            }
-            (None, _) => false,
-        }
+        self.recovered_head_ts()
+            .is_some_and(|rts| lane.is_none_or(|l| rts <= self.heads[l]))
     }
 
     /// Cancels `key`'s phantom at `addr`, if the slot holds it; returns
@@ -553,71 +614,47 @@ impl<T> FifoCore<T> {
         };
         let ts = slot.ts();
         *slot = Entry::Stale { ts, free };
+        self.free_stales += usize::from(free);
         true
     }
 
-    /// Fused service scan: reclaims any `free` stale entries sitting at
-    /// the heads of occupied lanes, drops lanes that drained empty from
-    /// the index, and returns the lane whose head has the globally
-    /// smallest timestamp. Walks only the packed occupied-lane list, so
-    /// the cost is proportional to the number of *non-empty* lanes
-    /// rather than `k` — the win on heavy-queue configs where traffic
-    /// concentrates on few lanes. The minimum is taken over the explicit
-    /// `(ts, lane)` key so the result is independent of the packed
-    /// list's arbitrary order (ties are impossible anyway: order keys
-    /// are unique per packet and one packet's entries share a lane).
+    /// Fast service scan: reclaims any `free` stale entries sitting at
+    /// the heads of occupied lanes (only while some are queued), then
+    /// returns the lane whose head has the globally smallest timestamp,
+    /// the argmin of the head array over the packed occupied-lane list.
+    /// The cost is proportional to the number of *non-empty* lanes
+    /// rather than `k`, and no ring buffer is read. The minimum is
+    /// taken over the explicit `(ts, lane)` key, so the result is
+    /// independent of the packed list's arbitrary order and a tie goes
+    /// to the lower lane, as in the reference scan.
     fn service_head(&mut self) -> Option<usize> {
-        let mut best: Option<(OrderKey, usize)> = None;
         let mut i = 0;
-        while i < self.occupied.len() {
-            let lane = self.occupied[i] as usize;
-            while matches!(
-                self.lanes[lane].front(),
-                Some(Entry::Stale { free: true, .. })
-            ) {
-                self.lanes[lane].pop_front();
-                self.total -= 1;
-            }
-            match self.lanes[lane].front() {
-                None => {
-                    // Drained empty: swap-remove without advancing, so
-                    // the lane swapped into slot `i` is visited next.
-                    self.unmark_at(i);
-                }
-                Some(e) => {
-                    let key = (e.ts(), lane);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                    i += 1;
-                }
+        while self.free_stales > 0 && i < self.occupied.len() {
+            // A lane that drained empty was swap-removed: the lane
+            // moved into slot `i` is visited next.
+            if !self.drain_lane(self.occupied[i] as usize) {
+                i += 1;
             }
         }
-        best.map(|(_, lane)| lane)
+        let (&first, rest) = self.occupied.split_first()?;
+        let mut best = (self.heads[first as usize], first);
+        for &lane in rest {
+            let key = (self.heads[lane as usize], lane);
+            // Which head wins is data: a branch here mispredicts.
+            best = std::hint::select_unpredictable(key < best, key, best);
+        }
+        Some(best.1 as usize)
     }
 
     /// Reference service scan: the pre-index two-pass implementation,
-    /// kept verbatim as the tests' oracle — reclaim `free`
-    /// stale entries at every lane head (`drain_free_stale`), then pick
-    /// the minimum-timestamp head over **all** `k` lanes, the way the
-    /// paper's `pop()` reads. Keeps the index in sync for lanes it
-    /// drains empty, so either scan can follow the other.
+    /// kept as the tests' oracle — reclaim `free` stale entries at every
+    /// lane head, then pick the minimum-timestamp head over **all** `k`
+    /// lanes' ring buffers, the way the paper's `pop()` reads. Keeps the
+    /// index, the head array and the free-stale count in sync, so
+    /// either scan can follow the other.
     fn service_scan(&mut self) -> Option<usize> {
         for lane in 0..self.lanes.len() {
-            let mut drained = false;
-            while matches!(
-                self.lanes[lane].front(),
-                Some(Entry::Stale { free: true, .. })
-            ) {
-                self.lanes[lane].pop_front();
-                self.total -= 1;
-                drained = true;
-            }
-            if drained && self.lanes[lane].front().is_none() {
-                let pos = self.lane_pos[lane];
-                debug_assert_ne!(pos, NOT_OCCUPIED, "drained lane was never indexed");
-                self.unmark_at(pos as usize);
-            }
+            self.drain_lane(lane);
         }
         let mut best: Option<(OrderKey, usize)> = None;
         for (lane, buf) in self.lanes.iter().enumerate() {
@@ -652,50 +689,39 @@ impl<T> FifoCore<T> {
     pub fn pop(&mut self) -> PopOutcome<T> {
         let lane = self.service();
         if self.recovered_wins(lane) {
-            return match self.recovered.pop_front() {
-                Some(Entry::Data { item, .. }) => {
-                    self.total -= 1;
-                    PopOutcome::Data(item)
-                }
-                _ => unreachable!("recovery queue holds only data entries"),
-            };
+            // `push_recovered` and `from_parts` admit data entries only.
+            if let Some(Entry::Data { item, .. }) = self.recovered.pop_front() {
+                self.total -= 1;
+                return PopOutcome::Data(item);
+            }
         }
+        // `service` names occupied lanes only, so `None` below is the
+        // empty FIFO.
         let Some(lane) = lane else {
             return PopOutcome::Empty;
         };
-        match self.lanes[lane].front().expect("lane non-empty") {
-            Entry::Data { .. } => match self.lanes[lane].pop_front() {
-                Some(Entry::Data { item, .. }) => {
-                    self.total -= 1;
-                    self.lane_emptied(lane);
-                    PopOutcome::Data(item)
-                }
-                _ => unreachable!("head was data"),
-            },
-            Entry::Phantom { key, .. } => {
-                let key = *key;
-                self.stats.blocked_cycles += 1;
-                PopOutcome::BlockedOnPhantom(key)
-            }
-            Entry::Stale { free: false, .. } => {
-                self.lanes[lane].pop_front();
-                self.total -= 1;
+        if let Some(Entry::Phantom { key, .. }) = self.lanes[lane].front() {
+            let key = *key;
+            self.stats.blocked_cycles += 1;
+            return PopOutcome::BlockedOnPhantom(key);
+        }
+        match self.pop_head(lane) {
+            Some(Entry::Data { item, .. }) => PopOutcome::Data(item),
+            // Neither data nor phantom: a stale entry, and not a free
+            // one, since `service` drained every free stale head.
+            Some(e) => {
+                debug_assert!(matches!(e, Entry::Stale { free: false, .. }));
                 self.stats.stale_cycles += 1;
-                self.lane_emptied(lane);
                 PopOutcome::ConsumedStale
             }
-            Entry::Stale { free: true, .. } => {
-                unreachable!("free stale entries were drained")
-            }
+            None => PopOutcome::Empty,
         }
     }
 
     /// Timestamp of the globally-oldest *data* or *phantom* entry, if
     /// any — used by schedulers to decide starvation.
     pub fn oldest_ts(&mut self) -> Option<OrderKey> {
-        let lane_ts = self
-            .service()
-            .map(|l| self.lanes[l].front().expect("non-empty").ts());
+        let lane_ts = self.service().map(|l| self.heads[l]);
         match (lane_ts, self.recovered_head_ts()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -754,8 +780,9 @@ impl<T> FifoCore<T> {
     }
 
     /// Exports the FIFO's explicit state for a checkpoint. The occupancy
-    /// index is derived from the lane contents, so it is not exported;
-    /// [`Self::from_parts`] rebuilds it.
+    /// index, the head array and the free-stale count are derived from
+    /// the lane contents, so they are not exported; [`Self::from_parts`]
+    /// rebuilds them.
     pub fn snapshot_parts(&self) -> FifoParts<T>
     where
         T: Clone,
@@ -787,7 +814,7 @@ impl<T> FifoCore<T> {
 
     /// Rebuilds a FIFO from checkpointed parts, every entry at its
     /// stable `(lane, seq)` address, and reconstructs the packed
-    /// occupancy index. Parts no FIFO can hold — no lanes, a lane over
+    /// occupancy index, the head array and the free-stale count. Parts no FIFO can hold — no lanes, a lane over
     /// capacity, a non-data entry in the recovery queue — are an `Err`
     /// naming the fault.
     pub fn from_parts(parts: FifoParts<T>) -> Result<Self, String> {
@@ -805,13 +832,21 @@ impl<T> FifoCore<T> {
         let mut total = parts.recovered.len();
         let mut occupied = Vec::with_capacity(k);
         let mut lane_pos = vec![NOT_OCCUPIED; k];
+        let mut heads = vec![EMPTY_HEAD; k];
+        let mut free_stales = 0;
         let mut lanes = Vec::with_capacity(k);
         for (l, lp) in parts.lanes.into_iter().enumerate() {
             total += lp.entries.len();
-            if !lp.entries.is_empty() {
+            if let Some(head) = lp.entries.first() {
                 lane_pos[l] = occupied.len() as u32;
                 occupied.push(l as u32);
+                heads[l] = head.ts();
             }
+            free_stales += lp
+                .entries
+                .iter()
+                .filter(|e| matches!(e, Entry::Stale { free: true, .. }))
+                .count();
             lanes.push(RingBuffer::from_parts(
                 lp.entries,
                 lp.head_seq,
@@ -828,6 +863,8 @@ impl<T> FifoCore<T> {
             total,
             occupied,
             lane_pos,
+            heads,
+            free_stales,
             indexed: true,
         })
     }

@@ -78,10 +78,26 @@ impl<T> RingBuffer<T> {
         if self.is_full() {
             return Err(value);
         }
+        Ok(self.push_unchecked(value))
+    }
+
+    /// Appends `make(v)` at the tail, returning its stable sequence
+    /// number, or `Err(v)`, unconverted, if the ring is full: a caller
+    /// that wraps its value in the element type gets its own value back.
+    pub fn push_back_with<V>(&mut self, v: V, make: impl FnOnce(V) -> T) -> Result<u64, V> {
+        if self.is_full() {
+            return Err(v);
+        }
+        Ok(self.push_unchecked(make(v)))
+    }
+
+    /// Appends at the tail of a ring the caller checked is not full.
+    #[inline]
+    fn push_unchecked(&mut self, value: T) -> u64 {
         let seq = self.head_seq + self.buf.len() as u64;
         self.buf.push_back(value);
         self.max_occupancy = self.max_occupancy.max(self.buf.len());
-        Ok(seq)
+        seq
     }
 
     /// Removes and returns the head element.

@@ -20,8 +20,9 @@
 //! as the switch's clock needs it, so a stdin feed is served while it
 //! streams in and memory holds a window of it, not all of it. A
 //! checkpoint first ingests the rest of the feed, so the snapshot holds
-//! every future arrival. Feed lines must be in entry order (arrival,
-//! then port; equal keys keep file order) and carry the program's field
+//! every future arrival. Feed lines must be in strictly ascending entry
+//! order (arrival, then port; a port delivers at most one packet per
+//! byte-time, so no two lines share both) and carry the program's field
 //! count; a line that does not, or does not parse, stops the run with
 //! `packet feed line N: ...` and exit 1.
 

@@ -551,10 +551,12 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
 
     /// Offers feed line `line`'s packet, checked where it enters. The
     /// switch takes it only if it carries the program's field count,
-    /// does not precede the last packet still waiting to arrive in
-    /// entry order (equal keys keep feed order), and is not due before
-    /// the cycle the switch has reached, where it would enter later
-    /// than its arrival says.
+    /// follows the last packet still waiting to arrive in entry order
+    /// (an equal key is rejected too: a port delivers at most one packet
+    /// per byte-time, and the FIFOs order packets by that key alone,
+    /// DESIGN.md §8, defect 7), and is not due before the cycle the
+    /// switch has reached, where it would enter later than its arrival
+    /// says.
     pub fn offer(&mut self, line: usize, pkt: Packet) -> Result<(), ServeError> {
         let reject = |why: String| Err(ServeError::Feed { line, why });
         let nf = self.sw.program().num_fields();
@@ -566,6 +568,13 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
         }
         let (arrival, port) = pkt.entry_order_key();
         if let Some(last) = self.sw.last_arrival() {
+            if (arrival, port) == last.entry_order_key() {
+                return reject(format!(
+                    "arrival {arrival} port {} repeats the packet before it: a port delivers \
+                     at most one packet per byte-time",
+                    port.0
+                ));
+            }
             if (arrival, port) < last.entry_order_key() {
                 return reject(format!(
                     "arrival {arrival} port {} is out of entry order: the packet before it \

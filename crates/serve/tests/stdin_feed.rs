@@ -118,23 +118,18 @@ fn a_feed_with_blank_lines_is_served_whole() {
 }
 
 /// Streaming ingest serves the same bytes as offering the whole feed
-/// up front: packets with equal entry keys keep file order, and blank
-/// lines are skipped.
+/// up front: packets that share an arrival are ordered by port, and
+/// blank lines are skipped.
 #[test]
 fn a_streamed_feed_traces_like_whole_feed_ingest() {
     let mut packets = feed_packets(120);
     for i in (1..packets.len()).step_by(5) {
-        // An exact tie with the line before, and a same-arrival
-        // neighbour on a higher port.
+        // A same-arrival neighbour on a higher port.
         let (arrival, port) = packets[i - 1].entry_order_key();
         packets[i].arrival = arrival;
-        packets[i].port = port;
-        if i + 1 < packets.len() {
-            packets[i + 1].arrival = arrival;
-            packets[i + 1].port.0 = port.0 + 1;
-        }
+        packets[i].port.0 = port.0 + 1;
     }
-    assert!(packets.is_sorted_by_key(|p| p.entry_order_key()));
+    assert!(packets.is_sorted_by(|a, b| a.entry_order_key() < b.entry_order_key()));
     let feed = format!("\n{}\n", lines_of(&packets).join("\n\n"));
 
     let trace = temp("streamed.jsonl");
@@ -297,6 +292,19 @@ fn a_line_out_of_entry_order_is_rejected() {
     let lines = feed_lines(4);
     let feed = format!("{}\n{}\n\n{}\n", lines[0], lines[2], lines[1]);
     assert_rejected(&serve(&feed), 4, "out of entry order");
+}
+
+/// A port delivers at most one packet per byte-time, so a line that
+/// repeats the arrival and port of the line before it is no real input;
+/// served, it would tie in every FIFO's order (DESIGN.md §8, defect 7).
+#[test]
+fn a_line_repeating_the_one_before_is_rejected() {
+    let mut packets = feed_packets(4);
+    packets[2].arrival = packets[1].arrival;
+    packets[2].port = packets[1].port;
+    let lines = lines_of(&packets);
+    let feed = format!("{}\n\n{}\n{}\n{}\n", lines[0], lines[1], lines[2], lines[3]);
+    assert_rejected(&serve(&feed), 4, "repeats the packet before it");
 }
 
 #[test]

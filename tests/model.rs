@@ -163,6 +163,72 @@ fn ids_are_labels() {
     }
 }
 
+/// Defect 7 of DESIGN.md §8: packets that share an entry order key
+/// `(arrival, port)` tie in every FIFO's `pop`, which breaks the tie by
+/// lane, not by feed order, so `last[0]` ended on the wrong packet's
+/// value in 19 of these 30 runs. No port delivers such packets, and
+/// `Server::offer` rejects the second as a feed error naming its line.
+/// The same packets with unique keys (one port each) are Banzai's.
+#[test]
+fn equal_entry_keys_are_a_feed_error() {
+    use mp5::faults::NoFaults;
+    use mp5::serve::{ServeError, Server};
+    use mp5::types::{Packet, PortId};
+    const SRC: &str = "struct Packet { int v; int out; };
+int last[1] = {0};
+void func(struct Packet p) {
+    p.out = last[0];
+    last[0] = p.v;
+}
+";
+    let prog = compile(SRC, &Target::default()).unwrap();
+    let v = prog.field("v").unwrap();
+    for k in [2, 4, 8] {
+        for n in 2..=11u16 {
+            let packets = |port: fn(u16) -> u16| -> Vec<Packet> {
+                (1..=n)
+                    .map(|i| {
+                        let mut p = Packet::new(
+                            PacketId(i.into()),
+                            PortId(port(i)),
+                            0,
+                            64,
+                            prog.num_fields(),
+                        );
+                        p.set(v, i.into());
+                        p
+                    })
+                    .collect()
+            };
+            let what = format!("k={k} n={n}");
+            let boot = || {
+                Server::<NopSink, NoFaults>::new(SRC, SwitchConfig::mp5(k), NopSink, None).unwrap()
+            };
+            let tied = packets(|_| 0);
+            let mut srv = boot();
+            srv.offer(1, tied[0].clone()).expect(&what);
+            let err = srv.offer(2, tied[1].clone());
+            assert!(
+                matches!(err, Err(ServeError::Feed { line: 2, .. })),
+                "{what}: {err:?}"
+            );
+
+            let unique = packets(|i| i - 1);
+            let banzai = BanzaiSwitch::new(prog.clone()).run(unique.clone());
+            let mut srv = boot();
+            for (line, p) in unique.into_iter().enumerate() {
+                srv.offer(line + 1, p).expect(&what);
+            }
+            while !srv.is_idle() {
+                srv.tick();
+                srv.drain_egress();
+            }
+            let (report, _) = srv.finish();
+            assert!(report.result.equivalent_to(&banzai), "{what}");
+        }
+    }
+}
+
 /// Negative control: a silent phantom drop records no loss and runs no
 /// recovery, so the auditor must report the stream.
 #[test]
