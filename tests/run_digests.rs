@@ -11,18 +11,29 @@
 //! cross links, spine picks and — under flowlet routing — the flowlet
 //! table's eviction.
 //!
+//! `bounded_and_faulted_runs_keep_their_digests` reaches the FIFO
+//! outcomes no unbounded, fault-free `mp5` run produces (full lanes,
+//! orphaned data, cancels, stale pops, direct data pushes, recovery).
+//! Its digests were written by `9fa4c56`, before the FIFO's events
+//! moved from `mp5-fabric` into the switch's queue door.
+//!
 //! `compiled_programs_keep_their_digests` pins compiled programs the
 //! same way: its digests were written by `a065ff9`, before the stage
 //! layout (schedule, transform, tail merge, flow-order stage) moved
 //! into one compiler step that the analyzer reads.
 
 use mp5::compiler::{compile, compile_with_options, CompileOptions, FlowOrderSpec, Target};
+use std::collections::BTreeMap;
+
+use mp5::compiler::CompiledProgram;
 use mp5::core::{Mp5Switch, SwitchConfig};
-use mp5::faults::NoFaults;
+use mp5::faults::{FaultPlan, NoFaults};
+use mp5::sim::experiments::app_trace;
 use mp5::topo::{Fabric, FabricConfig, RouteMode, TopologyConfig};
 use mp5::trace::{stream_hash, EventKind, MemSink};
 use mp5::traffic::streams::fnv1a_fold;
 use mp5::traffic::{AccessPattern, DcPattern, DcWorkload, TraceBuilder};
+use mp5::types::Packet;
 
 /// `mp5run programs/APP.mp5 --packets 30000 --pipelines 8 --pattern
 /// skewed --keys 64 --trace FILE`, in process: `(stream_hash, remap
@@ -60,6 +71,111 @@ fn skewed_switch_runs_keep_their_digests() {
         ("conga", 0xea69_80cb_e36f_b973, 114),
     ] {
         assert_eq!(switch_digest(app), (hash, remaps), "{app}");
+    }
+}
+
+/// A traced run under `cfg` and `plan`: its `stream_hash` and how many
+/// events of each kind it holds, as `tag=count` in tag order.
+fn class_digest(
+    prog: CompiledProgram,
+    trace: Vec<Packet>,
+    cfg: SwitchConfig,
+    plan: &FaultPlan,
+) -> (u64, String) {
+    let (_, sink) =
+        Mp5Switch::with_faults(prog, cfg, MemSink::new(), plan.injector()).run_traced(trace);
+    let events = sink.into_events();
+    let mut counts = BTreeMap::new();
+    for e in &events {
+        *counts.entry(e.kind.tag()).or_insert(0) += 1;
+    }
+    let counts: Vec<String> = counts.iter().map(|(t, n)| format!("{t}={n}")).collect();
+    (stream_hash(&events), counts.join(" "))
+}
+
+/// 1 500 packets, `h` and `a`/`b` drawn from `0..64`.
+fn small_trace(source: &str) -> (CompiledProgram, Vec<Packet>) {
+    use rand::Rng;
+    let prog = compile(source, &Target::default()).expect("program compiles");
+    let trace = TraceBuilder::new(1_500, 3).build(prog.num_fields(), |rng, _, f| {
+        f[0] = rng.gen_range(0..64);
+        f[1] = rng.gen_range(0..64);
+    });
+    (prog, trace)
+}
+
+/// Runs that reach every FIFO and crossbar outcome:
+/// - `heavy_hitter` on two-entry lanes under a chaos plan: full lanes
+///   (`ph_drop`), orphaned data, free cancels in the FIFO and on the
+///   channel, lost and recovered phantoms, an evacuated pipeline;
+/// - the no-D4 ablation on two-entry lanes over one hot counter: direct
+///   data pushes and their drops;
+/// - one array at two indexes per packet: the second phantom is a
+///   sibling cancelled when the packet executes (`ph_cancel`, not free)
+///   and reclaimed at a cycle's cost (`pop_stale`).
+///
+/// A speculative phantom (a stateful predicate) reaches neither of the
+/// last two: its data packet takes the phantom's slot whatever the
+/// predicate says, and only the switch's wasted-cycle counter sees a
+/// false branch.
+#[test]
+fn bounded_and_faulted_runs_keep_their_digests() {
+    let (prog, trace) = app_trace(mp5::apps::by_name("heavy_hitter").expect("app"), 1_500, 3);
+    let plan = FaultPlan::chaos(4, 4, prog.num_stages(), 700);
+    let cfg = SwitchConfig {
+        fifo_capacity: Some(2),
+        ..SwitchConfig::mp5(4)
+    };
+    let chaos = class_digest(prog, trace, cfg, &plan);
+
+    let (prog, trace) = small_trace(
+        "struct Packet { int h; int o; };
+         int c = 0;
+         void func(struct Packet p) { c = c + 1; p.o = c; }",
+    );
+    let cfg = SwitchConfig {
+        fifo_capacity: Some(2),
+        ..SwitchConfig::no_d4(4)
+    };
+    let no_d4 = class_digest(prog, trace, cfg, &FaultPlan::new(0));
+
+    let (prog, trace) = small_trace(
+        "struct Packet { int a; int b; int out; };
+         int tbl[32];
+         void func(struct Packet p) {
+             tbl[p.a % 32] = p.b;
+             p.out = tbl[p.b % 32];
+         }",
+    );
+    let siblings = class_digest(prog, trace, SwitchConfig::mp5(4), &FaultPlan::new(0));
+
+    let want = [
+        (
+            "chaos",
+            chaos,
+            0x14bd_2567_ff1d_1c30,
+            "access=4461 data_match=4439 data_orphan=23 drop=23 egress=1477 evacuated=1 \
+             exec=13415 fault=7 ingress=1500 ph_cancel=2 ph_chan_cancel=14 ph_drop=23 \
+             ph_emit=4500 ph_enq=4441 ph_lost=22 ph_recovered=22 pop_blocked=721 \
+             pop_data=4461 remap=395 steer=2953",
+        ),
+        (
+            "no_d4",
+            no_d4,
+            0x5b26_9031_936f_9210,
+            "access=382 data_enq=382 data_enq_drop=1118 drop=1118 egress=382 exec=2264 \
+             ingress=1500 pop_data=382 steer=1125",
+        ),
+        (
+            "siblings",
+            siblings,
+            0x37dd_7728_2201_056a,
+            "access=2948 data_match=1500 egress=1500 exec=6000 ingress=1500 ph_cancel=1448 \
+             ph_emit=2948 ph_enq=2948 pop_data=1500 pop_stale=1448 steer=1125",
+        ),
+    ];
+    for (run, got, hash, counts) in want {
+        assert_eq!(got, (hash, counts.to_string()), "{run}");
     }
 }
 
