@@ -46,6 +46,18 @@ echo "==> cargo build --release --workspace"
 # need_bin checks below) missing or, worse, stale.
 cargo build --release --workspace
 
+echo "==> mp5-fabric stays a pure hardware model: no mp5-trace dependency"
+# The FIFO, the crossbar and the phantom channel emit nothing; the
+# switch's stage queue writes their events from what they return
+# (DESIGN.md §2). The tree is captured first so a failing `cargo tree`
+# fails the step instead of reading as "no match".
+FABRIC_DEPS=$(cargo tree -p mp5-fabric -e normal --offline)
+if printf '%s\n' "$FABRIC_DEPS" | grep -q 'mp5-trace'; then
+    echo "ci.sh: mp5-fabric depends on mp5-trace:" >&2
+    printf '%s\n' "$FABRIC_DEPS" >&2
+    exit 1
+fi
+
 echo "==> cargo test --workspace"
 # --workspace: at a workspace root that is itself a package, a plain
 # `cargo test` runs the facade crate's tests only; the member crates'

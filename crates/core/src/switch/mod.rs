@@ -25,15 +25,6 @@ mod steer;
 mod tests;
 mod work;
 
-/// Converts a fabric phantom key into the trace schema's access key.
-fn tkey(key: PhantomKey) -> mp5_trace::Key {
-    mp5_trace::Key {
-        pkt: key.pkt,
-        reg: key.reg,
-        index: key.index,
-    }
-}
-
 /// The simulator's liveness invariant broke: a run failed to drain all
 /// in-flight work within its cycle cap. Carries a snapshot of where the
 /// stuck work sits, for debugging deadlocked configurations.

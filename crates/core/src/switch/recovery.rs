@@ -6,7 +6,7 @@ use mp5_fabric::PhantomKey;
 use mp5_faults::{FaultClass, FaultInjector, FaultKind, PhantomFate};
 use mp5_trace::{EventKind, TraceCtx, TraceSink, NO_LOC};
 
-use super::{tkey, Mp5Switch, PhantomMsg};
+use super::{Mp5Switch, PhantomMsg};
 use crate::shard;
 
 /// Stable identity hash of a phantom key, fed to the fault injector's
@@ -78,8 +78,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             self.lost.insert(msg.key);
             self.report.fault.phantoms_dropped += 1;
             if S::ENABLED {
-                let key = tkey(msg.key);
-                ctx.emit(&mut self.sink, EventKind::FaultPhantomLost { key });
+                ctx.emit(&mut self.sink, EventKind::FaultPhantomLost { key: msg.key });
             }
         }
         recorded

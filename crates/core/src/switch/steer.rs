@@ -10,7 +10,7 @@ use mp5_types::PipelineId;
 
 use super::slab::{from_back, Handle};
 use super::work::release_inflight;
-use super::{tkey, Mp5Switch};
+use super::Mp5Switch;
 use crate::config::SprayMode;
 use crate::state::FlightState;
 
@@ -29,7 +29,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 if S::ENABLED {
                     ctx.emit(
                         &mut self.sink,
-                        EventKind::PhantomChannelCancel { key: tkey(msg.key) },
+                        EventKind::PhantomChannelCancel { key: msg.key },
                     );
                 }
                 continue;
@@ -170,13 +170,17 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 return;
             }
         };
-        self.crossbars[next].route_traced(
-            PipelineId(pl as u16),
-            dest,
-            &mut self.sink,
-            TraceCtx::new(self.cycle, pl as u16, next as u16),
-        );
+        self.crossbars[next].route(PipelineId(pl as u16), dest);
         if dest.index() != pl {
+            if S::ENABLED {
+                TraceCtx::new(self.cycle, pl as u16, next as u16).emit(
+                    &mut self.sink,
+                    EventKind::Steer {
+                        from: pl as u16,
+                        to: dest.0,
+                    },
+                );
+            }
             self.report.steered += 1;
             if F::ENABLED {
                 let delay = self.faults.grant_delay();

@@ -19,7 +19,7 @@ use mp5_types::{AccessTag, PipelineId, RegId, StageId, Value};
 
 use super::queue::{Serve, StageQueue};
 use super::slab::{from_back, Flights, Handle};
-use super::{tkey, Mp5Switch, PhantomMsg};
+use super::{Mp5Switch, PhantomMsg};
 use crate::config::SwitchConfig;
 use crate::report::RunReport;
 use crate::shard::Touched;
@@ -319,7 +319,7 @@ fn process_flight<S: TraceSink>(
                 tctx.emit(
                     w.sink,
                     EventKind::PhantomEmit {
-                        key: tkey(fl.key(tag)),
+                        key: fl.key(tag),
                         dest_pipeline: tag.pipeline.0,
                         dest_stage: tag.stage.0,
                     },

@@ -42,38 +42,12 @@
 
 use std::collections::VecDeque;
 
-use mp5_trace::{EventKind, TraceCtx, TraceSink};
-use mp5_types::{FastMap, PacketId, PipelineId, RegId};
+use mp5_types::{FastMap, PipelineId};
 use serde::{Deserialize, Serialize};
 
 use crate::ring::RingBuffer;
 
-/// Converts a fabric [`PhantomKey`] into the trace event schema's key.
-fn tk(key: PhantomKey) -> mp5_trace::Key {
-    mp5_trace::Key {
-        pkt: key.pkt,
-        reg: key.reg,
-        index: key.index,
-    }
-}
-
-/// Identifies the phantom (and hence queue placeholder) for one state
-/// access by one packet.
-///
-/// The paper's directory is "indexed by packet's id"; we additionally key
-/// by `(reg, index)` because a packet whose predicate could not be
-/// resolved preemptively may own *two* speculative phantoms in the same
-/// stage, one per branch (§3.3). Ordered field by field, the order a
-/// checkpoint lists its key sets in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct PhantomKey {
-    /// The data packet this phantom stands in for.
-    pub pkt: PacketId,
-    /// The register array of the access.
-    pub reg: RegId,
-    /// The resolved register index of the access.
-    pub index: u32,
-}
+pub use mp5_types::PhantomKey;
 
 /// The total order enforced by `pop()`.
 ///
@@ -299,7 +273,7 @@ pub struct FifoCore<T> {
     total: usize,
     /// Dense occupancy index: the lanes holding at least one entry, as
     /// a packed list (arbitrary order). Service scans (`pop`,
-    /// `oldest_ts`, `peek_oldest`) walk only this list instead of all
+    /// `oldest_ts`, `peek_oldest_at`) walk only this list instead of all
     /// `k` lanes, so heavy-queue workloads with few active lanes stop
     /// paying the linear scan. Maintained incrementally on every empty
     /// ↔ non-empty lane transition; debug builds assert it against a
@@ -729,14 +703,10 @@ impl<T> FifoCore<T> {
     }
 
     /// Peeks the globally-oldest entry (after reclaiming free stales)
-    /// without consuming anything. Used by per-index schedulers (the
-    /// ideal-MP5 baseline) to compare heads across many queues.
-    pub fn peek_oldest(&mut self) -> Option<&Entry<T>> {
-        self.peek_oldest_at().map(|(_, e)| e)
-    }
-
-    /// [`Self::peek_oldest`] with the entry's address: `None` for the
-    /// recovery-queue head, which no address names.
+    /// without consuming anything, with its address: `None` for the
+    /// recovery-queue head, which no address names. Used by per-index
+    /// schedulers (the ideal-MP5 baseline) to compare heads across many
+    /// queues.
     pub fn peek_oldest_at(&mut self) -> Option<(Option<FifoAddr>, &Entry<T>)> {
         let lane = self.service();
         if self.recovered_wins(lane) {
@@ -868,131 +838,6 @@ impl<T> FifoCore<T> {
             indexed: true,
         })
     }
-
-    // ------------------------------------------------------------------
-    // Traced variants: identical semantics, but each outcome is emitted
-    // into the sink. With `NopSink` the emission guard constant-folds,
-    // so these compile to exactly the untraced operations.
-    // ------------------------------------------------------------------
-
-    /// Traced [`FifoCore::push_phantom`]: emits `ph_enq` on success,
-    /// `ph_drop` when the lane is full.
-    pub fn push_phantom_traced<S: TraceSink>(
-        &mut self,
-        key: PhantomKey,
-        ts: OrderKey,
-        lane: PipelineId,
-        sink: &mut S,
-        ctx: TraceCtx,
-    ) -> Result<FifoAddr, PushError> {
-        let r = self.push_phantom(key, ts, lane);
-        if S::ENABLED {
-            match r {
-                Ok(_) => ctx.emit(sink, EventKind::PhantomEnq { key: tk(key) }),
-                Err(_) => ctx.emit(sink, EventKind::PhantomDropFull { key: tk(key) }),
-            }
-        }
-        r
-    }
-
-    /// Traced [`FifoCore::push_data`]: emits `data_enq` on success,
-    /// `data_enq_drop` when the lane is full. The caller supplies the
-    /// packet id because `T` is opaque to the fabric.
-    pub fn push_data_traced<S: TraceSink>(
-        &mut self,
-        pkt: PacketId,
-        item: T,
-        ts: OrderKey,
-        lane: PipelineId,
-        sink: &mut S,
-        ctx: TraceCtx,
-    ) -> Result<FifoAddr, T> {
-        let r = self.push_data(item, ts, lane);
-        if S::ENABLED {
-            match &r {
-                Ok(_) => ctx.emit(sink, EventKind::DataEnq { pkt }),
-                Err(_) => ctx.emit(sink, EventKind::DataEnqDropFull { pkt }),
-            }
-        }
-        r
-    }
-
-    /// Traced [`FifoCore::insert_data`]: emits `data_match` when the
-    /// phantom is replaced, `data_orphan` when the slot does not hold
-    /// it (the §3.4 drop cascade).
-    pub fn insert_data_traced<S: TraceSink>(
-        &mut self,
-        addr: FifoAddr,
-        key: PhantomKey,
-        item: T,
-        sink: &mut S,
-        ctx: TraceCtx,
-    ) -> Result<(), T> {
-        let r = self.insert_data(addr, key, item);
-        if S::ENABLED {
-            match &r {
-                Ok(_) => ctx.emit(sink, EventKind::DataMatch { key: tk(key) }),
-                Err(_) => ctx.emit(sink, EventKind::DataOrphan { key: tk(key) }),
-            }
-        }
-        r
-    }
-
-    /// Traced [`FifoCore::push_recovered`]: emits `ph_recovered`
-    /// (the C1-preserving fault-recovery path).
-    pub fn push_recovered_traced<S: TraceSink>(
-        &mut self,
-        key: PhantomKey,
-        item: T,
-        ts: OrderKey,
-        sink: &mut S,
-        ctx: TraceCtx,
-    ) {
-        self.push_recovered(item, ts);
-        if S::ENABLED {
-            ctx.emit(sink, EventKind::PhantomRecovered { key: tk(key) });
-        }
-    }
-
-    /// Traced [`FifoCore::cancel`]: emits `ph_cancel` only when a
-    /// live phantom was actually cancelled.
-    pub fn cancel_traced<S: TraceSink>(
-        &mut self,
-        addr: FifoAddr,
-        key: PhantomKey,
-        free: bool,
-        sink: &mut S,
-        ctx: TraceCtx,
-    ) -> bool {
-        let found = self.cancel(addr, key, free);
-        if S::ENABLED && found {
-            ctx.emit(sink, EventKind::PhantomCancel { key: tk(key), free });
-        }
-        found
-    }
-
-    /// Traced [`FifoCore::pop`]: emits `pop_data` / `pop_stale` /
-    /// `pop_blocked` per outcome (nothing for an empty queue). The
-    /// caller supplies a packet-id projection because `T` is opaque.
-    pub fn pop_traced<S: TraceSink>(
-        &mut self,
-        sink: &mut S,
-        ctx: TraceCtx,
-        pkt_of: impl FnOnce(&T) -> PacketId,
-    ) -> PopOutcome<T> {
-        let out = self.pop();
-        if S::ENABLED {
-            match &out {
-                PopOutcome::Data(item) => ctx.emit(sink, EventKind::PopData { pkt: pkt_of(item) }),
-                PopOutcome::ConsumedStale => ctx.emit(sink, EventKind::PopStale),
-                PopOutcome::BlockedOnPhantom(key) => {
-                    ctx.emit(sink, EventKind::PopBlocked { key: tk(*key) })
-                }
-                PopOutcome::Empty => {}
-            }
-        }
-        out
-    }
 }
 
 /// The paper's keyed interface over a [`FifoCore`]: a directory from
@@ -1079,6 +924,7 @@ impl<T> LogicalFifo<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp5_types::{PacketId, RegId};
 
     fn key(p: u64) -> PhantomKey {
         PhantomKey {
@@ -1202,51 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_ops_emit_matching_events() {
-        use mp5_trace::{EventKind as EK, MemSink, TraceCtx};
-        let mut sink = MemSink::new();
-        let ctx = TraceCtx::new(7, 1, 2);
-        let mut f: FifoCore<&str> = FifoCore::new(1, Some(1));
-        let a0 = f
-            .push_phantom_traced(key(0), OrderKey(0, 0), PipelineId(0), &mut sink, ctx)
-            .unwrap();
-        // Full lane: second phantom drops.
-        assert!(f
-            .push_phantom_traced(key(1), OrderKey(1, 0), PipelineId(0), &mut sink, ctx)
-            .is_err());
-        // Blocked pop, then match, then served pop.
-        let _ = f.pop_traced(&mut sink, ctx, |_| PacketId(99));
-        f.insert_data_traced(a0, key(0), "d0", &mut sink, ctx)
-            .unwrap();
-        assert!(f
-            .insert_data_traced(FifoAddr::UNSET, key(1), "d1", &mut sink, ctx)
-            .is_err());
-        let _ = f.pop_traced(&mut sink, ctx, |_| PacketId(0));
-        // Cancel at an address that holds nothing emits nothing.
-        assert!(!f.cancel_traced(a0, key(0), true, &mut sink, ctx));
-        let tags: Vec<&str> = sink.events.iter().map(|e| e.kind.tag()).collect();
-        assert_eq!(
-            tags,
-            vec![
-                "ph_enq",
-                "ph_drop",
-                "pop_blocked",
-                "data_match",
-                "data_orphan",
-                "pop_data"
-            ]
-        );
-        assert!(sink
-            .events
-            .iter()
-            .all(|e| e.cycle == 7 && e.pipeline == 1 && e.stage == 2));
-        assert!(matches!(
-            sink.events[5].kind,
-            EK::PopData { pkt } if pkt == PacketId(0)
-        ));
-    }
-
-    #[test]
     fn recovered_entry_rejoins_serial_order() {
         let mut f: LogicalFifo<&str> = LogicalFifo::new(2, Some(8));
         f.push_data("a", OrderKey(0, 0), PipelineId(0)).unwrap();
@@ -1284,25 +1085,12 @@ mod tests {
         f.push_recovered("rec1", OrderKey(1, 0)); // sorted insert
         assert_eq!(f.oldest_ts(), Some(OrderKey(1, 0)));
         assert!(matches!(
-            f.peek_oldest(),
-            Some(Entry::Data { item: "rec1", .. })
+            f.peek_oldest_at(),
+            Some((None, Entry::Data { item: "rec1", .. }))
         ));
         assert!(matches!(f.pop(), PopOutcome::Data("rec1")));
         assert!(matches!(f.pop(), PopOutcome::Data("rec2")));
         assert!(matches!(f.pop(), PopOutcome::Data("lane")));
-    }
-
-    #[test]
-    fn traced_recovery_emits_ph_recovered() {
-        use mp5_trace::{MemSink, TraceCtx};
-        let mut sink = MemSink::new();
-        let ctx = TraceCtx::new(3, 0, 1);
-        let mut f: FifoCore<&str> = FifoCore::new(1, Some(4));
-        f.push_recovered_traced(key(7), "d", OrderKey(4, 0), &mut sink, ctx);
-        assert_eq!(sink.events.len(), 1);
-        assert_eq!(sink.events[0].kind.tag(), "ph_recovered");
-        let _ = f.pop_traced(&mut sink, ctx, |_| PacketId(7));
-        assert_eq!(sink.events[1].kind.tag(), "pop_data");
     }
 
     #[test]

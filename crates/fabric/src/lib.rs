@@ -10,7 +10,8 @@
 //!   operations `push(pkt, fifo_id)`, `insert(pkt, addr, fifo_id)` and
 //!   `pop()`, matching a phantom by the address `push` returned; and
 //!   [`fifo::LogicalFifo`], the same FIFO behind a phantom directory
-//!   keyed by packet id.
+//!   keyed by packet id (the FIFO's keyed tests and the benchmark's
+//!   FIFO probe use it; the switch keeps addresses itself).
 //! * [`xbar::Crossbar`] — the `k×k` crossbar between consecutive stages
 //!   that implements inter-pipeline packet steering (design principle D3).
 //! * [`channel::PhantomChannel`] — the physically separate interconnect
@@ -20,6 +21,10 @@
 //! All components are deterministic, and bounded-mode operation performs
 //! no allocation on the hot path once constructed, in keeping with the
 //! smoltcp-style guidance for production networking Rust.
+//!
+//! A pure hardware model: it emits no events and does not depend on
+//! `mp5-trace`. Each operation returns its outcome, and `mp5-core`'s
+//! stage queue writes the event that outcome names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

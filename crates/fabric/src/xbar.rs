@@ -10,7 +10,6 @@
 //! per-cycle usage statistics; the analytic ASIC model in `mp5-asic`
 //! charges its silicon cost.
 
-use mp5_trace::{EventKind, TraceCtx, TraceSink};
 use mp5_types::PipelineId;
 
 /// A `k×k` crossbar between two consecutive stages.
@@ -39,11 +38,6 @@ impl Crossbar {
         }
     }
 
-    /// Number of pipeline ports on each side.
-    pub fn ports(&self) -> usize {
-        self.k
-    }
-
     /// Routes one packet from input pipeline `from` to output pipeline
     /// `to`, returning `to` (the crossbar is non-blocking).
     pub fn route(&mut self, from: PipelineId, to: PipelineId) -> PipelineId {
@@ -53,27 +47,6 @@ impl Crossbar {
             self.cycle_had_steer = true;
         }
         to
-    }
-
-    /// Traced [`Crossbar::route`]: emits a `steer` event for
-    /// off-diagonal routes (real inter-pipeline steering, D3).
-    pub fn route_traced<S: TraceSink>(
-        &mut self,
-        from: PipelineId,
-        to: PipelineId,
-        sink: &mut S,
-        ctx: TraceCtx,
-    ) -> PipelineId {
-        if S::ENABLED && from != to {
-            ctx.emit(
-                sink,
-                EventKind::Steer {
-                    from: from.0,
-                    to: to.0,
-                },
-            );
-        }
-        self.route(from, to)
     }
 
     /// Marks the end of a simulation cycle for statistics purposes.

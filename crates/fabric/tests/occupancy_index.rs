@@ -30,7 +30,7 @@ enum FifoOp {
     Recover { ts: OrderKey },
     /// Service once.
     Pop,
-    /// Read-only service probes (`oldest_ts` + `peek_oldest`), which
+    /// Read-only service probes (`oldest_ts` + `peek_oldest_at`), which
     /// drain free-stale heads and may evacuate lanes.
     Probe,
 }
@@ -144,7 +144,10 @@ fn run_script(ops: &[FifoOp], lanes: usize, capacity: Option<usize>) {
                 both(&mut fifos, |f| format!("{:?}", f.pop()));
             }
             FifoOp::Probe => {
-                both(&mut fifos, |f| (f.oldest_ts(), f.peek_oldest().cloned()));
+                both(&mut fifos, |f| {
+                    let ts = f.oldest_ts();
+                    (ts, f.peek_oldest_at().map(|(a, e)| (a, e.clone())))
+                });
             }
         }
         check(&fifos);

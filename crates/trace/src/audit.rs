@@ -30,9 +30,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mp5_types::{FastMap, PacketId};
+use mp5_types::{FastMap, PacketId, PhantomKey};
 
-use crate::event::{Event, EventKind, Key};
+use crate::event::{Event, EventKind};
 
 /// One observed access: the packet and its reference order key.
 type AccessSeq = Vec<(PacketId, (u64, u64))>;
@@ -251,7 +251,7 @@ impl std::fmt::Display for AuditReport {
     }
 }
 
-/// Phantom lifecycle states tracked per [`Key`].
+/// Phantom lifecycle states tracked per [`PhantomKey`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PhState {
     /// Emitted onto the channel, not yet delivered.
@@ -300,7 +300,7 @@ impl Auditor {
         // simulator's own output, so a crafted file could at worst slow
         // an audit down. Any of them that reaches the report is sorted
         // before it is iterated, so findings never follow hash order.
-        let mut phantoms: FastMap<Key, PhState> = FastMap::default();
+        let mut phantoms: FastMap<PhantomKey, PhState> = FastMap::default();
         // Per-packet (admissions, exits).
         let mut pkts: FastMap<PacketId, (u32, u32)> = FastMap::default();
         // Per-(reg, index) actual access sequence, in stream order.
@@ -555,7 +555,7 @@ impl Auditor {
         }
 
         // End-of-stream: every phantom must be resolved.
-        let mut unresolved: Vec<(Key, PhState)> = phantoms
+        let mut unresolved: Vec<(PhantomKey, PhState)> = phantoms
             .into_iter()
             .filter(|(_, st)| matches!(st, PhState::Emitted | PhState::Enqueued))
             .collect();
@@ -681,8 +681,8 @@ mod tests {
         }
     }
 
-    fn key(p: u64) -> Key {
-        Key {
+    fn key(p: u64) -> PhantomKey {
+        PhantomKey {
             pkt: PacketId(p),
             reg: RegId(0),
             index: 4,

@@ -15,31 +15,12 @@
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 
-use mp5_types::{PacketId, RegId};
+use mp5_types::{PacketId, PhantomKey, RegId};
 use serde::json::{Parser, Writer};
 
 /// Location sentinel for switch-global events (e.g. remap moves) that
 /// have no meaningful pipeline or stage.
 pub const NO_LOC: u16 = u16::MAX;
-
-/// Identifies one state access by one packet — the same triple the
-/// phantom directory is keyed by (paper §3.2 plus the speculative-branch
-/// extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Key {
-    /// The data packet.
-    pub pkt: PacketId,
-    /// The register array accessed.
-    pub reg: RegId,
-    /// The resolved register index.
-    pub index: u32,
-}
-
-impl std::fmt::Display for Key {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "pkt{}@r{}[{}]", self.pkt.0, self.reg.0, self.index)
-    }
-}
 
 /// Why a data packet was dropped (mirrors
 /// `mp5_core::DropCounts`'s causes).
@@ -75,12 +56,15 @@ impl DropCause {
 /// * **switch-level** events emitted by `mp5-core` / `mp5-baselines`
 ///   (ingress, execution, state accesses, phantom generation, remap,
 ///   egress, drops), and
-/// * **fabric-level** events emitted by `mp5-fabric` (FIFO push /
-///   insert / pop / cancel outcomes and crossbar steers).
+/// * **fabric-level** events: the outcomes of the `mp5-fabric` FIFO's
+///   push / insert / pop / cancel and of crossbar steers. `mp5-fabric`
+///   itself emits nothing; the switch's stage queue (`mp5-core`'s
+///   `StageQueue`, its only door to the FIFOs) writes each one from the
+///   value the FIFO operation returned.
 ///
-/// The auditor cross-checks the two layers against each other; the two
-/// sources never share counters, so agreement is evidence, not
-/// tautology.
+/// The auditor cross-checks the two layers against each other. A
+/// fabric-level event is derived from the FIFO's own answer, never from
+/// the switch's counters, so agreement is evidence, not tautology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     // ---------------- switch level ----------------
@@ -133,7 +117,7 @@ pub enum EventKind {
     /// the prologue (D4).
     PhantomEmit {
         /// The access the phantom stands in for.
-        key: Key,
+        key: PhantomKey,
         /// Destination pipeline.
         dest_pipeline: u16,
         /// Destination stage.
@@ -143,7 +127,7 @@ pub enum EventKind {
     /// packet had been dropped while the phantom was still in flight.
     PhantomChannelCancel {
         /// The cancelled access.
-        key: Key,
+        key: PhantomKey,
     },
     /// The dynamic sharding runtime migrated one register index.
     RemapMove {
@@ -168,19 +152,19 @@ pub enum EventKind {
     /// `push(pkt, fifo_id)`: a phantom placeholder entered a stage FIFO.
     PhantomEnq {
         /// The phantom's access key.
-        key: Key,
+        key: PhantomKey,
     },
     /// A phantom was dropped because its FIFO lane was full.
     PhantomDropFull {
         /// The dropped phantom's key.
-        key: Key,
+        key: PhantomKey,
     },
     /// A queued phantom was cancelled. `free` cancellations (upstream
     /// drop) are reclaimed without service; non-free ones (speculative
     /// false branch) cost one pop cycle.
     PhantomCancel {
         /// The cancelled phantom's key.
-        key: Key,
+        key: PhantomKey,
         /// Whether reclamation is free.
         free: bool,
     },
@@ -188,13 +172,13 @@ pub enum EventKind {
     /// phantom, inheriting its place in the serial order.
     DataMatch {
         /// The matched access key.
-        key: Key,
+        key: PhantomKey,
     },
     /// A data packet arrived for a phantom that no longer exists: the
     /// drop cascade of §3.4.
     DataOrphan {
         /// The orphaned access key.
-        key: Key,
+        key: PhantomKey,
     },
     /// A data packet was pushed directly (no-phantom operating modes).
     DataEnq {
@@ -218,7 +202,7 @@ pub enum EventKind {
     /// order freeze).
     PopBlocked {
         /// The blocking phantom's key.
-        key: Key,
+        key: PhantomKey,
     },
     /// The inter-stage crossbar steered a packet across pipelines
     /// (off-diagonal route, D3).
@@ -241,13 +225,13 @@ pub enum EventKind {
     /// overflow) and the loss was *recorded* for later recovery.
     FaultPhantomLost {
         /// The lost phantom's access key.
-        key: Key,
+        key: PhantomKey,
     },
     /// A data packet whose phantom was lost to a fault was recovered
     /// into FIFO order at its destination stage (C1-preserving path).
     PhantomRecovered {
         /// The recovered access key.
-        key: Key,
+        key: PhantomKey,
     },
     /// A failed pipeline finished evacuating its sharded state to
     /// survivors via the D2 remap path.
@@ -346,7 +330,7 @@ impl Event {
     /// newline). Field order is fixed, so equal events serialize to
     /// byte-identical lines and different events to different lines.
     pub fn write_jsonl(&self, out: &mut Vec<u8>) {
-        fn key(w: &mut Writer<'_>, k: &Key) {
+        fn key(w: &mut Writer<'_>, k: &PhantomKey) {
             w.field("pkt", &k.pkt.0);
             w.field("reg", &k.reg.0);
             w.field("idx", &k.index);
@@ -469,7 +453,7 @@ impl Event {
                 bypassed: req(f.bypassed, "bypassed")?,
             },
             "access" => {
-                let Key { pkt, reg, index } = f.key()?;
+                let PhantomKey { pkt, reg, index } = f.key()?;
                 EventKind::Access {
                     pkt,
                     reg,
@@ -610,8 +594,8 @@ impl<'a> Fields<'a> {
         Ok(PacketId(req(self.pkt, "pkt")?))
     }
 
-    fn key(&self) -> Result<Key, ParseError> {
-        Ok(Key {
+    fn key(&self) -> Result<PhantomKey, ParseError> {
+        Ok(PhantomKey {
             pkt: self.pkt()?,
             reg: RegId(narrow(self.reg, "reg")?),
             index: narrow(self.idx, "idx")?,
@@ -689,8 +673,8 @@ pub fn stream_hash(events: &[Event]) -> u64 {
 mod tests {
     use super::*;
 
-    fn k(p: u64) -> Key {
-        Key {
+    fn k(p: u64) -> PhantomKey {
+        PhantomKey {
             pkt: PacketId(p),
             reg: RegId(3),
             index: 17,
@@ -916,7 +900,7 @@ mod tests {
             let with_extra = line.replacen(r#""p":2,"#, &format!(r#"{extra}"p":2,"#), 1);
             assert_eq!(Event::parse_jsonl(&with_extra).unwrap(), ev, "{with_extra}");
         }
-        // Key order, an escape in a key and whitespace between tokens
+        // PhantomKey order, an escape in a key and whitespace between tokens
         // are free; a comma with no member after it, or anything after
         // the object, is not.
         for alike in [

@@ -22,9 +22,11 @@
 //! * [`chrome`] — a Chrome-trace / Perfetto exporter that lays the
 //!   switch out as one track per (pipeline, stage).
 //!
-//! `mp5-fabric`, `mp5-core` and `mp5-baselines` are generic over
-//! [`TraceSink`]; `mp5run --trace/--audit/--rollup/--chrome` wires the
-//! whole chain into every experiment.
+//! `mp5-core` and `mp5-baselines` are generic over [`TraceSink`]. The
+//! hardware model, `mp5-fabric`, does not depend on this crate: the
+//! switch writes the FIFO and crossbar events from what those return.
+//! `mp5run --trace/--audit/--rollup/--chrome` wires the whole chain
+//! into every experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +38,7 @@ pub mod rollup;
 pub mod sink;
 
 pub use audit::{audit, AuditReport, Auditor, Check, Finding};
-pub use event::{stream_hash, DropCause, Event, EventKind, Key, ParseError, NO_LOC};
+pub use event::{stream_hash, DropCause, Event, EventKind, ParseError, NO_LOC};
 pub use rollup::{Histogram, RegRollup, Rollup, StageRollup};
 pub use sink::{
     emit, read_jsonl, JsonlSink, MemSink, NopSink, ReadError, RingSink, TeeSink, TraceCtx,

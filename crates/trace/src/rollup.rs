@@ -9,9 +9,9 @@
 
 use std::collections::BTreeMap;
 
-use mp5_types::{FastMap, FastSet};
+use mp5_types::{FastMap, FastSet, PhantomKey};
 
-use crate::event::{Event, EventKind, Key};
+use crate::event::{Event, EventKind};
 
 /// A log₂-bucketed histogram of queue occupancies.
 ///
@@ -149,7 +149,7 @@ impl Rollup {
     /// Folds a stream into a rollup.
     pub fn from_events(events: &[Event]) -> Self {
         let mut r = Rollup::default();
-        let mut enq_cycle: FastMap<Key, u64> = FastMap::default();
+        let mut enq_cycle: FastMap<PhantomKey, u64> = FastMap::default();
         let mut touched: FastMap<u16, FastSet<u32>> = FastMap::default();
         for ev in events {
             r.events += 1;
@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn phantom_wait_is_match_minus_enqueue() {
-        let key = Key {
+        let key = PhantomKey {
             pkt: PacketId(1),
             reg: RegId(2),
             index: 0,
@@ -417,7 +417,7 @@ mod tests {
 
     #[test]
     fn csv_has_all_three_sections() {
-        let key = Key {
+        let key = PhantomKey {
             pkt: PacketId(1),
             reg: RegId(0),
             index: 0,
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_enq_and_pop() {
-        let key = |p| Key {
+        let key = |p| PhantomKey {
             pkt: PacketId(p),
             reg: RegId(0),
             index: 0,

@@ -243,9 +243,9 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// The `(cycle, pipeline, stage)` location an instrumented component
-/// stamps onto fabric-level events. `mp5-core` builds one per FIFO
-/// operation so `mp5-fabric` does not need to know switch time.
+/// The `(cycle, pipeline, stage)` location an emission site stamps onto
+/// its events. `mp5-core` builds one per stage slot, FIFO operation or
+/// crossbar route and passes it to the code that emits there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Current simulation cycle.

@@ -6,8 +6,8 @@
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
 
-use mp5_trace::{Event, EventKind, Key};
-use mp5_types::{PacketId, RegId};
+use mp5_trace::{Event, EventKind};
+use mp5_types::{PacketId, PhantomKey, RegId};
 
 /// Three packets, each through one stateful access: the smallest
 /// stream that exercises every check of the auditor and passes them.
@@ -15,7 +15,7 @@ fn clean_trace() -> Vec<String> {
     let mut lines = Vec::new();
     for p in 0..3u64 {
         let pkt = PacketId(p);
-        let key = Key {
+        let key = PhantomKey {
             pkt,
             reg: RegId(0),
             index: 4,

@@ -30,7 +30,7 @@ pub mod time;
 pub use fasthash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use flow::FlowKey;
 pub use ids::{FieldId, PacketId, PipelineId, PortId, RegId, StageId};
-pub use packet::{AccessTag, Packet, PacketDisposition};
+pub use packet::{AccessTag, Packet, PacketDisposition, PhantomKey};
 pub use time::{Cycle, Time, BYTES_PER_SLOT};
 
 /// The integer value domain of the Domino-like language.

@@ -31,6 +31,33 @@ pub struct AccessTag {
     pub speculative: bool,
 }
 
+/// Identifies one state access by one packet: the phantom (and hence
+/// queue placeholder) a stage FIFO holds for it, and the key every
+/// phantom and access event names.
+///
+/// The paper's directory is "indexed by packet's id"; we additionally key
+/// by `(reg, index)` because a packet whose predicate could not be
+/// resolved preemptively may own *two* speculative phantoms in the same
+/// stage, one per branch (§3.3). Ordered field by field, the order a
+/// checkpoint lists its key sets in.
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
+pub struct PhantomKey {
+    /// The data packet this phantom stands in for.
+    pub pkt: PacketId,
+    /// The register array of the access.
+    pub reg: RegId,
+    /// The resolved register index of the access.
+    pub index: u32,
+}
+
+impl std::fmt::Display for PhantomKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "pkt{}@r{}[{}]", self.pkt.0, self.reg.0, self.index)
+    }
+}
+
 /// What finally happened to a packet, recorded by the simulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PacketDisposition {

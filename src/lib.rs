@@ -52,7 +52,7 @@
 //! | [`analysis`] | `mp5-analysis` | Static shardability / hazard / resource analyzer + `mp5lint` |
 //! | [`banzai`] | `mp5-banzai` | Single-pipeline reference switch (equivalence ground truth) |
 //! | [`trace`] | `mp5-trace` | Event tracing: sinks, Perfetto export, rollups, `mp5audit` offline auditor |
-//! | [`fabric`] | `mp5-fabric` | Ring buffers, logical k-FIFOs + phantom directory, crossbars, phantom channel |
+//! | [`fabric`] | `mp5-fabric` | Ring buffers, logical k-FIFOs addressed by phantom slot, crossbars, phantom channel; emits no events |
 //! | [`faults`] | `mp5-faults` | Deterministic fault plans, chaos generator, zero-cost `FaultInjector` hooks |
 //! | [`core`] | `mp5-core` | **The MP5 switch**: architecture + runtime (steering, phantoms, dynamic sharding) |
 //! | [`baselines`] | `mp5-baselines` | Naive / static-shard / no-D4 / ideal / recirculation baselines |

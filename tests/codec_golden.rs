@@ -17,8 +17,8 @@ use mp5::serve::{parse_packet_line, FaultState, ServeError, Server, Snapshot};
 use mp5::sim::experiments::app_trace;
 use mp5::topo::{Fabric, FabricConfig, TopologyConfig};
 use mp5::trace::{
-    read_jsonl, stream_hash, DropCause, Event, EventKind, JsonlSink, Key, MemSink, NopSink,
-    TraceSink, NO_LOC,
+    read_jsonl, stream_hash, DropCause, Event, EventKind, JsonlSink, MemSink, NopSink, TraceSink,
+    NO_LOC,
 };
 use mp5::traffic::{trace_io, DcPattern, DcWorkload, TraceBuilder};
 use mp5::types::{Packet, PacketId, PipelineId, RegId};
@@ -1054,7 +1054,7 @@ fn kinds_from(w: [u64; 5], queued: bool, bypassed: bool) -> Vec<EventKind> {
     let pkt = PacketId(w[0]);
     let (reg, index) = (RegId(w[1] as u16), w[2] as u32);
     let (from, to) = (w[3] as u16, w[4] as u16);
-    let key = Key { pkt, reg, index };
+    let key = PhantomKey { pkt, reg, index };
     let order = (w[3], w[4]);
     let drop = |cause| EventKind::Drop { pkt, cause };
     vec![
