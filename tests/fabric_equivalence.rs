@@ -20,7 +20,7 @@ const HEALTHY: FabricPins = FabricPins {
 
 #[test]
 fn conservation_closes_on_every_seed_and_shape() {
-    let tally = fabric_sweep(6, HEALTHY, 24);
+    let tally = fabric_sweep(6, HEALTHY);
     assert_reached(&tally, &["2-leaf fabrics", "4-leaf fabrics"]);
 }
 
@@ -28,10 +28,7 @@ fn conservation_closes_on_every_seed_and_shape() {
 /// reaches every fabric regime.
 #[test]
 fn repeated_runs_are_bit_identical() {
-    assert_reached(
-        &fabric_sweep(12, FabricPins::default(), 60),
-        &FABRIC_REGIMES,
-    );
+    assert_reached(&fabric_sweep(12, FabricPins::default()), &FABRIC_REGIMES);
 }
 
 #[test]
@@ -58,7 +55,7 @@ fn spine_kill_degrades_but_stays_conserved_and_deterministic() {
         routing: None,
         kill: Some(true),
     };
-    let tally = fabric_sweep(6, pins, 27);
+    let tally = fabric_sweep(6, pins);
     assert_reached(
         &tally,
         &[
@@ -103,5 +100,5 @@ fn flowlet_routing_is_deterministic_too() {
         routing: Some(RouteMode::Flowlet { gap: 20_000 }),
         kill: None,
     };
-    assert_reached(&fabric_sweep(4, pins, 24), &["flowlet fabrics"]);
+    assert_reached(&fabric_sweep(4, pins), &["flowlet fabrics"]);
 }

@@ -809,21 +809,14 @@ fn check_fabric(c: &FabricCase, tally: &mut Tally) {
     assert!(dead.eq(killed), "the wrong switches died");
 
     // Relation (b) per switch: every stream a C1 design writes audits
-    // clean, with two exceptions. Per-index queues break C1 (DESIGN.md
-    // §8; `tests/model.rs::per_index_queues_still_break_c1`); their C1
-    // findings are counted against the slice's `known_c1`. A killed
-    // spine's stream stops mid-run: the auditor reports the packets
-    // stranded in it as never leaving and their phantoms as
-    // unresolved, and nothing else.
-    let (mut clean, mut per_index_c1) = (0, 0);
+    // clean, with one exception. A killed spine's stream stops mid-run:
+    // the auditor reports the packets stranded in it as never leaving
+    // and their phantoms as unresolved, and nothing else.
+    let mut clean = 0;
     if c.cfg.switch.phantoms {
         for (s, sink) in traced.sinks.iter().enumerate() {
             let a = audit(&sink.events);
             let mut excused = 0;
-            if c.cfg.switch.per_index_fifos {
-                excused += a.count(Check::C1);
-                per_index_c1 += a.count(Check::C1);
-            }
             if Some(s) == killed {
                 // A stranded packet still waiting to be admitted left
                 // no event, so not every one is reported.
@@ -851,7 +844,6 @@ fn check_fabric(c: &FabricCase, tally: &mut Tally) {
         ("switch drops", r.dropped_switch),
         ("steers", r.switches.iter().map(|s| s.steered).sum()),
         ("switch streams audited clean", clean),
-        ("per-index C1 findings", per_index_c1),
     ] {
         *tally.entry(regime).or_default() += n;
     }
@@ -859,20 +851,10 @@ fn check_fabric(c: &FabricCase, tally: &mut Tally) {
 
 /// Runs fabric [`cases`] `0..n` under `pins` and returns the tally of
 /// what they reached.
-///
-/// `known_c1` is how many C1 findings the per-index switches of these
-/// cases wrote when that defect was pinned (ROADMAP item 14): the
-/// sweep excuses those and fails on any more, so a new C1 regression
-/// in `ideal` still shows.
-pub fn fabric_sweep(n: u64, pins: FabricPins, known_c1: u64) -> Tally {
+pub fn fabric_sweep(n: u64, pins: FabricPins) -> Tally {
     let mut tally = Tally::new();
     let draw = |rng: &mut SmallRng| FabricCase::generate(rng, pins);
     cases(n, draw, |c, _| check_fabric(c, &mut tally));
     eprintln!("{tally:#?}");
-    let c1 = tally.get("per-index C1 findings").copied().unwrap_or(0);
-    assert!(
-        c1 <= known_c1,
-        "{c1} per-index C1 findings, {known_c1} known"
-    );
     tally
 }

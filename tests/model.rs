@@ -265,21 +265,31 @@ fn a_lost_phantom_still_breaks_c1() {
 }
 
 /// Per-index queues (`ideal`, or any design with `per_index_fifos`)
-/// break C1 on bundled apps in clean runs: a later packet's access
-/// overtakes an earlier one at the same index, so relation (a) fails
-/// too. Shared lanes run the same trace in order. This input breaks
-/// it today; once a fix makes this test fail, delete it and the
-/// per-index exception in the harness's `check_fabric`.
+/// keep C1: each index's sub-queue has one lane per source pipeline and
+/// serves the oldest head, as the bank does. With one shared lane a
+/// sub-queue served in push order, and pipelines admit at their own
+/// pace, so a later packet's phantom could be pushed, and served, first
+/// (DESIGN.md §8, defect 5). The pinned `conga` input and the seeds
+/// below broke C1 that way; every case must now match Banzai and audit
+/// with no C1 finding.
 #[test]
-fn per_index_queues_still_break_c1() {
-    let conga = mp5::apps::by_name("conga").unwrap();
-    let (prog, trace) = app_trace(conga, 300, 0);
-    let banzai = BanzaiSwitch::new(prog.clone()).run(trace.clone());
-    let lanes = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(2)).run(trace.clone());
-    assert!(lanes.result.equivalent_to(&banzai));
-    let sw = Mp5Switch::with_sink(prog, SwitchConfig::ideal(2), MemSink::new());
-    let (r, sink) = sw.run_traced(trace);
-    assert_eq!(r.completed, r.offered);
-    assert!(!r.result.equivalent_to(&banzai));
-    assert!(audit(&sink.into_events()).count(Check::C1) > 0);
+fn per_index_queues_keep_c1() {
+    let check = |app: &str, k: usize, seed: u64| {
+        let (prog, trace) = app_trace(mp5::apps::by_name(app).unwrap(), 300, seed);
+        let banzai = BanzaiSwitch::new(prog.clone()).run(trace.clone());
+        let sw = Mp5Switch::with_sink(prog, SwitchConfig::ideal(k), MemSink::new());
+        let (r, sink) = sw.run_traced(trace);
+        let case = format!("{app}, k = {k}, seed {seed}");
+        assert_eq!(r.completed, r.offered, "{case}");
+        assert!(r.result.equivalent_to(&banzai), "{case}");
+        assert_eq!(audit(&sink.into_events()).count(Check::C1), 0, "{case}");
+    };
+    check("conga", 2, 0);
+    for app in ALL_APPS.iter() {
+        for k in [2, 4] {
+            for seed in [2, 17] {
+                check(app.name, k, seed);
+            }
+        }
+    }
 }
