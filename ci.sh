@@ -178,6 +178,14 @@ SERVE_TMP=$(mktemp -d -t mp5-ci-serve.XXXXXX)
 ./target/release/mp5serve --app flowlet --packets 800 \
     --snapshot "$SERVE_TMP/ckpt.snap" --halt-at 120 \
     --trace "$SERVE_TMP/pre.jsonl"
+# mp5serve keeps no per-packet history (record_detail off), so its
+# checkpoint carries live state and the unread feed, not the run so far.
+for field in '"record_detail":false' '"outputs":[]' '"completions":[]' '"access_log":[]'; do
+    grep -qF "$field" "$SERVE_TMP/ckpt.snap" || {
+        echo "ci.sh: the mp5serve snapshot lacks $field: it holds per-packet history" >&2
+        exit 1
+    }
+done
 for snap in "$SERVE_TMP/ckpt.snap" tests/golden/par_scalar.snap; do
     ./target/release/mp5serve --restore "$snap" --trace "$SERVE_TMP/post.jsonl"
     grep -hv '"k":"snapshot"\|"k":"restored"\|"k":"swap"' \

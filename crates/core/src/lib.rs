@@ -47,4 +47,4 @@ pub use config::{ConfigError, ShardingMode, SprayMode, SwitchConfig};
 pub use partition::{Partition, PartitionReport, PartitionedSwitch};
 pub use report::{DropCounts, FaultReport, RunReport};
 pub use state::{RestoreError, SwapError, SwapReport, SwitchState};
-pub use switch::{InvariantViolation, Mp5Switch};
+pub use switch::{check_entry_order, EntryOrderError, InvariantViolation, Mp5Switch, RunError};

@@ -40,7 +40,8 @@ pub fn remap_heuristic(
     pipelines: usize,
 ) -> Option<Move> {
     debug_assert_eq!(map.len(), counters.len());
-    select_move(map, counters, inflight, pipelines, 0..map.len())
+    let mut load = Vec::new();
+    select_move(map, counters, inflight, pipelines, 0..map.len(), &mut load)
 }
 
 /// Figure 6's choice for one register array, reading the counters only
@@ -50,17 +51,20 @@ pub fn remap_heuristic(
 /// candidate with a non-zero counter is among `touched`; and failing
 /// one, the move is a zero-counter index — the lowest idle one on `H` —
 /// found by scanning from index 0, which stops at the first hit.
+/// `load` is scratch for the per-pipeline loads.
 fn select_move(
     map: &[u16],
     counters: &[u64],
     inflight: &[u32],
     pipelines: usize,
     touched: impl Iterator<Item = usize> + Clone,
+    load: &mut Vec<u64>,
 ) -> Option<Move> {
     if pipelines < 2 || map.is_empty() {
         return None;
     }
-    let mut load = vec![0u64; pipelines];
+    load.clear();
+    load.resize(pipelines, 0);
     for i in touched.clone() {
         load[map[i] as usize] += counters[i];
     }
@@ -111,6 +115,16 @@ struct SetBits<'a> {
     bits: u64,
 }
 
+impl<'a> SetBits<'a> {
+    fn of(words: &'a [u64]) -> Self {
+        SetBits {
+            words,
+            w: 0,
+            bits: words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
 impl Iterator for SetBits<'_> {
     type Item = usize;
 
@@ -132,12 +146,20 @@ impl Iterator for SetBits<'_> {
 /// a zero counter is harmless), so it is rebuilt on restore, never
 /// serialized.
 #[derive(Debug, Clone)]
-pub(crate) struct Touched(Vec<u64>);
+pub(crate) struct Touched {
+    bits: Vec<u64>,
+    /// [`select_move`]'s per-pipeline loads, kept so that a remap
+    /// allocates nothing.
+    load: Vec<u64>,
+}
 
 impl Touched {
     /// The bits of `counters`' non-zero entries.
     pub(crate) fn of(counters: &[u64]) -> Self {
-        let mut t = Touched(vec![0; counters.len().div_ceil(64)]);
+        let mut t = Touched {
+            bits: vec![0; counters.len().div_ceil(64)],
+            load: Vec::new(),
+        };
         for (i, _) in counters.iter().enumerate().filter(|(_, &c)| c > 0) {
             t.set(i);
         }
@@ -146,16 +168,13 @@ impl Touched {
 
     #[inline]
     pub(crate) fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
+        self.bits[i / 64] |= 1 << (i % 64);
     }
 
     /// The set indexes, ascending.
+    #[cfg(test)]
     fn iter(&self) -> SetBits<'_> {
-        SetBits {
-            words: &self.0,
-            w: 0,
-            bits: self.0.first().copied().unwrap_or(0),
-        }
+        SetBits::of(&self.bits)
     }
 
     /// One period's remap of the register these bits and `counters`
@@ -169,8 +188,9 @@ impl Touched {
         inflight: &[u32],
         pipelines: usize,
     ) -> Option<Move> {
-        let mv = select_move(map, counters, inflight, pipelines, self.iter());
-        for (w, bits) in self.0.iter_mut().enumerate() {
+        let touched = SetBits::of(&self.bits);
+        let mv = select_move(map, counters, inflight, pipelines, touched, &mut self.load);
+        for (w, bits) in self.bits.iter_mut().enumerate() {
             let mut b = std::mem::take(bits);
             while b != 0 {
                 counters[w * 64 + b.trailing_zeros() as usize] = 0;

@@ -7,7 +7,7 @@ use mp5_fabric::{Crossbar, FifoAddr, OrderKey, PhantomChannel, PhantomKey};
 use mp5_faults::{FaultInjector, NoFaults};
 use mp5_trace::{EventKind, NopSink, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::time::{cycle_len, Time};
-use mp5_types::{FastSet, Packet, PipelineId, RegId, StageId};
+use mp5_types::{FastSet, Packet, PacketId, PipelineId, PortId, RegId, StageId};
 
 use crate::config::{ConfigError, ShardingMode, SwitchConfig};
 use crate::report::RunReport;
@@ -54,6 +54,94 @@ impl std::fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
+/// Two packets offered out of strictly ascending
+/// [`Packet::entry_order_key`] order: `second` came after `first` with a
+/// smaller key, or with the same one. A port delivers at most one packet
+/// per byte-time, and the stage FIFOs order a packet's phantoms by that
+/// key alone, so packets that tie on it would be served in an order C1
+/// does not fix (DESIGN.md §8, defect 7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryOrderError {
+    /// The packet offered first: its id and entry-order key.
+    pub first: (PacketId, Time, PortId),
+    /// The packet offered after it.
+    pub second: (PacketId, Time, PortId),
+}
+
+impl EntryOrderError {
+    /// Whether the two packets share their key, rather than come in
+    /// reverse order.
+    fn is_tie(&self) -> bool {
+        (self.first.1, self.first.2) == (self.second.1, self.second.2)
+    }
+}
+
+impl std::fmt::Display for EntryOrderError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ((id1, at1, port1), (id2, at2, port2)) = (self.first, self.second);
+        if self.is_tie() {
+            write!(
+                f,
+                "arrival {at2} port {port2} repeats the packet before it: a port delivers at \
+                 most one packet per byte-time (packets {id1} and {id2})"
+            )
+        } else {
+            write!(
+                f,
+                "arrival {at2} port {port2} is out of entry order: the packet before it \
+                 arrives at {at1} on port {port1} (packets {id1} and {id2})"
+            )
+        }
+    }
+}
+
+impl std::error::Error for EntryOrderError {}
+
+/// The entry-order check every door into a switch makes: `next` may
+/// follow `last` only with a strictly greater
+/// [`Packet::entry_order_key`].
+pub fn check_entry_order(last: Option<&Packet>, next: &Packet) -> Result<(), EntryOrderError> {
+    match last {
+        Some(last) if last.entry_order_key() >= next.entry_order_key() => Err(EntryOrderError {
+            first: (last.id, last.arrival, last.port),
+            second: (next.id, next.arrival, next.port),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Why a whole-trace run ([`Mp5Switch::try_run`]) did not finish.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// Two input packets share an entry-order key; nothing ran.
+    EntryOrder(EntryOrderError),
+    /// The switch did not drain within its cycle cap.
+    Liveness(InvariantViolation),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::EntryOrder(e) => write!(f, "input out of entry order: {e}"),
+            RunError::Liveness(v) => v.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<EntryOrderError> for RunError {
+    fn from(e: EntryOrderError) -> Self {
+        RunError::EntryOrder(e)
+    }
+}
+
+impl From<InvariantViolation> for RunError {
+    fn from(v: InvariantViolation) -> Self {
+        RunError::Liveness(v)
+    }
+}
+
 /// A phantom packet payload on the dedicated channel: 48 bits in
 /// hardware — `(packet id, state, index, pipeline, stage)` (Figure 5),
 /// where the packet id is its buffer slot: here the packet's handle and
@@ -66,8 +154,8 @@ struct PhantomMsg {
     dest: PipelineId,
     lane: PipelineId,
     flight: Handle,
-    /// The tag's place counted from the end of the packet's tag list
-    /// (`slab::from_back`).
+    /// The tag's place in its packet's slab row, counted from the end
+    /// of the tag list (`Flights::tags`).
     back: u16,
 }
 
@@ -286,15 +374,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// Runs a full trace to completion and returns the report.
     ///
-    /// No two packets may share an [`Packet::entry_order_key`]: a port
-    /// delivers at most one packet per byte-time, and the stage FIFOs
-    /// order a packet's phantoms by that key alone, so packets that tie
-    /// on it are served in an order C1 does not fix (DESIGN.md §8,
-    /// defect 7).
+    /// No two packets may share an [`Packet::entry_order_key`]
+    /// ([`EntryOrderError`]).
     ///
-    /// Panics if the simulation fails to drain within its cycle cap; use
-    /// [`Mp5Switch::try_run`] to handle that as a structured
-    /// [`InvariantViolation`] instead.
+    /// Panics on such a pair, or if the simulation fails to drain
+    /// within its cycle cap; use [`Mp5Switch::try_run`] to handle either
+    /// as a [`RunError`] instead.
     pub fn run(self, packets: Vec<Packet>) -> RunReport {
         self.try_run(packets).unwrap_or_else(|v| panic!("{v}"))
     }
@@ -306,22 +391,23 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             .unwrap_or_else(|v| panic!("{v}"))
     }
 
-    /// Runs a full trace to completion, reporting a structured
-    /// [`InvariantViolation`] (instead of panicking) if the switch fails
-    /// to drain within its cycle cap — the liveness invariant every
-    /// well-formed configuration must uphold.
-    pub fn try_run(self, packets: Vec<Packet>) -> Result<RunReport, InvariantViolation> {
+    /// Runs a full trace to completion. Two packets that share an entry
+    /// key are a [`RunError::EntryOrder`], reported before any cycle
+    /// runs; a switch that fails to drain within its cycle cap — the
+    /// liveness invariant every well-formed configuration must uphold —
+    /// is a [`RunError::Liveness`].
+    pub fn try_run(self, packets: Vec<Packet>) -> Result<RunReport, RunError> {
         self.try_run_traced(packets).map(|(report, _)| report)
     }
 
     /// [`Mp5Switch::try_run`] returning the sink alongside the report,
     /// so callers can audit or export the recorded stream. This is the
     /// drain loop behind every `run` variant.
-    pub fn try_run_traced(
-        mut self,
-        mut packets: Vec<Packet>,
-    ) -> Result<(RunReport, S), InvariantViolation> {
+    pub fn try_run_traced(mut self, mut packets: Vec<Packet>) -> Result<(RunReport, S), RunError> {
         packets.sort_by_key(|p| p.entry_order_key());
+        for pair in packets.windows(2) {
+            check_entry_order(Some(&pair[0]), &pair[1])?;
+        }
         self.report.offered = packets.len() as u64;
         self.report.input_duration = packets
             .last()
@@ -344,27 +430,26 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     // time and `drain_egress`es the packets that exited, to route them
     // on. The whole-trace `run` variants loop over the same `step`.
 
-    /// Offers one packet to the switch's ingress.
-    ///
-    /// Packets must be offered in strictly ascending
-    /// [`Packet::entry_order_key`] order (the fabric maintains a
-    /// per-switch monotone arrival clock to guarantee this). An equal
-    /// key breaks it too, as in [`Mp5Switch::run`]. A violation is a
-    /// caller bug and trips a debug assertion; `mp5-serve` rejects it
-    /// as a feed error before it gets here.
+    /// Offers one packet to the switch's ingress, as
+    /// [`Mp5Switch::try_offer`] does, and panics where that returns an
+    /// error.
     pub fn offer(&mut self, pkt: Packet) {
-        debug_assert!(
-            self.arrivals
-                .back()
-                .is_none_or(|b| b.entry_order_key() < pkt.entry_order_key()),
-            "streamed packets must arrive in strictly ascending entry order"
-        );
+        self.try_offer(pkt).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Offers one packet to the switch's ingress. Packets must come in
+    /// strictly ascending [`Packet::entry_order_key`] order: one whose
+    /// key does not follow the last packet still waiting to arrive is
+    /// an [`EntryOrderError`], and the switch does not take it.
+    pub fn try_offer(&mut self, pkt: Packet) -> Result<(), EntryOrderError> {
+        check_entry_order(self.arrivals.back(), &pkt)?;
         self.report.offered += 1;
         let end = pkt.arrival + mp5_types::BYTES_PER_SLOT;
         if end > self.report.input_duration {
             self.report.input_duration = end;
         }
         self.arrivals.push_back(pkt);
+        Ok(())
     }
 
     /// Advances the switch by one cycle. Completed packets accumulate
@@ -377,6 +462,14 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// `(packet, exit cycle)` in completion order.
     pub fn drain_egress(&mut self) -> Vec<(Packet, u64)> {
         std::mem::take(&mut self.egress_buf)
+    }
+
+    /// Moves the packets that exited since the last drain onto the end
+    /// of `out`, as [`Mp5Switch::drain_egress`] returns them. The switch
+    /// keeps its buffer, so a caller that reuses `out` allocates nothing
+    /// per drain.
+    pub fn drain_egress_into(&mut self, out: &mut Vec<(Packet, u64)>) {
+        out.append(&mut self.egress_buf);
     }
 
     /// The liveness bound every run is held to: `Err` once the switch

@@ -12,7 +12,7 @@ use mp5_fabric::{Entry, FifoAddr, FifoCore, FifoParts, OrderKey, PhantomKey, Pop
 use mp5_trace::{EventKind, TraceCtx, TraceSink};
 use mp5_types::{PacketId, PipelineId};
 
-use super::slab::{from_back, Flights, Handle, SEQ_ROOM};
+use super::slab::{Flights, Handle, SEQ_ROOM};
 use crate::config::SwitchConfig;
 use crate::state::{Flight, QueueSnap, RestoreError};
 
@@ -248,12 +248,11 @@ impl StageQueue {
                         // is still queued (in no-phantom modes, or after
                         // drops, there is nothing to wait for).
                         let fl = &flights[h];
-                        let tags = &fl.pkt.tags;
-                        let eligible = tags.iter().enumerate().all(|(i, t)| {
+                        let eligible = flights.tags(h).all(|(back, t)| {
                             if t.stage.index() != st || t.index == idx {
                                 return true;
                             }
-                            let addr = flights.addr(h, from_back(tags.len(), i));
+                            let addr = flights.addr(h, back);
                             let queued = subs
                                 .get(&t.index)
                                 .is_some_and(|sub| sub.phantom_at(addr, fl.key(t)));
@@ -369,7 +368,7 @@ impl StageQueue {
     /// The queue's explicit state for a checkpoint, each queued handle
     /// written as the packet it names.
     pub(super) fn snapshot(&self, flights: &Flights) -> QueueSnap {
-        let parts = |f: &FifoCore<Handle>| f.snapshot_parts_with(|h| Box::new(flights[*h].clone()));
+        let parts = |f: &FifoCore<Handle>| f.snapshot_parts_with(|h| Box::new(flights.export(*h)));
         match self {
             StageQueue::Logical(f) => QueueSnap::Logical(parts(f)),
             StageQueue::PerIndex {

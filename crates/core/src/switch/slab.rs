@@ -1,12 +1,12 @@
 //! Packets in flight: one slab of [`FlightState`]s addressed by `u32`
-//! handles, and beside each handle the FIFO address of every phantom its
-//! tags own — the paper's phantom directory, indexed by buffer slot
-//! (§3.2) rather than by whatever id the packet carried in.
+//! handles, and beside each handle its access tags and the FIFO address
+//! of every phantom they own — the paper's phantom directory, indexed by
+//! buffer slot (§3.2) rather than by whatever id the packet carried in.
 
 use std::ops::{Index, IndexMut};
 
 use mp5_fabric::FifoAddr;
-use mp5_types::PipelineId;
+use mp5_types::{AccessTag, PipelineId, RegId, StageId};
 
 use crate::state::FlightState;
 
@@ -21,15 +21,6 @@ impl Handle {
     /// gone (its key was cancelled) carries. Its delivery is discarded
     /// before the handle is read, and [`Flights::set_addr`] ignores it.
     pub(super) const NONE: Handle = Handle(u32::MAX);
-}
-
-/// Where a tag's phantom address sits in its packet's row: tags retire
-/// from the front of the list, so a tag's distance from the end of the
-/// list is the one position that does not change while the packet
-/// runs. `i` is the tag's current index in a list of `len` tags.
-#[inline]
-pub(super) fn from_back(len: usize, i: usize) -> usize {
-    len - 1 - i
 }
 
 /// Slots per chunk. The slab grows a chunk at a time and never moves a
@@ -73,22 +64,46 @@ impl Packed {
     }
 }
 
-/// `CHUNK` slots and their rows of phantom addresses.
+/// What an unwritten tag slot holds; never read as a tag.
+const NO_TAG: AccessTag = AccessTag {
+    reg: RegId(0),
+    index: 0,
+    pipeline: PipelineId(0),
+    stage: StageId(0),
+    speculative: false,
+};
+
+/// `CHUNK` slots, their rows of tags and phantom addresses, and each
+/// slot's count of unretired tags.
+///
+/// A row is indexed from its back: a packet of `n` tags keeps its first
+/// tag at `n - 1` and its last at 0. Tags retire from the front, so
+/// retiring one only lowers the count, and a tag's place in the row (its
+/// `back`) does not change while the packet runs.
 #[derive(Debug)]
 struct Chunk {
     slots: Box<[Option<FlightState>]>,
-    /// `width` entries per slot, indexed by [`from_back`].
+    /// `width` tags per slot; the first `live[i]` are slot `i`'s.
+    tags: Box<[AccessTag]>,
+    /// `width` entries per slot, at the same places as `tags`.
     addrs: Box<[Packed]>,
+    live: [u32; CHUNK],
 }
 
 impl Chunk {
     fn new(width: usize) -> Self {
         Chunk {
             slots: (0..CHUNK).map(|_| None).collect(),
+            tags: vec![NO_TAG; CHUNK * width].into_boxed_slice(),
             addrs: vec![Packed::UNSET; CHUNK * width].into_boxed_slice(),
+            live: [0; CHUNK],
         }
     }
 }
+
+/// A packet's unretired tags, first tag first, each with its place in
+/// the row (see [`Chunk`]).
+pub(super) type Tags<'a> = std::iter::Rev<std::iter::Enumerate<std::slice::Iter<'a, AccessTag>>>;
 
 /// The chunk and the slot within it that a handle names.
 #[inline]
@@ -97,11 +112,13 @@ fn split(h: Handle) -> (usize, usize) {
 }
 
 /// The slab: every packet between arrival and exit, once, in a slot
-/// reused last-freed-first; and, `width` per slot, the address of each
-/// of the packet's phantoms once it is queued ([`FifoAddr::UNSET`]
-/// until then, and for one that never was). `width` bounds the tags a
-/// packet can hold: the program's access plans (duplicates merge), or
-/// more after a restore or a hot swap that brings longer tag lists.
+/// reused last-freed-first; and, `width` per slot, the packet's access
+/// tags and the address of each tag's phantom once it is queued
+/// ([`FifoAddr::UNSET`] until then, and for one that never was). A
+/// packet in a slot holds no tags of its own: its `tags` are in the row
+/// from [`Flights::alloc`] until [`Flights::export`] writes them back.
+/// `width` is the program's access plans (duplicates merge); the rows
+/// widen for a restore or a hot swap that brings longer tag lists.
 #[derive(Debug, Default)]
 pub(super) struct Flights {
     chunks: Vec<Chunk>,
@@ -120,11 +137,13 @@ impl Flights {
         }
     }
 
-    /// Stores a packet and returns its handle; its phantom row starts
-    /// unset. A packet that already holds more tags than a row has room
-    /// for (a restored one) widens every row.
-    pub(super) fn alloc(&mut self, fl: FlightState) -> Handle {
-        self.widen(fl.pkt.tags.len());
+    /// Stores a packet and returns its handle. Its tags (a restored
+    /// packet's; none for a new arrival) move into its row, and its
+    /// phantom addresses start unset. A packet with more tags than a row
+    /// has room for widens every row.
+    pub(super) fn alloc(&mut self, mut fl: FlightState) -> Handle {
+        let tags = std::mem::take(&mut fl.pkt.tags);
+        self.widen(tags.len());
         let h = match self.free.pop() {
             Some(h) => Handle(h),
             None => {
@@ -134,6 +153,9 @@ impl Flights {
                 );
                 if self.used as usize == self.chunks.len() * CHUNK {
                     self.chunks.push(Chunk::new(self.width));
+                    // Room to free every slot, so `free` never grows.
+                    self.free
+                        .reserve_exact(self.chunks.len() * CHUNK - self.free.len());
                 }
                 self.used += 1;
                 Handle(self.used - 1)
@@ -144,7 +166,57 @@ impl Flights {
         debug_assert!(chunk.slots[i].is_none(), "free slot {h:?} is live");
         chunk.slots[i] = Some(fl);
         chunk.addrs[i * w..(i + 1) * w].fill(Packed::UNSET);
+        self.set_tags(h, tags.into_iter());
         h
+    }
+
+    /// Replaces `h`'s tags with `tags`, given first tag first.
+    #[inline]
+    pub(super) fn set_tags(&mut self, h: Handle, tags: impl ExactSizeIterator<Item = AccessTag>) {
+        let n = tags.len();
+        self.widen(n);
+        let (c, i) = split(h);
+        let (w, chunk) = (self.width, &mut self.chunks[c]);
+        let row = &mut chunk.tags[i * w..i * w + n];
+        for (slot, tag) in row.iter_mut().rev().zip(tags) {
+            *slot = tag;
+        }
+        chunk.live[i] = n as u32;
+    }
+
+    /// `h`'s unretired tags, first tag first, each with its place in the
+    /// row: the `back` that [`Self::addr`] and [`Self::set_addr`] take.
+    /// A freed slot keeps its tags until the slot is reused.
+    #[inline]
+    pub(super) fn tags(&self, h: Handle) -> Tags<'_> {
+        let (c, i) = split(h);
+        let chunk = &self.chunks[c];
+        let start = i * self.width;
+        let n = chunk.live[i] as usize;
+        chunk.tags[start..start + n].iter().enumerate().rev()
+    }
+
+    /// `h`'s first unretired tag.
+    #[inline]
+    pub(super) fn first_tag(&self, h: Handle) -> Option<&AccessTag> {
+        self.tags(h).next().map(|(_, t)| t)
+    }
+
+    /// Retires `h`'s first `n` tags.
+    #[inline]
+    pub(super) fn retire(&mut self, h: Handle, n: usize) {
+        let (c, i) = split(h);
+        let live = &mut self.chunks[c].live[i];
+        debug_assert!(n <= *live as usize, "retired more tags than {h:?} holds");
+        *live -= n as u32;
+    }
+
+    /// `h`'s packet as a checkpoint holds it: a copy carrying its
+    /// unretired tags.
+    pub(super) fn export(&self, h: Handle) -> FlightState {
+        let mut fl = self[h].clone();
+        fl.pkt.tags = self.tags(h).map(|(_, t)| *t).collect();
+        fl
     }
 
     /// Takes the packet out of its slot and frees the slot.
@@ -157,8 +229,8 @@ impl Flights {
         fl
     }
 
-    /// The recorded address of the phantom of the tag `back` places
-    /// from the end of `h`'s tag list.
+    /// The recorded address of the phantom of `h`'s tag at `back` (see
+    /// [`Self::tags`]).
     #[inline]
     pub(super) fn addr(&self, h: Handle, back: usize) -> FifoAddr {
         let (c, i) = split(h);
@@ -178,22 +250,16 @@ impl Flights {
         }
     }
 
-    /// Makes room for packets of up to `width` tags, keeping every
-    /// recorded address.
+    /// Makes room for packets of up to `width` tags, keeping every tag
+    /// and recorded address at its place.
     pub(super) fn widen(&mut self, width: usize) {
         let old = self.width;
         if width <= old {
             return;
         }
         for chunk in &mut self.chunks {
-            let mut addrs = vec![Packed::UNSET; CHUNK * width];
-            if old > 0 {
-                let rows = addrs
-                    .chunks_exact_mut(width)
-                    .zip(chunk.addrs.chunks_exact(old));
-                rows.for_each(|(new, row)| new[..old].copy_from_slice(row));
-            }
-            chunk.addrs = addrs.into_boxed_slice();
+            chunk.tags = widened(&chunk.tags, old, width, NO_TAG);
+            chunk.addrs = widened(&chunk.addrs, old, width, Packed::UNSET);
         }
         self.width = width;
     }
@@ -211,6 +277,16 @@ impl Flights {
             .filter_map(|(h, s)| Some((h, s.as_ref()?)));
         live.map(|(h, fl)| (Handle(h as u32), fl))
     }
+}
+
+/// `CHUNK` rows of `old` entries copied into rows of `width`.
+fn widened<T: Copy>(rows: &[T], old: usize, width: usize, fill: T) -> Box<[T]> {
+    let mut out = vec![fill; CHUNK * width];
+    if old > 0 {
+        let pairs = out.chunks_exact_mut(width).zip(rows.chunks_exact(old));
+        pairs.for_each(|(new, row)| new[..old].copy_from_slice(row));
+    }
+    out.into_boxed_slice()
 }
 
 impl Index<Handle> for Flights {
@@ -238,7 +314,7 @@ impl IndexMut<Handle> for Flights {
 mod tests {
     use super::*;
     use mp5_fabric::OrderKey;
-    use mp5_types::{Packet, PacketId, PipelineId, PortId};
+    use mp5_types::{Packet, PacketId, PortId};
 
     fn flight(id: u64) -> FlightState {
         FlightState {
@@ -285,7 +361,47 @@ mod tests {
         assert_eq!(f.addr(b, 2), at(3));
         assert_eq!(f.addr(a, 2), FifoAddr::UNSET);
         f.set_addr(Handle::NONE, 0, at(4)); // names no slot: ignored
-        assert_eq!(from_back(3, 0), 2);
+    }
+
+    fn tag(stage: u16) -> AccessTag {
+        AccessTag {
+            stage: StageId(stage),
+            ..NO_TAG
+        }
+    }
+
+    fn stages(f: &Flights, h: Handle) -> Vec<(usize, u16)> {
+        f.tags(h).map(|(back, t)| (back, t.stage.0)).collect()
+    }
+
+    #[test]
+    fn tags_live_in_the_row_and_retire_in_place() {
+        let mut f = Flights::new(2);
+        let mut restored = flight(1);
+        restored.pkt.tags = vec![tag(4), tag(5), tag(6)];
+        let a = f.alloc(restored);
+        assert!(f[a].pkt.tags.is_empty(), "the tags moved into the row");
+        assert_eq!(stages(&f, a), [(2, 4), (1, 5), (0, 6)]);
+        f.set_addr(a, 1, at(3));
+        f.retire(a, 1);
+        assert_eq!(stages(&f, a), [(1, 5), (0, 6)], "places do not move");
+        assert_eq!(f.addr(a, 1), at(3));
+        assert_eq!(f.first_tag(a), Some(&tag(5)));
+        assert_eq!(f.export(a).pkt.tags, [tag(5), tag(6)]);
+        f.widen(4);
+        assert_eq!(stages(&f, a), [(1, 5), (0, 6)]);
+        f.set_tags(a, [tag(1)].into_iter());
+        assert_eq!(stages(&f, a), [(0, 1)]);
+        f.retire(a, 1);
+        assert_eq!(f.first_tag(a), None);
+        let fl = f.free(a);
+        assert!(fl.pkt.tags.is_empty());
+        let b = f.alloc(flight(2));
+        assert_eq!(
+            (b, f.first_tag(b)),
+            (a, None),
+            "a reused slot starts with no tags"
+        );
     }
 
     #[test]

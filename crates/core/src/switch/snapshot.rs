@@ -11,7 +11,7 @@ use mp5_trace::{EventKind, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::{AccessTag, FastSet, PacketId, RegId, Value};
 
 use super::queue::StageQueue;
-use super::slab::{from_back, Flights, Handle};
+use super::slab::{Flights, Handle};
 use super::{Mp5Switch, PhantomMsg};
 use crate::config::SwitchConfig;
 use crate::report::RunReport;
@@ -43,11 +43,10 @@ fn owner(
         Some(Some(h)) => *h,
     };
     let fl = &flights[h];
-    let tags = &fl.pkt.tags;
     let here =
         |t: &AccessTag| fl.key(t) == key && t.pipeline.index() == pl && t.stage.index() == st;
-    let i = tags.iter().position(here).ok_or_else(orphan)?;
-    Ok((h, from_back(tags.len(), i)))
+    let (back, _) = flights.tags(h).find(|(_, t)| here(t)).ok_or_else(orphan)?;
+    Ok((h, back))
 }
 
 /// The report with its three maps written as sorted vectors.
@@ -150,7 +149,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             keys.sort_unstable();
             keys
         };
-        let boxed = |h: &Handle| -> Flight { Box::new(self.flights[*h].clone()) };
+        let boxed = |h: &Handle| -> Flight { Box::new(self.flights.export(*h)) };
         SwitchState {
             cycle: self.cycle,
             rr: self.rr,

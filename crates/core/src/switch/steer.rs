@@ -8,7 +8,7 @@ use mp5_faults::FaultInjector;
 use mp5_trace::{DropCause, EventKind, TraceCtx, TraceSink};
 use mp5_types::PipelineId;
 
-use super::slab::{from_back, Handle};
+use super::slab::Handle;
 use super::work::release_inflight;
 use super::Mp5Switch;
 use crate::config::SprayMode;
@@ -159,7 +159,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             self.complete(pl, h);
             return;
         }
-        let dest = match self.flights[h].pkt.tags.first() {
+        let dest = match self.flights.first_tag(h) {
             Some(t) if t.stage.index() == next => t.pipeline,
             _ => {
                 let pipe = &mut self.pipes[pl];
@@ -244,12 +244,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         // per stateful arrival.
         let mut keys = std::mem::take(&mut self.key_scratch);
         keys.clear();
-        let tags = &fl.pkt.tags;
         keys.extend(
-            tags.iter()
-                .take_while(|t| t.stage.index() == st)
-                .enumerate()
-                .map(|(i, t)| (fl.key(t), self.flights.addr(h, from_back(tags.len(), i)))),
+            self.flights
+                .tags(h)
+                .take_while(|(_, t)| t.stage.index() == st)
+                .map(|(back, t)| (fl.key(t), self.flights.addr(h, back))),
         );
         let (ts, pkt) = (fl.order, fl.pkt.id);
         debug_assert!(!keys.is_empty());
@@ -310,15 +309,14 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// channel), release its in-flight counters and free its slot.
     pub(super) fn drop_remaining(&mut self, h: Handle, st: usize) {
         let fl = self.flights.free(h);
-        let n = fl.pkt.tags.len();
-        for (i, tag) in fl.pkt.tags.iter().enumerate() {
+        // Freeing the slot leaves its row until the slot is reused.
+        for (back, tag) in self.flights.tags(h) {
             release_inflight(&mut self.inflight, tag);
             if tag.stage.index() <= st {
                 continue; // this stage's keys were handled by the caller
             }
             let key = fl.key(tag);
-            // Freeing the slot leaves its row until the slot is reused.
-            let addr = self.flights.addr(h, from_back(n, i));
+            let addr = self.flights.addr(h, back);
             if F::ENABLED && !self.lost.is_empty() && self.lost.remove(&key) {
                 // The phantom was already lost to a fault: there is
                 // nothing left to cancel anywhere.
@@ -335,16 +333,16 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// A packet exits the final stage: it leaves its slot for egress.
     pub(super) fn complete(&mut self, pl: usize, h: Handle) {
+        debug_assert!(
+            self.flights.first_tag(h).is_none(),
+            "packet exited with unvisited tags: {:?}",
+            self.flights.tags(h).collect::<Vec<_>>()
+        );
         let fl = self.flights.free(h);
         if S::ENABLED {
             TraceCtx::new(self.cycle, pl as u16, (self.stages - 1) as u16)
                 .emit(&mut self.sink, EventKind::Egress { pkt: fl.pkt.id });
         }
-        debug_assert!(
-            fl.pkt.tags.is_empty(),
-            "packet exited with unvisited tags: {:?}",
-            fl.pkt.tags
-        );
         if self.cfg.record_detail {
             self.report.result.outputs.insert(
                 fl.pkt.id,

@@ -2,7 +2,6 @@ use super::*;
 use mp5_compiler::{compile, Target};
 use mp5_fabric::Entry;
 use mp5_traffic::TraceBuilder;
-use slab::from_back;
 
 const COUNTER: &str = "struct Packet { int seq; };
     int count = 0;
@@ -27,6 +26,9 @@ fn try_run_reports_cycle_cap_violation() {
     let err = Mp5Switch::new(prog, cfg)
         .try_run(trace)
         .expect_err("1-cycle cap cannot drain 50 packets");
+    let RunError::Liveness(err) = err else {
+        panic!("not a liveness error: {err}");
+    };
     assert_eq!(err.cap, 1);
     assert!(
         err.ingress + err.in_lanes + err.queued + err.channel > 0,
@@ -228,9 +230,8 @@ fn restored_directory_matches_address_for_address() {
             .flights
             .iter()
             .map(|(h, fl)| {
-                let tags = &fl.pkt.tags;
-                let row = tags.iter().enumerate().map(|(i, t)| {
-                    let addr = sw.flights.addr(h, from_back(tags.len(), i));
+                let row = sw.flights.tags(h).map(|(back, t)| {
+                    let addr = sw.flights.addr(h, back);
                     let queue = &sw.pipes[t.pipeline.index()].queues[t.stage.index()];
                     let live = queue.fifos().any(|f| f.phantom_at(addr, fl.key(t)));
                     if live {

@@ -18,7 +18,7 @@ use mp5_types::time::cycle_len;
 use mp5_types::{AccessTag, PipelineId, RegId, StageId, Value};
 
 use super::queue::{Serve, StageQueue};
-use super::slab::{from_back, Flights, Handle};
+use super::slab::{Flights, Handle};
 use super::{Mp5Switch, PhantomMsg};
 use crate::config::SwitchConfig;
 use crate::report::RunReport;
@@ -102,11 +102,16 @@ pub(super) struct Pipe {
 impl Pipe {
     pub(super) fn new(prog: &CompiledProgram, cfg: &SwitchConfig) -> Self {
         let stages = prog.num_stages();
+        // Each scratch holds at most one entry per resolution plan, or
+        // per instruction of a body stage: sized once, it never grows.
+        let most_instrs = prog.stages.iter().map(|s| s.instrs.len()).max();
         Pipe {
             inc_row: vec![None; stages],
             queues: (0..stages).map(|_| StageQueue::new(cfg)).collect(),
             lanes: vec![None; stages],
             regs: prog.initial_regs(),
+            resolved: Vec::with_capacity(prog.resolution.plans.len()),
+            kout: Vec::with_capacity(most_instrs.unwrap_or(0)),
             ..Pipe::default()
         }
     }
@@ -191,7 +196,7 @@ fn work_slot<S: TraceSink>(w: &mut Work<'_, S>, pl: usize, st: usize, pipe: &mut
         // stateful packet. A threshold past the byte-time horizon
         // saturates, so it never fires.
         if let Some(thr) = w.starvation_threshold {
-            let starved = w.flights[h].pkt.tags.is_empty()
+            let starved = w.flights.first_tag(h).is_none()
                 && pipe.queues[st].oldest_ts().is_some_and(|ts| {
                     let now = w.cycle * w.clen;
                     now.saturating_sub(ts.0) > thr.saturating_mul(w.clen)
@@ -308,13 +313,12 @@ fn process_flight<S: TraceSink>(
     if st == 0 && w.prologue > 0 {
         resolve_flight(w, h, &mut pipe.resolved);
     }
-    let fl = &mut w.flights[h];
     if w.prologue > 0 && st == w.prologue - 1 && w.phantoms {
         // Phantom generation stage: one phantom per resolved access, in
         // tag order, onto the dedicated channel, each naming its packet
         // and tag so delivery can record where it was queued.
-        let n = fl.pkt.tags.len();
-        for (i, tag) in fl.pkt.tags.iter().enumerate() {
+        let fl = &w.flights[h];
+        for (back, tag) in w.flights.tags(h) {
             if S::ENABLED {
                 tctx.emit(
                     w.sink,
@@ -332,7 +336,7 @@ fn process_flight<S: TraceSink>(
                     dest: tag.pipeline,
                     lane: fl.ingress,
                     flight: h,
-                    back: from_back(n, i) as u16,
+                    back: back as u16,
                 },
                 StageId(st as u16),
                 tag.stage,
@@ -343,6 +347,7 @@ fn process_flight<S: TraceSink>(
     if st >= w.prologue {
         // The body stage: one lane of the instruction-major kernel over
         // the flight's own fields and this pipeline's register replica.
+        let fl = &mut w.flights[h];
         let kout = &mut pipe.kout;
         kout.clear();
         w.prog.execute_stage_batch(
@@ -384,18 +389,21 @@ fn process_flight<S: TraceSink>(
         // costs one pop cycle when reclaimed (§3.3's speculative-false
         // penalty).
         let fl = &w.flights[h];
-        let tags = &fl.pkt.tags;
-        let here = tags.iter().take_while(|t| t.stage.index() == st).count();
+        let mut here = 0;
         let mut retired_speculative = false;
-        for (i, tag) in tags[..here].iter().enumerate() {
+        for (back, tag) in w.flights.tags(h) {
+            if tag.stage.index() != st {
+                break;
+            }
             retired_speculative |= tag.speculative;
-            if i > 0 && w.phantoms {
-                let addr = w.flights.addr(h, from_back(tags.len(), i));
+            if here > 0 && w.phantoms {
+                let addr = w.flights.addr(h, back);
                 pipe.queues[st].cancel(addr, fl.key(tag), false, w.sink, tctx);
             }
             release_inflight(w.inflight, tag);
+            here += 1;
         }
-        w.flights[h].pkt.tags.drain(..here);
+        w.flights.retire(h, here);
         if retired_speculative && kout.is_empty() {
             w.report.wasted_cycles += 1;
         }
@@ -417,16 +425,12 @@ pub(super) fn release_inflight(inflight: &mut [Vec<u32>], tag: &AccessTag) {
 
 /// Runs preemptive address resolution (§3.3) on an arriving packet:
 /// computes every index it will access, consults the index-to-pipeline
-/// map, tags the packet, and bumps the runtime counters.
+/// map, writes the packet's tags into its slab row, and bumps the
+/// runtime counters.
 fn resolve_flight<S>(w: &mut Work<'_, S>, h: Handle, resolved: &mut Vec<ResolvedAccess>) {
-    let fl = &mut w.flights[h];
-    w.prog.resolve_into(&mut fl.pkt.fields, resolved);
-    // A packet another switch of a fabric forwarded still owns its last
-    // hop's (retired, empty) tag list: reuse it.
-    let tags = &mut fl.pkt.tags;
-    tags.clear();
-    tags.reserve_exact(resolved.len());
-    for r in resolved.iter() {
+    w.prog.resolve_into(&mut w.flights[h].pkt.fields, resolved);
+    debug_assert!(resolved.windows(2).all(|p| p[0].stage <= p[1].stage));
+    let tags = resolved.iter().map(|r| {
         let dest = if r.reg == REG_STAGE_SENTINEL
             || r.index == INDEX_ARRAY_LEVEL
             || !w.prog.regs[r.reg.index()].shardable
@@ -443,15 +447,15 @@ fn resolve_flight<S>(w: &mut Work<'_, S>, h: Handle, resolved: &mut Vec<Resolved
             w.touched[ri].set(i);
             w.inflight[ri][i] += 1;
         }
-        tags.push(AccessTag {
+        AccessTag {
             reg: r.reg,
             index: r.index,
             pipeline: dest,
             stage: r.stage,
             speculative: r.speculative,
-        });
-    }
-    debug_assert!(tags.windows(2).all(|p| p[0].stage <= p[1].stage));
+        }
+    });
+    w.flights.set_tags(h, tags);
 }
 
 impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {

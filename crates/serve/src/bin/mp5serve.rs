@@ -25,6 +25,15 @@
 //! byte-time, so no two lines share both) and carry the program's field
 //! count; a line that does not, or does not parse, stops the run with
 //! `packet feed line N: ...` and exit 1.
+//!
+//! A session pays per packet only for what it serves. A new switch runs
+//! with `record_detail` off: it keeps no per-packet history (output
+//! fields, completion records, access log), because nothing it prints,
+//! traces or audits reads one, so a checkpoint holds live state and the
+//! unread feed, not the length of the run. A restore keeps the
+//! snapshot's own configuration. Functional-equivalence checks against
+//! the single-pipeline reference run through the library (`mp5run`,
+//! `mp5chaos`, the test suites), with detail on.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -277,7 +286,7 @@ fn session<S: TraceSink, F: FaultState>(
                 (None, Some(path)) => read_file(path)?,
                 (None, None) => unreachable!("parse_args enforces a workload source"),
             };
-            let cfg = SwitchConfig::mp5(args.pipelines);
+            let cfg = SwitchConfig::mp5(args.pipelines).with_record_detail(false);
             let plan_json = args.faults.as_deref().map(read_file).transpose()?;
             let server = Server::new(&source, cfg, sink, plan_json)?;
             println!(
@@ -305,6 +314,7 @@ fn session<S: TraceSink, F: FaultState>(
     let mut swapped = false;
     let mut checkpoints = 0u64;
     let mut egressed = 0u64;
+    let mut egress = Vec::new();
 
     loop {
         server.ingest_due(&mut *feed)?;
@@ -359,7 +369,9 @@ fn session<S: TraceSink, F: FaultState>(
         }
         server.check_liveness()?;
         server.tick();
-        egressed += server.drain_egress().len() as u64;
+        server.drain_egress_into(&mut egress);
+        egressed += egress.len() as u64;
+        egress.clear();
     }
 
     report_ingest(&server);

@@ -38,8 +38,8 @@ use std::path::Path;
 
 use mp5_compiler::{compile, CompiledProgram, Target};
 use mp5_core::{
-    ConfigError, InvariantViolation, Mp5Switch, RestoreError, RunReport, SwapError, SwapReport,
-    SwitchConfig, SwitchState,
+    check_entry_order, ConfigError, InvariantViolation, Mp5Switch, RestoreError, RunReport,
+    SwapError, SwapReport, SwitchConfig, SwitchState,
 };
 use mp5_faults::{FaultInjector, FaultPlan, InjectorState, NoFaults, PlannedFaults};
 use mp5_trace::TraceSink;
@@ -539,14 +539,27 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
     }
 
     /// Offers a batch of packets, sorting them into entry order first
-    /// (the streaming API's contract). Unchecked: the batch is trusted
-    /// to fit the program and the clock; a feed goes through
-    /// [`Server::offer`].
+    /// (the streaming API's contract). The batch is trusted to fit the
+    /// program and the clock, and two packets that share an entry key
+    /// panic ([`Mp5Switch::offer`]); [`Server::try_offer_all`] checks
+    /// instead.
     pub fn offer_all(&mut self, mut packets: Vec<Packet>) {
         packets.sort_by_key(|p| p.entry_order_key());
         for p in packets {
             self.sw.offer(p);
         }
+    }
+
+    /// Offers a batch of packets, sorted into entry order first, each
+    /// checked as [`Server::offer`] checks a feed line. An error names
+    /// the packet by its 1-based place in the sorted batch; the packets
+    /// before it are offered.
+    pub fn try_offer_all(&mut self, mut packets: Vec<Packet>) -> Result<(), ServeError> {
+        packets.sort_by_key(|p| p.entry_order_key());
+        for (i, p) in packets.into_iter().enumerate() {
+            self.offer(i + 1, p)?;
+        }
+        Ok(())
     }
 
     /// Offers feed line `line`'s packet, checked where it enters. The
@@ -566,24 +579,10 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
                 pkt.fields.len()
             ));
         }
-        let (arrival, port) = pkt.entry_order_key();
-        if let Some(last) = self.sw.last_arrival() {
-            if (arrival, port) == last.entry_order_key() {
-                return reject(format!(
-                    "arrival {arrival} port {} repeats the packet before it: a port delivers \
-                     at most one packet per byte-time",
-                    port.0
-                ));
-            }
-            if (arrival, port) < last.entry_order_key() {
-                return reject(format!(
-                    "arrival {arrival} port {} is out of entry order: the packet before it \
-                     arrives at {} on port {}",
-                    port.0, last.arrival, last.port.0
-                ));
-            }
+        if let Err(e) = check_entry_order(self.sw.last_arrival(), &pkt) {
+            return reject(e.to_string());
         }
-        let start = self.sw.cycle() * self.sw.cycle_len();
+        let (arrival, start) = (pkt.arrival, self.sw.cycle() * self.sw.cycle_len());
         if arrival < start {
             return reject(format!(
                 "arrival {arrival} is before cycle {} (byte-time {start}), which the switch \
@@ -649,6 +648,13 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
     /// Packets that exited since the last drain.
     pub fn drain_egress(&mut self) -> Vec<(Packet, u64)> {
         self.sw.drain_egress()
+    }
+
+    /// Moves the packets that exited since the last drain onto the end
+    /// of `out` ([`Mp5Switch::drain_egress_into`]): a serving loop that
+    /// reuses `out` allocates nothing per drain.
+    pub fn drain_egress_into(&mut self, out: &mut Vec<(Packet, u64)>) {
+        self.sw.drain_egress_into(out)
     }
 
     /// True when nothing is buffered or in flight.

@@ -82,6 +82,12 @@ fn serve(feed: &str) -> Output {
     serve_with(&["--app", APP, "--stdin"], feed)
 }
 
+/// The configuration `mp5serve --app APP` builds a new switch with: no
+/// per-packet history.
+fn serving_config() -> SwitchConfig {
+    SwitchConfig::mp5(4).with_record_detail(false)
+}
+
 /// The summary line `mp5serve` prints for a finished run.
 fn done_line(report: &mp5_core::RunReport, egressed: u64) -> String {
     format!(
@@ -141,7 +147,7 @@ fn a_streamed_feed_traces_like_whole_feed_ingest() {
 
     let source = mp5_apps::by_name(APP).expect("app exists").source;
     let mut srv: Server<MemSink, NoFaults> =
-        Server::new(source, SwitchConfig::mp5(4), MemSink::new(), None).expect("app serves");
+        Server::new(source, serving_config(), MemSink::new(), None).expect("app serves");
     srv.offer_all(packets);
     let mut egressed = 0;
     while !srv.is_idle() {
@@ -189,7 +195,7 @@ fn a_halt_snapshots_like_whole_feed_ingest() {
 
     let source = mp5_apps::by_name(APP).expect("app exists").source;
     let mut srv: Server<NopSink, NoFaults> =
-        Server::new(source, SwitchConfig::mp5(4), NopSink, None).expect("app serves");
+        Server::new(source, serving_config(), NopSink, None).expect("app serves");
     let last_arrival = packets.last().expect("a feed").arrival;
     srv.offer_all(packets);
     for _ in 0..HALT {
@@ -201,6 +207,63 @@ fn a_halt_snapshots_like_whole_feed_ingest() {
         "the halt must come before the feed's end to test the rest's ingest"
     );
     assert!(written == srv.checkpoint().encode(), "the snapshots differ");
+}
+
+/// Runs `mp5serve --app APP --stdin --halt-at HALT` on `packets` and
+/// returns the snapshot it writes.
+fn halt_snapshot(packets: &[Packet], halt: u64, name: &str) -> (PathBuf, String) {
+    let snap = temp(name);
+    let snap_arg = snap.to_str().expect("utf-8 temp path");
+    let halt = halt.to_string();
+    let args = [
+        "--app",
+        APP,
+        "--stdin",
+        "--halt-at",
+        &halt,
+        "--snapshot",
+        snap_arg,
+    ];
+    assert_success(&serve_with(&args, &lines_of(packets).join("\n")));
+    let written = std::fs::read_to_string(&snap).expect("snapshot written");
+    (snap, written)
+}
+
+/// A serving switch keeps no per-packet history: its snapshot says so,
+/// and the three detail arrays are empty after packets have left.
+#[test]
+fn a_halt_snapshot_holds_no_per_packet_history() {
+    let (snap, written) = halt_snapshot(&feed_packets(200), 40, "nodetail.snap");
+    std::fs::remove_file(&snap).ok();
+    assert!(!written.contains("\"completed\":0,"), "no packet left yet");
+    for field in [
+        "\"record_detail\":false",
+        "\"outputs\":[]",
+        "\"completions\":[]",
+        "\"access_log\":[]",
+    ] {
+        assert!(written.contains(field), "{field} not in the snapshot");
+    }
+}
+
+/// A restored switch checks its feed's first line against the arrivals
+/// its snapshot still holds: one that repeats the last of them is
+/// rejected naming both packets, and the switch serves nothing.
+#[test]
+fn a_restored_feed_repeating_a_held_arrival_is_rejected() {
+    let packets = feed_packets(200);
+    let (snap, _) = halt_snapshot(&packets, 5, "tie.snap");
+    let snap_arg = snap.to_str().expect("utf-8 temp path");
+    let last = packets.last().expect("a feed");
+    let mut again = last.clone();
+    again.id.0 = 999;
+    let out = serve_with(
+        &["--restore", snap_arg, "--stdin"],
+        &lines_of(&[again]).join(""),
+    );
+    std::fs::remove_file(&snap).ok();
+    assert_rejected(&out, 1, "repeats the packet before it");
+    assert_rejected(&out, 1, &format!("(packets {} and 999)", last.id));
 }
 
 fn assert_rejected(out: &Output, lineno: usize, why: &str) {
@@ -392,9 +455,13 @@ fn peak_rss_kb(feed: &Path) -> u64 {
     peak
 }
 
-/// Memory grows with the switch's own per-packet record, not with the
-/// feed: ten times the lines costs less than twice their extra bytes.
-/// Holding the parsed feed, as whole-feed ingest did, costs four times.
+/// Memory does not grow with the feed: ten times the lines costs less
+/// than 1 MB more (a few kB on a Linux x86-64 host). The serving switch
+/// keeps no per-packet history, so it holds its window of the feed and
+/// the packets in flight. Holding the parsed feed, as whole-feed ingest
+/// did, cost four times the extra feed bytes; the per-packet history
+/// alone cost about as much as them (4.7 → 11.4 MB of `VmHWM` from 4 k
+/// to 40 k lines of this app's feed).
 #[cfg(target_os = "linux")]
 #[test]
 fn ingest_memory_does_not_grow_with_the_feed() {
@@ -412,7 +479,7 @@ fn ingest_memory_does_not_grow_with_the_feed() {
     let growth_kb = peak[1].saturating_sub(peak[0]);
     let extra_kb = (bytes[1] - bytes[0]) / 1024;
     assert!(
-        growth_kb < 2 * extra_kb,
+        growth_kb < 1024,
         "VmHWM {} -> {} kB over {extra_kb} kB more feed",
         peak[0],
         peak[1]

@@ -624,7 +624,11 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
                 for (at, port, mut pkt) in inbox.drain(..) {
                     pkt.arrival = at;
                     pkt.port = PortId(port);
-                    self.switches[s].offer(pkt);
+                    // Links deliver in order and a port takes one packet
+                    // per byte-time, so a switch's arrivals ascend.
+                    if let Err(e) = self.switches[s].try_offer(pkt) {
+                        panic!("fabric switch {s}: {e}");
+                    }
                 }
             }
 

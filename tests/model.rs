@@ -167,10 +167,14 @@ fn ids_are_labels() {
 /// `(arrival, port)` tie in every FIFO's `pop`, which breaks the tie by
 /// lane, not by feed order, so `last[0]` ended on the wrong packet's
 /// value in 19 of these 30 runs. No port delivers such packets, and
-/// `Server::offer` rejects the second as a feed error naming its line.
-/// The same packets with unique keys (one port each) are Banzai's.
+/// every door rejects the second, naming both packets, before anything
+/// runs: `Server::offer` as a feed error naming its line,
+/// `Mp5Switch::try_offer` and `try_run` as typed errors, in release
+/// builds too. The same packets with unique keys (one port each) are
+/// Banzai's.
 #[test]
 fn equal_entry_keys_are_a_feed_error() {
+    use mp5::core::{EntryOrderError, RunError};
     use mp5::faults::NoFaults;
     use mp5::serve::{ServeError, Server};
     use mp5::types::{Packet, PortId};
@@ -208,6 +212,22 @@ void func(struct Packet p) {
             let mut srv = boot();
             srv.offer(1, tied[0].clone()).expect(&what);
             let err = srv.offer(2, tied[1].clone());
+            assert!(
+                matches!(err, Err(ServeError::Feed { line: 2, .. })),
+                "{what}: {err:?}"
+            );
+            let tie = EntryOrderError {
+                first: (tied[0].id, 0, tied[0].port),
+                second: (tied[1].id, 0, tied[1].port),
+            };
+            let mut sw = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k));
+            sw.try_offer(tied[0].clone()).expect(&what);
+            assert_eq!(sw.try_offer(tied[1].clone()), Err(tie), "{what}");
+            assert_eq!(sw.live_report().offered, 1, "{what}: the second was taken");
+            let run = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k)).try_run(tied.clone());
+            assert_eq!(run, Err(RunError::EntryOrder(tie)), "{what}");
+            let mut srv = boot();
+            let err = srv.try_offer_all(tied.clone());
             assert!(
                 matches!(err, Err(ServeError::Feed { line: 2, .. })),
                 "{what}: {err:?}"
