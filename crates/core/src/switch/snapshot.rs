@@ -12,7 +12,7 @@ use mp5_types::{AccessTag, FastSet, PacketId, RegId, Value};
 
 use super::queue::StageQueue;
 use super::slab::{Flights, Handle};
-use super::{Mp5Switch, PhantomMsg};
+use super::{entry_of, Mp5Switch, PhantomMsg};
 use crate::config::SwitchConfig;
 use crate::report::RunReport;
 use crate::shard::Touched;
@@ -417,6 +417,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.lost = state.lost.into_iter().collect();
         self.ingress_q = ingress_q;
         self.arrivals = state.arrivals.into();
+        self.last_offered = self.arrivals.back().map(entry_of);
         self.pending_grants = pending_grants;
         self.egress_buf = state.egress_buf;
         // The masks are derived occupancy views, not state: rebuild them

@@ -224,6 +224,16 @@ void func(struct Packet p) {
             sw.try_offer(tied[0].clone()).expect(&what);
             assert_eq!(sw.try_offer(tied[1].clone()), Err(tie), "{what}");
             assert_eq!(sw.live_report().offered, 1, "{what}: the second was taken");
+            // Once the first has been admitted, the tie is still refused.
+            let mut sw = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k));
+            sw.try_offer(tied[0].clone()).expect(&what);
+            sw.tick();
+            assert!(
+                sw.last_arrival().is_none(),
+                "{what}: the first was not admitted"
+            );
+            assert_eq!(sw.try_offer(tied[1].clone()), Err(tie), "{what}");
+            assert_eq!(sw.live_report().offered, 1, "{what}: the second was taken");
             let run = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k)).try_run(tied.clone());
             assert_eq!(run, Err(RunError::EntryOrder(tie)), "{what}");
             let mut srv = boot();
