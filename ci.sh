@@ -129,6 +129,20 @@ TRACE_TMP=$(mktemp -t mp5-ci-trace.XXXXXX)
 ./target/release/mp5run crates/apps/programs/flowlet.mp5 \
     --packets 4000 --trace "$TRACE_TMP"
 ./target/release/mp5audit --quiet "$TRACE_TMP"
+# The file and stdin readers meet the lines at different buffer edges;
+# both must read every line of the file.
+AUDIT_FILE=$(./target/release/mp5audit --json "$TRACE_TMP")
+AUDIT_STDIN=$(./target/release/mp5audit --json - < "$TRACE_TMP")
+if [ "$AUDIT_FILE" != "$AUDIT_STDIN" ]; then
+    echo "ci.sh: mp5audit --json reads the trace file and stdin differently" >&2
+    exit 1
+fi
+AUDIT_EVENTS=$(printf '%s\n' "$AUDIT_FILE" | sed -n 's/^{"events":\([0-9]*\),.*/\1/p')
+TRACE_LINES=$(wc -l < "$TRACE_TMP" | tr -d ' ')
+if [ "$AUDIT_EVENTS" != "$TRACE_LINES" ]; then
+    echo "ci.sh: mp5audit read $AUDIT_EVENTS events from $TRACE_LINES lines" >&2
+    exit 1
+fi
 
 echo "==> chaos smoke: 3 seeded fault plans per app, auditor-gated"
 # Quick plans: every case must finish clean (no panics, closed fault
