@@ -144,18 +144,14 @@ if [ "$AUDIT_EVENTS" != "$TRACE_LINES" ]; then
     exit 1
 fi
 
-echo "==> chaos smoke: 3 seeded fault plans per app, auditor-gated"
-# Quick plans: every case must finish clean (no panics, closed fault
-# ledger, zero auditor findings, relation (a) against Banzai). Seeds
-# are fixed so this cannot flake; the nightly CI job runs the wider
-# sweep.
-./target/release/mp5chaos --seeds 3 --packets 400 --horizon 200
-
-echo "==> kill-restore smoke: checkpoint, kill and restore under live faults"
-# Every case checkpoints mid-run under a chaos plan, dies, and restores
-# the faulted snapshot through the restore checks to the uninterrupted
-# run's report and stream (plus a plain chaos pass per case: 40 cases).
-./target/release/mp5chaos --kill-restore --seeds 2 --packets 400 --horizon 200
+echo "==> chaos smoke: 60 harness cases of the bundled apps under chaos plans"
+# Every case holds the model harness's checks (Banzai's relation,
+# conservation, the fault ledger, a clean audit, traced = untraced) and
+# is checkpointed through the snapshot codec, restored under its live
+# fault plan and hot-swapped, and must finish with the uninterrupted
+# run's report and stream. Cases 0..60 are fixed, so this cannot flake;
+# the nightly CI job sweeps a fresh window.
+./target/release/mp5chaos --cases 60
 
 echo "==> faulted replay smoke: chaos seed through mp5run + auditor"
 ./target/release/mp5run crates/apps/programs/flowlet.mp5 \
@@ -176,7 +172,7 @@ echo "==> fabric smoke: flowlet routing, auditor"
     --audit --quiet
 
 echo "==> fabric chaos smoke: spine fail-stop mid-run, ledger closed"
-./target/release/mp5chaos --seeds 1 --apps flowlet --packets 400 --horizon 200 --fabric
+./target/release/mp5chaos --fabric --cases 4
 
 echo "==> serve smoke: checkpoint / kill / restore stitches the identical stream"
 # A run halted at a checkpoint and restored from the snapshot file must

@@ -28,9 +28,9 @@ impl DropCounts {
 
 /// Recovery accounting for a run with injected faults (`mp5-faults`).
 ///
-/// The accounting invariant the switch maintains — and the chaos suite
-/// asserts — is `injected == recovered + degraded`: every fired fault
-/// is either fully absorbed by the recovery machinery or acknowledged
+/// The accounting invariant the switch maintains — and the model
+/// harness asserts — is `injected == recovered + degraded`: every fired
+/// fault is either fully absorbed by the recovery machinery or acknowledged
 /// as permanent degradation (a dead pipeline, or a deliberately silent
 /// phantom loss used as an auditor negative control).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -339,11 +339,11 @@ impl std::error::Error for SwapError {}
 /// The ledger of a completed hot-swap: evidence that no state and no
 /// phantom was lost while the program changed under live traffic.
 ///
-/// The invariants the chaos/serve suites assert are `migrated ==
-/// evacuated` (every register index read out of the old program's
-/// ownership was written into the new one's) and `lost_phantoms == 0`
-/// (every queued or in-flight phantom still addresses a valid register
-/// coordinate under the new program).
+/// The invariants the model harness and the serve suites assert are
+/// `migrated == evacuated` (every register index read out of the old
+/// program's ownership was written into the new one's) and
+/// `lost_phantoms == 0` (every queued or in-flight phantom still
+/// addresses a valid register coordinate under the new program).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SwapReport {
     /// Cycle boundary at which the swap happened.

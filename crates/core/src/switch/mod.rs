@@ -125,6 +125,49 @@ fn check_after(
     }
 }
 
+/// Why [`Mp5Switch::try_offer`] did not take a packet. Entry order is
+/// checked first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OfferError {
+    /// The packet does not follow the last packet offered.
+    EntryOrder(EntryOrderError),
+    /// The packet is due before the cycle the switch has reached, where
+    /// it would enter later than its arrival says.
+    Late {
+        /// The packet's arrival.
+        arrival: Time,
+        /// The cycle the switch has reached.
+        cycle: u64,
+        /// The byte-time that cycle starts at.
+        start: Time,
+    },
+}
+
+impl std::fmt::Display for OfferError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OfferError::EntryOrder(e) => e.fmt(f),
+            OfferError::Late {
+                arrival,
+                cycle,
+                start,
+            } => write!(
+                f,
+                "arrival {arrival} is before cycle {cycle} (byte-time {start}), which the \
+                 switch has reached"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for OfferError {}
+
+impl From<EntryOrderError> for OfferError {
+    fn from(e: EntryOrderError) -> Self {
+        OfferError::EntryOrder(e)
+    }
+}
+
 /// Why a whole-trace run ([`Mp5Switch::try_run`]) did not finish.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -227,7 +270,9 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     arrivals: VecDeque<Packet>,
     /// The last packet offered, by id and entry-order key: what the next
     /// [`Mp5Switch::try_offer`] must follow, even once that packet has
-    /// left `arrivals`. A restored switch starts from its last arrival.
+    /// left `arrivals`. A restored switch starts from its last arrival;
+    /// a packet that ties or precedes one admitted before the
+    /// checkpoint is due before the restored cycle, so it is late.
     last_offered: Option<(PacketId, Time, PortId)>,
     rr: usize,
     cycle: u64,
@@ -458,11 +503,22 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     }
 
     /// Offers one packet to the switch's ingress. Packets must come in
-    /// strictly ascending [`Packet::entry_order_key`] order: one whose
-    /// key does not follow the last packet offered, admitted or not, is
-    /// an [`EntryOrderError`], and the switch does not take it.
-    pub fn try_offer(&mut self, pkt: Packet) -> Result<(), EntryOrderError> {
+    /// strictly ascending [`Packet::entry_order_key`] order, and none
+    /// before the cycle the switch has reached: one whose key does not
+    /// follow the last packet offered, admitted or not, or that is due
+    /// before `cycle · cycle_len`, is an [`OfferError`], and the switch
+    /// does not take it. A restored switch checks both, so a packet
+    /// that ties one admitted before the checkpoint is late.
+    pub fn try_offer(&mut self, pkt: Packet) -> Result<(), OfferError> {
         check_after(self.last_offered, &pkt)?;
+        let start = self.cycle * self.cycle_len();
+        if pkt.arrival < start {
+            return Err(OfferError::Late {
+                arrival: pkt.arrival,
+                cycle: self.cycle,
+                start,
+            });
+        }
         self.last_offered = Some(entry_of(&pkt));
         self.report.offered += 1;
         let end = pkt.arrival + mp5_types::BYTES_PER_SLOT;

@@ -36,7 +36,7 @@
 //! `mp5chaos`, the test suites), with detail on.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
 use mp5_core::{RunReport, SwitchConfig};
@@ -44,7 +44,7 @@ use mp5_faults::{NoFaults, PlannedFaults};
 use mp5_serve::{
     compile_source, io_err, packet_feed, FaultState, FeedItem, ServeError, Server, Snapshot,
 };
-use mp5_trace::{audit, Event, MemSink, NopSink, TraceSink};
+use mp5_trace::{audit, write_jsonl, MemSink, NopSink, TraceSink};
 use mp5_types::Packet;
 
 struct Args {
@@ -384,19 +384,6 @@ fn session<S: TraceSink, F: FaultState>(
     })
 }
 
-fn write_trace(path: &str, events: &[Event]) -> Result<(), ServeError> {
-    let err = |e| io_err(Path::new(path), e);
-    let mut out = BufWriter::new(File::create(path).map_err(err)?);
-    let mut line = Vec::with_capacity(128);
-    for ev in events {
-        line.clear();
-        ev.write_jsonl(&mut line);
-        line.push(b'\n');
-        out.write_all(&line).map_err(err)?;
-    }
-    out.flush().map_err(err)
-}
-
 /// Runs the session with the right sink/fault types, then handles the
 /// observability outputs. Returns the process exit code.
 fn drive(args: &Args) -> Result<i32, ServeError> {
@@ -445,7 +432,8 @@ fn drive(args: &Args) -> Result<i32, ServeError> {
     }
 
     if let Some(path) = &args.trace_out {
-        write_trace(path, &events)?;
+        let err = |e| io_err(Path::new(path), e);
+        write_jsonl(&events, BufWriter::new(File::create(path).map_err(err)?)).map_err(err)?;
         println!("trace: {} events -> {path}", events.len());
     }
     if args.audit {

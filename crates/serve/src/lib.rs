@@ -38,8 +38,8 @@ use std::path::Path;
 
 use mp5_compiler::{compile, CompiledProgram, Target};
 use mp5_core::{
-    check_entry_order, ConfigError, InvariantViolation, Mp5Switch, RestoreError, RunReport,
-    SwapError, SwapReport, SwitchConfig, SwitchState,
+    ConfigError, InvariantViolation, Mp5Switch, RestoreError, RunReport, SwapError, SwapReport,
+    SwitchConfig, SwitchState,
 };
 use mp5_faults::{FaultInjector, FaultPlan, InjectorState, NoFaults, PlannedFaults};
 use mp5_trace::TraceSink;
@@ -563,35 +563,24 @@ impl<S: TraceSink, F: FaultState> Server<S, F> {
     }
 
     /// Offers feed line `line`'s packet, checked where it enters. The
-    /// switch takes it only if it carries the program's field count,
-    /// follows the last packet still waiting to arrive in entry order
-    /// (an equal key is rejected too: a port delivers at most one packet
-    /// per byte-time, and the FIFOs order packets by that key alone,
-    /// DESIGN.md §8, defect 7), and is not due before the cycle the
-    /// switch has reached, where it would enter later than its arrival
-    /// says.
+    /// switch takes it only if it carries the program's field count and
+    /// [`Mp5Switch::try_offer`] takes it: it follows the last packet
+    /// offered in entry order (an equal key is rejected too: a port
+    /// delivers at most one packet per byte-time, and the FIFOs order
+    /// packets by that key alone, DESIGN.md §8, defect 7), and is not
+    /// due before the cycle the switch has reached, where it would enter
+    /// later than its arrival says.
     pub fn offer(&mut self, line: usize, pkt: Packet) -> Result<(), ServeError> {
-        let reject = |why: String| Err(ServeError::Feed { line, why });
+        let reject = |why: String| ServeError::Feed { line, why };
         let nf = self.sw.program().num_fields();
         if pkt.fields.len() != nf {
-            return reject(format!(
+            let why = format!(
                 "the packet has {} fields, the program {nf}",
                 pkt.fields.len()
-            ));
+            );
+            return Err(reject(why));
         }
-        if let Err(e) = check_entry_order(self.sw.last_arrival(), &pkt) {
-            return reject(e.to_string());
-        }
-        let (arrival, start) = (pkt.arrival, self.sw.cycle() * self.sw.cycle_len());
-        if arrival < start {
-            return reject(format!(
-                "arrival {arrival} is before cycle {} (byte-time {start}), which the switch \
-                 has reached",
-                self.sw.cycle()
-            ));
-        }
-        self.sw.offer(pkt);
-        Ok(())
+        self.sw.try_offer(pkt).map_err(|e| reject(e.to_string()))
     }
 
     /// The byte-time the cycle about to run ends at: the next

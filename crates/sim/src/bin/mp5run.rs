@@ -28,7 +28,7 @@
 //! Fault injection (see `mp5-faults` and DESIGN.md §11):
 //!
 //! * `--faults <plan.json>` — replay a deterministic fault plan
-//!   (e.g. one dumped by `mp5chaos --dump-plans`) against the run.
+//!   (e.g. the plan a failing `mp5chaos` case prints) against the run.
 //! * `--chaos-seed <n>` — roll a seed-deterministic chaos plan for
 //!   this program/pipeline-count instead of loading one from disk.
 //!
@@ -41,7 +41,7 @@ use mp5_compiler::{compile, Target};
 use mp5_core::{Mp5Switch, SwitchConfig};
 use mp5_faults::FaultPlan;
 use mp5_sim::c1_violation_fraction;
-use mp5_trace::{audit, Event, MemSink, NopSink, Rollup};
+use mp5_trace::{audit, write_jsonl, MemSink, NopSink, Rollup};
 use mp5_traffic::{AccessPattern, SizeDist, TraceBuilder};
 
 struct Args {
@@ -323,7 +323,11 @@ fn main() {
     }
 
     if let Some(path) = &args.trace_out {
-        write_or_die(path, &jsonl(&events), "trace");
+        let file = std::fs::File::create(path).map(std::io::BufWriter::new);
+        if let Err(e) = file.and_then(|f| write_jsonl(&events, f)) {
+            eprintln!("cannot write trace to {path}: {e}");
+            std::process::exit(1);
+        }
         println!("trace: {} events -> {path}", events.len());
     }
     if let Some(path) = &args.rollup_out {
@@ -341,16 +345,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-/// Serializes an event stream as JSONL (one event per line).
-fn jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&ev.to_jsonl());
-        out.push('\n');
-    }
-    out
 }
 
 fn write_or_die(path: &str, contents: &str, what: &str) {

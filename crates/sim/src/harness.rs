@@ -11,34 +11,38 @@
 //! every run reports the same, and the Banzai relation of DESIGN.md §11.
 //! A tally over all cases proves the cases reach every regime.
 //!
-//! `tests/model.rs` sweeps every input; the other suites that include
-//! this module pin one input (the program, the design or the fault
-//! plan) with [`Pins`] and check that their slice reaches its regimes.
+//! `tests/model.rs` sweeps every input; the other root suites pin one
+//! input (the program, the design or the fault plan) with [`Pins`] and
+//! check that their slice reaches its regimes. `mp5chaos` runs the
+//! bundled apps under chaos plans on the `mp5` design.
 //!
 //! [`fabric_sweep`] does the same for leaf–spine fabrics of these
 //! switches: it reruns and traces each generated run and audits every
-//! switch's stream. `tests/fabric_equivalence.rs` slices it.
-
-// Each including suite uses part of the module.
-#![allow(dead_code)]
+//! switch's stream. `tests/fabric_equivalence.rs` and
+//! `mp5chaos --fabric` slice it.
+//!
+//! A failed check panics; [`cases`] prints the failing case's number
+//! and input first.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use mp5::apps::{AppSpec, ALL_APPS};
-use mp5::banzai::{BanzaiSwitch, RunResult};
-use mp5::compiler::{compile, CompiledProgram, Target};
-use mp5::core::{Mp5Switch, RunReport, ShardingMode, SprayMode, SwapReport, SwitchConfig};
-use mp5::faults::{FaultPlan, NoFaults, PlannedFaults};
-use mp5::serve::{FaultState, Server, Snapshot};
-use mp5::sim::experiments::app_trace;
-use mp5::topo::{Fabric, FabricConfig, FabricRun, RouteMode, SpineKill, Topology, TopologyConfig};
-use mp5::trace::{audit, stream_hash, Check, Event, EventKind, MemSink, NopSink, TraceSink};
-use mp5::traffic::{DcWorkload, TraceBuilder};
-use mp5::types::Packet;
+use mp5_apps::{AppSpec, ALL_APPS};
+use mp5_banzai::{BanzaiSwitch, RunResult};
+use mp5_compiler::{compile, CompiledProgram, Target};
+use mp5_core::{Mp5Switch, RunReport, ShardingMode, SprayMode, SwapReport, SwitchConfig};
+use mp5_faults::{FaultPlan, NoFaults, PlannedFaults};
+use mp5_serve::{FaultState, Server, Snapshot};
+use mp5_topo::{Fabric, FabricConfig, FabricRun, RouteMode, SpineKill, Topology, TopologyConfig};
+use mp5_trace::{audit, stream_hash, Check, Event, EventKind, MemSink, NopSink, TraceSink};
+use mp5_traffic::{DcWorkload, TraceBuilder};
+use mp5_types::Packet;
+
+use crate::experiments::app_trace;
 
 /// One statement template of the generated-program grammar; `S` is the
 /// register's size.
@@ -60,6 +64,7 @@ pub enum GenStmt {
 }
 pub use GenStmt::*;
 
+/// The header fields `h0`..`h3` every grammar program declares.
 pub const NFIELDS: usize = 4;
 
 /// A program of the grammar: its register sizes and statements.
@@ -243,21 +248,29 @@ pub enum Program {
     Grammar,
 }
 
-/// A case's switch design: a preset or [`random_config`].
+/// A case's switch design: a preset or a random configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Design {
+    /// [`SwitchConfig::mp5`].
     Mp5,
+    /// [`SwitchConfig::ideal`].
     Ideal,
+    /// [`SwitchConfig::no_d4`], the ablation that breaks C1.
     NoD4,
+    /// [`SwitchConfig::static_shard`].
     Static,
+    /// [`SwitchConfig::naive`].
     Naive,
+    /// Any sharding, spray, phantom, queue layout and starvation setting.
     Random,
 }
 
 /// A case's fault plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Plan {
+    /// No faults.
     Clean,
+    /// [`FaultPlan::chaos`] over half the trace's length.
     Chaos,
     /// A kill, a stall, phantom drops, grant delays and a remap abort
     /// in one plan; `Chaos` on one pipeline.
@@ -268,34 +281,45 @@ pub enum Plan {
 /// input leaves the draws of the others as they were.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pins {
+    /// Where the program comes from.
     pub program: Option<Program>,
+    /// The switch design.
     pub design: Option<Design>,
+    /// The fault plan.
     pub plan: Option<Plan>,
 }
 
 /// One generated input: everything but the checkpoint and swap cycles,
 /// which are drawn against the uninterrupted run's length.
 pub struct Case {
+    /// The program's source.
     pub src: String,
+    /// Whether the program is the 100-stage chain.
     pub wide: bool,
-    /// A bundled app, for which the relation is claimed under phantom
-    /// loss too (DESIGN.md §11).
-    pub app: bool,
+    /// The bundled app's name, for which the relation is claimed under
+    /// phantom loss too (DESIGN.md §11).
+    pub app: Option<&'static str>,
+    /// The compiled program.
     pub prog: CompiledProgram,
+    /// The offered packets.
     pub trace: Vec<Packet>,
+    /// The switch.
     pub cfg: SwitchConfig,
+    /// The fault plan, if any.
     pub plan: Option<FaultPlan>,
 }
 
-/// What a failing case prints: its design, plan and program.
+/// What a failing case prints: its design, its plan as JSON (the input
+/// of `mp5run --faults`) and its program.
 impl std::fmt::Debug for Case {
     fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
-        let plan = self.plan_json();
-        write!(f, "{:?}\nplan {plan:?}\n{}", self.cfg, self.src)
+        let plan = self.plan_json().unwrap_or_else(|| "none".into());
+        write!(f, "{:?}\nplan {plan}\n{}", self.cfg, self.src)
     }
 }
 
 impl Case {
+    /// Draws a case from `rng`, holding `pins`.
     pub fn generate(rng: &mut SmallRng, pins: Pins) -> Case {
         let k = [1, 2, 3, 4, 8][rng.gen_range(0..5)];
         let (n, seed) = (rng.gen_range(100..400), rng.gen_range(0..1000));
@@ -307,11 +331,10 @@ impl Case {
             5..=19 => Program::Fixed,
             _ => Program::Grammar,
         });
-        let app = program == Program::App;
-        let (src, wide, prog, trace) = if app {
+        let (src, wide, app, prog, trace) = if program == Program::App {
             let app = &ALL_APPS[rng.gen_range(0..ALL_APPS.len())];
             let (prog, trace) = app_trace(app, n, seed);
-            (app.source.to_string(), false, prog, trace)
+            (app.source.to_string(), false, Some(app.name), prog, trace)
         } else {
             let (src, wide) = match program {
                 Program::Wide => (wide_chain(), true),
@@ -331,7 +354,7 @@ impl Case {
                     .iter_mut()
                     .for_each(|v| *v = r.gen_range(0..keys))
             });
-            (src, wide, prog, trace)
+            (src, wide, None, prog, trace)
         };
         use Design::*;
         let design = [Mp5, Mp5, Mp5, Ideal, NoD4, Static, Naive, Random][rng.gen_range(0..8)];
@@ -400,6 +423,7 @@ pub const REGIMES: [&str; 16] = [
     "checkpoints past stage 64",
 ];
 
+/// Regimes (and bundled apps) by the count of cases that reached them.
 pub type Tally = BTreeMap<&'static str, u64>;
 
 /// The run that is checkpointed at `ckpt` and hot-swapped at `swap`:
@@ -408,18 +432,28 @@ type Resumed = (RunReport, Vec<Event>, Option<SwapReport>);
 
 /// Through `Server`: the fault plan as JSON, the checkpoint through
 /// `Snapshot::encode`/`decode`, the swap to a recompiled copy of the
-/// source.
+/// source. A checkpoint at `ckpt / 2` is taken and run on from, as
+/// `mp5serve --checkpoint-every` does.
 fn served<F: FaultState>(c: &Case, ckpt: u64, swap: Option<u64>) -> Resumed {
     let mut srv = Server::<MemSink, F>::new(&c.src, c.cfg.clone(), MemSink::new(), c.plan_json())
         .expect("the server boots");
     srv.offer_all(c.trace.clone());
     let (mut before, mut swapped) = (Vec::new(), None);
+    let round_trip = |srv: &mut Server<MemSink, F>| {
+        let snap = srv.checkpoint();
+        let decoded = Snapshot::decode(&snap.encode()).expect("codec round-trips");
+        assert!(decoded == snap, "the codec changed checkpoint {}", snap.seq);
+        decoded
+    };
     while !srv.is_idle() {
         if Some(srv.cycle()) == swap {
             swapped = Some(srv.hot_swap(&c.src).expect("an identical program swaps"));
         }
+        if srv.cycle() == ckpt / 2 {
+            round_trip(&mut srv);
+        }
         if srv.cycle() == ckpt {
-            let snap = Snapshot::decode(&srv.checkpoint().encode()).expect("codec round-trips");
+            let snap = round_trip(&mut srv);
             before = srv.abandon().into_events();
             srv = Server::restore(snap, MemSink::new(), None, None).expect("the snapshot restores");
         }
@@ -520,6 +554,16 @@ fn check<F: FaultState>(c: &Case, rng: &mut SmallRng, tally: &mut Tally) {
     );
     if let Some(plan) = &c.plan {
         assert_eq!(&FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
+        let (k, stages) = (c.cfg.pipelines, c.prog.num_stages());
+        if let Err(e) = plan.validate(k, stages) {
+            panic!("the drawn plan is invalid: {e}");
+        }
+    }
+    if !r.fault.dead_pipelines.is_empty() {
+        assert!(
+            r.fault.degraded_cycles > 0,
+            "a dead pipeline degraded nothing"
+        );
     }
 
     // The event counts.
@@ -547,6 +591,7 @@ fn check<F: FaultState>(c: &Case, rng: &mut SmallRng, tally: &mut Tally) {
     // counted, not failed.
     let complete = r.completed == r.offered;
     let equivalent = complete && r.result.equivalent_to(&banzai);
+    let clean = audit(&events).is_clean();
     let (mut in_relation, mut lost_broke_c1) = (false, false);
     if c.cfg.phantoms {
         let order: HashMap<_, _> = c
@@ -561,11 +606,11 @@ fn check<F: FaultState>(c: &Case, rng: &mut SmallRng, tally: &mut Tally) {
             keys.windows(2).all(|w| w[0] < w[1])
         });
         let holds = in_order && (equivalent || !complete);
-        lost_broke_c1 = !c.app && r.fault.phantoms_dropped > 0 && !holds;
+        lost_broke_c1 = c.app.is_none() && r.fault.phantoms_dropped > 0 && !holds;
         if !lost_broke_c1 {
             assert!(in_order, "(b): an access out of entry order");
             assert!(equivalent || !complete, "(a): not equivalent to Banzai");
-            assert!(audit(&events).is_clean(), "the auditor found a violation");
+            assert!(clean, "the auditor found a violation");
             in_relation = equivalent;
         }
     }
@@ -591,6 +636,13 @@ fn check<F: FaultState>(c: &Case, rng: &mut SmallRng, tally: &mut Tally) {
         stream_hash(&events),
         "the stitched stream diverged"
     );
+    if clean {
+        // The checkpoint, restore and swap markers included.
+        assert!(
+            audit(&stitched).is_clean(),
+            "the auditor found a violation once stitched"
+        );
+    }
     if let Some(s) = swapped {
         assert!(s.closed(), "the swap ledger is open: {s:?}");
     }
@@ -631,12 +683,15 @@ fn check<F: FaultState>(c: &Case, rng: &mut SmallRng, tally: &mut Tally) {
     ] {
         *tally.entry(regime).or_default() += n;
     }
+    if let Some(app) = c.app {
+        *tally.entry(app).or_default() += 1;
+    }
 }
 
 /// Banzai runs the compiled program; the TAC interpreter runs the
 /// source. They agree on every register and every declared field.
 fn check_tac(c: &Case, banzai: &RunResult) {
-    let tac = mp5::lang::frontend(&c.src).expect("the frontend accepts what compiled");
+    let tac = mp5_lang::frontend(&c.src).expect("the frontend accepts what compiled");
     let (declared, mut regs) = (tac.declared_fields, tac.initial_regs());
     let mut trace = c.trace.clone();
     trace.sort_by_key(Packet::entry_order_key);
@@ -657,16 +712,16 @@ fn check_tac(c: &Case, banzai: &RunResult) {
     );
 }
 
-/// The one way the root suites draw random inputs: case `i` of `0..n`
+/// The one way the root suites draw random inputs: case `i` of `range`
 /// draws its input from a `SmallRng` seeded by `i`, and `check` goes on
 /// drawing from the same generator. A failing case prints its number
 /// and input before the panic goes on.
 pub fn cases<I: std::fmt::Debug>(
-    n: u64,
+    range: Range<u64>,
     mut draw: impl FnMut(&mut SmallRng) -> I,
     mut check: impl FnMut(&I, &mut SmallRng),
 ) {
-    for case in 0..n {
+    for case in range {
         let rng = &mut SmallRng::seed_from_u64(case);
         let input = draw(rng);
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| check(&input, rng)));
@@ -677,12 +732,12 @@ pub fn cases<I: std::fmt::Debug>(
     }
 }
 
-/// Runs [`cases`] `0..n` under `pins` and returns the tally of what
+/// Runs [`cases`] `range` under `pins` and returns the tally of what
 /// they reached.
-pub fn sweep(n: u64, pins: Pins) -> Tally {
+pub fn sweep(range: Range<u64>, pins: Pins) -> Tally {
     let mut tally = Tally::new();
     let draw = |rng: &mut SmallRng| Case::generate(rng, pins);
-    cases(n, draw, |c, rng| match c.plan {
+    cases(range, draw, |c, rng| match c.plan {
         Some(_) => check::<PlannedFaults>(c, rng, &mut tally),
         None => check::<NoFaults>(c, rng, &mut tally),
     });
@@ -704,6 +759,7 @@ pub fn assert_reached(tally: &Tally, regimes: &[&str]) {
 /// The inputs a fabric sweep holds fixed; every `None` is drawn.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FabricPins {
+    /// ECMP or flowlet routing.
     pub routing: Option<RouteMode>,
     /// Whether a spine fail-stops mid-run.
     pub kill: Option<bool>,
@@ -712,10 +768,15 @@ pub struct FabricPins {
 /// One generated leaf–spine run: 2 or 4 leaves, 2 spines, 2 hosts a
 /// leaf, and switches of 4 pipelines.
 pub struct FabricCase {
+    /// The bundled app every switch runs.
     pub app: &'static AppSpec,
+    /// The app, compiled.
     pub prog: CompiledProgram,
+    /// The leaf–spine topology.
     pub topo: Topology,
+    /// The switches, routing, seed and spine kill.
     pub cfg: FabricConfig,
+    /// The flows offered.
     pub workload: DcWorkload,
 }
 
@@ -727,6 +788,7 @@ impl std::fmt::Debug for FabricCase {
 }
 
 impl FabricCase {
+    /// Draws a fabric case from `rng`, holding `pins`.
     pub fn generate(rng: &mut SmallRng, pins: FabricPins) -> FabricCase {
         let app = &ALL_APPS[rng.gen_range(0..ALL_APPS.len())];
         let prog = app.compile().expect("the app compiles");
@@ -807,6 +869,17 @@ fn check_fabric(c: &FabricCase, tally: &mut Tally) {
     let killed = c.cfg.kill_spine.map(|k| k.spine as usize);
     let dead = r.switches.iter().filter(|s| s.dead).map(|s| s.id as usize);
     assert!(dead.eq(killed), "the wrong switches died");
+    // Whether the kill strands a packet, and whether the survivor ends
+    // ahead, depend on when it comes: a kill before the first packet
+    // reaches the spine, or in a lull, strands nothing, and one near the
+    // end leaves the spines even. So they are counted, not failed.
+    let (mut stranding, mut outforwarded) = (0, 0);
+    if let Some(dead) = killed {
+        // Spines are the last two switches: the other one survives.
+        let alive = 2 * c.topo.num_switches() - 3 - dead;
+        stranding = (r.lost_in_dead + r.dropped_to_dead > 0) as u64;
+        outforwarded = (r.switches[alive].completed > r.switches[dead].completed) as u64;
+    }
 
     // Relation (b) per switch: every stream a C1 design writes audits
     // clean, with one exception. A killed spine's stream stops mid-run:
@@ -838,6 +911,8 @@ fn check_fabric(c: &FabricCase, tally: &mut Tally) {
         ("4-leaf fabrics", (c.topo.num_switches() == 6) as u64),
         ("flowlet fabrics", (c.cfg.routing != RouteMode::Ecmp) as u64),
         ("spine kills", killed.is_some() as u64),
+        ("kills that stranded packets", stranding),
+        ("kills the surviving spine outforwarded", outforwarded),
         ("stranded packets", r.lost_in_dead),
         ("packets sent to a dead spine", r.dropped_to_dead),
         ("link drops", r.dropped_links),
@@ -849,12 +924,12 @@ fn check_fabric(c: &FabricCase, tally: &mut Tally) {
     }
 }
 
-/// Runs fabric [`cases`] `0..n` under `pins` and returns the tally of
-/// what they reached.
-pub fn fabric_sweep(n: u64, pins: FabricPins) -> Tally {
+/// Runs fabric [`cases`] `range` under `pins` and returns the tally
+/// of what they reached.
+pub fn fabric_sweep(range: Range<u64>, pins: FabricPins) -> Tally {
     let mut tally = Tally::new();
     let draw = |rng: &mut SmallRng| FabricCase::generate(rng, pins);
-    cases(n, draw, |c, _| check_fabric(c, &mut tally));
+    cases(range, draw, |c, _| check_fabric(c, &mut tally));
     eprintln!("{tally:#?}");
     tally
 }

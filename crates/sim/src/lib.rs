@@ -8,9 +8,10 @@
 //!   paper table and figure is a named slice of it, printed by the
 //!   `mp5exp` binary and recorded in EXPERIMENTS.md.
 //! * [`table`] — plain-text table rendering and JSON archiving.
-//! * [`chaos`] — randomized seed-deterministic fault campaigns
-//!   (auditor-gated, ledger-checked) shared by the
-//!   `mp5chaos` binary and the chaos test suite.
+//! * [`harness`] — the model-based harness: generated cases checked
+//!   against Banzai under faults, restore and hot swap, and generated
+//!   leaf–spine fabrics; the root test suites slice it and `mp5chaos`
+//!   drives it.
 //!
 //! Runners fan independent simulator runs out over OS threads (each run
 //! is single-threaded and deterministic; only scheduling of whole runs
@@ -19,8 +20,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod experiments;
+pub mod harness;
 pub mod metrics;
 pub mod synth;
 pub mod table;

@@ -31,11 +31,15 @@ fn zero_pipelines_is_a_usage_error() {
             "--pipelines",
         );
     }
-    assert_usage_error(
-        env!("CARGO_BIN_EXE_mp5chaos"),
-        &["--pipelines", "0", "--seeds", "1", "--apps", "flowlet"],
-        "--pipelines",
-    );
+}
+
+#[test]
+fn mp5chaos_takes_a_positive_case_count_and_its_three_flags_only() {
+    let chaos = env!("CARGO_BIN_EXE_mp5chaos");
+    assert_usage_error(chaos, &["--cases", "0"], "--cases");
+    assert_usage_error(chaos, &["--cases", "x"], "--cases");
+    assert_usage_error(chaos, &["--start-case", "-1"], "--start-case");
+    assert_usage_error(chaos, &["--pipelines", "4"], "--pipelines");
 }
 
 #[test]

@@ -29,7 +29,7 @@
 
 use mp5_core::SwitchConfig;
 use mp5_topo::{Fabric, FabricConfig, FabricReport, RouteMode, SpineKill, TopologyConfig};
-use mp5_trace::{audit, MemSink, NopSink, TraceSink};
+use mp5_trace::{audit, write_jsonl, MemSink, NopSink, TraceSink};
 use mp5_traffic::{DcPattern, DcWorkload};
 
 struct Cli {
@@ -311,12 +311,8 @@ fn main() {
         });
         for (i, sink) in sinks.iter().enumerate() {
             let path = format!("{dir}/sw{i}.jsonl");
-            let mut out = String::new();
-            for ev in &sink.events {
-                out.push_str(&ev.to_jsonl());
-                out.push('\n');
-            }
-            if let Err(e) = std::fs::write(&path, out) {
+            let file = std::fs::File::create(&path).map(std::io::BufWriter::new);
+            if let Err(e) = file.and_then(|f| write_jsonl(&sink.events, f)) {
                 eprintln!("cannot write trace to {path}: {e}");
                 std::process::exit(2)
             }

@@ -625,7 +625,8 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
                     pkt.arrival = at;
                     pkt.port = PortId(port);
                     // Links deliver in order and a port takes one packet
-                    // per byte-time, so a switch's arrivals ascend.
+                    // per byte-time, so a switch's arrivals ascend, and
+                    // each is due inside the tick about to run.
                     if let Err(e) = self.switches[s].try_offer(pkt) {
                         panic!("fabric switch {s}: {e}");
                     }

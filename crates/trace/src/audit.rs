@@ -542,8 +542,8 @@ impl Auditor {
                 // Lifecycle markers (checkpoint / restore / hot-swap)
                 // describe operator actions, not packet behavior; a
                 // well-formed stream is invariant-clean with or without
-                // them, which is exactly what the kill-restore chaos
-                // campaign audits.
+                // them: the model harness audits each stitched,
+                // restored stream whose uninterrupted twin is clean.
                 | EventKind::SnapshotTaken { .. }
                 | EventKind::Restored { .. }
                 | EventKind::ProgramSwapped { .. } => {}

@@ -41,6 +41,6 @@ pub use audit::{audit, AuditReport, Auditor, Check, Finding};
 pub use event::{stream_hash, DropCause, Event, EventKind, ParseError, NO_LOC};
 pub use rollup::{Histogram, RegRollup, Rollup, StageRollup};
 pub use sink::{
-    emit, read_jsonl, JsonlSink, MemSink, NopSink, ReadError, RingSink, TeeSink, TraceCtx,
-    TraceSink,
+    emit, read_jsonl, write_jsonl, JsonlSink, MemSink, NopSink, ReadError, RingSink, TeeSink,
+    TraceCtx, TraceSink,
 };

@@ -172,6 +172,19 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
+/// Writes `events` to `w` as JSONL, one [`Event::write_jsonl`] line
+/// each, and flushes it: the file [`read_jsonl`] reads back.
+pub fn write_jsonl<W: Write>(events: &[Event], mut w: W) -> std::io::Result<()> {
+    let mut line = Vec::with_capacity(128);
+    for ev in events {
+        line.clear();
+        ev.write_jsonl(&mut line);
+        line.push(b'\n');
+        w.write_all(&line)?;
+    }
+    w.flush()
+}
+
 /// A sink feeding two sinks at once (e.g. JSONL file + in-memory for
 /// an end-of-run audit).
 #[derive(Debug, Default)]

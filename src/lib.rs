@@ -61,7 +61,7 @@
 //! | [`asic`] | `mp5-asic` | Analytic area/clock/SRAM model (paper Table 1) |
 //! | [`topo`] | `mp5-topo` | Leaf–spine fabric simulation: composed switches, links, ECMP/flowlet, `mp5fabric` |
 //! | [`serve`] | `mp5-serve` | Live operation: crash-safe snapshot/restore + program hot-swap, `mp5serve` |
-//! | [`sim`] | `mp5-sim` | Experiment harness regenerating every paper table & figure |
+//! | [`sim`] | `mp5-sim` | Experiment harness regenerating every paper table & figure; the model harness |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

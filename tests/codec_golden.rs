@@ -5,8 +5,6 @@
 //! `e06d1ca`), so every file here is what the old `Value`-tree codec
 //! produced. Each must still decode, and re-encode to the same bytes.
 
-mod harness;
-
 use std::path::PathBuf;
 
 use mp5::core::state::{Flight, QueueSnap};
@@ -508,7 +506,7 @@ where
 mod round_trip {
     use super::round_trips;
     use super::shapes::*;
-    use crate::harness::cases;
+    use mp5::sim::harness::cases;
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -516,18 +514,18 @@ mod round_trip {
 
     #[test]
     fn named_struct() {
-        cases(N, named, |v, _| round_trips(v));
+        cases(0..N, named, |v, _| round_trips(v));
     }
 
     #[test]
     fn newtype_struct() {
-        cases(N, |rng| Newtype(signed(rng)), |v, _| round_trips(v));
+        cases(0..N, |rng| Newtype(signed(rng)), |v, _| round_trips(v));
     }
 
     #[test]
     fn tuple_struct() {
         let draw = |rng: &mut SmallRng| Tuple(unsigned(rng), text(rng), float(rng));
-        cases(N, draw, |v, _| round_trips(v));
+        cases(0..N, draw, |v, _| round_trips(v));
     }
 
     #[test]
@@ -537,7 +535,7 @@ mod round_trip {
 
     #[test]
     fn enum_variants() {
-        cases(N, |rng| vec_of(rng, 6, variant), |v, _| round_trips(v));
+        cases(0..N, |rng| vec_of(rng, 6, variant), |v, _| round_trips(v));
     }
 
     #[test]
@@ -547,13 +545,13 @@ mod round_trip {
                 vec_of(rng, 5, |rng| rng.gen::<bool>().then(|| signed(rng)))
             })
         };
-        cases(N, draw, |v, _| round_trips(v));
+        cases(0..N, draw, |v, _| round_trips(v));
     }
 
     #[test]
     fn tuples_of_two_to_four() {
         let draw = |rng: &mut SmallRng| (unsigned(rng), text(rng), float(rng), signed(rng));
-        cases(N, draw, |(a, b, c, d), _| {
+        cases(0..N, draw, |(a, b, c, d), _| {
             round_trips(&(*a, b.clone()));
             round_trips(&(*d, *c, b.clone()));
             round_trips(&(b.clone(), *a, *d, *c));
@@ -568,12 +566,12 @@ mod round_trip {
 
     #[test]
     fn floats() {
-        cases(N, |rng| vec_of(rng, 8, float), |v, _| round_trips(v));
+        cases(0..N, |rng| vec_of(rng, 8, float), |v, _| round_trips(v));
     }
 
     #[test]
     fn strings() {
-        cases(N, |rng| vec_of(rng, 6, text), |v, _| round_trips(v));
+        cases(0..N, |rng| vec_of(rng, 6, text), |v, _| round_trips(v));
     }
 
     #[test]
@@ -585,7 +583,7 @@ mod round_trip {
             p.fields = vec_of(rng, 6, signed);
             p
         };
-        cases(N, draw, |p, _| round_trips(p));
+        cases(0..N, draw, |p, _| round_trips(p));
     }
 }
 
@@ -1346,7 +1344,7 @@ fn a_truncated_or_flipped_event_line_is_an_error_or_another_event() {
 
 mod events {
     use super::*;
-    use harness::cases;
+    use mp5::sim::harness::cases;
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -1391,7 +1389,7 @@ mod events {
             let b = event_from(other_kind, &other_words, flags);
             (event_from(kind, &words, flags), b)
         };
-        cases(2_000, draw, |&(a, b), _| {
+        cases(0..2_000, draw, |&(a, b), _| {
             assert_eq!(a == b, a.to_jsonl() == b.to_jsonl());
             assert_eq!(Event::parse_jsonl(&a.to_jsonl()), Ok(a));
             if !(a.kind.is_lifecycle() || b.kind.is_lifecycle()) {

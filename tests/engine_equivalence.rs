@@ -1,15 +1,14 @@
 //! The one cycle engine against its references, as slices of the
-//! model-based harness (`tests/harness/mod.rs`): traced runs report
+//! model-based harness (`mp5_sim::harness`): traced runs report
 //! what untraced runs report, a program wider than the 64-stage
 //! occupancy masks matches Banzai and restores mid-run, fault ledgers
-//! close under mixed and chaos plans, and a fault plan replays through
-//! JSON.
+//! close under mixed and chaos plans, every bundled app survives chaos
+//! plans, and a fault plan replays through JSON.
 
-mod harness;
-
-use harness::*;
+use mp5::apps::ALL_APPS;
 use mp5::core::Mp5Switch;
 use mp5::faults::PlannedFaults;
+use mp5::sim::harness::*;
 use mp5::trace::{stream_hash, MemSink};
 
 /// Attaching a sink does not change the execution path: every case
@@ -20,7 +19,10 @@ fn traced_runs_ride_the_batch_path() {
         program: Some(Program::App),
         ..Pins::default()
     };
-    assert_reached(&sweep(12, pins), &["equivalent to Banzai", "phantom emits"]);
+    assert_reached(
+        &sweep(0..12, pins),
+        &["equivalent to Banzai", "phantom emits"],
+    );
 }
 
 const WIDE: Pins = Pins {
@@ -38,7 +40,7 @@ fn programs_wider_than_64_stages_agree_on_every_path() {
         plan: Some(Plan::Clean),
         ..WIDE
     };
-    assert_reached(&sweep(4, pins), &["equivalent to Banzai"]);
+    assert_reached(&sweep(0..4, pins), &["equivalent to Banzai"]);
 }
 
 /// A checkpoint of the wide chain taken while packets occupy stages
@@ -46,7 +48,7 @@ fn programs_wider_than_64_stages_agree_on_every_path() {
 /// `try_restore_with` and finishes as the uninterrupted run does.
 #[test]
 fn a_wide_program_restores_mid_run() {
-    let tally = sweep(6, WIDE);
+    let tally = sweep(0..6, WIDE);
     assert_reached(&tally, &["mid-run restores", "checkpoints past stage 64"]);
 }
 
@@ -61,9 +63,25 @@ fn fault_ledgers_close_under_mixed_and_chaos_plans() {
             design: Some(Design::Mp5),
             plan: Some(plan),
         };
-        let tally = sweep(8, pins);
+        let tally = sweep(0..8, pins);
         assert_reached(&tally, &["faults injected", "recovered phantoms"]);
     }
+}
+
+/// The slice `mp5chaos` sweeps: the bundled apps on `mp5` under chaos
+/// plans. It reaches all ten apps, and plans that kill a pipeline.
+#[test]
+fn every_app_survives_chaos() {
+    let pins = Pins {
+        program: Some(Program::App),
+        design: Some(Design::Mp5),
+        plan: Some(Plan::Chaos),
+    };
+    let tally = sweep(0..30, pins);
+    let apps: Vec<_> = ALL_APPS.iter().map(|a| a.name).collect();
+    assert_reached(&tally, &apps);
+    let killed = "indexes evacuated off a dead pipeline";
+    assert_reached(&tally, &["faults injected", "recovered phantoms", killed]);
 }
 
 /// Every case builds its injector from the plan's JSON; a run driven
@@ -74,9 +92,9 @@ fn fault_plans_replay_identically_through_json() {
         plan: Some(Plan::Chaos),
         ..Pins::default()
     };
-    assert_reached(&sweep(8, pins), &["faults injected"]);
+    assert_reached(&sweep(0..8, pins), &["faults injected"]);
     cases(
-        8,
+        0..8,
         |rng| Case::generate(rng, pins),
         |c, _| {
             let plan = c.plan.as_ref().expect("the plan is pinned");

@@ -3,13 +3,11 @@
 //! every injected packet is delivered or accounted to exactly one drop
 //! cause, and every surviving switch of a C1 design writes a stream the
 //! auditor passes. Each test is a slice of the harness's fabric sweep
-//! (`tests/harness/mod.rs`), which checks all of that on every case.
-
-mod harness;
+//! (`mp5_sim::harness`), which checks all of that on every case.
 
 use rand::rngs::SmallRng;
 
-use harness::*;
+use mp5::sim::harness::*;
 use mp5::topo::{Fabric, FabricError, RouteMode, SpineKill};
 use mp5::trace::NopSink;
 
@@ -20,7 +18,7 @@ const HEALTHY: FabricPins = FabricPins {
 
 #[test]
 fn conservation_closes_on_every_seed_and_shape() {
-    let tally = fabric_sweep(6, HEALTHY);
+    let tally = fabric_sweep(0..6, HEALTHY);
     assert_reached(&tally, &["2-leaf fabrics", "4-leaf fabrics"]);
 }
 
@@ -28,7 +26,7 @@ fn conservation_closes_on_every_seed_and_shape() {
 /// reaches every fabric regime.
 #[test]
 fn repeated_runs_are_bit_identical() {
-    assert_reached(&fabric_sweep(12, FabricPins::default()), &FABRIC_REGIMES);
+    assert_reached(&fabric_sweep(0..12, FabricPins::default()), &FABRIC_REGIMES);
 }
 
 #[test]
@@ -40,7 +38,7 @@ fn seeds_actually_change_the_run() {
         reseeded.workload.seed += 1;
         (c, reseeded)
     };
-    cases(3, draw, |(c, reseeded), _| {
+    cases(0..3, draw, |(c, reseeded), _| {
         let (a, b) = (c.run(|_| NopSink).report, reseeded.run(|_| NopSink).report);
         assert_ne!(
             a.delivery_digest, b.delivery_digest,
@@ -49,13 +47,16 @@ fn seeds_actually_change_the_run() {
     });
 }
 
+/// Every kill of this slice strands packets and leaves the surviving
+/// spine ahead of the dead one; the harness counts both, since a kill
+/// before the spine's first packet, or near the end, does neither.
 #[test]
 fn spine_kill_degrades_but_stays_conserved_and_deterministic() {
     let pins = FabricPins {
         routing: None,
         kill: Some(true),
     };
-    let tally = fabric_sweep(6, pins);
+    let tally = fabric_sweep(0..6, pins);
     assert_reached(
         &tally,
         &[
@@ -64,6 +65,12 @@ fn spine_kill_degrades_but_stays_conserved_and_deterministic() {
             "packets sent to a dead spine",
         ],
     );
+    for degraded in [
+        "kills that stranded packets",
+        "kills the surviving spine outforwarded",
+    ] {
+        assert_eq!(tally.get(degraded), tally.get("spine kills"), "{degraded}");
+    }
 }
 
 /// Every leaf and every id past the last switch is refused as a kill
@@ -72,7 +79,7 @@ fn spine_kill_degrades_but_stays_conserved_and_deterministic() {
 #[test]
 fn invalid_kill_targets_are_rejected_at_construction() {
     cases(
-        4,
+        0..4,
         |rng| FabricCase::generate(rng, HEALTHY),
         |c, _| {
             let switches = c.topo.num_switches();
@@ -100,5 +107,5 @@ fn flowlet_routing_is_deterministic_too() {
         routing: Some(RouteMode::Flowlet { gap: 20_000 }),
         kill: None,
     };
-    assert_reached(&fabric_sweep(4, pins), &["flowlet fabrics"]);
+    assert_reached(&fabric_sweep(0..4, pins), &["flowlet fabrics"]);
 }

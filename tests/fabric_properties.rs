@@ -6,10 +6,8 @@
 //! * The phantom channel must deliver in injection order (Invariant 1).
 //! * The frontend must never panic on arbitrary input (it may reject).
 
-mod harness;
-
-use harness::cases;
 use mp5::fabric::{Entry, LogicalFifo, OrderKey, PhantomKey, PopOutcome};
+use mp5::sim::harness::cases;
 use mp5::types::{PacketId, PipelineId, RegId, StageId};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -45,7 +43,7 @@ fn logical_fifo_pops_in_global_order() {
     let draw = |rng: &mut SmallRng| -> Vec<Op> {
         (0..rng.gen_range(1..120)).map(|_| op(rng, 4)).collect()
     };
-    cases(128, draw, |ops, _| pops_in_global_order(ops));
+    cases(0..128, draw, |ops, _| pops_in_global_order(ops));
 }
 
 fn pops_in_global_order(ops: &[Op]) {
@@ -130,7 +128,7 @@ fn phantom_channel_never_reorders_same_route() {
             .map(|_| (rng.gen_range(0..4), rng.gen_range(5..8)))
             .collect()
     };
-    cases(256, draw, |routes, _| channel_keeps_route_order(routes));
+    cases(0..256, draw, |routes, _| channel_keeps_route_order(routes));
 }
 
 fn channel_keeps_route_order(routes: &[(u16, u16)]) {
@@ -184,7 +182,7 @@ fn frontend_never_panics_on_garbage() {
             .map(|_| printable(rng))
             .collect()
     };
-    cases(256, draw, |src, _| drop(mp5::lang::frontend(src)));
+    cases(0..256, draw, |src, _| drop(mp5::lang::frontend(src)));
 }
 
 /// Structured near-miss programs (valid tokens, random arrangement)
@@ -201,7 +199,7 @@ fn frontend_never_panics_on_token_soup() {
             .collect();
         toks.join(" ")
     };
-    cases(256, draw, |src, _| drop(mp5::lang::frontend(src)));
+    cases(0..256, draw, |src, _| drop(mp5::lang::frontend(src)));
 }
 
 /// Deterministic regression: an interleaving that once deadlocked the

@@ -2,13 +2,11 @@
 //! at any pipeline count, ends with the single-pipeline Banzai switch's
 //! registers, per-packet outputs and per-state access order (condition
 //! C1). Each test is a slice of the model-based harness
-//! (`tests/harness/mod.rs`) with the program drawn from the grammar
+//! (`mp5_sim::harness`) with the program drawn from the grammar
 //! and one input pinned; every case also runs traced, faulted where
 //! drawn, checkpointed and restored.
 
-mod harness;
-
-use harness::*;
+use mp5::sim::harness::*;
 
 const GRAMMAR: Pins = Pins {
     program: Some(Program::Grammar),
@@ -24,7 +22,7 @@ fn mp5_is_functionally_equivalent_to_single_pipeline() {
         plan: Some(Plan::Clean),
         ..GRAMMAR
     };
-    assert_reached(&sweep(24, pins), &["equivalent to Banzai"]);
+    assert_reached(&sweep(0..24, pins), &["equivalent to Banzai"]);
 }
 
 /// The ideal baseline changes scheduling, never semantics.
@@ -35,7 +33,7 @@ fn ideal_mp5_is_functionally_equivalent() {
         plan: Some(Plan::Clean),
         ..GRAMMAR
     };
-    assert_reached(&sweep(16, pins), &["equivalent to Banzai"]);
+    assert_reached(&sweep(0..16, pins), &["equivalent to Banzai"]);
 }
 
 /// Banzai, the compiled program run serially, agrees with the TAC
@@ -43,7 +41,7 @@ fn ideal_mp5_is_functionally_equivalent() {
 /// soundness), under every design and plan.
 #[test]
 fn compiled_execution_matches_tac_semantics() {
-    let tally = sweep(24, GRAMMAR);
+    let tally = sweep(0..24, GRAMMAR);
     assert_reached(&tally, &["packets checked against the TAC semantics"]);
 }
 
@@ -56,5 +54,5 @@ fn no_d4_fails_the_equivalence_property() {
         design: Some(Design::NoD4),
         plan: Some(Plan::Clean),
     };
-    assert_reached(&sweep(24, pins), &["no-D4 diverged from Banzai"]);
+    assert_reached(&sweep(0..24, pins), &["no-D4 diverged from Banzai"]);
 }

@@ -2,19 +2,17 @@
 //! Banzai in every mode (faults, checkpoint/restore, hot swap, traced
 //! runs), the generator's non-vacuity, the recorded defects of
 //! DESIGN.md §8 and the auditor's negative controls. The harness itself
-//! is `tests/harness/mod.rs`.
-
-mod harness;
+//! is `mp5_sim::harness`.
 
 use rand::Rng;
 
-use harness::*;
 use mp5::apps::ALL_APPS;
 use mp5::banzai::BanzaiSwitch;
 use mp5::compiler::{compile, Target};
 use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::faults::FaultPlan;
 use mp5::sim::experiments::app_trace;
+use mp5::sim::harness::*;
 use mp5::trace::{audit, Check, Event, EventKind, MemSink, NopSink};
 use mp5::traffic::TraceBuilder;
 use mp5::types::PacketId;
@@ -24,7 +22,7 @@ const CASES: u64 = 160;
 
 #[test]
 fn the_switch_is_banzai_in_every_mode() {
-    assert_reached(&sweep(CASES, Pins::default()), &REGIMES);
+    assert_reached(&sweep(0..CASES, Pins::default()), &REGIMES);
 }
 
 /// The generator is not vacuous: every template compiles on its own
@@ -170,11 +168,12 @@ fn ids_are_labels() {
 /// every door rejects the second, naming both packets, before anything
 /// runs: `Server::offer` as a feed error naming its line,
 /// `Mp5Switch::try_offer` and `try_run` as typed errors, in release
-/// builds too. The same packets with unique keys (one port each) are
-/// Banzai's.
+/// builds too. A switch restored after admitting the first refuses the
+/// second as late. The same packets with unique keys (one port each)
+/// are Banzai's.
 #[test]
 fn equal_entry_keys_are_a_feed_error() {
-    use mp5::core::{EntryOrderError, RunError};
+    use mp5::core::{EntryOrderError, OfferError, RunError};
     use mp5::faults::NoFaults;
     use mp5::serve::{ServeError, Server};
     use mp5::types::{Packet, PortId};
@@ -222,7 +221,7 @@ void func(struct Packet p) {
             };
             let mut sw = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k));
             sw.try_offer(tied[0].clone()).expect(&what);
-            assert_eq!(sw.try_offer(tied[1].clone()), Err(tie), "{what}");
+            assert_eq!(sw.try_offer(tied[1].clone()), Err(tie.into()), "{what}");
             assert_eq!(sw.live_report().offered, 1, "{what}: the second was taken");
             // Once the first has been admitted, the tie is still refused.
             let mut sw = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k));
@@ -232,8 +231,19 @@ void func(struct Packet p) {
                 sw.last_arrival().is_none(),
                 "{what}: the first was not admitted"
             );
-            assert_eq!(sw.try_offer(tied[1].clone()), Err(tie), "{what}");
+            assert_eq!(sw.try_offer(tied[1].clone()), Err(tie.into()), "{what}");
             assert_eq!(sw.live_report().offered, 1, "{what}: the second was taken");
+            // A restored switch has forgotten the first, and refuses the
+            // tie as late.
+            let state = sw.extract_state(1);
+            let cfg = SwitchConfig::mp5(k);
+            let mut sw = Mp5Switch::try_restore_with(prog.clone(), cfg, state, NopSink, NoFaults)
+                .expect(&what);
+            let late = sw.try_offer(tied[1].clone());
+            assert!(
+                matches!(late, Err(OfferError::Late { .. })),
+                "{what}: {late:?}"
+            );
             let run = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(k)).try_run(tied.clone());
             assert_eq!(run, Err(RunError::EntryOrder(tie)), "{what}");
             let mut srv = boot();

@@ -1,11 +1,9 @@
 //! Accounting invariants under randomized designs, a slice of the
-//! model-based harness (`tests/harness/mod.rs`): every offered packet
+//! model-based harness (`mp5_sim::harness`): every offered packet
 //! completes once or is a drop attributed to its stage, and completions
 //! leave in monotone cycle order.
 
-mod harness;
-
-use harness::*;
+use mp5::sim::harness::*;
 
 #[test]
 fn every_packet_is_accounted_for() {
@@ -14,5 +12,5 @@ fn every_packet_is_accounted_for() {
         design: Some(Design::Random),
         plan: None,
     };
-    assert_reached(&sweep(24, pins), &["data drops", "steers"]);
+    assert_reached(&sweep(0..24, pins), &["data drops", "steers"]);
 }
