@@ -1,95 +1,79 @@
-//! Chaos suite: randomized seed-deterministic fault campaigns across
-//! every bundled application, gated on the chaos contracts (see
-//! `mp5::sim::chaos`):
-//!
-//! 1. no panics, packets conserved, fault ledger closed
-//!    (`injected == recovered + degraded`);
-//! 2. the offline invariant auditor reports **zero** findings on the
-//!    traced run — Invariant 1/2, phantom pairing, C1 and packet
-//!    conservation all hold under injected faults;
-//! 3. a run that completes every packet is equivalent to Banzai.
-//!
-//! Scale knob: `MP5_CHAOS_PACKETS` (default 300 packets per case).
+//! The chaos slice of the model-based harness (`mp5_sim::harness`):
+//! the bundled apps on `mp5` under seed-deterministic chaos plans, the
+//! slice `mp5chaos` sweeps. Every case holds the harness's checks
+//! (conservation, a closed fault ledger, a clean audit, the Banzai
+//! relation, a restored run equal to the uninterrupted one); these
+//! tests add that the slice reaches every app and a pipeline kill, that
+//! a dead pipeline is recorded as degraded, and that a plan replays
+//! bit-identically.
 
-use mp5::sim::chaos::{self, ChaosOpts};
+use mp5::apps::ALL_APPS;
+use mp5::faults::PlannedFaults;
+use mp5::sim::harness::*;
+use mp5::trace::{audit, stream_hash, MemSink};
 
-fn packets_per_case() -> usize {
-    std::env::var("MP5_CHAOS_PACKETS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300)
-}
+const CHAOS: Pins = Pins {
+    program: Some(Program::App),
+    design: Some(Design::Mp5),
+    plan: Some(Plan::Chaos),
+};
 
-fn opts() -> ChaosOpts {
-    ChaosOpts {
-        pipelines: 4,
-        packets: packets_per_case(),
-        horizon: 200,
-    }
-}
-
-/// Every bundled program survives a chaos plan (auditor-clean, ledger
-/// closed).
+/// The slice `mp5chaos` sweeps reaches all ten apps, and plans that
+/// kill a pipeline.
 #[test]
 fn every_app_survives_chaos() {
-    let outcomes = chaos::run_campaign(&mp5::apps::ALL_APPS, &[11], &opts());
-    let mut fired = 0u64;
-    for out in &outcomes {
-        assert!(
-            out.passed(),
-            "{} seed {} failed chaos: {:?}",
-            out.app,
-            out.seed,
-            out.failures
-        );
-        fired += out.report.fault.injected;
-    }
-    assert!(fired > 0, "the campaign must actually inject faults");
+    let tally = sweep(0..30, CHAOS);
+    let apps: Vec<_> = ALL_APPS.iter().map(|a| a.name).collect();
+    assert_reached(&tally, &apps);
+    let killed = "indexes evacuated off a dead pipeline";
+    assert_reached(&tally, &["faults injected", "recovered phantoms", killed]);
 }
 
-/// Multiple seeds on the two most stateful paper apps: different plans
-/// (pipeline kills included with probability 1/2) all hold the
-/// contracts, and a killed pipeline shows up in the recovery ledger.
+/// Different chaos plans all close the fault ledger and audit clean,
+/// and a killed pipeline shows up as degraded cycles in the ledger.
 #[test]
 fn seed_sweep_holds_contracts_and_records_degradation() {
-    let apps = [mp5::apps::PAPER_APPS[0], mp5::apps::PAPER_APPS[1]];
-    let seeds = [1u64, 2, 3, 4];
-    let outcomes = chaos::run_campaign(&apps, &seeds, &opts());
-    let mut any_kill = false;
-    for out in &outcomes {
-        assert!(
-            out.passed(),
-            "{} seed {} failed chaos: {:?}",
-            out.app,
-            out.seed,
-            out.failures
-        );
-        let f = &out.report.fault;
-        if !f.dead_pipelines.is_empty() {
-            any_kill = true;
+    let mut kills = 0;
+    cases(
+        0..12,
+        |rng| Case::generate(rng, CHAOS),
+        |c, _| {
+            let (r, sink) = c
+                .switch::<_, PlannedFaults>(MemSink::new())
+                .run_traced(c.trace.clone());
+            let f = &r.fault;
+            assert!(f.injected > 0, "the plan injected nothing");
+            assert!(f.accounted(), "the fault ledger is open: {f:?}");
             assert!(
-                f.degraded_cycles > 0,
-                "{} seed {}: a dead pipeline must register degraded cycles",
-                out.app,
-                out.seed
+                audit(&sink.into_events()).is_clean(),
+                "the auditor found a violation"
             );
-        }
-    }
-    assert!(
-        any_kill,
-        "across 8 chaos plans at least one should kill a pipeline \
-         (seed-deterministic: this cannot flake)"
+            if !f.dead_pipelines.is_empty() {
+                kills += 1;
+                assert!(f.degraded_cycles > 0, "a dead pipeline degraded nothing");
+            }
+        },
     );
+    assert!(kills > 0, "no plan killed a pipeline");
 }
 
-/// Chaos campaigns are reproducible: the same seed yields the same
-/// report, cycle count, and ledger, twice.
+/// The same chaos case run twice yields the same report and the same
+/// event stream.
 #[test]
 fn chaos_is_deterministic() {
-    let app = mp5::apps::PAPER_APPS[2];
-    let a = chaos::run_case(&app, 5, &opts());
-    let b = chaos::run_case(&app, 5, &opts());
-    assert!(a.passed(), "first run failed: {:?}", a.failures);
-    assert_eq!(a.report, b.report, "same seed must replay bit-identically");
-    assert_eq!(a.plan_len, b.plan_len);
+    cases(
+        0..6,
+        |rng| Case::generate(rng, CHAOS),
+        |c, _| {
+            let run = || {
+                let (r, sink) = c
+                    .switch::<_, PlannedFaults>(MemSink::new())
+                    .run_traced(c.trace.clone());
+                (r, stream_hash(&sink.into_events()))
+            };
+            let (a, b) = (run(), run());
+            assert_eq!(a.0, b.0, "the same plan must replay bit-identically");
+            assert_eq!(a.1, b.1, "the same plan must replay the same stream");
+        },
+    );
 }

@@ -2,10 +2,9 @@
 //! model-based harness (`mp5_sim::harness`): traced runs report
 //! what untraced runs report, a program wider than the 64-stage
 //! occupancy masks matches Banzai and restores mid-run, fault ledgers
-//! close under mixed and chaos plans, every bundled app survives chaos
-//! plans, and a fault plan replays through JSON.
+//! close under mixed and chaos plans, and a fault plan replays through
+//! JSON. The chaos slice itself is `tests/chaos.rs`.
 
-use mp5::apps::ALL_APPS;
 use mp5::core::Mp5Switch;
 use mp5::faults::PlannedFaults;
 use mp5::sim::harness::*;
@@ -66,22 +65,6 @@ fn fault_ledgers_close_under_mixed_and_chaos_plans() {
         let tally = sweep(0..8, pins);
         assert_reached(&tally, &["faults injected", "recovered phantoms"]);
     }
-}
-
-/// The slice `mp5chaos` sweeps: the bundled apps on `mp5` under chaos
-/// plans. It reaches all ten apps, and plans that kill a pipeline.
-#[test]
-fn every_app_survives_chaos() {
-    let pins = Pins {
-        program: Some(Program::App),
-        design: Some(Design::Mp5),
-        plan: Some(Plan::Chaos),
-    };
-    let tally = sweep(0..30, pins);
-    let apps: Vec<_> = ALL_APPS.iter().map(|a| a.name).collect();
-    assert_reached(&tally, &apps);
-    let killed = "indexes evacuated off a dead pipeline";
-    assert_reached(&tally, &["faults injected", "recovered phantoms", killed]);
 }
 
 /// Every case builds its injector from the plan's JSON; a run driven
