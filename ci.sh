@@ -188,6 +188,12 @@ SERVE_TMP=$(mktemp -d -t mp5-ci-serve.XXXXXX)
 ./target/release/mp5serve --app flowlet --packets 800 \
     --snapshot "$SERVE_TMP/ckpt.snap" --halt-at 120 \
     --trace "$SERVE_TMP/pre.jsonl"
+# This build writes MP5SNAP v2 (the word-wise checksum trailer).
+if [ "$(head -c 11 "$SERVE_TMP/ckpt.snap")" != "MP5SNAP v2 " ]; then
+    echo "ci.sh: the mp5serve snapshot does not start with 'MP5SNAP v2 ':" >&2
+    head -n 1 "$SERVE_TMP/ckpt.snap" >&2
+    exit 1
+fi
 # mp5serve keeps no per-packet history (record_detail off), so its
 # checkpoint carries live state and the unread feed, not the run so far.
 for field in '"record_detail":false' '"outputs":[]' '"completions":[]' '"access_log":[]'; do
@@ -206,6 +212,11 @@ for snap in "$SERVE_TMP/ckpt.snap" tests/golden/par_scalar.snap; do
     }
     ./target/release/mp5audit --quiet "$SERVE_TMP/stitched.jsonl"
 done
+# A v1 snapshot (FNV-1a64 trailer) still restores and runs to the end.
+./target/release/mp5serve --restore tests/golden/plain.snap > /dev/null || {
+    echo "ci.sh: the v1 snapshot tests/golden/plain.snap did not restore" >&2
+    exit 1
+}
 
 echo "==> serve smoke: a streamed stdin feed, audited and stitched across a halt"
 # tests/golden/feed.jsonl was generated under tests/golden/feed.dsl. The

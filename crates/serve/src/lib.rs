@@ -11,9 +11,12 @@
 //!   (program source, configuration, every register file, FIFO and
 //!   phantom-lane occupancy, remap tables, crossbar cursors, cycle
 //!   counters, the fault ledger, and the fault injector's replay
-//!   cursor), serialized with a checksummed sectioned codec and
-//!   written atomically (tmp + fsync + rename) so a crash mid-write
-//!   can never corrupt the last good checkpoint.
+//!   cursor), serialized with a checksummed sectioned codec
+//!   (`MP5SNAP v2`: one JSON line per section, closed by a checksum
+//!   that reads the text eight bytes at a time; `v1` files, closed by
+//!   an FNV-1a64, still load) and written atomically (tmp + fsync +
+//!   rename) so a crash mid-write can never corrupt the last good
+//!   checkpoint.
 //! * [`Server`] — a thin stateful wrapper over [`Mp5Switch`]'s
 //!   streaming API (`offer`/`tick`/`drain_egress`) that knows how to
 //!   checkpoint itself, restore from a snapshot into a *fresh* switch
@@ -44,10 +47,12 @@ use mp5_core::{
 use mp5_faults::{FaultInjector, FaultPlan, InjectorState, NoFaults, PlannedFaults};
 use mp5_trace::TraceSink;
 use mp5_types::{Packet, Time};
+use serde::json::Writer;
 use serde::{Deserialize, Serialize};
 
-/// Snapshot codec version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot codec version this build writes. It reads this one and
+/// `v1`, whose trailer is an FNV-1a64 ([`Snapshot::decode`]).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Magic tag on the first line of every snapshot file.
 pub const SNAPSHOT_MAGIC: &str = "MP5SNAP";
@@ -117,7 +122,8 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::Version(v) => write!(
                 f,
-                "snapshot codec version {v} is not supported (this build reads v{SNAPSHOT_VERSION})"
+                "snapshot codec version {v} is not supported (this build reads v1 and \
+                 v{SNAPSHOT_VERSION})"
             ),
             ServeError::Compile(e) => write!(f, "embedded program does not compile: {e}"),
             ServeError::Config(e) => write!(f, "switch configuration invalid: {e}"),
@@ -263,13 +269,11 @@ pub struct Snapshot {
 }
 
 /// Appends one `@tag body` section line, serializing the body straight
-/// into `out`. Snapshot sections are plain data (no maps with
-/// non-string keys, no NaNs), so serialization itself cannot fail; only
-/// IO can.
+/// into `out` through the infallible [`Writer`].
 fn write_section<T: Serialize + ?Sized>(out: &mut Vec<u8>, tag: &str, body: &T) {
     out.extend_from_slice(tag.as_bytes());
     out.push(b' ');
-    serde_json::to_writer(out, body).expect("snapshot sections are plain serializable data");
+    body.serialize(&mut Writer::compact(out));
     out.push(b'\n');
 }
 
@@ -306,14 +310,37 @@ fn parse_checksum(s: &str) -> Option<u64> {
     })
 }
 
-/// FNV-1a 64-bit over the snapshot body — stable across builds and
-/// platforms (unlike the std hasher, which is only stable within one
-/// process).
+/// The `v1` trailer: FNV-1a 64-bit over the snapshot body, one
+/// xor-multiply per byte. Kept to read `v1` files.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The `v2` trailer: the body read as little-endian `u64` words, the
+/// last one zero-padded, each folded in as `h = ((h ^ w) * P).rotl(31)`
+/// from a seed of the body length. A multiply carries each bit upward
+/// only, so without the rotate a flip of bit 63 would come through
+/// every later step unchanged and a second such flip would cancel it;
+/// the rotate brings the high bits down for the next multiply to
+/// spread. One multiply per 8 bytes where [`fnv1a64`] takes one per
+/// byte. Like it, stable across builds and platforms (unlike the std
+/// hasher, which is only stable within one process).
+fn checksum_v2(bytes: &[u8]) -> u64 {
+    const P: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(P).rotate_left(31);
+    let (words, rest) = bytes.as_chunks::<8>();
+    let mut h = words
+        .iter()
+        .fold(bytes.len() as u64, |h, w| step(h, u64::from_le_bytes(*w)));
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h = step(h, u64::from_le_bytes(last));
     }
     h
 }
@@ -327,7 +354,7 @@ impl Snapshot {
     /// Serializes to the sectioned snapshot text format:
     ///
     /// ```text
-    /// MP5SNAP v1 seq=3 cycle=1200
+    /// MP5SNAP v2 seq=3 cycle=1200
     /// @source "..."
     /// @config {...}
     /// @state {...}
@@ -337,17 +364,17 @@ impl Snapshot {
     /// ```
     ///
     /// One JSON document per section line (the same one-line-per-record
-    /// discipline as the trace JSONL codec), closed by an FNV-1a64
-    /// checksum over every preceding byte.
+    /// discipline as the trace JSONL codec), closed by a checksum over
+    /// every preceding byte that reads them eight at a time
+    /// (`v1`'s FNV-1a64 read them one at a time; the sections are
+    /// byte for byte what `v1` wrote).
     pub fn encode(&self) -> String {
-        let mut out = Vec::new();
-        writeln!(
-            out,
-            "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} seq={} cycle={}",
+        let header = format!(
+            "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} seq={} cycle={}\n",
             self.seq,
             self.cycle()
-        )
-        .expect("writing to a Vec cannot fail");
+        );
+        let mut out = header.into_bytes();
         write_section(&mut out, "@source", &self.source);
         write_section(&mut out, "@config", &self.config);
         write_section(&mut out, "@state", &self.state);
@@ -357,32 +384,22 @@ impl Snapshot {
         if let Some(inj) = &self.injector {
             write_section(&mut out, "@injector", inj);
         }
-        let sum = fnv1a64(&out);
-        writeln!(out, "{CHECKSUM_TAG}{sum:016x}").expect("writing to a Vec cannot fail");
+        let trailer = format!("{CHECKSUM_TAG}{:016x}\n", checksum_v2(&out));
+        out.extend_from_slice(trailer.as_bytes());
+        // The header, the trailer and everything `Writer` appends are
+        // UTF-8, so this cannot fail.
         String::from_utf8(out).expect("the header and the JSON writer emit UTF-8")
     }
 
-    /// Parses and verifies a snapshot file's text. Rejects version
-    /// skew, checksum mismatches (truncated or bit-rotted files), and
-    /// any missing or malformed section.
+    /// Parses and verifies a snapshot file's text. Reads the header's
+    /// codec version first: `v2` files are checked with the word-wise
+    /// trailer [`Snapshot::encode`] writes, `v1` files with FNV-1a64,
+    /// and any other version is [`ServeError::Version`]. Rejects
+    /// checksum mismatches (truncated or bit-rotted files) before it
+    /// parses any section, and then any missing or malformed one.
     pub fn decode(text: &str) -> Result<Snapshot, ServeError> {
-        // Checksum first: everything up to the `@checksum` line must
-        // hash to the recorded trailer, otherwise nothing else in the
-        // file can be trusted.
-        let tail = text
-            .rfind(CHECKSUM_TAG)
-            .ok_or_else(|| ServeError::Format("missing @checksum trailer".into()))?;
-        let recorded = text[tail + CHECKSUM_TAG.len()..].trim();
-        let found = fnv1a64(&text.as_bytes()[..tail]);
-        if parse_checksum(recorded) != Some(found) {
-            return Err(ServeError::Checksum {
-                expected: recorded.to_string(),
-                found: format!("{found:016x}"),
-            });
-        }
-
-        let mut lines = text[..tail].lines();
-        let header = lines
+        let header = text
+            .lines()
             .next()
             .ok_or_else(|| ServeError::Format("empty snapshot".into()))?;
         let mut words = header.split_whitespace();
@@ -396,9 +413,27 @@ impl Snapshot {
             .and_then(|w| w.strip_prefix('v'))
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| ServeError::Format("unparseable version in header".into()))?;
-        if version != SNAPSHOT_VERSION {
-            return Err(ServeError::Version(version));
+        let checksum: fn(&[u8]) -> u64 = match version {
+            1 => fnv1a64,
+            2 => checksum_v2,
+            v => return Err(ServeError::Version(v)),
+        };
+
+        // Checksum next: everything up to the `@checksum` line must
+        // hash to the recorded trailer, otherwise nothing else in the
+        // file can be trusted.
+        let tail = text
+            .rfind(CHECKSUM_TAG)
+            .ok_or_else(|| ServeError::Format("missing @checksum trailer".into()))?;
+        let recorded = text[tail + CHECKSUM_TAG.len()..].trim();
+        let found = checksum(&text.as_bytes()[..tail]);
+        if parse_checksum(recorded) != Some(found) {
+            return Err(ServeError::Checksum {
+                expected: recorded.to_string(),
+                found: format!("{found:016x}"),
+            });
         }
+
         let seq: u64 = words
             .next()
             .and_then(|w| w.strip_prefix("seq="))
@@ -410,7 +445,7 @@ impl Snapshot {
         let mut state: Option<SwitchState> = None;
         let mut fault_plan: Option<String> = None;
         let mut injector: Option<InjectorState> = None;
-        for line in lines {
+        for line in text[..tail].lines().skip(1) {
             if line.trim().is_empty() {
                 continue;
             }
@@ -785,13 +820,100 @@ mod tests {
         srv.checkpoint()
     }
 
+    /// `body` closed by a `@checksum` trailer computed with `sum`.
+    fn signed(body: &str, sum: fn(&[u8]) -> u64) -> String {
+        format!("{body}{CHECKSUM_TAG}{:016x}\n", sum(body.as_bytes()))
+    }
+
+    /// `text`'s body, before its trailer.
+    fn body(text: &str) -> &str {
+        &text[..text.rfind(CHECKSUM_TAG).unwrap()]
+    }
+
     #[test]
     fn codec_round_trips() {
         let snap = checkpoint_at(25, 400, 11);
         let text = snap.encode();
         let back = Snapshot::decode(&text).unwrap();
         assert_eq!(snap, back);
-        assert!(text.starts_with("MP5SNAP v1 seq=1 cycle=25\n"));
+        assert!(text.starts_with("MP5SNAP v2 seq=1 cycle=25\n"));
+    }
+
+    #[test]
+    fn the_v2_checksum_keeps_its_values() {
+        // A checksum is an on-disk format. Each length sits at a word
+        // edge: none, one short, exactly one, one over.
+        for (bytes, sum) in [
+            (&b""[..], 0x0000_0000_0000_0000),
+            (b"MP5SNAP", 0x48d3_b709_7141_65b9),
+            (b"MP5SNAP ", 0x8a99_80d4_b5b6_b569),
+            (b"MP5SNAP v", 0xbcc9_c241_6e97_12a3),
+            (b"MP5SNAP v2 seq=1 cycle=25\n", 0x6be0_3dc7_cc7c_a7ed),
+        ] {
+            assert_eq!(checksum_v2(bytes), sum, "{:?}", bytes);
+        }
+        // The zero padding of the last word does not alias a real zero
+        // byte: the length seeds the sum.
+        assert_ne!(checksum_v2(b"MP5SNAP"), checksum_v2(b"MP5SNAP\0"));
+    }
+
+    #[test]
+    fn a_flip_of_bit_63_in_two_words_is_noticed() {
+        // Bit 7 of a word's last byte is bit 63 of the little-endian
+        // word. `(h ^ w) * P` with P odd carries a flip of bit 63
+        // through unchanged, so a second one cancels it: the fold
+        // without the rotate misses every such pair.
+        fn no_rotate(bytes: &[u8]) -> u64 {
+            bytes.chunks(8).fold(bytes.len() as u64, |h, w| {
+                let mut word = [0u8; 8];
+                word[..w.len()].copy_from_slice(w);
+                (h ^ u64::from_le_bytes(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            })
+        }
+        let text = checkpoint_at(10, 200, 3).encode();
+        let clean = body(&text).as_bytes();
+        let words = clean.len() / 8;
+        let firsts = (0..words).step_by(97);
+        for (i, j) in firsts.flat_map(|i| [1, 2, 7, 64, 1000].map(|d| (i, i + d))) {
+            if j >= words {
+                continue;
+            }
+            let mut damaged = clean.to_vec();
+            damaged[8 * i + 7] ^= 0x80;
+            damaged[8 * j + 7] ^= 0x80;
+            assert_eq!(no_rotate(&damaged), no_rotate(clean), "words {i}, {j}");
+            assert_ne!(checksum_v2(&damaged), checksum_v2(clean), "words {i}, {j}");
+        }
+    }
+
+    #[test]
+    fn the_header_version_picks_the_checksum() {
+        let snap = checkpoint_at(10, 200, 3);
+        let v2 = body(&snap.encode()).to_string();
+        let v1 = v2.replacen("MP5SNAP v2 ", "MP5SNAP v1 ", 1);
+
+        // Each version under its own trailer is the same snapshot.
+        assert_eq!(Snapshot::decode(&signed(&v2, checksum_v2)).unwrap(), snap);
+        assert_eq!(Snapshot::decode(&signed(&v1, fnv1a64)).unwrap(), snap);
+
+        // Under the other version's trailer, neither checks out.
+        for text in [signed(&v1, checksum_v2), signed(&v2, fnv1a64)] {
+            assert!(
+                matches!(Snapshot::decode(&text), Err(ServeError::Checksum { .. })),
+                "{}",
+                text.lines().next().unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn an_unknown_version_is_named_before_the_checksum_is_read() {
+        let text = checkpoint_at(10, 200, 3).encode();
+        let v3 = text.replacen("MP5SNAP v2 ", "MP5SNAP v3 ", 1);
+        let err = Snapshot::decode(&v3).unwrap_err();
+        assert!(matches!(err, ServeError::Version(3)), "{err:?}");
+        let why = err.to_string();
+        assert!(why.contains("reads v1 and v2"), "{why}");
     }
 
     #[test]
@@ -816,15 +938,9 @@ mod tests {
         ));
 
         // Version skew is a typed error.
-        let skewed = text.replace("MP5SNAP v1 ", "MP5SNAP v9 ");
-        let body_end = skewed.rfind("@checksum ").unwrap();
-        let refreshed = format!(
-            "{}@checksum {:016x}\n",
-            &skewed[..body_end],
-            fnv1a64(&skewed.as_bytes()[..body_end])
-        );
+        let skewed = body(&text).replace("MP5SNAP v2 ", "MP5SNAP v9 ");
         assert!(matches!(
-            Snapshot::decode(&refreshed),
+            Snapshot::decode(&signed(&skewed, checksum_v2)),
             Err(ServeError::Version(9))
         ));
     }
@@ -838,10 +954,9 @@ mod tests {
         // A second @config line under a valid checksum: which of the
         // two the writer meant is unknowable.
         let config_line = text.lines().find(|l| l.starts_with("@config ")).unwrap();
-        let doubled = format!("{}{config_line}\n", &text[..body_end]);
-        let doubled = format!(
-            "{doubled}{CHECKSUM_TAG}{:016x}\n",
-            fnv1a64(doubled.as_bytes())
+        let doubled = signed(
+            &format!("{}{config_line}\n", &text[..body_end]),
+            checksum_v2,
         );
         match Snapshot::decode(&doubled) {
             Err(ServeError::Format(why)) => assert!(why.contains("duplicate section '@config'")),

@@ -4,7 +4,9 @@
 
 use std::process::Command;
 
-/// FNV-1a 64, the hash of the snapshot's `@checksum` trailer.
+/// FNV-1a 64, the `@checksum` trailer of a `v1` snapshot such as the
+/// golden one edited here: `v1` files still load, so the forgery stays
+/// `v1`.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)

@@ -521,6 +521,9 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
         let mut tick = 0u64;
         let mut last_progress = (0u64, u64::MAX);
         let mut inbox: Vec<(u64, u16, Packet)> = Vec::new();
+        // One switch's egress of one tick; reused, so routing it on
+        // allocates nothing per switch per tick.
+        let mut egress: Vec<(Packet, u64)> = Vec::new();
 
         loop {
             let t_end = (tick + 1) * clen;
@@ -646,7 +649,8 @@ impl<S: TraceSink, F: FaultInjector> Fabric<S, F> {
                 if self.dead[s as usize] {
                     continue;
                 }
-                for (pkt, _cycle) in self.switches[s as usize].drain_egress() {
+                self.switches[s as usize].drain_egress_into(&mut egress);
+                for (pkt, _cycle) in egress.drain(..) {
                     let id = pkt.id.0;
                     let meta = *meta_map
                         .get(&id)

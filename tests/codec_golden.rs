@@ -134,6 +134,11 @@ fn body_of(text: &str) -> &str {
         .expect("a snapshot ends in a checksum")]
 }
 
+/// A snapshot's header line, and everything after it.
+fn after_header(text: &str) -> (&str, &str) {
+    text.split_once('\n').expect("a snapshot has a header line")
+}
+
 /// `body` without the text from `from` up to (not including) `to`.
 fn cut(body: &str, from: &str, to: &str) -> String {
     let start = body.find(from).unwrap_or_else(|| panic!("no {from}"));
@@ -152,7 +157,18 @@ fn snapshots_decode_and_reencode_to_the_same_bytes() {
         let body = cut(body_of(&text), ",\"engine\":", ",\"record_detail\":");
         let body = cut(&body, ",\"park_mask\":", ",\"dead\":");
         let encoded = snap.encode();
-        assert_eq!(body_of(&encoded), body, "{name}");
+        // The goldens are `v1`; this build writes `v2`, whose sections
+        // are `v1`'s byte for byte under a new header version.
+        let (header, sections) = after_header(&body);
+        assert!(header.starts_with("MP5SNAP v1 seq="), "{name}: {header}");
+        let (header, encoded_sections) = after_header(body_of(&encoded));
+        let cycle = snap.cycle();
+        assert_eq!(
+            header,
+            format!("MP5SNAP v2 seq={} cycle={cycle}", snap.seq),
+            "{name}"
+        );
+        assert_eq!(encoded_sections, sections, "{name}");
         assert_eq!(Snapshot::decode(&encoded).unwrap(), snap, "{name}");
         let faulted = name == "faulted.snap";
         assert_eq!(snap.fault_plan.is_some(), faulted, "{name}");
@@ -847,21 +863,29 @@ fn each_flip(
 
 #[test]
 fn one_flipped_byte_in_a_golden_is_noticed() {
+    // The header's version digit is read before the checksum: a flip
+    // there names a version (`1` and `0`, `2` and `3` differ in their
+    // low bit).
+    let version_digit = "MP5SNAP v".len();
     for name in SNAPSHOTS {
-        let text = read_golden(name);
-        // The trailing newline is not covered: trailing whitespace after
-        // the checksum is not content.
-        let body = text.len() - 1;
-        let positions = (0..body).step_by(7).chain(0..64).chain(body - 64..body);
-        each_flip(&text, positions, |at, damaged| {
-            assert!(
-                matches!(
-                    Snapshot::decode(damaged),
-                    Err(ServeError::Checksum { .. } | ServeError::Format(_))
-                ),
-                "{name}: flip at byte {at} went unnoticed"
-            );
-        });
+        let v1 = read_golden(name);
+        // Each golden as it is (`v1`, FNV-1a64) and as this build
+        // writes it (`v2`, the word-wise trailer).
+        let v2 = Snapshot::decode(&v1).unwrap().encode();
+        for text in [v1, v2] {
+            // The trailing newline is not covered: trailing whitespace
+            // after the checksum is not content.
+            let body = text.len() - 1;
+            let positions = (0..body).step_by(7).chain(0..64).chain(body - 64..body);
+            each_flip(&text, positions, |at, damaged| {
+                let noticed = match Snapshot::decode(damaged) {
+                    Err(ServeError::Checksum { .. } | ServeError::Format(_)) => true,
+                    Err(ServeError::Version(_)) => at == version_digit,
+                    _ => false,
+                };
+                assert!(noticed, "{name}: flip at byte {at} went unnoticed");
+            });
+        }
     }
 
     let feed = read_golden("feed.jsonl");
