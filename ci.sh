@@ -143,6 +143,29 @@ if [ "$AUDIT_EVENTS" != "$TRACE_LINES" ]; then
     echo "ci.sh: mp5audit read $AUDIT_EVENTS events from $TRACE_LINES lines" >&2
     exit 1
 fi
+# The recirculating switch breaks C1 by design, so mp5audit exits 1 on
+# its stream; every other check must hold.
+./target/release/mp5run crates/apps/programs/flowlet.mp5 \
+    --packets 4000 --design recirc --trace "$TRACE_TMP"
+AUDIT_STATUS=0
+AUDIT_RECIRC=$(./target/release/mp5audit --json "$TRACE_TMP") || AUDIT_STATUS=$?
+if [ "$AUDIT_STATUS" != 1 ]; then
+    echo "ci.sh: mp5audit exited $AUDIT_STATUS on the recirc trace, not 1 (C1)" >&2
+    exit 1
+fi
+case "$AUDIT_RECIRC" in
+    *'"conservation":0,"pairing":0,'*) ;;
+    *)
+        echo "ci.sh: the recirc trace breaks more than C1: $AUDIT_RECIRC" >&2
+        exit 1
+        ;;
+esac
+AUDIT_EVENTS=$(printf '%s\n' "$AUDIT_RECIRC" | sed -n 's/^{"events":\([0-9]*\),.*/\1/p')
+TRACE_LINES=$(wc -l < "$TRACE_TMP" | tr -d ' ')
+if [ "$AUDIT_EVENTS" != "$TRACE_LINES" ]; then
+    echo "ci.sh: mp5audit read $AUDIT_EVENTS events from $TRACE_LINES recirc lines" >&2
+    exit 1
+fi
 
 echo "==> chaos smoke: 60 harness cases of the bundled apps under chaos plans"
 # Every case holds the model harness's checks (Banzai's relation,

@@ -5,13 +5,15 @@
 //! not sharded), and assembles the body stages against the [`Target`]:
 //!
 //! 1. **Tail merge** (§3.3's conservative fallback): while the prologue
-//!    plus the body exceed the stage budget, the last two body stages
-//!    merge. Once any merge happened, every array in a shared stage is
-//!    pinned and its access plans become one stage-level plan that
-//!    serializes all packets through the stage in arrival order.
+//!    plus the body, and the flow-order stage still to come, exceed the
+//!    stage budget, the last two body stages merge. Once any merge
+//!    happened, every array in a shared stage is pinned and its access
+//!    plans become one stage-level plan that serializes all packets
+//!    through the stage in arrival order.
 //! 2. **Flow-order stage** (§3.4): with flow-order enforcement, the
 //!    dummy [`FLOW_ORDER_REG`] write moves into a dedicated final body
 //!    stage, since ordering only holds if nothing stateful follows it.
+//!    The ops budget is checked after this move.
 //!
 //! Budgets the result exceeds are recorded as [`Overrun`]s rather than
 //! returned as errors: code generation fails on the first, and the
@@ -39,7 +41,7 @@ pub enum Overrun {
         needed: usize,
     },
     /// A body stage holds more operations than the target allows
-    /// (counted after the tail merge, before the flow-order move).
+    /// (counted after the tail merge and the flow-order move).
     Ops {
         /// The overflowing physical stage.
         stage: usize,
@@ -121,9 +123,20 @@ impl Layout {
         }
 
         // ---- stage-budget fallback: merge body stages from the tail ----
+        // The flow-order write needs a final stage of its own unless it
+        // already sits alone in the last one.
+        let flow_reg = flow_order.then(|| {
+            tac.reg(FLOW_ORDER_REG)
+                .expect("flow-order register appended")
+        });
+        let flow_stage = |stages: &[StageCode]| match (flow_reg, stages.last()) {
+            (Some(reg), Some(last)) => usize::from(last.regs != [reg]),
+            _ => 0,
+        };
         let prologue = xf.resolution.stages;
         let mut merges = 0;
-        while prologue + stages.len() > target.max_stages && stages.len() > 1 {
+        while prologue + stages.len() + flow_stage(&stages) > target.max_stages && stages.len() > 1
+        {
             let tail = stages.pop().expect("len > 1");
             let last = stages.last_mut().expect("len > 1");
             last.instrs.extend(tail.instrs);
@@ -150,16 +163,6 @@ impl Layout {
         }
         let prologue_stages = if plans.is_empty() { 0 } else { prologue };
 
-        // ---- per-stage op budget ----
-        for (si, s) in stages.iter().enumerate() {
-            if s.instrs.len() > target.max_ops_per_stage {
-                overruns.push(Overrun::Ops {
-                    stage: prologue_stages + si,
-                    needed: s.instrs.len(),
-                });
-            }
-        }
-
         let mut layout = Layout {
             schedule,
             transform: xf,
@@ -170,11 +173,18 @@ impl Layout {
             merge_pinned,
             overruns,
         };
-        if flow_order && !matches!(layout.overruns.first(), Some(Overrun::Stages { .. })) {
-            let reg = tac
-                .reg(FLOW_ORDER_REG)
-                .expect("flow-order register appended");
+        if let Some(reg) = flow_reg.filter(|_| layout.overruns.is_empty()) {
             layout.move_to_final_stage(reg, target);
+        }
+
+        // ---- per-stage op budget ----
+        for (si, s) in layout.stages.iter().enumerate() {
+            if s.instrs.len() > target.max_ops_per_stage {
+                layout.overruns.push(Overrun::Ops {
+                    stage: layout.prologue_stages + si,
+                    needed: s.instrs.len(),
+                });
+            }
         }
         Ok(layout)
     }

@@ -70,6 +70,12 @@ pub enum SprayMode {
     /// Send every packet to one pipeline (the naive design: throughput
     /// capped at `1/k` of line rate).
     SinglePipeline(usize),
+    /// Today's multi-pipelined switches (§2.3): ports 0–63 map to the
+    /// pipelines in contiguous blocks, and there is no crossbar. A
+    /// packet whose next stateful stage is owned by another pipeline
+    /// finishes its pass, loops back to that pipeline's ingress and
+    /// takes its slot ahead of fresh arrivals; it recirculates.
+    PortBlocks,
 }
 
 /// Full configuration of an [`crate::Mp5Switch`].
@@ -181,6 +187,17 @@ impl SwitchConfig {
         }
     }
 
+    /// Today's hardware (§2.3): static port-to-pipeline blocks, the
+    /// static shards of [`SwitchConfig::static_shard`] with seed 0, no
+    /// phantoms, and recirculation to the pipeline owning a state.
+    pub fn recirc(pipelines: usize) -> Self {
+        SwitchConfig {
+            spray: SprayMode::PortBlocks,
+            phantoms: false,
+            ..Self::static_shard(pipelines, 0)
+        }
+    }
+
     /// Hardware-faithful FIFO bound (8 per lane, §4.2).
     pub fn with_hardware_fifos(mut self) -> Self {
         self.fifo_capacity = Some(8);
@@ -244,6 +261,11 @@ mod tests {
         let naive = SwitchConfig::naive(4);
         assert_eq!(naive.spray, SprayMode::SinglePipeline(0));
         assert_eq!(naive.sharding, ShardingMode::Pinned);
+
+        let recirc = SwitchConfig::recirc(4);
+        assert_eq!(recirc.spray, SprayMode::PortBlocks);
+        assert_eq!((recirc.sharding, recirc.seed), (ShardingMode::Static, 0));
+        assert!(!recirc.phantoms);
 
         assert_eq!(mp5.with_hardware_fifos().fifo_capacity, Some(8));
     }

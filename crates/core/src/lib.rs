@@ -27,11 +27,12 @@
 //!    phantom heads freezing the serial order (D4).
 //!
 //! One cycle engine (DESIGN.md §10), reconfigured through
-//! [`SwitchConfig`], also realizes the paper's ablations: no-D4
-//! (phantoms off), static sharding, the naive single-pipeline-state
-//! design, and the ideal-MP5 upper bound (per-index queues +
-//! fixed-point re-sharding). The recirculation baseline has
-//! a different datapath and lives in `mp5-baselines`.
+//! [`SwitchConfig`], also realizes the paper's ablations and baselines:
+//! no-D4 (phantoms off), static sharding, the naive single-pipeline-state
+//! design, the ideal-MP5 upper bound (per-index queues + fixed-point
+//! re-sharding), and today's recirculating switch
+//! ([`SwitchConfig::recirc`]: static port blocks, no crossbar, packets
+//! loop back to the pipeline owning a state).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@ use mp5_trace::{EventKind, NopSink, TraceCtx, TraceSink, NO_LOC};
 use mp5_types::time::{cycle_len, Time};
 use mp5_types::{FastSet, Packet, PacketId, PipelineId, PortId, RegId, StageId};
 
-use crate::config::{ConfigError, ShardingMode, SwitchConfig};
+use crate::config::{ConfigError, ShardingMode, SprayMode, SwitchConfig};
 use crate::report::RunReport;
 use crate::shard::{self, Touched};
 use queue::StageQueue;
@@ -17,6 +17,7 @@ use slab::{Flights, Handle};
 use work::Pipe;
 
 mod queue;
+mod recirc;
 mod recovery;
 mod slab;
 mod snapshot;
@@ -266,6 +267,11 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     flights: Flights,
     /// Arrived packets waiting for an ingress slot.
     ingress_q: VecDeque<Handle>,
+    /// Under `SprayMode::PortBlocks`, the packets waiting for pipeline
+    /// `p`'s ingress slot instead: looping back to it at `2p`, fresh
+    /// arrivals on its ports at `2p + 1` (`recirc`). A checkpoint writes
+    /// them after `ingress_q`, as its `SwitchState::ingress_q`.
+    port_q: Vec<VecDeque<Handle>>,
     /// Future arrivals, ascending entry order.
     arrivals: VecDeque<Packet>,
     /// The last packet offered, by id and entry-order key: what the next
@@ -297,9 +303,10 @@ pub struct Mp5Switch<S: TraceSink = NopSink, F: FaultInjector = NoFaults> {
     /// Phantoms lost to injected faults, awaiting their data packet
     /// (which re-enters FIFO order via the recovery path).
     lost: FastSet<PhantomKey>,
-    /// Steered packets held back by injected crossbar grant delays:
-    /// `(ready_cycle, dest pipeline, stage, flight)`, drained in
-    /// insertion order once ready.
+    /// Packets held back, `(ready_cycle, dest pipeline, stage, flight)`,
+    /// drained in insertion order once ready: steered packets delayed by
+    /// injected crossbar grant delays, and under
+    /// `SprayMode::PortBlocks` recirculating ones (`recirc`).
     pending_grants: VecDeque<(u64, PipelineId, usize, Handle)>,
     /// Packets that exited the final stage, `(packet, exit cycle)` in
     /// completion order. The streaming API's output side: a fabric
@@ -384,6 +391,10 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         let touched = access_ctr.iter().map(|c| Touched::of(c)).collect();
         let inflight = sizes.map(|n| vec![0; n]).collect();
         let pipes = (0..k).map(|_| Pipe::new(&prog, &cfg)).collect();
+        let port_queues = match cfg.spray {
+            SprayMode::PortBlocks => 2 * k,
+            _ => 0,
+        };
         let mut report = RunReport::new();
         report.set_cycle_len(cycle_len(timing_k));
         Ok(Mp5Switch {
@@ -406,6 +417,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             inflight,
             cancelled: FastSet::default(),
             ingress_q: VecDeque::new(),
+            port_q: vec![VecDeque::new(); port_queues],
             arrivals: VecDeque::new(),
             last_offered: None,
             rr: 0,
@@ -567,7 +579,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         let pipes = self.pipes.iter();
         Err(InvariantViolation {
             cap,
-            ingress: self.ingress_q.len(),
+            ingress: self.ingress_q.len() + self.port_q.iter().map(VecDeque::len).sum::<usize>(),
             in_lanes: pipes.clone().flat_map(|p| &p.lanes).flatten().count(),
             queued: pipes.flat_map(|p| &p.queues).map(StageQueue::len).sum(),
             channel: self.channel.in_flight(),
@@ -624,6 +636,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     fn drained(&self) -> bool {
         self.arrivals.is_empty()
             && self.ingress_q.is_empty()
+            && self.port_q.iter().all(VecDeque::is_empty)
             && self.channel.in_flight() == 0
             && self.pending_grants.is_empty()
             && self.pipes.iter().all(|p| {
@@ -651,23 +664,24 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         // 2. Phantom channel advances one hop; deliveries enter FIFOs.
         self.deliver_phantoms();
 
-        // 2b. Injected crossbar grant delays: release held steered
-        // packets whose delay has elapsed.
-        if F::ENABLED && !self.pending_grants.is_empty() {
+        // 2b. Release held packets whose wait is over: steered ones past
+        // an injected grant delay, recirculating ones.
+        debug_assert!(self
+            .pipes
+            .iter()
+            .all(|p| p.inc_row.iter().all(|s| s.is_none())));
+        if !self.pending_grants.is_empty() {
             self.release_grants();
         }
 
         // 3. Move phase: all stage occupants advance simultaneously,
         // into the incoming rows the work phase emptied last cycle.
-        debug_assert!(self
-            .pipes
-            .iter()
-            .all(|p| p.inc_row.iter().all(|s| s.is_none())));
         self.move_phase();
         // One statistics tick per crossbar per simulated cycle.
         self.crossbars.iter_mut().for_each(|x| x.end_cycle());
 
-        // 3b. Ingress: spray eligible arrivals over pipelines.
+        // 3b. Ingress: spray eligible arrivals over pipelines (or, under
+        // port blocks, admit them on their ports' pipelines).
         self.admit();
 
         // 4. Admit/work phase: each (pipeline, stage) processes at most

@@ -1,12 +1,12 @@
 //! Injected-fault handling: firing the schedule, phantom losses,
-//! evacuation of dead pipelines and the release of held crossbar
-//! grants.
+//! evacuation of dead pipelines and the release of held packets.
 
 use mp5_fabric::PhantomKey;
 use mp5_faults::{FaultClass, FaultInjector, FaultKind, PhantomFate};
 use mp5_trace::{EventKind, TraceCtx, TraceSink, NO_LOC};
 
 use super::{Mp5Switch, PhantomMsg};
+use crate::config::SprayMode;
 use crate::shard;
 
 /// Stable identity hash of a phantom key, fed to the fault injector's
@@ -150,16 +150,23 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
     }
 
-    /// Releases the steered packets held back by injected grant delays
-    /// once their delay has elapsed, in the order they were held.
-    #[inline]
+    /// Releases the held packets whose wait is over, in the order they
+    /// were held: a steered packet past its injected grant delay joins
+    /// its stage FIFO, a recirculating one goes on as
+    /// `Self::release_recirculated` says. Out of line: under the sprays
+    /// only injected grant delays hold packets.
+    #[inline(never)]
     pub(super) fn release_grants(&mut self) {
-        let pending = std::mem::take(&mut self.pending_grants);
-        for (ready, dest, st, h) in pending {
-            if ready <= self.cycle {
-                self.enqueue_stateful(dest, st, h);
+        for _ in 0..self.pending_grants.len() {
+            let Some(held @ (ready, dest, st, h)) = self.pending_grants.pop_front() else {
+                break; // unreachable: at most `len` pops
+            };
+            if ready > self.cycle {
+                self.pending_grants.push_back(held);
+            } else if matches!(self.cfg.spray, SprayMode::PortBlocks) {
+                self.release_recirculated(dest, st, h);
             } else {
-                self.pending_grants.push_back((ready, dest, st, h));
+                self.enqueue_stateful(dest, st, h);
             }
         }
     }

@@ -13,7 +13,7 @@ use mp5_types::{AccessTag, FastSet, PacketId, RegId, Value};
 use super::queue::StageQueue;
 use super::slab::{Flights, Handle};
 use super::{entry_of, Mp5Switch, PhantomMsg};
-use crate::config::SwitchConfig;
+use crate::config::{SprayMode, SwitchConfig};
 use crate::report::RunReport;
 use crate::shard::Touched;
 use crate::state::{
@@ -197,7 +197,10 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 .collect(),
             cancelled: sorted(&self.cancelled),
             lost: sorted(&self.lost),
-            ingress_q: self.ingress_q.iter().map(boxed).collect(),
+            ingress_q: (self.ingress_q.iter())
+                .chain(self.port_q.iter().flatten())
+                .map(boxed)
+                .collect(),
             arrivals: self.arrivals.iter().cloned().collect(),
             pending_grants: self
                 .pending_grants
@@ -330,7 +333,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             .into_iter()
             .map(|row| row.into_iter().map(|l| l.map(&mut alloc)).collect())
             .collect();
-        let ingress_q = state.ingress_q.into_iter().map(&mut alloc).collect();
+        let ingress_q: Vec<Handle> = state.ingress_q.into_iter().map(&mut alloc).collect();
         let pending_grants = state
             .pending_grants
             .into_iter()
@@ -415,7 +418,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             .collect();
         self.cancelled = cancelled;
         self.lost = state.lost.into_iter().collect();
-        self.ingress_q = ingress_q;
+        ingress_q.into_iter().for_each(|h| self.requeue(h));
         self.arrivals = state.arrivals.into();
         self.last_offered = self.arrivals.back().map(entry_of);
         self.pending_grants = pending_grants;
@@ -469,8 +472,12 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         if let Some(p) = s.arrivals.iter().find(|p| p.fields.len() != nf) {
             return Err(format!("arrival {} has {} fields", p.id, p.fields.len()));
         }
+        let loops = self.cfg.spray == SprayMode::PortBlocks;
         for (_, dest, st, fl) in &s.pending_grants {
-            let due = |t: &AccessTag| t.pipeline == *dest && t.stage.index() == *st;
+            // Under port blocks, stage 0 holds a packet looping back to
+            // `dest`, due at a later stage there.
+            let at = |t: &AccessTag| t.stage.index() == *st || loops && *st == 0;
+            let due = |t: &AccessTag| t.pipeline == *dest && at(t);
             if !fl.pkt.tags.first().is_some_and(due) {
                 return Err(format!(
                     "held packet {} is not due at {dest}/{st}",

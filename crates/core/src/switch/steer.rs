@@ -1,11 +1,12 @@
 //! Where phantoms and packets go each cycle: channel deliveries into
 //! stage FIFOs, the move phase (every stage occupant exits, passes
-//! straight on, or steers through the crossbar into the FIFO of its
-//! next stateful stage), and the ingress spray.
+//! straight on, steers through the crossbar into the FIFO of its next
+//! stateful stage, or recirculates), and the ingress spray.
 
 use mp5_fabric::OrderKey;
 use mp5_faults::FaultInjector;
 use mp5_trace::{DropCause, EventKind, TraceCtx, TraceSink};
+use mp5_types::time::Time;
 use mp5_types::PipelineId;
 
 use super::slab::Handle;
@@ -57,37 +58,31 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// Ingress: admit the arrivals due this cycle, then spray them over
     /// the pipelines' first stages, one per live pipeline whose slot is
-    /// free.
+    /// free (under port blocks, `Self::admit_port_blocks`).
     #[inline]
     pub(super) fn admit(&mut self) {
         let now_end = self.horizon();
-        while self.arrivals.front().is_some_and(|p| p.arrival < now_end) {
-            let Some(pkt) = self.arrivals.pop_front() else {
-                break; // unreachable: `front()` was just checked
-            };
-            let order = OrderKey(pkt.arrival, pkt.port.0 as u64);
-            let h = self.flights.alloc(FlightState {
-                pkt,
-                order,
-                ingress: PipelineId(0), // assigned at admission
-            });
+        if matches!(self.cfg.spray, SprayMode::PortBlocks) {
+            return self.admit_port_blocks(now_end);
+        }
+        while let Some(h) = self.arrive(now_end) {
             self.ingress_q.push_back(h);
         }
         let admit_limit = match self.cfg.spray {
-            SprayMode::RoundRobin => self.k,
             SprayMode::SinglePipeline(_) => 1,
+            _ => self.k,
         };
         for _ in 0..admit_limit {
             if self.ingress_q.is_empty() {
                 break;
             }
             let pl = match self.cfg.spray {
-                SprayMode::RoundRobin => {
+                SprayMode::SinglePipeline(p) => p,
+                _ => {
                     let pl = self.rr;
                     self.rr = if pl + 1 == self.k { 0 } else { pl + 1 };
                     pl
                 }
-                SprayMode::SinglePipeline(p) => p,
             };
             if F::ENABLED && self.dead[pl] {
                 // Dead pipelines take no new packets: the spray narrows
@@ -101,21 +96,25 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
             let Some(h) = self.ingress_q.pop_front() else {
                 break; // unreachable: emptiness was checked above
             };
-            let fl = &mut self.flights[h];
-            fl.ingress = PipelineId(pl as u16);
-            if S::ENABLED {
-                TraceCtx::new(self.cycle, pl as u16, 0).emit(
-                    &mut self.sink,
-                    EventKind::Ingress {
-                        pkt: fl.pkt.id,
-                        order: (fl.order.0, fl.order.1),
-                    },
-                );
-            }
-            let pipe = &mut self.pipes[pl];
-            pipe.inc_row[0] = Some(h);
-            pipe.inc |= 1;
+            self.enter(pl, h);
         }
+    }
+
+    /// An arrived packet takes the ingress slot of pipeline `pl`.
+    #[inline(always)]
+    pub(super) fn enter(&mut self, pl: usize, h: Handle) {
+        let fl = &mut self.flights[h];
+        fl.ingress = PipelineId(pl as u16);
+        if S::ENABLED {
+            TraceCtx::new(self.cycle, pl as u16, 0).emit(
+                &mut self.sink,
+                EventKind::Ingress {
+                    pkt: fl.pkt.id,
+                    order: (fl.order.0, fl.order.1),
+                },
+            );
+        }
+        self.pass(pl, 0, h);
     }
 
     /// The move phase: every stage occupant advances, pipelines
@@ -150,9 +149,26 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
     }
 
+    /// Takes the next arrival due before `now_end` into the slab.
+    #[inline]
+    pub(super) fn arrive(&mut self, now_end: Time) -> Option<Handle> {
+        let due = self.arrivals.front().is_some_and(|p| p.arrival < now_end);
+        if !due {
+            return None;
+        }
+        let pkt = self.arrivals.pop_front()?;
+        let order = OrderKey(pkt.arrival, pkt.port.0 as u64);
+        Some(self.flights.alloc(FlightState {
+            pkt,
+            order,
+            ingress: PipelineId(0), // assigned at admission
+        }))
+    }
+
     /// What the occupant of `(pl, st)` does this cycle: exit the final
-    /// stage, cross the crossbar to the stage it is tagged for, or
-    /// advance to the next stage of its own pipeline.
+    /// stage, cross the crossbar to the stage it is tagged for (or,
+    /// without crossbars, recirculate to it), or advance to the next
+    /// stage of its own pipeline.
     pub(super) fn advance(&mut self, pl: usize, st: usize, h: Handle) {
         let next = st + 1;
         if next == self.stages {
@@ -161,15 +177,14 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
         let dest = match self.flights.first_tag(h) {
             Some(t) if t.stage.index() == next => t.pipeline,
-            _ => {
-                let pipe = &mut self.pipes[pl];
-                pipe.inc_row[next] = Some(h);
-                if next < 64 {
-                    pipe.inc |= 1 << next;
-                }
-                return;
-            }
+            _ => return self.pass(pl, next, h),
         };
+        if matches!(self.cfg.spray, SprayMode::PortBlocks) {
+            if dest.index() == pl {
+                return self.pass(pl, next, h);
+            }
+            return self.recirculate(pl, next, dest, h);
+        }
         self.crossbars[next].route(PipelineId(pl as u16), dest);
         if dest.index() != pl {
             if S::ENABLED {
@@ -198,9 +213,21 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         self.enqueue_stateful(dest, next, h);
     }
 
+    /// The packet goes on to stage `next` of its own pipeline `pl`.
+    #[inline]
+    pub(super) fn pass(&mut self, pl: usize, next: usize, h: Handle) {
+        let pipe = &mut self.pipes[pl];
+        pipe.inc_row[next] = Some(h);
+        if next < 64 {
+            pipe.inc |= 1 << next;
+        }
+    }
+
     /// A data packet arrives at the stateful stage it is tagged for:
     /// replace its phantom at the address recorded for it (or queue
-    /// directly when phantoms are off).
+    /// directly when phantoms are off). Always inlined: its call in
+    /// `advance` runs per steer, and `release_grants` calls it too.
+    #[inline(always)]
     pub(super) fn enqueue_stateful(&mut self, dest: PipelineId, st: usize, h: Handle) {
         let pipe = &mut self.pipes[dest.index()];
         // Conservative: set before knowing whether the enqueue sticks —

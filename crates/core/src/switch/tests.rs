@@ -542,3 +542,12 @@ fn steer_is_emitted_only_off_the_diagonal() {
     }
     assert!(diagonal > 0 && steers.iter().sum::<u64>() > 0);
 }
+
+#[test]
+fn port_blocks_are_contiguous() {
+    use super::recirc::port_block;
+    use mp5_types::PortId;
+    let k4 = [0, 15, 16, 63].map(|p| port_block(PortId(p), 4));
+    assert_eq!(k4, [0, 0, 1, 3]);
+    assert_eq!(port_block(PortId(63), 1), 0);
+}

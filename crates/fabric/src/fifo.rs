@@ -506,9 +506,8 @@ impl<T> FifoCore<T> {
     }
 
     /// `push(pkt, fifo_id)` for data packets. Used by operating modes
-    /// without phantoms (the no-D4 ablation and the recirculation
-    /// baseline), where data packets queue directly in arrival-at-stage
-    /// order.
+    /// without phantoms (the no-D4 ablation), where data packets queue
+    /// directly in arrival-at-stage order.
     pub fn push_data(&mut self, item: T, ts: OrderKey, lane: PipelineId) -> Result<FifoAddr, T> {
         match self.lanes[lane.index()].push_back_with(item, |item| Entry::Data { item, ts }) {
             Ok(seq) => Ok(self.pushed(lane, seq, ts)),

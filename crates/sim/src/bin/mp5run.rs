@@ -36,7 +36,6 @@
 //! `--audit` to re-verify the runtime invariants under the faults.
 
 use mp5_banzai::BanzaiSwitch;
-use mp5_baselines::{RecircConfig, RecircSwitch};
 use mp5_compiler::{compile, Target};
 use mp5_core::{Mp5Switch, SwitchConfig};
 use mp5_faults::FaultPlan;
@@ -140,7 +139,7 @@ fn parse_args() -> Args {
     if args.program.is_empty() {
         usage()
     }
-    // Every design, recirc included, runs on at least one pipeline.
+    // Every design runs on at least one pipeline.
     if let Err(e) = SwitchConfig::mp5(args.pipelines).validate() {
         eprintln!("--pipelines: {e}");
         usage()
@@ -222,72 +221,39 @@ fn main() {
         || args.audit
         || args.rollup_out.is_some()
         || args.chrome_out.is_some();
-    let (report, events, extra) = match args.design.as_str() {
-        "recirc" => {
-            let cfg = RecircConfig::new(k);
-            let (rep, events) = match (tracing, &plan) {
-                (true, Some(p)) => {
-                    let (rep, sink) =
-                        RecircSwitch::with_faults(prog, cfg, MemSink::new(), p.injector())
-                            .run_traced(trace);
-                    (rep, sink.into_events())
-                }
-                (true, None) => {
-                    let (rep, sink) =
-                        RecircSwitch::with_sink(prog, cfg, MemSink::new()).run_traced(trace);
-                    (rep, sink.into_events())
-                }
-                (false, Some(p)) => (
-                    RecircSwitch::with_faults(prog, cfg, NopSink, p.injector()).run(trace),
-                    Vec::new(),
-                ),
-                (false, None) => (RecircSwitch::new(prog, cfg).run(trace), Vec::new()),
-            };
-            let extra = format!(
-                ", recircs/pkt {:.2}, max passes {}",
-                rep.recircs_per_packet(),
-                rep.max_passes
-            );
-            (rep.report, events, extra)
+    let cfg = match args.design.as_str() {
+        "mp5" => SwitchConfig::mp5(k),
+        "ideal" => SwitchConfig::ideal(k),
+        "no-d4" => SwitchConfig::no_d4(k),
+        "static" => SwitchConfig::static_shard(k, args.seed),
+        "naive" => SwitchConfig::naive(k),
+        "recirc" => SwitchConfig::recirc(k),
+        other => {
+            eprintln!("unknown design '{other}'");
+            usage()
         }
-        design => {
-            let cfg = match design {
-                "mp5" => SwitchConfig::mp5(k),
-                "ideal" => SwitchConfig::ideal(k),
-                "no-d4" => SwitchConfig::no_d4(k),
-                "static" => SwitchConfig::static_shard(k, args.seed),
-                "naive" => SwitchConfig::naive(k),
-                other => {
-                    eprintln!("unknown design '{other}'");
-                    usage()
-                }
-            };
-            let (report, events) = match (tracing, &plan) {
-                (true, Some(p)) => {
-                    let (report, sink) =
-                        Mp5Switch::with_faults(prog, cfg, MemSink::new(), p.injector())
-                            .run_traced(trace);
-                    (report, sink.into_events())
-                }
-                (true, None) => {
-                    let (report, sink) =
-                        Mp5Switch::with_sink(prog, cfg, MemSink::new()).run_traced(trace);
-                    (report, sink.into_events())
-                }
-                (false, Some(p)) => (
-                    Mp5Switch::with_faults(prog, cfg, NopSink, p.injector()).run(trace),
-                    Vec::new(),
-                ),
-                (false, None) => (Mp5Switch::new(prog, cfg).run(trace), Vec::new()),
-            };
-            (report, events, String::new())
+    };
+    let (report, events) = match (tracing, &plan) {
+        (true, Some(p)) => {
+            let (report, sink) =
+                Mp5Switch::with_faults(prog, cfg, MemSink::new(), p.injector()).run_traced(trace);
+            (report, sink.into_events())
         }
+        (true, None) => {
+            let (report, sink) = Mp5Switch::with_sink(prog, cfg, MemSink::new()).run_traced(trace);
+            (report, sink.into_events())
+        }
+        (false, Some(p)) => (
+            Mp5Switch::with_faults(prog, cfg, NopSink, p.injector()).run(trace),
+            Vec::new(),
+        ),
+        (false, None) => (Mp5Switch::new(prog, cfg).run(trace), Vec::new()),
     };
 
     let c1 = c1_violation_fraction(&reference.access_log, &report.result.access_log);
     println!(
         "design {:<7} k={k}: throughput {:.3} of line rate, completed {}/{}, \
-         steered {}, remap moves {}, max queue {}{extra}",
+         steered {}, remap moves {}, max queue {}",
         args.design,
         report.normalized_throughput(),
         report.completed,

@@ -19,7 +19,6 @@ use serde_json::{Map, Value as Json};
 use mp5_apps::AppSpec;
 use mp5_asic::{AsicModel, PAPER_TABLE1};
 use mp5_banzai::BanzaiSwitch;
-use mp5_baselines::{RecircConfig, RecircSwitch};
 use mp5_compiler::{compile_with_options, CompileOptions, FlowOrderSpec, Target};
 use mp5_core::{Mp5Switch, Partition, PartitionedSwitch, SwitchConfig};
 use mp5_traffic::{AccessPattern, FlowTraceBuilder, TraceBuilder};
@@ -77,7 +76,8 @@ pub enum Design {
 }
 
 /// One run of the grid. FIFO capacity and remap period apply to the
-/// MP5-family designs (not recirculation or chiplets).
+/// designs of one switch (not chiplets); recirculation has neither
+/// FIFOs nor remaps.
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// Program and traffic.
@@ -117,6 +117,7 @@ impl Point {
             Design::NoD4 => SwitchConfig::no_d4(k),
             Design::Static => SwitchConfig::static_shard(k, self.seed ^ 0xABCD),
             Design::Naive => SwitchConfig::naive(k),
+            Design::Recirc => SwitchConfig::recirc(k),
             _ => SwitchConfig::mp5(k),
         };
         if let Some(cap) = self.fifo_capacity {
@@ -140,8 +141,9 @@ pub struct Measure {
     pub max_queue: usize,
     /// State migrations by the sharding runtime.
     pub remap_moves: u64,
-    /// Recirculations per packet (0 except for recirculation).
-    pub recircs_per_packet: f64,
+    /// Crossbar steers per packet, or on the recirculating switch,
+    /// recirculations (`RunReport::steered`).
+    pub steers_per_packet: f64,
     /// Fraction of state-accessing packets that violate C1 against the
     /// Banzai reference (NaN for chiplets, whose states are split).
     pub c1_violations: f64,
@@ -220,13 +222,7 @@ pub fn measure(p: &Point) -> Measure {
     let (prog, trace, flows) = p.workload.build(p.packets, p.seed);
     let reference = BanzaiSwitch::new(prog.clone()).run(trace.clone());
     let arrival: Vec<PacketId> = trace.iter().map(|q| q.id).collect();
-    let mut recircs_per_packet = 0.0;
     let reports = match p.design {
-        Design::Recirc => {
-            let rec = RecircSwitch::new(prog, RecircConfig::new(p.pipelines)).run(trace);
-            recircs_per_packet = rec.recircs_per_packet();
-            vec![rec.report]
-        }
         Design::Chiplets => {
             let half = |i: u16| Partition {
                 name: format!("chiplet{i}"),
@@ -250,7 +246,7 @@ pub fn measure(p: &Point) -> Measure {
             delivered: r.delivered_fraction(),
             max_queue: r.max_queue_depth,
             remap_moves: r.remap_moves,
-            recircs_per_packet,
+            steers_per_packet: r.steered as f64 / r.offered.max(1) as f64,
             c1_violations: c1_violation_fraction(&reference.access_log, &r.result.access_log),
             equivalent: r.result.equivalent_to(&reference),
             reordered,
@@ -265,7 +261,7 @@ pub fn measure(p: &Point) -> Measure {
         delivered: weighted(|r| r.delivered_fraction()),
         max_queue: reports.iter().map(|r| r.max_queue_depth).max().unwrap_or(0),
         remap_moves: reports.iter().map(|r| r.remap_moves).sum(),
-        recircs_per_packet,
+        steers_per_packet: reports.iter().map(|r| r.steered).sum::<u64>() as f64 / offered,
         c1_violations: f64::NAN,
         equivalent: reports.iter().all(|r| {
             (r.result.outputs.iter()).all(|(id, out)| reference.outputs.get(id) == Some(out))
@@ -718,7 +714,7 @@ pub fn slices() -> Vec<Slice> {
                 ("mp5", "MP5", Mean(0, tput), as_tp),
                 ("recirc", "recirc", Mean(1, tput), as_tp),
                 ("naive", "naive", Mean(2, tput), as_tp),
-                ("recircs_per_packet", "recircs/pkt", Mean(1, |m| m.recircs_per_packet), mm2),
+                ("recircs_per_packet", "recircs/pkt", Mean(1, |m| m.steers_per_packet), mm2),
                 ("", "recirc loss vs MP5", Of(recirc_loss), |v| format!("{:.1}%", float(v))),
             ])
             .at_least(5)

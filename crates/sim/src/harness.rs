@@ -231,6 +231,7 @@ fn design_config(design: Design, k: usize, seed: u64, rng: &mut SmallRng) -> Swi
         Design::NoD4 => SwitchConfig::no_d4(k),
         Design::Static => SwitchConfig::static_shard(k, seed),
         Design::Naive => SwitchConfig::naive(k),
+        Design::Recirc => SwitchConfig::recirc(k),
         Design::Random => random_config(rng, k),
     }
 }
@@ -261,6 +262,9 @@ pub enum Design {
     Static,
     /// [`SwitchConfig::naive`].
     Naive,
+    /// [`SwitchConfig::recirc`], today's recirculating switch. Only a
+    /// pin reaches it, so the unpinned draws are unchanged.
+    Recirc,
     /// Any sharding, spray, phantom, queue layout and starvation setting.
     Random,
 }
@@ -591,7 +595,22 @@ fn check<F: FaultState>(c: &Case, rng: &mut SmallRng, tally: &mut Tally) {
     // counted, not failed.
     let complete = r.completed == r.offered;
     let equivalent = complete && r.result.equivalent_to(&banzai);
-    let clean = audit(&events).is_clean();
+    // A recirculating switch gives up C1 and nothing else; with one
+    // pipeline it never recirculates and is Banzai.
+    let recirc = c.cfg.spray == SprayMode::PortBlocks;
+    let audits_clean = |events: &[Event]| {
+        let a = audit(events);
+        a.total_violations() == if recirc { a.count(Check::C1) } else { 0 }
+    };
+    let clean = audits_clean(&events);
+    if recirc {
+        assert!(clean, "the auditor found more than C1");
+        if c.cfg.pipelines == 1 {
+            assert_eq!(r.steered, 0, "one pipeline recirculated");
+            assert!(equivalent, "one recirculating pipeline is not Banzai");
+            *tally.entry("recirculation at k = 1").or_default() += 1;
+        }
+    }
     let (mut in_relation, mut lost_broke_c1) = (false, false);
     if c.cfg.phantoms {
         let order: HashMap<_, _> = c
@@ -639,7 +658,7 @@ fn check<F: FaultState>(c: &Case, rng: &mut SmallRng, tally: &mut Tally) {
     if clean {
         // The checkpoint, restore and swap markers included.
         assert!(
-            audit(&stitched).is_clean(),
+            audits_clean(&stitched),
             "the auditor found a violation once stitched"
         );
     }

@@ -169,44 +169,40 @@ impl AuditReport {
         }
     }
 
-    /// Renders the report as a flat JSON object (same hand-rolled,
-    /// dependency-free style as the event codec).
+    /// Renders the report as one compact JSON object through
+    /// `serde::json::Writer`: the counts, the violations per check and
+    /// the retained findings.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"events\":{},\"packets\":{},\"clean\":{},\"c1_accessors\":{},\"c1_violators\":{}",
-            self.events,
-            self.packets,
-            self.is_clean(),
-            self.c1_accessors,
-            self.c1_violators.len()
-        );
-        let _ = write!(s, ",\"violations\":{{");
-        for (i, c) in Check::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", c.label(), self.count(*c));
+        let mut out = Vec::new();
+        let mut w = serde::json::Writer::compact(&mut out);
+        w.begin_object();
+        w.field("events", &self.events);
+        w.field("packets", &self.packets);
+        w.field("clean", &self.is_clean());
+        w.field("c1_accessors", &self.c1_accessors);
+        w.field("c1_violators", &self.c1_violators.len());
+        w.key("violations");
+        w.begin_object();
+        for c in Check::ALL {
+            w.field(c.label(), &self.count(c));
         }
-        let _ = write!(s, "}},\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"check\":\"{}\",\"cycle\":{},\"pipeline\":{},\"stage\":{},\"detail\":\"{}\"}}",
-                f.check,
-                f.cycle,
-                f.pipeline,
-                f.stage,
-                f.detail.replace('\\', "\\\\").replace('"', "\\\"")
-            );
+        w.end_object();
+        w.key("findings");
+        w.begin_array();
+        for f in &self.findings {
+            w.element();
+            w.begin_object();
+            w.field("check", f.check.label());
+            w.field("cycle", &f.cycle);
+            w.field("pipeline", &f.pipeline);
+            w.field("stage", &f.stage);
+            w.field("detail", &f.detail);
+            w.end_object();
         }
-        let _ = write!(s, "],\"suppressed\":{}}}", self.suppressed);
-        s
+        w.end_array();
+        w.field("suppressed", &self.suppressed);
+        w.end_object();
+        String::from_utf8(out).expect("the writer writes UTF-8")
     }
 }
 
@@ -1007,5 +1003,23 @@ mod tests {
         assert!(js.starts_with('{') && js.ends_with('}'));
         assert!(js.contains("\"clean\":true"));
         let _ = NO_LOC;
+    }
+
+    /// The layout ci.sh reads (`{"events":N,` first), and a finding's
+    /// detail escaped as JSON, control characters included.
+    #[test]
+    fn report_json_keeps_its_layout_and_escapes_details() {
+        let mut rep = audit(&clean_run());
+        rep.findings.push(Finding {
+            check: Check::Stream,
+            cycle: 2,
+            pipeline: NO_LOC,
+            stage: 0,
+            detail: "a \"quoted\" \\ line\nbreak\u{1}".into(),
+        });
+        let js = rep.to_json();
+        assert!(js.starts_with(&format!("{{\"events\":{},\"packets\":", rep.events)));
+        let detail = r#""detail":"a \"quoted\" \\ line\nbreak\u0001"}],"suppressed":0}"#;
+        assert!(js.ends_with(detail), "{js}");
     }
 }

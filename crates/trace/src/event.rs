@@ -1,6 +1,6 @@
 //! The switch-wide event schema and its JSONL codec.
 //!
-//! Every observable action inside an MP5 switch (and the baselines) is
+//! Every observable action inside an MP5 switch (in any of its designs) is
 //! an [`Event`]: a `(cycle, pipeline, stage)` location plus an
 //! [`EventKind`]. Events are emitted in simulation order, so a recorded
 //! stream is a total order consistent with the switch's own execution —
@@ -55,7 +55,7 @@ impl DropCause {
 
 /// What happened. Variants split into two layers:
 ///
-/// * **switch-level** events emitted by `mp5-core` / `mp5-baselines`
+/// * **switch-level** events emitted by `mp5-core`
 ///   (ingress, execution, state accesses, phantom generation, remap,
 ///   egress, drops), and
 /// * **fabric-level** events: the outcomes of the `mp5-fabric` FIFO's
@@ -142,8 +142,10 @@ pub enum EventKind {
         /// New owning pipeline.
         to: u16,
     },
-    /// (Recirculation baseline only) a packet looped from egress back
-    /// to an ingress.
+    /// A packet whose next stateful stage another pipeline owns
+    /// recirculates to that pipeline's ingress (a switch without
+    /// crossbars, `SwitchConfig::recirc`). Located at the pipeline it
+    /// leaves and the stage it needs.
     Recirculate {
         /// The looping packet.
         pkt: PacketId,

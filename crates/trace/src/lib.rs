@@ -22,7 +22,7 @@
 //! * [`chrome`] — a Chrome-trace / Perfetto exporter that lays the
 //!   switch out as one track per (pipeline, stage).
 //!
-//! `mp5-core` and `mp5-baselines` are generic over [`TraceSink`]. The
+//! `mp5-core`'s switch is generic over [`TraceSink`]. The
 //! hardware model, `mp5-fabric`, does not depend on this crate: the
 //! switch writes the FIFO and crossbar events from what those return.
 //! `mp5run --trace/--audit/--rollup/--chrome` wires the whole chain

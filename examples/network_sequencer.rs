@@ -8,7 +8,6 @@
 //! ```
 
 use mp5::banzai::BanzaiSwitch;
-use mp5::baselines::{RecircConfig, RecircSwitch};
 use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::sim::c1_violation_fraction;
 use mp5::sim::experiments::app_trace;
@@ -41,22 +40,23 @@ fn main() {
         mp5.result.equivalent_to(&reference)
     );
 
-    // Today's switch: static port mapping + re-circulation.
-    let rec = RecircSwitch::new(program.clone(), RecircConfig::new(4)).run(trace.clone());
-    let rec_c1 = c1_violation_fraction(&reference.access_log, &rec.report.result.access_log);
+    // Today's switch: the same engine with static port blocks and
+    // recirculation instead of crossbars.
+    let rec = Mp5Switch::new(program.clone(), SwitchConfig::recirc(4)).run(trace.clone());
+    let rec_c1 = c1_violation_fraction(&reference.access_log, &rec.result.access_log);
     println!(
         "Recirculation: throughput={:.3}, C1 violations={:.1}%, recircs/pkt={:.2}, equivalent={}",
-        rec.report.normalized_throughput(),
+        rec.normalized_throughput(),
         rec_c1 * 100.0,
-        rec.recircs_per_packet(),
-        rec.report.result.equivalent_to(&reference)
+        rec.steered as f64 / rec.offered as f64,
+        rec.result.equivalent_to(&reference)
     );
 
     // Show a concrete broken sequence, like the paper's Example 2.
     let seq_field = program.field("seq").expect("sequencer output field");
     let mut mismatches = 0;
     let mut example = None;
-    for (id, out) in &rec.report.result.outputs {
+    for (id, out) in &rec.result.outputs {
         let expect = &reference.outputs[id];
         if out[seq_field.index()] != expect[seq_field.index()] {
             mismatches += 1;

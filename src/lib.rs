@@ -54,8 +54,7 @@
 //! | [`trace`] | `mp5-trace` | Event tracing: sinks, Perfetto export, rollups, `mp5audit` offline auditor |
 //! | [`fabric`] | `mp5-fabric` | Ring buffers, logical k-FIFOs addressed by phantom slot, crossbars, phantom channel; emits no events |
 //! | [`faults`] | `mp5-faults` | Deterministic fault plans, chaos generator, zero-cost `FaultInjector` hooks |
-//! | [`core`] | `mp5-core` | **The MP5 switch**: architecture + runtime (steering, phantoms, dynamic sharding) |
-//! | [`baselines`] | `mp5-baselines` | Naive / static-shard / no-D4 / ideal / recirculation baselines |
+//! | [`core`] | `mp5-core` | **The MP5 switch**: architecture + runtime (steering, phantoms, dynamic sharding); the naive, static-shard, no-D4, ideal and recirculation baselines are its configurations |
 //! | [`traffic`] | `mp5-traffic` | Line-rate arrivals, access patterns, Web-search flows |
 //! | [`apps`] | `mp5-apps` | Flowlet, CONGA, WFQ, sequencer + four more stateful programs |
 //! | [`asic`] | `mp5-asic` | Analytic area/clock/SRAM model (paper Table 1) |
@@ -70,7 +69,6 @@ pub use mp5_analysis as analysis;
 pub use mp5_apps as apps;
 pub use mp5_asic as asic;
 pub use mp5_banzai as banzai;
-pub use mp5_baselines as baselines;
 pub use mp5_compiler as compiler;
 pub use mp5_core as core;
 pub use mp5_fabric as fabric;

@@ -4,8 +4,9 @@
 //! replaced wrote at `df4e1bd` with `MP5_EXP_PACKETS=200
 //! MP5_EXP_SEEDS=1`: each figure's stdout (`<name>.txt`, written with
 //! `MP5_EXP_JSON` unset) and its JSON archive (`<name>.json`; Table 1 has
-//! none). The only edit since is the `scale:` line of D2, D3 and D4,
-//! which now reports the five streams those slices run.
+//! none). The edits since are the `scale:` line of D2, D3 and D4 (the
+//! five streams those slices run), and the recirculation columns of D3
+//! and D4: on the one switch a loop also passes the resolution prologue.
 //!
 //! The shape tests run slices at 4 000 packets × 2 streams and check the
 //! paper's qualitative claims on their archived rows.

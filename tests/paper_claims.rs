@@ -3,7 +3,6 @@
 
 use mp5::asic::{AsicModel, PAPER_TABLE1};
 use mp5::banzai::BanzaiSwitch;
-use mp5::baselines::{RecircConfig, RecircSwitch};
 use mp5::core::{Mp5Switch, RunReport, SwitchConfig};
 use mp5::sim::c1_violation_fraction;
 use mp5::sim::experiments::app_trace;
@@ -42,6 +41,8 @@ fn real_applications_hit_line_rate_with_equivalence() {
 
 /// §4.3.2 D4: MP5 has exactly zero C1 violations; no-D4 and the
 /// recirculation switch both violate substantially on skewed traffic.
+/// And D3: reaching remote state by recirculation costs throughput that
+/// steering through the crossbars does not.
 #[test]
 fn d4_ablation_violation_ordering() {
     let cfg = SynthConfig {
@@ -56,15 +57,20 @@ fn d4_ablation_violation_ordering() {
 
     let mp5 = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(4)).run(trace.clone());
     let nod4 = Mp5Switch::new(prog.clone(), SwitchConfig::no_d4(4)).run(trace.clone());
-    let rec = RecircSwitch::new(prog, RecircConfig::new(4)).run(trace);
+    let rec = Mp5Switch::new(prog, SwitchConfig::recirc(4)).run(trace);
 
     let v_mp5 = c1_violation_fraction(&reference.access_log, &mp5.result.access_log);
     let v_nod4 = c1_violation_fraction(&reference.access_log, &nod4.result.access_log);
-    let v_rec = c1_violation_fraction(&reference.access_log, &rec.report.result.access_log);
+    let v_rec = c1_violation_fraction(&reference.access_log, &rec.result.access_log);
 
     assert_eq!(v_mp5, 0.0, "MP5 must never violate C1");
     assert!(v_nod4 > 0.02, "no-D4 must violate measurably, got {v_nod4}");
     assert!(v_rec > 0.02, "recirc must violate measurably, got {v_rec}");
+    let (t_rec, t_mp5) = (rec.normalized_throughput(), mp5.normalized_throughput());
+    assert!(
+        t_rec < t_mp5,
+        "recirc {t_rec} must be slower than MP5 {t_mp5}"
+    );
 }
 
 /// §3.5.2's fundamental limit: a global single-state program caps MP5
@@ -209,9 +215,10 @@ fn stateless_is_easy_for_everyone() {
         assert!(report.normalized_throughput() > 0.95);
         assert_eq!(report.phantoms_generated, 0, "no state, no phantoms");
     }
-    let rec = RecircSwitch::new(prog, RecircConfig::new(4)).run(trace);
-    assert!(rec.report.result.equivalent_to(&reference));
-    assert!(rec.report.normalized_throughput() > 0.95);
+    let rec = Mp5Switch::new(prog, SwitchConfig::recirc(4)).run(trace);
+    assert_eq!(rec.steered, 0, "no state, no recirculation");
+    assert!(rec.result.equivalent_to(&reference));
+    assert!(rec.normalized_throughput() > 0.95);
 }
 
 /// A 64-entry table, one access per packet.

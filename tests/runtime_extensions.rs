@@ -183,6 +183,54 @@ fn flow_order_rejects_a_program_declaring_its_register() {
     );
 }
 
+/// With flow order, a budget too tight for the flow-order stage merges
+/// one more tail stage, and the ops budget is checked after the
+/// flow-order write leaves its stage: `heavy_hitter` compiles at 9
+/// stages as at 8 and 10, and wherever it compiles it also compiles
+/// when its widest stage is the ops budget (before the move, a merged
+/// stage held that stage's ops and the write), and runs as Banzai.
+#[test]
+fn flow_order_compiles_at_every_budget_from_its_smallest() {
+    let app = mp5::apps::by_name("heavy_hitter").expect("app exists");
+    let opts = CompileOptions {
+        enforce_flow_order: Some(FlowOrderSpec::default()),
+        ..Default::default()
+    };
+    let compiled = |target| compile_with_options(app.source, &target, &opts);
+    let mut fits = Vec::new();
+    for max_stages in 1..=Target::default().max_stages {
+        let target = Target {
+            max_stages,
+            ..Target::default()
+        };
+        let Ok(prog) = compiled(target.clone()) else {
+            continue;
+        };
+        let widest = prog.stages.iter().map(|s| s.instrs.len()).max().unwrap();
+        let tight = Target {
+            max_ops_per_stage: widest,
+            ..target
+        };
+        if let Err(e) = compiled(tight) {
+            panic!("{max_stages} stages, {widest} ops: {e}");
+        }
+        let fo = prog.reg(FLOW_ORDER_REG).expect("dummy register present");
+        assert_eq!(prog.regs[fo.index()].stage.index(), prog.num_stages() - 1);
+        let trace = TraceBuilder::new(600, 5).build(prog.num_fields(), |rng, _, f| {
+            f.iter_mut()
+                .for_each(|v| *v = rand::Rng::gen_range(rng, 0..64))
+        });
+        let reference = BanzaiSwitch::new(prog.clone()).run(trace.clone());
+        let rep = Mp5Switch::new(prog, SwitchConfig::mp5(4)).run(trace);
+        assert!(rep.result.equivalent_to(&reference), "{max_stages} stages");
+        fits.push(max_stages);
+    }
+    assert!(
+        fits.windows(2).all(|w| w[0] + 1 == w[1]) && fits.contains(&9),
+        "{fits:?}"
+    );
+}
+
 /// Every bundled app with flow-order enforcement (keyed on the 5-tuple
 /// fields it declares, or else its first field) and the analyzer hook,
 /// at every stage budget from 1 to 23: a clean analysis means the
