@@ -261,6 +261,28 @@ cmp "$SERVE_TMP/feed-full.jsonl" "$SERVE_TMP/feed-stitched.jsonl" || {
     exit 1
 }
 
+echo "==> serve smoke: a respaced CRLF copy of the feed serves as the compact one"
+# The line walk reads only the compact layout Packet's serializer writes;
+# with a space after every ',' and ':', CRLF endings and a blank line,
+# every line of this copy takes the general JSON reader instead. The run
+# must end in the compact feed's done: line and write its trace byte for
+# byte.
+awk '{ gsub(/,/, ", "); gsub(/:/, ": "); printf "%s\r\n", $0 } NR == 5 { printf "\r\n" }' \
+    tests/golden/feed.jsonl > "$SERVE_TMP/feed-spaced.jsonl"
+./target/release/mp5serve tests/golden/feed.dsl --stdin \
+    --trace "$SERVE_TMP/feed-spaced-full.jsonl" < "$SERVE_TMP/feed-spaced.jsonl" \
+    > "$SERVE_TMP/feed-spaced.out"
+grep '^done:' "$SERVE_TMP/feed.out" > "$SERVE_TMP/feed-compact.done"
+grep '^done:' "$SERVE_TMP/feed-spaced.out" > "$SERVE_TMP/feed-spaced.done"
+cmp "$SERVE_TMP/feed-compact.done" "$SERVE_TMP/feed-spaced.done" || {
+    echo "ci.sh: the respaced feed did not finish as the compact one" >&2
+    exit 1
+}
+cmp "$SERVE_TMP/feed-full.jsonl" "$SERVE_TMP/feed-spaced-full.jsonl" || {
+    echo "ci.sh: the respaced feed traced differently from the compact one" >&2
+    exit 1
+}
+
 echo "==> serve smoke: a feed line that repeats the one before it is rejected"
 # A port delivers at most one packet per byte-time, so two lines with
 # the same (arrival, port) are no real input, and the FIFOs cannot order

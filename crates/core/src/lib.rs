@@ -50,4 +50,5 @@ pub use report::{DropCounts, FaultReport, RunReport};
 pub use state::{RestoreError, SwapError, SwapReport, SwitchState};
 pub use switch::{
     check_entry_order, EntryOrderError, InvariantViolation, Mp5Switch, OfferError, RunError,
+    TaggedArrival,
 };

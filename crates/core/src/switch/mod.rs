@@ -126,6 +126,41 @@ fn check_after(
     }
 }
 
+/// A packet offered with access tags. Tags are the switch's own: address
+/// resolution fills them in for every arrival (paper §3.3), so an input
+/// packet carries none, and one that did would widen the switch's
+/// per-packet tag rows for the rest of the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaggedArrival {
+    /// The packet's id.
+    pub id: PacketId,
+    /// How many tags it carries.
+    pub tags: usize,
+}
+
+impl TaggedArrival {
+    /// `Err` for a packet that carries tags.
+    fn check(p: &Packet) -> Result<(), TaggedArrival> {
+        match p.tags.len() {
+            0 => Ok(()),
+            tags => Err(TaggedArrival { id: p.id, tags }),
+        }
+    }
+}
+
+impl std::fmt::Display for TaggedArrival {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "packet {} carries {} access tag(s): an arrival carries none, the switch \
+             resolves its accesses",
+            self.id, self.tags
+        )
+    }
+}
+
+impl std::error::Error for TaggedArrival {}
+
 /// Why [`Mp5Switch::try_offer`] did not take a packet. Entry order is
 /// checked first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +177,8 @@ pub enum OfferError {
         /// The byte-time that cycle starts at.
         start: Time,
     },
+    /// The packet carries access tags.
+    Tagged(TaggedArrival),
 }
 
 impl std::fmt::Display for OfferError {
@@ -157,6 +194,7 @@ impl std::fmt::Display for OfferError {
                 "arrival {arrival} is before cycle {cycle} (byte-time {start}), which the \
                  switch has reached"
             ),
+            OfferError::Tagged(e) => e.fmt(f),
         }
     }
 }
@@ -174,6 +212,8 @@ impl From<EntryOrderError> for OfferError {
 pub enum RunError {
     /// Two input packets share an entry-order key; nothing ran.
     EntryOrder(EntryOrderError),
+    /// An input packet carries access tags; nothing ran.
+    Tagged(TaggedArrival),
     /// The switch did not drain within its cycle cap.
     Liveness(InvariantViolation),
 }
@@ -182,6 +222,7 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::EntryOrder(e) => write!(f, "input out of entry order: {e}"),
+            RunError::Tagged(e) => write!(f, "input with tags: {e}"),
             RunError::Liveness(v) => v.fmt(f),
         }
     }
@@ -469,10 +510,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     }
 
     /// Runs a full trace to completion. Two packets that share an entry
-    /// key are a [`RunError::EntryOrder`], reported before any cycle
-    /// runs; a switch that fails to drain within its cycle cap — the
-    /// liveness invariant every well-formed configuration must uphold —
-    /// is a [`RunError::Liveness`].
+    /// key are a [`RunError::EntryOrder`], and a packet with access tags
+    /// a [`RunError::Tagged`], reported before any cycle runs; a switch
+    /// that fails to drain within its cycle cap — the liveness invariant
+    /// every well-formed configuration must uphold — is a
+    /// [`RunError::Liveness`].
     pub fn try_run(self, packets: Vec<Packet>) -> Result<RunReport, RunError> {
         self.try_run_traced(packets).map(|(report, _)| report)
     }
@@ -484,6 +526,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         packets.sort_by_key(|p| p.entry_order_key());
         for pair in packets.windows(2) {
             check_entry_order(Some(&pair[0]), &pair[1])?;
+        }
+        for p in &packets {
+            TaggedArrival::check(p).map_err(RunError::Tagged)?;
         }
         self.report.offered = packets.len() as u64;
         self.report.input_duration = packets
@@ -520,7 +565,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
     /// follow the last packet offered, admitted or not, or that is due
     /// before `cycle · cycle_len`, is an [`OfferError`], and the switch
     /// does not take it. A restored switch checks both, so a packet
-    /// that ties one admitted before the checkpoint is late.
+    /// that ties one admitted before the checkpoint is late. Nor does it
+    /// take a packet that carries access tags ([`OfferError::Tagged`]):
+    /// it resolves an arrival's accesses itself.
     pub fn try_offer(&mut self, pkt: Packet) -> Result<(), OfferError> {
         check_after(self.last_offered, &pkt)?;
         let start = self.cycle * self.cycle_len();
@@ -531,6 +578,7 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
                 start,
             });
         }
+        TaggedArrival::check(&pkt).map_err(OfferError::Tagged)?;
         self.last_offered = Some(entry_of(&pkt));
         self.report.offered += 1;
         let end = pkt.arrival + mp5_types::BYTES_PER_SLOT;

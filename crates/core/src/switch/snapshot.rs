@@ -12,7 +12,7 @@ use mp5_types::{AccessTag, FastSet, PacketId, RegId, Value};
 
 use super::queue::StageQueue;
 use super::slab::{Flights, Handle};
-use super::{entry_of, Mp5Switch, PhantomMsg};
+use super::{entry_of, Mp5Switch, PhantomMsg, TaggedArrival};
 use crate::config::{SprayMode, SwitchConfig};
 use crate::report::RunReport;
 use crate::shard::Touched;
@@ -460,10 +460,11 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
 
     /// What a checkpoint must hold beyond its shape for this switch to
     /// run it: every pipeline, stage, register and index it names is in
-    /// range, every packet carries the program's fields, every tag list
-    /// is in stage order, and every channel phantom is bound inside the
-    /// switch. That every phantom has the one packet that comes for it
-    /// is checked as [`Self::inject_state`] matches them up.
+    /// range, every packet carries the program's fields, no arrival
+    /// carries tags, every tag list is in stage order, and every channel
+    /// phantom is bound inside the switch. That every phantom has the
+    /// one packet that comes for it is checked as [`Self::inject_state`]
+    /// matches them up.
     fn check_content(&self, s: &SwitchState) -> Result<(), String> {
         let (k, stages, nf) = (self.k, self.stages, self.prog.num_fields());
         if s.index_map.iter().flatten().any(|&p| p as usize >= k) {
@@ -471,6 +472,9 @@ impl<S: TraceSink, F: FaultInjector> Mp5Switch<S, F> {
         }
         if let Some(p) = s.arrivals.iter().find(|p| p.fields.len() != nf) {
             return Err(format!("arrival {} has {} fields", p.id, p.fields.len()));
+        }
+        for p in &s.arrivals {
+            TaggedArrival::check(p).map_err(|e| e.to_string())?;
         }
         let loops = self.cfg.spray == SprayMode::PortBlocks;
         for (_, dest, st, fl) in &s.pending_grants {

@@ -2,6 +2,7 @@ use super::*;
 use mp5_compiler::{compile, Target};
 use mp5_fabric::Entry;
 use mp5_traffic::TraceBuilder;
+use mp5_types::AccessTag;
 
 const COUNTER: &str = "struct Packet { int seq; };
     int count = 0;
@@ -133,6 +134,49 @@ fn sharded_trace(n: usize, seed: u64) -> (CompiledProgram, Vec<Packet>) {
     });
     trace.sort_by_key(|p| p.entry_order_key());
     (prog, trace)
+}
+
+/// An arrival's tags are the switch's to fill in: a packet offered with
+/// some is refused at both doors, and the switch serves the rest as if
+/// it had never been offered.
+#[test]
+fn a_tagged_arrival_is_refused_at_both_doors() {
+    let (prog, mut trace) = sharded_trace(20, 3);
+    let tag = AccessTag {
+        reg: RegId(0),
+        index: 1,
+        pipeline: PipelineId(0),
+        stage: StageId(0),
+        speculative: false,
+    };
+    let mut untagged = trace.clone();
+    untagged.remove(11);
+    trace[11].tags = vec![tag; 1000];
+    let refused = TaggedArrival {
+        id: trace[11].id,
+        tags: 1000,
+    };
+
+    let whole = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(4)).try_run(trace.clone());
+    let err = whole.expect_err("a tagged input does not run");
+    assert_eq!(err, RunError::Tagged(refused));
+    assert!(err.to_string().contains("1000 access tag(s)"), "{err}");
+
+    let mut sw = Mp5Switch::new(prog.clone(), SwitchConfig::mp5(4));
+    for (i, p) in trace.into_iter().enumerate() {
+        let expected = if i == 11 {
+            Err(OfferError::Tagged(refused))
+        } else {
+            Ok(())
+        };
+        assert_eq!(sw.try_offer(p), expected);
+    }
+    while !sw.is_idle() {
+        sw.tick();
+    }
+    let (streamed, _) = sw.finish_stream();
+    let expected = Mp5Switch::new(prog, SwitchConfig::mp5(4)).run(untagged);
+    assert_eq!(streamed, expected);
 }
 
 #[test]

@@ -4,15 +4,15 @@
 //! editor would count it — blank lines included — and the feed is
 //! streamed, not held.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 use mp5_core::SwitchConfig;
 use mp5_faults::NoFaults;
-use mp5_serve::{parse_packet_line, ServeError, Server};
+use mp5_serve::{packet_feed, parse_packet_line, ServeError, Server};
 use mp5_trace::{MemSink, NopSink};
-use mp5_types::Packet;
+use mp5_types::{AccessTag, Packet, PipelineId, RegId, StageId};
 
 const APP: &str = "heavy_hitter";
 
@@ -315,25 +315,44 @@ fn a_line_without_the_programs_field_count_is_rejected() {
     assert_rejected(&serve(&feed), 3, "3 fields");
 }
 
-/// No proper prefix of a golden feed line is a packet, and no one-bit
-/// change to a line goes unnoticed; neither makes the reader panic.
-/// Each error names the line it was given. No flip aliases: every key
-/// is required, and a flipped value byte spells another value or none.
+/// What `parse_packet_line` answers, as the general JSON reader does:
+/// the packet, or the reader's error text on the line given.
+fn general(line: &str, lineno: usize) -> Result<Packet, (usize, String)> {
+    serde_json::from_str(line).map_err(|e| (lineno, e.to_string()))
+}
+
+/// `parse_packet_line`'s answer in [`general`]'s form.
+fn answer(r: Result<Packet, ServeError>) -> Result<Packet, (usize, String)> {
+    r.map_err(|e| match e {
+        ServeError::Feed { line, why } => (line, why),
+        other => panic!("not a feed error: {other}"),
+    })
+}
+
+/// No proper prefix of a feed line is a packet, and no one-bit change to
+/// a line goes unnoticed; neither makes the reader panic. Each error
+/// names the line it was given. No flip aliases: every key is required,
+/// and a flipped value byte spells another value or none. For every
+/// prefix, flip and substituted byte, the answer is the general JSON
+/// reader's, packet or error text: a line the walk takes reads alike,
+/// and every other line is the general reader's.
 #[test]
 fn a_truncated_or_flipped_feed_line_is_an_error_or_another_packet() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/feed.jsonl");
     let feed = std::fs::read_to_string(golden).expect("the golden feed");
-    for (i, line) in feed.lines().enumerate() {
+    // The golden lines, then lines of this app's wider packets.
+    let lines = feed.lines().map(str::to_string).chain(feed_lines(4));
+    for (i, line) in lines.enumerate() {
         let lineno = i + 1;
-        let packet = parse_packet_line(line, lineno).expect("a golden line parses");
-        let names_line = |r: Result<Packet, ServeError>| match r {
-            Err(ServeError::Feed { line, .. }) => line == lineno,
-            _ => false,
-        };
+        let packet = parse_packet_line(&line, lineno).expect("a feed line parses");
+        assert_eq!(Ok(&packet), general(&line, lineno).as_ref(), "{line}");
+        let names_line =
+            |r: &Result<Packet, (usize, String)>| matches!(r, Err((at, _)) if *at == lineno);
         for cut in 0..line.len() {
             let prefix = &line[..cut];
-            let r = parse_packet_line(prefix, lineno);
-            assert!(names_line(r), "line {lineno}: {prefix}");
+            let r = answer(parse_packet_line(prefix, lineno));
+            assert!(names_line(&r), "line {lineno}: {prefix}");
+            assert_eq!(r, general(prefix, lineno), "{prefix}");
         }
         let mut bytes = line.as_bytes().to_vec();
         for (at, mask) in (0..bytes.len()).flat_map(|at| [(at, 0x01), (at, 0x04), (at, 0x10)]) {
@@ -341,13 +360,224 @@ fn a_truncated_or_flipped_feed_line_is_an_error_or_another_packet() {
             // Every reader takes `&str`: a flip that leaves no valid
             // UTF-8 never reaches the parser.
             if let Ok(damaged) = std::str::from_utf8(&bytes) {
-                let r = parse_packet_line(damaged, lineno);
-                let noticed = r.as_ref().is_ok_and(|p| *p != packet) || names_line(r);
+                let r = answer(parse_packet_line(damaged, lineno));
+                let noticed = r.as_ref().is_ok_and(|p| *p != packet) || names_line(&r);
                 assert!(noticed, "line {lineno}: flip {mask:#x} at byte {at}");
+                assert_eq!(r, general(damaged, lineno), "{damaged}");
             }
             bytes[at] ^= mask;
         }
+        for at in 0..bytes.len() {
+            for b in *b"09-.e\" \\x" {
+                let mut changed = bytes.clone();
+                changed[at] = b;
+                let text = std::str::from_utf8(&changed).expect("ASCII");
+                let r = answer(parse_packet_line(text, lineno));
+                assert_eq!(r, general(text, lineno), "{text}");
+            }
+        }
     }
+}
+
+/// Lines at the edges of the serializer's layout read as the general
+/// JSON reader reads them: integers the walk leaves to it (19 and 20
+/// digits, a leading zero, a fraction, an exponent) and ones it takes
+/// (18 digits, `-0`), the range of `port` and `size`, 64 and 65 fields,
+/// `ecn` set, tags, another key order and whitespace.
+#[test]
+fn edge_lines_read_as_the_general_reader_reads_them() {
+    let line = |id: &str, port: &str, arrival: &str, size: &str, fields: &str| {
+        format!(
+            r#"{{"id":{id},"port":{port},"arrival":{arrival},"size":{size},"fields":[{fields}],"tags":[],"ecn":false}}"#
+        )
+    };
+    let (min, max) = (i64::MIN.to_string(), i64::MAX.to_string());
+    let ints = [
+        "0",
+        "-0",
+        "7",
+        "-7",
+        "123456789012345678",
+        "-123456789012345678",
+        "999999999999999999",
+        "1234567890123456789",
+        "-1234567890123456789",
+        "9999999999999999999",
+        "-9999999999999999999",
+        "12345678901234567890",
+        &min,
+        &max,
+        "01",
+        "-01",
+        "00",
+        "1.0",
+        "1e3",
+        "1E3",
+        "-",
+        "+1",
+        "",
+    ];
+    let mut lines = Vec::new();
+    for v in ints {
+        lines.push(line(v, "2", "64", "64", "5"));
+        lines.push(line("1", v, "64", "64", "5"));
+        lines.push(line("1", "2", v, "64", "5"));
+        lines.push(line("1", "2", "64", v, "5"));
+        lines.push(line("1", "2", "64", "64", v));
+        lines.push(line("1", "2", "64", "64", &format!("5,{v},6")));
+    }
+    for (port, size) in [
+        ("65535", "4294967295"),
+        ("65536", "64"),
+        ("2", "4294967296"),
+    ] {
+        lines.push(line("1", port, "64", size, "5,6"));
+    }
+    let plain = line("1", "2", "64", "64", "5,-6");
+    lines.push(line("1", "2", "64", "64", ""));
+    lines.push(line("1", "2", "64", "64", "5,"));
+    lines.push(line("1", "2", "64", "64", ",5"));
+    lines.push(line("1", "2", "64", "64", "5,,6"));
+    for n in [64, 65] {
+        lines.push(line("1", "2", "64", "64", &vec!["-3"; n].join(",")));
+    }
+    lines.push(plain.replace(r#""ecn":false"#, r#""ecn":true"#));
+    lines.push(plain.replace(r#""ecn":false"#, r#""ecn":null"#));
+    lines.push(plain.replace(r#""id":1,"port":2"#, r#""port":2,"id":1"#));
+    lines.push(plain.replace(",", ", "));
+    lines.push(plain.replace(":", " : "));
+    lines.push(plain.replace(r#""id""#, r#""\u0069d""#));
+    lines.push(plain.replace(r#""size":64,"#, ""));
+    lines.push(plain.replace(r#""size":64,"#, r#""size":64,"size":65,"#));
+    lines.push(plain.replace(r#""tags":[]"#, r#""tags":[ ]"#));
+    lines.push(format!("{plain} "));
+    lines.push(format!("{plain}}}"));
+    lines.push(format!("{plain}\n"));
+    let mut tagged = general(&plain, 1).expect("a packet");
+    tagged.tags.push(AccessTag {
+        reg: RegId(0),
+        index: 3,
+        pipeline: PipelineId(1),
+        stage: StageId(2),
+        speculative: false,
+    });
+    lines.push(serde_json::to_string(&tagged).expect("packets serialize"));
+    for line in &lines {
+        assert_eq!(
+            answer(parse_packet_line(line, 3)),
+            general(line, 3),
+            "{line}"
+        );
+    }
+    // Some of them are packets, read alike.
+    let read = |line: &str| parse_packet_line(line, 3).expect("a packet");
+    assert_eq!(
+        read(&line("1", "65535", "64", "4294967295", "0")).port.0,
+        65535
+    );
+    assert_eq!(
+        read(&line("1", "2", "64", "64", "-0,999999999999999999")).fields,
+        [0, 999_999_999_999_999_999]
+    );
+    assert_eq!(read(&line("1", "2", "64", "64", &min)).fields, [i64::MIN]);
+    assert!(read(&plain.replace("false", "true")).ecn);
+    assert_eq!(read(&lines[lines.len() - 1]).tags.len(), 1);
+}
+
+/// The feed reader `packet_feed` replaced, kept as its reference: each
+/// line read into a `String` by `BufRead::read_line`, trimmed, and
+/// parsed by the general JSON reader.
+fn read_line_feed<R: BufRead>(mut reader: R) -> Vec<Result<(usize, Packet), (usize, String)>> {
+    let (mut text, mut line, mut items) = (String::new(), 0, Vec::new());
+    loop {
+        text.clear();
+        line += 1;
+        match reader.read_line(&mut text) {
+            Ok(0) => return items,
+            Ok(_) if text.trim().is_empty() => {}
+            Ok(_) => items.push(general(text.trim(), line).map(|p| (line, p))),
+            Err(e) => items.push(Err((line, e.to_string()))),
+        }
+    }
+}
+
+/// `packet_feed` cuts lines where they sit in the reader's buffer, and
+/// carries one that runs past its end: at every buffer size it yields
+/// what `read_line` would, line numbers and error texts included, over
+/// LF and CRLF endings, a missing last newline, blank lines (one of
+/// them a non-ASCII space `str::trim` strips), padded packet lines, and
+/// bytes that are not UTF-8.
+#[test]
+fn packet_feed_answers_alike_at_every_buffer_edge() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/feed.jsonl");
+    let feed = std::fs::read_to_string(golden).expect("the golden feed");
+    let lines: Vec<&str> = feed.lines().collect();
+    let lf = lines.join("\n").into_bytes();
+    let mut variants = vec![
+        [lf.as_slice(), b"\n"].concat(),
+        lf.clone(),
+        lines.join("\r\n").into_bytes(),
+        (lines.join("\r\n") + "\r\n").into_bytes(),
+    ];
+    // Blank, whitespace-only and padded lines among the packets.
+    let mut padded = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let pad = [
+            "",
+            "\n",
+            "  \t\n",
+            "\u{2003}\n",
+            "\r\n",
+            "\u{3000} \u{85}\n",
+        ][i % 6];
+        padded.extend_from_slice(pad.as_bytes());
+        let line = match i % 4 {
+            1 => format!("\u{2003} {line}\t"),
+            3 => format!("{line}\r"),
+            _ => line.to_string(),
+        };
+        padded.extend_from_slice(line.as_bytes());
+        padded.push(b'\n');
+    }
+    variants.push(padded);
+    // Line 4 holds a byte that is no UTF-8, line 9 a char cut short.
+    for (at, bad) in [(3, &b"\xff"[..]), (8, &b"\xe2\x80"[..])] {
+        let mut bytes = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            if i == at {
+                bytes.extend_from_slice(&line.as_bytes()[..20]);
+                bytes.extend_from_slice(bad);
+                bytes.extend_from_slice(&line.as_bytes()[20..]);
+            } else {
+                bytes.extend_from_slice(line.as_bytes());
+            }
+            bytes.push(b'\n');
+        }
+        variants.push(bytes.clone());
+        // The same bytes at the very end of the input, with no newline.
+        bytes.extend_from_slice(bad);
+        variants.push(bytes);
+    }
+    for bytes in &variants {
+        let expected = read_line_feed(bytes.as_slice());
+        assert!(expected.len() >= lines.len(), "every packet is read");
+        for capacity in [1, 7, 64, 8192] {
+            let got: Vec<_> = packet_feed(BufReader::with_capacity(capacity, bytes.as_slice()))
+                .map(|item| item.map_err(|e| answer(Err(e)).unwrap_err()))
+                .collect();
+            assert_eq!(
+                got,
+                expected,
+                "capacity {capacity}: {}",
+                String::from_utf8_lossy(bytes)
+            );
+        }
+    }
+    let bad = read_line_feed(variants[5].as_slice());
+    assert_eq!(
+        bad[3],
+        Err((4, "stream did not contain valid UTF-8".to_string()))
+    );
 }
 
 #[test]
@@ -355,6 +585,25 @@ fn a_line_out_of_entry_order_is_rejected() {
     let lines = feed_lines(4);
     let feed = format!("{}\n{}\n\n{}\n", lines[0], lines[2], lines[1]);
     assert_rejected(&serve(&feed), 4, "out of entry order");
+}
+
+/// Access tags are the switch's to fill in: a line that carries some
+/// stops the run naming its line, before the switch widens its tag rows
+/// for it.
+#[test]
+fn a_line_with_tags_is_rejected() {
+    let mut packets = feed_packets(6);
+    let tag = AccessTag {
+        reg: RegId(0),
+        index: 1,
+        pipeline: PipelineId(0),
+        stage: StageId(0),
+        speculative: false,
+    };
+    packets[2].tags = vec![tag; 3];
+    let lines = lines_of(&packets);
+    let feed = format!("{}\n\n{}\n", lines[..2].join("\n"), lines[2..].join("\n"));
+    assert_rejected(&serve(&feed), 4, "carries 3 access tag(s)");
 }
 
 /// A port delivers at most one packet per byte-time, so a line that

@@ -11,8 +11,10 @@
 //!   cancel;
 //! - streaming: `offer` as packets fall due, `tick`, `drain_egress_into`
 //!   one reused buffer, counted after a warm-up;
-//! - `mp5serve`'s loop over `Server` on packets already parsed (parsing
-//!   a feed line allocates the packet's fields: that is input).
+//! - `mp5serve`'s loop over `Server` on packets already parsed;
+//! - `mp5serve --stdin`'s loop: `Server::ingest_due` pulling newline
+//!   JSON through `packet_feed`, where reading a line allocates its
+//!   packet's fields, once, and nothing else.
 //!
 //! After warm-up a cycle allocates nothing for the `mp5` design. The
 //! ideal design's per-index queues open and drop a sub-queue per index
@@ -25,7 +27,7 @@ use std::cell::Cell;
 use mp5::apps::{AppSpec, ALL_APPS};
 use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::faults::NoFaults;
-use mp5::serve::Server;
+use mp5::serve::{packet_feed, Server};
 use mp5::sim::experiments::app_trace;
 use mp5::trace::NopSink;
 use mp5::types::Packet;
@@ -191,6 +193,43 @@ fn served(app: &AppSpec, cfg: &SwitchConfig) -> (u64, u64) {
     stream(Serving(srv, 0), trace)
 }
 
+/// `mp5serve --stdin`'s loop over the trace's feed lines, pulled
+/// through `packet_feed` by `Server::ingest_due`: the allocations made
+/// reading lines, and the lines read. The feed is one buffer, so no
+/// line runs past a buffer's end into the carry buffer.
+fn fed(app: &AppSpec, cfg: &SwitchConfig) -> (u64, u64) {
+    let (_, trace) = app_trace(app, N, SEED);
+    let mut text = String::new();
+    for p in &trace {
+        text += &serde_json::to_string(p).expect("packets serialize");
+        text.push('\n');
+    }
+    let mut srv: Server<NopSink, NoFaults> =
+        Server::new(app.source, cfg.clone(), NopSink, None).expect("the app serves");
+    let (spent, read) = (Cell::new(0), Cell::new(0));
+    let mut lines = packet_feed(text.as_bytes());
+    let mut feed = std::iter::from_fn(|| {
+        let before = allocs();
+        let item = lines.next();
+        spent.set(spent.get() + allocs() - before);
+        read.set(read.get() + u64::from(item.is_some()));
+        item
+    });
+    let mut out = Vec::new();
+    loop {
+        srv.ingest_due(&mut feed).expect("the feed is well formed");
+        if srv.is_idle() {
+            break;
+        }
+        srv.check_liveness().expect("the switch drains");
+        srv.tick();
+        srv.drain_egress_into(&mut out);
+        out.clear();
+    }
+    assert_eq!(srv.live_report().completed, N as u64, "{}", app.name);
+    (spent.get(), read.get())
+}
+
 /// Packets in the warm-up, and in the stretch measured after it.
 const N: usize = 500;
 
@@ -221,6 +260,22 @@ fn a_streamed_switch_allocates_nothing_per_packet_once_warm() {
 #[test]
 fn the_serving_loop_allocates_nothing_per_packet_once_warm() {
     none_once_warm("Server loop", served);
+}
+
+/// A feed line costs its packet's `fields` vector, allocated once at
+/// its final size, and nothing more: no line buffer, no growth.
+#[test]
+fn the_stdin_feed_allocates_one_vector_per_line() {
+    let cfg = serving(false);
+    for app in &ALL_APPS {
+        let (allocs, lines) = fed(app, &cfg);
+        assert_eq!(lines, N as u64, "{}: lines read", app.name);
+        assert_eq!(
+            allocs, lines,
+            "{}: {allocs} allocations over {lines} feed lines",
+            app.name
+        );
+    }
 }
 
 /// The ideal design's allocations per packet, pinned at their count

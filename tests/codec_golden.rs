@@ -965,7 +965,7 @@ fn restore_rejects_what_it_cannot_run() {
         matches!(e, Entry::Phantom { .. })
     }
     type Edit = fn(&mut Snapshot);
-    let cases: [(&str, &str, Edit); 16] = [
+    let cases: [(&str, &str, Edit); 17] = [
         ("plain.snap", "a phantom key queued twice", |s| {
             let lanes = fifos(&mut s.state).flat_map(|f| &mut f.lanes);
             let lane = lanes
@@ -1032,6 +1032,10 @@ fn restore_rejects_what_it_cannot_run() {
         ),
         ("plain.snap", "a tag naming pipeline 9", |s| {
             tagged(&mut s.state).pkt.tags[0].pipeline = PipelineId(9);
+        }),
+        ("plain.snap", "an arrival that carries a tag", |s| {
+            let tag = tagged(&mut s.state).pkt.tags[0];
+            s.state.arrivals[0].tags.push(tag);
         }),
         ("faulted.snap", "a packet that entered on pipeline 9", |s| {
             s.state.ingress_q[0].ingress = PipelineId(9);
