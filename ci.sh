@@ -16,7 +16,7 @@ TRACE_TMP=""
 FABRIC_TMP=""
 SERVE_TMP=""
 cleanup() {
-    if [ -n "$TRACE_TMP" ]; then rm -f "$TRACE_TMP"; fi
+    if [ -n "$TRACE_TMP" ]; then rm -f "$TRACE_TMP" "$TRACE_TMP.spaced"; fi
     if [ -n "$FABRIC_TMP" ]; then rm -rf "$FABRIC_TMP"; fi
     if [ -n "$SERVE_TMP" ]; then rm -rf "$SERVE_TMP"; fi
 }
@@ -141,6 +141,17 @@ AUDIT_EVENTS=$(printf '%s\n' "$AUDIT_FILE" | sed -n 's/^{"events":\([0-9]*\),.*/
 TRACE_LINES=$(wc -l < "$TRACE_TMP" | tr -d ' ')
 if [ "$AUDIT_EVENTS" != "$TRACE_LINES" ]; then
     echo "ci.sh: mp5audit read $AUDIT_EVENTS events from $TRACE_LINES lines" >&2
+    exit 1
+fi
+# The line walk reads only the compact layout the encoder writes; with a
+# space after every ',' and ':', CRLF endings and a blank line, every
+# line of this copy takes the general reader instead. It must audit as
+# the compact file does, byte for byte.
+awk '{ gsub(/,/, ", "); gsub(/:/, ": "); printf "%s\r\n", $0 } NR == 5 { printf "\r\n" }' \
+    "$TRACE_TMP" > "$TRACE_TMP.spaced"
+AUDIT_SPACED=$(./target/release/mp5audit --json "$TRACE_TMP.spaced")
+if [ "$AUDIT_FILE" != "$AUDIT_SPACED" ]; then
+    echo "ci.sh: mp5audit --json reads the respaced CRLF trace differently" >&2
     exit 1
 fi
 # The recirculating switch breaks C1 by design, so mp5audit exits 1 on

@@ -96,6 +96,15 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// `v`, the value given to `flag`, as the whole number it takes, or a
+/// usage error naming both.
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes a whole number, not '{v}'");
+        usage()
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         app: None,
@@ -125,29 +134,19 @@ fn parse_args() -> Args {
         };
         match a.as_str() {
             "--app" => args.app = Some(val("--app")),
-            "--pipelines" => {
-                args.pipelines = val("--pipelines").parse().unwrap_or_else(|_| usage())
-            }
-            "--packets" => args.packets = val("--packets").parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--keys" => args.keys = val("--keys").parse().unwrap_or_else(|_| usage()),
+            "--pipelines" => args.pipelines = num("--pipelines", &val("--pipelines")),
+            "--packets" => args.packets = num("--packets", &val("--packets")),
+            "--seed" => args.seed = num("--seed", &val("--seed")),
+            "--keys" => args.keys = num("--keys", &val("--keys")),
             "--stdin" => args.stdin = true,
             "--faults" => args.faults = Some(val("--faults")),
             "--checkpoint-every" => {
-                args.checkpoint_every = Some(
-                    val("--checkpoint-every")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
+                args.checkpoint_every = Some(num("--checkpoint-every", &val("--checkpoint-every")))
             }
             "--snapshot" => args.snapshot = Some(val("--snapshot")),
-            "--halt-at" => {
-                args.halt_at = Some(val("--halt-at").parse().unwrap_or_else(|_| usage()))
-            }
+            "--halt-at" => args.halt_at = Some(num("--halt-at", &val("--halt-at"))),
             "--restore" => args.restore = Some(val("--restore")),
-            "--swap-at" => {
-                args.swap_at = Some(val("--swap-at").parse().unwrap_or_else(|_| usage()))
-            }
+            "--swap-at" => args.swap_at = Some(num("--swap-at", &val("--swap-at"))),
             "--swap-program" => args.swap_program = Some(val("--swap-program")),
             "--trace" => args.trace_out = Some(val("--trace")),
             "--audit" => args.audit = true,

@@ -36,7 +36,7 @@
 #![warn(missing_docs)]
 
 use std::convert::Infallible;
-use std::io::{BufRead, ErrorKind, Write};
+use std::io::{BufRead, Write};
 use std::path::Path;
 
 use mp5_compiler::{compile, CompiledProgram, Target};
@@ -46,6 +46,7 @@ use mp5_core::{
 };
 use mp5_faults::{FaultInjector, FaultPlan, InjectorState, NoFaults, PlannedFaults};
 use mp5_trace::TraceSink;
+use mp5_types::jsonl::{records, Cursor};
 use mp5_types::{Packet, PacketId, PortId, Time};
 use serde::json::Writer;
 use serde::{Deserialize, Serialize};
@@ -759,181 +760,70 @@ pub type FeedItem = Result<(usize, Packet), ServeError>;
 /// ingest format: each line a serialized [`Packet`]).
 ///
 /// A line laid out exactly as [`Packet`]'s serializer writes it, every
-/// integer plain and of 1 to 18 digits, `tags` empty and at most 64
+/// integer plain and of 1 to 19 digits, `tags` empty and at most 64
 /// fields, is read by one walk over its bytes. Any other line
 /// (whitespace, another key order, an escape, tags, a wider integer,
 /// every error) goes to the general
 /// JSON reader, which answers alike for the walk's lines and alone
 /// names what is wrong with a line.
 pub fn parse_packet_line(line: &str, lineno: usize) -> Result<Packet, ServeError> {
-    if let Some(pkt) = walk_packet(line.as_bytes()) {
-        return Ok(pkt);
+    let mut c = Cursor::new(line.as_bytes());
+    match walk_packet(&mut c) {
+        Some(pkt) if c.at_end() => Ok(pkt),
+        _ => serde_json::from_str(line).map_err(|e| ServeError::Feed {
+            line: lineno,
+            why: e.to_string(),
+        }),
     }
-    serde_json::from_str(line).map_err(|e| ServeError::Feed {
-        line: lineno,
-        why: e.to_string(),
-    })
 }
 
-/// The packet of a line in the serializer's layout, or `None`:
+/// The packet at the cursor, laid out as the serializer writes it:
 /// `{"id":U,"port":U,"arrival":U,"size":U,"fields":[I,…],"tags":[],"ecn":B}`
-/// and nothing around it, with `port` and `size` in their types' range.
-fn walk_packet(line: &[u8]) -> Option<Packet> {
-    let (ecn, line) = match line.strip_suffix(b"false}") {
-        Some(rest) => (false, rest),
-        None => (true, line.strip_suffix(b"true}")?),
-    };
-    let line = line.strip_suffix(b"],\"tags\":[],\"ecn\":")?;
-    let (id, rest) = plain_int(line.strip_prefix(b"{\"id\":")?)?;
-    let (port, rest) = plain_int(rest.strip_prefix(b",\"port\":")?)?;
-    let (arrival, rest) = plain_int(rest.strip_prefix(b",\"arrival\":")?)?;
-    let (size, rest) = plain_int(rest.strip_prefix(b",\"size\":")?)?;
-    let fields = walk_fields(rest.strip_prefix(b",\"fields\":[")?)?;
+/// with `port` and `size` in their types' range and at most
+/// [`WALKED_FIELDS`] fields. The fields gather on the stack and are
+/// copied into one vector of their count.
+#[inline]
+fn walk_packet(c: &mut Cursor<'_>) -> Option<Packet> {
+    let id = PacketId(c.num(b"{\"id\":")?);
+    let port = PortId(c.narrow(b",\"port\":")?);
+    let arrival = c.num(b",\"arrival\":")?;
+    let size = c.narrow(b",\"size\":")?;
+    c.lit(b",\"fields\":[")?;
+    let mut stack = [0i64; WALKED_FIELDS];
+    let mut n = 0;
+    while c.lit(b"]").is_none() {
+        if n > 0 {
+            c.lit(b",")?;
+        }
+        *stack.get_mut(n)? = c.int()?;
+        n += 1;
+    }
+    let ecn = c.flag(b",\"tags\":[],\"ecn\":")?;
+    c.lit(b"}")?;
     Some(Packet {
-        id: PacketId(id),
-        port: PortId(u16::try_from(port).ok()?),
+        id,
+        port,
         arrival,
-        size: u32::try_from(size).ok()?,
-        fields,
+        size,
+        fields: stack[..n].to_vec(),
         tags: Vec::new(),
         ecn,
     })
-}
-
-/// The fields between a line's `[` and `]`: at most [`WALKED_FIELDS`]
-/// plain integers, each with an optional `-`, split by commas. They
-/// gather on the stack and are copied into one vector of their count.
-fn walk_fields(mut text: &[u8]) -> Option<Vec<i64>> {
-    let mut stack = [0i64; WALKED_FIELDS];
-    let mut n = 0;
-    while !text.is_empty() {
-        let (negative, digits) = match text.strip_prefix(b"-") {
-            Some(digits) => (true, digits),
-            None => (false, text),
-        };
-        let (magnitude, rest) = plain_int(digits)?;
-        // Eighteen digits are below `i64::MAX`: neither step overflows.
-        let value = magnitude as i64;
-        *stack.get_mut(n)? = if negative { -value } else { value };
-        n += 1;
-        text = match rest.split_first() {
-            None => rest,
-            Some((b',', after)) if !after.is_empty() => after,
-            Some(_) => return None,
-        };
-    }
-    Some(stack[..n].to_vec())
 }
 
 /// The most fields a walked line holds (the widest bundled app has 48);
 /// a wider line is the general reader's.
 const WALKED_FIELDS: usize = 64;
 
-/// The plain decimal integer at the start of `text`, 1 to 18 digits with
-/// no leading zero (which cannot overflow), and the bytes after it.
-#[inline(always)]
-fn plain_int(text: &[u8]) -> Option<(u64, &[u8])> {
-    let mut n = 0u64;
-    let mut len = 0;
-    for &b in text {
-        let digit = b.wrapping_sub(b'0');
-        if digit > 9 {
-            break;
-        }
-        n = n.wrapping_mul(10).wrapping_add(u64::from(digit));
-        len += 1;
-    }
-    let plain = (1..=18).contains(&len) && (len == 1 || text[0] != b'0');
-    plain.then(|| (n, &text[len..]))
-}
-
 /// Reads a newline-JSON packet feed one line at a time, numbering lines
-/// as an editor does and skipping blank ones. Ends at the first end of
-/// input.
-///
-/// A line is cut at its newline where it sits in the reader's buffer;
-/// only one that runs past the end of a buffer is gathered into a carry
-/// buffer first. Each line is checked as UTF-8 and trimmed on its own,
-/// so the items, their line numbers and every error text are those of a
-/// reader that takes lines with `BufRead::read_line`.
-pub fn packet_feed<R: BufRead>(mut reader: R) -> impl Iterator<Item = FeedItem> {
-    let mut carry = Vec::new();
-    let mut line = 0;
-    std::iter::from_fn(move || loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => {
-                // `read_line` drops what it had of the line.
-                line += 1;
-                carry.clear();
-                return Some(Err(ServeError::Feed {
-                    line,
-                    why: e.to_string(),
-                }));
-            }
-        };
-        let Some(nl) = newline(buf) else {
-            if buf.is_empty() {
-                // The end of input, after a last line with no newline.
-                line += 1;
-                let item = feed_line(&carry, line);
-                carry.clear();
-                return item;
-            }
-            carry.extend_from_slice(buf);
-            let used = buf.len();
-            reader.consume(used);
-            continue;
-        };
-        line += 1;
-        let item = if carry.is_empty() {
-            feed_line(&buf[..=nl], line)
-        } else {
-            carry.extend_from_slice(&buf[..=nl]);
-            let item = feed_line(&carry, line);
-            carry.clear();
-            item
-        };
-        reader.consume(nl + 1);
-        if item.is_some() {
-            return item;
-        }
-    })
-    .fuse()
-}
-
-/// Feed line `line`, as `BufRead::read_line` gives it: its packet, an
-/// error, or `None` for a blank line.
-fn feed_line(text: &[u8], line: usize) -> Option<FeedItem> {
-    let item = match std::str::from_utf8(text) {
-        Ok(text) if text.trim().is_empty() => return None,
-        Ok(text) => parse_packet_line(text.trim(), line).map(|p| (line, p)),
-        // `read_line`'s error.
-        Err(_) => Err(ServeError::Feed {
-            line,
-            why: "stream did not contain valid UTF-8".into(),
-        }),
+/// as an editor does and skipping blank ones, as [`records`] does. Ends
+/// at the first end of input.
+pub fn packet_feed<R: BufRead>(reader: R) -> impl Iterator<Item = FeedItem> {
+    let read = |line: Result<&str, String>, number| match line {
+        Ok(line) => parse_packet_line(line.trim(), number),
+        Err(why) => Err(ServeError::Feed { line: number, why }),
     };
-    Some(item)
-}
-
-/// The index of the first `\n` in `bytes`, looked for a word at a time.
-fn newline(bytes: &[u8]) -> Option<usize> {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
-    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
-    let mut at = 0;
-    for word in bytes.chunks_exact(8) {
-        let x = u64::from_ne_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
-        // Nonzero exactly when a byte of `x` is zero: a `\n` in `word`.
-        if x.wrapping_sub(ONES) & !x & HIGHS != 0 {
-            break;
-        }
-        at += 8;
-    }
-    let found = bytes[at..].iter().position(|&b| b == b'\n');
-    found.map(|i| at + i)
+    records(reader, walk_packet, read).fuse()
 }
 
 #[cfg(test)]
@@ -1260,6 +1150,12 @@ mod tests {
         ));
     }
 
+    /// The walk's packet, if it takes all of `line` and nothing else.
+    fn walk_all(line: &[u8]) -> Option<Packet> {
+        let mut c = Cursor::new(line);
+        walk_packet(&mut c).filter(|_| c.rest().is_empty())
+    }
+
     /// The walk takes every line the serializer writes, with its fields
     /// in one vector of their size, and leaves a wider integer, more
     /// fields than it holds, a tag or any whitespace to the general
@@ -1270,7 +1166,7 @@ mod tests {
             p.fields.push(-999_999_999_999_999_999);
             p.ecn = p.id.0 % 2 == 1;
             let line = serde_json::to_string(&p).unwrap();
-            let walked = walk_packet(line.as_bytes()).expect("the serializer's layout");
+            let walked = walk_all(line.as_bytes()).expect("the serializer's layout");
             assert_eq!(walked, p);
             assert_eq!(walked.fields.capacity(), p.fields.len());
             let mut wide = p.clone();
@@ -1282,31 +1178,15 @@ mod tests {
                 line.replace(",\"port\"", ", \"port\""),
                 format!("{line} "),
             ] {
-                assert_eq!(walk_packet(other.as_bytes()), None, "{other}");
+                assert_eq!(walk_all(other.as_bytes()), None, "{other}");
             }
         }
         let empty = r#"{"id":1,"port":2,"arrival":3,"size":4,"fields":[],"tags":[],"ecn":false}"#;
-        assert_eq!(walk_packet(empty.as_bytes()).unwrap().fields, []);
+        assert_eq!(walk_all(empty.as_bytes()).unwrap().fields, []);
         let mut widest = trace(1, 2).remove(0);
         widest.fields.resize(WALKED_FIELDS, -3);
         let line = serde_json::to_string(&widest).unwrap();
-        assert_eq!(walk_packet(line.as_bytes()), Some(widest));
-    }
-
-    #[test]
-    fn newline_is_found_at_every_offset() {
-        for len in 0..40 {
-            let mut bytes = vec![b'x'; len];
-            assert_eq!(newline(&bytes), None);
-            for at in 0..len {
-                bytes[at] = b'\n';
-                assert_eq!(newline(&bytes), Some(at), "{len} bytes");
-                // A byte that differs from `\n` in one bit is not one.
-                bytes[at] = b'\n' ^ 0x80;
-                assert_eq!(newline(&bytes), None);
-                bytes[at] = b'x';
-            }
-        }
+        assert_eq!(walk_all(line.as_bytes()), Some(widest));
     }
 
     #[test]

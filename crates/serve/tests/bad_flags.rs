@@ -10,7 +10,9 @@ fn assert_usage_error(args: &[&str], flag: &str) {
         .expect("mp5serve starts");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    // The usage text lists every flag: the error must come before it.
+    let error = stderr.split("usage:").next().unwrap_or_default();
+    assert!(error.contains(flag), "{args:?} must name {flag}: {stderr}");
 }
 
 #[test]
@@ -25,4 +27,12 @@ fn an_empty_key_space_is_a_usage_error() {
         env!("CARGO_MANIFEST_DIR")
     );
     assert_usage_error(&[&program, "--keys", "0"], "--keys");
+}
+
+#[test]
+fn a_value_that_is_not_a_number_is_named() {
+    assert_usage_error(
+        &["--app", "flowlet", "--packets", "abc"],
+        "--packets takes a whole number, not 'abc'",
+    );
 }

@@ -72,6 +72,15 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// `v`, the value given to `flag`, as the whole number it takes, or a
+/// usage error naming both.
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes a whole number, not '{v}'");
+        usage()
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         program: String::new(),
@@ -98,15 +107,11 @@ fn parse_args() -> Args {
             })
         };
         match a.as_str() {
-            "--pipelines" => {
-                args.pipelines = val("--pipelines").parse().unwrap_or_else(|_| usage())
-            }
-            "--packets" => args.packets = val("--packets").parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--keys" => args.keys = val("--keys").parse().unwrap_or_else(|_| usage()),
-            "--packet-size" => {
-                args.packet_size = val("--packet-size").parse().unwrap_or_else(|_| usage())
-            }
+            "--pipelines" => args.pipelines = num("--pipelines", &val("--pipelines")),
+            "--packets" => args.packets = num("--packets", &val("--packets")),
+            "--seed" => args.seed = num("--seed", &val("--seed")),
+            "--keys" => args.keys = num("--keys", &val("--keys")),
+            "--packet-size" => args.packet_size = num("--packet-size", &val("--packet-size")),
             "--pattern" => {
                 args.pattern = match val("--pattern").as_str() {
                     "uniform" => AccessPattern::Uniform,
@@ -123,9 +128,7 @@ fn parse_args() -> Args {
             "--rollup" => args.rollup_out = Some(val("--rollup")),
             "--chrome" => args.chrome_out = Some(val("--chrome")),
             "--faults" => args.faults = Some(val("--faults")),
-            "--chaos-seed" => {
-                args.chaos_seed = Some(val("--chaos-seed").parse().unwrap_or_else(|_| usage()))
-            }
+            "--chaos-seed" => args.chaos_seed = Some(num("--chaos-seed", &val("--chaos-seed"))),
             "--help" | "-h" => usage(),
             other if args.program.is_empty() && !other.starts_with('-') => {
                 args.program = other.to_string()

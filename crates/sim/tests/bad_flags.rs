@@ -18,7 +18,9 @@ fn assert_usage_error(bin: &str, args: &[&str], flag: &str) {
         .expect("the binary starts");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    // The usage text lists every flag: the error must come before it.
+    let error = stderr.split("usage:").next().unwrap_or_default();
+    assert!(error.contains(flag), "{args:?} must name {flag}: {stderr}");
 }
 
 #[test]
@@ -40,6 +42,15 @@ fn mp5chaos_takes_a_positive_case_count_and_its_three_flags_only() {
     assert_usage_error(chaos, &["--cases", "x"], "--cases");
     assert_usage_error(chaos, &["--start-case", "-1"], "--start-case");
     assert_usage_error(chaos, &["--pipelines", "4"], "--pipelines");
+}
+
+#[test]
+fn a_value_that_is_not_a_number_is_named() {
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_mp5run"),
+        &[&program(), "--keys", "abc"],
+        "--keys takes a whole number, not 'abc'",
+    );
 }
 
 #[test]

@@ -65,6 +65,15 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// `v`, the value given to `flag`, as the whole number it takes, or a
+/// usage error naming both.
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes a whole number, not '{v}'");
+        usage()
+    })
+}
+
 fn parse_cli() -> Cli {
     let mut cli = Cli {
         app: "heavy_hitter".into(),
@@ -96,18 +105,24 @@ fn parse_cli() -> Cli {
         };
         match a.as_str() {
             "--app" => cli.app = val("--app"),
-            "--leaves" => cli.leaves = val("--leaves").parse().unwrap_or_else(|_| usage()),
-            "--spines" => cli.spines = val("--spines").parse().unwrap_or_else(|_| usage()),
+            "--leaves" => cli.leaves = num("--leaves", &val("--leaves")),
+            "--spines" => cli.spines = num("--spines", &val("--spines")),
             "--hosts-per-leaf" => {
-                cli.hosts_per_leaf = val("--hosts-per-leaf").parse().unwrap_or_else(|_| usage())
+                cli.hosts_per_leaf = num("--hosts-per-leaf", &val("--hosts-per-leaf"))
             }
-            "--flows" => cli.flows = val("--flows").parse().unwrap_or_else(|_| usage()),
-            "--seed" => cli.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--load" => cli.load = val("--load").parse().unwrap_or_else(|_| usage()),
+            "--flows" => cli.flows = num("--flows", &val("--flows")),
+            "--seed" => cli.seed = num("--seed", &val("--seed")),
+            "--load" => {
+                let v = val("--load");
+                cli.load = v.parse().unwrap_or_else(|_| {
+                    eprintln!("--load takes a number, not '{v}'");
+                    usage()
+                })
+            }
             "--pkts-per-flow" => {
-                cli.pkts_per_flow = val("--pkts-per-flow").parse().unwrap_or_else(|_| usage())
+                cli.pkts_per_flow = num("--pkts-per-flow", &val("--pkts-per-flow"))
             }
-            "--pipelines" => cli.pipelines = val("--pipelines").parse().unwrap_or_else(|_| usage()),
+            "--pipelines" => cli.pipelines = num("--pipelines", &val("--pipelines")),
             "--routing" => {
                 cli.routing = val("--routing").parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
@@ -117,34 +132,26 @@ fn parse_cli() -> Cli {
             "--incast" => {
                 let v = val("--incast");
                 let (fanin, period) = match v.split_once(':') {
-                    Some((f, p)) => (
-                        f.parse().unwrap_or_else(|_| usage()),
-                        p.parse().unwrap_or_else(|_| usage()),
-                    ),
-                    None => (v.parse().unwrap_or_else(|_| usage()), 8),
+                    Some((f, p)) => (num("--incast", f), num("--incast", p)),
+                    None => (num("--incast", &v), 8),
                 };
                 cli.pattern = DcPattern::Incast { fanin, period };
             }
             "--outcast" => {
                 cli.pattern = DcPattern::Outcast {
-                    fanout: val("--outcast").parse().unwrap_or_else(|_| usage()),
+                    fanout: num("--outcast", &val("--outcast")),
                 }
             }
             "--kill-spine" => {
                 let v = val("--kill-spine");
                 let (idx, tick) = match v.split_once('@') {
-                    Some((i, t)) => (
-                        i.parse().unwrap_or_else(|_| usage()),
-                        t.parse().unwrap_or_else(|_| usage()),
-                    ),
-                    None => (v.parse().unwrap_or_else(|_| usage()), 1_000),
+                    Some((i, t)) => (num("--kill-spine", i), num("--kill-spine", t)),
+                    None => (num("--kill-spine", &v), 1_000),
                 };
                 cli.kill_spine = Some((idx, tick));
             }
-            "--link-cap" => cli.link_cap = val("--link-cap").parse().unwrap_or_else(|_| usage()),
-            "--link-latency" => {
-                cli.link_latency = val("--link-latency").parse().unwrap_or_else(|_| usage())
-            }
+            "--link-cap" => cli.link_cap = num("--link-cap", &val("--link-cap")),
+            "--link-latency" => cli.link_latency = num("--link-latency", &val("--link-latency")),
             "--trace-dir" => cli.trace_dir = Some(val("--trace-dir")),
             "--audit" => cli.audit = true,
             "--json" => cli.json = Some(val("--json")),

@@ -13,8 +13,10 @@ fn assert_usage_error(args: &[&str], names: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    // The usage text lists every flag: the error must come before it.
+    let error = stderr.split("usage:").next().unwrap_or_default();
     assert!(
-        stderr.contains(names),
+        error.contains(names),
         "{args:?} must name {names}: {stderr}"
     );
 }
@@ -47,6 +49,12 @@ fn a_zero_link_capacity_is_rejected() {
 #[test]
 fn killing_a_switch_that_is_not_a_spine_is_rejected() {
     assert_usage_error(&["--kill-spine", "9"], "not a spine");
+}
+
+#[test]
+fn a_value_that_is_not_a_number_is_named() {
+    assert_usage_error(&["--flows", "x"], "--flows takes a whole number, not 'x'");
+    assert_usage_error(&["--load", "x"], "--load takes a number, not 'x'");
 }
 
 #[test]

@@ -17,6 +17,7 @@
 use std::borrow::Cow;
 use std::hash::Hasher;
 
+use mp5_types::jsonl::Cursor;
 use mp5_types::{PacketId, PhantomKey, RegId};
 use serde::json::Parser;
 
@@ -490,22 +491,11 @@ impl Event {
     /// A line laid out as the encoder writes it is read by one walk over
     /// its bytes; any other line, and so every error, is read key by key.
     pub fn parse_jsonl(line: &str) -> Result<Event, ParseError> {
-        let mut walk = Walk::new(line);
-        match walk.object() {
-            Some(ev) if walk.at_end() => Ok(ev),
+        let mut c = Cursor::new(line.as_bytes());
+        match walk(&mut c) {
+            Some(ev) if c.at_end() => Ok(ev),
             _ => Fields::read(line)?.event(),
         }
-    }
-
-    /// The line [`Event::write_jsonl`] writes, and its `\n`, at the
-    /// start of `text`: the event and the bytes the line takes, or `None`
-    /// where `text` does not start with exactly that. Such a text is
-    /// [`Event::parse_jsonl`]'s, line by line.
-    pub(crate) fn walk_line(text: &str) -> Option<(Event, usize)> {
-        let mut walk = Walk::new(text);
-        let ev = walk.object()?;
-        walk.lit(b"\n")?;
-        Some((ev, walk.at))
     }
 
     /// What the derived `Hash` feeds a hasher for this event, in one
@@ -609,7 +599,7 @@ impl Event {
 }
 
 /// The key runs of a line, each with the comma before it and the colon
-/// after it: what [`Event::line`] writes and [`Walk`] expects.
+/// after it: what [`Event::line`] writes and [`walk`] expects.
 mod keys {
     pub const P: &[u8] = b",\"p\":";
     pub const S: &[u8] = b",\"s\":";
@@ -649,7 +639,7 @@ const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
 8081828384858687888990919293949596979899";
 
 /// Bytes built on the stack and then handed on whole: a trace line, or
-/// an event's hash input. Its methods, and [`Walk`]'s, are inlined into
+/// an event's hash input. Its methods, and [`Cursor`]'s, are inlined into
 /// each call site, where the key is a constant: each copy becomes a few
 /// fixed stores and the bounds checks fold away (as calls, with the key's
 /// length a variable, `write_jsonl` took ≈ 84 ns an event, not ≈ 45).
@@ -722,190 +712,120 @@ impl<const CAP: usize> Stack<CAP> {
     }
 }
 
-/// Reads a line laid out exactly as [`Event::line`] writes it, byte by
-/// byte against the same key runs. It stops with `None` at the first
-/// byte that differs and decides no error: such a line, well formed or
-/// not, is [`Fields::read`]'s to judge.
-struct Walk<'a> {
-    bytes: &'a [u8],
-    at: usize,
+/// The event at the cursor, up to and with its closing `}`, laid out
+/// exactly as [`Event::line`] writes it, read against the same key runs:
+/// the trace's [`Format::walk`](mp5_types::jsonl::Format::walk). A line
+/// it stops on is [`Fields::read`]'s to judge.
+pub(crate) fn walk(c: &mut Cursor<'_>) -> Option<Event> {
+    let cycle = c.num(b"{\"c\":")?;
+    let pipeline = c.narrow(P)?;
+    let stage = c.narrow(S)?;
+    c.lit(b",\"k\":\"")?;
+    let kind = match c.quoted()? {
+        b"ingress" => EventKind::Ingress {
+            pkt: pkt(c)?,
+            order: order(c)?,
+        },
+        b"egress" => EventKind::Egress { pkt: pkt(c)? },
+        b"drop" => EventKind::Drop {
+            pkt: pkt(c)?,
+            cause: {
+                c.lit(CAUSE)?;
+                DropCause::from_name(c.quoted()?)?
+            },
+        },
+        b"exec" => EventKind::Execute {
+            pkt: pkt(c)?,
+            queued: c.flag(QUEUED)?,
+            bypassed: c.flag(BYPASSED)?,
+        },
+        b"access" => {
+            let PhantomKey { pkt, reg, index } = key(c)?;
+            EventKind::Access {
+                pkt,
+                reg,
+                index,
+                order: order(c)?,
+            }
+        }
+        b"ph_emit" => EventKind::PhantomEmit {
+            key: key(c)?,
+            dest_pipeline: c.narrow(DP)?,
+            dest_stage: c.narrow(DS)?,
+        },
+        b"ph_chan_cancel" => EventKind::PhantomChannelCancel { key: key(c)? },
+        b"remap" => EventKind::RemapMove {
+            reg: RegId(c.narrow(REG)?),
+            index: c.narrow(IDX)?,
+            from: c.narrow(FROM)?,
+            to: c.narrow(TO)?,
+        },
+        b"recirc" => EventKind::Recirculate {
+            pkt: pkt(c)?,
+            target: c.narrow(TO)?,
+        },
+        b"ph_enq" => EventKind::PhantomEnq { key: key(c)? },
+        b"ph_drop" => EventKind::PhantomDropFull { key: key(c)? },
+        b"ph_cancel" => EventKind::PhantomCancel {
+            key: key(c)?,
+            free: c.flag(FREE)?,
+        },
+        b"data_match" => EventKind::DataMatch { key: key(c)? },
+        b"data_orphan" => EventKind::DataOrphan { key: key(c)? },
+        b"data_enq" => EventKind::DataEnq { pkt: pkt(c)? },
+        b"data_enq_drop" => EventKind::DataEnqDropFull { pkt: pkt(c)? },
+        b"pop_data" => EventKind::PopData { pkt: pkt(c)? },
+        b"pop_stale" => EventKind::PopStale,
+        b"pop_blocked" => EventKind::PopBlocked { key: key(c)? },
+        b"steer" => EventKind::Steer {
+            from: c.narrow(FROM)?,
+            to: c.narrow(TO)?,
+        },
+        b"fault" => EventKind::FaultInjected {
+            code: c.narrow(CODE)?,
+            param: c.num(PARAM)?,
+        },
+        b"ph_lost" => EventKind::FaultPhantomLost { key: key(c)? },
+        b"ph_recovered" => EventKind::PhantomRecovered { key: key(c)? },
+        b"evacuated" => EventKind::PipelineEvacuated {
+            pipeline: c.narrow(PL)?,
+            indexes: c.num(N)?,
+        },
+        b"snapshot" => EventKind::SnapshotTaken { seq: c.num(SEQ)? },
+        b"restored" => EventKind::Restored {
+            from_cycle: c.num(FROM)?,
+        },
+        b"swap" => EventKind::ProgramSwapped {
+            migrated: c.num(N)?,
+        },
+        _ => return None,
+    };
+    c.lit(b"}")?;
+    Some(Event {
+        cycle,
+        pipeline,
+        stage,
+        kind,
+    })
 }
 
-impl<'a> Walk<'a> {
-    fn new(line: &'a str) -> Self {
-        Walk {
-            bytes: line.as_bytes(),
-            at: 0,
-        }
-    }
+#[inline(always)]
+fn pkt(c: &mut Cursor<'_>) -> Option<PacketId> {
+    c.num(PKT).map(PacketId)
+}
 
-    /// The event, up to and with its closing `}`.
-    fn object(&mut self) -> Option<Event> {
-        let cycle = self.num(b"{\"c\":")?;
-        let pipeline = self.narrow(P)?;
-        let stage = self.narrow(S)?;
-        self.lit(b",\"k\":\"")?;
-        let kind = match self.quoted()? {
-            b"ingress" => EventKind::Ingress {
-                pkt: self.pkt()?,
-                order: self.order()?,
-            },
-            b"egress" => EventKind::Egress { pkt: self.pkt()? },
-            b"drop" => EventKind::Drop {
-                pkt: self.pkt()?,
-                cause: {
-                    self.lit(CAUSE)?;
-                    DropCause::from_name(self.quoted()?)?
-                },
-            },
-            b"exec" => EventKind::Execute {
-                pkt: self.pkt()?,
-                queued: self.flag(QUEUED)?,
-                bypassed: self.flag(BYPASSED)?,
-            },
-            b"access" => {
-                let PhantomKey { pkt, reg, index } = self.key()?;
-                EventKind::Access {
-                    pkt,
-                    reg,
-                    index,
-                    order: self.order()?,
-                }
-            }
-            b"ph_emit" => EventKind::PhantomEmit {
-                key: self.key()?,
-                dest_pipeline: self.narrow(DP)?,
-                dest_stage: self.narrow(DS)?,
-            },
-            b"ph_chan_cancel" => EventKind::PhantomChannelCancel { key: self.key()? },
-            b"remap" => EventKind::RemapMove {
-                reg: RegId(self.narrow(REG)?),
-                index: self.narrow(IDX)?,
-                from: self.narrow(FROM)?,
-                to: self.narrow(TO)?,
-            },
-            b"recirc" => EventKind::Recirculate {
-                pkt: self.pkt()?,
-                target: self.narrow(TO)?,
-            },
-            b"ph_enq" => EventKind::PhantomEnq { key: self.key()? },
-            b"ph_drop" => EventKind::PhantomDropFull { key: self.key()? },
-            b"ph_cancel" => EventKind::PhantomCancel {
-                key: self.key()?,
-                free: self.flag(FREE)?,
-            },
-            b"data_match" => EventKind::DataMatch { key: self.key()? },
-            b"data_orphan" => EventKind::DataOrphan { key: self.key()? },
-            b"data_enq" => EventKind::DataEnq { pkt: self.pkt()? },
-            b"data_enq_drop" => EventKind::DataEnqDropFull { pkt: self.pkt()? },
-            b"pop_data" => EventKind::PopData { pkt: self.pkt()? },
-            b"pop_stale" => EventKind::PopStale,
-            b"pop_blocked" => EventKind::PopBlocked { key: self.key()? },
-            b"steer" => EventKind::Steer {
-                from: self.narrow(FROM)?,
-                to: self.narrow(TO)?,
-            },
-            b"fault" => EventKind::FaultInjected {
-                code: self.narrow(CODE)?,
-                param: self.num(PARAM)?,
-            },
-            b"ph_lost" => EventKind::FaultPhantomLost { key: self.key()? },
-            b"ph_recovered" => EventKind::PhantomRecovered { key: self.key()? },
-            b"evacuated" => EventKind::PipelineEvacuated {
-                pipeline: self.narrow(PL)?,
-                indexes: self.num(N)?,
-            },
-            b"snapshot" => EventKind::SnapshotTaken {
-                seq: self.num(SEQ)?,
-            },
-            b"restored" => EventKind::Restored {
-                from_cycle: self.num(FROM)?,
-            },
-            b"swap" => EventKind::ProgramSwapped {
-                migrated: self.num(N)?,
-            },
-            _ => return None,
-        };
-        self.lit(b"}")?;
-        Some(Event {
-            cycle,
-            pipeline,
-            stage,
-            kind,
-        })
-    }
+#[inline(always)]
+fn key(c: &mut Cursor<'_>) -> Option<PhantomKey> {
+    Some(PhantomKey {
+        pkt: pkt(c)?,
+        reg: RegId(c.narrow(REG)?),
+        index: c.narrow(IDX)?,
+    })
+}
 
-    /// Whether only what `Parser::end` skips follows the walk.
-    fn at_end(&self) -> bool {
-        self.bytes[self.at..]
-            .iter()
-            .all(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-    }
-
-    #[inline(always)]
-    fn lit(&mut self, expect: &[u8]) -> Option<()> {
-        let found = self.bytes[self.at..].starts_with(expect);
-        found.then(|| self.at += expect.len())
-    }
-
-    /// `key`, then a plain decimal integer of 1 to 19 digits with no
-    /// leading zero, which cannot overflow. A wider one, `u64::MAX`
-    /// among them, stops the walk.
-    #[inline(always)]
-    fn num(&mut self, key: &[u8]) -> Option<u64> {
-        self.lit(key)?;
-        let start = self.at;
-        let mut n = 0u64;
-        while let Some(&b @ b'0'..=b'9') = self.bytes.get(self.at) {
-            n = n.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
-            self.at += 1;
-        }
-        let len = self.at - start;
-        ((1..=19).contains(&len) && (len == 1 || self.bytes[start] != b'0')).then_some(n)
-    }
-
-    #[inline(always)]
-    fn narrow<T: TryFrom<u64>>(&mut self, key: &[u8]) -> Option<T> {
-        T::try_from(self.num(key)?).ok()
-    }
-
-    #[inline(always)]
-    fn flag(&mut self, key: &[u8]) -> Option<bool> {
-        self.lit(key)?;
-        if self.lit(b"true").is_some() {
-            return Some(true);
-        }
-        self.lit(b"false").map(|()| false)
-    }
-
-    /// The bytes up to the next `"`, which is consumed.
-    #[inline(always)]
-    fn quoted(&mut self) -> Option<&'a [u8]> {
-        let bytes = self.bytes;
-        let len = bytes[self.at..].iter().position(|&b| b == b'"')?;
-        let text = &bytes[self.at..self.at + len];
-        self.at += len + 1;
-        Some(text)
-    }
-
-    #[inline(always)]
-    fn pkt(&mut self) -> Option<PacketId> {
-        self.num(PKT).map(PacketId)
-    }
-
-    #[inline(always)]
-    fn key(&mut self) -> Option<PhantomKey> {
-        Some(PhantomKey {
-            pkt: self.pkt()?,
-            reg: RegId(self.narrow(REG)?),
-            index: self.narrow(IDX)?,
-        })
-    }
-
-    #[inline(always)]
-    fn order(&mut self) -> Option<(u64, u64)> {
-        Some((self.num(O1)?, self.num(O2)?))
-    }
+#[inline(always)]
+fn order(c: &mut Cursor<'_>) -> Option<(u64, u64)> {
+    Some((c.num(O1)?, c.num(O2)?))
 }
 
 /// Every key the encoder writes, filled in by one walk over a line.
@@ -1577,6 +1497,20 @@ mod tests {
         assert_eq!(widest, LINE_CAP);
     }
 
+    /// The walk's reading of `text`'s start.
+    fn walk_text(text: &str) -> Option<Event> {
+        walk(&mut Cursor::new(text.as_bytes()))
+    }
+
+    /// What a reader takes at the start of `text` in one walk: the event
+    /// and its `\n`, and the bytes they take.
+    fn walk_line(text: &str) -> Option<(Event, usize)> {
+        let mut c = Cursor::new(text.as_bytes());
+        let ev = walk(&mut c)?;
+        c.lit(b"\n")?;
+        Some((ev, text.len() - c.rest().len()))
+    }
+
     /// The key-by-key reading of `line`, without the walk in front.
     fn read_by_key(line: &str) -> Result<Event, ParseError> {
         Fields::read(line)?.event()
@@ -1593,16 +1527,16 @@ mod tests {
             // Only a 20-digit number sends an encoder line to the key
             // reader.
             let wide = line.contains(&u64::MAX.to_string());
-            let walk = Walk::new(&line).object();
+            let walk = walk_text(&line);
             assert!(walk == if wide { None } else { Some(ev) }, "{line}");
             // A reader takes the line and its `\n` in the same walk, and
             // leaves any other ending to `parse_jsonl`.
             let next = format!("{line}\n{line}\n");
-            let taken = Event::walk_line(&next);
+            let taken = walk_line(&next);
             assert!(taken == walk.map(|ev| (ev, line.len() + 1)), "{line}");
             for ending in ["", "\r\n", " \n", "x\n"] {
                 let text = format!("{line}{ending}");
-                assert!(Event::walk_line(&text).is_none(), "{text:?}");
+                assert!(walk_line(&text).is_none(), "{text:?}");
             }
             for tail in ["\n", "\r\n", " \t", "x", ",", "}"] {
                 let text = format!("{line}{tail}");
@@ -1619,7 +1553,7 @@ mod tests {
                     let text = String::from_utf8(bytes).unwrap();
                     let got = Event::parse_jsonl(&text);
                     assert_eq!(got, read_by_key(&text), "{text:?}");
-                    walked += usize::from(Walk::new(&text).object().is_some());
+                    walked += usize::from(walk_text(&text).is_some());
                 }
             }
         }

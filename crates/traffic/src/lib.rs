@@ -22,7 +22,6 @@ pub mod dc;
 pub mod flows;
 pub mod pattern;
 pub mod streams;
-pub mod trace_io;
 
 pub use dc::{DcPacket, DcPattern, DcStream, DcWorkload};
 pub use flows::{FlowTraceBuilder, WEB_SEARCH_CDF};

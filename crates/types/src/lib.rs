@@ -17,6 +17,14 @@
 //! a single logical pipeline admits one packet every 64 byte-times, and
 //! one pipeline of a `k`-pipeline switch admits one packet every `64·k`
 //! byte-times (its *cycle*).
+//!
+//! # Newline JSON
+//!
+//! [`jsonl`] is the one reader of the workspace's newline-JSON files,
+//! the event trace and the packet feed: [`jsonl::records`] cuts a
+//! reader's lines in its buffer, a format's walk reads a line in its
+//! writer's layout on a [`jsonl::Cursor`], and its general reader any
+//! other line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +32,7 @@
 pub mod fasthash;
 pub mod flow;
 pub mod ids;
+pub mod jsonl;
 pub mod packet;
 pub mod time;
 

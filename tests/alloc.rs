@@ -14,7 +14,9 @@
 //! - `mp5serve`'s loop over `Server` on packets already parsed;
 //! - `mp5serve --stdin`'s loop: `Server::ingest_due` pulling newline
 //!   JSON through `packet_feed`, where reading a line allocates its
-//!   packet's fields, once, and nothing else.
+//!   packet's fields, once, and nothing else;
+//! - `mp5audit`'s reader: `read_jsonl` over a recorded trace, which
+//!   allocates nothing per line beyond the vector it returns.
 //!
 //! After warm-up a cycle allocates nothing for the `mp5` design. The
 //! ideal design's per-index queues open and drop a sub-queue per index
@@ -29,7 +31,7 @@ use mp5::core::{Mp5Switch, SwitchConfig};
 use mp5::faults::NoFaults;
 use mp5::serve::{packet_feed, Server};
 use mp5::sim::experiments::app_trace;
-use mp5::trace::NopSink;
+use mp5::trace::{read_jsonl, Event, NopSink};
 use mp5::types::Packet;
 
 struct Counting;
@@ -276,6 +278,55 @@ fn the_stdin_feed_allocates_one_vector_per_line() {
             app.name
         );
     }
+}
+
+/// Allocations of `read_jsonl` over `reader`, and the events it read.
+fn read_trace(reader: impl std::io::BufRead) -> (u64, Vec<Event>) {
+    let before = allocs();
+    let events = read_jsonl(reader).expect("the golden trace reads");
+    (allocs() - before, events)
+}
+
+/// Allocations of a vector grown one push at a time to `n` items.
+fn growth<T: Copy>(item: T, n: usize) -> u64 {
+    let before = allocs();
+    let mut grown = Vec::new();
+    for _ in 0..n {
+        grown.push(item);
+    }
+    let spent = allocs() - before;
+    assert_eq!(grown.len(), n);
+    spent
+}
+
+/// Reading a trace allocates nothing per line: the golden trace read
+/// from a slice costs only the growth of the event vector returned.
+/// Through a 64-byte buffer, where most lines run past a buffer's end
+/// and are gathered into the carry buffer, the carry buffer's growth to
+/// the longest line may come on top. Its 20-digit lines go to the
+/// general reader, which allocates nothing either.
+#[test]
+fn reading_a_trace_allocates_nothing_per_line() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/events.jsonl");
+    let text = std::fs::read(path).expect("the golden trace");
+    let longest = text.split(|&b| b == b'\n').map(<[u8]>::len).max();
+    let carry = growth(b'x', longest.expect("a line") + 1);
+
+    let (spent, events) = read_trace(text.as_slice());
+    let output = growth(events[0], events.len());
+    assert!(events.len() > 4000, "{} events", events.len());
+    assert!(
+        spent <= output,
+        "{spent} allocations, the vector's {output}"
+    );
+
+    let reader = std::io::BufReader::with_capacity(64, text.as_slice());
+    let (buffered, again) = read_trace(reader);
+    assert_eq!(again, events);
+    assert!(
+        buffered <= output + carry,
+        "{buffered} allocations through 64 bytes, the vector's {output} and the carry's {carry}"
+    );
 }
 
 /// The ideal design's allocations per packet, pinned at their count

@@ -18,7 +18,7 @@ use mp5::trace::{
     read_jsonl, stream_hash, DropCause, Event, EventKind, JsonlSink, MemSink, NopSink, TraceSink,
     NO_LOC,
 };
-use mp5::traffic::{trace_io, DcPattern, DcWorkload, TraceBuilder};
+use mp5::traffic::{DcPattern, DcWorkload, TraceBuilder};
 use mp5::types::{Packet, PacketId, PipelineId, RegId};
 
 fn golden(name: &str) -> PathBuf {
@@ -113,7 +113,6 @@ fn regenerate_goldens() {
         .collect();
     std::fs::write(golden("feed.jsonl"), feed).unwrap();
     std::fs::write(golden("fabric_report.json"), fabric_report_json()).unwrap();
-    std::fs::write(golden("trace.json"), trace_io::to_json(&packets(25, 2))).unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -284,14 +283,6 @@ fn fabric_report_reprints_to_the_same_bytes() {
     assert_eq!(serde_json::to_string_pretty(&doc).unwrap(), text);
     assert_eq!(doc["flows_started"], 300u64);
     assert_eq!(doc["fct"]["mean"], 15073.22);
-}
-
-#[test]
-fn trace_file_reloads_and_reprints_to_the_same_bytes() {
-    let text = read_golden("trace.json");
-    let trace = trace_io::from_json(&text).unwrap();
-    assert_eq!(trace, packets(25, 2));
-    assert_eq!(trace_io::to_json(&trace), text);
 }
 
 /// With `record_detail` on, a snapshot carries every completed packet's
@@ -902,14 +893,6 @@ fn one_flipped_byte_in_a_golden_is_noticed() {
             }
         });
     }
-
-    let text = read_golden("trace.json");
-    let trace = trace_io::from_json(&text).unwrap();
-    each_flip(&text, 0..text.len(), |at, damaged| {
-        if let Ok(t) = trace_io::from_json(damaged) {
-            assert_ne!(t, trace, "trace.json: flip at byte {at} went unnoticed");
-        }
-    });
 
     let text = read_golden("fabric_report.json");
     let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
