@@ -16,7 +16,7 @@ TRACE_TMP=""
 FABRIC_TMP=""
 SERVE_TMP=""
 cleanup() {
-    if [ -n "$TRACE_TMP" ]; then rm -f "$TRACE_TMP" "$TRACE_TMP.spaced"; fi
+    if [ -n "$TRACE_TMP" ]; then rm -f "$TRACE_TMP" "$TRACE_TMP.spaced" "$TRACE_TMP.csv"; fi
     if [ -n "$FABRIC_TMP" ]; then rm -rf "$FABRIC_TMP"; fi
     if [ -n "$SERVE_TMP" ]; then rm -rf "$SERVE_TMP"; fi
 }
@@ -152,6 +152,15 @@ awk '{ gsub(/,/, ", "); gsub(/:/, ": "); printf "%s\r\n", $0 } NR == 5 { printf 
 AUDIT_SPACED=$(./target/release/mp5audit --json "$TRACE_TMP.spaced")
 if [ "$AUDIT_FILE" != "$AUDIT_SPACED" ]; then
     echo "ci.sh: mp5audit --json reads the respaced CRLF trace differently" >&2
+    exit 1
+fi
+# The rollup's stage section has one row per (pipeline, stage): remap
+# moves and lifecycle markers sit at no stage (NO_LOC, 65535) and must
+# open no row there.
+./target/release/mp5audit --quiet --rollup "$TRACE_TMP.csv" "$TRACE_TMP"
+if sed '/^$/q' "$TRACE_TMP.csv" | grep -Eq '^(65535|[0-9]+,65535),'; then
+    echo "ci.sh: the rollup prints a stage row for events at no stage:" >&2
+    sed '/^$/q' "$TRACE_TMP.csv" | grep -E '^(65535|[0-9]+,65535),' >&2
     exit 1
 fi
 # The recirculating switch breaks C1 by design, so mp5audit exits 1 on
